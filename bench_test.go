@@ -1,7 +1,10 @@
 // Root benchmark harness: one testing.B benchmark per table and figure of
 // the paper (regenerating the experiment and reporting its headline numbers
-// as custom metrics), plus ablation benchmarks for the design choices called
-// out in DESIGN.md.
+// as custom metrics), plus ablation benchmarks for the paper's design
+// choices: hard-affinity queues and statement priorities (Section 5), the
+// concurrency hint [28], materialization coalescing (Section 5.2), the one
+// calibrated cost constant (EXPERIMENTS.md, opening paragraph), and the join
+// hash-table placement (Section 8).
 //
 // Run everything:
 //

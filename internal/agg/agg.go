@@ -1,7 +1,7 @@
 // Package agg implements the Section 6.3 benchmark workloads as synthetic
 // equivalents (the paper's TPC-H kit and the proprietary SAP BW-EML
-// benchmark are not available here; see DESIGN.md for the substitution
-// argument):
+// benchmark are not available here; EXPERIMENTS.md's fig19 row states what
+// the substitutes must reproduce):
 //
 //   - A TPC-H-Q1-style workload: continuously issued instances of an
 //     aggregation query over one large lineitem-like table, dominated by
@@ -18,7 +18,6 @@ import (
 
 	"numacs/internal/colstore"
 	"numacs/internal/core"
-	"numacs/internal/exec"
 	"numacs/internal/workload"
 )
 
@@ -154,28 +153,18 @@ func (c *Clients) Start() {
 // Stop prevents further queries.
 func (c *Clients) Stop() { c.stopped = true }
 
-// issue composes one aggregation statement directly on the operator-pipeline
-// layer: a find-phase scan feeding an aggregation over its qualifying
-// regions (the same two operators a core.Query with Aggregate set builds).
+// issue submits one aggregation statement: a find-phase scan feeding an
+// aggregation over its qualifying regions.
 func (c *Clients) issue(client int) {
 	if c.stopped {
 		return
 	}
 	c.Issued++
 	t := c.Tables[c.rng.Intn(len(c.Tables))]
-	scan := &exec.ScanOp{
-		Table:       t,
-		Column:      c.Column(t),
-		Selectivity: c.Selectivity,
-		Parallel:    true,
-	}
-	agg := &exec.AggregateOp{
-		Source:          scan,
-		BytesPerRow:     c.BytesPerRow,
-		CyclesPerRow:    c.CyclesPerRow,
-		Parallel:        true,
-		DisableCoalesce: c.Engine.DisableCoalesce,
-	}
-	c.Engine.SubmitPipeline(c.Strategy, client%c.Engine.Machine.Sockets,
-		func(float64) { c.issue(client) }, scan, agg)
+	c.Engine.Submit(&core.Query{
+		Table: t, Column: c.Column(t), Selectivity: c.Selectivity, Parallel: true,
+		Strategy: c.Strategy, HomeSocket: client % c.Engine.Machine.Sockets,
+		Aggregate: true, AggBytesPerRow: c.BytesPerRow, AggCyclesPerRow: c.CyclesPerRow,
+		OnDone: func(float64) { c.issue(client) },
+	})
 }

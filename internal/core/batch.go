@@ -6,26 +6,26 @@ package core
 // arrival timing. This is the planner's half of the sharing loop; the
 // timing half (join windows, mid-flight attach) stays in sharedscan.
 
-import (
-	"numacs/internal/sharedscan"
-	"numacs/internal/sim"
-	"numacs/internal/trace"
-)
+import "numacs/internal/sharedscan"
 
 // SubmitBatch submits a batch of statements that arrived together (one
-// multi-statement request, or one scheduler dispatch round). Every statement
-// is planned, and statements whose physical plans share a cohort key — the
-// planner's common-subplan detection — are handed to the shared-scan registry
-// as one plan-driven group (sharedscan.Registry.SubmitGroup), guaranteeing
-// they share a physical pass even when a join window would have missed them.
-// Statements with unique or unshareable plans take the normal Submit path.
+// multi-statement request, or one scheduler dispatch round) along Submit's
+// path. Every statement is checked, traced, and planned; statements whose
+// physical plans share a cohort key — the planner's common-subplan detection
+// — are handed to the shared-scan registry as one plan-driven group
+// (sharedscan.Registry.SubmitGroup), guaranteeing they share a physical pass
+// even when a join window would have missed them. Every other statement
+// starts exactly as Submit would start it.
 //
-// Plan-driven grouping needs the registry and bypasses per-statement
-// admission, so with an admission controller installed (or sharing disabled)
-// the batch degrades to per-statement Submit calls — admission's queueing
-// decisions would otherwise be invisible to the group.
+// Plan-driven grouping bypasses per-statement admission, so with an
+// admission controller installed the batch degrades to per-statement Submit
+// calls — admission's queueing decisions would otherwise be invisible to the
+// group.
 func (e *Engine) SubmitBatch(qs []*Query) {
-	if e.Admit != nil || e.Shared == nil {
+	for _, q := range qs {
+		check(q) // a bad statement fails the batch before any of it starts
+	}
+	if e.Admit != nil {
 		for _, q := range qs {
 			e.Submit(q)
 		}
@@ -35,30 +35,21 @@ func (e *Engine) SubmitBatch(qs []*Query) {
 	groups := make(map[string][]*sharedscan.Member)
 	var order []string
 	for _, q := range qs {
-		var st *trace.Statement
-		if e.Trace != nil {
-			st = e.Trace.StartStatement(q.Tenant, q.Class.String(), q.Table.Name+"."+q.Column, issuedAt)
-		}
-		low := e.planQuery(q)
-		if !low.Shareable {
-			e.submitPipeline(q.Strategy, q.HomeSocket, 0, issuedAt, st, q.OnDone, low.Ops...)
+		m := e.start(q, e.startStatement(q.Tenant, q.Class, q), 0, issuedAt, nil)
+		if m == nil {
 			continue
 		}
-		if _, ok := groups[low.ShareKey]; !ok {
-			order = append(order, low.ShareKey)
+		if _, ok := groups[m.Key]; !ok {
+			order = append(order, m.Key)
 		}
-		groups[low.ShareKey] = append(groups[low.ShareKey], e.cohortMember(q, low, st, 0, issuedAt, q.OnDone, nil))
+		groups[m.Key] = append(groups[m.Key], m)
 	}
 	for _, key := range order {
 		ms := groups[key]
-		// Phase 0: one fixed per-query overhead delay covers the group — each
-		// member's overhead flow would run concurrently on its own connection
-		// thread and complete at the same instant anyway, so one flow is
+		// One fixed per-query overhead delay covers the group — each member's
+		// overhead flow would run concurrently on its own connection thread
+		// and complete at the same instant anyway, so one flow is
 		// timing-equivalent and the whole group joins the registry together.
-		e.Sim.StartFlow(&sim.Flow{
-			Remaining: e.Costs.QueryOverheadSeconds,
-			RateCap:   1,
-			OnDone:    func() { e.Shared.SubmitGroup(ms) },
-		})
+		e.afterOverhead(func() { e.Shared.SubmitGroup(ms) })
 	}
 }

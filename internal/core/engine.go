@@ -2,11 +2,12 @@
 // together: it schedules concurrent column scans over placed data (Section
 // 5.2), applying one of the three task scheduling strategies (OS, Target,
 // Bound) and consulting the Page Socket Mappings of the selected column to
-// derive task affinities. Statements execute as operator pipelines on the
-// internal/exec layer: a query is a scan operator composed with a
-// materialization or aggregation operator, driven by task completions on the
-// simulated machine; arbitrary compositions (scan -> join -> aggregate) run
-// through the same SubmitPipeline entry point.
+// derive task affinities. Every read statement enters through Submit (or
+// SubmitBatch, the same path over a slice): it is checked, traced, admitted,
+// planned by internal/plan, and executed as an operator pipeline on the
+// internal/exec layer — a scan composed with a materialization or
+// aggregation, or any planned composition such as scan -> join -> aggregate —
+// driven by task completions on the simulated machine.
 package core
 
 import (
@@ -18,6 +19,7 @@ import (
 	"numacs/internal/hw"
 	"numacs/internal/metrics"
 	"numacs/internal/placement"
+	"numacs/internal/plan"
 	"numacs/internal/sched"
 	"numacs/internal/sharedscan"
 	"numacs/internal/sim"
@@ -189,7 +191,9 @@ func NewWithStep(m *topology.Machine, seed int64, step float64) *Engine {
 }
 
 // ExecEnv returns the engine's operator-pipeline environment, for composing
-// raw exec pipelines outside the statement entry points.
+// raw exec pipelines outside the statement entry point. join.Execute is the
+// one such caller: it measures the bare build/probe operator, with no
+// per-query overhead, admission or concurrency-hint accounting.
 func (e *Engine) ExecEnv() *exec.Env { return e.env }
 
 // EnableAdmission puts an admission controller in front of the engine's
@@ -252,7 +256,7 @@ func (e *Engine) EnableChaos(cfg chaos.Config, tables ...*colstore.Table) *chaos
 }
 
 // EnableTracing wires the flight recorder: statement spans on every Submit /
-// SubmitWrite / SubmitPipeline path, control-plane decisions (placer moves,
+// SubmitBatch / SubmitWrite statement, control-plane decisions (placer moves,
 // AIMD steps, cohort lifecycle, chaos faults, delta merges) in a bounded ring,
 // and — when cfg.SampleInterval > 0 — a sampler actor recording windowed
 // counter deltas. It returns the tracer for export and assertions. Call it
@@ -315,7 +319,8 @@ func (e *Engine) ConcurrencyHint() int {
 	return h
 }
 
-// Query describes one SELECT ... WHERE col BETWEEN ? AND ? execution.
+// Query describes one read statement: the plain fields a SELECT ... WHERE
+// col BETWEEN ? AND ? execution, Plan any shape they cannot describe.
 type Query struct {
 	Table       *colstore.Table
 	Column      string
@@ -363,39 +368,99 @@ type Query struct {
 	Aggregate       bool
 	AggBytesPerRow  float64
 	AggCyclesPerRow float64
+
+	// Plan, when set, is the statement's logical plan, for shapes the plain
+	// fields cannot describe: star joins and multi-join chains
+	// (plan.BuildStar). The plain table, predicate, projection and
+	// aggregation fields are then ignored; Strategy, HomeSocket, the
+	// callbacks and the admission fields still apply. Submission consumes the
+	// tree — the optimizer rewrites it in place — so every submission needs a
+	// freshly built plan.
+	Plan *plan.Logical
 }
 
-// Submit starts executing a query as a two-operator pipeline (find phase,
-// then materialization or aggregation); completion is reported via q.OnDone.
-// With admission enabled the statement routes through the controller: it may
-// wait in its tenant's queue (the wait counts toward the reported latency
-// and ages its task priority), run with a coarsened fan-out, or be shed.
+// Submit is the entry point of every read statement; completion is reported
+// via q.OnDone. The statement is checked first — an unknown or unplaced
+// column panics here, before anything is queued — then opens its trace span
+// and passes admission when the engine has a controller: it may wait in its
+// tenant's queue (the wait counts toward the reported latency and ages its
+// task priority), run with a coarsened fan-out, or be shed (q.OnShed fires
+// instead of q.OnDone). Once admitted it is planned and dispatched behind the
+// fixed per-query overhead: a shareable scan joins the cohort registry,
+// anything else runs as a private operator pipeline.
 func (e *Engine) Submit(q *Query) {
-	var st *trace.Statement
-	if e.Trace != nil {
-		st = e.Trace.StartStatement(q.Tenant, q.Class.String(), q.Table.Name+"."+q.Column, e.Sim.Now())
+	check(q)
+	st := e.startStatement(q.Tenant, q.Class, q)
+	e.enter(q.Tenant, q.Class, st, q.OnShed, func(gran int, issuedAt float64, release func()) {
+		if m := e.start(q, st, gran, issuedAt, release); m != nil {
+			e.afterOverhead(func() { e.Shared.Submit(m) })
+		}
+	})
+}
+
+// startStatement opens a statement's trace span (nil when tracing is off),
+// labelled with the data item the statement reads; q is nil for writes.
+func (e *Engine) startStatement(tenant string, class admit.Class, q *Query) *trace.Statement {
+	if e.Trace == nil {
+		return nil
 	}
-	if e.Admit != nil {
-		e.Admit.Submit(&admit.Statement{
-			Tenant: q.Tenant,
-			Class:  q.Class,
-			Trace:  st,
-			OnShed: q.OnShed,
-			Run: func(gran int, issuedAt float64, done func()) {
-				e.submitQuery(q, st, gran, issuedAt, done)
-			},
-		})
+	item := "write"
+	switch {
+	case q == nil:
+	case q.Plan != nil:
+		item = baseTable(q.Plan.Root).Name
+	default:
+		item = q.Table.Name + "." + q.Column
+	}
+	return e.Trace.StartStatement(tenant, class.String(), item, e.Sim.Now())
+}
+
+// enter is the admission front half every statement shares. Without a
+// controller run fires at once, uncapped and stamped now. With one, the
+// statement queues under its tenant and class: run fires when it is admitted
+// (with the controller's fan-out cap, its enqueue time, and a release that
+// frees its concurrency slot), or onShed fires instead.
+func (e *Engine) enter(tenant string, class admit.Class, st *trace.Statement, onShed func(), run func(gran int, issuedAt float64, release func())) {
+	if e.Admit == nil {
+		run(0, e.Sim.Now(), nil)
 		return
 	}
-	e.submitQuery(q, st, 0, e.Sim.Now(), nil)
+	e.Admit.Submit(&admit.Statement{Tenant: tenant, Class: class, Trace: st, OnShed: onShed, Run: run})
 }
 
-// submitQuery builds and dispatches the query's operator pipeline with the
-// given fan-out cap and statement timestamp. release, when non-nil, frees
-// the statement's admission-concurrency slot; it runs before the query's own
-// completion (or shed) callback.
-func (e *Engine) submitQuery(q *Query, st *trace.Statement, gran int, issuedAt float64, release func()) {
-	onDone := func(lat float64) {
+// start is the dispatch of an admitted statement: gran caps its fan-out (0 =
+// uncapped), issuedAt is its statement timestamp — the task priority and the
+// base of its latency — and release, when non-nil, frees its admission slot
+// before q.OnDone (or q.OnShed) fires. It plans the statement and starts its
+// private pipeline behind the per-query overhead, or, when the plan is a
+// shareable scan and the engine shares scans, returns it as a cohort member
+// for the caller to hand to the registry. Either way the statement counts as
+// active until it completes.
+func (e *Engine) start(q *Query, st *trace.Statement, gran int, issuedAt float64, release func()) *sharedscan.Member {
+	low := e.planQuery(q)
+	if e.Shared != nil && low.Shareable {
+		return e.cohortMember(q, low, st, gran, issuedAt, release)
+	}
+	e.activeStatements++
+	p := &exec.Pipeline{
+		Env:        e.env,
+		Strategy:   q.Strategy,
+		HomeSocket: q.HomeSocket,
+		IssuedAt:   issuedAt,
+		MaxFanout:  gran,
+		Ops:        low.Ops,
+		Trace:      st,
+		OnDone:     e.completion(q, release),
+	}
+	e.afterOverhead(p.Start)
+	return nil
+}
+
+// completion returns a statement's completion callback: it leaves the
+// active set, frees the admission slot, and reports the latency.
+func (e *Engine) completion(q *Query, release func()) func(latency float64) {
+	return func(lat float64) {
+		e.activeStatements--
 		if release != nil {
 			release()
 		}
@@ -403,65 +468,18 @@ func (e *Engine) submitQuery(q *Query, st *trace.Statement, gran int, issuedAt f
 			q.OnDone(lat)
 		}
 	}
-	low := e.planQuery(q)
-	if e.Shared != nil && low.Shareable {
-		e.submitShared(q, low, st, gran, issuedAt, onDone, release)
-		return
-	}
-	e.submitPipeline(q.Strategy, q.HomeSocket, gran, issuedAt, st, onDone, low.Ops...)
 }
 
-// SubmitPipeline executes composed operators as one SQL statement: the fixed
-// per-query overhead runs first on the client's connection thread, the
-// statement counts toward the concurrency hint while in flight, and every
-// operator task carries the statement timestamp as its priority. The
-// completion latency (including the overhead) is recorded and reported via
-// onDone.
-func (e *Engine) SubmitPipeline(strategy Strategy, homeSocket int, onDone func(latency float64), ops ...exec.Operator) {
-	e.SubmitPipelineAt(strategy, homeSocket, 0, e.Sim.Now(), onDone, ops...)
-}
-
-// SubmitPipelineAt is SubmitPipeline with the admission controller's two
-// levers exposed: maxFanout caps every operator's task fan-out (0 =
-// uncapped), and issuedAt backdates the statement timestamp to its
-// admission-queue arrival — task priorities age with the wait, and the
-// recorded latency covers queue time, not just execution.
-func (e *Engine) SubmitPipelineAt(strategy Strategy, homeSocket, maxFanout int, issuedAt float64, onDone func(latency float64), ops ...exec.Operator) {
-	var st *trace.Statement
-	if e.Trace != nil {
-		st = e.Trace.StartStatement("", "", "pipeline", e.Sim.Now())
-	}
-	e.submitPipeline(strategy, homeSocket, maxFanout, issuedAt, st, onDone, ops...)
-}
-
-// submitPipeline is the shared pipeline-dispatch core: SubmitPipelineAt and
-// submitQuery both land here, the latter threading the statement's trace span
-// (created at Submit time, so the span covers the admission-queue wait).
-func (e *Engine) submitPipeline(strategy Strategy, homeSocket, maxFanout int, issuedAt float64, st *trace.Statement, onDone func(latency float64), ops ...exec.Operator) {
-	e.activeStatements++
-	p := &exec.Pipeline{
-		Env:        e.env,
-		Strategy:   strategy,
-		HomeSocket: homeSocket,
-		IssuedAt:   issuedAt,
-		MaxFanout:  maxFanout,
-		Ops:        ops,
-		Trace:      st,
-		OnDone: func(lat float64) {
-			e.activeStatements--
-			if onDone != nil {
-				onDone(lat)
-			}
-		},
-	}
-	// Phase 0: fixed per-query overhead (parse/plan/session). It runs on the
-	// client's connection thread — a receiver thread outside the worker pool
-	// — so it adds latency without occupying a worker (units are seconds;
-	// the rate cap of 1 makes the flow a pure delay).
+// afterOverhead runs next once the fixed per-query overhead (parse, plan,
+// session) has elapsed. The overhead runs on the client's connection thread —
+// a receiver thread outside the worker pool — so it adds latency without
+// occupying a worker (units are seconds; the rate cap of 1 makes the flow a
+// pure delay).
+func (e *Engine) afterOverhead(next func()) {
 	e.Sim.StartFlow(&sim.Flow{
 		Remaining: e.Costs.QueryOverheadSeconds,
 		RateCap:   1,
-		OnDone:    p.Start,
+		OnDone:    next,
 	})
 }
 

@@ -30,31 +30,16 @@ import (
 // deferred, not applied-then-admitted), and the Interactive deadline can
 // shed it, in which case apply never runs.
 func (e *Engine) SubmitWrite(tenant string, onShed func(), apply func(done func())) {
-	var st *trace.Statement
-	if e.Trace != nil {
-		st = e.Trace.StartStatement(tenant, admit.Interactive.String(), "write", e.Sim.Now())
-	}
-	if e.Admit == nil {
+	st := e.startStatement(tenant, admit.Interactive, nil)
+	e.enter(tenant, admit.Interactive, st, onShed, func(_ int, _ float64, release func()) {
 		apply(func() {
 			if st != nil {
 				st.MarkDone(e.Sim.Now())
 			}
+			if release != nil {
+				release()
+			}
 		})
-		return
-	}
-	e.Admit.Submit(&admit.Statement{
-		Tenant: tenant,
-		Class:  admit.Interactive,
-		Trace:  st,
-		OnShed: onShed,
-		Run: func(gran int, issuedAt float64, done func()) {
-			apply(func() {
-				if st != nil {
-					st.MarkDone(e.Sim.Now())
-				}
-				done()
-			})
-		},
 	})
 }
 

@@ -142,26 +142,5 @@ func TestAdmissionBypassBitIdentical(t *testing.T) {
 		t.Fatalf("admission shed %d statements on an uncontended run", st.Shed)
 	}
 
-	d, a := direct.Counters, admitted.Counters
-	if d.QueriesDone != a.QueriesDone || d.TasksExecuted != a.TasksExecuted ||
-		d.TasksStolen != a.TasksStolen {
-		t.Fatalf("counts drifted: direct {q %d, tasks %d, stolen %d} vs admitted {q %d, tasks %d, stolen %d}",
-			d.QueriesDone, d.TasksExecuted, d.TasksStolen,
-			a.QueriesDone, a.TasksExecuted, a.TasksStolen)
-	}
-	if d.TotalMCBytes() != a.TotalMCBytes() || d.LLCLocal != a.LLCLocal ||
-		d.LLCRemote != a.LLCRemote || d.LinkDataBytes != a.LinkDataBytes ||
-		d.LinkTotalBytes != a.LinkTotalBytes {
-		t.Fatalf("traffic drifted: direct {MC %v, LLC %v/%v, link %v/%v} vs admitted {MC %v, LLC %v/%v, link %v/%v}",
-			d.TotalMCBytes(), d.LLCLocal, d.LLCRemote, d.LinkDataBytes, d.LinkTotalBytes,
-			a.TotalMCBytes(), a.LLCLocal, a.LLCRemote, a.LinkDataBytes, a.LinkTotalBytes)
-	}
-	if d.IPC() != a.IPC() || d.WorkerBusySeconds != a.WorkerBusySeconds {
-		t.Fatalf("compute drifted: IPC %v vs %v, busy %v vs %v",
-			d.IPC(), a.IPC(), d.WorkerBusySeconds, a.WorkerBusySeconds)
-	}
-	dl, al := d.Latencies(), a.Latencies()
-	if dl != al {
-		t.Fatalf("latency distributions drifted:\n direct   %+v\n admitted %+v", dl, al)
-	}
+	assertSameRun(t, direct.Counters, admitted.Counters)
 }

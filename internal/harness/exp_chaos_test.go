@@ -62,27 +62,7 @@ func TestChaosDisabledBitIdentical(t *testing.T) {
 	if got := len(inert.Chaos.Applied); got != 0 {
 		t.Fatalf("inert injector applied %d events", got)
 	}
-	d, s := plain.Counters, inert.Counters
-	if d.QueriesDone != s.QueriesDone || d.TasksExecuted != s.TasksExecuted ||
-		d.TasksStolen != s.TasksStolen {
-		t.Fatalf("counts drifted: plain {q %d, tasks %d, stolen %d} vs chaos-enabled {q %d, tasks %d, stolen %d}",
-			d.QueriesDone, d.TasksExecuted, d.TasksStolen,
-			s.QueriesDone, s.TasksExecuted, s.TasksStolen)
-	}
-	if d.TotalMCBytes() != s.TotalMCBytes() || d.LLCLocal != s.LLCLocal ||
-		d.LLCRemote != s.LLCRemote || d.LinkDataBytes != s.LinkDataBytes ||
-		d.LinkTotalBytes != s.LinkTotalBytes {
-		t.Fatalf("traffic drifted: plain MC %v vs chaos-enabled MC %v",
-			d.TotalMCBytes(), s.TotalMCBytes())
-	}
-	if d.IPC() != s.IPC() || d.WorkerBusySeconds != s.WorkerBusySeconds {
-		t.Fatalf("compute drifted: IPC %v vs %v, busy %v vs %v",
-			d.IPC(), s.IPC(), d.WorkerBusySeconds, s.WorkerBusySeconds)
-	}
-	if d.Latencies() != s.Latencies() {
-		t.Fatalf("latency distribution drifted:\n plain %+v\n chaos-enabled %+v",
-			d.Latencies(), s.Latencies())
-	}
+	assertSameRun(t, plain.Counters, inert.Counters)
 }
 
 // assertProgress is the livelock/deadlock watchdog: every reporting window

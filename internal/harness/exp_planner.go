@@ -115,14 +115,14 @@ func (sc plannerSchema) starTwo() plan.StarStatement {
 	}
 }
 
-// submitStarTwo plans and submits the two-dimension star statement —
-// the multi-join path core.Submit cannot express, driven straight through
-// Build -> Optimize -> Lower.
+// submitStarTwo submits the two-dimension star statement — a multi-join
+// shape the plain Query fields cannot express — as a planned Query.
 func submitStarTwo(e *core.Engine, sc plannerSchema, client int, onDone func(float64)) {
-	st := sc.starTwo()
-	stats := plan.Collect(sc.dim1, sc.dim2, sc.fact)
-	low := plan.Optimize(plan.BuildStar(st), stats, &e.Costs).Lower(plan.Deps{Alloc: e.Placer.Alloc})
-	e.SubmitPipeline(core.Bound, client%e.Machine.Sockets, onDone, low.Ops...)
+	e.Submit(&core.Query{
+		Plan:     plan.BuildStar(sc.starTwo()),
+		Strategy: core.Bound, HomeSocket: client % e.Machine.Sockets,
+		OnDone: onDone,
+	})
 }
 
 // PlannerRun is the measured outcome of one planner-experiment mode, exposed
@@ -260,7 +260,7 @@ func runPlanner(s Scale) *Report {
 
 // explainFixtureRows sizes the EXPLAIN fixtures: fixed (quick-scale rows)
 // regardless of the invocation's -scale flag, so the rendered plans — and the
-// plan-golden files CI diffs — are identical everywhere.
+// plan-golden files TestPlanGoldens compares — are identical everywhere.
 const explainFixtureRows = 60_000
 
 // explainPlanner renders the planner experiment's EXPLAIN walkthrough: the

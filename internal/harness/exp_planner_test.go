@@ -9,92 +9,52 @@ import (
 )
 
 // TestStarJoinPlannerBitIdentical pins the planner's lowering contract on
-// the starjoin experiment's fixed-seed scenario: ExecuteStar — which now runs
-// Build -> Optimize (with live stats) -> Lower — must emit an operator
-// pipeline field-for-field identical to ExecuteStarUnplanned's hand wiring,
-// so twin engines driving the two paths with the same seed match on every
-// counter and on the full latency distribution, bit for bit.
+// the starjoin experiment's fixed-seed scenario: ExecuteStar — a planned
+// Query through Engine.Submit, optimized with live stats — must match, on
+// every counter and the full latency histogram, the fingerprint the
+// pre-planner hand-wired star pipeline (scan, build, probe, aggregate wired
+// directly) produced on the same scenario.
 func TestStarJoinPlannerBitIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fixed-seed simulation runs")
 	}
 	s := QuickScale()
-	run := func(planned bool) *core.Engine {
-		e := core.NewWithStep(FourSocket.Build(), 1, s.Step)
-		sockets := []int{0, 1, 2, 3}
-		dim := colstore.NewTable("DIM", []*colstore.Column{
-			colstore.NewSynthetic("D_DATE", s.Rows/4, 1<<12, false),
-			colstore.NewSynthetic("D_ID", s.Rows/4, 1<<14, false),
-		})
-		fact := colstore.NewTable("FACT", []*colstore.Column{
-			colstore.NewSynthetic("F_FK", s.Rows, 1<<14, false),
-		})
-		for _, c := range dim.Parts[0].Columns {
-			e.Placer.PlaceIVP(c, sockets)
-		}
-		e.Placer.PlaceIVP(fact.Parts[0].Columns[0], sockets)
-
-		clients := 32
-		inflight := 0
-		var issue func(client int)
-		issue = func(client int) {
-			if inflight >= clients {
-				return
-			}
-			inflight++
-			spec := join.StarSpec{
-				Dim: dim, DimPredicate: "D_DATE", DimKey: "D_ID",
-				Fact: fact, FactFK: "F_FK",
-				Selectivity:     0.05,
-				HitsPerProbeRow: 1,
-				AggBytesPerRow:  12, AggCyclesPerRow: 24,
-				HTSockets:  []int{0},
-				Strategy:   core.Bound,
-				HomeSocket: client % e.Machine.Sockets,
-				OnDone:     func(float64) { inflight--; issue(client) },
-			}
-			if planned {
-				join.ExecuteStar(e, spec)
-			} else {
-				join.ExecuteStarUnplanned(e, spec)
-			}
-		}
-		for i := 0; i < clients; i++ {
-			issue(i)
-		}
-		e.Sim.Run(s.Warmup)
-		e.Counters.Reset()
-		e.Sim.Run(s.Warmup + s.Measure)
-		return e
+	e := core.NewWithStep(FourSocket.Build(), 1, s.Step)
+	sockets := []int{0, 1, 2, 3}
+	dim := colstore.NewTable("DIM", []*colstore.Column{
+		colstore.NewSynthetic("D_DATE", s.Rows/4, 1<<12, false),
+		colstore.NewSynthetic("D_ID", s.Rows/4, 1<<14, false),
+	})
+	fact := colstore.NewTable("FACT", []*colstore.Column{
+		colstore.NewSynthetic("F_FK", s.Rows, 1<<14, false),
+	})
+	for _, c := range dim.Parts[0].Columns {
+		e.Placer.PlaceIVP(c, sockets)
 	}
-	hand := run(false)
-	planned := run(true)
+	e.Placer.PlaceIVP(fact.Parts[0].Columns[0], sockets)
 
-	h, p := hand.Counters, planned.Counters
-	if h.QueriesDone == 0 {
+	var issue func(client int)
+	issue = func(client int) {
+		join.ExecuteStar(e, join.StarSpec{
+			Dim: dim, DimPredicate: "D_DATE", DimKey: "D_ID",
+			Fact: fact, FactFK: "F_FK",
+			Selectivity: 0.05, HitsPerProbeRow: 1,
+			AggBytesPerRow: 12, AggCyclesPerRow: 24,
+			HTSockets: []int{0}, Strategy: core.Bound,
+			HomeSocket: client % e.Machine.Sockets,
+			OnDone:     func(float64) { issue(client) },
+		})
+	}
+	for i := 0; i < 32; i++ {
+		issue(i)
+	}
+	e.Sim.Run(s.Warmup)
+	e.Counters.Reset()
+	e.Sim.Run(s.Warmup + s.Measure)
+	if e.Counters.QueriesDone == 0 {
 		t.Fatal("no statements completed")
 	}
-	if h.QueriesDone != p.QueriesDone || h.TasksExecuted != p.TasksExecuted ||
-		h.TasksStolen != p.TasksStolen {
-		t.Fatalf("counts drifted: hand {q %d, tasks %d, stolen %d} vs planned {q %d, tasks %d, stolen %d}",
-			h.QueriesDone, h.TasksExecuted, h.TasksStolen,
-			p.QueriesDone, p.TasksExecuted, p.TasksStolen)
-	}
-	if h.TotalMCBytes() != p.TotalMCBytes() || h.LLCLocal != p.LLCLocal ||
-		h.LLCRemote != p.LLCRemote || h.LinkDataBytes != p.LinkDataBytes ||
-		h.LinkTotalBytes != p.LinkTotalBytes {
-		t.Fatalf("traffic drifted: hand {MC %v, LLC %v/%v, link %v/%v} vs planned {MC %v, LLC %v/%v, link %v/%v}",
-			h.TotalMCBytes(), h.LLCLocal, h.LLCRemote, h.LinkDataBytes, h.LinkTotalBytes,
-			p.TotalMCBytes(), p.LLCLocal, p.LLCRemote, p.LinkDataBytes, p.LinkTotalBytes)
-	}
-	if h.IPC() != p.IPC() || h.WorkerBusySeconds != p.WorkerBusySeconds {
-		t.Fatalf("compute drifted: IPC %v vs %v, busy %v vs %v",
-			h.IPC(), p.IPC(), h.WorkerBusySeconds, p.WorkerBusySeconds)
-	}
-	if h.Latencies() != p.Latencies() {
-		t.Fatalf("latency distribution drifted:\n hand    %+v\n planned %+v",
-			h.Latencies(), p.Latencies())
-	}
+	assertFingerprintFile(t, "starjoin", e.Counters)
 }
 
 // checkPlannerCriteria asserts the planner experiment's acceptance criteria

@@ -45,28 +45,7 @@ func TestSharedScanBypassBitIdentical(t *testing.T) {
 		t.Fatalf("uncontended run did not stay on the bypass path: %+v", st)
 	}
 
-	d, s := direct.Counters, shared.Counters
-	if d.QueriesDone != s.QueriesDone || d.TasksExecuted != s.TasksExecuted ||
-		d.TasksStolen != s.TasksStolen {
-		t.Fatalf("counts drifted: direct {q %d, tasks %d, stolen %d} vs shared {q %d, tasks %d, stolen %d}",
-			d.QueriesDone, d.TasksExecuted, d.TasksStolen,
-			s.QueriesDone, s.TasksExecuted, s.TasksStolen)
-	}
-	if d.TotalMCBytes() != s.TotalMCBytes() || d.LLCLocal != s.LLCLocal ||
-		d.LLCRemote != s.LLCRemote || d.LinkDataBytes != s.LinkDataBytes ||
-		d.LinkTotalBytes != s.LinkTotalBytes {
-		t.Fatalf("traffic drifted: direct {MC %v, LLC %v/%v, link %v/%v} vs shared {MC %v, LLC %v/%v, link %v/%v}",
-			d.TotalMCBytes(), d.LLCLocal, d.LLCRemote, d.LinkDataBytes, d.LinkTotalBytes,
-			s.TotalMCBytes(), s.LLCLocal, s.LLCRemote, s.LinkDataBytes, s.LinkTotalBytes)
-	}
-	if d.IPC() != s.IPC() || d.WorkerBusySeconds != s.WorkerBusySeconds {
-		t.Fatalf("compute drifted: IPC %v vs %v, busy %v vs %v",
-			d.IPC(), s.IPC(), d.WorkerBusySeconds, s.WorkerBusySeconds)
-	}
-	if d.Latencies() != s.Latencies() {
-		t.Fatalf("latency distribution drifted:\n direct %+v\n shared %+v",
-			d.Latencies(), s.Latencies())
-	}
+	assertSameRun(t, direct.Counters, shared.Counters)
 }
 
 // checkSharedScanCriteria asserts the shared-scan acceptance criteria at one

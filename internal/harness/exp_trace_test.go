@@ -79,27 +79,7 @@ func TestTraceDisabledBitIdentical(t *testing.T) {
 			len(data.Statements), len(data.Decisions), len(data.Samples))
 	}
 
-	d, s := plain.Counters, traced.Counters
-	if d.QueriesDone != s.QueriesDone || d.TasksExecuted != s.TasksExecuted ||
-		d.TasksStolen != s.TasksStolen {
-		t.Fatalf("counts drifted: plain {q %d, tasks %d, stolen %d} vs traced {q %d, tasks %d, stolen %d}",
-			d.QueriesDone, d.TasksExecuted, d.TasksStolen,
-			s.QueriesDone, s.TasksExecuted, s.TasksStolen)
-	}
-	if d.TotalMCBytes() != s.TotalMCBytes() || d.LLCLocal != s.LLCLocal ||
-		d.LLCRemote != s.LLCRemote || d.LinkDataBytes != s.LinkDataBytes ||
-		d.LinkTotalBytes != s.LinkTotalBytes {
-		t.Fatalf("traffic drifted: plain MC %v vs traced MC %v",
-			d.TotalMCBytes(), s.TotalMCBytes())
-	}
-	if d.IPC() != s.IPC() || d.WorkerBusySeconds != s.WorkerBusySeconds {
-		t.Fatalf("compute drifted: IPC %v vs %v, busy %v vs %v",
-			d.IPC(), s.IPC(), d.WorkerBusySeconds, s.WorkerBusySeconds)
-	}
-	if d.Latencies() != s.Latencies() {
-		t.Fatalf("latency distribution drifted:\n plain  %+v\n traced %+v",
-			d.Latencies(), s.Latencies())
-	}
+	assertSameRun(t, plain.Counters, traced.Counters)
 }
 
 // TestChaosSocketTrace is the flight-recorder acceptance test on the

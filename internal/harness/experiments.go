@@ -49,7 +49,7 @@ type Experiment struct {
 	Run         func(Scale) *Report
 	// Explain, when non-nil, renders the experiment's workload through the
 	// planner as stable EXPLAIN text (logical and optimized physical plans on
-	// a fixed fixture schema) — the plan-golden CI gate diffs it against
+	// a fixed fixture schema) — TestPlanGoldens compares it with
 	// testdata/plans/<id>.txt.
 	Explain func() string
 }

@@ -42,6 +42,10 @@ func TestAllExperimentsRunAndRender(t *testing.T) {
 	}
 }
 
+// TestRegistryCoversEveryPaperArtifact pins the experiment registry the CI
+// experiment loop enumerates (scanbench -list): every paper artifact and
+// every extension experiment is registered, and nothing else. (Cheap — runs
+// even under -short.)
 func TestRegistryCoversEveryPaperArtifact(t *testing.T) {
 	want := []string{"table1", "fig1", "fig8", "fig9", "fig10", "fig11", "fig12",
 		"fig13", "fig14", "fig15", "fig16", "fig17", "fig18", "fig19",

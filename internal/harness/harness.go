@@ -141,6 +141,12 @@ type Result struct {
 // Run executes one experiment cell from scratch: build machine + engine,
 // generate and place the dataset, admit clients, warm up, measure.
 func Run(spec Spec) Result {
+	r, _ := runEngine(spec)
+	return r
+}
+
+// runEngine is Run, also returning the engine for counter fingerprints.
+func runEngine(spec Spec) (Result, *core.Engine) {
 	m := spec.Machine.Build()
 	step := spec.Step
 	if step == 0 {
@@ -239,7 +245,7 @@ func Run(spec Spec) Result {
 		Latency:     c.Latencies(),
 		TableBytes:  table.TotalBytes(),
 		QueriesDone: c.QueriesDone,
-	}
+	}, e
 }
 
 // dataset builders used by the experiment definitions ------------------------

@@ -6,10 +6,10 @@ import (
 	"testing"
 )
 
-// TestPlanGoldens pins every experiment's EXPLAIN rendering to its committed
-// golden under testdata/plans/ — the same files the CI plan-golden gate diffs
-// with `scanbench -explain <id>`. A failure here means a planner change moved
-// an optimized plan; regenerate deliberately with
+// TestPlanGoldens pins every experiment's EXPLAIN rendering (the text
+// `scanbench -explain <id>` prints) to its committed golden under
+// testdata/plans/. A failure here means a planner change moved an optimized
+// plan; regenerate deliberately with
 //
 //	go run ./cmd/scanbench -explain <id> > testdata/plans/<id>.txt
 //

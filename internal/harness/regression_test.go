@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"fmt"
 	"testing"
 
 	"numacs/internal/core"
@@ -8,11 +9,10 @@ import (
 )
 
 // TestReadOnlyScanPathsBitIdentical pins three fixed-seed read-only scenarios
-// to the exact metric values the engine produced before the delta-store write
-// path existed (captured at PR 2's HEAD). A column that is never written has
+// to their committed counter fingerprints. A column that is never written has
 // a nil Delta, so the scan planner must take the identical code path, consume
-// the identical RNG stream, and start the identical flows — any drift in
-// these numbers means the write path leaked into the read-only side.
+// the identical RNG stream, and start the identical flows — any drift means
+// the write path leaked into the read-only side.
 func TestReadOnlyScanPathsBitIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fixed-seed simulation runs")
@@ -34,35 +34,8 @@ func TestReadOnlyScanPathsBitIdentical(t *testing.T) {
 			Clients: 16, Selectivity: 1e-3, Parallel: false,
 			Warmup: 0.02, Measure: 0.06, Step: 25e-6, Seed: 5},
 	}
-	// Golden values captured on the pre-write-path engine (exact, not
-	// approximate: the simulation is deterministic).
-	want := []struct {
-		QPM           float64
-		Tasks, Stolen uint64
-		LLCLocal      float64
-		LLCRemote     float64
-		IPC           float64
-		QPIDataGiB    float64
-		QPITotalGiB   float64
-		QueriesDone   uint64
-		MemTPTotal    float64
-	}{
-		{QPM: 3.072e+07, Tasks: 61440, Stolen: 0, LLCLocal: 5.156088450002828e+07, LLCRemote: 0,
-			IPC: 0.5731845833333337, QPIDataGiB: 0, QPITotalGiB: 0, QueriesDone: 30720, MemTPTotal: 51.22113674878373},
-		{QPM: 1.536e+07, Tasks: 122880, Stolen: 941, LLCLocal: 2.6090571359002005e+07, LLCRemote: 8.974554853498036e+06,
-			IPC: 0.6803703636363638, QPIDataGiB: 0.534925154059994, QPITotalGiB: 0.7221489579808089, QueriesDone: 15360, MemTPTotal: 34.83407319833872},
-		{QPM: 3.129e+06, Tasks: 6267, Stolen: 0, LLCLocal: 455225.5625000003, LLCRemote: 2.811763447299262e+06,
-			IPC: 0.11170341213073785, QPIDataGiB: 0.26351698906010723, QPITotalGiB: 0.49367876226932883, QueriesDone: 3129, MemTPTotal: 3.2454619902361603},
-	}
 	for i, spec := range specs {
-		r := Run(spec)
-		w := want[i]
-		if r.QPM != w.QPM || r.Tasks != w.Tasks || r.Stolen != w.Stolen ||
-			r.LLCLocal != w.LLCLocal || r.LLCRemote != w.LLCRemote ||
-			r.IPC != w.IPC || r.QPIDataGiB != w.QPIDataGiB || r.QPITotalGiB != w.QPITotalGiB ||
-			r.QueriesDone != w.QueriesDone || r.MemTPTotal != w.MemTPTotal {
-			t.Errorf("spec %d drifted from the pre-write-path golden values:\n got  {QPM: %v, Tasks: %d, Stolen: %d, LLCLocal: %v, LLCRemote: %v, IPC: %v, QPIDataGiB: %v, QPITotalGiB: %v, QueriesDone: %d, MemTPTotal: %v}\n want %+v",
-				i, r.QPM, r.Tasks, r.Stolen, r.LLCLocal, r.LLCRemote, r.IPC, r.QPIDataGiB, r.QPITotalGiB, r.QueriesDone, r.MemTPTotal, w)
-		}
+		_, e := runEngine(spec)
+		assertFingerprintFile(t, fmt.Sprintf("readonly-%d", i), e.Counters)
 	}
 }

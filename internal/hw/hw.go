@@ -56,8 +56,9 @@ func New(e *sim.Engine, m *topology.Machine) *Hardware {
 	if m.Coherence == topology.BroadcastSnoop && m.SnoopFactor > 0 {
 		h.bcast = make([][]sim.Demand, m.Sockets)
 		h.bcastLinks = make([]float64, m.Sockets)
+		perLink := make([]float64, len(m.Links))
 		for src := 0; src < m.Sockets; src++ {
-			perLink := make(map[int]float64)
+			clear(perLink)
 			for d := 0; d < m.Sockets; d++ {
 				if d == src {
 					continue
@@ -66,23 +67,18 @@ func New(e *sim.Engine, m *topology.Machine) *Hardware {
 					perLink[li] += m.SnoopFactor
 				}
 			}
+			// Link index order: the demands come out sorted by resource (links
+			// are registered contiguously) and the float total sums in one
+			// fixed order, so every construction yields the same bits.
 			for li, w := range perLink {
-				h.bcast[src] = append(h.bcast[src], sim.Demand{Resource: h.Link[li], Weight: w})
-				h.bcastLinks[src] += w
+				if w > 0 {
+					h.bcast[src] = append(h.bcast[src], sim.Demand{Resource: h.Link[li], Weight: w})
+					h.bcastLinks[src] += w
+				}
 			}
-			// Deterministic order.
-			sortDemands(h.bcast[src])
 		}
 	}
 	return h
-}
-
-func sortDemands(d []sim.Demand) {
-	for i := 1; i < len(d); i++ {
-		for j := i; j > 0 && d[j].Resource < d[j-1].Resource; j-- {
-			d[j], d[j-1] = d[j-1], d[j]
-		}
-	}
 }
 
 // LinkTraffic describes the interconnect bytes one payload byte generates:

@@ -102,6 +102,31 @@ func TestBroadcastSnoopAddsLinkDemandsToLocalStreams(t *testing.T) {
 	}
 }
 
+// TestBroadcastSnoopTotalsDeterministic: the per-byte snoop link total is a
+// float sum, so it must be accumulated in one fixed order — every
+// construction of the machine has to report the same bits.
+func TestBroadcastSnoopTotalsDeterministic(t *testing.T) {
+	m := topology.EightSocketWestmere()
+	totals := func() []float64 {
+		h := New(sim.New(1e-4), m)
+		out := make([]float64, m.Sockets)
+		for s := range out {
+			_, lt := h.StreamDemands(s, s, sim.Invalid, 0)
+			out[s] = lt.Total
+		}
+		return out
+	}
+	want := totals()
+	for i := 0; i < 100; i++ {
+		got := totals()
+		for s := range got {
+			if got[s] != want[s] {
+				t.Fatalf("construction %d: socket %d snoop total %v, first construction %v", i, s, got[s], want[s])
+			}
+		}
+	}
+}
+
 func TestDirectoryMachineHasNoSnoopOnLocal(t *testing.T) {
 	m := topology.FourSocketIvyBridge()
 	e := sim.New(1e-4)

@@ -163,9 +163,11 @@ func (s Spec) op(e *core.Engine) *exec.JoinOp {
 // operator pipeline: a parallel build phase (tasks bound to the build data's
 // sockets, writing the hash table), a barrier, then a parallel probe phase
 // (tasks bound to the probe data's sockets, randomly accessing the hash
-// table wherever it was placed). Like its predecessor, it bypasses the
-// statement entry point: no per-query overhead and no concurrency-hint
-// accounting.
+// table wherever it was placed). It is the one operator-level path beside
+// core.Engine.Submit, kept because it measures the bare build/probe operator
+// (the hash-table placement ablation) and no plan node expresses a
+// predicate-less two-column join: no per-query overhead, admission, trace
+// span or concurrency-hint accounting.
 func Execute(e *core.Engine, spec Spec) {
 	if spec.Build.IVPSM == nil || spec.Probe.IVPSM == nil {
 		panic("join: columns must be placed before execution")
@@ -235,62 +237,16 @@ func (s StarSpec) Plan() *plan.Logical {
 	})
 }
 
-// checkStar validates the spec's column references and placement; both
-// execution paths share it so planned and unplanned submission panic alike.
-func checkStar(s StarSpec) {
-	dimPred := s.Dim.Column(s.DimPredicate)
-	dimKey := s.Dim.Column(s.DimKey)
-	factFK := s.Fact.Column(s.FactFK)
-	if dimPred == nil || dimKey == nil || factFK == nil {
-		panic("join: star spec names unknown columns")
-	}
-	if dimPred.IVPSM == nil || dimKey.IVPSM == nil || factFK.IVPSM == nil {
-		panic("join: columns must be placed before execution")
-	}
-}
-
-// ExecuteStar submits the composed star-join statement through the planner:
-// the spec builds a logical plan, the optimizer runs with statistics
-// collected from the live tables, and the lowered four-operator pipeline
-// (dimension scan, join build, join probe, measure aggregation) runs through
-// the statement entry point — per-query overhead, concurrency-hint
-// accounting, statement-timestamp priorities. On this single-dimension shape
-// the lowering is field-for-field identical to ExecuteStarUnplanned's hand
-// wiring, which the harness pins counter-identical on a fixed-seed scenario.
+// ExecuteStar submits the composed star-join statement as a planned Query
+// through core.Engine.Submit: the spec's logical plan is checked, admitted,
+// optimized with statistics collected from the live tables, and lowered to
+// the four-operator pipeline (dimension scan, join build, join probe,
+// measure aggregation) behind the per-query overhead, with concurrency-hint
+// accounting and statement-timestamp priorities. On this single-dimension
+// shape the lowering is field-for-field the hand wiring it replaced, pinned
+// by a committed fingerprint of the starjoin scenario.
 func ExecuteStar(e *core.Engine, s StarSpec) {
-	checkStar(s)
-	stats := plan.Collect(s.Dim, s.Fact)
-	low := plan.Optimize(s.Plan(), stats, &e.Costs).Lower(plan.Deps{Alloc: e.Placer.Alloc})
-	e.SubmitPipeline(s.Strategy, s.HomeSocket, s.OnDone, low.Ops...)
-}
-
-// ExecuteStarUnplanned submits the star statement with the pre-planner hand
-// wiring — the reference composition ExecuteStar's lowering contract is
-// measured against. Kept executable so the golden test compares live paths,
-// not a snapshot.
-func ExecuteStarUnplanned(e *core.Engine, s StarSpec) {
-	checkStar(s)
-	scan := &exec.ScanOp{
-		Table:       s.Dim,
-		Column:      s.DimPredicate,
-		Selectivity: s.Selectivity,
-		Parallel:    true,
-	}
-	j := &exec.JoinOp{
-		Build:           s.Dim.Column(s.DimKey),
-		Probe:           s.Fact.Column(s.FactFK),
-		HTSockets:       s.HTSockets,
-		HitsPerProbeRow: s.HitsPerProbeRow,
-		Alloc:           e.Placer.Alloc,
-		BuildSource:     scan,
-	}
-	agg := &exec.AggregateOp{
-		Source:       j,
-		BytesPerRow:  s.AggBytesPerRow,
-		CyclesPerRow: s.AggCyclesPerRow,
-		Parallel:     true,
-	}
-	e.SubmitPipeline(s.Strategy, s.HomeSocket, s.OnDone, scan, j.BuildOp(), j.ProbeOp(), agg)
+	e.Submit(&core.Query{Plan: s.Plan(), Strategy: s.Strategy, HomeSocket: s.HomeSocket, OnDone: s.OnDone})
 }
 
 // String renders a spec for logs.

@@ -6,8 +6,10 @@
 package metrics
 
 import (
+	"fmt"
 	"math"
 	"sort"
+	"strings"
 )
 
 // Counters accumulates all performance metrics of a run.
@@ -338,6 +340,42 @@ func (h *Histogram) sortSamples() {
 		sort.Float64s(h.samples)
 		h.sorted = true
 	}
+}
+
+// Fingerprint renders every counter as stable text, one field per line:
+// floats in their shortest exact form, per-socket slices element by element,
+// the saturation samples, and the full latency histogram (each distinct
+// latency with its count, ascending). Two runs are the same run exactly when
+// their fingerprints are equal.
+func Fingerprint(c *Counters) string {
+	var b strings.Builder
+	for _, f := range []struct {
+		name string
+		v    any
+	}{
+		{"sockets", c.Sockets}, {"mc_bytes", c.MCBytes},
+		{"local_bytes", c.LocalBytes}, {"remote_bytes", c.RemoteBytes},
+		{"link_data_bytes", c.LinkDataBytes}, {"link_total_bytes", c.LinkTotalBytes},
+		{"llc_local", c.LLCLocal}, {"llc_remote", c.LLCRemote},
+		{"instructions", c.Instructions}, {"busy_cycles", c.BusyCycles},
+		{"tasks_executed", c.TasksExecuted}, {"tasks_stolen", c.TasksStolen},
+		{"queries_done", c.QueriesDone}, {"worker_busy_seconds", c.WorkerBusySeconds},
+		{"sat_samples", c.SatSamples}, {"sat_free_sum", c.SatFreeSum},
+		{"sat_parked_sum", c.SatParkedSum}, {"sat_queue_sum", c.SatQueueSum},
+		{"sat_tg_max_depth", c.SatTGMaxDepth}, {"sat_unsaturated", c.SatUnsaturated},
+		{"latencies", len(c.latencies)},
+	} {
+		// %v prints a float64 in the fewest digits that read back exactly.
+		fmt.Fprintf(&b, "%s %v\n", f.name, f.v)
+	}
+	sorted := append([]float64(nil), c.latencies...)
+	sort.Float64s(sorted)
+	for i, j := 0, 0; i < len(sorted); i = j {
+		for j = i; j < len(sorted) && sorted[j] == sorted[i]; j++ {
+		}
+		fmt.Fprintf(&b, "latency %v x%d\n", sorted[i], j-i)
+	}
+	return b.String()
 }
 
 // ThroughputQPM converts the completed-query count over a measurement window

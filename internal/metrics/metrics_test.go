@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -196,5 +197,36 @@ func TestSaturationCounters(t *testing.T) {
 	if c.SatSamples != 0 || c.MeanFreeWorkers() != 0 || c.MeanQueuedTasks() != 0 ||
 		c.SatTGMaxDepth != 0 || c.SatUnsaturated != 0 {
 		t.Fatal("saturation counters survive Reset")
+	}
+}
+
+// TestFingerprintIsExact: the fingerprint renders floats exactly (a one-ulp
+// change shows), ignores only the order latencies were recorded in, and
+// run-length encodes the latency histogram.
+func TestFingerprintIsExact(t *testing.T) {
+	build := func(lats ...float64) *Counters {
+		c := New(2)
+		c.AddMemoryTraffic(0, 1, 640, 640, 864)
+		for _, l := range lats {
+			c.AddLatency(l)
+		}
+		return c
+	}
+	a := Fingerprint(build(0.002, 0.001, 0.002))
+	if b := Fingerprint(build(0.002, 0.002, 0.001)); a != b {
+		t.Errorf("recording order changed the fingerprint:\n%s\nvs\n%s", a, b)
+	}
+	if b := Fingerprint(build(0.002, 0.001, math.Nextafter(0.002, 1))); a == b {
+		t.Error("a one-ulp latency change kept the fingerprint")
+	}
+	c := build(0.002, 0.001, 0.002)
+	c.MCBytes[1] = math.Nextafter(c.MCBytes[1], 0)
+	if Fingerprint(c) == a {
+		t.Error("a one-ulp counter change kept the fingerprint")
+	}
+	for _, want := range []string{"mc_bytes [0 640]\n", "latencies 3\n", "latency 0.001 x1\nlatency 0.002 x2\n"} {
+		if !strings.Contains(a, want) {
+			t.Errorf("fingerprint lacks %q:\n%s", want, a)
+		}
 	}
 }

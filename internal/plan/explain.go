@@ -58,7 +58,7 @@ func (s *PhysScan) Layout() []PartitionPlan {
 }
 
 // Explain renders the logical tree as stable, diffable text — the first of
-// the two plan levels the CI plan-golden gate pins.
+// the two plan levels the plan goldens (testdata/plans/) pin.
 func (l *Logical) Explain() string {
 	var b strings.Builder
 	b.WriteString("logical:\n")
@@ -68,7 +68,7 @@ func (l *Logical) Explain() string {
 
 // Explain renders the optimized plan — the rewritten logical tree, the
 // physical stages with the planner's annotations, and the pass notes — as
-// stable, diffable text (the second plan level of the CI plan-golden gate).
+// stable, diffable text (the second plan level the plan goldens pin).
 func (p *Physical) Explain() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "optimized logical (passes: %s):\n", strings.Join(p.Passes, ", "))

@@ -38,7 +38,8 @@ type Lowered struct {
 // the fields the hand-wired compositions set — a plain statement lowers to
 // the same ScanOp + MaterializeOp/AggregateOp pair core.Submit used to build
 // inline, and a single-dimension star statement lowers to the same
-// [scan, build, probe, aggregate] sequence as join.ExecuteStar's hand wiring.
+// [scan, build, probe, aggregate] sequence the star statement was hand-wired
+// to before the planner.
 func (p *Physical) Lower(d Deps) *Lowered {
 	low := &Lowered{Shareable: p.Shareable, ShareKey: p.ShareKey}
 	if len(p.Joins) == 0 {

@@ -9,6 +9,7 @@ import (
 
 	"numacs/internal/colstore"
 	"numacs/internal/exec"
+	"numacs/internal/memsim"
 )
 
 // testSchema builds the unplaced fixture tables the planning tests use
@@ -223,37 +224,45 @@ func TestAllReplicatedStats(t *testing.T) {
 }
 
 // TestLowerPlainMatchesHandWired pins the plain-statement lowering contract
-// at the struct level: the emitted operators equal the hand-wired
+// at the struct level: for an aggregating and a materializing statement, the
+// emitted operators equal the hand-wired ScanOp + output-operator
 // composition field for field.
 func TestLowerPlainMatchesHandWired(t *testing.T) {
 	hot, _, _, _ := testSchema()
-	st := Statement{
-		Table: hot, Column: "H_VAL", Selectivity: 1e-5,
-		ProjectColumns: []string{"H_VAL"}, Parallel: true,
-		Aggregate: true, AggBytesPerRow: 8, AggCyclesPerRow: 4,
-	}
-	low := Optimize(BuildQuery(st), nil, nil).Lower(Deps{DisableCoalesce: true})
-	if len(low.Ops) != 2 {
-		t.Fatalf("want 2 ops, got %d", len(low.Ops))
-	}
-	wantScan := &exec.ScanOp{
-		Table: hot, Column: "H_VAL", Selectivity: 1e-5, Parallel: true,
-	}
-	if !reflect.DeepEqual(low.Scan, wantScan) {
-		t.Errorf("lowered scan drifted:\n got  %+v\n want %+v", low.Scan, wantScan)
-	}
-	wantAgg := &exec.AggregateOp{
-		Source: low.Scan, BytesPerRow: 8, CyclesPerRow: 4,
-		ProjectColumns: []string{"H_VAL"}, Parallel: true, DisableCoalesce: true,
-	}
-	if !reflect.DeepEqual(low.Ops[1], wantAgg) {
-		t.Errorf("lowered output drifted:\n got  %+v\n want %+v", low.Ops[1], wantAgg)
+	wantScan := &exec.ScanOp{Table: hot, Column: "H_VAL", Selectivity: 1e-5, Parallel: true}
+	for _, tc := range []struct {
+		name string
+		st   Statement
+		out  exec.Operator
+	}{
+		{"aggregate", Statement{
+			Table: hot, Column: "H_VAL", Selectivity: 1e-5,
+			ProjectColumns: []string{"H_VAL"}, Parallel: true,
+			Aggregate: true, AggBytesPerRow: 8, AggCyclesPerRow: 4,
+		}, &exec.AggregateOp{
+			Source: wantScan, BytesPerRow: 8, CyclesPerRow: 4,
+			ProjectColumns: []string{"H_VAL"}, Parallel: true, DisableCoalesce: true,
+		}},
+		{"materialize", Statement{
+			Table: hot, Column: "H_VAL", Selectivity: 1e-5, Parallel: true,
+		}, &exec.MaterializeOp{Scan: wantScan, Parallel: true, DisableCoalesce: true}},
+	} {
+		low := Optimize(BuildQuery(tc.st), nil, nil).Lower(Deps{DisableCoalesce: true})
+		want := []exec.Operator{wantScan, tc.out}
+		if !reflect.DeepEqual(low.Ops, want) {
+			t.Errorf("%s: lowered ops drifted:\n got  %+v\n want %+v", tc.name, low.Ops, want)
+		}
+		if low.Scan != low.Ops[0] {
+			t.Errorf("%s: Lowered.Scan is not the pipeline's find phase", tc.name)
+		}
 	}
 }
 
 // TestLowerStarMatchesHandWired pins the single-dimension star lowering
-// contract at the struct level against the hand wiring join.ExecuteStar used
-// to build inline.
+// contract at the struct level: all four operators — dimension scan, join
+// build, join probe, aggregation — equal the hand wiring the star statement
+// used before the planner, field for field, including the JoinOp behind the
+// build and probe phases.
 func TestLowerStarMatchesHandWired(t *testing.T) {
 	_, dim1, _, fact := testSchema()
 	st := StarStatement{
@@ -263,24 +272,18 @@ func TestLowerStarMatchesHandWired(t *testing.T) {
 		AggBytesPerRow: 12, AggCyclesPerRow: 24,
 		HTSockets: []int{0},
 	}
-	low := Optimize(BuildStar(st), Collect(dim1, fact), nil).Lower(Deps{})
-	if len(low.Ops) != 4 {
-		t.Fatalf("want 4 ops (scan, build, probe, agg), got %d", len(low.Ops))
+	alloc := memsim.NewAllocator(4)
+	low := Optimize(BuildStar(st), Collect(dim1, fact), nil).Lower(Deps{Alloc: alloc})
+
+	scan := &exec.ScanOp{Table: dim1, Column: "D1_DATE", Selectivity: 0.05, Parallel: true}
+	j := &exec.JoinOp{
+		Build: dim1.Column("D1_ID"), Probe: fact.Column("F_FK1"),
+		HTSockets: []int{0}, HitsPerProbeRow: 1, Alloc: alloc, BuildSource: scan,
 	}
-	scan, ok := low.Ops[0].(*exec.ScanOp)
-	if !ok {
-		t.Fatalf("op[0] is %T, want ScanOp", low.Ops[0])
-	}
-	wantScan := &exec.ScanOp{Table: dim1, Column: "D1_DATE", Selectivity: 0.05, Parallel: true}
-	if !reflect.DeepEqual(scan, wantScan) {
-		t.Errorf("lowered dim scan drifted:\n got  %+v\n want %+v", scan, wantScan)
-	}
-	agg, ok := low.Ops[3].(*exec.AggregateOp)
-	if !ok {
-		t.Fatalf("op[3] is %T, want AggregateOp", low.Ops[3])
-	}
-	if agg.BytesPerRow != 12 || agg.CyclesPerRow != 24 || !agg.Parallel {
-		t.Errorf("lowered aggregate drifted: %+v", agg)
+	agg := &exec.AggregateOp{Source: j, BytesPerRow: 12, CyclesPerRow: 24, Parallel: true}
+	want := []exec.Operator{scan, j.BuildOp(), j.ProbeOp(), agg}
+	if !reflect.DeepEqual(low.Ops, want) {
+		t.Errorf("lowered star drifted:\n got  %+v\n want %+v", low.Ops, want)
 	}
 }
 

@@ -243,35 +243,18 @@ func (r *Registry) Submit(m *Member) {
 }
 
 // SubmitGroup routes a plan-driven cohort group into the lifecycle as one
-// unit: core.SubmitBatch hands it the members whose physical plans share a
+// unit: core.SubmitBatch hands it the members whose physical plans share one
 // cohort key, and the whole group lands in the same cohort without waiting
-// out a join window per member. Members of a single-element group (and
-// members whose keys differ — the registry re-groups defensively) fall back
-// to the per-statement Submit path. A group that cannot ride an existing
-// forming cohort or attach to the running pass in full launches or queues
-// together, so plan-time grouping never splits a detected common subplan.
-func (r *Registry) SubmitGroup(ms []*Member) {
-	byKey := make(map[string][]*Member)
-	var order []string
-	for _, m := range ms {
-		if _, ok := byKey[m.Key]; !ok {
-			order = append(order, m.Key)
-		}
-		byKey[m.Key] = append(byKey[m.Key], m)
+// out a join window per member. A single member takes the per-statement
+// Submit path. A group that cannot ride an existing forming cohort or attach
+// to the running pass in full launches or queues together, so plan-time
+// grouping never splits a detected common subplan.
+func (r *Registry) SubmitGroup(g []*Member) {
+	if len(g) == 1 {
+		r.Submit(g[0])
+		return
 	}
-	for _, key := range order {
-		g := byKey[key]
-		if len(g) == 1 {
-			r.Submit(g[0])
-			continue
-		}
-		r.submitGroup(key, g)
-	}
-}
-
-// submitGroup places one same-key group of two or more members into the
-// cohort lifecycle as a unit.
-func (r *Registry) submitGroup(key string, g []*Member) {
+	key := g[0].Key
 	now := r.sim.Now()
 	r.stats.Statements += uint64(len(g))
 	r.stats.PlanGrouped += uint64(len(g))

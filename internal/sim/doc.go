@@ -14,6 +14,7 @@
 // findings rest on — memory-controller saturation, QPI-link saturation,
 // latency-bound remote access, and cache-coherence broadcast overhead —
 // without requiring real NUMA hardware, which the Go runtime could not pin
-// threads to anyway. See DESIGN.md ("Simulation model") for the calibration
-// story.
+// threads to anyway. See docs/ARCHITECTURE.md (its introduction) and
+// EXPERIMENTS.md (its opening paragraph and the table1 row) for the
+// calibration story.
 package sim

@@ -3,9 +3,10 @@
 // 100 M rows and 160 integer columns whose bitcases cycle through 17..26;
 // the generator reproduces that structure at a configurable scale (the
 // simulation preserves relative intensities, so shapes survive scaling —
-// see DESIGN.md). Clients continuously execute a prepared range predicate
-// SELECT COLx FROM TBL WHERE COLx >= ? AND COLx <= ? on a column chosen
-// uniformly or with the 80/20 skew of Section 6.2, with no think time.
+// see EXPERIMENTS.md's opening paragraph). Clients continuously execute a
+// prepared range predicate SELECT COLx FROM TBL WHERE COLx >= ? AND
+// COLx <= ? on a column chosen uniformly or with the 80/20 skew of
+// Section 6.2, with no think time.
 package workload
 
 import (

@@ -45,7 +45,6 @@ import (
 	"numacs/internal/colstore"
 	"numacs/internal/core"
 	"numacs/internal/delta"
-	"numacs/internal/exec"
 	"numacs/internal/harness"
 	"numacs/internal/join"
 	"numacs/internal/memsim"
@@ -195,44 +194,6 @@ func NewEngineWithStep(m *Machine, seed int64, step float64) *Engine {
 // DefaultCosts returns the calibrated cost-model defaults.
 func DefaultCosts() Costs { return core.DefaultCosts() }
 
-// Operator pipelines ----------------------------------------------------------------
-
-// Pipeline sequences operators with barriers on the simulated machine; every
-// statement (scan, aggregation, join, or a composition) executes as one.
-type Pipeline = exec.Pipeline
-
-// Operator produces the tasks of one pipeline phase.
-type Operator = exec.Operator
-
-// ExecEnv bundles what operators need from an engine; obtain one via
-// Engine.ExecEnv.
-type ExecEnv = exec.Env
-
-// ScanOp is the find phase of Section 5.2 as a composable operator.
-type ScanOp = exec.ScanOp
-
-// MaterializeOp is the output-materialization phase as a composable operator.
-type MaterializeOp = exec.MaterializeOp
-
-// AggOp aggregates the qualifying regions of a ScanOp or JoinOp.
-type AggOp = exec.AggregateOp
-
-// JoinOp is the hash-join operator; it contributes the BuildOp and ProbeOp
-// pipeline phases and feeds its probe-side match regions downstream.
-type JoinOp = exec.JoinOp
-
-// Region is a per-partition qualifying-match count with its data socket.
-type Region = exec.Region
-
-// RegionSource is an operator yielding qualifying regions (ScanOp, JoinOp).
-type RegionSource = exec.RegionSource
-
-// AffinityFor derives a task affinity from a scheduling strategy and a
-// natural data socket — the single source of that rule for every operator.
-func AffinityFor(s Strategy, socket int) (affinity int, hard bool) {
-	return exec.AffinityFor(s, socket)
-}
-
 // Scheduler & metrics ---------------------------------------------------------------
 
 // Task is a schedulable unit of work.
@@ -338,9 +299,6 @@ type SharedScanRegistry = sharedscan.Registry
 // SharedScanStats counts cohort outcomes (passes, merged members,
 // mid-flight attaches, wrap passes, join-window sheds).
 type SharedScanStats = sharedscan.Stats
-
-// SharedScanOp is the cohort find phase: one pass, N member predicates.
-type SharedScanOp = exec.SharedScanOp
 
 // FixedColumnChoice makes every client scan the same column — the
 // same-column hot-scan mix of the shared-scan experiment.
