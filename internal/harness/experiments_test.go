@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -8,7 +9,8 @@ import (
 )
 
 // TestAllExperimentsRunAndRender executes every registered experiment at
-// quick scale: each must produce at least one non-empty table and render.
+// quick scale: each must produce at least one non-empty table and render
+// exactly its committed scoreboard testdata/scoreboard/<id>.txt.
 func TestAllExperimentsRunAndRender(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment suite")
@@ -38,6 +40,7 @@ func TestAllExperimentsRunAndRender(t *testing.T) {
 			if !strings.Contains(out, e.ID) {
 				t.Fatal("render missing id")
 			}
+			assertGoldenFile(t, filepath.Join(scoreboardDir, e.ID+".txt"), out)
 		})
 	}
 }

@@ -11,13 +11,17 @@ import (
 )
 
 // fingerprintDir holds the committed counter fingerprints of fixed-seed
-// runs (metrics.Fingerprint). A drift fails the test that owns the file;
-// regenerate deliberately with
+// runs (metrics.Fingerprint), and scoreboardDir every registered
+// experiment's rendered quick-scale report. A drift fails the test that owns
+// the file; regenerate deliberately with
 //
 //	NUMACS_WRITE_FINGERPRINTS=1 go test ./internal/harness -run <test>
 //
 // and review the diff like any other behavior change.
-var fingerprintDir = filepath.Join("..", "..", "testdata", "fingerprints")
+var (
+	fingerprintDir = filepath.Join("..", "..", "testdata", "fingerprints")
+	scoreboardDir  = filepath.Join("..", "..", "testdata", "scoreboard")
+)
 
 // assertSameRun fails the test when two runs' counters differ in any field.
 func assertSameRun(t *testing.T, want, got *metrics.Counters) {
@@ -31,24 +35,29 @@ func assertSameRun(t *testing.T, want, got *metrics.Counters) {
 // committed fingerprint testdata/fingerprints/<name>.txt.
 func assertFingerprintFile(t *testing.T, name string, got *metrics.Counters) {
 	t.Helper()
-	path := filepath.Join(fingerprintDir, name+".txt")
-	fp := metrics.Fingerprint(got)
+	assertGoldenFile(t, filepath.Join(fingerprintDir, name+".txt"), metrics.Fingerprint(got))
+}
+
+// assertGoldenFile fails the test when got differs from the committed text
+// file at path; NUMACS_WRITE_FINGERPRINTS=1 rewrites the file instead.
+func assertGoldenFile(t *testing.T, path, got string) {
+	t.Helper()
 	if os.Getenv("NUMACS_WRITE_FINGERPRINTS") != "" {
-		if err := os.WriteFile(path, []byte(fp), 0o644); err != nil {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		return
 	}
 	want, err := os.ReadFile(path)
 	if err != nil {
-		t.Fatalf("missing fingerprint %s: %v", path, err)
+		t.Fatalf("missing golden %s: %v", path, err)
 	}
-	if d := diffLines(string(want), fp); d != "" {
-		t.Fatalf("run drifted from %s:\n%s", path, d)
+	if d := diffLines(string(want), got); d != "" {
+		t.Fatalf("output drifted from %s:\n%s", path, d)
 	}
 }
 
-// diffLines returns "" for equal fingerprints, else their first differing
+// diffLines returns "" for equal texts, else their first differing
 // lines (at most 20), one want/got pair each.
 func diffLines(want, got string) string {
 	w, g := strings.Split(want, "\n"), strings.Split(got, "\n")
