@@ -12,13 +12,14 @@
 //	scanbench -exp chaos-socket -scale quick -triage
 //	scanbench -explain planner
 //
-// -list prints one registered experiment id per line, so scripts (and the
-// CI experiment loop) can enumerate every experiment without a hand-kept
-// list; -explain <id> prints the experiment's EXPLAIN rendering (logical and
-// optimized physical plans over a fixed fixture schema) — the exact text
-// TestPlanGoldens compares with testdata/plans/<id>.txt — and exits with
-// status 2 for experiments that expose no planner walkthrough; -json emits each report as a JSON document instead of rendered
-// tables — the format the CI bench job archives into the BENCH_<run>.json
+// -list prints one registered experiment id per line, so scripts can
+// enumerate every experiment without a hand-kept list; -explain <id> prints
+// the experiment's EXPLAIN rendering (logical and optimized physical plans
+// over a fixed fixture schema) — the exact text TestPlanGoldens compares
+// with testdata/plans/<id>.txt — and exits with status 2 for experiments
+// that expose no planner walkthrough; -json emits each report as a JSON
+// document instead of rendered tables — the format the CI bench job
+// archives into the BENCH_<run>.json
 // perf-trajectory artifact. -trace <dir> writes each experiment's
 // flight-recorder data (when the experiment records one) as <dir>/<id>.jsonl
 // plus a Perfetto/chrome://tracing-loadable <dir>/<id>.trace.json. -triage

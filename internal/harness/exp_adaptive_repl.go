@@ -4,35 +4,15 @@ import (
 	"fmt"
 
 	"numacs/internal/adaptive"
-	"numacs/internal/colstore"
 	"numacs/internal/core"
 	"numacs/internal/workload"
 )
-
-// ReplRun is the measured outcome of one adaptive-repl configuration: the
-// per-window throughput and QPI series over virtual time, the placer's
-// decision log, and its replica-memory accounting. Exposed so tests can
-// assert the acceptance criteria (replication wins, budget respected).
-type ReplRun struct {
-	Label   string
-	TP      []float64 // q/min per window
-	QPIGiB  []float64 // QPI data GiB per window
-	Actions []adaptive.Action
-	// FinalTP is the mean throughput of the last third of the windows,
-	// after the placer converged.
-	FinalTP          float64
-	ReplicaBytes     int64
-	PeakReplicaBytes int64
-	BudgetBytes      int64
-	PagesMoved       int64
-	PagesCopied      int64
-}
 
 // adaptiveReplWindows is the number of virtual-time windows the experiment
 // reports.
 const adaptiveReplWindows = 9
 
-// RunAdaptiveRepl executes one adaptive-repl configuration: a read-hot
+// adaptiveReplSpec is one adaptive-repl configuration: a read-hot
 // single-column skew of unparallelized scan statements (98% of queries hit
 // one column, low selectivity, Parallel off — many small concurrent
 // statements) on a block RR layout, with the Section 7 placer attached.
@@ -43,56 +23,40 @@ const adaptiveReplWindows = 9
 // lever: false caps the placer to the paper's Figure 20 moves and
 // repartitioning, true adds the Section 4.2 replication placement under the
 // default memory budget.
-func RunAdaptiveRepl(s Scale, replicate bool) ReplRun {
-	e := core.NewWithStep(FourSocket.Build(), 1, s.Step)
-	ds := workload.DatasetConfig{
-		Rows: s.Rows, Columns: 16, BitcaseMin: 12, BitcaseMax: 18,
-		Seed: 1, Synthetic: true,
-	}
-	table := workload.Generate(ds)
-	// Block layout: four columns per socket; the hot column and its three
-	// neighbours share socket 0.
-	e.Placer.PlaceRRBlocks(table)
-
+func adaptiveReplSpec(s Scale, replicate bool) Spec {
 	cfg := adaptive.DefaultConfig()
 	cfg.Period = s.Measure / 12
+	label := "replicating"
 	if !replicate {
 		cfg.ReplicaBudgetBytes = 0
+		label = "move/partition-only"
 	}
-	placer := adaptive.New(e, &adaptive.Catalog{Tables: []*colstore.Table{table}}, cfg)
-	e.Sim.AddActor(placer)
+	return Spec{
+		Label: label, Machine: FourSocket,
+		Dataset: workload.DatasetConfig{
+			Rows: s.Rows, Columns: 16, BitcaseMin: 12, BitcaseMax: 18, Seed: 1,
+		},
+		// Block layout: four columns per socket; the hot column and its
+		// three neighbours share socket 0.
+		Placement: PlacementSpec{Kind: RR}, Skew: true,
+		Placer:  &cfg,
+		Clients: s.Max, Selectivity: lowSel, Parallel: false, Strategy: core.Bound,
+		Chooser: workload.HotColumnChoice{Hot: 2, P: 0.98}, ClientSeed: 11,
+		Warmup: s.Warmup, Measure: s.Measure, Step: s.Step, Seed: 1, Windows: adaptiveReplWindows,
+	}
+}
 
-	clients := workload.NewClients(e, table, workload.ClientsConfig{
-		N: s.Max, Selectivity: lowSel, Parallel: false, Strategy: core.Bound,
-		Chooser: workload.HotColumnChoice{Hot: 2, P: 0.98}, Seed: 11,
-	})
-	clients.Start()
+// finalTP is the mean throughput of the last third of an adaptive-repl
+// run's windows, after the placer converged.
+func finalTP(r Result) float64 { return meanf(r.TP[adaptiveReplWindows-adaptiveReplWindows/3:]) }
 
-	label := "move/partition-only"
-	if replicate {
-		label = "replicating"
+// qpiGiB returns a windowed run's QPI data traffic in GiB per window.
+func qpiGiB(r Result) []float64 {
+	out := make([]float64, len(r.TP))
+	for w := range out {
+		out[w] = r.Trace.Samples[w].Delta.LinkDataBytes / (1 << 30)
 	}
-	run := ReplRun{Label: label, BudgetBytes: cfg.ReplicaBudgetBytes}
-	horizon := s.Warmup + 2*s.Measure
-	window := horizon / adaptiveReplWindows
-	for w := 0; w < adaptiveReplWindows; w++ {
-		e.Counters.Reset()
-		e.Sim.Run(float64(w+1) * window)
-		run.TP = append(run.TP, e.Counters.ThroughputQPM(window))
-		run.QPIGiB = append(run.QPIGiB, e.Counters.LinkDataBytes/(1<<30))
-	}
-	tail := adaptiveReplWindows / 3
-	sum := 0.0
-	for _, tp := range run.TP[adaptiveReplWindows-tail:] {
-		sum += tp
-	}
-	run.FinalTP = sum / float64(tail)
-	run.Actions = placer.Actions
-	run.ReplicaBytes = placer.ReplicaBytes()
-	run.PeakReplicaBytes = placer.PeakReplicaBytes
-	run.PagesMoved = placer.PagesMoved
-	run.PagesCopied = placer.PagesCopied
-	return run
+	return out
 }
 
 // runAdaptiveRepl reproduces the adaptive-replication comparison: the same
@@ -106,8 +70,9 @@ func RunAdaptiveRepl(s Scale, replicate bool) ReplRun {
 func runAdaptiveRepl(s Scale) *Report {
 	rep := &Report{ID: "adaptive-repl", Title: "Adaptive replication of a read-hot column vs move/partition-only"}
 
-	base := RunAdaptiveRepl(s, false)
-	repl := RunAdaptiveRepl(s, true)
+	base := runEngine(adaptiveReplSpec(s, false))
+	repl := runEngine(adaptiveReplSpec(s, true))
+	runs := []*engineRun{base, repl}
 
 	header := []string{"configuration"}
 	for w := 0; w < adaptiveReplWindows; w++ {
@@ -115,11 +80,11 @@ func runAdaptiveRepl(s Scale) *Report {
 	}
 	tp := rep.AddTable("throughput over virtual time (q/min per window)", header)
 	qpi := rep.AddTable("QPI data traffic over virtual time (GiB per window)", header)
-	for _, r := range []ReplRun{base, repl} {
-		tpRow, qpiRow := []string{r.Label}, []string{r.Label}
-		for w := 0; w < adaptiveReplWindows; w++ {
+	for _, r := range runs {
+		tpRow, qpiRow := []string{r.Spec.Label}, []string{r.Spec.Label}
+		for w, g := range qpiGiB(r.Result) {
 			tpRow = append(tpRow, f0(r.TP[w]))
-			qpiRow = append(qpiRow, fmt.Sprintf("%.2f", r.QPIGiB[w]))
+			qpiRow = append(qpiRow, fmt.Sprintf("%.2f", g))
 		}
 		tp.AddRow(tpRow...)
 		qpi.AddRow(qpiRow...)
@@ -127,19 +92,13 @@ func runAdaptiveRepl(s Scale) *Report {
 
 	sum := rep.AddTable("converged comparison (last third of windows)", []string{
 		"configuration", "TP(q/min)", "vs baseline", "replica KiB (peak)", "budget KiB", "pages moved", "pages copied"})
-	for _, r := range []ReplRun{base, repl} {
-		sum.AddRow(r.Label, f0(r.FinalTP), fmt.Sprintf("%.2fx", r.FinalTP/base.FinalTP),
-			fmt.Sprintf("%d (%d)", r.ReplicaBytes/1024, r.PeakReplicaBytes/1024),
-			itoa(int(r.BudgetBytes/1024)), itoa(int(r.PagesMoved)), itoa(int(r.PagesCopied)))
+	for _, r := range runs {
+		p := r.Placer
+		sum.AddRow(r.Spec.Label, f0(finalTP(r.Result)), fmt.Sprintf("%.2fx", finalTP(r.Result)/finalTP(base.Result)),
+			fmt.Sprintf("%d (%d)", p.ReplicaBytes()/1024, p.PeakReplicaBytes/1024),
+			itoa(int(r.Spec.Placer.ReplicaBudgetBytes/1024)), itoa(int(p.PagesMoved)), itoa(int(p.PagesCopied)))
 	}
 
-	ta := rep.AddTable("replicating placer actions", []string{"t(ms)", "action", "column", "from", "to", "parts", "KiB"})
-	for _, a := range repl.Actions {
-		ta.AddRow(fmt.Sprintf("%.1f", a.Time*1e3), a.Kind, a.Column, itoa(a.From), itoa(a.To),
-			itoa(a.Parts), itoa(int(a.Bytes/1024)))
-	}
-	if len(repl.Actions) == 0 {
-		ta.AddRow("-", "(none)", "-", "-", "-", "-", "-")
-	}
+	actionTable(rep, "replicating placer actions", repl.Placer.Actions, "from", "to", "parts", "KiB")
 	return rep
 }

@@ -6,52 +6,37 @@ package harness
 // replication lever (the reclaim-on-decay half of the lifecycle is covered
 // by TestStaleReplicasReclaimed in internal/adaptive).
 
-import (
-	"testing"
-
-	"numacs/internal/adaptive"
-)
-
-func countActions(actions []adaptive.Action, kind string) int {
-	n := 0
-	for _, a := range actions {
-		if a.Kind == kind {
-			n++
-		}
-	}
-	return n
-}
+import "testing"
 
 func TestAdaptiveReplBeatsMovePartitionOnly(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-window experiment")
 	}
 	s := QuickScale()
-	base := RunAdaptiveRepl(s, false)
-	repl := RunAdaptiveRepl(s, true)
+	base := runEngine(adaptiveReplSpec(s, false))
+	repl := runEngine(adaptiveReplSpec(s, true))
 
-	if repl.FinalTP < 1.3*base.FinalTP {
-		t.Fatalf("replicating placer %.0f q/min < 1.3x move/partition-only %.0f q/min",
-			repl.FinalTP, base.FinalTP)
+	if r, b := finalTP(repl.Result), finalTP(base.Result); r < 1.3*b {
+		t.Fatalf("replicating placer %.0f q/min < 1.3x move/partition-only %.0f q/min", r, b)
 	}
-	if n := countActions(repl.Actions, "replicate"); n == 0 {
+	if n := countActions(repl.Placer.Actions, "replicate"); n == 0 {
 		t.Fatal("replicating run recorded no replicate actions")
 	}
-	if n := countActions(base.Actions, "replicate"); n != 0 {
+	if n := countActions(base.Placer.Actions, "replicate"); n != 0 {
 		t.Fatalf("move/partition-only run replicated %d times", n)
 	}
-	if repl.PeakReplicaBytes <= 0 {
+	peak, budget := repl.Placer.PeakReplicaBytes, repl.Spec.Placer.ReplicaBudgetBytes
+	if peak <= 0 {
 		t.Fatal("replicating run accounted no replica memory")
 	}
-	if repl.PeakReplicaBytes > repl.BudgetBytes {
-		t.Fatalf("peak replica bytes %d exceed budget %d", repl.PeakReplicaBytes, repl.BudgetBytes)
+	if peak > budget {
+		t.Fatalf("peak replica bytes %d exceed budget %d", peak, budget)
 	}
 	// Replication serves the hot column's dictionary locally on every
 	// socket, so the converged QPI traffic must come down vs the
 	// interleaved-dictionary baseline.
 	lastW := adaptiveReplWindows - 1
-	if repl.QPIGiB[lastW] >= base.QPIGiB[lastW] {
-		t.Fatalf("replication did not reduce QPI traffic: %.3f GiB vs %.3f GiB",
-			repl.QPIGiB[lastW], base.QPIGiB[lastW])
+	if r, b := qpiGiB(repl.Result)[lastW], qpiGiB(base.Result)[lastW]; r >= b {
+		t.Fatalf("replication did not reduce QPI traffic: %.3f GiB vs %.3f GiB", r, b)
 	}
 }

@@ -16,41 +16,42 @@ import (
 // completed throughput, or its own demand when it offers less).
 func checkAdmissionCriteria(t *testing.T, s Scale) {
 	t.Helper()
-	capacity := MeasureAdmissionCapacity(s)
+	capacity := float64(Run(admissionCapacitySpec(s)).QueriesDone) / s.Measure
 	if capacity <= 0 {
 		t.Fatal("capacity probe returned nothing")
 	}
-	off := RunAdmission(s, false, capacity)
-	on := RunAdmission(s, true, capacity)
+	off := runEngine(admissionSpec(s, false, capacity))
+	on := runEngine(admissionSpec(s, true, capacity))
 
 	// Overload regime: the open loop must offer at least 2x the probed
 	// capacity (both runs share the rate config).
-	for _, r := range []AdmissionRun{on, off} {
-		if r.OfferedQPS < 2*capacity {
-			t.Fatalf("%s: offered %.0f q/s < 2x capacity %.0f", r.Label, r.OfferedQPS, capacity)
+	for _, r := range []*engineRun{on, off} {
+		if _, offered, _ := admissionTenants(r); offered < 2*capacity {
+			t.Fatalf("%s: offered %.0f q/s < 2x capacity %.0f", r.Spec.Label, offered, capacity)
 		}
 	}
 
 	// Bounded tail: admission-on p99 at least 2x better than queues-only,
 	// and anchored to the deadline contract rather than the horizon.
-	if off.Overall.P99 < 2*on.Overall.P99 {
+	if off.Latency.P99 < 2*on.Latency.P99 {
 		t.Fatalf("p99 off %.2fms < 2x p99 on %.2fms — admission did not bound the tail",
-			off.Overall.P99*1e3, on.Overall.P99*1e3)
+			off.Latency.P99*1e3, on.Latency.P99*1e3)
 	}
-	if on.Overall.P99 > 2.5*on.OLAPDeadline {
+	if deadline := on.Spec.Admission.OLAPDeadline; on.Latency.P99 > 2.5*deadline {
 		t.Fatalf("admission-on p99 %.2fms exceeds 2.5x the %.2fms OLAP deadline",
-			on.Overall.P99*1e3, on.OLAPDeadline*1e3)
+			on.Latency.P99*1e3, deadline*1e3)
 	}
 
 	// Weighted fairness: every scan tenant gets at least half its fair
 	// share. A tenant offering less than its share is entitled to its
 	// demand, not the share.
+	onTenants, _, onCompleted := admissionTenants(on)
 	totalW := 0.0
-	for _, at := range on.Tenants {
+	for _, at := range onTenants {
 		totalW += at.Weight
 	}
-	for _, at := range on.Tenants {
-		fair := at.Weight / totalW * on.CompletedQPS
+	for _, at := range onTenants {
+		fair := at.Weight / totalW * onCompleted
 		if at.OfferedQPS < fair {
 			fair = at.OfferedQPS
 		}
@@ -63,20 +64,19 @@ func checkAdmissionCriteria(t *testing.T, s Scale) {
 	// The mechanisms must actually engage: the greedy tenant's surplus is
 	// shed, the control loop samples, and the writer's Interactive batches
 	// flow in both modes.
-	if on.TotalShed == 0 {
+	if on.E.Admit.TotalShed == 0 {
 		t.Error("no statements shed despite 2x overload")
 	}
-	if len(on.Trace) == 0 {
+	if len(on.E.Admit.Trace) == 0 {
 		t.Error("elastic controller recorded no control samples")
 	}
-	if on.WriterBatches == 0 || off.WriterBatches == 0 {
+	if on.Writers.Inserts+on.Writers.Updates == 0 || off.Writers.Inserts+off.Writers.Updates == 0 {
 		t.Error("writer tenant applied no rows")
 	}
 	// The off run exhibits the failure mode admission prevents: an
 	// unbounded statement backlog in the scheduler queues.
-	if off.MeanQueuedTasks < 10*on.MeanQueuedTasks {
-		t.Errorf("queues-only mean task backlog %.0f not clearly worse than admission-on %.0f",
-			off.MeanQueuedTasks, on.MeanQueuedTasks)
+	if offQ, onQ := off.E.Counters.MeanQueuedTasks(), on.E.Counters.MeanQueuedTasks(); offQ < 10*onQ {
+		t.Errorf("queues-only mean task backlog %.0f not clearly worse than admission-on %.0f", offQ, onQ)
 	}
 }
 

@@ -2,14 +2,12 @@ package harness
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"numacs/internal/adaptive"
 	"numacs/internal/chaos"
-	"numacs/internal/colstore"
 	"numacs/internal/core"
-	"numacs/internal/metrics"
-	"numacs/internal/sharedscan"
 	"numacs/internal/trace"
 	"numacs/internal/workload"
 )
@@ -34,102 +32,77 @@ const (
 	chaosClearWindow = 6
 )
 
-// ChaosRun is the measured outcome of one chaos configuration (control or
-// faulted), exposed so the acceptance tests can assert the degradation
-// invariants at both simulator scales.
-type ChaosRun struct {
-	// Label identifies the configuration; Faulted tells the runs apart.
-	Label   string
-	Faulted bool
-
-	// Window is the reporting window length; Done counts statements
-	// completed per window (the progress counter — a zero window means the
-	// engine stopped making progress), and TP is the same as q/min.
-	Window float64
-	Done   []uint64
-	TP     []float64
-
-	// Latency is the whole-horizon completed-statement distribution.
-	Latency metrics.LatencyStats
-
-	// Injected is the chaos layer's applied-fault log (faulted runs only).
-	Injected []chaos.Applied
-	// Actions is the adaptive placer's decision log (experiments that run
-	// one).
-	Actions []adaptive.Action
-	// Cohorts is the shared-scan registry outcome (experiments that enable
-	// sharing).
-	Cohorts sharedscan.Stats
-	// Merges counts completed background delta merges.
-	Merges int
-	// Tenants is the per-tenant outcome (multi-tenant experiments).
-	Tenants []workload.TenantLoadStats
-	// ReplicaSockets is the hot column's final replica-socket list
-	// (chaos-socket only).
-	ReplicaSockets []int
-
-	// Trace is the run's flight-recorder data: statement spans, the decision
-	// log, and the windowed time-series the progress counters above are
-	// derived from.
-	Trace *trace.Data
-}
-
-// chaosHorizon returns the windowed timeline of a scale.
-func chaosHorizon(s Scale) (window, horizon float64) {
-	horizon = s.Warmup + 2*s.Measure
-	return horizon / chaosWindows, horizon
-}
-
-// chaosTrace enables the flight recorder with the reporting window as the
-// sampling interval, so the recorded time-series IS the per-window progress
-// timeline the chaos tables report. Every chaos scenario calls it before
-// starting its workload.
-func chaosTrace(e *core.Engine, window float64) {
-	e.EnableTracing(trace.Config{SampleInterval: window})
-}
-
-// runChaosWindows advances the engine over the whole windowed horizon and
-// derives the per-window progress counters from the flight recorder's
-// time-series (chaosTrace wired the sampler to the reporting window), then
-// records the whole-run latency distribution and the recorder's data. The
-// sampler observes the engine at exactly the instants the old per-window
-// loop read the counters, so the derived numbers are bit-identical to the
-// hand-rolled bookkeeping this replaced.
-func runChaosWindows(e *core.Engine, run *ChaosRun, window float64) {
-	e.Sim.Run(float64(chaosWindows) * window)
-	e.Trace.Sampler.Flush(e.Sim.Now())
-	samples := e.Trace.Sampler.Samples()
-	if len(samples) > chaosWindows {
-		samples = samples[:chaosWindows]
+// chaosSpec is the base every chaos run shares: the chaos table RR-placed
+// on the 4-socket machine, traced over chaosWindows reporting windows.
+func chaosSpec(s Scale, label string) Spec {
+	return Spec{
+		Label: label, Machine: FourSocket, Dataset: chaosDataset(s), Placement: PlacementSpec{Kind: RR},
+		Warmup: s.Warmup, Measure: s.Measure, Step: s.Step, Seed: 1, Windows: chaosWindows,
 	}
-	for _, smp := range samples {
-		run.Done = append(run.Done, smp.Delta.QueriesDone)
-		run.TP = append(run.TP, float64(smp.Delta.QueriesDone)*60/window)
-	}
-	run.Latency = e.Counters.Latencies()
-	run.Trace = e.Trace.Data()
 }
 
-// meanTP averages the per-window throughput over [from, to).
-func (r ChaosRun) meanTP(from, to int) float64 { return meanf(r.TP[from:to]) }
-
-// MinFaultTP returns the worst faulted-window throughput.
-func (r ChaosRun) MinFaultTP() float64 {
-	min := r.TP[chaosFaultWindow]
-	for _, v := range r.TP[chaosFaultWindow:chaosClearWindow] {
-		if v < min {
-			min = v
-		}
-	}
-	return min
+// chaosFault schedules a fault at the start of the fault windows and its
+// reversal at the start of the recovery windows.
+func chaosFault(sp Spec, on, off chaos.Event) []chaos.Event {
+	on.At = float64(chaosFaultWindow) * sp.window()
+	off.At = float64(chaosClearWindow) * sp.window()
+	return []chaos.Event{on, off}
 }
 
-// FaultTP returns the mean throughput of the faulted windows.
-func (r ChaosRun) FaultTP() float64 { return r.meanTP(chaosFaultWindow, chaosClearWindow) }
+// chaosPlacer is the adaptive placer config of the chaos runs: four
+// balancing rounds per reporting window.
+func chaosPlacer(sp Spec) *adaptive.Config {
+	cfg := adaptive.DefaultConfig()
+	cfg.Period = sp.window() / 4
+	return &cfg
+}
 
-// RecoveryTP returns the mean throughput of the final two (post-recovery)
+// meanTP averages a windowed run's throughput over windows [from, to).
+func (r Result) meanTP(from, to int) float64 { return meanf(r.TP[from:to]) }
+
+// minFaultTP returns the worst faulted-window throughput.
+func (r Result) minFaultTP() float64 { return slices.Min(r.TP[chaosFaultWindow:chaosClearWindow]) }
+
+// faultTP returns the mean throughput of the faulted windows.
+func (r Result) faultTP() float64 { return r.meanTP(chaosFaultWindow, chaosClearWindow) }
+
+// recoveryTP returns the mean throughput of the final two (post-recovery)
 // windows.
-func (r ChaosRun) RecoveryTP() float64 { return r.meanTP(chaosWindows-2, chaosWindows) }
+func (r Result) recoveryTP() float64 { return r.meanTP(chaosWindows-2, chaosWindows) }
+
+func meanf(v []float64) float64 {
+	sum := 0.0
+	for _, x := range v {
+		sum += x
+	}
+	return sum / float64(len(v))
+}
+
+// chaosScenario is one chaos-* experiment: its control/faulted Spec pair
+// and the scenario-specific tables rendered after the shared ones.
+type chaosScenario struct {
+	id, title, desc string
+	spec            func(s Scale, faulted bool) Spec
+	extra           func(rep *Report, control, faulted *engineRun)
+}
+
+// pair simulates the scenario's control and faulted Specs.
+func (c chaosScenario) pair(s Scale) (control, faulted *engineRun) {
+	return runEngine(c.spec(s, false)), runEngine(c.spec(s, true))
+}
+
+// run simulates the scenario's Spec pair and renders its report.
+func (c chaosScenario) run(s Scale) *Report { return c.render(c.pair(s)) }
+
+// render builds the scenario's report from a finished control/faulted pair.
+func (c chaosScenario) render(control, faulted *engineRun) *Report {
+	rep := &Report{ID: c.id, Title: c.title, Description: c.desc}
+	chaosReport(rep, control, faulted)
+	if c.extra != nil {
+		c.extra(rep, control, faulted)
+	}
+	return rep
+}
 
 // chaosDataset sizes the chaos experiments' table: 16 columns at 2x the
 // scale rows keeps a full private pass heavy enough that a socket or MC
@@ -143,7 +116,8 @@ func chaosDataset(s Scale) workload.DatasetConfig {
 
 // chaosReport renders the shared control-vs-faulted tables of a chaos
 // experiment.
-func chaosReport(rep *Report, control, faulted ChaosRun) {
+func chaosReport(rep *Report, control, faulted *engineRun) {
+	runs := []*engineRun{control, faulted}
 	header := []string{"configuration"}
 	for w := 0; w < chaosWindows; w++ {
 		tag := ""
@@ -153,8 +127,8 @@ func chaosReport(rep *Report, control, faulted ChaosRun) {
 		header = append(header, fmt.Sprintf("w%d%s", w+1, tag))
 	}
 	tp := rep.AddTable("throughput over virtual time (q/min per window; * = fault active)", header)
-	for _, r := range []ChaosRun{control, faulted} {
-		row := []string{r.Label}
+	for _, r := range runs {
+		row := []string{r.Spec.Label}
 		for _, v := range r.TP {
 			row = append(row, f0(v))
 		}
@@ -164,38 +138,39 @@ func chaosReport(rep *Report, control, faulted ChaosRun) {
 	sum := rep.AddTable("graceful degradation", []string{
 		"configuration", "baseline TP", "fault TP", "min fault TP", "recovered TP",
 		"fault/ctl", "recovered/ctl", "p50", "p99"})
-	for _, r := range []ChaosRun{control, faulted} {
-		sum.AddRow(r.Label, f0(r.meanTP(1, chaosFaultWindow)), f0(r.FaultTP()), f0(r.MinFaultTP()),
-			f0(r.RecoveryTP()),
-			fmt.Sprintf("%.2fx", r.FaultTP()/control.FaultTP()),
-			fmt.Sprintf("%.2fx", r.RecoveryTP()/control.RecoveryTP()),
+	for _, r := range runs {
+		sum.AddRow(r.Spec.Label, f0(r.meanTP(1, chaosFaultWindow)), f0(r.faultTP()), f0(r.minFaultTP()),
+			f0(r.recoveryTP()),
+			fmt.Sprintf("%.2fx", r.faultTP()/control.faultTP()),
+			fmt.Sprintf("%.2fx", r.recoveryTP()/control.recoveryTP()),
 			ms(r.Latency.P50), ms(r.Latency.P99))
 	}
 
 	ev := rep.AddTable("injected faults", []string{"t(ms)", "fault", "socket", "factor", "tasks re-placed", "replicas dropped"})
-	for _, a := range faulted.Injected {
+	var injected []chaos.Applied
+	if faulted.E.Chaos != nil {
+		injected = faulted.E.Chaos.Applied
+	}
+	for _, a := range injected {
 		ev.AddRow(fmt.Sprintf("%.1f", a.At*1e3), a.Kind.String(), itoa(a.Socket),
 			f2(a.Factor), itoa(a.TasksReplaced), itoa(a.ReplicasDropped))
 	}
-	if len(faulted.Injected) == 0 {
+	if len(injected) == 0 {
 		ev.AddRow("-", "(none)", "-", "-", "-", "-")
 	}
 
-	chaosTimeline(rep, faulted)
+	chaosTimeline(rep, faulted.Trace)
 	rep.Trace = faulted.Trace
-	autoTriage(rep, faulted)
+	autoTriage(rep, faulted.Result)
 }
 
 // chaosTimeline renders the faulted run's flight-recorder views: the windowed
 // time-series (memory throughput, queue depths, steals alongside the progress
 // counter) and the control-plane decision log with causes.
-func chaosTimeline(rep *Report, faulted ChaosRun) {
-	if faulted.Trace == nil {
-		return
-	}
+func chaosTimeline(rep *Report, tr *trace.Data) {
 	tl := rep.AddTable("flight recorder: faulted-run time-series", []string{
 		"t(ms)", "done", "MC GiB/s", "per-socket GiB/s", "queued", "stolen"})
-	for _, smp := range faulted.Trace.Samples {
+	for _, smp := range tr.Samples {
 		per := make([]string, len(smp.Delta.MCBytes))
 		for i, g := range smp.MCGiBs() {
 			per[i] = f1(g)
@@ -212,16 +187,58 @@ func chaosTimeline(rep *Report, faulted ChaosRun) {
 	const maxDecisionRows = 40
 	dl := rep.AddTable("flight recorder: faulted-run decisions", []string{
 		"t(ms)", "source", "kind", "item", "cause"})
-	for i, d := range faulted.Trace.Decisions {
+	for i, d := range tr.Decisions {
 		if i >= maxDecisionRows {
-			dl.AddRow("...", "", "", "", fmt.Sprintf("(%d more)", len(faulted.Trace.Decisions)-maxDecisionRows))
+			dl.AddRow("...", "", "", "", fmt.Sprintf("(%d more)", len(tr.Decisions)-maxDecisionRows))
 			break
 		}
 		dl.AddRow(fmt.Sprintf("%.1f", d.Time*1e3), d.Source, d.Kind, d.Item, d.Cause)
 	}
-	if len(faulted.Trace.Decisions) == 0 {
+	if len(tr.Decisions) == 0 {
 		dl.AddRow("-", "(none)", "-", "-", "-")
 	}
+}
+
+// actionTable renders a placer's decision log with the given columns (a
+// subset of t(ms), action, column, from, to, parts, KiB).
+func actionTable(rep *Report, name string, actions []adaptive.Action, cols ...string) {
+	tb := rep.AddTable(name, append([]string{"t(ms)", "action", "column"}, cols...))
+	for _, a := range actions {
+		row := []string{fmt.Sprintf("%.1f", a.Time*1e3), a.Kind, a.Column}
+		for _, c := range cols {
+			switch c {
+			case "from":
+				row = append(row, itoa(a.From))
+			case "to":
+				row = append(row, itoa(a.To))
+			case "parts":
+				row = append(row, itoa(a.Parts))
+			case "KiB":
+				row = append(row, itoa(int(a.Bytes/1024)))
+			}
+		}
+		tb.AddRow(row...)
+	}
+	if len(actions) == 0 {
+		row := []string{"-", "(none)"}
+		for range cols {
+			row = append(row, "-")
+		}
+		tb.AddRow(append(row, "-")...)
+	}
+}
+
+// countActions counts a placer's actions of the given kinds.
+func countActions(actions []adaptive.Action, kinds ...string) int {
+	n := 0
+	for _, a := range actions {
+		for _, k := range kinds {
+			if a.Kind == k {
+				n++
+			}
+		}
+	}
+	return n
 }
 
 // ---- chaos-socket: socket failure and return under the adaptive placer ----
@@ -233,73 +250,38 @@ const (
 	chaosSocketReplCol = 0
 )
 
-// RunChaosSocket executes the socket-failure scenario: 64 closed-loop
-// uniform scan clients on the RR-placed table with the adaptive placer
-// running, and (when faulted) socket 1 going offline at the start of window
-// 4 — its queued tasks drained and re-placed, its workers parked, and the
-// hot column's replica there invalidated — then returning at the start of
-// window 7. Recovery is the placer's and scheduler's job, not the fault
-// schedule's: the dropped replica stays gone unless the placer re-earns it.
-func RunChaosSocket(s Scale, faulted bool) ChaosRun {
-	e := core.NewWithStep(FourSocket.Build(), 1, s.Step)
-	table := workload.Generate(chaosDataset(s))
-	e.Placer.PlaceRR(table)
-	replCol := table.Parts[0].Columns[chaosSocketReplCol]
-	e.Placer.AddReplica(replCol, chaosSocketVictim)
-
-	window, _ := chaosHorizon(s)
-	chaosTrace(e, window)
-	cfg := adaptive.DefaultConfig()
-	cfg.Period = window / 4
-	placer := adaptive.New(e, &adaptive.Catalog{Tables: []*colstore.Table{table}}, cfg)
-	e.Sim.AddActor(placer)
-
-	var inj *chaos.Injector
-	label := "fault-free control"
+// chaosSocketSpec is the socket-failure scenario: 64 closed-loop uniform
+// scan clients on the RR-placed table with the adaptive placer running, and
+// (when faulted) socket 1 going offline at the start of window 4 — its
+// queued tasks drained and re-placed, its workers parked, and the hot
+// column's replica there invalidated — then returning at the start of window
+// 7. Recovery is the placer's and scheduler's job, not the fault schedule's:
+// the dropped replica stays gone unless the placer re-earns it.
+func chaosSocketSpec(s Scale, faulted bool) Spec {
+	sp := chaosSpec(s, "fault-free control")
+	sp.Replicas = []Replica{{Column: chaosSocketReplCol, Socket: chaosSocketVictim}}
+	sp.Placer = chaosPlacer(sp)
 	if faulted {
-		label = "socket offline w4-w6"
-		inj = e.EnableChaos(chaos.Config{Schedule: []chaos.Event{
-			{At: float64(chaosFaultWindow) * window, Kind: chaos.SocketOffline, Socket: chaosSocketVictim},
-			{At: float64(chaosClearWindow) * window, Kind: chaos.SocketOnline, Socket: chaosSocketVictim},
-		}}, table)
+		sp.Label = "socket offline w4-w6"
+		sp.Faults = chaosFault(sp,
+			chaos.Event{Kind: chaos.SocketOffline, Socket: chaosSocketVictim},
+			chaos.Event{Kind: chaos.SocketOnline, Socket: chaosSocketVictim})
 	}
-
-	clients := workload.NewClients(e, table, workload.ClientsConfig{
-		N: 64, Selectivity: lowSel, Parallel: true, Strategy: core.Bound,
-		Chooser: workload.HotColumnChoice{Hot: chaosSocketReplCol, P: 0.3}, Seed: 9,
-	})
-	clients.Start()
-
-	run := ChaosRun{Label: label, Faulted: faulted, Window: window}
-	runChaosWindows(e, &run, window)
-	run.Actions = placer.Actions
-	if inj != nil {
-		run.Injected = inj.Applied
-	}
-	run.ReplicaSockets = append([]int(nil), replCol.ReplicaSockets...)
-	return run
+	sp.Clients, sp.Selectivity, sp.Parallel, sp.Strategy = 64, lowSel, true, core.Bound
+	sp.Chooser = workload.HotColumnChoice{Hot: chaosSocketReplCol, P: 0.3}
+	sp.ClientSeed = 9
+	return sp
 }
 
-func runChaosSocket(s Scale) *Report {
-	rep := &Report{
-		ID:    "chaos-socket",
-		Title: "Chaos: socket failure and return under the adaptive placer",
-		Description: "Socket 1 goes offline mid-run (queued tasks re-placed, workers parked, its " +
-			"replica invalidated) and returns three windows later; the scheduler and placer must " +
-			"degrade gracefully and re-converge, not livelock.",
-	}
-	control := RunChaosSocket(s, false)
-	faulted := RunChaosSocket(s, true)
-	chaosReport(rep, control, faulted)
-
-	ta := rep.AddTable("placer actions (faulted run)", []string{"t(ms)", "action", "column", "from", "to"})
-	for _, a := range faulted.Actions {
-		ta.AddRow(fmt.Sprintf("%.1f", a.Time*1e3), a.Kind, a.Column, itoa(a.From), itoa(a.To))
-	}
-	if len(faulted.Actions) == 0 {
-		ta.AddRow("-", "(none)", "-", "-", "-")
-	}
-	return rep
+var chaosSocket = chaosScenario{
+	id: "chaos-socket", title: "Chaos: socket failure and return under the adaptive placer",
+	desc: "Socket 1 goes offline mid-run (queued tasks re-placed, workers parked, its " +
+		"replica invalidated) and returns three windows later; the scheduler and placer must " +
+		"degrade gracefully and re-converge, not livelock.",
+	spec: chaosSocketSpec,
+	extra: func(rep *Report, _, faulted *engineRun) {
+		actionTable(rep, "placer actions (faulted run)", faulted.Placer.Actions, "from", "to")
+	},
 }
 
 // ---- chaos-thermal: memory-controller throttling ---------------------------
@@ -308,52 +290,29 @@ func runChaosSocket(s Scale) *Report {
 // thermal event, strong enough that the fault must visibly bite.
 const chaosThermalFactor = 0.3
 
-// RunChaosThermal executes the thermal-throttling scenario: 64 closed-loop
+// chaosThermalSpec is the thermal-throttling scenario: 64 closed-loop
 // clients all scanning one socket-0 column (the MC-bound regime), with
 // socket 0's memory controller throttled to 30% of nominal during windows
 // 4-6. No placer runs: the experiment isolates the engine's raw degradation
 // and recovery when the serving controller's capacity collapses and returns.
-func RunChaosThermal(s Scale, faulted bool) ChaosRun {
-	e := core.NewWithStep(FourSocket.Build(), 1, s.Step)
-	table := workload.Generate(chaosDataset(s))
-	e.Placer.PlaceRR(table)
-
-	window, _ := chaosHorizon(s)
-	chaosTrace(e, window)
-	var inj *chaos.Injector
-	label := "fault-free control"
+func chaosThermalSpec(s Scale, faulted bool) Spec {
+	sp := chaosSpec(s, "fault-free control")
 	if faulted {
-		label = fmt.Sprintf("MC0 @ %.0f%% w4-w6", chaosThermalFactor*100)
-		inj = e.EnableChaos(chaos.Config{Schedule: []chaos.Event{
-			{At: float64(chaosFaultWindow) * window, Kind: chaos.MCThrottle, Socket: 0, Factor: chaosThermalFactor},
-			{At: float64(chaosClearWindow) * window, Kind: chaos.MCThrottle, Socket: 0, Factor: 1},
-		}}, table)
+		sp.Label = fmt.Sprintf("MC0 @ %.0f%% w4-w6", chaosThermalFactor*100)
+		sp.Faults = chaosFault(sp,
+			chaos.Event{Kind: chaos.MCThrottle, Socket: 0, Factor: chaosThermalFactor},
+			chaos.Event{Kind: chaos.MCThrottle, Socket: 0, Factor: 1})
 	}
-
-	clients := workload.NewClients(e, table, workload.ClientsConfig{
-		N: 64, Selectivity: lowSel, Parallel: true, Strategy: core.Bound,
-		Chooser: workload.FixedColumnChoice{Col: 0}, Seed: 9, // column 0 lives on socket 0 under RR
-	})
-	clients.Start()
-
-	run := ChaosRun{Label: label, Faulted: faulted, Window: window}
-	runChaosWindows(e, &run, window)
-	if inj != nil {
-		run.Injected = inj.Applied
-	}
-	return run
+	sp.Clients, sp.Selectivity, sp.Parallel, sp.Strategy = 64, lowSel, true, core.Bound
+	sp.Chooser = workload.FixedColumnChoice{Col: 0} // column 0 lives on socket 0 under RR
+	sp.ClientSeed = 9
+	return sp
 }
 
-func runChaosThermal(s Scale) *Report {
-	rep := &Report{
-		ID:    "chaos-thermal",
-		Title: "Chaos: memory-controller thermal throttling",
-		Description: "The serving socket's MC drops to 30% of nominal bandwidth for three windows " +
-			"while every client scans a column it serves: throughput must track the capacity loss " +
-			"(bounded, no collapse) and return to baseline when the throttle lifts.",
-	}
-	control := RunChaosThermal(s, false)
-	faulted := RunChaosThermal(s, true)
-	chaosReport(rep, control, faulted)
-	return rep
+var chaosThermal = chaosScenario{
+	id: "chaos-thermal", title: "Chaos: memory-controller thermal throttling",
+	desc: "The serving socket's MC drops to 30% of nominal bandwidth for three windows " +
+		"while every client scans a column it serves: throughput must track the capacity loss " +
+		"(bounded, no collapse) and return to baseline when the throttle lifts.",
+	spec: chaosThermalSpec,
 }

@@ -9,9 +9,9 @@ import (
 	"numacs/internal/workload"
 )
 
-// TestChaosExperimentsRegistered pins the registry contract CI's experiment
-// loop depends on: at least four chaos-* experiments are registered and
-// resolvable by id. (Cheap — runs even under -short.)
+// TestChaosExperimentsRegistered pins the chaos registry: at least four
+// chaos-* experiments are registered and resolvable by id. (Cheap — runs
+// even under -short.)
 func TestChaosExperimentsRegistered(t *testing.T) {
 	var ids []string
 	for _, id := range IDs() {
@@ -67,60 +67,11 @@ func TestChaosDisabledBitIdentical(t *testing.T) {
 
 // assertProgress is the livelock/deadlock watchdog: every reporting window
 // of every run must complete at least one statement.
-func assertProgress(t *testing.T, r ChaosRun) {
+func assertProgress(t *testing.T, r *engineRun) {
 	t.Helper()
 	for w, n := range r.Done {
 		if n == 0 {
-			t.Errorf("%s: window %d completed no statements — engine stopped making progress", r.Label, w+1)
-		}
-	}
-}
-
-// checkChaosSocket asserts the socket-failure invariants at one scale.
-func checkChaosSocket(t *testing.T, s Scale) {
-	t.Helper()
-	control := RunChaosSocket(s, false)
-	faulted := RunChaosSocket(s, true)
-	assertProgress(t, control)
-	assertProgress(t, faulted)
-
-	if len(faulted.Injected) != 2 {
-		t.Fatalf("injected %d faults, want offline+online", len(faulted.Injected))
-	}
-	if faulted.Injected[0].ReplicasDropped < 1 {
-		t.Errorf("offline event dropped %d replicas, want >= 1 (the pre-placed socket-1 replica)",
-			faulted.Injected[0].ReplicasDropped)
-	}
-	// Losing one of four sockets costs more than a quarter of throughput
-	// here: the hot column's replica on the dead socket is gone too, so its
-	// scans fall back to remote service. 0.15 is the no-collapse floor at
-	// both steps (measured ~0.50 at 25 us, ~0.23 at 5 us).
-	if r := faulted.FaultTP() / control.FaultTP(); r < 0.15 {
-		t.Errorf("fault-window throughput ratio %.2f < 0.15 — degradation not graceful", r)
-	} else if r > 0.85 {
-		t.Errorf("fault-window throughput ratio %.2f > 0.85 — the fault did not bite", r)
-	}
-	if r := faulted.RecoveryTP() / control.RecoveryTP(); r < 0.8 {
-		t.Errorf("recovery throughput ratio %.2f < 0.8 — no convergence after the socket returned", r)
-	}
-	if faulted.Latency.P99 > 10*control.Latency.P99 {
-		t.Errorf("faulted p99 %.2fms > 10x control %.2fms", faulted.Latency.P99*1e3, control.Latency.P99*1e3)
-	}
-	// The placer must never target the offline socket while it is down...
-	faultAt := float64(chaosFaultWindow) * faulted.Window
-	clearAt := float64(chaosClearWindow) * faulted.Window
-	for _, a := range faulted.Actions {
-		if a.Time >= faultAt && a.Time < clearAt && a.To == chaosSocketVictim {
-			t.Errorf("placer action %q -> socket %d at t=%.1fms while that socket was offline",
-				a.Kind, a.To, a.Time*1e3)
-		}
-	}
-	// ...and must converge: no further re-placement churn after a grace of
-	// two windows past the clear.
-	for _, a := range faulted.Actions {
-		if a.Time >= clearAt+2*faulted.Window {
-			t.Errorf("placer still acting (%q %s) at t=%.1fms, %.1fms after the fault cleared — not converged",
-				a.Kind, a.Column, a.Time*1e3, (a.Time-clearAt)*1e3)
+			t.Errorf("%s: window %d completed no statements — engine stopped making progress", r.Spec.Label, w+1)
 		}
 	}
 }
@@ -128,20 +79,19 @@ func checkChaosSocket(t *testing.T, s Scale) {
 // checkChaosThermal asserts the MC-throttling invariants at one scale.
 func checkChaosThermal(t *testing.T, s Scale) {
 	t.Helper()
-	control := RunChaosThermal(s, false)
-	faulted := RunChaosThermal(s, true)
+	control, faulted := chaosThermal.pair(s)
 	assertProgress(t, control)
 	assertProgress(t, faulted)
 
-	if len(faulted.Injected) != 2 {
-		t.Fatalf("injected %d faults, want throttle+restore", len(faulted.Injected))
+	if n := len(faulted.E.Chaos.Applied); n != 2 {
+		t.Fatalf("injected %d faults, want throttle+restore", n)
 	}
-	if r := faulted.FaultTP() / control.FaultTP(); r < 0.2 {
+	if r := faulted.faultTP() / control.faultTP(); r < 0.2 {
 		t.Errorf("throttled throughput ratio %.2f < 0.2 — collapse, not degradation", r)
 	} else if r > 0.7 {
 		t.Errorf("throttled throughput ratio %.2f > 0.7 — a 30%% MC throttle did not bite", r)
 	}
-	if r := faulted.RecoveryTP() / control.RecoveryTP(); r < 0.85 {
+	if r := faulted.recoveryTP() / control.recoveryTP(); r < 0.85 {
 		t.Errorf("recovery throughput ratio %.2f < 0.85 after the throttle lifted", r)
 	}
 	if faulted.Latency.P99 > 10*control.Latency.P99 {
@@ -152,12 +102,11 @@ func checkChaosThermal(t *testing.T, s Scale) {
 // checkChaosAntagonist asserts the heat-thrashing invariants at one scale.
 func checkChaosAntagonist(t *testing.T, s Scale) {
 	t.Helper()
-	control := RunChaosAntagonist(s, false)
-	faulted := RunChaosAntagonist(s, true)
+	control, faulted := chaosAntagonist.pair(s)
 	assertProgress(t, control)
 	assertProgress(t, faulted)
 
-	cv, fv := control.Tenants[0], faulted.Tenants[0] // the victim tenant
+	cv, fv := control.Tenants.Stats()[0], faulted.Tenants.Stats()[0] // the victim tenant
 	if fv.Completed < 3*fv.Issued/4 {
 		t.Errorf("victim completed %d of %d issued under thrashing — admission fairness lost",
 			fv.Completed, fv.Issued)
@@ -171,47 +120,38 @@ func checkChaosAntagonist(t *testing.T, s Scale) {
 	// The thrash must actually engage the placer's replication lever more
 	// than steady heat does, and the resulting churn must stay bounded (the
 	// placer acts at most a couple of times per balancing period).
-	count := func(r ChaosRun, kind string) int {
-		n := 0
-		for _, a := range r.Actions {
-			if a.Kind == kind {
-				n++
-			}
-		}
-		return n
-	}
-	if count(faulted, "replicate") <= count(control, "replicate") {
+	fRepl, cRepl := countActions(faulted.Placer.Actions, "replicate"), countActions(control.Placer.Actions, "replicate")
+	if fRepl <= cRepl {
 		t.Errorf("thrashing run replicated %d times vs control %d — the antagonist did not engage the placer",
-			count(faulted, "replicate"), count(control, "replicate"))
+			fRepl, cRepl)
 	}
-	if len(faulted.Actions) > 120 {
-		t.Errorf("placer took %d actions under thrashing — churn unbounded", len(faulted.Actions))
+	if n := len(faulted.Placer.Actions); n > 120 {
+		t.Errorf("placer took %d actions under thrashing — churn unbounded", n)
 	}
 }
 
 // checkChaosWriteStorm asserts the write-storm invariants at one scale.
 func checkChaosWriteStorm(t *testing.T, s Scale) {
 	t.Helper()
-	control := RunChaosWriteStorm(s, false)
-	faulted := RunChaosWriteStorm(s, true)
+	control, faulted := chaosWriteStorm.pair(s)
 	assertProgress(t, control)
 	assertProgress(t, faulted)
 
-	if control.Merges != 0 {
-		t.Errorf("control run merged %d times — the storm is the only write source", control.Merges)
+	if n := control.E.MergesCompleted; n != 0 {
+		t.Errorf("control run merged %d times — the storm is the only write source", n)
 	}
-	if faulted.Merges < 1 {
+	if faulted.E.MergesCompleted < 1 {
 		t.Error("write storm never triggered a background merge — the race under test did not happen")
 	}
-	if faulted.Cohorts.Merged == 0 {
+	if faulted.E.Shared.Stats().Merged == 0 {
 		t.Error("no statements shared a pass during the storm run — cohorts disengaged")
 	}
-	if r := faulted.FaultTP() / control.FaultTP(); r < 0.3 {
+	if r := faulted.faultTP() / control.faultTP(); r < 0.3 {
 		t.Errorf("storm-window throughput ratio %.2f < 0.3 — degradation not graceful", r)
 	} else if r > 0.9 {
 		t.Errorf("storm-window throughput ratio %.2f > 0.9 — the storm did not bite", r)
 	}
-	if r := faulted.RecoveryTP() / control.RecoveryTP(); r < 0.7 {
+	if r := faulted.recoveryTP() / control.recoveryTP(); r < 0.7 {
 		t.Errorf("post-storm recovery ratio %.2f < 0.7", r)
 	}
 	// Statements in flight when the merge rebuild kicks in absorb its whole
@@ -225,25 +165,24 @@ func checkChaosWriteStorm(t *testing.T, s Scale) {
 // checkChaosBurst asserts the join-window-burst invariants at one scale.
 func checkChaosBurst(t *testing.T, s Scale) {
 	t.Helper()
-	control := RunChaosBurst(s, false)
-	faulted := RunChaosBurst(s, true)
+	control, faulted := chaosBurst.pair(s)
 	assertProgress(t, control)
 	assertProgress(t, faulted)
 
-	cb, fb := control.Tenants[1], faulted.Tenants[1] // the burst tenant
+	cb, fb := control.Tenants.Stats()[1], faulted.Tenants.Stats()[1] // the burst tenant
 	if fb.Issued < 2*cb.Issued {
 		t.Fatalf("burst tenant issued %d vs %d without bursts — the spikes never fired", fb.Issued, cb.Issued)
 	}
-	if st := faulted.Cohorts; st.Merged+st.Attached == 0 {
+	if cohorted(faulted.E.Shared.Stats()) == 0 {
 		t.Error("no statements merged or attached under bursts — sharing disengaged")
 	}
-	if fs := faulted.Tenants[0]; fs.Completed < 9*fs.Issued/10 {
+	if fs := faulted.Tenants.Stats()[0]; fs.Completed < 9*fs.Issued/10 {
 		t.Errorf("steady tenant completed %d of %d issued under bursts", fs.Completed, fs.Issued)
 	}
 	if fb.Completed < 7*fb.Issued/10 {
 		t.Errorf("burst tenant completed %d of %d issued — spikes were shed, not absorbed", fb.Completed, fb.Issued)
 	}
-	if r := faulted.FaultTP() / control.FaultTP(); r < 0.8 {
+	if r := faulted.faultTP() / control.faultTP(); r < 0.8 {
 		t.Errorf("burst-window throughput ratio %.2f < 0.8 — spikes should be absorbed by sharing", r)
 	}
 	if faulted.Latency.P99 > 3*control.Latency.P99 {
@@ -252,13 +191,6 @@ func checkChaosBurst(t *testing.T, s Scale) {
 }
 
 // Quick-scale (25 us step) assertions.
-
-func TestChaosSocketQuick(t *testing.T) {
-	if testing.Short() {
-		t.Skip("chaos simulation runs")
-	}
-	checkChaosSocket(t, QuickScale())
-}
 
 func TestChaosThermalQuick(t *testing.T) {
 	if testing.Short() {
@@ -291,13 +223,6 @@ func TestChaosBurstQuick(t *testing.T) {
 // Full-scale (5 us step) assertions: the graceful-degradation envelope must
 // hold when dispatch quantization is 5x finer, or the invariants would be a
 // step-size artifact.
-
-func TestChaosSocketFull(t *testing.T) {
-	if testing.Short() {
-		t.Skip("chaos simulation runs at full scale")
-	}
-	checkChaosSocket(t, FullScale())
-}
 
 func TestChaosThermalFull(t *testing.T) {
 	if testing.Short() {

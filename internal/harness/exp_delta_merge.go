@@ -3,11 +3,12 @@ package harness
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"numacs/internal/adaptive"
 	"numacs/internal/colstore"
 	"numacs/internal/core"
-	"numacs/internal/delta"
+	"numacs/internal/sim"
 	"numacs/internal/workload"
 )
 
@@ -60,63 +61,35 @@ func (m deltaWriteMix) Pick(rng *rand.Rand, columns int) int {
 	return m.warm % columns
 }
 
-// DeltaMergeRun is the measured outcome of one delta-merge configuration:
-// per-window throughput and the scanned column's delta size over virtual
-// time, the placer's decision log, and the end-state the lifecycle
-// assertions check. Exposed so tests can validate the acceptance criteria at
-// both simulator scales.
-type DeltaMergeRun struct {
-	Label string
-	TP    []float64 // q/min per window
-	// DeltaKiB tracks the scanned column's delta size at each window end.
-	DeltaKiB []float64
-	Actions  []adaptive.Action
-
-	// PreWriteTP is the mean throughput of the read-only windows before
-	// writes start (windows 2-4; window 1 is warm-up ramp).
-	PreWriteTP float64
-	// RecoveredTP is the mean throughput of the last two windows, after the
-	// cleanup merge folded the remaining delta.
-	RecoveredTP float64
-	// WriteStart/WriteStop bound the writers' active window, and MergeTimes
-	// lists when the placer fired merges for the scanned column — the tests
-	// derive the degradation window from these.
-	WriteStart, WriteStop float64
-	MergeTimes            []float64
-	Window                float64
-
-	MergesCompleted  int
-	ReplicatedAtEnd  bool
-	FinalDeltaBytes  int64
-	Inserts, Updates uint64
-	RowsGrownTo      int
-}
-
-// RunDeltaMerge executes one delta-merge configuration on the 4-socket
-// machine: parallel low-selectivity scans concentrated on one column (with a
-// warm replicated secondary), and — when writes is set — an update-heavy
-// write mix appended from socket-0 writers during the middle windows. The
+// deltaMergeSpec is one delta-merge configuration on the 4-socket machine:
+// parallel low-selectivity scans concentrated on one column (with a warm
+// replicated secondary), and — when writes is set — an update-heavy write
+// mix appended from socket-0 writers during the middle windows. The
 // write-aware placer owns the whole lifecycle: the delta grows and degrades
 // scans, the size trigger fires a background merge that restores the main,
 // the write-guard reclaims the now write-hot replicas of the secondary, and
 // the write-cold cleanup merge after the writers stop returns throughput to
 // the read-only baseline. The move/partition/replicate levers are frozen
 // (huge ImbalanceRatio) so the run isolates exactly the write path.
-func RunDeltaMerge(s Scale, writes bool) DeltaMergeRun {
-	e := core.NewWithStep(FourSocket.Build(), 1, s.Step)
-	ds := workload.DatasetConfig{
-		Rows: s.Rows, Columns: 16, BitcaseMin: 12, BitcaseMax: 18,
-		Seed: 1, Synthetic: true,
+//
+// Setup also registers a probe that appends the hot column's delta size to
+// *kib whenever the flight recorder's sampler closes a window. It ticks
+// before the writers, so it reads the size the window ended with; the last
+// window closes after the run, and deltaMergeRun reads it from the table.
+func deltaMergeSpec(s Scale, writes bool, kib *[]float64) Spec {
+	sp := Spec{
+		Label: "read-only baseline", Machine: FourSocket,
+		Dataset: workload.DatasetConfig{
+			Rows: s.Rows, Columns: 16, BitcaseMin: 12, BitcaseMax: 18, Seed: 1,
+		},
+		Placement: PlacementSpec{Kind: RR}, Skew: true, // block layout
+		Replicas: []Replica{{Column: deltaMergeReplCol, Socket: 2}, {Column: deltaMergeReplCol, Socket: 3}},
+		Clients:  256, Selectivity: lowSel, Parallel: true, Strategy: core.Bound,
+		Chooser:    deltaReadMix{hot: deltaMergeScanCol, warm: deltaMergeReplCol, pHot: 0.80, pWrm: 0.08},
+		ClientSeed: 11,
+		Warmup:     s.Warmup, Measure: s.Measure, Step: s.Step, Seed: 1, Windows: deltaMergeWindows,
 	}
-	table := workload.Generate(ds)
-	e.Placer.PlaceRRBlocks(table)
-	scanCol := table.Parts[0].Columns[deltaMergeScanCol]
-	replCol := table.Parts[0].Columns[deltaMergeReplCol]
-	e.Placer.AddReplica(replCol, 2)
-	e.Placer.AddReplica(replCol, 3)
-
-	horizon := s.Warmup + 2*s.Measure
-	window := horizon / deltaMergeWindows
+	window := sp.window()
 
 	cfg := adaptive.DefaultConfig()
 	cfg.Period = window / 4
@@ -129,69 +102,43 @@ func RunDeltaMerge(s Scale, writes bool) DeltaMergeRun {
 	// horizon here makes periods tiny, so the default per-period fraction is
 	// scaled down accordingly.
 	cfg.WriteHotFraction = 0.001
-	placer := adaptive.New(e, &adaptive.Catalog{Tables: []*colstore.Table{table}}, cfg)
-	e.Sim.AddActor(placer)
+	sp.Placer = &cfg
 
-	clients := workload.NewClients(e, table, workload.ClientsConfig{
-		N: 256, Selectivity: lowSel, Parallel: true, Strategy: core.Bound,
-		Chooser: deltaReadMix{hot: deltaMergeScanCol, warm: deltaMergeReplCol, pHot: 0.80, pWrm: 0.08},
-		Seed:    11,
-	})
-	clients.Start()
-
-	writeStart, writeStop := 4*window, 9*window
-	var writers *workload.Writers
+	var sizeRate func(*core.Engine, *colstore.Table)
 	if writes {
+		sp.Label = "mixed read/write"
+		sp.Writers = &workload.WritersConfig{
+			UpdateFraction: 0.8,
+			Chooser:        deltaWriteMix{hot: deltaMergeScanCol, warm: deltaMergeReplCol, pHot: 0.8},
+			Sockets:        []int{0}, // colocate appends with the hot column's socket
+			Start:          4 * window, Stop: 9 * window, Seed: 5,
+		}
 		// Rate tuned so the hot column's delta crosses the merge threshold
 		// ~3.2 windows into the 5-window write phase, leaving full windows of
 		// monotonic degradation before the merge fires.
-		thresholdRows := cfg.MergeDeltaFraction * float64(scanCol.IVBytes()) / delta.RowBytes
-		rate := thresholdRows / (3.2 * window) / 0.8
-		writers = workload.NewWriters(e, table, workload.WritersConfig{
-			Rate: rate, UpdateFraction: 0.8,
-			Chooser: deltaWriteMix{hot: deltaMergeScanCol, warm: deltaMergeReplCol, pHot: 0.8},
-			Sockets: []int{0}, // colocate appends with the hot column's socket
-			Start:   writeStart, Stop: writeStop, Seed: 5,
-		})
-		e.Sim.AddActor(writers)
+		sizeRate = sizeWriters(sp.Writers, deltaMergeScanCol, cfg.MergeDeltaFraction, 3.2*window)
 	}
-
-	label := "read-only baseline"
-	if writes {
-		label = "mixed read/write"
-	}
-	run := DeltaMergeRun{Label: label, WriteStart: writeStart, WriteStop: writeStop, Window: window}
-	for w := 0; w < deltaMergeWindows; w++ {
-		e.Counters.Reset()
-		e.Sim.Run(float64(w+1) * window)
-		run.TP = append(run.TP, e.Counters.ThroughputQPM(window))
-		run.DeltaKiB = append(run.DeltaKiB, float64(scanCol.DeltaBytes())/1024)
-	}
-
-	run.PreWriteTP = meanf(run.TP[1:4])
-	run.RecoveredTP = meanf(run.TP[deltaMergeWindows-2:])
-	run.Actions = placer.Actions
-	for _, a := range placer.Actions {
-		if a.Kind == "merge" && a.Column == scanCol.Name {
-			run.MergeTimes = append(run.MergeTimes, a.Time)
+	sp.Setup = func(e *core.Engine, t *colstore.Table) {
+		if sizeRate != nil {
+			sizeRate(e, t)
 		}
+		col := t.Parts[0].Columns[deltaMergeScanCol]
+		e.Sim.AddActor(sim.ActorFunc(func(float64) {
+			if len(e.Trace.Sampler.Samples()) > len(*kib) {
+				*kib = append(*kib, float64(col.DeltaBytes())/1024)
+			}
+		}))
 	}
-	run.MergesCompleted = e.MergesCompleted
-	run.ReplicatedAtEnd = replCol.Replicated()
-	run.FinalDeltaBytes = scanCol.DeltaBytes() + replCol.DeltaBytes()
-	run.RowsGrownTo = scanCol.Rows
-	if writers != nil {
-		run.Inserts, run.Updates = writers.Inserts, writers.Updates
-	}
-	return run
+	return sp
 }
 
-func meanf(v []float64) float64 {
-	sum := 0.0
-	for _, x := range v {
-		sum += x
-	}
-	return sum / float64(len(v))
+// deltaMergeRun runs one delta-merge configuration and returns it with the
+// hot column's per-window delta size in KiB.
+func deltaMergeRun(s Scale, writes bool) (*engineRun, []float64) {
+	var kib []float64
+	r := runEngine(deltaMergeSpec(s, writes, &kib))
+	kib = append(kib, float64(r.Table.Parts[0].Columns[deltaMergeScanCol].DeltaBytes())/1024)
+	return r, kib
 }
 
 // runDeltaMerge reproduces the write-path lifecycle the main/delta
@@ -202,56 +149,49 @@ func meanf(v []float64) float64 {
 func runDeltaMerge(s Scale) *Report {
 	rep := &Report{ID: "delta-merge", Title: "Delta-store write path: append, scan degradation, merge, recovery"}
 
-	base := RunDeltaMerge(s, false)
-	mixed := RunDeltaMerge(s, true)
+	base, baseKiB := deltaMergeRun(s, false)
+	mixed, mixedKiB := deltaMergeRun(s, true)
+	runs := []*engineRun{base, mixed}
 
 	header := []string{"configuration"}
 	for w := 0; w < deltaMergeWindows; w++ {
 		header = append(header, fmt.Sprintf("w%d", w+1))
 	}
 	tp := rep.AddTable("throughput over virtual time (q/min per window; writes during w5-w9)", header)
-	for _, r := range []DeltaMergeRun{base, mixed} {
-		row := []string{r.Label}
-		for _, v := range r.TP {
-			row = append(row, f0(v))
-		}
-		tp.AddRow(row...)
-	}
 	dk := rep.AddTable("hot column delta size at window end (KiB)", header)
-	for _, r := range []DeltaMergeRun{base, mixed} {
-		row := []string{r.Label}
-		for _, v := range r.DeltaKiB {
-			row = append(row, f1(v))
+	for i, r := range runs {
+		tpRow, dkRow := []string{r.Spec.Label}, []string{r.Spec.Label}
+		for w, v := range r.TP {
+			tpRow = append(tpRow, f0(v))
+			dkRow = append(dkRow, f1([][]float64{baseKiB, mixedKiB}[i][w]))
 		}
-		dk.AddRow(row...)
+		tp.AddRow(tpRow...)
+		dk.AddRow(dkRow...)
 	}
 
 	sum := rep.AddTable("lifecycle summary", []string{
 		"configuration", "pre-write TP", "min in-write TP", "recovered TP", "recovered/baseline",
 		"merges", "inserts", "updates", "repl col copies", "final delta KiB"})
-	for _, r := range []DeltaMergeRun{base, mixed} {
-		minTP := r.TP[4]
-		for _, v := range r.TP[4:9] {
-			if v < minTP {
-				minTP = v
-			}
-		}
+	for _, r := range runs {
+		cols := r.Table.Parts[0].Columns
 		copies := 1
-		if r.ReplicatedAtEnd {
+		if cols[deltaMergeReplCol].Replicated() {
 			copies = 3
 		}
-		sum.AddRow(r.Label, f0(r.PreWriteTP), f0(minTP), f0(r.RecoveredTP),
-			fmt.Sprintf("%.2fx", r.RecoveredTP/base.RecoveredTP),
-			itoa(r.MergesCompleted), itoa(int(r.Inserts)), itoa(int(r.Updates)),
-			itoa(copies), f1(float64(r.FinalDeltaBytes)/1024))
+		var inserts, updates uint64
+		if r.Writers != nil {
+			inserts, updates = r.Writers.Inserts, r.Writers.Updates
+		}
+		sum.AddRow(r.Spec.Label, f0(meanf(r.TP[1:4])), f0(slices.Min(r.TP[4:9])), f0(recoveredTP(r.Result)),
+			fmt.Sprintf("%.2fx", recoveredTP(r.Result)/recoveredTP(base.Result)),
+			itoa(r.E.MergesCompleted), itoa(int(inserts)), itoa(int(updates)),
+			itoa(copies), f1(float64(cols[deltaMergeScanCol].DeltaBytes()+cols[deltaMergeReplCol].DeltaBytes())/1024))
 	}
 
-	ta := rep.AddTable("write-aware placer actions (mixed run)", []string{"t(ms)", "action", "column", "from", "to", "KiB"})
-	for _, a := range mixed.Actions {
-		ta.AddRow(fmt.Sprintf("%.1f", a.Time*1e3), a.Kind, a.Column, itoa(a.From), itoa(a.To), itoa(int(a.Bytes/1024)))
-	}
-	if len(mixed.Actions) == 0 {
-		ta.AddRow("-", "(none)", "-", "-", "-", "-")
-	}
+	actionTable(rep, "write-aware placer actions (mixed run)", mixed.Placer.Actions, "from", "to", "KiB")
 	return rep
 }
+
+// recoveredTP is the mean throughput of a delta-merge run's last two
+// windows, after the cleanup merge folded the remaining delta.
+func recoveredTP(r Result) float64 { return meanf(r.TP[deltaMergeWindows-2:]) }

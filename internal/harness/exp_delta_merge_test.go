@@ -25,16 +25,25 @@ func TestDeltaMergeLifecycleFull(t *testing.T) {
 
 func checkDeltaMergeLifecycle(t *testing.T, s Scale) {
 	t.Helper()
-	base := RunDeltaMerge(s, false)
-	mixed := RunDeltaMerge(s, true)
+	base, _ := deltaMergeRun(s, false)
+	mixed, _ := deltaMergeRun(s, true)
+	baseCols, cols := base.Table.Parts[0].Columns, mixed.Table.Parts[0].Columns
+	scanCol, replCol := cols[deltaMergeScanCol], cols[deltaMergeReplCol]
+	writeStart, writeStop := mixed.Spec.Writers.Start, mixed.Spec.Writers.Stop
+	var mergeTimes []float64
+	for _, a := range mixed.Placer.Actions {
+		if a.Kind == "merge" && a.Column == scanCol.Name {
+			mergeTimes = append(mergeTimes, a.Time)
+		}
+	}
 
 	// Control: the read-only run never merges, keeps its replicas, and the
 	// two runs are bit-identical until the writers start (the write path is
 	// inert without writes).
-	if base.MergesCompleted != 0 {
-		t.Fatalf("read-only baseline completed %d merges", base.MergesCompleted)
+	if n := base.E.MergesCompleted; n != 0 {
+		t.Fatalf("read-only baseline completed %d merges", n)
 	}
-	if !base.ReplicatedAtEnd {
+	if !baseCols[deltaMergeReplCol].Replicated() {
 		t.Fatal("read-only baseline lost its replicas")
 	}
 	for w := 0; w < 4; w++ {
@@ -45,15 +54,15 @@ func checkDeltaMergeLifecycle(t *testing.T, s Scale) {
 	}
 
 	// The size trigger must have fired during the write phase.
-	if len(mixed.MergeTimes) == 0 {
-		t.Fatalf("no merge fired for the written column; actions: %+v", mixed.Actions)
+	if len(mergeTimes) == 0 {
+		t.Fatalf("no merge fired for the written column; actions: %+v", mixed.Placer.Actions)
 	}
-	firstMerge := mixed.MergeTimes[0]
-	if firstMerge < mixed.WriteStart || firstMerge > mixed.WriteStop {
+	firstMerge := mergeTimes[0]
+	if firstMerge < writeStart || firstMerge > writeStop {
 		t.Fatalf("first merge at %.1fms outside the write phase [%.1f, %.1f]ms",
-			firstMerge*1e3, mixed.WriteStart*1e3, mixed.WriteStop*1e3)
+			firstMerge*1e3, writeStart*1e3, writeStop*1e3)
 	}
-	if mixed.MergesCompleted == 0 {
+	if mixed.E.MergesCompleted == 0 {
 		t.Fatal("merges fired but none completed")
 	}
 
@@ -80,30 +89,30 @@ func checkDeltaMergeLifecycle(t *testing.T, s Scale) {
 			minPre = v
 		}
 	}
-	if minPre > 0.85*mixed.PreWriteTP {
+	if preWrite := meanf(mixed.TP[1:4]); minPre > 0.85*preWrite {
 		t.Errorf("degradation not substantial: min pre-merge TP %.0f vs pre-write %.0f (want < 85%%)",
-			minPre, mixed.PreWriteTP)
+			minPre, preWrite)
 	}
 
 	// (b) Post-merge throughput recovers to within 10% of the read-only
 	// baseline (compared against the baseline run's same tail windows).
-	if mixed.RecoveredTP < 0.9*base.RecoveredTP || mixed.RecoveredTP > 1.1*base.RecoveredTP {
+	if rec, ref := recoveredTP(mixed.Result), recoveredTP(base.Result); rec < 0.9*ref || rec > 1.1*ref {
 		t.Errorf("recovery outside 10%%: recovered %.0f vs read-only baseline %.0f (%.3fx)",
-			mixed.RecoveredTP, base.RecoveredTP, mixed.RecoveredTP/base.RecoveredTP)
+			rec, ref, rec/ref)
 	}
-	if mixed.FinalDeltaBytes > int64(mixed.RowsGrownTo/50) {
-		t.Errorf("delta not folded at the end: %d bytes linger", mixed.FinalDeltaBytes)
+	if final := scanCol.DeltaBytes() + replCol.DeltaBytes(); final > int64(scanCol.Rows/50) {
+		t.Errorf("delta not folded at the end: %d bytes linger", final)
 	}
 
 	// (c) The write-hot replicas are reclaimed, during the write phase.
-	if mixed.ReplicatedAtEnd {
+	if replCol.Replicated() {
 		t.Error("write-hot column still replicated at the end")
 	}
 	drops := 0
-	for _, a := range mixed.Actions {
+	for _, a := range mixed.Placer.Actions {
 		if a.Kind == "drop-replica" {
 			drops++
-			if a.Time < mixed.WriteStart || a.Time > mixed.WriteStop {
+			if a.Time < writeStart || a.Time > writeStop {
 				t.Errorf("drop-replica at %.1fms outside the write phase", a.Time*1e3)
 			}
 		}
@@ -116,11 +125,11 @@ func checkDeltaMergeLifecycle(t *testing.T, s Scale) {
 	}
 
 	// The write mix is update-heavy by construction.
-	if mixed.Inserts == 0 || mixed.Updates <= mixed.Inserts {
-		t.Errorf("write mix off: %d inserts, %d updates", mixed.Inserts, mixed.Updates)
+	if w := mixed.Writers; w.Inserts == 0 || w.Updates <= w.Inserts {
+		t.Errorf("write mix off: %d inserts, %d updates", w.Inserts, w.Updates)
 	}
 	// Inserts merged into the main grow the row count.
-	if mixed.RowsGrownTo <= s.Rows {
-		t.Errorf("merged inserts did not grow the main: %d rows (started at %d)", mixed.RowsGrownTo, s.Rows)
+	if scanCol.Rows <= s.Rows {
+		t.Errorf("merged inserts did not grow the main: %d rows (started at %d)", scanCol.Rows, s.Rows)
 	}
 }

@@ -23,41 +23,35 @@ func runFig19(s Scale) *Report {
 	granularities := []int{1, 2, 4, 8, 16} // 1 = RR
 	strategies := []core.Strategy{core.Target, core.Bound}
 
+	spec := func(setup func(*core.Engine, *colstore.Table)) Spec {
+		return Spec{Machine: SixteenSocket, Warmup: s.Warmup, Measure: s.Measure, Step: s.Step32, Seed: 1, Setup: setup}
+	}
 	runQ1 := func(gran int, st core.Strategy) float64 {
-		e := core.NewWithStep(SixteenSocket.Build(), 1, s.Step32)
-		table := agg.Q1Table(agg.Q1Config{Rows: s.Rows32, Seed: 1})
-		if gran == 1 {
-			e.Placer.PlaceTableOnSocket(table, 0)
-		} else {
-			table = e.Placer.PlacePP(table, gran)
-		}
-		clients := agg.NewQ1Clients(e, table, 32, st, 7)
-		clients.Start()
-		e.Sim.Run(s.Warmup)
-		e.Counters.Reset()
-		e.Sim.Run(s.Warmup + s.Measure)
-		return e.Counters.ThroughputQPM(s.Measure)
+		return Run(spec(func(e *core.Engine, _ *colstore.Table) {
+			table := agg.Q1Table(agg.Q1Config{Rows: s.Rows32, Seed: 1})
+			if gran == 1 {
+				e.Placer.PlaceTableOnSocket(table, 0)
+			} else {
+				table = e.Placer.PlacePP(table, gran)
+			}
+			agg.NewQ1Clients(e, table, 32, st, 7).Start()
+		})).QPM
 	}
 	runBWEML := func(gran int, st core.Strategy) float64 {
-		e := core.NewWithStep(SixteenSocket.Build(), 1, s.Step32)
-		cubes := agg.BWEMLCubes(agg.BWEMLConfig{RowsPerCube: s.Rows32, Seed: 1})
-		for ci, cube := range cubes {
-			if gran == 1 {
-				e.Placer.PlaceTableOnSocket(cube, ci%e.Machine.Sockets)
-				continue
+		return Run(spec(func(e *core.Engine, _ *colstore.Table) {
+			cubes := agg.BWEMLCubes(agg.BWEMLConfig{RowsPerCube: s.Rows32, Seed: 1})
+			for ci, cube := range cubes {
+				if gran == 1 {
+					e.Placer.PlaceTableOnSocket(cube, ci%e.Machine.Sockets)
+					continue
+				}
+				cubes[ci] = placePPAt(e.Placer, cube, gran, ci*gran)
 			}
-			pp := placePPAt(e.Placer, cube, gran, ci*gran)
-			cubes[ci] = pp
-		}
-		clients := agg.NewBWEMLClients(e, cubes, 256, st, 7)
-		clients.Start()
-		e.Sim.Run(s.Warmup)
-		e.Counters.Reset()
-		e.Sim.Run(s.Warmup + s.Measure)
-		return e.Counters.ThroughputQPM(s.Measure)
+			agg.NewBWEMLClients(e, cubes, 256, st, 7).Start()
+		})).QPM
 	}
 
-	render := func(name string, run func(int, core.Strategy) float64) map[string]float64 {
+	render := func(name string, run func(int, core.Strategy) float64) {
 		raw := map[string]float64{}
 		max := 0.0
 		for _, g := range granularities {
@@ -79,12 +73,9 @@ func runFig19(s Scale) *Report {
 				fmt.Sprintf("%.2f", raw[key19(g, core.Target)]/max),
 				fmt.Sprintf("%.2f", raw[key19(g, core.Bound)]/max))
 		}
-		return raw
 	}
-	q1 := render("TPC-H Q1 instances (normalized to c1)", runQ1)
-	bw := render("BW-EML reporting load (normalized to c2)", runBWEML)
-	_ = q1
-	_ = bw
+	render("TPC-H Q1 instances (normalized to c1)", runQ1)
+	render("BW-EML reporting load (normalized to c2)", runBWEML)
 	return rep
 }
 
@@ -115,12 +106,7 @@ func runTable2(s Scale) *Report {
 	base := s.spec4(FourSocket)
 	evidence := map[string]Result{}
 	for _, p := range []PlacementSpec{{Kind: RR}, {Kind: IVP, Partitions: 4}, {Kind: PP, Partitions: 4}} {
-		spec := base
-		spec.Placement = p
-		spec.Strategy = core.Bound
-		spec.Clients = s.Max
-		spec.Selectivity = lowSel
-		evidence[p.String()] = Run(spec)
+		evidence[p.String()] = Run(base.cell(p, core.Bound, s.Max, lowSel))
 	}
 	ds := workload.DatasetConfig{Rows: 40_000, Columns: 8, BitcaseMin: 8, BitcaseMax: 14, Seed: 3}
 	real := workload.Generate(ds)
@@ -218,51 +204,31 @@ func runRepart(s Scale) *Report {
 func runAdaptive(s Scale) *Report {
 	rep := &Report{ID: "adaptive", Title: "Static RR vs adaptive data placement (skewed workload)"}
 
-	run := func(adapt bool) (float64, []adaptive.Action, []float64) {
-		e := core.NewWithStep(FourSocket.Build(), 1, s.Step)
-		ds := scaledDataset(FourSocket, s.Rows, false)
-		ds.Synthetic = true
-		table := workload.Generate(ds)
-		// Block layout: the hot half of the columns sits on half the sockets
-		// (the skewed setup of Section 6.2).
-		e.Placer.PlaceRRBlocks(table)
-		var placer *adaptive.Placer
+	run := func(adapt bool) *engineRun {
+		sp := Spec{
+			Machine: FourSocket, Dataset: scaledDataset(FourSocket, s.Rows, false),
+			// Block layout: the hot half of the columns sits on half the
+			// sockets (the skewed setup of Section 6.2), with the 80/20 skew.
+			Placement: PlacementSpec{Kind: RR}, Skew: true,
+			Clients: s.Max, Selectivity: lowSel, Parallel: true, Strategy: core.Bound, ClientSeed: 11,
+			// Longer warmup: the placer needs time to converge.
+			Warmup: s.Warmup + s.Measure, Measure: s.Measure, Step: s.Step, Seed: 1,
+		}
 		if adapt {
 			cfg := adaptive.DefaultConfig()
 			cfg.Period = s.Measure / 12
-			placer = adaptive.New(e, &adaptive.Catalog{Tables: []*colstore.Table{table}}, cfg)
-			e.Sim.AddActor(placer)
+			sp.Placer = &cfg
 		}
-		clients := workload.NewClients(e, table, workload.ClientsConfig{
-			N: s.Max, Selectivity: lowSel, Parallel: true, Strategy: core.Bound,
-			Chooser: workload.SkewedChoice{HotProb: 0.8}, Seed: 11,
-		})
-		clients.Start()
-		// Longer horizon: the placer needs time to converge.
-		e.Sim.Run(s.Warmup + s.Measure)
-		e.Counters.Reset()
-		e.Sim.Run(s.Warmup + 2*s.Measure)
-		var actions []adaptive.Action
-		if placer != nil {
-			actions = placer.Actions
-		}
-		return e.Counters.ThroughputQPM(s.Measure), actions, e.Counters.MemoryThroughputGiBs(s.Measure)
+		return runEngine(sp)
 	}
 
-	staticTP, _, staticMem := run(false)
-	adaptTP, actions, adaptMem := run(true)
+	static, adapt := run(false), run(true)
 
 	tb := rep.AddTable("", []string{"configuration", "TP(q/min)", "per-socket memTP (GiB/s)"})
-	tb.AddRow("static RR", f0(staticTP), fmtSockets(staticMem))
-	tb.AddRow("adaptive", f0(adaptTP), fmtSockets(adaptMem))
+	tb.AddRow("static RR", f0(static.QPM), fmtSockets(static.MemTP))
+	tb.AddRow("adaptive", f0(adapt.QPM), fmtSockets(adapt.MemTP))
 
-	ta := rep.AddTable("adaptive placer actions", []string{"t(ms)", "action", "column", "from", "to", "parts"})
-	for _, a := range actions {
-		ta.AddRow(fmt.Sprintf("%.1f", a.Time*1e3), a.Kind, a.Column, itoa(a.From), itoa(a.To), itoa(a.Parts))
-	}
-	if len(actions) == 0 {
-		ta.AddRow("-", "(none)", "-", "-", "-", "-")
-	}
+	actionTable(rep, "adaptive placer actions", adapt.Placer.Actions, "from", "to", "parts")
 	return rep
 }
 

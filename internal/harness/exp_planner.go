@@ -7,7 +7,6 @@ import (
 	"numacs/internal/colstore"
 	"numacs/internal/core"
 	"numacs/internal/join"
-	"numacs/internal/metrics"
 	"numacs/internal/plan"
 	"numacs/internal/sharedscan"
 )
@@ -125,36 +124,25 @@ func submitStarTwo(e *core.Engine, sc plannerSchema, client int, onDone func(flo
 	})
 }
 
-// PlannerRun is the measured outcome of one planner-experiment mode, exposed
-// so the acceptance tests can assert the criteria at both simulator scales.
-type PlannerRun struct {
-	// Label and PlanDriven identify the submission mode.
-	Label      string
-	PlanDriven bool
-
-	// QPM and QueriesDone are the measure-window statement throughput.
-	QPM         float64
-	QueriesDone uint64
-	// BytesPerQuery is physical MC traffic per completed statement.
-	BytesPerQuery float64
-	// Latency is the completed-statement latency distribution.
-	Latency metrics.LatencyStats
-
-	// Cohorts holds the whole-run registry counters. CohortedStatements is
-	// Merged+Attached — the statements that shared another statement's pass —
-	// and PlanGrouped of those arrived through plan-driven groups.
-	Cohorts            sharedscan.Stats
-	CohortedStatements uint64
-	MeanCohort         float64
+// plannerSpec is the mixed script workload in one submission mode. Setup
+// builds the fixture schema and starts the closed-loop script clients.
+func plannerSpec(s Scale, planDriven bool) Spec {
+	label := "timing-driven (statement at a time)"
+	if planDriven {
+		label = "plan-driven (batched scripts)"
+	}
+	return Spec{
+		Label: label, Machine: FourSocket, Shared: &sharedscan.Config{},
+		Warmup: s.Warmup, Measure: s.Measure, Step: s.Step, Seed: 1,
+		Setup: func(e *core.Engine, _ *colstore.Table) {
+			startPlannerScripts(e, newPlannerSchema(e, s.Rows), planDriven)
+		},
+	}
 }
 
-// RunPlanner executes the mixed script workload in one submission mode.
-func RunPlanner(s Scale, planDriven bool) PlannerRun {
-	e := core.NewWithStep(FourSocket.Build(), 1, s.Step)
-	reg := e.EnableSharedScans(sharedscan.Config{})
-	sc := newPlannerSchema(e, s.Rows)
+// startPlannerScripts starts the plannerClients closed-loop script clients.
+func startPlannerScripts(e *core.Engine, sc plannerSchema, planDriven bool) {
 	sockets := e.Machine.Sockets
-
 	// statements per script round: the scans plus the two stars.
 	perRound := plannerScans + 2
 	for i := 0; i < plannerClients; i++ {
@@ -177,8 +165,7 @@ func RunPlanner(s Scale, planDriven bool) PlannerRun {
 					qs[j] = sc.scanQuery(client, sockets, done)
 				}
 				e.SubmitBatch(qs)
-				one := sc.starOne(client, sockets, done)
-				join.ExecuteStar(e, one)
+				join.ExecuteStar(e, sc.starOne(client, sockets, done))
 				submitStarTwo(e, sc, client, done)
 			}
 			startRound()
@@ -193,37 +180,17 @@ func RunPlanner(s Scale, planDriven bool) PlannerRun {
 			case pos < plannerScans:
 				e.Submit(sc.scanQuery(client, sockets, next))
 			case pos == plannerScans:
-				one := sc.starOne(client, sockets, next)
-				join.ExecuteStar(e, one)
+				join.ExecuteStar(e, sc.starOne(client, sockets, next))
 			default:
 				submitStarTwo(e, sc, client, next)
 			}
 		}
 		issue(0)
 	}
-
-	e.Sim.Run(s.Warmup)
-	e.Counters.Reset()
-	e.Sim.Run(s.Warmup + s.Measure)
-
-	label := "timing-driven (statement at a time)"
-	if planDriven {
-		label = "plan-driven (batched scripts)"
-	}
-	run := PlannerRun{
-		Label: label, PlanDriven: planDriven,
-		QPM:         e.Counters.ThroughputQPM(s.Measure),
-		QueriesDone: e.Counters.QueriesDone,
-		Latency:     e.Counters.Latencies(),
-		Cohorts:     reg.Stats(),
-		MeanCohort:  reg.MeanCohort(),
-	}
-	run.CohortedStatements = run.Cohorts.Merged + run.Cohorts.Attached
-	if run.QueriesDone > 0 {
-		run.BytesPerQuery = e.Counters.TotalMCBytes() / float64(run.QueriesDone)
-	}
-	return run
 }
+
+// cohorted counts the statements that shared another statement's pass.
+func cohorted(st sharedscan.Stats) uint64 { return st.Merged + st.Attached }
 
 // runPlanner renders the planner experiment: both submission modes side by
 // side with throughput, traffic, and the cohort provenance counters.
@@ -237,23 +204,22 @@ func runPlanner(s Scale) *Report {
 			"a batched script keeps all its statements in flight together, so throughput is a non-regression " +
 			"floor, not a controlled speedup.",
 	}
-	timing := RunPlanner(s, false)
-	planned := RunPlanner(s, true)
+	runs := []*engineRun{runEngine(plannerSpec(s, false)), runEngine(plannerSpec(s, true))}
 
 	tb := rep.AddTable("submission modes", []string{
 		"mode", "done", "q/min", "KiB/query", "p50", "p99"})
-	for _, r := range []PlannerRun{timing, planned} {
-		tb.AddRow(r.Label, itoa(int(r.QueriesDone)), f0(r.QPM),
-			f1(r.BytesPerQuery/1024), ms(r.Latency.P50), ms(r.Latency.P99))
+	for _, r := range runs {
+		tb.AddRow(r.Spec.Label, itoa(int(r.QueriesDone)), f0(r.QPM),
+			f1(bytesPerQuery(r)/1024), ms(r.Latency.P50), ms(r.Latency.P99))
 	}
 
 	ct := rep.AddTable("cohort provenance (whole run)", []string{
 		"mode", "stmts", "passes", "solo", "merged", "attached", "plan-grouped", "cohorted", "mean cohort"})
-	for _, r := range []PlannerRun{timing, planned} {
-		c := r.Cohorts
-		ct.AddRow(r.Label, itoa(int(c.Statements)), itoa(int(c.Passes)), itoa(int(c.Solo)),
+	for _, r := range runs {
+		c := r.E.Shared.Stats()
+		ct.AddRow(r.Spec.Label, itoa(int(c.Statements)), itoa(int(c.Passes)), itoa(int(c.Solo)),
 			itoa(int(c.Merged)), itoa(int(c.Attached)), itoa(int(c.PlanGrouped)),
-			itoa(int(r.CohortedStatements)), f1(r.MeanCohort))
+			itoa(int(cohorted(c))), f1(r.E.Shared.MeanCohort()))
 	}
 	return rep
 }
@@ -267,8 +233,10 @@ const explainFixtureRows = 60_000
 // shareable scan (with its cohort key), the plan-driven grouping of the
 // batch, and the two-dimension star with the join-order rewrite visible.
 func explainPlanner() string {
-	e := core.NewWithStep(FourSocket.Build(), 1, core.DefaultStep)
-	sc := newPlannerSchema(e, explainFixtureRows)
+	var sc plannerSchema
+	e := build(Spec{Machine: FourSocket, Setup: func(e *core.Engine, _ *colstore.Table) {
+		sc = newPlannerSchema(e, explainFixtureRows)
+	}}).E
 	stats := plan.Collect(sc.hot, sc.dim1, sc.dim2, sc.fact)
 
 	var b strings.Builder
@@ -286,37 +254,5 @@ func explainPlanner() string {
 	star := plan.BuildStar(sc.starTwo())
 	b.WriteString(star.Explain())
 	b.WriteString(plan.Optimize(star, stats, &e.Costs).Explain())
-	return b.String()
-}
-
-// explainStarJoin renders the starjoin experiment's statement through the
-// planner: the single-dimension shape whose lowering is pinned
-// counter-identical to the hand-wired pipeline.
-func explainStarJoin() string {
-	e := core.NewWithStep(FourSocket.Build(), 1, core.DefaultStep)
-	sockets := []int{0, 1, 2, 3}
-	dim := colstore.NewTable("DIM", []*colstore.Column{
-		colstore.NewSynthetic("D_DATE", explainFixtureRows/4, 1<<12, false),
-		colstore.NewSynthetic("D_ID", explainFixtureRows/4, 1<<14, false),
-	})
-	fact := colstore.NewTable("FACT", []*colstore.Column{
-		colstore.NewSynthetic("F_FK", explainFixtureRows, 1<<14, false),
-	})
-	for _, c := range dim.Parts[0].Columns {
-		e.Placer.PlaceIVP(c, sockets)
-	}
-	e.Placer.PlaceIVP(fact.Parts[0].Columns[0], sockets)
-
-	spec := join.StarSpec{
-		Dim: dim, DimPredicate: "D_DATE", DimKey: "D_ID",
-		Fact: fact, FactFK: "F_FK",
-		Selectivity: 0.05, HitsPerProbeRow: 1,
-		AggBytesPerRow: 12, AggCyclesPerRow: 24,
-		HTSockets: []int{0},
-	}
-	l := spec.Plan()
-	var b strings.Builder
-	b.WriteString(l.Explain())
-	b.WriteString(plan.Optimize(l, plan.Collect(dim, fact), &e.Costs).Explain())
 	return b.String()
 }

@@ -3,9 +3,7 @@ package harness
 import (
 	"testing"
 
-	"numacs/internal/colstore"
 	"numacs/internal/core"
-	"numacs/internal/join"
 )
 
 // TestStarJoinPlannerBitIdentical pins the planner's lowering contract on
@@ -18,39 +16,7 @@ func TestStarJoinPlannerBitIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fixed-seed simulation runs")
 	}
-	s := QuickScale()
-	e := core.NewWithStep(FourSocket.Build(), 1, s.Step)
-	sockets := []int{0, 1, 2, 3}
-	dim := colstore.NewTable("DIM", []*colstore.Column{
-		colstore.NewSynthetic("D_DATE", s.Rows/4, 1<<12, false),
-		colstore.NewSynthetic("D_ID", s.Rows/4, 1<<14, false),
-	})
-	fact := colstore.NewTable("FACT", []*colstore.Column{
-		colstore.NewSynthetic("F_FK", s.Rows, 1<<14, false),
-	})
-	for _, c := range dim.Parts[0].Columns {
-		e.Placer.PlaceIVP(c, sockets)
-	}
-	e.Placer.PlaceIVP(fact.Parts[0].Columns[0], sockets)
-
-	var issue func(client int)
-	issue = func(client int) {
-		join.ExecuteStar(e, join.StarSpec{
-			Dim: dim, DimPredicate: "D_DATE", DimKey: "D_ID",
-			Fact: fact, FactFK: "F_FK",
-			Selectivity: 0.05, HitsPerProbeRow: 1,
-			AggBytesPerRow: 12, AggCyclesPerRow: 24,
-			HTSockets: []int{0}, Strategy: core.Bound,
-			HomeSocket: client % e.Machine.Sockets,
-			OnDone:     func(float64) { issue(client) },
-		})
-	}
-	for i := 0; i < 32; i++ {
-		issue(i)
-	}
-	e.Sim.Run(s.Warmup)
-	e.Counters.Reset()
-	e.Sim.Run(s.Warmup + s.Measure)
+	e := runEngine(starJoinSpec(QuickScale(), false, core.Bound)).E
 	if e.Counters.QueriesDone == 0 {
 		t.Fatal("no statements completed")
 	}
@@ -63,21 +29,22 @@ func TestStarJoinPlannerBitIdentical(t *testing.T) {
 // come through plan groups — while at least matching its throughput.
 func checkPlannerCriteria(t *testing.T, s Scale) {
 	t.Helper()
-	timing := RunPlanner(s, false)
-	planned := RunPlanner(s, true)
+	timing := runEngine(plannerSpec(s, false))
+	planned := runEngine(plannerSpec(s, true))
 	if timing.QueriesDone == 0 || planned.QueriesDone == 0 {
 		t.Fatalf("no statements completed (timing %d, planned %d)",
 			timing.QueriesDone, planned.QueriesDone)
 	}
-	if planned.CohortedStatements <= timing.CohortedStatements {
+	tc, pc := timing.E.Shared.Stats(), planned.E.Shared.Stats()
+	if cohorted(pc) <= cohorted(tc) {
 		t.Errorf("plan-driven cohorted statements %d <= timing-driven %d — plan-time detection added nothing",
-			planned.CohortedStatements, timing.CohortedStatements)
+			cohorted(pc), cohorted(tc))
 	}
-	if planned.Cohorts.PlanGrouped == 0 {
-		t.Errorf("no statements entered through plan-driven groups: %+v", planned.Cohorts)
+	if pc.PlanGrouped == 0 {
+		t.Errorf("no statements entered through plan-driven groups: %+v", pc)
 	}
-	if timing.Cohorts.PlanGrouped != 0 {
-		t.Errorf("timing-driven mode unexpectedly used plan groups: %+v", timing.Cohorts)
+	if tc.PlanGrouped != 0 {
+		t.Errorf("timing-driven mode unexpectedly used plan groups: %+v", tc)
 	}
 	if planned.QPM < timing.QPM {
 		t.Errorf("plan-driven throughput %.0f q/min < timing-driven %.0f", planned.QPM, timing.QPM)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"numacs/internal/core"
-	"numacs/internal/metrics"
 	"numacs/internal/sharedscan"
 	"numacs/internal/workload"
 )
@@ -32,77 +31,30 @@ func sharedScanDataset(s Scale) workload.DatasetConfig {
 	}
 }
 
-// SharedScanRun is the measured outcome of one shared-scan configuration,
-// exposed so the acceptance tests can assert the criteria at both simulator
-// scales.
-type SharedScanRun struct {
-	// Label and SharingOn identify the configuration; Clients is the
-	// closed-loop population, all scanning the same column.
-	Label     string
-	SharingOn bool
-	Clients   int
-
-	// QPM and QueriesDone are the measure-window statement throughput.
-	QPM         float64
-	QueriesDone uint64
-
-	// MCBytes is the physical DRAM traffic served by all memory controllers
-	// in the measure window; BytesPerQuery normalizes it per completed
-	// statement — the "one memory pass for N scans" criterion.
-	MCBytes       float64
-	BytesPerQuery float64
-	// LinkGiB is the interconnect data traffic of the window.
-	LinkGiB float64
-
-	// Latency is the completed-statement latency distribution (join-window
-	// wait included for cohort members).
-	Latency metrics.LatencyStats
-
-	// Cohorts holds the registry outcome counters (whole run, sharing-on
-	// only); MeanCohort is statements per physical pass.
-	Cohorts    sharedscan.Stats
-	MeanCohort float64
+// sharedScanSpec is one shared-scan configuration: clients closed-loop
+// scanners of column COL000 on the RR-placed table, cohort layer on or off.
+func sharedScanSpec(s Scale, on bool, clients int) Spec {
+	sp := Spec{
+		Label: "private passes (sharing OFF)", Machine: FourSocket,
+		Dataset: sharedScanDataset(s), Placement: PlacementSpec{Kind: RR},
+		Clients: clients, Selectivity: lowSel, Parallel: true, Strategy: core.Bound,
+		Chooser: workload.FixedColumnChoice{Col: 0}, ClientSeed: 9,
+		Warmup: s.Warmup, Measure: s.Measure, Step: s.Step, Seed: 1,
+	}
+	if on {
+		sp.Label = "shared cohorts (sharing ON)"
+		sp.Shared = &sharedscan.Config{}
+	}
+	return sp
 }
 
-// RunSharedScan executes one shared-scan configuration: clients closed-loop
-// scanners of column COL000 on the RR-placed table, cohort layer on or off.
-func RunSharedScan(s Scale, on bool, clients int) SharedScanRun {
-	e := core.NewWithStep(FourSocket.Build(), 1, s.Step)
-	table := workload.Generate(sharedScanDataset(s))
-	e.Placer.PlaceRR(table)
-	var reg *sharedscan.Registry
-	if on {
-		reg = e.EnableSharedScans(sharedscan.Config{})
+// bytesPerQuery is a run's physical MC traffic per completed statement in
+// the measure window — the "one memory pass for N scans" criterion.
+func bytesPerQuery(r *engineRun) float64 {
+	if r.QueriesDone == 0 {
+		return 0
 	}
-	cl := workload.NewClients(e, table, workload.ClientsConfig{
-		N: clients, Selectivity: lowSel, Parallel: true, Strategy: core.Bound,
-		Chooser: workload.FixedColumnChoice{Col: 0}, Seed: 9,
-	})
-	cl.Start()
-	e.Sim.Run(s.Warmup)
-	e.Counters.Reset()
-	e.Sim.Run(s.Warmup + s.Measure)
-
-	label := "private passes (sharing OFF)"
-	if on {
-		label = "shared cohorts (sharing ON)"
-	}
-	run := SharedScanRun{
-		Label: label, SharingOn: on, Clients: clients,
-		QPM:         e.Counters.ThroughputQPM(s.Measure),
-		QueriesDone: e.Counters.QueriesDone,
-		MCBytes:     e.Counters.TotalMCBytes(),
-		LinkGiB:     e.Counters.LinkDataBytes / (1 << 30),
-		Latency:     e.Counters.Latencies(),
-	}
-	if run.QueriesDone > 0 {
-		run.BytesPerQuery = run.MCBytes / float64(run.QueriesDone)
-	}
-	if reg != nil {
-		run.Cohorts = reg.Stats()
-		run.MeanCohort = reg.MeanCohort()
-	}
-	return run
+	return r.E.Counters.TotalMCBytes() / float64(r.QueriesDone)
 }
 
 // runSharedScan renders the shared-scan experiment: a concurrency sweep of
@@ -116,36 +68,36 @@ func runSharedScan(s Scale) *Report {
 	}
 
 	sweep := []int{1, 8, 16, 32}
-	var runs []SharedScanRun
+	var runs []*engineRun
 	for _, n := range sweep {
-		runs = append(runs, RunSharedScan(s, false, n), RunSharedScan(s, true, n))
+		runs = append(runs, runEngine(sharedScanSpec(s, false, n)), runEngine(sharedScanSpec(s, true, n)))
 	}
 
 	tb := rep.AddTable("throughput and physical traffic vs concurrency", []string{
 		"clients", "mode", "done", "q/min", "speedup", "MC GiB", "KiB/query", "bytes ratio", "QPI(GiB)", "p50", "p99"})
 	for i := 0; i < len(runs); i += 2 {
-		off, on := runs[i], runs[i+1]
-		for _, r := range []SharedScanRun{off, on} {
+		off := runs[i]
+		for _, r := range runs[i : i+2] {
 			mode := "off"
 			speedup, ratio := "1.00x", "1.00"
-			if r.SharingOn {
+			if r.E.Shared != nil {
 				mode = "on"
 				speedup = fmt.Sprintf("%.2fx", r.QPM/off.QPM)
-				ratio = fmt.Sprintf("%.2f", r.BytesPerQuery/off.BytesPerQuery)
+				ratio = fmt.Sprintf("%.2f", bytesPerQuery(r)/bytesPerQuery(off))
 			}
-			tb.AddRow(itoa(r.Clients), mode, itoa(int(r.QueriesDone)), f0(r.QPM), speedup,
-				f2(r.MCBytes/(1<<30)), f1(r.BytesPerQuery/1024), ratio,
-				f2(r.LinkGiB), ms(r.Latency.P50), ms(r.Latency.P99))
+			tb.AddRow(itoa(r.Spec.Clients), mode, itoa(int(r.QueriesDone)), f0(r.QPM), speedup,
+				f2(r.E.Counters.TotalMCBytes()/(1<<30)), f1(bytesPerQuery(r)/1024), ratio,
+				f2(r.QPIDataGiB), ms(r.Latency.P50), ms(r.Latency.P99))
 		}
 	}
 
 	ct := rep.AddTable("cohort lifecycle (sharing ON, whole run)", []string{
 		"clients", "stmts", "passes", "solo", "merged", "attached", "wraps", "shed", "mean cohort"})
 	for i := 1; i < len(runs); i += 2 {
-		r := runs[i]
-		ct.AddRow(itoa(r.Clients), itoa(int(r.Cohorts.Statements)), itoa(int(r.Cohorts.Passes)),
-			itoa(int(r.Cohorts.Solo)), itoa(int(r.Cohorts.Merged)), itoa(int(r.Cohorts.Attached)),
-			itoa(int(r.Cohorts.Wraps)), itoa(int(r.Cohorts.Shed)), f1(r.MeanCohort))
+		r, c := runs[i], runs[i].E.Shared.Stats()
+		ct.AddRow(itoa(r.Spec.Clients), itoa(int(c.Statements)), itoa(int(c.Passes)),
+			itoa(int(c.Solo)), itoa(int(c.Merged)), itoa(int(c.Attached)),
+			itoa(int(c.Wraps)), itoa(int(c.Shed)), f1(r.E.Shared.MeanCohort()))
 	}
 	return rep
 }

@@ -64,8 +64,8 @@ func TestSharedScanBypassBitIdentical(t *testing.T) {
 func checkSharedScanCriteria(t *testing.T, s Scale, minSpeedup map[int]float64) {
 	t.Helper()
 	for _, clients := range []int{16, 32} {
-		off := RunSharedScan(s, false, clients)
-		on := RunSharedScan(s, true, clients)
+		off := runEngine(sharedScanSpec(s, false, clients))
+		on := runEngine(sharedScanSpec(s, true, clients))
 		if off.QueriesDone == 0 || on.QueriesDone == 0 {
 			t.Fatalf("%d clients: no statements completed (off %d, on %d)",
 				clients, off.QueriesDone, on.QueriesDone)
@@ -74,16 +74,14 @@ func checkSharedScanCriteria(t *testing.T, s Scale, minSpeedup map[int]float64) 
 			t.Errorf("%d clients: shared throughput %.0f q/min < %.2fx unshared %.0f",
 				clients, on.QPM, min, off.QPM)
 		}
-		if on.BytesPerQuery > 0.5*off.BytesPerQuery {
-			t.Errorf("%d clients: shared MC bytes/query %.0f > 0.5x unshared %.0f",
-				clients, on.BytesPerQuery, off.BytesPerQuery)
+		if on, off := bytesPerQuery(on), bytesPerQuery(off); on > 0.5*off {
+			t.Errorf("%d clients: shared MC bytes/query %.0f > 0.5x unshared %.0f", clients, on, off)
 		}
 		// The mechanism must actually engage: most statements share a pass.
-		if on.MeanCohort < 2 {
-			t.Errorf("%d clients: mean cohort %.1f < 2 — passes are not shared",
-				clients, on.MeanCohort)
+		if mean := on.E.Shared.MeanCohort(); mean < 2 {
+			t.Errorf("%d clients: mean cohort %.1f < 2 — passes are not shared", clients, mean)
 		}
-		if st := on.Cohorts; st.Merged+st.Attached == 0 {
+		if st := on.E.Shared.Stats(); cohorted(st) == 0 {
 			t.Errorf("%d clients: no statements merged or attached (%+v)", clients, st)
 		}
 	}

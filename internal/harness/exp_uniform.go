@@ -133,55 +133,36 @@ func runFig1(s Scale) *Report {
 // runFig8 reproduces Figure 8.
 func runFig8(s Scale) *Report {
 	rep := &Report{ID: "fig8", Title: "OS vs Target vs Bound (RR, uniform, low selectivity)"}
-	base := s.spec4(FourSocket)
-	results := sweepStrategies(base, s, []combo{
-		{PlacementSpec{Kind: RR}, core.OSched},
-		{PlacementSpec{Kind: RR}, core.Target},
-		{PlacementSpec{Kind: RR}, core.Bound},
-	}, lowSel, false)
-	rep.Results = results
-	label := func(r Result) string { return r.Spec.Strategy.String() }
-	tpSweepTable(rep, "throughput (q/min)", results, s, label)
-	addMetricsTable(rep, fmt.Sprintf("performance metrics, %d clients", s.Max), filterMax(results, s.Max), label)
-	tb := rep.AddTable("per-socket memory throughput (GiB/s)", []string{"case", "per-socket"})
-	for _, r := range filterMax(results, s.Max) {
-		tb.AddRow(label(r), perSocketRow(r))
-	}
-	return rep
+	results := sweepStrategies(s.spec4(FourSocket), s, strategyCombos(), lowSel, false)
+	return sweepFigure(rep, s, results, byStrategy, true)
 }
 
 // runFig9 reproduces Figure 9 on the broadcast-coherence Westmere machine.
 func runFig9(s Scale) *Report {
 	rep := &Report{ID: "fig9", Title: "OS vs Target vs Bound on 8-socket Westmere-EX"}
-	base := s.spec4(EightSocket)
-	results := sweepStrategies(base, s, []combo{
+	results := sweepStrategies(s.spec4(EightSocket), s, strategyCombos(), lowSel, false)
+	return sweepFigure(rep, s, results, byStrategy, false)
+}
+
+// strategyCombos pairs RR placement with the three scheduling strategies.
+func strategyCombos() []combo {
+	return []combo{
 		{PlacementSpec{Kind: RR}, core.OSched},
 		{PlacementSpec{Kind: RR}, core.Target},
 		{PlacementSpec{Kind: RR}, core.Bound},
-	}, lowSel, false)
-	rep.Results = results
-	label := func(r Result) string { return r.Spec.Strategy.String() }
-	tpSweepTable(rep, "throughput (q/min)", results, s, label)
-	addMetricsTable(rep, fmt.Sprintf("performance metrics, %d clients", s.Max), filterMax(results, s.Max), label)
-	return rep
+	}
 }
 
 // runFig10 reproduces Figure 10: parallelism x placement.
 func runFig10(s Scale) *Report {
 	rep := &Report{ID: "fig10", Title: "Intra-query parallelism x data placement (Bound)"}
 	base := s.spec4(FourSocket)
-	sockets := 4
-	combos := []combo{
-		{PlacementSpec{Kind: RR}, core.Bound},
-		{PlacementSpec{Kind: IVP, Partitions: sockets}, core.Bound},
-		{PlacementSpec{Kind: PP, Partitions: sockets}, core.Bound},
-	}
+	combos := placementCombos(core.Bound)
 	var all []Result
 	for _, parallel := range []bool{false, true} {
 		b := base
 		b.Parallel = parallel
-		rs := sweepStrategies(b, s, combos, lowSel, false)
-		all = append(all, rs...)
+		all = append(all, sweepStrategies(b, s, combos, lowSel, false)...)
 	}
 	rep.Results = all
 	label := func(r Result) string {
@@ -220,12 +201,7 @@ func runFig11(s Scale) *Report {
 		"mean", "p5", "p25", "p50", "p75", "p95", "max", "CoV"})
 	for _, p := range placements {
 		for _, n := range clientCounts {
-			spec := base
-			spec.Placement = p
-			spec.Strategy = core.Bound
-			spec.Clients = n
-			spec.Selectivity = lowSel
-			r := Run(spec)
+			r := Run(base.cell(p, core.Bound, n, lowSel))
 			rep.Results = append(rep.Results, r)
 			l := r.Latency
 			tb.AddRow(p.String(), itoa(n), ms(l.Mean), ms(l.P5), ms(l.P25), ms(l.P50),
@@ -252,12 +228,7 @@ func runFig12(s Scale) *Report {
 	for _, p := range granularities {
 		row := []string{p.String()}
 		for _, st := range []core.Strategy{core.OSched, core.Target, core.Bound} {
-			spec := base
-			spec.Placement = p
-			spec.Strategy = st
-			spec.Clients = s.Max
-			spec.Selectivity = lowSel
-			r := Run(spec)
+			r := Run(base.cell(p, st, s.Max, lowSel))
 			rep.Results = append(rep.Results, r)
 			row = append(row, f0(r.QPM))
 		}
@@ -277,8 +248,7 @@ func runFig13(s Scale) *Report {
 			{PlacementSpec{Kind: IVP, Partitions: 32}, st},
 		}, lowSel, false)
 		rep.Results = append(rep.Results, results...)
-		tpSweepTable(rep, st.String()+" throughput (q/min)", results, s,
-			func(r Result) string { return r.Spec.Placement.String() })
+		tpSweepTable(rep, st.String()+" throughput (q/min)", results, s, byPlacement)
 	}
 	return rep
 }
@@ -292,11 +262,7 @@ func runFig14(s Scale) *Report {
 	tb := rep.AddTable(fmt.Sprintf("%d clients", s.Max),
 		[]string{"selectivity", "TP(q/min)", "memTP(GiB/s)", "LLC loc", "LLC rem", "CPU", "path"})
 	for _, sel := range selectivities {
-		spec := base
-		spec.Placement = PlacementSpec{Kind: RR}
-		spec.Strategy = core.Bound
-		spec.Clients = s.Max
-		spec.Selectivity = sel
+		spec := base.cell(PlacementSpec{Kind: RR}, core.Bound, s.Max, sel)
 		spec.UseIndex = true
 		r := Run(spec)
 		rep.Results = append(rep.Results, r)

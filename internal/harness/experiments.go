@@ -149,19 +149,19 @@ func init() {
 		Run:         runSharedScan})
 	register(Experiment{ID: "chaos-socket", Title: "Chaos: socket failure and return under the adaptive placer",
 		Description: "Fault injection: socket 1 goes offline mid-run (queued tasks drained and re-placed, workers parked, replicas invalidated) and returns three windows later; graceful-degradation invariants bound the throughput dip, require recovery, and demand forward progress in every window.",
-		Run:         runChaosSocket})
+		Run:         chaosSocket.run})
 	register(Experiment{ID: "chaos-thermal", Title: "Chaos: memory-controller thermal throttling",
 		Description: "Fault injection: the serving socket's MC throttles to 30% of nominal for three windows under an MC-bound scan mix; throughput must track the capacity loss without collapsing and return to baseline when the throttle lifts.",
-		Run:         runChaosThermal})
+		Run:         chaosThermal.run})
 	register(Experiment{ID: "chaos-antagonist", Title: "Chaos: antagonist tenant thrashing column heat",
 		Description: "Adversarial traffic: an antagonist tenant rotates its hot column every window to defeat the adaptive placer's replication; weighted-fair admission must preserve the victim tenant's goodput and the placer's churn must stay bounded.",
-		Run:         runChaosAntagonist})
+		Run:         chaosAntagonist.run})
 	register(Experiment{ID: "chaos-writestorm", Title: "Chaos: write storm racing background merges under shared scans",
 		Description: "Adversarial traffic: a socket-0 write storm floods the shared-scanned column's delta mid-run, forcing a background merge to race live cohort passes; the race must resolve without stalling and throughput must recover after the storm.",
-		Run:         runChaosWriteStorm})
+		Run:         chaosWriteStorm.run})
 	register(Experiment{ID: "chaos-burst", Title: "Chaos: arrival bursts at the shared-scan join-window boundary",
 		Description: "Adversarial traffic: an open-loop tenant fires arrival spikes exactly one join window long at the shared column; the spikes must collapse into cohorts and the steady tenant's completion rate and p99 must survive.",
-		Run:         runChaosBurst})
+		Run:         chaosBurst.run})
 	register(Experiment{ID: "starjoin", Title: "Composed star-join statements (operator pipeline)",
 		Description: "Scan -> join -> aggregate in one scheduled statement: strategies x hash-table placements on the 4-socket machine, enabled by the internal/exec operator-pipeline layer.",
 		Run:         runStarJoin,
@@ -225,21 +225,45 @@ type combo struct {
 	st core.Strategy
 }
 
+// cell returns the Spec with one sweep point's placement, strategy,
+// concurrency and selectivity.
+func (sp Spec) cell(p PlacementSpec, st core.Strategy, clients int, sel float64) Spec {
+	sp.Placement, sp.Strategy, sp.Clients, sp.Selectivity = p, st, clients, sel
+	return sp
+}
+
 // sweepStrategies runs a clients sweep for each (placement, strategy) combo.
 func sweepStrategies(base Spec, s Scale, combos []combo, sel float64, skew bool) []Result {
 	var out []Result
 	for _, c := range combos {
 		for _, n := range s.Clients {
-			spec := base
-			spec.Placement = c.p
-			spec.Strategy = c.st
-			spec.Clients = n
-			spec.Selectivity = sel
+			spec := base.cell(c.p, c.st, n, sel)
 			spec.Skew = skew
 			out = append(out, Run(spec))
 		}
 	}
 	return out
+}
+
+// byStrategy and byPlacement label sweep results by the varied dimension.
+func byStrategy(r Result) string  { return r.Spec.Strategy.String() }
+func byPlacement(r Result) string { return r.Spec.Placement.String() }
+
+// sweepFigure attaches a sweep's results to the report and renders the
+// throughput-vs-clients table, the peak-concurrency metrics table and, when
+// perSocket is set, the peak-concurrency per-socket memory throughput.
+func sweepFigure(rep *Report, s Scale, results []Result, label func(Result) string, perSocket bool) *Report {
+	rep.Results = results
+	tpSweepTable(rep, "throughput (q/min)", results, s, label)
+	peak := filterMax(results, s.Max)
+	addMetricsTable(rep, fmt.Sprintf("performance metrics, %d clients", s.Max), peak, label)
+	if perSocket {
+		tb := rep.AddTable("per-socket memory throughput (GiB/s)", []string{"case", "per-socket"})
+		for _, r := range peak {
+			tb.AddRow(label(r), perSocketRow(r))
+		}
+	}
+	return rep
 }
 
 func tpSweepTable(rep *Report, name string, results []Result, s Scale, label func(Result) string) {

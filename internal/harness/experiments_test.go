@@ -15,11 +15,10 @@ func TestAllExperimentsRunAndRender(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment suite")
 	}
-	sc := QuickScale()
 	for _, e := range All() {
 		e := e
 		t.Run(e.ID, func(t *testing.T) {
-			rep := e.Run(sc)
+			rep := mustRun(t, e.ID)
 			if rep.ID != e.ID {
 				t.Fatalf("report id %q != %q", rep.ID, e.ID)
 			}
@@ -45,10 +44,9 @@ func TestAllExperimentsRunAndRender(t *testing.T) {
 	}
 }
 
-// TestRegistryCoversEveryPaperArtifact pins the experiment registry the CI
-// experiment loop enumerates (scanbench -list): every paper artifact and
-// every extension experiment is registered, and nothing else. (Cheap — runs
-// even under -short.)
+// TestRegistryCoversEveryPaperArtifact pins the experiment registry
+// (scanbench -list): every paper artifact and every extension experiment is
+// registered, and nothing else. (Cheap — runs even under -short.)
 func TestRegistryCoversEveryPaperArtifact(t *testing.T) {
 	want := []string{"table1", "fig1", "fig8", "fig9", "fig10", "fig11", "fig12",
 		"fig13", "fig14", "fig15", "fig16", "fig17", "fig18", "fig19",
@@ -67,8 +65,7 @@ func TestRegistryCoversEveryPaperArtifact(t *testing.T) {
 }
 
 func TestTable1Calibration(t *testing.T) {
-	rep, _ := ByID("table1")
-	out := rep.Run(QuickScale()).Render()
+	out := mustRun(t, "table1").Render()
 	// Table 1 anchors (see the paper): exact latencies and the calibrated
 	// bandwidths, including the Westmere broadcast cap.
 	for _, anchor := range []string{
@@ -168,11 +165,25 @@ func TestRepartExperimentRatio(t *testing.T) {
 	}
 }
 
+// quickReports memoizes each experiment's quick-scale report, so the suite
+// and the tests that inspect a report share one simulation per binary.
+// Reports carrying a flight-recorder trace are not kept: holding their
+// traces alive slows every later simulation's garbage collection more than
+// re-running them costs.
+var quickReports = map[string]*Report{}
+
 func mustRun(t *testing.T, id string) *Report {
 	t.Helper()
+	if rep, ok := quickReports[id]; ok {
+		return rep
+	}
 	e, ok := ByID(id)
 	if !ok {
 		t.Fatalf("experiment %s missing", id)
 	}
-	return e.Run(QuickScale())
+	rep := e.Run(QuickScale())
+	if rep.Trace == nil {
+		quickReports[id] = rep
+	}
+	return rep
 }

@@ -35,7 +35,6 @@ func TestReadOnlyScanPathsBitIdentical(t *testing.T) {
 			Warmup: 0.02, Measure: 0.06, Step: 25e-6, Seed: 5},
 	}
 	for i, spec := range specs {
-		_, e := runEngine(spec)
-		assertFingerprintFile(t, fmt.Sprintf("readonly-%d", i), e.Counters)
+		assertFingerprintFile(t, fmt.Sprintf("readonly-%d", i), runEngine(spec).E.Counters)
 	}
 }

@@ -97,5 +97,4 @@ func f1(v float64) string  { return fmt.Sprintf("%.1f", v) }
 func f2(v float64) string  { return fmt.Sprintf("%.2f", v) }
 func pct(v float64) string { return fmt.Sprintf("%.0f%%", v*100) }
 func ms(v float64) string  { return fmt.Sprintf("%.2fms", v*1e3) }
-func gib(v float64) string { return fmt.Sprintf("%.1f", v) }
 func itoa(v int) string    { return fmt.Sprintf("%d", v) }

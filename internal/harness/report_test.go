@@ -53,9 +53,6 @@ func TestFormatHelpers(t *testing.T) {
 	if itoa(42) != "42" {
 		t.Fatalf("itoa = %q", itoa(42))
 	}
-	if gib(3.14159) != "3.1" {
-		t.Fatalf("gib = %q", gib(3.14159))
-	}
 }
 
 func TestScaleSpecs(t *testing.T) {

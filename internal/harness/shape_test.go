@@ -4,43 +4,22 @@ import (
 	"testing"
 
 	"numacs/internal/core"
-	"numacs/internal/workload"
 )
 
-// smallDataset keeps unit-test runtime low.
-func smallDataset(cols int) workload.DatasetConfig {
-	return workload.DatasetConfig{
-		Rows: 200_000, Columns: cols, BitcaseMin: 12, BitcaseMax: 21, Seed: 1,
-	}
-}
-
-func runCell(t *testing.T, strategy core.Strategy, placement PlacementSpec, clients int, skew bool) Result {
-	t.Helper()
-	return Run(Spec{
-		Machine:     FourSocket,
-		Dataset:     smallDataset(16),
-		Placement:   placement,
-		Strategy:    strategy,
-		Clients:     clients,
-		Selectivity: 0.00001,
-		Parallel:    true,
-		Skew:        skew,
-		Warmup:      0.05,
-		Measure:     0.2,
-	})
-}
-
-// TestFig8Shape verifies the headline result: with RR-placed columns and a
-// uniform memory-intensive workload at high concurrency, NUMA-aware
-// scheduling (Target/Bound) massively outperforms OS scheduling, with Bound
-// at least matching Target (Figure 8).
+// TestFig8Shape verifies the headline result on the fig8 report's
+// peak-concurrency cells: with RR-placed columns and a uniform
+// memory-intensive workload at high concurrency, NUMA-aware scheduling
+// (Target/Bound) massively outperforms OS scheduling, with Bound at least
+// matching Target (Figure 8).
 func TestFig8Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment shape test")
 	}
-	os := runCell(t, core.OSched, PlacementSpec{Kind: RR}, 256, false)
-	target := runCell(t, core.Target, PlacementSpec{Kind: RR}, 256, false)
-	bound := runCell(t, core.Bound, PlacementSpec{Kind: RR}, 256, false)
+	cells := map[core.Strategy]Result{}
+	for _, r := range filterMax(mustRun(t, "fig8").Results, QuickScale().Max) {
+		cells[r.Spec.Strategy] = r
+	}
+	os, target, bound := cells[core.OSched], cells[core.Target], cells[core.Bound]
 
 	t.Logf("OS:     qpm=%.0f memTP=%.1f GiB/s ipc=%.2f stolen=%d llcR%%=%.0f",
 		os.QPM, os.MemTPTotal, os.IPC, os.Stolen, 100*os.LLCRemote/(os.LLCLocal+os.LLCRemote))

@@ -27,10 +27,7 @@ func chaosSLOs(window float64) insight.SLOSpec {
 // chaos SLOs, attaches the structured report for scanbench -triage / -json,
 // and renders its tables into the experiment report — incidents with their
 // suspect decisions, SLO verdicts, and the per-group blame decomposition.
-func autoTriage(rep *Report, faulted ChaosRun) {
-	if faulted.Trace == nil {
-		return
-	}
+func autoTriage(rep *Report, faulted Result) {
 	faulted.Trace.Meta.RunID = rep.ID
 	tri := insight.Analyze(faulted.Trace, chaosSLOs(faulted.Window))
 	rep.Triage = tri

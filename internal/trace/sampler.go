@@ -72,10 +72,11 @@ func NewSampler(interval float64, c *metrics.Counters) *Sampler {
 	return &Sampler{Interval: interval, counters: c}
 }
 
-// Tick samples when a full interval has elapsed since the last sample. It
-// implements sim.Actor.
+// Tick samples at the first tick at or past each multiple of Interval, so
+// the windows stay on that grid even when Interval is not a whole number of
+// simulator steps. It implements sim.Actor.
 func (s *Sampler) Tick(now float64) {
-	if now-s.last >= s.Interval*(1-1e-9) {
+	if now >= float64(len(s.samples)+1)*s.Interval*(1-1e-9) {
 		s.take(now)
 	}
 }

@@ -185,6 +185,28 @@ func TestSamplerWindows(t *testing.T) {
 	}
 }
 
+// TestSamplerStaysOnGrid: with an interval that is not a whole number of
+// simulator steps, each sample closes at the first tick at or past the next
+// multiple of the interval — the instants a caller reading the counters
+// after sim.Run(k*interval) sees — instead of drifting by a step per window.
+func TestSamplerStaysOnGrid(t *testing.T) {
+	s := NewSampler(0.01, metrics.New(1))
+	const step = 0.003
+	for n := 0; n <= 14; n++ {
+		s.Tick(float64(n) * step)
+	}
+	want := []float64{0.012, 0.021, 0.030, 0.042}
+	smp := s.Samples()
+	if len(smp) != len(want) {
+		t.Fatalf("got %d samples, want %d: %+v", len(smp), len(want), smp)
+	}
+	for i, w := range want {
+		if d := smp[i].Time - w; d < -1e-12 || d > 1e-12 {
+			t.Errorf("sample %d closed at %.4f, want %.4f", i, smp[i].Time, w)
+		}
+	}
+}
+
 // TestTracerData: Data snapshots statements, decisions, and samples together.
 func TestTracerData(t *testing.T) {
 	tr := New(Config{DecisionCap: 8}, 2)
