@@ -14,3 +14,10 @@ go test -bench '^(BenchmarkScanPositions|BenchmarkCountRange|BenchmarkMaterializ
 # The planner rides the same gate: Submit plans every statement, so a
 # Build->Optimize->Lower slowdown is a hot-path regression like any kernel.
 go test -bench '^BenchmarkPlanLower$' -benchtime=0.2s -count=3 -run '^$' ./internal/plan
+
+# The statement path rides the gate as well: the PSM lookup every scan task
+# makes (one call over one partition of a 100k-row column per "row"), and
+# the per-statement find and output planning (one ScanOp.Open +
+# MaterializeOp.Open per "row").
+go test -bench '^BenchmarkSocketBytes$' -benchtime=0.2s -count=3 -run '^$' ./internal/psm
+go test -bench '^BenchmarkScanOpen$' -benchtime=0.2s -count=3 -run '^$' ./internal/exec

@@ -134,6 +134,28 @@ func (env *Env) MCLoad() []float64 {
 	return env.HW.MCLoad()
 }
 
+// mcSnapshot is a statement's lazy MC-load snapshot: the first replicated
+// column whose placement weighs sockets by load takes it, every later one
+// reuses it, and a statement over unreplicated columns never walks the
+// active flows at all. Open starts no flows, so whichever column takes the
+// snapshot sees the same instant and the same values.
+type mcSnapshot struct {
+	env  *Env
+	load []float64
+}
+
+// forColumn returns the snapshot for a replicated column and nil for any
+// other (an unreplicated column's placement does not depend on load).
+func (m *mcSnapshot) forColumn(col *colstore.Column) []float64 {
+	if !col.Replicated() {
+		return nil
+	}
+	if m.load == nil {
+		m.load = m.env.MCLoad()
+	}
+	return m.load
+}
+
 // addItem attributes per-item traffic when the hook is wired.
 func (env *Env) addItem(item string, socket int, t Traffic) {
 	if env.AddItemTraffic != nil {
@@ -486,15 +508,32 @@ func SplitRows(from, to, n int) [][2]int {
 	return out
 }
 
+// ivSocketBytes splits the IV bytes of rows [from,to), clamped to the end of
+// the IV, by the socket serving them, into buf (psm.MaxSockets long), and
+// returns the split with the clamped byte count. A replicated column is
+// served whole by the replica BestReplica picks for a worker on src; any
+// other column — and every column when env is nil — splits by its IV PSM.
+func ivSocketBytes(env *Env, col *colstore.Column, src, from, to int, buf []int64) (perSocket []int64, n int64) {
+	off := col.IVOffsetForRow(from)
+	n = col.IVBytesForRows(from, to)
+	if off+n > col.IVRange.Bytes {
+		n = col.IVRange.Bytes - off
+	}
+	if env != nil && col.Replicated() {
+		rep := BestReplica(env, col, src)
+		perSocket = buf[:rep+1]
+		clear(perSocket)
+		perSocket[rep] = n
+		return perSocket, n
+	}
+	return col.IVPSM.SocketBytes(col.IVRange, off, n, buf), n
+}
+
 // IVSocketForRows returns the socket backing the majority of the IV bytes of
 // rows [from,to).
 func IVSocketForRows(col *colstore.Column, from, to int) int {
-	offFrom := col.IVOffsetForRow(from)
-	offTo := offFrom + col.IVBytesForRows(from, to)
-	if offTo > col.IVRange.Bytes {
-		offTo = col.IVRange.Bytes
-	}
-	bytes := col.IVPSM.SocketBytes(col.IVRange, offFrom, offTo-offFrom)
+	var buf [psm.MaxSockets]int64
+	bytes, _ := ivSocketBytes(nil, col, -1, from, to, buf[:])
 	best, bestB := -1, int64(0)
 	for s, b := range bytes {
 		if b > bestB {
@@ -510,10 +549,9 @@ func IndexSocket(col *colstore.Column) int {
 	if col.IXPSM == nil {
 		return -1
 	}
-	sum := col.IXPSM.Summary()
 	nonzero, sock := 0, -1
-	for s, pages := range sum {
-		if pages > 0 {
+	for s := 0; s < psm.MaxSockets; s++ {
+		if col.IXPSM.PagesOn(s) > 0 {
 			nonzero++
 			sock = s
 		}
@@ -531,13 +569,11 @@ func ComponentWeights(sockets int, p *psm.PSM) []float64 {
 		out[0] = 1
 		return out
 	}
-	sum := p.Summary()
 	total := 0.0
-	for s, pages := range sum {
-		if s < sockets {
-			out[s] = float64(pages)
-			total += float64(pages)
-		}
+	for s := range out {
+		pages := float64(p.PagesOn(s))
+		out[s] = pages
+		total += pages
 	}
 	if total == 0 {
 		out[0] = 1
@@ -550,6 +586,7 @@ func ComponentWeights(sockets int, p *psm.PSM) []float64 {
 }
 
 // RunFlows executes flows sequentially on the simulator, then calls onDone.
+// It keeps no reference to the slice, so callers may pass stack storage.
 func RunFlows(s *sim.Engine, flows []*sim.Flow, onDone func()) {
 	if len(flows) == 0 {
 		onDone()

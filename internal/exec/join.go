@@ -3,6 +3,7 @@ package exec
 import (
 	"numacs/internal/colstore"
 	"numacs/internal/memsim"
+	"numacs/internal/psm"
 	"numacs/internal/sched"
 	"numacs/internal/sim"
 )
@@ -109,22 +110,11 @@ func (j *JoinOp) runTask(env *Env, w *sched.Worker, col *colstore.Column, from, 
 	cyclesPerRow, accessesPerRow, byteFrac float64, htWeights []float64, onDone func()) {
 
 	src := w.Socket()
-	offFrom := col.IVOffsetForRow(from)
-	bytes := col.IVBytesForRows(from, to)
-	if offFrom+bytes > col.IVRange.Bytes {
-		bytes = col.IVRange.Bytes - offFrom
-	}
-	var perSocket []int64
-	if col.Replicated() {
-		// Stream from the replica with the most MC headroom, matching the
-		// per-replica task affinities Partitions derives for replicated
-		// columns.
-		rep := BestReplica(env, col, src)
-		perSocket = make([]int64, rep+1)
-		perSocket[rep] = bytes
-	} else {
-		perSocket = col.IVPSM.SocketBytes(col.IVRange, offFrom, bytes)
-	}
+	// A replicated column streams from the replica with the most MC
+	// headroom, matching the per-replica task affinities Partitions derives
+	// for replicated columns.
+	var buf [psm.MaxSockets]int64
+	perSocket, _ := ivSocketBytes(env, col, src, from, to, buf[:])
 	penalty := 1.0
 	if !w.Bound {
 		penalty = env.Costs.UnboundStreamPenalty
@@ -132,7 +122,8 @@ func (j *JoinOp) runTask(env *Env, w *sched.Worker, col *colstore.Column, from, 
 
 	// Phase A: stream the column slice (scaled down when a build filter means
 	// only a fraction of the rows is gathered).
-	var flows []*sim.Flow
+	var flowBuf [4]*sim.Flow
+	flows := flowBuf[:0]
 	for dst, b := range perSocket {
 		fb := float64(b) * byteFrac
 		if fb == 0 {

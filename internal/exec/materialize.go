@@ -15,13 +15,32 @@ type outTask struct {
 	matches int
 }
 
+// outPart is one coalesced output partition: contiguous output slots
+// produced by one column's data on one socket.
+type outPart struct {
+	col     *colstore.Column
+	part    *colstore.Part
+	socket  int
+	matches int
+	weight  int
+}
+
 // planOutput implements the output scheduling of Section 5.2, shared by
 // materialization and aggregation: the output vector is divided into one
-// fixed region per hardware context; region boundaries are resolved to the
+// fixed slot per hardware context; slot boundaries are resolved to the
 // socket of the pages that produce them (via the PSM); contiguous same-socket
-// regions are coalesced; and each coalesced partition receives a
+// slots are coalesced; and each coalesced partition receives a
 // correspondingly weighted number of tasks, at least one, within the
 // concurrency hint.
+//
+// Slot i of n covers output rows [⌊T·i/n⌋, ⌊T·(i+1)/n⌋) of the T matches and
+// belongs to the region holding its first row, so region r — whose matches
+// start at running total Pᵣ — owns slots [c(Pᵣ), c(Pᵣ₊₁)) with
+// c(X) = ⌈X·n/T⌉. The walk is therefore per region, not per slot: a
+// region's slots hold ⌊T·b/n⌋ − ⌊T·a/n⌋ matches, and its weight (the number
+// of non-empty slots) is b − a when every slot is non-empty (T ≥ n) and the
+// match count otherwise (each non-empty slot then holds one match). Only the
+// DisableCoalesce ablation walks slots, since it keeps every slot separate.
 func planOutput(p *Pipeline, regions []Region, parallel bool, project []string, disableCoalesce bool) []outTask {
 	env := p.Env
 	total := 0
@@ -32,40 +51,41 @@ func planOutput(p *Pipeline, regions []Region, parallel bool, project []string, 
 		return nil
 	}
 
-	// Fixed-size output regions mapped to producing sockets.
-	nRegions := env.Machine.TotalThreads()
+	// Fixed-size output slots mapped to producing sockets.
+	nSlots := env.Machine.TotalThreads()
 	if !parallel {
-		nRegions = 1
+		nSlots = 1
 	}
-	type coalesced struct {
-		col     *colstore.Column
-		part    *colstore.Part
-		socket  int
-		matches int
-		weight  int
-	}
-	var parts []coalesced
-	ri := 0 // region cursor
-	consumed := 0
-	for i := 0; i < nRegions; i++ {
-		lo := total * i / nRegions
-		hi := total * (i + 1) / nRegions
-		m := hi - lo
+	slotStart := func(i int) int { return total * i / nSlots }
+	firstSlot := func(x int) int { return (x*nSlots + total - 1) / total }
+	var parts []outPart
+	prefix := 0 // matches of the regions before the current one
+	for r := range regions {
+		reg := &regions[r]
+		a := firstSlot(prefix)
+		prefix += reg.Matches
+		b := firstSlot(prefix)
+		if disableCoalesce {
+			for i := a; i < b; i++ {
+				if m := slotStart(i+1) - slotStart(i); m > 0 {
+					parts = append(parts, outPart{col: reg.Col, part: reg.Part, socket: reg.Socket, matches: m, weight: 1})
+				}
+			}
+			continue
+		}
+		m := slotStart(b) - slotStart(a)
 		if m == 0 {
 			continue
 		}
-		// Advance the producing region cursor.
-		for ri < len(regions)-1 && consumed+regions[ri].Matches <= lo {
-			consumed += regions[ri].Matches
-			ri++
+		weight := b - a
+		if total < nSlots {
+			weight = m
 		}
-		reg := &regions[ri]
-		if n := len(parts); !disableCoalesce && n > 0 &&
-			parts[n-1].socket == reg.Socket && parts[n-1].col == reg.Col {
+		if n := len(parts); n > 0 && parts[n-1].socket == reg.Socket && parts[n-1].col == reg.Col {
 			parts[n-1].matches += m
-			parts[n-1].weight++
+			parts[n-1].weight += weight
 		} else {
-			parts = append(parts, coalesced{col: reg.Col, part: reg.Part, socket: reg.Socket, matches: m, weight: 1})
+			parts = append(parts, outPart{col: reg.Col, part: reg.Part, socket: reg.Socket, matches: m, weight: weight})
 		}
 	}
 

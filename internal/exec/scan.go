@@ -3,9 +3,11 @@ package exec
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"numacs/internal/colstore"
 	"numacs/internal/delta"
+	"numacs/internal/psm"
 	"numacs/internal/sched"
 	"numacs/internal/sim"
 	"numacs/internal/topology"
@@ -95,6 +97,20 @@ func IndexEligible(costs *Costs, table *colstore.Table, column string, selectivi
 	return c != nil && c.Idx != nil
 }
 
+// columns resolves a predicate column in every part, in part order, into
+// buf's storage.
+func (s *ScanOp) columns(name string, buf []*colstore.Column) []*colstore.Column {
+	cols := buf[:0]
+	for _, part := range s.Table.Parts {
+		c := part.ColumnByName(name)
+		if c == nil {
+			panic(fmt.Sprintf("exec: no column %s", name))
+		}
+		cols = append(cols, c)
+	}
+	return cols
+}
+
 // Open plans and emits the find tasks. Only the primary predicate column
 // tracks regions (the materialization input); additional predicate columns
 // run the same find phase in parallel and merely intersect the result
@@ -102,23 +118,19 @@ func IndexEligible(costs *Costs, table *colstore.Table, column string, selectivi
 func (s *ScanOp) Open(p *Pipeline) []Task {
 	env := p.Env
 	s.regions = s.regions[:0] // support operator reuse across pipelines
-	// One MC-load snapshot per plan: every replica-socket decision of this
-	// statement sees the same instant (recomputing per column would walk all
-	// active flows repeatedly for no added signal).
-	mcLoad := env.MCLoad()
+	// Every replica-socket decision of this statement sees one MC-load
+	// snapshot, taken lazily by the first replicated column that needs it.
+	mc := mcSnapshot{env: env}
+	var primaryBuf, extraBuf [4]*colstore.Column
+	primary := s.columns(s.Column, primaryBuf[:])
 	useIndex := IndexEligible(env.Costs, s.Table, s.Column, s.Selectivity, s.UseIndex)
 
 	var tasks []scanTask
-	plan := func(colName string, trackRegions bool) {
-		if !s.Parallel && !useIndex && s.Table.NumParts() > 1 {
-			cols := make([]*colstore.Column, 0, s.Table.NumParts())
+	// plan emits the find tasks of one predicate column, resolved per part.
+	plan := func(cols []*colstore.Column, trackRegions bool) {
+		if !s.Parallel && !useIndex && len(cols) > 1 {
 			rows := 0
-			for _, part := range s.Table.Parts {
-				c := part.ColumnByName(colName)
-				if c == nil {
-					panic(fmt.Sprintf("exec: no column %s", colName))
-				}
-				cols = append(cols, c)
+			for _, c := range cols {
 				rows += c.Rows
 			}
 			socket := cols[0].IVPSM.MajoritySocket()
@@ -129,20 +141,17 @@ func (s *ScanOp) Open(p *Pipeline) []Task {
 					Col: cols[0], Part: s.Table.Parts[0], Socket: socket,
 				})
 			}
-			tasks = append(tasks, scanTask{col: cols[0], rowFrom: 0, rowTo: rows, region: region, socket: socket, allCols: cols})
+			tasks = append(tasks, scanTask{col: cols[0], rowFrom: 0, rowTo: rows, region: region, socket: socket, allCols: slices.Clone(cols)})
 			return
 		}
-		for _, part := range s.Table.Parts {
-			col := part.ColumnByName(colName)
-			if col == nil {
-				panic(fmt.Sprintf("exec: no column %s", colName))
-			}
+		for i, col := range cols {
+			part := s.Table.Parts[i]
 			if useIndex {
 				// Index lookups on a replicated column chase the replica with
 				// the most MC headroom; otherwise the IX's own socket.
 				socket := IndexSocket(col)
 				if col.Replicated() {
-					socket = leastLoadedSocket(col.ReplicaSockets, mcLoad)
+					socket = leastLoadedSocket(col.ReplicaSockets, mc.forColumn(col))
 				}
 				region := -1
 				if trackRegions {
@@ -161,7 +170,7 @@ func (s *ScanOp) Open(p *Pipeline) []Task {
 				// replication removes).
 				socket := col.IVPSM.MajoritySocket()
 				if col.Replicated() {
-					socket = leastLoadedSocket(col.ReplicaSockets, mcLoad)
+					socket = leastLoadedSocket(col.ReplicaSockets, mc.forColumn(col))
 				}
 				region := -1
 				if trackRegions {
@@ -183,7 +192,7 @@ func (s *ScanOp) Open(p *Pipeline) []Task {
 					hint = 1
 				}
 			}
-			parts := PartitionsWeighted(col, mcLoad)
+			parts := PartitionsWeighted(col, mc.forColumn(col))
 			per := TasksPerPartition(hint, len(parts))
 			for _, pr := range parts {
 				region := -1
@@ -202,12 +211,12 @@ func (s *ScanOp) Open(p *Pipeline) []Task {
 	// uncompressed rows from the fragment's own socket. A column that was
 	// never written has a nil Delta and plans nothing — the read-only path
 	// is bit-identical to a delta-free build.
-	planDelta := func(colName string, trackRegions bool) {
-		for _, part := range s.Table.Parts {
-			col := part.ColumnByName(colName)
-			if col == nil || col.Delta == nil {
+	planDelta := func(cols []*colstore.Column, trackRegions bool) {
+		for i, col := range cols {
+			if col.Delta == nil {
 				continue
 			}
+			part := s.Table.Parts[i]
 			snap := col.Delta.Snapshot()
 			for sock := 0; sock < col.Delta.Sockets(); sock++ {
 				rows := snap.Rows[sock]
@@ -229,11 +238,12 @@ func (s *ScanOp) Open(p *Pipeline) []Task {
 		}
 	}
 
-	plan(s.Column, true)
-	planDelta(s.Column, true)
+	plan(primary, true)
+	planDelta(primary, true)
 	for _, extra := range s.ExtraPredicateColumns {
-		plan(extra, false)
-		planDelta(extra, false)
+		cols := s.columns(extra, extraBuf[:])
+		plan(cols, false)
+		planDelta(cols, false)
 	}
 
 	out := make([]Task, 0, len(tasks))
@@ -319,22 +329,11 @@ func (s *ScanOp) runScanAll(env *Env, w *sched.Worker, cols []*colstore.Column, 
 // runScan executes one scan task: stream the IV bytes of rows [from,to)
 // from wherever they physically live, plus the (small) match output write.
 func (s *ScanOp) runScan(env *Env, w *sched.Worker, col *colstore.Column, from, to, matches int, onDone func()) {
-	offFrom := col.IVOffsetForRow(from)
-	offTo := offFrom + col.IVBytesForRows(from, to)
-	if offTo > col.IVRange.Bytes {
-		offTo = col.IVRange.Bytes
-	}
-	var perSocket []int64
-	if col.Replicated() {
-		// Stream from the replica with the most MC headroom (the nearest one
-		// when the machine is idle) instead of the primary copy.
-		rep := BestReplica(env, col, w.Socket())
-		perSocket = make([]int64, rep+1)
-		perSocket[rep] = offTo - offFrom
-	} else {
-		perSocket = col.IVPSM.SocketBytes(col.IVRange, offFrom, offTo-offFrom)
-	}
+	// A replicated column streams from the replica with the most MC headroom
+	// (the nearest one when the machine is idle) instead of the primary copy.
 	src := w.Socket()
+	var buf [psm.MaxSockets]int64
+	perSocket, ivBytes := ivSocketBytes(env, col, src, from, to, buf[:])
 	penalty := 1.0
 	if !w.Bound {
 		penalty = env.Costs.UnboundStreamPenalty
@@ -344,12 +343,13 @@ func (s *ScanOp) runScan(env *Env, w *sched.Worker, col *colstore.Column, from, 
 	// (4 bytes per match) at low selectivity, a bitvector (one bit per
 	// scanned row) at high selectivity — whichever is smaller at the
 	// configured threshold.
-	var flows []*sim.Flow
+	var flowBuf [4]*sim.Flow
+	flows := flowBuf[:0]
 	outBytes := float64(matches) * 4
 	if s.Selectivity >= env.Costs.BitvectorSelectivity {
 		outBytes = float64(to-from) / 8
 	}
-	outPerByte := outBytes / float64(offTo-offFrom+1)
+	outPerByte := outBytes / float64(ivBytes+1)
 	for dst, bytes := range perSocket {
 		if bytes == 0 {
 			continue

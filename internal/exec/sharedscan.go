@@ -18,6 +18,7 @@ import (
 
 	"numacs/internal/colstore"
 	"numacs/internal/delta"
+	"numacs/internal/psm"
 	"numacs/internal/sched"
 	"numacs/internal/sim"
 )
@@ -127,7 +128,7 @@ func (s *SharedScanOp) Open(p *Pipeline) []Task {
 	n := len(s.Preds)
 	s.regions = make([][]Region, n)
 	s.bytesTotal, s.bytesDone = 0, 0
-	mcLoad := env.MCLoad()
+	mc := mcSnapshot{env: env}
 	var tasks []sharedTask
 	for _, part := range s.Table.Parts {
 		col := part.ColumnByName(s.Column)
@@ -141,7 +142,7 @@ func (s *SharedScanOp) Open(p *Pipeline) []Task {
 				hint = 1
 			}
 		}
-		parts := PartitionsWeighted(col, mcLoad)
+		parts := PartitionsWeighted(col, mc.forColumn(col))
 		per := TasksPerPartition(hint, len(parts))
 		for _, pr := range parts {
 			region := len(s.regions[0])
@@ -222,20 +223,9 @@ func memberOutBytes(env *Env, sel float64, matches, rows int) float64 {
 // traffic is attributed once per member.
 func (s *SharedScanOp) runShared(env *Env, w *sched.Worker, col *colstore.Column, from, to int, matches []int, onDone func()) {
 	n := len(matches)
-	offFrom := col.IVOffsetForRow(from)
-	offTo := offFrom + col.IVBytesForRows(from, to)
-	if offTo > col.IVRange.Bytes {
-		offTo = col.IVRange.Bytes
-	}
-	var perSocket []int64
-	if col.Replicated() {
-		rep := BestReplica(env, col, w.Socket())
-		perSocket = make([]int64, rep+1)
-		perSocket[rep] = offTo - offFrom
-	} else {
-		perSocket = col.IVPSM.SocketBytes(col.IVRange, offFrom, offTo-offFrom)
-	}
 	src := w.Socket()
+	var buf [psm.MaxSockets]int64
+	perSocket, ivBytes := ivSocketBytes(env, col, src, from, to, buf[:])
 	penalty := 1.0
 	if !w.Bound {
 		penalty = env.Costs.UnboundStreamPenalty
@@ -244,8 +234,9 @@ func (s *SharedScanOp) runShared(env *Env, w *sched.Worker, col *colstore.Column
 	for i, pred := range s.Preds {
 		outBytes += memberOutBytes(env, pred.Selectivity, matches[i], to-from)
 	}
-	outPerByte := outBytes / float64(offTo-offFrom+1)
-	var flows []*sim.Flow
+	outPerByte := outBytes / float64(ivBytes+1)
+	var flowBuf [4]*sim.Flow
+	flows := flowBuf[:0]
 	for dst, bytes := range perSocket {
 		if bytes == 0 {
 			continue
@@ -344,7 +335,7 @@ func (wr *WrapScanOp) Open(p *Pipeline) []Task {
 	env := p.Env
 	n := len(wr.Preds)
 	wr.regions = make([][]Region, n)
-	mcLoad := env.MCLoad()
+	mc := mcSnapshot{env: env}
 	var out []Task
 	for _, part := range wr.Table.Parts {
 		col := part.ColumnByName(wr.Column)
@@ -352,7 +343,7 @@ func (wr *WrapScanOp) Open(p *Pipeline) []Task {
 			panic(fmt.Sprintf("exec: no column %s", wr.Column))
 		}
 		hint := cohortBudget(p, n, wr.FanoutCap)
-		parts := PartitionsWeighted(col, mcLoad)
+		parts := PartitionsWeighted(col, mc.forColumn(col))
 		per := TasksPerPartition(hint, len(parts))
 		for _, pr := range parts {
 			// Full-column logical regions, per attacher.
@@ -437,20 +428,9 @@ func (wr *WrapScanOp) Close(p *Pipeline) {
 // bytes (their outputs are produced across ride + wrap but charged here).
 func (wr *WrapScanOp) runWrap(env *Env, w *sched.Worker, col *colstore.Column, from, to int, onDone func()) {
 	n := len(wr.Preds)
-	offFrom := col.IVOffsetForRow(from)
-	offTo := offFrom + col.IVBytesForRows(from, to)
-	if offTo > col.IVRange.Bytes {
-		offTo = col.IVRange.Bytes
-	}
-	var perSocket []int64
-	if col.Replicated() {
-		rep := BestReplica(env, col, w.Socket())
-		perSocket = make([]int64, rep+1)
-		perSocket[rep] = offTo - offFrom
-	} else {
-		perSocket = col.IVPSM.SocketBytes(col.IVRange, offFrom, offTo-offFrom)
-	}
 	src := w.Socket()
+	var buf [psm.MaxSockets]int64
+	perSocket, ivBytes := ivSocketBytes(env, col, src, from, to, buf[:])
 	penalty := 1.0
 	if !w.Bound {
 		penalty = env.Costs.UnboundStreamPenalty
@@ -464,8 +444,9 @@ func (wr *WrapScanOp) runWrap(env *Env, w *sched.Worker, col *colstore.Column, f
 			outBytes += full * float64(scanned) / (frac * float64(col.Rows))
 		}
 	}
-	outPerByte := outBytes / float64(offTo-offFrom+1)
-	var flows []*sim.Flow
+	outPerByte := outBytes / float64(ivBytes+1)
+	var flowBuf [4]*sim.Flow
+	flows := flowBuf[:0]
 	for dst, bytes := range perSocket {
 		if bytes == 0 {
 			continue

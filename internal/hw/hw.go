@@ -96,14 +96,21 @@ type LinkTraffic struct {
 // same flow exerts on its core.
 func (h *Hardware) StreamDemands(src, dst int, core sim.ResourceID, cyclesPerByte float64) ([]sim.Demand, LinkTraffic) {
 	m := h.Machine
-	var d []sim.Demand
+	route := m.Route(src, dst)
+	snoops := 0
+	if h.bcast != nil {
+		snoops = len(h.bcast[src])
+	}
+	// Sized for every demand below plus one the caller may append (the
+	// scan's output write), so the vector is allocated once.
+	d := make([]sim.Demand, 0, 1+len(route)+snoops+2)
 	var lt LinkTraffic
 	mcWeight := 1.0
 	if src != dst {
 		mcWeight = RemoteMCPenalty
 	}
 	d = append(d, sim.Demand{Resource: h.MC[dst], Weight: mcWeight})
-	for _, li := range m.Route(src, dst) {
+	for _, li := range route {
 		d = append(d, sim.Demand{Resource: h.Link[li], Weight: m.LinkDataFactor})
 		lt.Data++
 		lt.Total += m.LinkDataFactor

@@ -3,6 +3,7 @@ package plan
 import (
 	"fmt"
 	"sort"
+	"strings"
 
 	"numacs/internal/colstore"
 	"numacs/internal/exec"
@@ -14,13 +15,24 @@ import (
 type Context struct {
 	Stats *Stats
 	Costs *exec.Costs
-	// Notes records one line per load-bearing pass decision, in pass order.
-	Notes []string
+	// Notes records one note per load-bearing pass decision, in pass order.
+	Notes []Note
 }
+
+// Note is one EXPLAIN note: a pass decision kept as its format and
+// arguments, formatted only when rendered, so planning a statement nobody
+// explains formats nothing.
+type Note struct {
+	format string
+	args   []any
+}
+
+// String formats the note.
+func (n Note) String() string { return fmt.Sprintf(n.format, n.args...) }
 
 // note appends one EXPLAIN note.
 func (c *Context) note(format string, args ...any) {
-	c.Notes = append(c.Notes, fmt.Sprintf(format, args...))
+	c.Notes = append(c.Notes, Note{format: format, args: args})
 }
 
 // Pass is one optimizer rewrite: a named, tree-to-tree function. Passes may
@@ -170,15 +182,34 @@ func joinOrder(ctx *Context, n Node) Node {
 		chain[i] = ks[i].j
 	}
 	relinkChain(output, chain, terminal)
-	order := ""
-	for i := len(ks) - 1; i >= 0; i-- {
-		if order != "" {
-			order += " -> "
-		}
-		order += fmt.Sprintf("%s(est %.0f)", scanOf(ks[i].j.Build).Table.Name, ks[i].est)
+	order := make(buildOrder, len(ks))
+	for i := range ks {
+		order[len(ks)-1-i] = buildStep{table: scanOf(ks[i].j.Build).Table.Name, est: ks[i].est}
 	}
 	ctx.note("join-order: %s", order)
 	return n
+}
+
+// buildStep is one hash-table build of a join-order note.
+type buildStep struct {
+	table string
+	est   float64
+}
+
+// buildOrder is the join-order note's argument, rendered as
+// "T1(est n1) -> T2(est n2) ..." in lowered order.
+type buildOrder []buildStep
+
+// String renders the order.
+func (o buildOrder) String() string {
+	var b strings.Builder
+	for i, st := range o {
+		if i > 0 {
+			b.WriteString(" -> ")
+		}
+		fmt.Fprintf(&b, "%s(est %.0f)", st.table, st.est)
+	}
+	return b.String()
 }
 
 // walkJoins visits every JoinNode in the tree, outermost first.
@@ -347,7 +378,7 @@ type Physical struct {
 	ShareKey  string
 	// Passes and Notes record the applied pass names and their decisions.
 	Passes []string
-	Notes  []string
+	Notes  []Note
 }
 
 // finalize translates the rewritten tree into physical stages.

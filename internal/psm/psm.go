@@ -290,37 +290,48 @@ func (p *PSM) LocationOf(addr memsim.Addr) int {
 	return p.ranges[i].socketOfPage(page)
 }
 
-// SocketBytes returns the per-socket resident bytes of the subrange
-// [off, off+bytes) of r according to the PSM (page-granular: partial pages
-// count proportionally).
-func (p *PSM) SocketBytes(r memsim.Range, off, bytes int64) []int64 {
-	out := make([]int64, MaxSockets)
+// SocketBytes writes the per-socket resident bytes of the subrange
+// [off, off+bytes) of r into out and returns out trimmed to the highest
+// socket holding any of them (out[:1] when none is tracked, out[:0] for an
+// empty subrange). The count is byte-exact: a partially covered page
+// contributes only its covered bytes. out must be longer than the highest
+// socket the PSM tracks (MaxSockets always suffices); its previous contents
+// are ignored.
+//
+// The lookup is one binary search for the first range entry, then plain
+// arithmetic per entry; only interleaved entries are walked page by page.
+func (p *PSM) SocketBytes(r memsim.Range, off, bytes int64, out []int64) []int64 {
 	if bytes <= 0 {
 		return out[:0]
 	}
 	sub := r.Subrange(off, bytes)
-	maxSocket := 0
-	first := sub.Start.PageIndex()
-	for i := int64(0); i < sub.Pages(); i++ {
-		page := first + uint64(i)
-		s := p.LocationOf(memsim.Addr(page * memsim.PageSize))
-		if s < 0 {
+	start, end := sub.Start, sub.End()
+	firstPage, lastPage := start.PageIndex(), (end - 1).PageIndex()
+	out[0] = 0
+	hi := 0 // out[:hi+1] is cleared
+	add := func(s int, b int64) {
+		if s > hi {
+			clear(out[hi+1 : s+1])
+			hi = s
+		}
+		out[s] += b
+	}
+	i := sort.Search(len(p.ranges), func(i int) bool { return p.ranges[i].lastPage() >= firstPage })
+	for ; i < len(p.ranges) && p.ranges[i].firstPage <= lastPage; i++ {
+		e := &p.ranges[i]
+		lo := max(start, memsim.Addr(e.firstPage*memsim.PageSize))
+		hiAddr := min(end, memsim.Addr((e.lastPage()+1)*memsim.PageSize))
+		if len(e.pattern) == 0 {
+			add(int(e.socket), int64(hiAddr-lo))
 			continue
 		}
-		pageStart := memsim.Addr(page * memsim.PageSize)
-		lo, hi := pageStart, pageStart+memsim.PageSize
-		if sub.Start > lo {
-			lo = sub.Start
-		}
-		if sub.End() < hi {
-			hi = sub.End()
-		}
-		out[s] += int64(hi - lo)
-		if s > maxSocket {
-			maxSocket = s
+		for a := lo; a < hiAddr; {
+			next := min(a.PageBase()+memsim.PageSize, hiAddr)
+			add(e.socketOfPage(a.PageIndex()), int64(next-a))
+			a = next
 		}
 	}
-	return out[:maxSocket+1]
+	return out[:hi+1]
 }
 
 // Summary returns pages per socket, indexed by socket id, trimmed to the
@@ -336,6 +347,15 @@ func (p *PSM) Summary() []uint32 {
 	out := make([]uint32, hi+1)
 	copy(out, p.summary[:hi+1])
 	return out
+}
+
+// PagesOn returns the summary's page count of one socket without copying
+// the summary vector (0 for a socket outside [0, MaxSockets)).
+func (p *PSM) PagesOn(socket int) uint32 {
+	if socket < 0 || socket >= MaxSockets {
+		return 0
+	}
+	return p.summary[socket]
 }
 
 // TotalPages returns the number of pages the PSM tracks.

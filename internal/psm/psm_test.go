@@ -178,12 +178,13 @@ func TestSocketBytes(t *testing.T) {
 	r := a.Alloc(4*page, memsim.OnSocket(0))
 	a.MovePages(r.Subrange(2*page, 2*page), 1)
 	p := Build(a, r)
-	b := p.SocketBytes(r, 0, 4*page)
+	var buf [MaxSockets]int64
+	b := p.SocketBytes(r, 0, 4*page, buf[:])
 	if b[0] != 2*page || b[1] != 2*page {
 		t.Fatalf("SocketBytes = %v", b)
 	}
 	// Subrange straddling the boundary.
-	b = p.SocketBytes(r, page, 2*page)
+	b = p.SocketBytes(r, page, 2*page, buf[:])
 	if b[0] != page || b[1] != page {
 		t.Fatalf("SocketBytes(straddle) = %v", b)
 	}
