@@ -308,11 +308,11 @@ func (p *PSM) SocketBytes(r memsim.Range, off, bytes int64, out []int64) []int64
 	start, end := sub.Start, sub.End()
 	firstPage, lastPage := start.PageIndex(), (end - 1).PageIndex()
 	out[0] = 0
-	hi := 0 // out[:hi+1] is cleared
+	top := 0 // out[:top+1] is cleared
 	add := func(s int, b int64) {
-		if s > hi {
-			clear(out[hi+1 : s+1])
-			hi = s
+		if s > top {
+			clear(out[top+1 : s+1])
+			top = s
 		}
 		out[s] += b
 	}
@@ -320,18 +320,18 @@ func (p *PSM) SocketBytes(r memsim.Range, off, bytes int64, out []int64) []int64
 	for ; i < len(p.ranges) && p.ranges[i].firstPage <= lastPage; i++ {
 		e := &p.ranges[i]
 		lo := max(start, memsim.Addr(e.firstPage*memsim.PageSize))
-		hiAddr := min(end, memsim.Addr((e.lastPage()+1)*memsim.PageSize))
+		hi := min(end, memsim.Addr((e.lastPage()+1)*memsim.PageSize))
 		if len(e.pattern) == 0 {
-			add(int(e.socket), int64(hiAddr-lo))
+			add(int(e.socket), int64(hi-lo))
 			continue
 		}
-		for a := lo; a < hiAddr; {
-			next := min(a.PageBase()+memsim.PageSize, hiAddr)
+		for a := lo; a < hi; {
+			next := min(a.PageBase()+memsim.PageSize, hi)
 			add(e.socketOfPage(a.PageIndex()), int64(next-a))
 			a = next
 		}
 	}
-	return out[:hi+1]
+	return out[:top+1]
 }
 
 // Summary returns pages per socket, indexed by socket id, trimmed to the

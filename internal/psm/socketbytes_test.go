@@ -165,6 +165,9 @@ func TestSocketBytesAllocFree(t *testing.T) {
 	}
 }
 
+// socketBytesSink keeps the benchmarked lookup's result alive.
+var socketBytesSink []int64
+
 // BenchmarkSocketBytes times the find phase's PSM lookup: one call over one
 // partition of a 100k-row column's indexvector (17-bit codes, IVP over four
 // sockets) is one row of the reported ns/row, which the CI perf gate diffs.
@@ -181,7 +184,7 @@ func BenchmarkSocketBytes(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p.SocketBytes(r, int64(i%4)*part, part, buf[:])
+		socketBytesSink = p.SocketBytes(r, int64(i%4)*part, part, buf[:])
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/row")
 }
