@@ -11,13 +11,13 @@ import (
 )
 
 // scanOpenEnv returns a bare Env with the scan model's RNG and a table of
-// one 100k-row column placed on socket 1, and the column.
-func scanOpenEnv() (*Env, *colstore.Table, *colstore.Column) {
+// one 100k-row column placed on socket 1.
+func scanOpenEnv() (*Env, *colstore.Table) {
 	env := testEnv()
 	env.Rand = rand.New(rand.NewSource(1))
 	col := colstore.NewSynthetic("C", 100_000, 1<<17, false)
 	placement.New(env.Machine).PlaceColumnOnSocket(col, 1)
-	return env, colstore.NewTable("T", []*colstore.Column{col}), col
+	return env, colstore.NewTable("T", []*colstore.Column{col})
 }
 
 // openStatement opens the find and output phases of one plain parallel
@@ -37,7 +37,7 @@ func openStatement(env *Env, tb *colstore.Table) {
 // flows on the engine as on an idle one — and it plans even with no
 // hardware model at all, while a replicated column does consult it.
 func TestScanOpenSkipsMCLoadWalk(t *testing.T) {
-	env, tb, _ := scanOpenEnv()
+	env, tb := scanOpenEnv()
 	idle := testing.AllocsPerRun(50, func() { openStatement(env, tb) })
 	for i := 0; i < 10_000; i++ {
 		env.Sim.StartFlow(&sim.Flow{
@@ -69,7 +69,7 @@ func TestScanOpenSkipsMCLoadWalk(t *testing.T) {
 // statement over a 100k-row column is one row of the reported ns/row, which
 // the CI perf gate diffs.
 func BenchmarkScanOpen(b *testing.B) {
-	env, tb, _ := scanOpenEnv()
+	env, tb := scanOpenEnv()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
