@@ -21,3 +21,8 @@ go test -bench '^BenchmarkPlanLower$' -benchtime=0.2s -count=3 -run '^$' ./inter
 # MaterializeOp.Open per "row").
 go test -bench '^BenchmarkSocketBytes$' -benchtime=0.2s -count=3 -run '^$' ./internal/psm
 go test -bench '^BenchmarkScanOpen$' -benchtime=0.2s -count=3 -run '^$' ./internal/exec
+
+# And the whole statement path: one plain statement submitted and stepped to
+# completion on an idle engine per "row" (the statement core's allocation pin
+# runs), with its allocations per statement alongside.
+go test -bench '^BenchmarkSubmit$' -benchtime=0.2s -count=3 -run '^$' ./internal/core

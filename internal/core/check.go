@@ -8,7 +8,9 @@ import (
 )
 
 // check panics unless every column the statement names exists in every part
-// of its table and is placed. Submit runs it before the statement is traced
+// of its table and is placed, and every predicate selectivity is a number in
+// [0, 1] (a NaN would give its flows NaN work, and would never find its
+// cached plan). Submit runs it before the statement is traced
 // or queued, so a bad statement fails at the API edge instead of
 // mid-simulation (an unknown predicate would panic inside ScanOp.Open, an
 // unplaced table "complete" with no memory traffic, an unknown projection be
@@ -18,6 +20,7 @@ func check(q *Query) {
 		walkPlan(q.Plan.Root, checkNode)
 		return
 	}
+	checkSelectivity(q.Column, q.Selectivity)
 	checkColumns(q.Table, q.Column)
 	checkColumns(q.Table, q.ExtraPredicateColumns...)
 	checkColumns(q.Table, q.ProjectColumns...)
@@ -29,10 +32,12 @@ func checkNode(n plan.Node) {
 	switch v := n.(type) {
 	case *plan.ScanNode:
 		for _, p := range v.Preds {
+			checkSelectivity(p.Column, p.Selectivity)
 			checkColumns(v.Table, p.Column)
 		}
 	case *plan.FilterNode:
 		for _, p := range v.Preds {
+			checkSelectivity(p.Column, p.Selectivity)
 			checkColumns(baseTable(v), p.Column)
 		}
 	case *plan.JoinNode:
@@ -42,6 +47,14 @@ func checkNode(n plan.Node) {
 		checkColumns(baseTable(v), v.ProjectColumns...)
 	case *plan.MaterializeNode:
 		checkColumns(baseTable(v), v.ProjectColumns...)
+	}
+}
+
+// checkSelectivity panics unless a predicate's selectivity lies in [0, 1];
+// NaN fails both comparisons.
+func checkSelectivity(column string, sel float64) {
+	if !(sel >= 0 && sel <= 1) {
+		panic(fmt.Sprintf("core: selectivity %v of column %q is outside [0, 1]", sel, column))
 	}
 }
 

@@ -145,6 +145,11 @@ type Engine struct {
 	rng              *rand.Rand
 	activeStatements int
 	itemTraffic      map[string]*ItemTraffic
+
+	// plans caches the physical plans of plain statements (plancache.go);
+	// nPlans counts its entries.
+	plans  map[plainKey][]*plainPlan
+	nPlans int
 }
 
 // DefaultStep is the simulator step length. 20 µs keeps task-dispatch
@@ -437,9 +442,9 @@ func (e *Engine) enter(tenant string, class admit.Class, st *trace.Statement, on
 // for the caller to hand to the registry. Either way the statement counts as
 // active until it completes.
 func (e *Engine) start(q *Query, st *trace.Statement, gran int, issuedAt float64, release func()) *sharedscan.Member {
-	low := e.planQuery(q)
-	if e.Shared != nil && low.Shareable {
-		return e.cohortMember(q, low, st, gran, issuedAt, release)
+	pl := e.planQuery(q)
+	if e.Shared != nil && pl.phys.Shareable {
+		return e.cohortMember(q, pl, st, gran, issuedAt, release)
 	}
 	e.activeStatements++
 	p := &exec.Pipeline{
@@ -448,7 +453,7 @@ func (e *Engine) start(q *Query, st *trace.Statement, gran int, issuedAt float64
 		HomeSocket: q.HomeSocket,
 		IssuedAt:   issuedAt,
 		MaxFanout:  gran,
-		Ops:        low.Ops,
+		Ops:        e.lower(pl),
 		Trace:      st,
 		OnDone:     e.completion(q, release),
 	}

@@ -1,47 +1,58 @@
 package core
 
 // The engine's planning and shared-scan glue: every statement is built into
-// (or arrives as) a logical plan, optimized, and lowered to exec operators,
-// and a statement whose lowered plan is shareable is handed to the
-// sharedscan.Registry as a cohort member instead of dispatching its private
-// ScanOp. The member carries everything the registry needs to assemble the
-// statement's pipeline — the predicate, the scheduling parameters, the
-// lowered output-phase factory, and the lifecycle hooks — so the registry can
-// merge concurrent same-column scans into one physical pass while every
-// statement keeps its own latency, logical traffic, and completion callbacks.
+// (or arrives as) a logical plan and optimized — a plain statement's plan
+// comes from the plan cache — and a statement whose plan is shareable is
+// handed to the sharedscan.Registry as a cohort member instead of being
+// lowered to a private ScanOp. The member carries everything the registry
+// needs to assemble the statement's pipeline — the predicate, the scheduling
+// parameters, the output-phase factory, and the lifecycle hooks — so the
+// registry can merge concurrent same-column scans into one physical pass
+// while every statement keeps its own latency, logical traffic, and
+// completion callbacks.
 
 import (
 	"numacs/internal/colstore"
+	"numacs/internal/exec"
 	"numacs/internal/plan"
 	"numacs/internal/sharedscan"
 	"numacs/internal/trace"
 )
 
+// planned is a statement's physical plan and, when the plan is join-free,
+// its output-phase factory.
+type planned struct {
+	phys     *plan.Physical
+	secondOp func(src exec.RegionSource) exec.Operator
+}
+
 // planQuery runs one statement through the planner: build the logical tree
-// (or take q.Plan), optimize, and lower to exec operators. Statistics are
-// collected from the plan's tables only when the plan joins — build side and
-// join order are the only stat-driven decisions, and stat-less passes keep
-// the written plan — so a plain statement never pays a catalog walk.
-func (e *Engine) planQuery(q *Query) *plan.Lowered {
-	l := q.Plan
-	var stats *plan.Stats
-	if l != nil {
-		stats = joinStats(l.Root)
-	} else {
-		l = plan.BuildQuery(plan.Statement{
-			Table:                 q.Table,
-			Column:                q.Column,
-			Selectivity:           q.Selectivity,
-			ExtraPredicateColumns: q.ExtraPredicateColumns,
-			ProjectColumns:        q.ProjectColumns,
-			UseIndex:              q.UseIndex,
-			Parallel:              q.Parallel,
-			Aggregate:             q.Aggregate,
-			AggBytesPerRow:        q.AggBytesPerRow,
-			AggCyclesPerRow:       q.AggCyclesPerRow,
-		})
+// (or take q.Plan) and optimize it. A plain statement takes its shape's
+// cached plan (plancache.go). Statistics are collected from a q.Plan's tables
+// only when the plan joins — build side and join order are the only
+// stat-driven decisions, and stat-less passes keep the written plan.
+func (e *Engine) planQuery(q *Query) planned {
+	if q.Plan == nil {
+		return e.plainPlan(q).planned
 	}
-	return plan.Optimize(l, stats, &e.Costs).Lower(plan.Deps{Alloc: e.Placer.Alloc, DisableCoalesce: e.DisableCoalesce})
+	pl := planned{phys: plan.Optimize(q.Plan, joinStats(q.Plan.Root), &e.Costs)}
+	if len(pl.phys.Joins) == 0 {
+		pl.secondOp = pl.phys.OutputOp(e.deps())
+	}
+	return pl
+}
+
+// lower emits a fresh operator sequence for one execution of a plan.
+func (e *Engine) lower(pl planned) []exec.Operator {
+	if pl.secondOp != nil {
+		return pl.phys.LowerScan(pl.secondOp).Ops
+	}
+	return pl.phys.Lower(e.deps()).Ops
+}
+
+// deps returns the engine-side dependencies of lowering.
+func (e *Engine) deps() plan.Deps {
+	return plan.Deps{Alloc: e.Placer.Alloc, DisableCoalesce: e.DisableCoalesce}
 }
 
 // joinStats collects statistics from the tables a plan reads when the plan
@@ -67,7 +78,7 @@ func joinStats(root plan.Node) *plan.Stats {
 // member and counts it as an active statement. The member's shed deadline
 // extends the admission class deadline into the join window; a shed frees the
 // admission slot and fires q.OnShed.
-func (e *Engine) cohortMember(q *Query, low *plan.Lowered, st *trace.Statement, gran int, issuedAt float64, release func()) *sharedscan.Member {
+func (e *Engine) cohortMember(q *Query, pl planned, st *trace.Statement, gran int, issuedAt float64, release func()) *sharedscan.Member {
 	deadline := 0.0
 	if e.Admit != nil {
 		if d := e.Admit.DeadlineFor(q.Class); d > 0 {
@@ -76,17 +87,17 @@ func (e *Engine) cohortMember(q *Query, low *plan.Lowered, st *trace.Statement, 
 	}
 	e.activeStatements++
 	return &sharedscan.Member{
-		Key:         low.ShareKey,
-		Table:       low.Scan.Table,
-		Column:      low.Scan.Column,
-		Selectivity: low.Scan.Selectivity,
+		Key:         pl.phys.ShareKey,
+		Table:       pl.phys.Scan.Table,
+		Column:      pl.phys.Scan.Column,
+		Selectivity: pl.phys.Scan.Selectivity,
 		Strategy:    q.Strategy,
 		HomeSocket:  q.HomeSocket,
 		MaxFanout:   gran,
 		IssuedAt:    issuedAt,
 		Deadline:    deadline,
 		Trace:       st,
-		SecondOp:    low.SecondOp,
+		SecondOp:    pl.secondOp,
 		OnDone:      e.completion(q, release),
 		OnShed: func() {
 			e.activeStatements--

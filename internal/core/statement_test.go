@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -39,15 +41,18 @@ func starPlan(dim, fact *colstore.Table, key string) *plan.Logical {
 	})
 }
 
-// TestSubmitRejectsBadStatements: a statement naming an unknown column, or a
-// column that is not placed, fails at Submit — before it opens a trace span
+// TestSubmitRejectsBadStatements: a statement naming an unknown column or a
+// column that is not placed, or carrying a selectivity outside [0, 1] (NaN
+// and infinities included) on a plain statement or a plan predicate, fails at
+// Submit — before it opens a trace span
 // or enters an admission queue — instead of mid-simulation.
 func TestSubmitRejectsBadStatements(t *testing.T) {
-	cases := []struct {
+	type badStatement struct {
 		name string
 		want string
 		q    func(e *Engine) *Query
-	}{
+	}
+	cases := []badStatement{
 		{"unknown predicate column", `no column "NOPE"`, func(e *Engine) *Query {
 			return &Query{Table: buildPlacedTable(e, 2, 1000, false), Column: "NOPE", Selectivity: 0.1}
 		}},
@@ -65,6 +70,16 @@ func TestSubmitRejectsBadStatements(t *testing.T) {
 			dim, fact := buildStarTables(e)
 			return &Query{Plan: starPlan(dim, fact, "NOPE")}
 		}},
+	}
+	for _, sel := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -0.5, 1.5} {
+		cases = append(cases, badStatement{fmt.Sprintf("plain selectivity %v", sel), "outside [0, 1]", func(e *Engine) *Query {
+			return &Query{Table: buildPlacedTable(e, 2, 1000, false), Column: "COLA", Selectivity: sel}
+		}}, badStatement{fmt.Sprintf("star selectivity %v", sel), "outside [0, 1]", func(e *Engine) *Query {
+			dim, fact := buildStarTables(e)
+			l := starPlan(dim, fact, "D_ID")
+			l.Root.(*plan.AggregateNode).Input.(*plan.JoinNode).Build.(*plan.FilterNode).Preds[0].Selectivity = sel
+			return &Query{Plan: l}
+		}})
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

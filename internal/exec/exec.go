@@ -237,6 +237,11 @@ type Pipeline struct {
 	Trace *trace.Statement
 
 	pending int
+	// phase is the index of the running operator; barrier and onStart are
+	// built once per pipeline and shared by every task it submits.
+	phase   int
+	barrier func()
+	onStart func(w *sched.Worker, stolen bool)
 }
 
 // Hint returns the task-granularity budget of this statement's partitionable
@@ -253,55 +258,58 @@ func (p *Pipeline) Hint() int {
 // Start opens the first operator. The pipeline records the statement latency
 // into Env.Counters when the last barrier clears.
 func (p *Pipeline) Start() {
+	p.barrier = p.taskDone
+	if p.Trace != nil {
+		p.onStart = func(w *sched.Worker, stolen bool) {
+			p.Trace.TaskStart(w.Socket(), stolen, p.Env.Sim.Now())
+		}
+	}
 	p.runPhase(0)
 }
 
+// runPhase opens operator i and submits its tasks, all from one slice of
+// scheduler tasks; the phase barrier runs as each task's Then hook.
 func (p *Pipeline) runPhase(i int) {
 	if i >= len(p.Ops) {
 		p.finish()
 		return
 	}
+	p.phase = i
 	if p.Trace != nil {
 		p.Trace.PhaseOpen(PhaseName(p.Ops[i]), p.Env.Sim.Now())
 	}
 	tasks := p.Ops[i].Open(p)
 	if len(tasks) == 0 {
-		if p.Trace != nil {
-			p.Trace.PhaseClose(p.Env.Sim.Now())
-		}
-		p.Ops[i].Close(p)
-		p.runPhase(i + 1)
+		p.closePhase()
 		return
 	}
 	p.pending = len(tasks)
-	for _, t := range tasks {
-		t := t
+	sts := make([]sched.Task, len(tasks))
+	for k, t := range tasks {
 		affinity, hard := AffinityFor(p.Strategy, t.Socket)
-		st := &sched.Task{
+		sts[k] = sched.Task{
 			Priority: p.IssuedAt, Affinity: affinity, Hard: hard, CallerSocket: p.HomeSocket,
-			Run: func(w *sched.Worker, done func()) {
-				t.Run(w, func() { done(); p.taskDone(i) })
-			},
+			Run: t.Run, Then: p.barrier, OnStart: p.onStart,
 		}
-		if p.Trace != nil {
-			st.OnStart = func(w *sched.Worker, stolen bool) {
-				p.Trace.TaskStart(w.Socket(), stolen, p.Env.Sim.Now())
-			}
-		}
-		p.Env.Sched.Submit(st)
+		p.Env.Sched.Submit(&sts[k])
 	}
 }
 
 // taskDone is the phase barrier.
-func (p *Pipeline) taskDone(i int) {
+func (p *Pipeline) taskDone() {
 	p.pending--
 	if p.pending == 0 {
-		if p.Trace != nil {
-			p.Trace.PhaseClose(p.Env.Sim.Now())
-		}
-		p.Ops[i].Close(p)
-		p.runPhase(i + 1)
+		p.closePhase()
 	}
+}
+
+// closePhase closes the running operator and opens the next one.
+func (p *Pipeline) closePhase() {
+	if p.Trace != nil {
+		p.Trace.PhaseClose(p.Env.Sim.Now())
+	}
+	p.Ops[p.phase].Close(p)
+	p.runPhase(p.phase + 1)
 }
 
 func (p *Pipeline) finish() {

@@ -31,11 +31,18 @@ type Hardware struct {
 	// link). Nil for directory machines.
 	bcast      [][]sim.Demand
 	bcastLinks []float64 // total link-weight per byte, for traffic metrics
+
+	// mcw and linkw are RandomDemands' per-socket and per-link weight
+	// scratch. Sharing them is safe because an engine, with its hardware,
+	// runs on one goroutine.
+	mcw   []float64
+	linkw []float64
 }
 
 // New registers all machine resources with the engine.
 func New(e *sim.Engine, m *topology.Machine) *Hardware {
-	h := &Hardware{Machine: m, Engine: e}
+	h := &Hardware{Machine: m, Engine: e,
+		mcw: make([]float64, m.Sockets), linkw: make([]float64, len(m.Links))}
 	h.MC = make([]sim.ResourceID, m.Sockets)
 	for s := range h.MC {
 		h.MC[s] = e.AddResource("mc", m.MCBandwidth)
@@ -141,7 +148,8 @@ const L3HitLatency = 15e-9
 // makes materialization CPU-intensive rather than bandwidth-intensive
 // (Sections 6.1.5, 6.2.3/6.2.4). extraLocalBytes adds streaming bytes per
 // access on the local MC (e.g. output writes). cyclesPerAccess is the
-// compute cost. The returned cap is the latency-bound access rate.
+// compute cost. The returned cap is the latency-bound access rate. The
+// demand vector is the call's one allocation.
 func (h *Hardware) RandomDemands(src int, dstWeights []float64, core sim.ResourceID,
 	cyclesPerAccess, extraLocalBytes, missRate float64) (demands []sim.Demand, rateCap float64, lt LinkTraffic) {
 
@@ -152,8 +160,9 @@ func (h *Hardware) RandomDemands(src int, dstWeights []float64, core sim.Resourc
 	if missRate > 1 {
 		missRate = 1
 	}
-	mcw := make([]float64, m.Sockets)
-	linkw := make([]float64, len(m.Links))
+	mcw, linkw := h.mcw, h.linkw
+	clear(mcw)
+	clear(linkw)
 	avgMemLatency := 0.0
 	for dst, frac := range dstWeights {
 		if frac == 0 {
@@ -183,6 +192,21 @@ func (h *Hardware) RandomDemands(src int, dstWeights []float64, core sim.Resourc
 	if extraLocalBytes > 0 {
 		mcw[src] += extraLocalBytes
 	}
+	n := 0
+	for _, w := range mcw {
+		if w > 0 {
+			n++
+		}
+	}
+	for _, w := range linkw {
+		if w > 0 {
+			n++
+		}
+	}
+	if cyclesPerAccess > 0 && core != sim.Invalid {
+		n++
+	}
+	demands = make([]sim.Demand, 0, n)
 	for s, w := range mcw {
 		if w > 0 {
 			demands = append(demands, sim.Demand{Resource: h.MC[s], Weight: w})

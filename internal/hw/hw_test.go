@@ -240,3 +240,26 @@ func TestMCUtilization(t *testing.T) {
 		t.Fatal("idle MC shows utilization")
 	}
 }
+
+// TestRandomDemandsAllocatesOnce: the per-socket and per-link weights live in
+// the Hardware's scratch, so a random-access flow's one allocation is its
+// demand vector, sized exactly — on a broadcast-snoop machine too, whose
+// snoops add link demands.
+func TestRandomDemandsAllocatesOnce(t *testing.T) {
+	for _, m := range []*topology.Machine{topology.FourSocketIvyBridge(), topology.EightSocketWestmere()} {
+		h := New(sim.New(1e-4), m)
+		w := make([]float64, m.Sockets)
+		for s := range w {
+			w[s] = 1 / float64(m.Sockets)
+		}
+		var d []sim.Demand
+		if n := testing.AllocsPerRun(100, func() {
+			d, _, _ = h.RandomDemands(1, w, h.Core[1][0], 10, 4, 0.5)
+		}); n != 1 {
+			t.Fatalf("%s: RandomDemands allocates %v times, want 1", m.Name, n)
+		}
+		if len(d) != cap(d) {
+			t.Fatalf("%s: demand vector len %d, cap %d", m.Name, len(d), cap(d))
+		}
+	}
+}

@@ -16,21 +16,12 @@ type Deps struct {
 }
 
 // Lowered is the executable form of a physical plan: the operator sequence
-// for exec.Pipeline, plus the pieces the shared-scan cohort path recomposes
-// (the find-phase operator and the output-phase factory).
+// for exec.Pipeline. Each lowering emits fresh operators, since operators
+// keep per-execution state; the cohort metadata and the output-phase factory
+// stay on the Physical (Shareable, ShareKey, OutputOp).
 type Lowered struct {
 	// Ops is the pipeline's operator sequence (barrier-separated phases).
 	Ops []exec.Operator
-	// Scan is the find-phase operator of a plain statement (nil for star
-	// plans); the cohort registry replaces it with a shared pass.
-	Scan *exec.ScanOp
-	// SecondOp builds the statement's private output phase over any
-	// find-phase region source — the factory the cohort registry hands each
-	// member's regions to. Nil for star plans.
-	SecondOp func(src exec.RegionSource) exec.Operator
-	// Shareable and ShareKey mirror the physical plan's cohort metadata.
-	Shareable bool
-	ShareKey  string
 }
 
 // Lower emits the physical plan's exec operators. The contract the golden
@@ -41,25 +32,13 @@ type Lowered struct {
 // [scan, build, probe, aggregate] sequence the star statement was hand-wired
 // to before the planner.
 func (p *Physical) Lower(d Deps) *Lowered {
-	low := &Lowered{Shareable: p.Shareable, ShareKey: p.ShareKey}
 	if len(p.Joins) == 0 {
-		s := p.Scan
-		if s == nil {
+		if p.Scan == nil {
 			panic("plan: physical plan has neither scan nor joins")
 		}
-		scan := &exec.ScanOp{
-			Table:                 s.Table,
-			Column:                s.Column,
-			Selectivity:           s.Selectivity,
-			ExtraPredicateColumns: s.ExtraPredicateColumns,
-			UseIndex:              s.UseIndex,
-			Parallel:              s.Parallel,
-		}
-		low.Scan = scan
-		low.SecondOp = p.secondOp(d)
-		low.Ops = []exec.Operator{scan, low.SecondOp(scan)}
-		return low
+		return p.LowerScan(p.OutputOp(d))
 	}
+	low := &Lowered{}
 	var last *exec.JoinOp
 	for _, pj := range p.Joins {
 		bs := pj.BuildScan
@@ -105,11 +84,38 @@ func (p *Physical) Lower(d Deps) *Lowered {
 	return low
 }
 
-// secondOp returns the output-phase factory of a plain statement: the same
+// loweredScan is a lowered plain statement in one allocation: the Lowered,
+// its find-phase operator and the backing array of its two-operator sequence.
+type loweredScan struct {
+	Lowered
+	scan exec.ScanOp
+	ops  [2]exec.Operator
+}
+
+// LowerScan is Lower for a plain (join-free) plan with its output-phase
+// factory already built by OutputOp. A caller that lowers one plan many
+// times builds the factory once, and each lowering then costs one allocation
+// plus whatever the factory allocates for the output operator.
+func (p *Physical) LowerScan(secondOp func(src exec.RegionSource) exec.Operator) *Lowered {
+	s := p.Scan
+	l := &loweredScan{scan: exec.ScanOp{
+		Table:                 s.Table,
+		Column:                s.Column,
+		Selectivity:           s.Selectivity,
+		ExtraPredicateColumns: s.ExtraPredicateColumns,
+		UseIndex:              s.UseIndex,
+		Parallel:              s.Parallel,
+	}}
+	l.ops = [2]exec.Operator{&l.scan, secondOp(&l.scan)}
+	l.Ops = l.ops[:]
+	return &l.Lowered
+}
+
+// OutputOp returns the output-phase factory of a plain statement: the same
 // materialization or aggregation operator over any region source, so the
 // private path and every cohort role (leader, follower, attacher) compose
 // identical output phases.
-func (p *Physical) secondOp(d Deps) func(src exec.RegionSource) exec.Operator {
+func (p *Physical) OutputOp(d Deps) func(src exec.RegionSource) exec.Operator {
 	out := p.Output
 	return func(src exec.RegionSource) exec.Operator {
 		if out.Aggregate {

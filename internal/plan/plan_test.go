@@ -252,9 +252,6 @@ func TestLowerPlainMatchesHandWired(t *testing.T) {
 		if !reflect.DeepEqual(low.Ops, want) {
 			t.Errorf("%s: lowered ops drifted:\n got  %+v\n want %+v", tc.name, low.Ops, want)
 		}
-		if low.Scan != low.Ops[0] {
-			t.Errorf("%s: Lowered.Scan is not the pipeline's find phase", tc.name)
-		}
 	}
 }
 
@@ -309,8 +306,9 @@ func TestOptimizeIsNoOpForPlainStatements(t *testing.T) {
 			st.AggCyclesPerRow = float64(1 + rng.Intn(32))
 		}
 		deps := Deps{DisableCoalesce: rng.Intn(2) == 0}
-		opt := Optimize(BuildQuery(st), nil, nil).Lower(deps)
-		raw := OptimizeWith(BuildQuery(st), nil, nil, nil).Lower(deps)
+		optPhys := Optimize(BuildQuery(st), nil, nil)
+		rawPhys := OptimizeWith(BuildQuery(st), nil, nil, nil)
+		opt, raw := optPhys.Lower(deps), rawPhys.Lower(deps)
 		if !reflect.DeepEqual(opt.Ops[0], raw.Ops[0]) {
 			t.Fatalf("statement %d: optimized scan drifted from unoptimized:\n opt %+v\n raw %+v",
 				i, opt.Ops[0], raw.Ops[0])
@@ -318,7 +316,7 @@ func TestOptimizeIsNoOpForPlainStatements(t *testing.T) {
 		if !reflect.DeepEqual(opt.Ops[1], raw.Ops[1]) {
 			t.Fatalf("statement %d: optimized output drifted from unoptimized", i)
 		}
-		if opt.Shareable != raw.Shareable || opt.ShareKey != raw.ShareKey {
+		if optPhys.Shareable != rawPhys.Shareable || optPhys.ShareKey != rawPhys.ShareKey {
 			t.Fatalf("statement %d: cohort metadata drifted", i)
 		}
 	}

@@ -36,8 +36,16 @@ type Task struct {
 	// insertion.
 	CallerSocket int
 	// Run starts execution on a worker. The implementation must eventually
-	// call done (it may do so synchronously for zero-cost tasks).
+	// call done (it may do so synchronously for zero-cost tasks). done is the
+	// worker's own callback, built once per worker, so starting a task
+	// allocates nothing beyond what Run itself does.
 	Run func(w *Worker, done func())
+	// Then, when non-nil, runs once the task has called done and its worker
+	// is back in the free pool — the hook a caller uses to react to the
+	// completion (exec's phase barrier is one) without wrapping Run and done
+	// in per-task closures. It runs after the scheduler's own bookkeeping, so
+	// it may submit new tasks.
+	Then func()
 	// OnStart, when non-nil, is invoked at pickup time — before Run — with
 	// the executing worker and whether the pickup was a cross-socket steal.
 	// The flight recorder uses it to stamp first-task times and per-socket
@@ -94,6 +102,8 @@ type Worker struct {
 
 	task      *Task
 	busySince float64
+	// done is the callback handed to every task this worker runs.
+	done func()
 	// Bound reports whether the worker is currently bound to its TG's
 	// hardware contexts (set while handling tasks with an affinity).
 	Bound bool
@@ -184,12 +194,14 @@ func New(h *hw.Hardware, counters *metrics.Counters) *Scheduler {
 			wid := 0
 			for c := loCore; c < hiCore; c++ {
 				for t := 0; t < m.ThreadsPerCore; t++ {
-					tg.Workers = append(tg.Workers, &Worker{
+					w := &Worker{
 						ID:      wid,
 						TG:      tg,
 						State:   Free,
 						CoreRes: h.Core[sock][c],
-					})
+					}
+					w.done = func() { s.finish(w) }
+					tg.Workers = append(tg.Workers, w)
 					wid++
 				}
 			}
@@ -504,11 +516,12 @@ func (s *Scheduler) start(w *Worker, t *Task, now float64, stolen bool) {
 	if t.OnStart != nil {
 		t.OnStart(w, stolen)
 	}
-	t.Run(w, func() { s.finish(w) })
+	t.Run(w, w.done)
 }
 
-// finish returns a worker to the free pool.
+// finish returns a worker to the free pool, then runs its task's Then hook.
 func (s *Scheduler) finish(w *Worker) {
+	t := w.task
 	now := s.HW.Engine.Now()
 	dur := now - w.busySince
 	s.Counters.TasksExecuted++
@@ -523,6 +536,9 @@ func (s *Scheduler) finish(w *Worker) {
 		// The socket went offline while this task ran: the worker parks
 		// instead of rejoining the free pool.
 		w.State = Parked
+	}
+	if t.Then != nil {
+		t.Then()
 	}
 }
 

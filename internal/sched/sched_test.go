@@ -305,3 +305,35 @@ func TestSubmitTwicePanics(t *testing.T) {
 	}()
 	s.Submit(task)
 }
+
+// TestTaskStartFinishAllocatesNothing: the scheduler hands every task its
+// worker's prebuilt done callback and runs Then from finish, so submitting,
+// starting and finishing a task allocates nothing beyond what the task's own
+// Run does — here nothing, and the barrier-style Then hook still runs once
+// per task, after the worker is free again.
+func TestTaskStartFinishAllocatesNothing(t *testing.T) {
+	s, _ := testSched(topology.FourSocketIvyBridge())
+	thens := 0
+	task := Task{
+		Affinity: 1, Hard: true,
+		Run: func(w *Worker, done func()) { done() },
+		Then: func() {
+			if s.WorkingWorkers() != 0 {
+				t.Error("Then ran before the worker was released")
+			}
+			thens++
+		},
+	}
+	cycle := func() {
+		task.enqueued = false
+		s.Submit(&task)
+		s.Tick(0) // now stays 0: the watchdog, which samples, never runs
+	}
+	cycle()
+	if n := testing.AllocsPerRun(100, cycle); n != 0 {
+		t.Fatalf("a task's start and finish allocate %v times, want 0", n)
+	}
+	if thens != 102 {
+		t.Fatalf("Then ran %d times over 102 tasks", thens)
+	}
+}

@@ -75,6 +75,7 @@ type Engine struct {
 	residual  []float64 // scratch for the allocator
 	load      []float64 // scratch for the allocator
 	cappedBuf []*Flow   // scratch for the allocator
+	doneBuf   []*Flow   // scratch for Step's completions
 
 	flows   []*Flow
 	nextSeq uint64
@@ -221,8 +222,11 @@ func (e *Engine) Step() {
 	}
 	e.allocate()
 
-	// Advance all flows and collect completions in deterministic (seq) order.
-	var done []*Flow
+	// Advance all flows and collect completions in deterministic (seq) order,
+	// into a buffer reused across steps (taken while the callbacks run, so a
+	// Step from inside one gets its own).
+	done := e.doneBuf[:0]
+	e.doneBuf = nil
 	kept := e.flows[:0]
 	for _, f := range e.flows {
 		progress := f.rate * e.step
@@ -262,6 +266,8 @@ func (e *Engine) Step() {
 			f.OnDone()
 		}
 	}
+	clear(done)
+	e.doneBuf = done[:0]
 }
 
 // Run steps the engine until virtual time reaches the given deadline.
