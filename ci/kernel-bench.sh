@@ -26,3 +26,9 @@ go test -bench '^BenchmarkScanOpen$' -benchtime=0.2s -count=3 -run '^$' ./intern
 # completion on an idle engine per "row" (the statement core's allocation pin
 # runs), with its allocations per statement alongside.
 go test -bench '^BenchmarkSubmit$' -benchtime=0.2s -count=3 -run '^$' ./internal/core
+
+# The simulator's step rides the gate too: its max-min allocation dominates
+# the host cost of a simulated second. One "row" is one Step, on a 4-socket
+# IvyBridge with 100 active flows shaped like the benchmark's mat-skew and on
+# the 32-socket IvyBridge with 256.
+go test -bench '^BenchmarkSimStep$' -benchtime=0.2s -count=3 -run '^$' ./internal/sim

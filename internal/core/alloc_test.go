@@ -36,13 +36,13 @@ func pinnedStatement() (e *Engine, run func()) {
 // TestPlainStatementAllocs pins the heap allocations of one plain statement
 // on an idle engine, from Submit through the simulator steps that complete
 // it: the plan is cached, each task costs one allocation (its Run), and the
-// materialization's demand vector is sized once. A change that adds an
+// flows run on recycled records, demand vectors included. A change that adds an
 // allocation to the statement path fails here; one that removes some
 // lowers the pin.
 func TestPlainStatementAllocs(t *testing.T) {
 	_, run := pinnedStatement()
 	run() // plan the shape and grow the simulator's buffers
-	const want = 31
+	const want = 18
 	if n := testing.AllocsPerRun(100, run); n != want {
 		t.Fatalf("one plain statement allocates %v times, want %v", n, want)
 	}

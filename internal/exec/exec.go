@@ -103,6 +103,9 @@ type Env struct {
 	// e.g. an interleaved dictionary); per-socket attribution is what lets
 	// the placer tell which replica of a replicated column earns its keep.
 	AddItemTraffic func(item string, socket int, t Traffic)
+
+	// freeFlows is the free list of flow records (see flowRec).
+	freeFlows *flowRec
 }
 
 // Traffic is one attribution sample for a data item: total DRAM bytes plus
@@ -378,7 +381,7 @@ type RowRange struct {
 // space split evenly). The find-phase fan-out uses PartitionsWeighted
 // instead so replica slices track current MC utilization.
 func Partitions(col *colstore.Column) []RowRange {
-	return PartitionsWeighted(col, nil)
+	return PartitionsWeighted(nil, col, nil)
 }
 
 // PartitionsWeighted is Partitions with replica-aware load balancing: for a
@@ -387,39 +390,45 @@ func Partitions(col *colstore.Column) []RowRange {
 // Env.MCLoad; nil or unreplicated falls back to an even split). A loaded
 // socket still receives a non-zero slice — the goal is to spread scan
 // traffic across all copies (Section 4.2's replication placement), weighted
-// away from saturated memory controllers, not to abandon them.
-func PartitionsWeighted(col *colstore.Column, mcLoad []float64) []RowRange {
+// away from saturated memory controllers, not to abandon them. The ranges
+// are written into buf's storage.
+func PartitionsWeighted(buf []RowRange, col *colstore.Column, mcLoad []float64) []RowRange {
+	n := col.NumPartitions()
+	if col.Replicated() {
+		n = len(col.ReplicaSockets)
+	}
+	out := buf[:0]
+	if cap(out) < n {
+		out = make([]RowRange, 0, n)
+	}
 	if col.Replicated() {
 		reps := col.ReplicaSockets
-		weights := make([]float64, len(reps))
-		total := 0.0
-		for i, sock := range reps {
-			w := 1.0
+		weight := func(sock int) float64 {
 			if mcLoad != nil && sock >= 0 && sock < len(mcLoad) {
-				w = 1 / (1 + mcLoad[sock])
+				return 1 / (1 + mcLoad[sock])
 			}
-			weights[i] = w
-			total += w
+			return 1
 		}
-		out := make([]RowRange, len(reps))
+		total := 0.0
+		for _, sock := range reps {
+			total += weight(sock)
+		}
 		from := 0
 		acc := 0.0
 		for i, sock := range reps {
-			acc += weights[i]
+			acc += weight(sock)
 			to := int(float64(col.Rows)*acc/total + 0.5)
 			if i == len(reps)-1 {
 				to = col.Rows
 			}
-			out[i] = RowRange{From: from, To: to, Socket: sock}
+			out = append(out, RowRange{From: from, To: to, Socket: sock})
 			from = to
 		}
 		return out
 	}
-	n := col.NumPartitions()
-	out := make([]RowRange, n)
-	for i := range out {
+	for i := 0; i < n; i++ {
 		f, t := col.PartitionBounds(i)
-		out[i] = RowRange{From: f, To: t, Socket: IVSocketForRows(col, f, t)}
+		out = append(out, RowRange{From: f, To: t, Socket: IVSocketForRows(col, f, t)})
 	}
 	return out
 }
@@ -498,16 +507,16 @@ func TasksPerPartition(hint, partitions int) int {
 }
 
 // SplitRows slices the row range [from,to) into at most n equal spans (fewer
-// when the range has fewer rows than n).
-func SplitRows(from, to, n int) [][2]int {
+// when the range has fewer rows than n), written into buf's storage.
+func SplitRows(buf [][2]int, from, to, n int) [][2]int {
 	rows := to - from
 	if n > rows {
 		n = rows
 	}
-	if n < 1 {
-		return nil
+	out := buf[:0]
+	if cap(out) < n {
+		out = make([][2]int, 0, n)
 	}
-	out := make([][2]int, 0, n)
 	for i := 0; i < n; i++ {
 		f := from + rows*i/n
 		t := from + rows*(i+1)/n
@@ -570,9 +579,10 @@ func IndexSocket(col *colstore.Column) int {
 	return -1 // interleaved
 }
 
-// ComponentWeights converts a component PSM into per-socket access fractions.
-func ComponentWeights(sockets int, p *psm.PSM) []float64 {
-	out := make([]float64, sockets)
+// ComponentWeights converts a component PSM into per-socket access
+// fractions, written into buf's storage.
+func ComponentWeights(buf []float64, sockets int, p *psm.PSM) []float64 {
+	out := socketWeights(buf, sockets)
 	if p == nil {
 		out[0] = 1
 		return out
@@ -591,19 +601,4 @@ func ComponentWeights(sockets int, p *psm.PSM) []float64 {
 		out[s] /= total
 	}
 	return out
-}
-
-// RunFlows executes flows sequentially on the simulator, then calls onDone.
-// It keeps no reference to the slice, so callers may pass stack storage.
-func RunFlows(s *sim.Engine, flows []*sim.Flow, onDone func()) {
-	if len(flows) == 0 {
-		onDone()
-		return
-	}
-	for i := 0; i < len(flows)-1; i++ {
-		next := flows[i+1]
-		flows[i].OnDone = func() { s.StartFlow(next) }
-	}
-	flows[len(flows)-1].OnDone = onDone
-	s.StartFlow(flows[0])
 }

@@ -120,12 +120,12 @@ func TestPartitionsWeightedSpreadsByMCLoad(t *testing.T) {
 	rep := colstore.NewSynthetic("REP", 40_000, 1<<12, false)
 	p.PlaceReplicated(rep, []int{0, 2})
 
-	even := PartitionsWeighted(rep, nil)
+	even := PartitionsWeighted(nil, rep, nil)
 	if len(even) != 2 || even[0].To-even[0].From != even[1].To-even[1].From {
 		t.Fatalf("nil load must split evenly: %+v", even)
 	}
 
-	loaded := PartitionsWeighted(rep, []float64{9, 0, 0, 0}) // socket 0 saturated
+	loaded := PartitionsWeighted(nil, rep, []float64{9, 0, 0, 0}) // socket 0 saturated
 	if len(loaded) != 2 {
 		t.Fatalf("want 2 slices, got %+v", loaded)
 	}
@@ -182,7 +182,7 @@ func TestBestReplica(t *testing.T) {
 }
 
 func TestSplitRows(t *testing.T) {
-	spans := SplitRows(100, 200, 4)
+	spans := SplitRows(nil, 100, 200, 4)
 	if len(spans) != 4 {
 		t.Fatalf("got %d spans", len(spans))
 	}
@@ -195,10 +195,10 @@ func TestSplitRows(t *testing.T) {
 		}
 	}
 	// More tasks than rows: clamp to one row per task.
-	if got := len(SplitRows(0, 3, 10)); got != 3 {
+	if got := len(SplitRows(nil, 0, 3, 10)); got != 3 {
 		t.Fatalf("clamped spans = %d, want 3", got)
 	}
-	if SplitRows(5, 5, 4) != nil {
+	if SplitRows(nil, 5, 5, 4) != nil {
 		t.Fatal("empty range should yield no spans")
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"numacs/internal/memsim"
 	"numacs/internal/psm"
 	"numacs/internal/sched"
-	"numacs/internal/sim"
 )
 
 // Join cost defaults.
@@ -93,8 +92,10 @@ func (j *JoinOp) fanOut(p *Pipeline, col *colstore.Column, cyclesPerRow, accesse
 	per := TasksPerPartition(p.Hint(), len(parts))
 	weights := j.htWeights(env)
 	var out []Task
+	var spans [][2]int
 	for _, pr := range parts {
-		for _, span := range SplitRows(pr.From, pr.To, per) {
+		spans = SplitRows(spans, pr.From, pr.To, per)
+		for _, span := range spans {
 			from, to := span[0], span[1]
 			out = append(out, Task{Socket: pr.Socket, Run: func(w *sched.Worker, done func()) {
 				j.runTask(env, w, col, from, to, cyclesPerRow, accessesPerRow, byteFrac, weights, done)
@@ -109,60 +110,31 @@ func (j *JoinOp) fanOut(p *Pipeline, col *colstore.Column, cyclesPerRow, accesse
 func (j *JoinOp) runTask(env *Env, w *sched.Worker, col *colstore.Column, from, to int,
 	cyclesPerRow, accessesPerRow, byteFrac float64, htWeights []float64, onDone func()) {
 
-	src := w.Socket()
 	// A replicated column streams from the replica with the most MC
 	// headroom, matching the per-replica task affinities Partitions derives
 	// for replicated columns.
 	var buf [psm.MaxSockets]int64
-	perSocket, _ := ivSocketBytes(env, col, src, from, to, buf[:])
-	penalty := 1.0
-	if !w.Bound {
-		penalty = env.Costs.UnboundStreamPenalty
-	}
+	perSocket, _ := ivSocketBytes(env, col, w.Socket(), from, to, buf[:])
 
 	// Phase A: stream the column slice (scaled down when a build filter means
 	// only a fraction of the rows is gathered).
-	var flowBuf [4]*sim.Flow
-	flows := flowBuf[:0]
+	var head *flowRec
+	link := &head // where the chain's next record goes
 	for dst, b := range perSocket {
 		fb := float64(b) * byteFrac
 		if fb == 0 {
 			continue
 		}
-		dst := dst
-		demands, lt := env.HW.StreamDemands(src, dst, w.CoreRes, joinStreamCyclesPerByte)
-		flows = append(flows, &sim.Flow{
-			Remaining: fb,
-			RateCap:   env.Machine.StreamRate(src, dst) * penalty,
-			Demands:   demands,
-			OnAdvance: func(p float64) {
-				env.Counters.AddMemoryTraffic(src, dst, p, p*lt.Data, p*lt.Total)
-			},
-		})
+		r := env.streamFlow(joinStreamFlow, w, dst, joinStreamCyclesPerByte, fb)
+		*link, link = r, &r.next
 	}
 	// Phase B: hash-table accesses.
-	accesses := float64(to-from) * accessesPerRow
-	demands, rateCap, _ := env.HW.RandomDemands(src, htWeights, w.CoreRes,
-		cyclesPerRow, 0, j.missRate())
-	if !w.Bound {
-		rateCap *= env.Costs.UnboundStreamPenalty
-	}
-	miss := j.missRate()
-	flows = append(flows, &sim.Flow{
-		Remaining: accesses,
-		RateCap:   rateCap,
-		Demands:   demands,
-		OnAdvance: func(p float64) {
-			b := p * 64 * miss
-			for dst, frac := range htWeights {
-				if frac > 0 {
-					env.Counters.AddMemoryTraffic(src, dst, b*frac, 0, 0)
-				}
-			}
-			env.Counters.AddCompute(src, p*cyclesPerRow, 0)
-		},
-	})
-	RunFlows(env.Sim, flows, onDone)
+	r := env.newFlow(joinHTFlow, w.Socket(), -1)
+	r.weights = append(r.weights, htWeights...)
+	r.randomAccess(w, float64(to-from)*accessesPerRow, cyclesPerRow, 0, j.missRate())
+	r.per = cyclesPerRow
+	*link = r
+	env.runChain(head, onDone)
 }
 
 // joinBuild is the build phase of a JoinOp.

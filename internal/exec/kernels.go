@@ -31,11 +31,13 @@ type KernelSpan struct {
 // within each partition (SplitRows). The returned spans are sorted by row
 // and cover the column's row space exactly once.
 func PlanSpans(col *colstore.Column, mcLoad []float64, hint int) []KernelSpan {
-	parts := PartitionsWeighted(col, mcLoad)
+	parts := PartitionsWeighted(nil, col, mcLoad)
 	perPart := TasksPerPartition(hint, len(parts))
 	spans := make([]KernelSpan, 0, len(parts)*perPart)
+	var rows [][2]int
 	for _, part := range parts {
-		for _, fr := range SplitRows(part.From, part.To, perPart) {
+		rows = SplitRows(rows, part.From, part.To, perPart)
+		for _, fr := range rows {
 			spans = append(spans, KernelSpan{From: fr[0], To: fr[1], Socket: part.Socket})
 		}
 	}

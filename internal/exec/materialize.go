@@ -3,8 +3,6 @@ package exec
 import (
 	"numacs/internal/colstore"
 	"numacs/internal/sched"
-	"numacs/internal/sim"
-	"numacs/internal/topology"
 )
 
 // outTask is one planned output task: m qualifying rows of one target column
@@ -174,35 +172,10 @@ func (m *MaterializeOp) Close(*Pipeline) {}
 // (output vectors reuse virtual memory, so writes land wherever the worker
 // runs — Section 5.2).
 func runMaterialize(env *Env, w *sched.Worker, col *colstore.Column, m int, onDone func()) {
-	src := w.Socket()
-	var dstWeights []float64
-	if col.Replicated() {
-		// Probe the dictionary replica with the most MC headroom (the
-		// nearest one on an idle machine).
-		dstWeights = make([]float64, env.Machine.Sockets)
-		dstWeights[BestReplica(env, col, src)] = 1
-	} else {
-		dstWeights = ComponentWeights(env.Machine.Sockets, col.DictPSM)
-	}
-	attrSocket := singleSocket(dstWeights)
-	demands, rateCap, lt := env.HW.RandomDemands(src, dstWeights, w.CoreRes,
-		env.Costs.MatCyclesPerAccess, env.Costs.OutBytesPerMatch, env.Costs.MatMissRate)
-	if !w.Bound {
-		rateCap *= env.Costs.UnboundStreamPenalty
-	}
-	miss := env.Costs.MatMissRate
-	env.Sim.StartFlow(&sim.Flow{
-		Remaining: float64(m),
-		RateCap:   rateCap,
-		Demands:   demands,
-		OnAdvance: func(p float64) {
-			bytes := p * topology.CacheLine * miss
-			env.addSpreadTraffic(src, dstWeights, bytes, p*lt.Data, p*lt.Total)
-			env.Counters.AddCompute(src, p*env.Costs.MatInstrPerAccess, 0)
-			env.addItem(col.Name, attrSocket, Traffic{Bytes: bytes + p*env.Costs.OutBytesPerMatch, DictBytes: bytes})
-		},
-		OnDone: onDone,
-	})
+	// A replicated dictionary is probed on the replica with the most MC
+	// headroom (the nearest one on an idle machine).
+	env.runChain(env.randomFlow(matFlow, w, col, col.DictPSM, float64(m),
+		env.Costs.MatCyclesPerAccess, env.Costs.OutBytesPerMatch, env.Costs.MatMissRate), onDone)
 }
 
 // AggregateOp aggregates the qualifying rows instead of materializing them
@@ -260,20 +233,8 @@ func (a *AggregateOp) runAggregate(env *Env, w *sched.Worker, col *colstore.Colu
 	if a.BytesPerRow > 0 {
 		cpb = a.CyclesPerRow / a.BytesPerRow
 	}
-	demands, lt := env.HW.StreamDemands(src, dst, w.CoreRes, cpb)
-	penalty := 1.0
-	if !w.Bound {
-		penalty = env.Costs.UnboundStreamPenalty
-	}
-	env.Sim.StartFlow(&sim.Flow{
-		Remaining: bytes,
-		RateCap:   env.Machine.StreamRate(src, dst) * penalty,
-		Demands:   demands,
-		OnAdvance: func(p float64) {
-			env.Counters.AddMemoryTraffic(src, dst, p, p*lt.Data, p*lt.Total)
-			env.Counters.AddCompute(src, p*cpb*0.8, 0)
-			env.addItem(col.Name, dst, Traffic{Bytes: p, IVBytes: p})
-		},
-		OnDone: onDone,
-	})
+	r := env.streamFlow(aggFlow, w, dst, cpb, bytes)
+	r.per = cpb
+	r.item = col.Name
+	env.runChain(r, onDone)
 }

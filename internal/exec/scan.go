@@ -9,8 +9,6 @@ import (
 	"numacs/internal/delta"
 	"numacs/internal/psm"
 	"numacs/internal/sched"
-	"numacs/internal/sim"
-	"numacs/internal/topology"
 )
 
 // ScanOp is the find phase of Section 5.2: parallel scan tasks over the
@@ -126,6 +124,10 @@ func (s *ScanOp) Open(p *Pipeline) []Task {
 	useIndex := IndexEligible(env.Costs, s.Table, s.Column, s.Selectivity, s.UseIndex)
 
 	var tasks []scanTask
+	// Fan-out scratch, reused across parts and predicate columns.
+	var partBuf [4]RowRange
+	var spanBuf [16][2]int
+	parts, spans := partBuf[:0], spanBuf[:0]
 	// plan emits the find tasks of one predicate column, resolved per part.
 	plan := func(cols []*colstore.Column, trackRegions bool) {
 		if !s.Parallel && !useIndex && len(cols) > 1 {
@@ -192,7 +194,7 @@ func (s *ScanOp) Open(p *Pipeline) []Task {
 					hint = 1
 				}
 			}
-			parts := PartitionsWeighted(col, mc.forColumn(col))
+			parts = PartitionsWeighted(parts, col, mc.forColumn(col))
 			per := TasksPerPartition(hint, len(parts))
 			for _, pr := range parts {
 				region := -1
@@ -200,7 +202,8 @@ func (s *ScanOp) Open(p *Pipeline) []Task {
 					region = len(s.regions)
 					s.regions = append(s.regions, Region{Col: col, Part: part, Socket: pr.Socket})
 				}
-				for _, span := range SplitRows(pr.From, pr.To, per) {
+				spans = SplitRows(spans, pr.From, pr.To, per)
+				for _, span := range spans {
 					tasks = append(tasks, scanTask{col: col, rowFrom: span[0], rowTo: span[1], region: region, socket: pr.Socket})
 				}
 			}
@@ -331,47 +334,30 @@ func (s *ScanOp) runScanAll(env *Env, w *sched.Worker, cols []*colstore.Column, 
 func (s *ScanOp) runScan(env *Env, w *sched.Worker, col *colstore.Column, from, to, matches int, onDone func()) {
 	// A replicated column streams from the replica with the most MC headroom
 	// (the nearest one when the machine is idle) instead of the primary copy.
-	src := w.Socket()
 	var buf [psm.MaxSockets]int64
-	perSocket, ivBytes := ivSocketBytes(env, col, src, from, to, buf[:])
-	penalty := 1.0
-	if !w.Bound {
-		penalty = env.Costs.UnboundStreamPenalty
-	}
+	perSocket, ivBytes := ivSocketBytes(env, col, w.Socket(), from, to, buf[:])
 	// Sequential flows, one per distinct source socket of the range.
 	// The match output uses the Section 5.2 result formats: a position list
 	// (4 bytes per match) at low selectivity, a bitvector (one bit per
 	// scanned row) at high selectivity — whichever is smaller at the
 	// configured threshold.
-	var flowBuf [4]*sim.Flow
-	flows := flowBuf[:0]
 	outBytes := float64(matches) * 4
 	if s.Selectivity >= env.Costs.BitvectorSelectivity {
 		outBytes = float64(to-from) / 8
 	}
 	outPerByte := outBytes / float64(ivBytes+1)
+	var head *flowRec
+	link := &head // where the chain's next record goes
 	for dst, bytes := range perSocket {
 		if bytes == 0 {
 			continue
 		}
-		dst := dst
-		demands, lt := env.HW.StreamDemands(src, dst, w.CoreRes, env.Costs.ScanCyclesPerByte)
-		if outPerByte > 0 {
-			demands = append(demands, sim.Demand{Resource: env.HW.MC[src], Weight: outPerByte})
-		}
-		fl := &sim.Flow{
-			Remaining: float64(bytes),
-			RateCap:   env.Machine.StreamRate(src, dst) * penalty,
-			Demands:   demands,
-			OnAdvance: func(p float64) {
-				env.Counters.AddMemoryTraffic(src, dst, p, p*lt.Data, p*lt.Total)
-				env.Counters.AddCompute(src, p*env.Costs.ScanInstrPerByte, 0)
-				env.addItem(col.Name, dst, Traffic{Bytes: p, IVBytes: p})
-			},
-		}
-		flows = append(flows, fl)
+		r := env.streamFlow(scanFlow, w, dst, env.Costs.ScanCyclesPerByte, float64(bytes))
+		r.writeOutput(outPerByte)
+		r.item = col.Name
+		*link, link = r, &r.next
 	}
-	RunFlows(env.Sim, flows, onDone)
+	env.runChain(head, onDone)
 }
 
 // runDeltaScan executes one delta-fragment scan task: stream the fragment's
@@ -381,61 +367,21 @@ func (s *ScanOp) runScan(env *Env, w *sched.Worker, col *colstore.Column, from, 
 // compute, plus the match output write.
 func (s *ScanOp) runDeltaScan(env *Env, w *sched.Worker, col *colstore.Column, frag *delta.Fragment, rows, matches int, onDone func()) {
 	bytes := float64(rows) * delta.RowBytes
-	src := w.Socket()
-	dst := frag.Socket
-	penalty := 1.0
-	if !w.Bound {
-		penalty = env.Costs.UnboundStreamPenalty
-	}
 	outBytes := float64(matches) * 4
 	if s.Selectivity >= env.Costs.BitvectorSelectivity {
 		outBytes = float64(rows) / 8
 	}
-	demands, lt := env.HW.StreamDemands(src, dst, w.CoreRes, env.Costs.DeltaScanCyclesPerByte)
-	if outBytes > 0 {
-		demands = append(demands, sim.Demand{Resource: env.HW.MC[src], Weight: outBytes / (bytes + 1)})
-	}
-	env.Sim.StartFlow(&sim.Flow{
-		Remaining: bytes,
-		RateCap:   env.Machine.StreamRate(src, dst) * penalty,
-		Demands:   demands,
-		OnAdvance: func(p float64) {
-			env.Counters.AddMemoryTraffic(src, dst, p, p*lt.Data, p*lt.Total)
-			env.Counters.AddCompute(src, p*env.Costs.ScanInstrPerByte, 0)
-			env.addItem(col.Name, dst, Traffic{Bytes: p, DeltaBytes: p})
-		},
-		OnDone: onDone,
-	})
+	r := env.streamFlow(deltaFlow, w, frag.Socket, env.Costs.DeltaScanCyclesPerByte, bytes)
+	r.writeOutput(outBytes / (bytes + 1))
+	r.item = col.Name
+	env.runChain(r, onDone)
 }
 
 // runIndexLookup executes one (unparallelized) index-lookup task: dependent
 // random accesses into the IX.
 func (s *ScanOp) runIndexLookup(env *Env, w *sched.Worker, col *colstore.Column, matches int, onDone func()) {
-	src := w.Socket()
+	// A replicated index is chased on the replica with the most MC headroom.
 	accesses := float64(matches)*env.Costs.IndexAccessesPerMatch + 16
-	dstWeights := ComponentWeights(env.Machine.Sockets, col.IXPSM)
-	if col.Replicated() {
-		// Chase the index replica with the most MC headroom.
-		dstWeights = make([]float64, env.Machine.Sockets)
-		dstWeights[BestReplica(env, col, src)] = 1
-	}
-	attrSocket := singleSocket(dstWeights)
-	demands, rateCap, lt := env.HW.RandomDemands(src, dstWeights, w.CoreRes,
-		env.Costs.IdxCyclesPerAccess, 4, env.Costs.IdxMissRate)
-	if !w.Bound {
-		rateCap *= env.Costs.UnboundStreamPenalty
-	}
-	miss := env.Costs.IdxMissRate
-	env.Sim.StartFlow(&sim.Flow{
-		Remaining: accesses,
-		RateCap:   rateCap,
-		Demands:   demands,
-		OnAdvance: func(p float64) {
-			bytes := p * topology.CacheLine * miss
-			env.addSpreadTraffic(src, dstWeights, bytes, p*lt.Data, p*lt.Total)
-			env.Counters.AddCompute(src, p*env.Costs.MatInstrPerAccess/2, 0)
-			env.addItem(col.Name, attrSocket, Traffic{Bytes: bytes, DictBytes: bytes})
-		},
-		OnDone: onDone,
-	})
+	env.runChain(env.randomFlow(indexFlow, w, col, col.IXPSM, accesses,
+		env.Costs.IdxCyclesPerAccess, 4, env.Costs.IdxMissRate), onDone)
 }

@@ -20,7 +20,6 @@ import (
 	"numacs/internal/delta"
 	"numacs/internal/psm"
 	"numacs/internal/sched"
-	"numacs/internal/sim"
 )
 
 // SharedPred is one member predicate of a shared scan pass.
@@ -130,6 +129,8 @@ func (s *SharedScanOp) Open(p *Pipeline) []Task {
 	s.bytesTotal, s.bytesDone = 0, 0
 	mc := mcSnapshot{env: env}
 	var tasks []sharedTask
+	var parts []RowRange
+	var spans [][2]int
 	for _, part := range s.Table.Parts {
 		col := part.ColumnByName(s.Column)
 		if col == nil {
@@ -142,14 +143,15 @@ func (s *SharedScanOp) Open(p *Pipeline) []Task {
 				hint = 1
 			}
 		}
-		parts := PartitionsWeighted(col, mc.forColumn(col))
+		parts = PartitionsWeighted(parts, col, mc.forColumn(col))
 		per := TasksPerPartition(hint, len(parts))
 		for _, pr := range parts {
 			region := len(s.regions[0])
 			for i := range s.regions {
 				s.regions[i] = append(s.regions[i], Region{Col: col, Part: part, Socket: pr.Socket})
 			}
-			for _, span := range SplitRows(pr.From, pr.To, per) {
+			spans = SplitRows(spans, pr.From, pr.To, per)
+			for _, span := range spans {
 				tasks = append(tasks, sharedTask{col: col, rowFrom: span[0], rowTo: span[1], region: region, socket: pr.Socket})
 			}
 		}
@@ -223,45 +225,25 @@ func memberOutBytes(env *Env, sel float64, matches, rows int) float64 {
 // traffic is attributed once per member.
 func (s *SharedScanOp) runShared(env *Env, w *sched.Worker, col *colstore.Column, from, to int, matches []int, onDone func()) {
 	n := len(matches)
-	src := w.Socket()
 	var buf [psm.MaxSockets]int64
-	perSocket, ivBytes := ivSocketBytes(env, col, src, from, to, buf[:])
-	penalty := 1.0
-	if !w.Bound {
-		penalty = env.Costs.UnboundStreamPenalty
-	}
+	perSocket, ivBytes := ivSocketBytes(env, col, w.Socket(), from, to, buf[:])
 	outBytes := 0.0
 	for i, pred := range s.Preds {
 		outBytes += memberOutBytes(env, pred.Selectivity, matches[i], to-from)
 	}
 	outPerByte := outBytes / float64(ivBytes+1)
-	var flowBuf [4]*sim.Flow
-	flows := flowBuf[:0]
+	var head *flowRec
+	link := &head // where the chain's next record goes
 	for dst, bytes := range perSocket {
 		if bytes == 0 {
 			continue
 		}
-		dst := dst
-		demands, lt := env.HW.StreamDemands(src, dst, w.CoreRes, env.Costs.SharedScanCyclesPerByte(n))
-		if outPerByte > 0 {
-			demands = append(demands, sim.Demand{Resource: env.HW.MC[src], Weight: outPerByte})
-		}
-		fl := &sim.Flow{
-			Remaining: float64(bytes),
-			RateCap:   env.Machine.StreamRate(src, dst) * penalty,
-			Demands:   demands,
-			OnAdvance: func(p float64) {
-				s.bytesDone += p
-				env.Counters.AddMemoryTraffic(src, dst, p, p*lt.Data, p*lt.Total)
-				env.Counters.AddCompute(src, p*env.Costs.SharedScanInstrPerByte(n), 0)
-				// One logical attribution per member; addItemTraffic is
-				// linear, so one n-scaled call equals n unit calls.
-				env.addItem(col.Name, dst, Traffic{Bytes: p * float64(n), IVBytes: p * float64(n)})
-			},
-		}
-		flows = append(flows, fl)
+		r := env.streamFlow(sharedFlow, w, dst, env.Costs.SharedScanCyclesPerByte(n), float64(bytes))
+		r.writeOutput(outPerByte)
+		r.item, r.n, r.shared = col.Name, n, s
+		*link, link = r, &r.next
 	}
-	RunFlows(env.Sim, flows, onDone)
+	env.runChain(head, onDone)
 }
 
 // runSharedDelta executes one shared delta-fragment task: the fragment's
@@ -270,30 +252,14 @@ func (s *SharedScanOp) runShared(env *Env, w *sched.Worker, col *colstore.Column
 func (s *SharedScanOp) runSharedDelta(env *Env, w *sched.Worker, col *colstore.Column, frag, rows int, matches []int, onDone func()) {
 	n := len(matches)
 	bytes := float64(rows) * delta.RowBytes
-	src := w.Socket()
-	penalty := 1.0
-	if !w.Bound {
-		penalty = env.Costs.UnboundStreamPenalty
-	}
 	outBytes := 0.0
 	for i, pred := range s.Preds {
 		outBytes += memberOutBytes(env, pred.Selectivity, matches[i], rows)
 	}
-	demands, lt := env.HW.StreamDemands(src, frag, w.CoreRes, env.Costs.SharedDeltaCyclesPerByte(n))
-	if outBytes > 0 {
-		demands = append(demands, sim.Demand{Resource: env.HW.MC[src], Weight: outBytes / (bytes + 1)})
-	}
-	env.Sim.StartFlow(&sim.Flow{
-		Remaining: bytes,
-		RateCap:   env.Machine.StreamRate(src, frag) * penalty,
-		Demands:   demands,
-		OnAdvance: func(p float64) {
-			env.Counters.AddMemoryTraffic(src, frag, p, p*lt.Data, p*lt.Total)
-			env.Counters.AddCompute(src, p*env.Costs.SharedScanInstrPerByte(n), 0)
-			env.addItem(col.Name, frag, Traffic{Bytes: p * float64(n), DeltaBytes: p * float64(n)})
-		},
-		OnDone: onDone,
-	})
+	r := env.streamFlow(sharedDeltaFlow, w, frag, env.Costs.SharedDeltaCyclesPerByte(n), bytes)
+	r.writeOutput(outBytes / (bytes + 1))
+	r.item, r.n = col.Name, n
+	env.runChain(r, onDone)
 }
 
 // WrapScanOp is the ClockScan-style wrap-around pass of a cohort's
@@ -337,13 +303,15 @@ func (wr *WrapScanOp) Open(p *Pipeline) []Task {
 	wr.regions = make([][]Region, n)
 	mc := mcSnapshot{env: env}
 	var out []Task
+	var parts []RowRange
+	var spans [][2]int
 	for _, part := range wr.Table.Parts {
 		col := part.ColumnByName(wr.Column)
 		if col == nil {
 			panic(fmt.Sprintf("exec: no column %s", wr.Column))
 		}
 		hint := cohortBudget(p, n, wr.FanoutCap)
-		parts := PartitionsWeighted(col, mc.forColumn(col))
+		parts = PartitionsWeighted(parts, col, mc.forColumn(col))
 		per := TasksPerPartition(hint, len(parts))
 		for _, pr := range parts {
 			// Full-column logical regions, per attacher.
@@ -365,7 +333,8 @@ func (wr *WrapScanOp) Open(p *Pipeline) []Task {
 			if to <= pr.From {
 				continue
 			}
-			for _, span := range SplitRows(pr.From, to, per) {
+			spans = SplitRows(spans, pr.From, to, per)
+			for _, span := range spans {
 				span := span
 				col := col
 				socket := pr.Socket
@@ -428,13 +397,8 @@ func (wr *WrapScanOp) Close(p *Pipeline) {
 // bytes (their outputs are produced across ride + wrap but charged here).
 func (wr *WrapScanOp) runWrap(env *Env, w *sched.Worker, col *colstore.Column, from, to int, onDone func()) {
 	n := len(wr.Preds)
-	src := w.Socket()
 	var buf [psm.MaxSockets]int64
-	perSocket, ivBytes := ivSocketBytes(env, col, src, from, to, buf[:])
-	penalty := 1.0
-	if !w.Bound {
-		penalty = env.Costs.UnboundStreamPenalty
-	}
+	perSocket, ivBytes := ivSocketBytes(env, col, w.Socket(), from, to, buf[:])
 	outBytes := 0.0
 	scanned := to - from
 	if frac := wr.Fraction; frac > 0 {
@@ -445,50 +409,27 @@ func (wr *WrapScanOp) runWrap(env *Env, w *sched.Worker, col *colstore.Column, f
 		}
 	}
 	outPerByte := outBytes / float64(ivBytes+1)
-	var flowBuf [4]*sim.Flow
-	flows := flowBuf[:0]
+	var head *flowRec
+	link := &head // where the chain's next record goes
 	for dst, bytes := range perSocket {
 		if bytes == 0 {
 			continue
 		}
-		dst := dst
-		demands, lt := env.HW.StreamDemands(src, dst, w.CoreRes, env.Costs.SharedScanCyclesPerByte(n))
-		if outPerByte > 0 {
-			demands = append(demands, sim.Demand{Resource: env.HW.MC[src], Weight: outPerByte})
-		}
-		flows = append(flows, &sim.Flow{
-			Remaining: float64(bytes),
-			RateCap:   env.Machine.StreamRate(src, dst) * penalty,
-			Demands:   demands,
-			OnAdvance: func(p float64) {
-				env.Counters.AddMemoryTraffic(src, dst, p, p*lt.Data, p*lt.Total)
-				env.Counters.AddCompute(src, p*env.Costs.SharedScanInstrPerByte(n), 0)
-			},
-		})
+		r := env.streamFlow(wrapFlow, w, dst, env.Costs.SharedScanCyclesPerByte(n), float64(bytes))
+		r.writeOutput(outPerByte)
+		r.n = n
+		*link, link = r, &r.next
 	}
-	RunFlows(env.Sim, flows, onDone)
+	env.runChain(head, onDone)
 }
 
 // runWrapDelta re-streams one delta fragment for the attachers.
 func (wr *WrapScanOp) runWrapDelta(env *Env, w *sched.Worker, col *colstore.Column, frag, rows int, onDone func()) {
 	n := len(wr.Preds)
 	bytes := float64(rows) * delta.RowBytes
-	src := w.Socket()
-	penalty := 1.0
-	if !w.Bound {
-		penalty = env.Costs.UnboundStreamPenalty
-	}
-	demands, lt := env.HW.StreamDemands(src, frag, w.CoreRes, env.Costs.SharedDeltaCyclesPerByte(n))
-	env.Sim.StartFlow(&sim.Flow{
-		Remaining: bytes,
-		RateCap:   env.Machine.StreamRate(src, frag) * penalty,
-		Demands:   demands,
-		OnAdvance: func(p float64) {
-			env.Counters.AddMemoryTraffic(src, frag, p, p*lt.Data, p*lt.Total)
-			env.Counters.AddCompute(src, p*env.Costs.SharedScanInstrPerByte(n), 0)
-		},
-		OnDone: onDone,
-	})
+	r := env.streamFlow(wrapFlow, w, frag, env.Costs.SharedDeltaCyclesPerByte(n), bytes)
+	r.n = n
+	env.runChain(r, onDone)
 }
 
 // StaticRegions feeds precomputed find-phase regions to a downstream output

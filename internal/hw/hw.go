@@ -32,7 +32,7 @@ type Hardware struct {
 	bcast      [][]sim.Demand
 	bcastLinks []float64 // total link-weight per byte, for traffic metrics
 
-	// mcw and linkw are RandomDemands' per-socket and per-link weight
+	// mcw and linkw are RandomDemandsInto's per-socket and per-link weight
 	// scratch. Sharing them is safe because an engine, with its hardware,
 	// runs on one goroutine.
 	mcw   []float64
@@ -102,15 +102,23 @@ type LinkTraffic struct {
 // per-byte link traffic for metrics. cyclesPerByte is the compute cost the
 // same flow exerts on its core.
 func (h *Hardware) StreamDemands(src, dst int, core sim.ResourceID, cyclesPerByte float64) ([]sim.Demand, LinkTraffic) {
+	return h.StreamDemandsInto(nil, src, dst, core, cyclesPerByte)
+}
+
+// StreamDemandsInto is StreamDemands writing the demand vector into buf's
+// storage. It allocates only when buf is too small for the vector plus one
+// demand the caller may append (the scan's output write).
+func (h *Hardware) StreamDemandsInto(buf []sim.Demand, src, dst int, core sim.ResourceID, cyclesPerByte float64) ([]sim.Demand, LinkTraffic) {
 	m := h.Machine
 	route := m.Route(src, dst)
 	snoops := 0
 	if h.bcast != nil {
 		snoops = len(h.bcast[src])
 	}
-	// Sized for every demand below plus one the caller may append (the
-	// scan's output write), so the vector is allocated once.
-	d := make([]sim.Demand, 0, 1+len(route)+snoops+2)
+	d := buf[:0]
+	if n := 1 + len(route) + snoops + 2; cap(d) < n {
+		d = make([]sim.Demand, 0, n)
+	}
 	var lt LinkTraffic
 	mcWeight := 1.0
 	if src != dst {
@@ -139,18 +147,18 @@ func (h *Hardware) StreamDemands(src, dst int, core sim.ResourceID, cyclesPerByt
 // model.
 const L3HitLatency = 15e-9
 
-// RandomDemands returns the demand vector for a dependent random-access flow
-// (units are accesses) from socket src to memory spread over dstWeights
-// (fraction of accesses hitting each socket; weights should sum to 1 — an
-// interleaved structure spreads uniformly, a plain one has a single non-zero
-// entry). missRate is the fraction of accesses missing the last-level cache
+// RandomDemandsInto returns the demand vector, written into buf's storage,
+// for a dependent random-access flow (units are accesses) from socket src
+// to memory spread over dstWeights (fraction of accesses hitting each
+// socket; weights should sum to 1 — an interleaved structure spreads
+// uniformly, a plain one has a single non-zero entry). missRate is the fraction of accesses missing the last-level cache
 // and reaching DRAM — dictionaries largely fit in the L3, which is what
 // makes materialization CPU-intensive rather than bandwidth-intensive
 // (Sections 6.1.5, 6.2.3/6.2.4). extraLocalBytes adds streaming bytes per
 // access on the local MC (e.g. output writes). cyclesPerAccess is the
-// compute cost. The returned cap is the latency-bound access rate. The
-// demand vector is the call's one allocation.
-func (h *Hardware) RandomDemands(src int, dstWeights []float64, core sim.ResourceID,
+// compute cost. The returned cap is the latency-bound access rate. The call
+// allocates only when buf is too small for the vector.
+func (h *Hardware) RandomDemandsInto(buf []sim.Demand, src int, dstWeights []float64, core sim.ResourceID,
 	cyclesPerAccess, extraLocalBytes, missRate float64) (demands []sim.Demand, rateCap float64, lt LinkTraffic) {
 
 	m := h.Machine
@@ -206,7 +214,10 @@ func (h *Hardware) RandomDemands(src int, dstWeights []float64, core sim.Resourc
 	if cyclesPerAccess > 0 && core != sim.Invalid {
 		n++
 	}
-	demands = make([]sim.Demand, 0, n)
+	demands = buf[:0]
+	if cap(demands) < n {
+		demands = make([]sim.Demand, 0, n)
+	}
 	for s, w := range mcw {
 		if w > 0 {
 			demands = append(demands, sim.Demand{Resource: h.MC[s], Weight: w})

@@ -2,6 +2,7 @@ package hw
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"numacs/internal/sim"
@@ -144,9 +145,9 @@ func TestRandomDemandsMissRate(t *testing.T) {
 	w := make([]float64, 4)
 	w[0] = 1
 	// Full miss: heavy MC demand, low cap.
-	_, capMiss, _ := h.RandomDemands(0, w, sim.Invalid, 0, 0, 1.0)
+	_, capMiss, _ := h.RandomDemandsInto(nil, 0, w, sim.Invalid, 0, 0, 1.0)
 	// Mostly hits: much higher cap, lighter MC demand.
-	dHit, capHit, _ := h.RandomDemands(0, w, sim.Invalid, 0, 0, 0.1)
+	dHit, capHit, _ := h.RandomDemandsInto(nil, 0, w, sim.Invalid, 0, 0, 0.1)
 	if capHit <= capMiss {
 		t.Fatalf("cache hits should raise the access rate: %v vs %v", capHit, capMiss)
 	}
@@ -171,7 +172,7 @@ func TestRandomDemandsInterleavedSpread(t *testing.T) {
 	e := sim.New(1e-4)
 	h := New(e, m)
 	w := []float64{0.25, 0.25, 0.25, 0.25}
-	d, rateCap, lt := h.RandomDemands(0, w, sim.Invalid, 0, 0, 1.0)
+	d, rateCap, lt := h.RandomDemandsInto(nil, 0, w, sim.Invalid, 0, 0, 1.0)
 	mcs := 0
 	for _, dem := range d {
 		for _, id := range h.MC {
@@ -200,7 +201,7 @@ func TestRandomDemandsExtraLocalBytes(t *testing.T) {
 	h := New(e, m)
 	w := make([]float64, 4)
 	w[2] = 1
-	d, _, _ := h.RandomDemands(1, w, sim.Invalid, 0, 12, 1.0)
+	d, _, _ := h.RandomDemandsInto(nil, 1, w, sim.Invalid, 0, 12, 1.0)
 	var localW float64
 	for _, dem := range d {
 		if dem.Resource == h.MC[1] {
@@ -244,7 +245,8 @@ func TestMCUtilization(t *testing.T) {
 // TestRandomDemandsAllocatesOnce: the per-socket and per-link weights live in
 // the Hardware's scratch, so a random-access flow's one allocation is its
 // demand vector, sized exactly — on a broadcast-snoop machine too, whose
-// snoops add link demands.
+// snoops add link demands — and a buffer that already holds one makes the
+// call allocate nothing. The same holds for a streaming flow's vector.
 func TestRandomDemandsAllocatesOnce(t *testing.T) {
 	for _, m := range []*topology.Machine{topology.FourSocketIvyBridge(), topology.EightSocketWestmere()} {
 		h := New(sim.New(1e-4), m)
@@ -254,12 +256,25 @@ func TestRandomDemandsAllocatesOnce(t *testing.T) {
 		}
 		var d []sim.Demand
 		if n := testing.AllocsPerRun(100, func() {
-			d, _, _ = h.RandomDemands(1, w, h.Core[1][0], 10, 4, 0.5)
+			d, _, _ = h.RandomDemandsInto(nil, 1, w, h.Core[1][0], 10, 4, 0.5)
 		}); n != 1 {
-			t.Fatalf("%s: RandomDemands allocates %v times, want 1", m.Name, n)
+			t.Fatalf("%s: RandomDemandsInto allocates %v times, want 1", m.Name, n)
 		}
 		if len(d) != cap(d) {
 			t.Fatalf("%s: demand vector len %d, cap %d", m.Name, len(d), cap(d))
+		}
+		want := slices.Clone(d)
+		if n := testing.AllocsPerRun(100, func() {
+			d, _, _ = h.RandomDemandsInto(d, 1, w, h.Core[1][0], 10, 4, 0.5)
+		}); n != 0 || !slices.Equal(d, want) {
+			t.Fatalf("%s: into a warm buffer RandomDemandsInto allocates %v times, gives %v, want %v", m.Name, n, d, want)
+		}
+		s, _ := h.StreamDemands(0, 2, h.Core[0][0], 0.5)
+		want = slices.Clone(s)
+		if n := testing.AllocsPerRun(100, func() {
+			s, _ = h.StreamDemandsInto(s, 0, 2, h.Core[0][0], 0.5)
+		}); n != 0 || !slices.Equal(s, want) {
+			t.Fatalf("%s: into a warm buffer StreamDemandsInto allocates %v times, gives %v, want %v", m.Name, n, s, want)
 		}
 	}
 }

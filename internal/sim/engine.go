@@ -3,7 +3,6 @@ package sim
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Time is virtual time in seconds.
@@ -31,7 +30,7 @@ type Flow struct {
 	// Remaining is the number of units (bytes, accesses, cycles) left.
 	Remaining float64
 	// RateCap bounds the flow's own progress rate (units/s), independent of
-	// resource contention. Zero or negative means "uncapped".
+	// resource contention. Zero means "uncapped".
 	RateCap float64
 	// Demands lists weighted resource consumption per unit of progress.
 	Demands []Demand
@@ -45,8 +44,7 @@ type Flow struct {
 	rate   float64
 	seq    uint64
 	active bool
-	frozen bool    // scratch for the allocator
-	effCap float64 // scratch: rate cap bounded by Remaining/step
+	frozen bool // scratch for the allocator
 }
 
 // Rate reports the most recently allocated rate (units/s).
@@ -69,13 +67,21 @@ type Engine struct {
 	step Time
 	now  Time
 
-	names     []string
-	caps      []float64
-	usage     []float64 // cumulative units consumed per resource
-	residual  []float64 // scratch for the allocator
-	load      []float64 // scratch for the allocator
-	cappedBuf []*Flow   // scratch for the allocator
-	doneBuf   []*Flow   // scratch for Step's completions
+	names   []string
+	caps    []float64
+	usage   []float64 // cumulative units consumed per resource
+	doneBuf []*Flow   // scratch for Step's completions
+
+	// Scratch for the allocator, reused across steps.
+	residual []float64    // per resource: capacity not yet handed out
+	load     []float64    // per resource: weight of the unfrozen flows
+	preLoad  []float64    // per resource: load before the round's freezes
+	preRound []uint64     // per resource: the round preLoad belongs to
+	round    uint64       // allocator rounds run so far
+	loaded   []ResourceID // resources with load, ascending
+	byCap    []capKey     // flows by effective cap
+	capTmp   []capKey     // sortByCap's merge buffer
+	live     []*Flow      // flows no bottleneck has frozen yet
 
 	flows   []*Flow
 	nextSeq uint64
@@ -119,6 +125,8 @@ func (e *Engine) AddResource(name string, capacity float64) ResourceID {
 	e.usage = append(e.usage, 0)
 	e.residual = append(e.residual, 0)
 	e.load = append(e.load, 0)
+	e.preLoad = append(e.preLoad, 0)
+	e.preRound = append(e.preRound, 0)
 	return id
 }
 
@@ -187,9 +195,29 @@ func (e *Engine) AddActor(a Actor) { e.actors = append(e.actors, a) }
 
 // StartFlow activates a flow. A zero-Remaining flow completes on the next
 // step. The same Flow value must not be started twice concurrently.
+//
+// It panics on a flow the allocator cannot order or fill: a Remaining that
+// is NaN, infinite or negative, a RateCap that is NaN or negative, or a
+// demand on an unregistered resource or with a NaN, infinite or negative
+// weight. Such a flow would otherwise poison every rate of the step.
 func (e *Engine) StartFlow(f *Flow) {
 	if f.active {
 		panic("sim: flow already active")
+	}
+	if !(f.Remaining >= 0) || math.IsInf(f.Remaining, 1) {
+		panic(fmt.Sprintf("sim: flow Remaining %v is not a finite non-negative number", f.Remaining))
+	}
+	if !(f.RateCap >= 0) {
+		panic(fmt.Sprintf("sim: flow RateCap %v is NaN or negative", f.RateCap))
+	}
+	for _, d := range f.Demands {
+		if d.Resource < 0 || int(d.Resource) >= len(e.caps) {
+			panic(fmt.Sprintf("sim: flow demands unregistered resource %d", d.Resource))
+		}
+		if !(d.Weight >= 0) || math.IsInf(d.Weight, 1) {
+			panic(fmt.Sprintf("sim: flow demand weight %v on %s is not a finite non-negative number",
+				d.Weight, e.names[d.Resource]))
+		}
 	}
 	f.active = true
 	f.seq = e.nextSeq
@@ -277,17 +305,33 @@ func (e *Engine) Run(until Time) {
 	}
 }
 
+// capKey is one flow's entry in the allocator's cap order.
+type capKey struct {
+	cap float64 // the flow's effective cap: RateCap bounded by Remaining/step
+	f   *Flow
+}
+
 // allocate computes a weighted max-min fair rate for every active flow via
 // progressive filling: repeatedly find the resource (or per-flow cap) that
 // saturates first if all unfrozen flows' rates rise uniformly, freeze the
 // affected flows at that level, and continue.
+//
+// Each round makes one pass over the resources that still carry load, in
+// ascending id order so bottleneck ties break toward the lowest id. The
+// pass first settles the previous round's drain — the capacity the unfrozen
+// flows consumed as they rose to the new level — and then finds the next
+// bottleneck. The drain is owed with the loads the previous round saw
+// before its freezes, which freeze records per resource, so every residual
+// sees the same subtractions in the same order as a separate drain pass
+// would give it.
 func (e *Engine) allocate() {
 	flows := e.flows
 	if len(flows) == 0 {
 		return
 	}
-	copy(e.residual, e.caps)
-	unfrozen := 0
+	load := e.load
+	clear(load)
+	byCap := e.byCap[:0]
 	for _, f := range flows {
 		f.frozen = false
 		f.rate = 0
@@ -295,69 +339,91 @@ func (e *Engine) allocate() {
 		// more would reserve capacity it cannot use and starve other flows
 		// (near-complete flows would otherwise hog resources for a whole
 		// step).
-		f.effCap = f.Remaining / e.step
-		if f.RateCap > 0 && f.RateCap < f.effCap {
-			f.effCap = f.RateCap
+		c := f.Remaining / e.step
+		if f.RateCap > 0 && f.RateCap < c {
+			c = f.RateCap
 		}
-		unfrozen++
-	}
-
-	// load[r] = sum of weights of unfrozen flows on resource r.
-	load := e.load
-	for r := range load {
-		load[r] = 0
-	}
-	for _, f := range flows {
+		byCap = append(byCap, capKey{c, f})
+		// load[r] = sum of weights of unfrozen flows on resource r.
 		for _, d := range f.Demands {
 			load[d.Resource] += d.Weight
 		}
 	}
-
-	// Flows sorted by effective cap, ascending. Stable by seq.
-	capped := e.cappedBuf[:0]
-	capped = append(capped, flows...)
-	sort.SliceStable(capped, func(i, j int) bool { return capped[i].effCap < capped[j].effCap })
-	e.cappedBuf = capped[:0]
+	loaded := e.loaded[:0]
+	for r, l := range load {
+		if l > 0 {
+			loaded = append(loaded, ResourceID(r))
+			e.residual[r] = e.caps[r]
+		}
+	}
+	e.loaded = loaded[:0]
+	// Flows by effective cap, ascending; equal caps stay in seq order.
+	e.byCap = byCap[:0]
+	byCap = sortByCap(byCap, &e.capTmp)
 	nextCap := 0
+	// live holds the flows not yet frozen by a bottleneck, in seq order
+	// (cap rounds freeze out of order, so it may still hold some of those).
+	live := append(e.live[:0], flows...)
+	e.live = live[:0]
+	unfrozen := len(flows)
 
 	level := 0.0 // current uniform rate level of all unfrozen flows
+	owed := 0.0  // the previous round's rise, not yet drained
 	for unfrozen > 0 {
-		// Headroom until the tightest resource saturates.
+		// Drain the previous round's rise, then find the headroom until the
+		// tightest resource saturates. A resource whose load fell to the
+		// scan threshold leaves the list: load only falls within a call, so
+		// it can never bind again and its residual is never read again.
 		limit := math.Inf(1)
-		bottleneck := ResourceID(-1)
-		for r := range e.residual {
-			if load[r] <= 1e-12 {
+		bottleneck := Invalid
+		kept := loaded[:0]
+		for _, r := range loaded {
+			l := load[r]
+			if owed > 0 {
+				pre := l
+				if e.preRound[r] == e.round {
+					pre = e.preLoad[r]
+				}
+				if pre > 0 {
+					e.residual[r] -= owed * pre
+					if e.residual[r] < 0 {
+						e.residual[r] = 0
+					}
+				}
+			}
+			if l <= 1e-12 {
 				continue
 			}
-			l := level + e.residual[r]/load[r]
-			if l < limit {
-				limit = l
-				bottleneck = ResourceID(r)
+			kept = append(kept, r)
+			if lim := level + e.residual[r]/l; lim < limit {
+				limit = lim
+				bottleneck = r
 			}
 		}
+		loaded = kept
+		e.round++
+
 		// Headroom until the next per-flow cap binds.
-		for nextCap < len(capped) && capped[nextCap].frozen {
+		for nextCap < len(byCap) && byCap[nextCap].f.frozen {
 			nextCap++
 		}
 		capLimit := math.Inf(1)
-		if nextCap < len(capped) {
-			capLimit = capped[nextCap].effCap
+		if nextCap < len(byCap) {
+			capLimit = byCap[nextCap].cap
 		}
 
 		if capLimit <= limit {
 			// Freeze every unfrozen flow whose cap is at this level.
 			target := capLimit
-			delta := target - level
-			if delta < 0 {
-				delta = 0
+			owed = target - level
+			if owed < 0 {
+				owed = 0
 				target = level
 			}
-			e.drain(flows, load, delta)
 			level = target
-			for nextCap < len(capped) && capped[nextCap].effCap <= target+1e-12 {
-				f := capped[nextCap]
-				if !f.frozen {
-					e.freeze(f, target, load)
+			for nextCap < len(byCap) && byCap[nextCap].cap <= target+1e-12 {
+				if f := byCap[nextCap].f; !f.frozen {
+					e.freeze(f, target)
 					unfrozen--
 				}
 				nextCap++
@@ -365,72 +431,108 @@ func (e *Engine) allocate() {
 			continue
 		}
 		// A resource saturates: freeze all unfrozen flows that use it.
-		delta := limit - level
-		e.drain(flows, load, delta)
+		owed = limit - level
 		level = limit
-		for _, f := range flows {
+		still := live[:0]
+		for _, f := range live {
 			if f.frozen {
 				continue
 			}
-			uses := false
-			for _, d := range f.Demands {
-				if d.Resource == bottleneck && d.Weight > 0 {
-					uses = true
-					break
-				}
-			}
-			if uses {
-				e.freeze(f, level, load)
+			if f.uses(bottleneck) {
+				e.freeze(f, level)
 				unfrozen--
+			} else {
+				still = append(still, f)
 			}
 		}
-		// Guard against numerical stalls: if nothing froze, freeze everything.
-		if delta <= 1e-15 {
-			stuck := true
-			for _, f := range flows {
-				if !f.frozen {
-					for _, d := range f.Demands {
-						if d.Resource == bottleneck && d.Weight > 0 {
-							stuck = false
-						}
-					}
-				}
+		live = still
+		// Guard against numerical stalls: a round that rose by (almost)
+		// nothing freezes every unfrozen flow at the current level. This
+		// also fires when two resources saturate at the same level, which
+		// caps flows that still have headroom elsewhere: a known defect,
+		// kept until its fix re-pins every simulated number.
+		if owed <= 1e-15 {
+			for _, f := range live {
+				e.freeze(f, level)
 			}
-			if stuck {
-				for _, f := range flows {
-					if !f.frozen {
-						e.freeze(f, level, load)
-						unfrozen--
-					}
-				}
-			}
+			unfrozen -= len(live)
+			live = live[:0]
 		}
 	}
 }
 
-// drain consumes residual capacity as all unfrozen flows rise by delta.
-func (e *Engine) drain(flows []*Flow, load []float64, delta float64) {
-	if delta <= 0 {
-		return
-	}
-	for r := range e.residual {
-		if load[r] > 0 {
-			e.residual[r] -= delta * load[r]
-			if e.residual[r] < 0 {
-				e.residual[r] = 0
-			}
+// uses reports whether the flow places positive demand on resource r.
+func (f *Flow) uses(r ResourceID) bool {
+	for _, d := range f.Demands {
+		if d.Resource == r && d.Weight > 0 {
+			return true
 		}
 	}
+	return false
 }
 
-// freeze fixes a flow's rate and removes its weights from the load vector.
-func (e *Engine) freeze(f *Flow, rate float64, load []float64) {
+// freeze fixes a flow's rate and removes its weights from the load vector,
+// recording each touched resource's load from before the round's first
+// freeze: the next round's pass drains with that load.
+func (e *Engine) freeze(f *Flow, rate float64) {
 	f.frozen = true
 	f.rate = rate
 	for _, d := range f.Demands {
-		load[d.Resource] -= d.Weight
-		if load[d.Resource] < 0 {
-			load[d.Resource] = 0
+		r := d.Resource
+		if e.preRound[r] != e.round {
+			e.preRound[r] = e.round
+			e.preLoad[r] = e.load[r]
+		}
+		e.load[r] -= d.Weight
+		if e.load[r] < 0 {
+			e.load[r] = 0
 		}
 	}
+}
+
+// sortRun is the length of the insertion-sorted runs sortByCap merges.
+const sortRun = 16
+
+// sortByCap sorts keys by cap, ascending and stably: insertion-sorted runs,
+// then bottom-up merges that alternate between keys and the scratch buffer
+// *tmp. It returns whichever of the two holds the result. With no NaN caps
+// (StartFlow rejects every input that could make one) the order is a strict
+// weak order, so the result equals any other stable sort's.
+func sortByCap(keys []capKey, tmp *[]capKey) []capKey {
+	n := len(keys)
+	for lo := 0; lo < n; lo += sortRun {
+		hi := min(lo+sortRun, n)
+		for i := lo + 1; i < hi; i++ {
+			for j := i; j > lo && keys[j].cap < keys[j-1].cap; j-- {
+				keys[j], keys[j-1] = keys[j-1], keys[j]
+			}
+		}
+	}
+	if n <= sortRun {
+		return keys
+	}
+	if cap(*tmp) < n {
+		*tmp = make([]capKey, n)
+	}
+	src, dst := keys, (*tmp)[:n]
+	for width := sortRun; width < n; width *= 2 {
+		for lo := 0; lo < n; lo += 2 * width {
+			mid, hi := min(lo+width, n), min(lo+2*width, n)
+			i, j, k := lo, mid, lo
+			for i < mid && j < hi {
+				if src[j].cap < src[i].cap {
+					dst[k] = src[j]
+					j++
+				} else {
+					dst[k] = src[i]
+					i++
+				}
+				k++
+			}
+			k += copy(dst[k:], src[i:mid])
+			copy(dst[k:], src[j:hi])
+		}
+		src, dst = dst, src
+	}
+	return src
 }
