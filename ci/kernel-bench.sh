@@ -29,6 +29,6 @@ go test -bench '^BenchmarkSubmit$' -benchtime=0.2s -count=3 -run '^$' ./internal
 
 # The simulator's step rides the gate too: its max-min allocation dominates
 # the host cost of a simulated second. One "row" is one Step, on a 4-socket
-# IvyBridge with 100 active flows shaped like the benchmark's mat-skew and on
-# the 32-socket IvyBridge with 256.
+# IvyBridge with the 139 active flows the benchmark's mat-skew keeps, in its
+# measured mix, and on the 32-socket IvyBridge with the same mix at 256.
 go test -bench '^BenchmarkSimStep$' -benchtime=0.2s -count=3 -run '^$' ./internal/sim

@@ -91,7 +91,7 @@ func measureStream(m *topology.Machine, dst int, srcSockets []int) float64 {
 		}
 		for c := 0; c < m.CoresPerSocket; c++ {
 			for t := 0; t < m.ThreadsPerCore; t++ {
-				demands, _ := h.StreamDemands(src, d, h.Core[src][c], 0.3)
+				demands, _ := h.StreamDemandsInto(nil, src, d, h.Core[src][c], 0.3)
 				eng.StartFlow(&sim.Flow{
 					Remaining: 1e15,
 					RateCap:   m.StreamRate(src, d),

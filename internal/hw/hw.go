@@ -97,16 +97,11 @@ type LinkTraffic struct {
 	Total float64
 }
 
-// StreamDemands returns the demand vector for a streaming flow of payload
-// bytes read by a thread on socket src from memory on socket dst, plus the
-// per-byte link traffic for metrics. cyclesPerByte is the compute cost the
-// same flow exerts on its core.
-func (h *Hardware) StreamDemands(src, dst int, core sim.ResourceID, cyclesPerByte float64) ([]sim.Demand, LinkTraffic) {
-	return h.StreamDemandsInto(nil, src, dst, core, cyclesPerByte)
-}
-
-// StreamDemandsInto is StreamDemands writing the demand vector into buf's
-// storage. It allocates only when buf is too small for the vector plus one
+// StreamDemandsInto returns the demand vector for a streaming flow of
+// payload bytes read by a thread on socket src from memory on socket dst,
+// plus the per-byte link traffic for metrics. cyclesPerByte is the compute
+// cost the same flow exerts on its core. The vector is written into buf's
+// storage; it allocates only when buf is too small for the vector plus one
 // demand the caller may append (the scan's output write).
 func (h *Hardware) StreamDemandsInto(buf []sim.Demand, src, dst int, core sim.ResourceID, cyclesPerByte float64) ([]sim.Demand, LinkTraffic) {
 	m := h.Machine

@@ -35,7 +35,7 @@ func TestStreamDemandsLocal(t *testing.T) {
 	m := topology.FourSocketIvyBridge()
 	e := sim.New(1e-4)
 	h := New(e, m)
-	d, lt := h.StreamDemands(0, 0, h.Core[0][0], 0.5)
+	d, lt := h.StreamDemandsInto(nil, 0, 0, h.Core[0][0], 0.5)
 	// Local: MC + core only, no links, no link traffic.
 	if len(d) != 2 {
 		t.Fatalf("local demands = %+v", d)
@@ -52,7 +52,7 @@ func TestStreamDemandsRemote(t *testing.T) {
 	m := topology.FourSocketIvyBridge()
 	e := sim.New(1e-4)
 	h := New(e, m)
-	d, lt := h.StreamDemands(0, 2, h.Core[0][0], 0)
+	d, lt := h.StreamDemandsInto(nil, 0, 2, h.Core[0][0], 0)
 	// Remote: penalized MC + one link.
 	foundMC, foundLink := false, false
 	for _, dem := range d {
@@ -83,7 +83,7 @@ func TestBroadcastSnoopAddsLinkDemandsToLocalStreams(t *testing.T) {
 	m := topology.EightSocketWestmere()
 	e := sim.New(1e-4)
 	h := New(e, m)
-	d, lt := h.StreamDemands(0, 0, h.Core[0][0], 0)
+	d, lt := h.StreamDemandsInto(nil, 0, 0, h.Core[0][0], 0)
 	links := 0
 	for _, dem := range d {
 		for _, id := range h.Link {
@@ -112,7 +112,7 @@ func TestBroadcastSnoopTotalsDeterministic(t *testing.T) {
 		h := New(sim.New(1e-4), m)
 		out := make([]float64, m.Sockets)
 		for s := range out {
-			_, lt := h.StreamDemands(s, s, sim.Invalid, 0)
+			_, lt := h.StreamDemandsInto(nil, s, s, sim.Invalid, 0)
 			out[s] = lt.Total
 		}
 		return out
@@ -132,7 +132,7 @@ func TestDirectoryMachineHasNoSnoopOnLocal(t *testing.T) {
 	m := topology.FourSocketIvyBridge()
 	e := sim.New(1e-4)
 	h := New(e, m)
-	d, _ := h.StreamDemands(1, 1, sim.Invalid, 0)
+	d, _ := h.StreamDemandsInto(nil, 1, 1, sim.Invalid, 0)
 	if len(d) != 1 {
 		t.Fatalf("directory local stream demands = %+v", d)
 	}
@@ -230,7 +230,7 @@ func TestMCUtilization(t *testing.T) {
 	m := topology.FourSocketIvyBridge()
 	e := sim.New(1e-3)
 	h := New(e, m)
-	d, _ := h.StreamDemands(0, 0, sim.Invalid, 0)
+	d, _ := h.StreamDemandsInto(nil, 0, 0, sim.Invalid, 0)
 	e.StartFlow(&sim.Flow{Remaining: 1e6, RateCap: 1e9, Demands: d})
 	e.Run(0.01)
 	u := h.MCUtilization()
@@ -269,7 +269,7 @@ func TestRandomDemandsAllocatesOnce(t *testing.T) {
 		}); n != 0 || !slices.Equal(d, want) {
 			t.Fatalf("%s: into a warm buffer RandomDemandsInto allocates %v times, gives %v, want %v", m.Name, n, d, want)
 		}
-		s, _ := h.StreamDemands(0, 2, h.Core[0][0], 0.5)
+		s, _ := h.StreamDemandsInto(nil, 0, 2, h.Core[0][0], 0.5)
 		want = slices.Clone(s)
 		if n := testing.AllocsPerRun(100, func() {
 			s, _ = h.StreamDemandsInto(s, 0, 2, h.Core[0][0], 0.5)

@@ -259,7 +259,7 @@ func TestAsyncTaskCompletion(t *testing.T) {
 		Affinity: 0,
 		Run: func(w *Worker, done func()) {
 			// Simulate a streaming phase: 1 MiB local scan.
-			demands, _ := h.StreamDemands(w.Socket(), 0, w.CoreRes, 0.5)
+			demands, _ := h.StreamDemandsInto(nil, w.Socket(), 0, w.CoreRes, 0.5)
 			e.StartFlow(&sim.Flow{
 				Remaining: 1 << 20,
 				RateCap:   m.StreamRate(w.Socket(), 0),

@@ -1,8 +1,10 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Time is virtual time in seconds.
@@ -75,12 +77,8 @@ type Engine struct {
 	// Scratch for the allocator, reused across steps.
 	residual []float64    // per resource: capacity not yet handed out
 	load     []float64    // per resource: weight of the unfrozen flows
-	preLoad  []float64    // per resource: load before the round's freezes
-	preRound []uint64     // per resource: the round preLoad belongs to
-	round    uint64       // allocator rounds run so far
 	loaded   []ResourceID // resources with load, ascending
 	byCap    []capKey     // flows by effective cap
-	capTmp   []capKey     // sortByCap's merge buffer
 	live     []*Flow      // flows no bottleneck has frozen yet
 
 	flows   []*Flow
@@ -125,8 +123,6 @@ func (e *Engine) AddResource(name string, capacity float64) ResourceID {
 	e.usage = append(e.usage, 0)
 	e.residual = append(e.residual, 0)
 	e.load = append(e.load, 0)
-	e.preLoad = append(e.preLoad, 0)
-	e.preRound = append(e.preRound, 0)
 	return id
 }
 
@@ -316,14 +312,9 @@ type capKey struct {
 // saturates first if all unfrozen flows' rates rise uniformly, freeze the
 // affected flows at that level, and continue.
 //
-// Each round makes one pass over the resources that still carry load, in
-// ascending id order so bottleneck ties break toward the lowest id. The
-// pass first settles the previous round's drain — the capacity the unfrozen
-// flows consumed as they rose to the new level — and then finds the next
-// bottleneck. The drain is owed with the loads the previous round saw
-// before its freezes, which freeze records per resource, so every residual
-// sees the same subtractions in the same order as a separate drain pass
-// would give it.
+// Each round scans only the resources that still carry load, in ascending
+// id order so bottleneck ties break toward the lowest id, and drains the
+// round's rise from the same list before its freezes.
 func (e *Engine) allocate() {
 	flows := e.flows
 	if len(flows) == 0 {
@@ -349,6 +340,7 @@ func (e *Engine) allocate() {
 			load[d.Resource] += d.Weight
 		}
 	}
+	e.byCap = byCap[:0]
 	loaded := e.loaded[:0]
 	for r, l := range load {
 		if l > 0 {
@@ -357,9 +349,14 @@ func (e *Engine) allocate() {
 		}
 	}
 	e.loaded = loaded[:0]
-	// Flows by effective cap, ascending; equal caps stay in seq order.
-	e.byCap = byCap[:0]
-	byCap = sortByCap(byCap, &e.capTmp)
+	// Flows by effective cap, ascending; equal caps in seq order, as
+	// e.flows lists them.
+	slices.SortFunc(byCap, func(a, b capKey) int {
+		if c := cmp.Compare(a.cap, b.cap); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.f.seq, b.f.seq)
+	})
 	nextCap := 0
 	// live holds the flows not yet frozen by a bottleneck, in seq order
 	// (cap rounds freeze out of order, so it may still hold some of those).
@@ -368,29 +365,16 @@ func (e *Engine) allocate() {
 	unfrozen := len(flows)
 
 	level := 0.0 // current uniform rate level of all unfrozen flows
-	owed := 0.0  // the previous round's rise, not yet drained
 	for unfrozen > 0 {
-		// Drain the previous round's rise, then find the headroom until the
-		// tightest resource saturates. A resource whose load fell to the
-		// scan threshold leaves the list: load only falls within a call, so
-		// it can never bind again and its residual is never read again.
+		// Headroom until the tightest resource saturates. A resource whose
+		// load fell to the scan threshold leaves the list: load only falls
+		// within a call, so it can never bind again and its residual is
+		// never read again.
 		limit := math.Inf(1)
 		bottleneck := Invalid
 		kept := loaded[:0]
 		for _, r := range loaded {
 			l := load[r]
-			if owed > 0 {
-				pre := l
-				if e.preRound[r] == e.round {
-					pre = e.preLoad[r]
-				}
-				if pre > 0 {
-					e.residual[r] -= owed * pre
-					if e.residual[r] < 0 {
-						e.residual[r] = 0
-					}
-				}
-			}
 			if l <= 1e-12 {
 				continue
 			}
@@ -401,7 +385,6 @@ func (e *Engine) allocate() {
 			}
 		}
 		loaded = kept
-		e.round++
 
 		// Headroom until the next per-flow cap binds.
 		for nextCap < len(byCap) && byCap[nextCap].f.frozen {
@@ -415,11 +398,12 @@ func (e *Engine) allocate() {
 		if capLimit <= limit {
 			// Freeze every unfrozen flow whose cap is at this level.
 			target := capLimit
-			owed = target - level
-			if owed < 0 {
-				owed = 0
+			delta := target - level
+			if delta < 0 {
+				delta = 0
 				target = level
 			}
+			e.drain(loaded, delta)
 			level = target
 			for nextCap < len(byCap) && byCap[nextCap].cap <= target+1e-12 {
 				if f := byCap[nextCap].f; !f.frozen {
@@ -431,7 +415,8 @@ func (e *Engine) allocate() {
 			continue
 		}
 		// A resource saturates: freeze all unfrozen flows that use it.
-		owed = limit - level
+		delta := limit - level
+		e.drain(loaded, delta)
 		level = limit
 		still := live[:0]
 		for _, f := range live {
@@ -451,12 +436,26 @@ func (e *Engine) allocate() {
 		// also fires when two resources saturate at the same level, which
 		// caps flows that still have headroom elsewhere: a known defect,
 		// kept until its fix re-pins every simulated number.
-		if owed <= 1e-15 {
+		if delta <= 1e-15 {
 			for _, f := range live {
 				e.freeze(f, level)
 			}
 			unfrozen -= len(live)
 			live = live[:0]
+		}
+	}
+}
+
+// drain hands out the capacity the unfrozen flows consume as their rates
+// rise by delta, on the given resources (all of which carry load).
+func (e *Engine) drain(loaded []ResourceID, delta float64) {
+	if delta <= 0 {
+		return
+	}
+	for _, r := range loaded {
+		e.residual[r] -= delta * e.load[r]
+		if e.residual[r] < 0 {
+			e.residual[r] = 0
 		}
 	}
 }
@@ -471,68 +470,14 @@ func (f *Flow) uses(r ResourceID) bool {
 	return false
 }
 
-// freeze fixes a flow's rate and removes its weights from the load vector,
-// recording each touched resource's load from before the round's first
-// freeze: the next round's pass drains with that load.
+// freeze fixes a flow's rate and removes its weights from the load vector.
 func (e *Engine) freeze(f *Flow, rate float64) {
 	f.frozen = true
 	f.rate = rate
 	for _, d := range f.Demands {
-		r := d.Resource
-		if e.preRound[r] != e.round {
-			e.preRound[r] = e.round
-			e.preLoad[r] = e.load[r]
-		}
-		e.load[r] -= d.Weight
-		if e.load[r] < 0 {
-			e.load[r] = 0
+		e.load[d.Resource] -= d.Weight
+		if e.load[d.Resource] < 0 {
+			e.load[d.Resource] = 0
 		}
 	}
-}
-
-// sortRun is the length of the insertion-sorted runs sortByCap merges.
-const sortRun = 16
-
-// sortByCap sorts keys by cap, ascending and stably: insertion-sorted runs,
-// then bottom-up merges that alternate between keys and the scratch buffer
-// *tmp. It returns whichever of the two holds the result. With no NaN caps
-// (StartFlow rejects every input that could make one) the order is a strict
-// weak order, so the result equals any other stable sort's.
-func sortByCap(keys []capKey, tmp *[]capKey) []capKey {
-	n := len(keys)
-	for lo := 0; lo < n; lo += sortRun {
-		hi := min(lo+sortRun, n)
-		for i := lo + 1; i < hi; i++ {
-			for j := i; j > lo && keys[j].cap < keys[j-1].cap; j-- {
-				keys[j], keys[j-1] = keys[j-1], keys[j]
-			}
-		}
-	}
-	if n <= sortRun {
-		return keys
-	}
-	if cap(*tmp) < n {
-		*tmp = make([]capKey, n)
-	}
-	src, dst := keys, (*tmp)[:n]
-	for width := sortRun; width < n; width *= 2 {
-		for lo := 0; lo < n; lo += 2 * width {
-			mid, hi := min(lo+width, n), min(lo+2*width, n)
-			i, j, k := lo, mid, lo
-			for i < mid && j < hi {
-				if src[j].cap < src[i].cap {
-					dst[k] = src[j]
-					j++
-				} else {
-					dst[k] = src[i]
-					i++
-				}
-				k++
-			}
-			k += copy(dst[k:], src[i:mid])
-			copy(dst[k:], src[j:hi])
-		}
-		src, dst = dst, src
-	}
-	return src
 }
