@@ -42,7 +42,7 @@ func pinnedStatement() (e *Engine, run func()) {
 func TestPlainStatementAllocs(t *testing.T) {
 	_, run := pinnedStatement()
 	run() // plan the shape and grow the simulator's buffers
-	const want = 18
+	const want = 17
 	if n := testing.AllocsPerRun(100, run); n != want {
 		t.Fatalf("one plain statement allocates %v times, want %v", n, want)
 	}

@@ -71,19 +71,22 @@ type Costs struct {
 
 // SharedScanCyclesPerByte returns the per-byte compute of an n-predicate
 // shared scan pass: one decode plus n-1 marginal predicate evaluations.
+// n = 1 is the private scan: the result is ScanCyclesPerByte exactly.
 func (c *Costs) SharedScanCyclesPerByte(n int) float64 {
 	return c.ScanCyclesPerByte + float64(n-1)*c.SharedPredCyclesPerByte
 }
 
 // SharedScanInstrPerByte returns the instructions-per-byte proxy of an
-// n-predicate shared scan pass.
+// n-predicate shared scan pass; n = 1 is the private scan's
+// ScanInstrPerByte exactly.
 func (c *Costs) SharedScanInstrPerByte(n int) float64 {
 	return c.ScanInstrPerByte + float64(n-1)*c.SharedPredInstrPerByte
 }
 
 // SharedDeltaCyclesPerByte returns the per-byte compute of an n-predicate
 // shared delta-fragment scan: the uncompressed row is loaded once and each
-// further member adds a marginal compare.
+// further member adds a marginal compare. n = 1 is the private delta scan's
+// DeltaScanCyclesPerByte exactly.
 func (c *Costs) SharedDeltaCyclesPerByte(n int) float64 {
 	return c.DeltaScanCyclesPerByte + float64(n-1)*c.SharedPredCyclesPerByte
 }

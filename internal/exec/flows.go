@@ -13,16 +13,14 @@ import (
 type flowKind uint8
 
 const (
-	scanFlow        flowKind = iota // IV stream of a find task
-	deltaFlow                       // delta-fragment stream of a find task
-	indexFlow                       // index lookups of a find task
-	matFlow                         // dictionary probes of an output task
-	aggFlow                         // payload stream of an aggregation task
-	joinStreamFlow                  // column stream of a join task
-	joinHTFlow                      // hash-table accesses of a join task
-	sharedFlow                      // IV stream of a cohort's shared pass
-	sharedDeltaFlow                 // delta stream of a cohort's shared pass
-	wrapFlow                        // re-stream of a cohort's wrap pass
+	scanFlow       flowKind = iota // IV stream of a find task or cohort pass
+	deltaFlow                      // delta-fragment stream of a find task or cohort pass
+	indexFlow                      // index lookups of a find task
+	matFlow                        // dictionary probes of an output task
+	aggFlow                        // payload stream of an aggregation task
+	joinStreamFlow                 // column stream of a join task
+	joinHTFlow                     // hash-table accesses of a join task
+	wrapFlow                       // re-stream of a cohort's wrap pass
 )
 
 // flowRec is one flow exec starts, with the state its accounting reads.
@@ -48,10 +46,12 @@ type flowRec struct {
 	attr int
 	// per is the kind's per-unit cost that the record fixes at start: the
 	// aggregation's cycles per byte or the join's cycles per row.
-	per    float64
-	miss   float64 // last-level-cache miss rate of a random-access flow
-	n      int     // members of a shared pass
-	shared *SharedScanOp
+	per  float64
+	miss float64 // last-level-cache miss rate of a random-access flow
+	// n is the member predicates a find stream evaluates (1 for a private
+	// scan); pass, when set, is the cohort pass whose progress it reports.
+	n    int
+	pass *SharedScanOp
 
 	weights []float64 // per-socket access fractions of a random-access flow
 
@@ -159,7 +159,7 @@ func (env *Env) runChain(head *flowRec, then func()) {
 // next record of its chain or fires the chain's then.
 func (r *flowRec) done() {
 	env, next, then := r.env, r.next, r.then
-	r.shared, r.then = nil, nil
+	r.pass, r.then = nil, nil
 	r.next = env.freeFlows
 	env.freeFlows = r
 	if next != nil {
@@ -175,13 +175,18 @@ func (r *flowRec) advance(p float64) {
 	env, c, src, dst, lt := r.env, r.env.Counters, r.src, r.dst, r.lt
 	switch r.kind {
 	case scanFlow:
+		if r.pass != nil {
+			r.pass.bytesDone += p
+		}
 		c.AddMemoryTraffic(src, dst, p, p*lt.Data, p*lt.Total)
-		c.AddCompute(src, p*env.Costs.ScanInstrPerByte, 0)
-		env.addItem(r.item, dst, Traffic{Bytes: p, IVBytes: p})
+		c.AddCompute(src, p*env.Costs.SharedScanInstrPerByte(r.n), 0)
+		// One logical attribution per member; addItemTraffic is linear, so
+		// one n-scaled call equals n unit calls.
+		env.addItem(r.item, dst, Traffic{Bytes: p * float64(r.n), IVBytes: p * float64(r.n)})
 	case deltaFlow:
 		c.AddMemoryTraffic(src, dst, p, p*lt.Data, p*lt.Total)
-		c.AddCompute(src, p*env.Costs.ScanInstrPerByte, 0)
-		env.addItem(r.item, dst, Traffic{Bytes: p, DeltaBytes: p})
+		c.AddCompute(src, p*env.Costs.SharedScanInstrPerByte(r.n), 0)
+		env.addItem(r.item, dst, Traffic{Bytes: p * float64(r.n), DeltaBytes: p * float64(r.n)})
 	case indexFlow:
 		bytes := p * topology.CacheLine * r.miss
 		env.addSpreadTraffic(src, r.weights, bytes, p*lt.Data, p*lt.Total)
@@ -206,17 +211,6 @@ func (r *flowRec) advance(p float64) {
 			}
 		}
 		c.AddCompute(src, p*r.per, 0)
-	case sharedFlow:
-		r.shared.bytesDone += p
-		c.AddMemoryTraffic(src, dst, p, p*lt.Data, p*lt.Total)
-		c.AddCompute(src, p*env.Costs.SharedScanInstrPerByte(r.n), 0)
-		// One logical attribution per member; addItemTraffic is linear, so
-		// one n-scaled call equals n unit calls.
-		env.addItem(r.item, dst, Traffic{Bytes: p * float64(r.n), IVBytes: p * float64(r.n)})
-	case sharedDeltaFlow:
-		c.AddMemoryTraffic(src, dst, p, p*lt.Data, p*lt.Total)
-		c.AddCompute(src, p*env.Costs.SharedScanInstrPerByte(r.n), 0)
-		env.addItem(r.item, dst, Traffic{Bytes: p * float64(r.n), DeltaBytes: p * float64(r.n)})
 	case wrapFlow:
 		c.AddMemoryTraffic(src, dst, p, p*lt.Data, p*lt.Total)
 		c.AddCompute(src, p*env.Costs.SharedScanInstrPerByte(r.n), 0)

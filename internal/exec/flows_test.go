@@ -8,13 +8,16 @@ import (
 )
 
 // TestFlowTasksAllocateNothing: once its Env has records on the free list, a
-// scan task — here a chain of four flows over an IVP-partitioned column —
-// and a materialize task run on recycled records and allocate nothing.
+// find stream — here a chain of four flows over an IVP-partitioned column,
+// private or a three-member cohort pass reporting its progress — and a
+// materialize task run on recycled records and allocate nothing.
 func TestFlowTasksAllocateNothing(t *testing.T) {
 	env := testEnv()
 	col := colstore.NewSynthetic("C", 100_000, 1<<17, false)
 	placement.New(env.Machine).PlaceIVP(col, []int{0, 1, 2, 3})
-	scan := &ScanOp{Selectivity: 1e-5}
+	private := findStream{col: col, to: col.Rows, n: 1, outBytes: 40}
+	pass := &SharedScanOp{}
+	shared := findStream{col: col, to: col.Rows, n: 3, outBytes: 120, pass: pass}
 	w := env.Sched.TGs[0].Workers[0]
 	w.Bound = true
 
@@ -24,7 +27,8 @@ func TestFlowTasksAllocateNothing(t *testing.T) {
 		name  string
 		start func()
 	}{
-		{"scan", func() { scan.runScan(env, w, col, 0, col.Rows, 10, done) }},
+		{"private scan", func() { private.runIV(env, w, done) }},
+		{"shared scan", func() { shared.runIV(env, w, done) }},
 		{"materialize", func() { runMaterialize(env, w, col, 1000, done) }},
 	} {
 		run := func() {
@@ -38,6 +42,9 @@ func TestFlowTasksAllocateNothing(t *testing.T) {
 		if n := testing.AllocsPerRun(20, run); n != 0 {
 			t.Errorf("a %s task on a warm Env allocates %v times, want 0", task.name, n)
 		}
+	}
+	if pass.bytesDone == 0 {
+		t.Error("the shared stream reported no progress to its pass")
 	}
 	records := 0
 	for r := env.freeFlows; r != nil; r = r.next {

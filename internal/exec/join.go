@@ -83,24 +83,20 @@ func (j *JoinOp) htWeights(env *Env) []float64 {
 	return w
 }
 
-// fanOut plans one join phase over the column's scheduling partitions: each
-// task streams its share of the column and performs hash-table accesses
-// (inserts during build, probes afterwards).
+// fanOut plans one join phase with the find phase's fan-out (PlanSpans,
+// replica slices split evenly): each task streams its share of the column
+// and performs hash-table accesses (inserts during build, probes
+// afterwards).
 func (j *JoinOp) fanOut(p *Pipeline, col *colstore.Column, cyclesPerRow, accessesPerRow, byteFrac float64) []Task {
 	env := p.Env
-	parts := Partitions(col)
-	per := TasksPerPartition(p.Hint(), len(parts))
 	weights := j.htWeights(env)
-	var out []Task
-	var spans [][2]int
-	for _, pr := range parts {
-		spans = SplitRows(spans, pr.From, pr.To, per)
-		for _, span := range spans {
-			from, to := span[0], span[1]
-			out = append(out, Task{Socket: pr.Socket, Run: func(w *sched.Worker, done func()) {
-				j.runTask(env, w, col, from, to, cyclesPerRow, accessesPerRow, byteFrac, weights, done)
-			}})
-		}
+	var spanBuf [16]KernelSpan
+	spans := PlanSpans(spanBuf[:0], col, nil, p.Hint())
+	out := make([]Task, len(spans))
+	for i, sp := range spans {
+		out[i] = Task{Socket: sp.Socket, Run: func(w *sched.Worker, done func()) {
+			j.runTask(env, w, col, sp.From, sp.To, cyclesPerRow, accessesPerRow, byteFrac, weights, done)
+		}}
 	}
 	return out
 }

@@ -1,7 +1,7 @@
 package exec
 
 import (
-	"sort"
+	"slices"
 
 	"numacs/internal/colstore"
 )
@@ -9,8 +9,8 @@ import (
 // This file is the bridge between the two halves of the engine: the exec
 // operators plan and *cost* scans over a simulated machine (sim.Flow
 // traffic, analytic match counts), while the colstore batch kernels touch
-// real data. The kernel layer runs the operators' planning functions as pure
-// code and executes the resulting task plan with the real word-parallel
+// real data. The kernel layer plans with the operators' own fan-out
+// (PlanSpans) and executes the resulting spans with the real word-parallel
 // kernels, so the cost model's claims (ScanCyclesPerByte for private finds,
 // the SharedPredCyclesPerByte marginal cost of cohort members,
 // MatCyclesPerAccess for the output phase) are backed by runnable,
@@ -18,30 +18,36 @@ import (
 
 // KernelSpan is one executable slice of a scan plan: rows [From, To) of a
 // column, tagged with the socket whose memory backs the majority of those IV
-// bytes (-1 when the column has not been placed). It is the hand-off between
-// the simulated planner and the colstore batch kernels.
+// bytes (-1 when the column has not been placed) and the index Part of the
+// scheduling partition the rows lie in. It is the hand-off between the
+// simulated planner and the colstore batch kernels.
 type KernelSpan struct {
-	From, To, Socket int
+	From, To, Socket, Part int
 }
 
-// PlanSpans runs the find-phase fan-out of ScanOp.Open as a pure function:
+// PlanSpans is the find-phase fan-out of ScanOp, SharedScanOp and JoinOp:
 // scheduling partitions from PartitionsWeighted (replica- and IVP-aware,
 // weighted away from loaded memory controllers), a per-partition task count
 // from the concurrency hint (TasksPerPartition), and an even row split
-// within each partition (SplitRows). The returned spans are sorted by row
-// and cover the column's row space exactly once.
-func PlanSpans(col *colstore.Column, mcLoad []float64, hint int) []KernelSpan {
-	parts := PartitionsWeighted(nil, col, mcLoad)
-	perPart := TasksPerPartition(hint, len(parts))
-	spans := make([]KernelSpan, 0, len(parts)*perPart)
-	var rows [][2]int
+// within each partition (SplitRows). The spans are written into buf's
+// storage in partition order, which is row order: they cover the column's
+// row space exactly once, and an empty partition contributes none.
+func PlanSpans(buf []KernelSpan, col *colstore.Column, mcLoad []float64, hint int) []KernelSpan {
+	var partBuf [8]RowRange
+	var rowBuf [16][2]int
+	parts, rows := PartitionsWeighted(partBuf[:0], col, mcLoad), rowBuf[:0]
+	per := TasksPerPartition(hint, len(parts))
+	n := 0
 	for _, part := range parts {
-		rows = SplitRows(rows, part.From, part.To, perPart)
+		n += min(per, part.To-part.From)
+	}
+	spans := slices.Grow(buf[:0], n)
+	for i, part := range parts {
+		rows = SplitRows(rows, part.From, part.To, per)
 		for _, fr := range rows {
-			spans = append(spans, KernelSpan{From: fr[0], To: fr[1], Socket: part.Socket})
+			spans = append(spans, KernelSpan{From: fr[0], To: fr[1], Socket: part.Socket, Part: i})
 		}
 	}
-	sort.Slice(spans, func(i, j int) bool { return spans[i].From < spans[j].From })
 	return spans
 }
 

@@ -46,9 +46,26 @@ func checkSpanCoverage(t *testing.T, spans []KernelSpan, rows int) {
 	}
 }
 
+// checkSpanParts asserts that the spans' Part indexes are non-decreasing and
+// that every span lies inside the scheduling partition it names.
+func checkSpanParts(t *testing.T, spans []KernelSpan, parts []RowRange) {
+	t.Helper()
+	for i, sp := range spans {
+		if i > 0 && sp.Part < spans[i-1].Part {
+			t.Fatalf("span %d: part %d after part %d", i, sp.Part, spans[i-1].Part)
+		}
+		if sp.Part < 0 || sp.Part >= len(parts) {
+			t.Fatalf("span %d: part %d of %d", i, sp.Part, len(parts))
+		}
+		if pr := parts[sp.Part]; sp.From < pr.From || sp.To > pr.To || sp.Socket != pr.Socket {
+			t.Fatalf("span %d %+v outside its partition %+v", i, sp, pr)
+		}
+	}
+}
+
 // TestPlanSpansCoverRowSpace: for IVP-partitioned, replicated, and unplaced
 // columns, across concurrency hints, the plan must cover the row space
-// exactly once in ascending order.
+// exactly once in ascending order, partition by partition.
 func TestPlanSpansCoverRowSpace(t *testing.T) {
 	m := topology.FourSocketIvyBridge()
 	p := placement.New(m)
@@ -61,8 +78,9 @@ func TestPlanSpansCoverRowSpace(t *testing.T) {
 
 	for _, col := range []*colstore.Column{ivp, rep, unplaced} {
 		for _, hint := range []int{0, 1, 3, 16} {
-			spans := PlanSpans(col, nil, hint)
+			spans := PlanSpans(nil, col, nil, hint)
 			checkSpanCoverage(t, spans, col.Rows)
+			checkSpanParts(t, spans, Partitions(col))
 			if hint > 0 && len(spans) < hint {
 				t.Fatalf("%s hint=%d: only %d spans", col.Name, hint, len(spans))
 			}
@@ -71,11 +89,13 @@ func TestPlanSpansCoverRowSpace(t *testing.T) {
 
 	// A loaded memory controller reshapes replica slices but must not break
 	// coverage.
-	spans := PlanSpans(rep, []float64{9, 0, 0, 0}, 8)
+	load := []float64{9, 0, 0, 0}
+	spans := PlanSpans(nil, rep, load, 8)
 	checkSpanCoverage(t, spans, rep.Rows)
+	checkSpanParts(t, spans, PartitionsWeighted(nil, rep, load))
 
 	// Span sockets inherit the partition sockets of the underlying plan.
-	for _, sp := range PlanSpans(rep, nil, 4) {
+	for _, sp := range PlanSpans(nil, rep, nil, 4) {
 		if sp.Socket != 0 && sp.Socket != 2 {
 			t.Fatalf("replica span on socket %d, want 0 or 2", sp.Socket)
 		}
@@ -87,7 +107,7 @@ func TestPlanSpansCoverRowSpace(t *testing.T) {
 // for windows that clip the dictionary, miss it entirely, and cover it.
 func TestScanKernelMatchesWholeColumnScan(t *testing.T) {
 	col := buildKernelColumn(t, 30_000, 17)
-	spans := PlanSpans(col, nil, 7)
+	spans := PlanSpans(nil, col, nil, 7)
 	checkSpanCoverage(t, spans, col.Rows)
 	for _, pr := range [][2]int64{{0, 49}, {1000, 5000}, {-100, -1}, {30_000, 40_000}, {-1 << 40, 1 << 40}, {7, 7}} {
 		var want []uint32
@@ -111,7 +131,7 @@ func TestScanKernelMatchesWholeColumnScan(t *testing.T) {
 // member whose window misses the dictionary.
 func TestSharedScanKernelMatchesPrivateKernels(t *testing.T) {
 	col := buildKernelColumn(t, 20_000, 23)
-	spans := PlanSpans(col, nil, 5)
+	spans := PlanSpans(nil, col, nil, 5)
 	preds := [][2]int64{{0, 30}, {500, 9000}, {-50, -10}, {10, 15_000}, {19_999, 19_999}}
 	outs := SharedScanKernel(col, preds, spans, make([][]uint32, len(preds)))
 	if len(outs) != len(preds) {
@@ -134,7 +154,7 @@ func TestSharedScanKernelMatchesPrivateKernels(t *testing.T) {
 // with per-row Value at every qualifying position.
 func TestMaterializeKernelMatchesPointLookups(t *testing.T) {
 	col := buildKernelColumn(t, 10_000, 31)
-	spans := PlanSpans(col, nil, 3)
+	spans := PlanSpans(nil, col, nil, 3)
 	positions := ScanKernel(col, 0, 49, spans, nil)
 	if len(positions) == 0 {
 		t.Fatal("fixture predicate matched nothing")

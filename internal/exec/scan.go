@@ -40,48 +40,6 @@ type ScanOp struct {
 // conjunctive extra-predicate intersection already applied.
 func (s *ScanOp) Regions() []Region { return s.regions }
 
-// jitterMatches derives a deterministic approximate match count for a row
-// range: the analytic expectation of the uniform data generator with a small
-// per-task jitter, standing in for actually running the scan kernel (the
-// kernels themselves are implemented and tested in package colstore; the
-// harness uses the analytic count so experiments over hundreds of thousands
-// of queries stay tractable).
-func (s *ScanOp) jitterMatches(env *Env, rows int) int {
-	exp := s.Selectivity * float64(rows)
-	f := 0.95 + 0.1*env.Rand.Float64()
-	m := int(exp*f + 0.5)
-	if m > rows {
-		m = rows
-	}
-	return m
-}
-
-// scanTask is one planned find-phase task.
-type scanTask struct {
-	col     *colstore.Column
-	rowFrom int
-	rowTo   int
-	region  int // -1 for extra predicate columns
-	// socket is the data socket resolved at plan time (replica-aware), kept
-	// on the task so replica slices and extra-predicate tasks retain their
-	// placement even when no region is tracked.
-	socket    int
-	indexTask bool
-	// allCols, when set, makes this a single unparallelized task that scans
-	// every physical part sequentially — with parallelism disabled, one task
-	// must access the remote sockets of the other parts itself (the Figure 10
-	// effect).
-	allCols []*colstore.Column
-	// deltaFrag, when set, makes this a delta-fragment scan: deltaRows
-	// watermark-visible uncompressed rows streamed from the fragment's own
-	// socket, unioned with the main scan at the find barrier. deltaMatches
-	// is the analytic match count (no jitter: the read-only RNG stream must
-	// stay untouched when no writes were ever issued).
-	deltaFrag    *delta.Fragment
-	deltaRows    int
-	deltaMatches int
-}
-
 // IndexEligible is the single source of truth for the index-vs-scan decision:
 // the statement permits index use, the selectivity clears the cost model's
 // threshold, and the column actually carries an index. ScanOp.Open applies it
@@ -112,177 +70,111 @@ func (s *ScanOp) columns(name string, buf []*colstore.Column) []*colstore.Column
 // Open plans and emits the find tasks. Only the primary predicate column
 // tracks regions (the materialization input); additional predicate columns
 // run the same find phase in parallel and merely intersect the result
-// (Section 6's multi-predicate discussion).
+// (Section 6's multi-predicate discussion). Each task draws its matches as it
+// is planned, in task order.
 func (s *ScanOp) Open(p *Pipeline) []Task {
 	env := p.Env
 	s.regions = s.regions[:0] // support operator reuse across pipelines
 	// Every replica-socket decision of this statement sees one MC-load
 	// snapshot, taken lazily by the first replicated column that needs it.
 	mc := mcSnapshot{env: env}
-	var primaryBuf, extraBuf [4]*colstore.Column
-	primary := s.columns(s.Column, primaryBuf[:])
 	useIndex := IndexEligible(env.Costs, s.Table, s.Column, s.Selectivity, s.UseIndex)
-
-	var tasks []scanTask
-	// Fan-out scratch, reused across parts and predicate columns.
-	var partBuf [4]RowRange
-	var spanBuf [16][2]int
-	parts, spans := partBuf[:0], spanBuf[:0]
+	var colBuf [4]*colstore.Column
+	var spanBuf [16]KernelSpan
+	var fragBuf [4]RowRange
+	var out []Task
+	track := true
+	// region opens a tracked region; emit appends a task whose m matches
+	// join the region opened last.
+	region := func(col *colstore.Column, part *colstore.Part, socket int) {
+		if track {
+			s.regions = append(s.regions, Region{Col: col, Part: part, Socket: socket})
+		}
+	}
+	emit := func(t Task, m int) {
+		if track {
+			s.regions[len(s.regions)-1].Matches += m
+		}
+		out = append(out, t)
+	}
+	// stream emits a private find stream of rows [from,to).
+	stream := func(fs findStream, m int) {
+		fs.n, fs.outBytes = 1, resultBytes(env, s.Selectivity, m, fs.to-fs.from)
+		emit(fs.task(env), m)
+	}
 	// plan emits the find tasks of one predicate column, resolved per part.
-	plan := func(cols []*colstore.Column, trackRegions bool) {
+	plan := func(name string) {
+		cols := s.columns(name, colBuf[:])
 		if !s.Parallel && !useIndex && len(cols) > 1 {
 			rows := 0
 			for _, c := range cols {
 				rows += c.Rows
 			}
 			socket := cols[0].IVPSM.MajoritySocket()
-			region := -1
-			if trackRegions {
-				region = len(s.regions)
-				s.regions = append(s.regions, Region{
-					Col: cols[0], Part: s.Table.Parts[0], Socket: socket,
-				})
-			}
-			tasks = append(tasks, scanTask{col: cols[0], rowFrom: 0, rowTo: rows, region: region, socket: socket, allCols: slices.Clone(cols)})
-			return
-		}
-		for i, col := range cols {
-			part := s.Table.Parts[i]
-			if useIndex {
-				// Index lookups on a replicated column chase the replica with
-				// the most MC headroom; otherwise the IX's own socket.
-				socket := IndexSocket(col)
-				if col.Replicated() {
-					socket = leastLoadedSocket(col.ReplicaSockets, mc.forColumn(col))
-				}
-				region := -1
-				if trackRegions {
-					region = len(s.regions)
-					s.regions = append(s.regions, Region{Col: col, Part: part, Socket: socket})
-				}
-				tasks = append(tasks, scanTask{col: col, rowFrom: 0, rowTo: col.Rows, region: region, socket: socket, indexTask: true})
-				continue
-			}
-			if !s.Parallel {
-				// Single task spanning everything; region socket is the IV
-				// majority socket — except for a replicated column, where any
-				// replica serves the whole scan locally: the task goes to the
-				// replica socket with the most MC headroom (the Figure 10
-				// single-task remote-access penalty is exactly what
-				// replication removes).
-				socket := col.IVPSM.MajoritySocket()
-				if col.Replicated() {
-					socket = leastLoadedSocket(col.ReplicaSockets, mc.forColumn(col))
-				}
-				region := -1
-				if trackRegions {
-					region = len(s.regions)
-					s.regions = append(s.regions, Region{Col: col, Part: part, Socket: socket})
-				}
-				tasks = append(tasks, scanTask{col: col, rowFrom: 0, rowTo: col.Rows, region: region, socket: socket})
-				continue
-			}
-			// Tasks per partition: the concurrency hint rounded up to a
-			// multiple of the scheduling partitions (IVP partitions, or
-			// replicas for a replicated column) so each task's range lies
-			// wholly in one partition. Replica slices are weighted by current
-			// MC utilization so loaded sockets receive less of the fan-out.
-			hint := p.Hint()
-			if s.Table.NumParts() > 1 {
-				hint = hint / s.Table.NumParts()
-				if hint < 1 {
-					hint = 1
-				}
-			}
-			parts = PartitionsWeighted(parts, col, mc.forColumn(col))
-			per := TasksPerPartition(hint, len(parts))
-			for _, pr := range parts {
-				region := -1
-				if trackRegions {
-					region = len(s.regions)
-					s.regions = append(s.regions, Region{Col: col, Part: part, Socket: pr.Socket})
-				}
-				spans = SplitRows(spans, pr.From, pr.To, per)
-				for _, span := range spans {
-					tasks = append(tasks, scanTask{col: col, rowFrom: span[0], rowTo: span[1], region: region, socket: pr.Socket})
-				}
-			}
-		}
-	}
-	// planDelta unions the column's watermark-visible delta rows into the
-	// find phase: one task per non-empty per-socket fragment, streaming
-	// uncompressed rows from the fragment's own socket. A column that was
-	// never written has a nil Delta and plans nothing — the read-only path
-	// is bit-identical to a delta-free build.
-	planDelta := func(cols []*colstore.Column, trackRegions bool) {
-		for i, col := range cols {
-			if col.Delta == nil {
-				continue
-			}
-			part := s.Table.Parts[i]
-			snap := col.Delta.Snapshot()
-			for sock := 0; sock < col.Delta.Sockets(); sock++ {
-				rows := snap.Rows[sock]
-				if rows == 0 {
-					continue
-				}
-				frag := col.Delta.Fragment(sock)
-				m := int(s.Selectivity*float64(rows) + 0.5)
-				region := -1
-				if trackRegions {
-					region = len(s.regions)
-					s.regions = append(s.regions, Region{Col: col, Part: part, Socket: sock})
-				}
-				tasks = append(tasks, scanTask{
-					col: col, region: region, socket: sock,
-					deltaFrag: frag, deltaRows: rows, deltaMatches: m,
-				})
-			}
-		}
-	}
-
-	plan(primary, true)
-	planDelta(primary, true)
-	for _, extra := range s.ExtraPredicateColumns {
-		cols := s.columns(extra, extraBuf[:])
-		plan(cols, false)
-		planDelta(cols, false)
-	}
-
-	out := make([]Task, 0, len(tasks))
-	for _, st := range tasks {
-		st := st
-		var m int
-		if st.deltaFrag != nil {
-			m = st.deltaMatches
+			region(cols[0], s.Table.Parts[0], socket)
+			m := jitterMatches(env, rows, s.Selectivity)
+			emit(s.scanAllTask(env, slices.Clone(cols), m, socket), m)
 		} else {
-			m = s.jitterMatches(env, st.rowTo-st.rowFrom)
-		}
-		if st.region >= 0 {
-			s.regions[st.region].Matches += m
-		}
-		// The data socket was resolved at plan time (replica-aware); tracked
-		// regions carry the same socket for the downstream output phase.
-		socket := st.socket
-		run := func(w *sched.Worker, done func()) {
-			s.runScan(env, w, st.col, st.rowFrom, st.rowTo, m, done)
-		}
-		if st.allCols != nil {
-			run = func(w *sched.Worker, done func()) {
-				s.runScanAll(env, w, st.allCols, m, done)
+			for i, col := range cols {
+				part := s.Table.Parts[i]
+				switch {
+				case useIndex:
+					// Index lookups on a replicated column chase the replica
+					// with the most MC headroom; otherwise the IX's own socket.
+					socket := IndexSocket(col)
+					if col.Replicated() {
+						socket = leastLoadedSocket(col.ReplicaSockets, mc.forColumn(col))
+					}
+					region(col, part, socket)
+					m := jitterMatches(env, col.Rows, s.Selectivity)
+					emit(indexTask(env, col, m, socket), m)
+				case !s.Parallel:
+					// Single task spanning everything; region socket is the IV
+					// majority socket — except for a replicated column, where
+					// any replica serves the whole scan locally: the task goes
+					// to the replica socket with the most MC headroom (the
+					// Figure 10 single-task remote-access penalty is exactly
+					// what replication removes).
+					socket := col.IVPSM.MajoritySocket()
+					if col.Replicated() {
+						socket = leastLoadedSocket(col.ReplicaSockets, mc.forColumn(col))
+					}
+					region(col, part, socket)
+					stream(findStream{col: col, to: col.Rows, socket: socket}, jitterMatches(env, col.Rows, s.Selectivity))
+				default:
+					// The parts share the hint; each of a part's scheduling
+					// partitions (IVP partitions, or replica slices weighted
+					// by MC load) gets a region and whole tasks.
+					hint := p.Hint()
+					if s.Table.NumParts() > 1 {
+						hint = max(hint/s.Table.NumParts(), 1)
+					}
+					spans := PlanSpans(spanBuf[:0], col, mc.forColumn(col), hint)
+					out = slices.Grow(out, len(spans))
+					for k, sp := range spans {
+						if k == 0 || sp.Part != spans[k-1].Part {
+							region(col, part, sp.Socket)
+						}
+						stream(findStream{col: col, from: sp.From, to: sp.To, socket: sp.Socket},
+							jitterMatches(env, sp.To-sp.From, s.Selectivity))
+					}
+				}
 			}
 		}
-		if st.deltaFrag != nil {
-			run = func(w *sched.Worker, done func()) {
-				s.runDeltaScan(env, w, st.col, st.deltaFrag, st.deltaRows, m, done)
+		// Union the watermark-visible delta rows: one task per non-empty
+		// fragment, with the analytic match count.
+		for i, col := range cols {
+			for _, fr := range visibleDelta(fragBuf[:0], col) {
+				region(col, s.Table.Parts[i], fr.Socket)
+				stream(findStream{col: col, to: fr.To, socket: fr.Socket, delta: true}, expectedMatches(fr.To, s.Selectivity))
 			}
 		}
-		if st.indexTask {
-			run = func(w *sched.Worker, done func()) {
-				s.runIndexLookup(env, w, st.col, m, done)
-			}
-		}
-		out = append(out, Task{Socket: socket, Run: run})
+	}
+
+	plan(s.Column)
+	track = false
+	for _, extra := range s.ExtraPredicateColumns {
+		plan(extra)
 	}
 	return out
 }
@@ -299,89 +191,165 @@ func (s *ScanOp) Close(*Pipeline) {
 	}
 }
 
-// runScanAll executes one unparallelized scan across every physical part:
-// the single worker streams each part's IV in turn, reaching remote sockets
-// for the parts that are not local (Figure 10's "single task has to access
-// remotely the sockets of the remaining partitions").
-func (s *ScanOp) runScanAll(env *Env, w *sched.Worker, cols []*colstore.Column, matches int, onDone func()) {
-	remaining := len(cols)
-	oneDone := func() {
-		remaining--
-		if remaining == 0 {
-			onDone()
+// scanAllTask is one unparallelized scan across every physical part: the
+// single worker streams each part's IV in turn, reaching remote sockets for
+// the parts that are not local (Figure 10's "single task has to access
+// remotely the sockets of the remaining partitions"). The match output is
+// written with the last part.
+func (s *ScanOp) scanAllTask(env *Env, cols []*colstore.Column, matches, socket int) Task {
+	return Task{Socket: socket, Run: func(w *sched.Worker, done func()) {
+		var next func(i int)
+		next = func(i int) {
+			if i == len(cols) {
+				done()
+				return
+			}
+			col, m := cols[i], 0
+			if i == len(cols)-1 {
+				m = matches
+			}
+			fs := findStream{col: col, to: col.Rows, n: 1, outBytes: resultBytes(env, s.Selectivity, m, col.Rows)}
+			fs.runIV(env, w, func() { next(i + 1) })
 		}
-	}
-	// Sequential execution: chain per-part scans.
-	var start func(i int)
-	start = func(i int) {
-		if i >= len(cols) {
-			return
-		}
-		m := 0
-		if i == len(cols)-1 {
-			m = matches // output writes attributed once
-		}
-		s.runScan(env, w, cols[i], 0, cols[i].Rows, m, func() {
-			oneDone()
-			start(i + 1)
-		})
-	}
-	start(0)
+		next(0)
+	}}
 }
 
-// runScan executes one scan task: stream the IV bytes of rows [from,to)
-// from wherever they physically live, plus the (small) match output write.
-func (s *ScanOp) runScan(env *Env, w *sched.Worker, col *colstore.Column, from, to, matches int, onDone func()) {
-	// A replicated column streams from the replica with the most MC headroom
-	// (the nearest one when the machine is idle) instead of the primary copy.
-	var buf [psm.MaxSockets]int64
-	perSocket, ivBytes := ivSocketBytes(env, col, w.Socket(), from, to, buf[:])
-	// Sequential flows, one per distinct source socket of the range.
-	// The match output uses the Section 5.2 result formats: a position list
-	// (4 bytes per match) at low selectivity, a bitvector (one bit per
-	// scanned row) at high selectivity — whichever is smaller at the
-	// configured threshold.
-	outBytes := float64(matches) * 4
-	if s.Selectivity >= env.Costs.BitvectorSelectivity {
-		outBytes = float64(to-from) / 8
+// indexTask is one (unparallelized) index-lookup task: dependent random
+// accesses into the IX, on the replica with the most MC headroom for a
+// replicated index.
+func indexTask(env *Env, col *colstore.Column, matches, socket int) Task {
+	accesses := float64(matches)*env.Costs.IndexAccessesPerMatch + 16
+	return Task{Socket: socket, Run: func(w *sched.Worker, done func()) {
+		env.runChain(env.randomFlow(indexFlow, w, col, col.IXPSM, accesses,
+			env.Costs.IdxCyclesPerAccess, 4, env.Costs.IdxMissRate), done)
+	}}
+}
+
+// ---- the find-phase model shared by ScanOp, SharedScanOp and WrapScanOp -----
+
+// jitterMatches derives a deterministic approximate match count for a row
+// range at selectivity sel: the analytic expectation of the uniform data
+// generator with a small per-task jitter, standing in for actually running
+// the scan kernel (the kernels themselves are implemented and tested in
+// package colstore; the harness uses the analytic count so experiments over
+// hundreds of thousands of queries stay tractable). It draws once from
+// Env.Rand per call.
+func jitterMatches(env *Env, rows int, sel float64) int {
+	exp := sel * float64(rows)
+	f := 0.95 + 0.1*env.Rand.Float64()
+	m := int(exp*f + 0.5)
+	if m > rows {
+		m = rows
 	}
-	outPerByte := outBytes / float64(ivBytes+1)
+	return m
+}
+
+// expectedMatches is the analytic match count of rows at selectivity sel,
+// without jitter. Delta tasks use it: they must not draw, so the read-only
+// RNG stream stays untouched when no writes were ever issued.
+func expectedMatches(rows int, sel float64) int {
+	return int(sel*float64(rows) + 0.5)
+}
+
+// resultBytes returns one member's find-result output bytes under the
+// Section 5.2 result formats: a position list (4 bytes per match) at low
+// selectivity, a bitvector (one bit per scanned row) at high selectivity —
+// whichever is smaller at the configured threshold.
+func resultBytes(env *Env, sel float64, matches, rows int) float64 {
+	if sel >= env.Costs.BitvectorSelectivity {
+		return float64(rows) / 8
+	}
+	return float64(matches) * 4
+}
+
+// visibleDelta returns, in buf's storage, one range per non-empty
+// watermark-visible delta fragment of col: rows [0, To) of the fragment on
+// Socket. A column that was never written has a nil Delta and returns none,
+// so the read-only path is bit-identical to a delta-free build.
+func visibleDelta(buf []RowRange, col *colstore.Column) []RowRange {
+	out := buf[:0]
+	if col.Delta == nil {
+		return out
+	}
+	snap := col.Delta.Snapshot()
+	for sock, rows := range snap.Rows {
+		if rows > 0 {
+			out = append(out, RowRange{To: rows, Socket: sock})
+		}
+	}
+	return out
+}
+
+// findStream is one planned find-phase task that reads column data once and
+// evaluates n member predicates on it: n = 1 for a private scan, the cohort
+// size for a shared pass or its wrap.
+type findStream struct {
+	col *colstore.Column
+	// from and to bound the IV rows of the stream; a delta stream reads
+	// to-from uncompressed rows of the fragment on socket.
+	from, to int
+	socket   int // the data socket the task is placed by
+	delta    bool
+	n        int
+	// outBytes are every member's result bytes, fixed at plan time.
+	outBytes float64
+	// pass, when set, is the cohort pass whose progress the stream reports.
+	pass *SharedScanOp
+	// wrap charges the stream as a cohort's wrap-around re-stream.
+	wrap bool
+}
+
+// task wraps the stream as a schedulable task.
+func (fs findStream) task(env *Env) Task {
+	return Task{Socket: fs.socket, Run: func(w *sched.Worker, done func()) {
+		if fs.delta {
+			fs.runDelta(env, w, done)
+		} else {
+			fs.runIV(env, w, done)
+		}
+	}}
+}
+
+// runIV streams the IV bytes of rows [from,to) once, from wherever they
+// physically live — one chained flow per serving socket; a replicated column
+// is read from the replica with the most MC headroom — burning n predicate
+// evaluations per byte and writing the result bytes alongside.
+func (fs findStream) runIV(env *Env, w *sched.Worker, onDone func()) {
+	kind := scanFlow
+	if fs.wrap {
+		kind = wrapFlow
+	}
+	var buf [psm.MaxSockets]int64
+	perSocket, ivBytes := ivSocketBytes(env, fs.col, w.Socket(), fs.from, fs.to, buf[:])
+	outPerByte := fs.outBytes / float64(ivBytes+1)
 	var head *flowRec
 	link := &head // where the chain's next record goes
 	for dst, bytes := range perSocket {
 		if bytes == 0 {
 			continue
 		}
-		r := env.streamFlow(scanFlow, w, dst, env.Costs.ScanCyclesPerByte, float64(bytes))
+		r := env.streamFlow(kind, w, dst, env.Costs.SharedScanCyclesPerByte(fs.n), float64(bytes))
 		r.writeOutput(outPerByte)
-		r.item = col.Name
+		r.item, r.n, r.pass = fs.col.Name, fs.n, fs.pass
 		*link, link = r, &r.next
 	}
 	env.runChain(head, onDone)
 }
 
-// runDeltaScan executes one delta-fragment scan task: stream the fragment's
-// watermark-visible uncompressed rows (RowBytes each — several times the
-// main's bit-packed bytes per row, which is why scans degrade as the delta
-// grows) from the fragment's own socket, burning the uncompressed-predicate
-// compute, plus the match output write.
-func (s *ScanOp) runDeltaScan(env *Env, w *sched.Worker, col *colstore.Column, frag *delta.Fragment, rows, matches int, onDone func()) {
-	bytes := float64(rows) * delta.RowBytes
-	outBytes := float64(matches) * 4
-	if s.Selectivity >= env.Costs.BitvectorSelectivity {
-		outBytes = float64(rows) / 8
+// runDelta streams the fragment's watermark-visible uncompressed rows
+// (RowBytes each — several times the main's bit-packed bytes per row, which
+// is why scans degrade as the delta grows) once from the fragment's own
+// socket, burning the uncompressed-predicate compute for n members, plus
+// the result write.
+func (fs findStream) runDelta(env *Env, w *sched.Worker, onDone func()) {
+	kind := deltaFlow
+	if fs.wrap {
+		kind = wrapFlow
 	}
-	r := env.streamFlow(deltaFlow, w, frag.Socket, env.Costs.DeltaScanCyclesPerByte, bytes)
-	r.writeOutput(outBytes / (bytes + 1))
-	r.item = col.Name
+	bytes := float64(fs.to-fs.from) * delta.RowBytes
+	r := env.streamFlow(kind, w, fs.socket, env.Costs.SharedDeltaCyclesPerByte(fs.n), bytes)
+	r.writeOutput(fs.outBytes / (bytes + 1))
+	r.item, r.n = fs.col.Name, fs.n
 	env.runChain(r, onDone)
-}
-
-// runIndexLookup executes one (unparallelized) index-lookup task: dependent
-// random accesses into the IX.
-func (s *ScanOp) runIndexLookup(env *Env, w *sched.Worker, col *colstore.Column, matches int, onDone func()) {
-	// A replicated index is chased on the replica with the most MC headroom.
-	accesses := float64(matches)*env.Costs.IndexAccessesPerMatch + 16
-	env.runChain(env.randomFlow(indexFlow, w, col, col.IXPSM, accesses,
-		env.Costs.IdxCyclesPerAccess, 4, env.Costs.IdxMissRate), onDone)
 }

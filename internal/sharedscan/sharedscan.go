@@ -378,16 +378,12 @@ func (r *Registry) launch(ks *keyState, c *cohort) {
 		return
 	}
 	leader := c.members[0]
-	preds := make([]exec.SharedPred, len(c.members))
-	for i, m := range c.members {
-		preds[i] = exec.SharedPred{Selectivity: m.Selectivity}
-	}
 	c.pass = &exec.SharedScanOp{
-		Table:     leader.Table,
-		Column:    leader.Column,
-		Preds:     preds,
-		FanoutCap: summedFanout(c.members),
-		OnClosed:  func() { r.mainDone(ks, c) },
+		Table:         leader.Table,
+		Column:        leader.Column,
+		Selectivities: selectivities(c.members),
+		FanoutCap:     summedFanout(c.members),
+		OnClosed:      func() { r.mainDone(ks, c) },
 	}
 	r.stats.Passes++
 	if len(c.members) == 1 {
@@ -434,16 +430,12 @@ func (r *Registry) mainDone(ks *keyState, c *cohort) {
 	if len(c.attachers) > 0 {
 		r.stats.Wraps++
 		al := c.attachers[0]
-		preds := make([]exec.SharedPred, len(c.attachers))
-		for i, m := range c.attachers {
-			preds[i] = exec.SharedPred{Selectivity: m.Selectivity}
-		}
 		wrap := &exec.WrapScanOp{
-			Table:     al.Table,
-			Column:    al.Column,
-			Fraction:  c.maxMissed,
-			Preds:     preds,
-			FanoutCap: summedFanout(c.attachers),
+			Table:         al.Table,
+			Column:        al.Column,
+			Fraction:      c.maxMissed,
+			Selectivities: selectivities(c.attachers),
+			FanoutCap:     summedFanout(c.attachers),
 		}
 		wrap.OnClosed = func() {
 			for i, m := range c.attachers[1:] {
@@ -501,6 +493,16 @@ func (r *Registry) startFollower(m *Member, regions []exec.Region) {
 		Trace:      m.Trace,
 	}
 	pl.Start()
+}
+
+// selectivities returns the members' predicate selectivities, in member
+// order.
+func selectivities(members []*Member) []float64 {
+	sels := make([]float64, len(members))
+	for i, m := range members {
+		sels[i] = m.Selectivity
+	}
+	return sels
 }
 
 // summedFanout returns the members' combined admission fan-out budget: the
