@@ -32,3 +32,9 @@ go test -bench '^BenchmarkSubmit$' -benchtime=0.2s -count=3 -run '^$' ./internal
 # IvyBridge with the 139 active flows the benchmark's mat-skew keeps, in its
 # measured mix, and on the 32-socket IvyBridge with the same mix at 256.
 go test -bench '^BenchmarkSimStep$' -benchtime=0.2s -count=3 -run '^$' ./internal/sim
+
+# And the scheduler's dispatch: heap pushes and pops with taskLess, stealing
+# and worker bookkeeping. One "row" is one dispatch round on the 4-socket
+# IvyBridge: refill the queues to its 120 workers plus mat-skew's mean
+# backlog of 34 tasks, one Tick that starts 120 of them, and their finishes.
+go test -bench '^BenchmarkSchedTick$' -benchtime=0.2s -count=3 -run '^$' ./internal/sched

@@ -219,7 +219,7 @@ func TestElasticThrottleUnderSaturation(t *testing.T) {
 	// Working and the queues stay deep.
 	for i := 0; i < 2000; i++ {
 		s.Submit(&sched.Task{Affinity: i % 4, Hard: true,
-			Run: func(w *sched.Worker, done func()) {}})
+			Run: sched.RunFunc(func(w *sched.Worker, done func()) {})})
 	}
 	e.Run(25e-3)
 	if got := c.Limit(); got != 2 {

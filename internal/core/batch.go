@@ -22,8 +22,9 @@ import "numacs/internal/sharedscan"
 // calls — admission's queueing decisions would otherwise be invisible to the
 // group.
 func (e *Engine) SubmitBatch(qs []*Query) {
-	for _, q := range qs {
-		check(q) // a bad statement fails the batch before any of it starts
+	pps := make([]*plainPlan, len(qs))
+	for i, q := range qs {
+		pps[i] = e.prepare(q) // a bad statement fails the batch before any of it starts
 	}
 	if e.Admit != nil {
 		for _, q := range qs {
@@ -34,8 +35,8 @@ func (e *Engine) SubmitBatch(qs []*Query) {
 	issuedAt := e.Sim.Now()
 	groups := make(map[string][]*sharedscan.Member)
 	var order []string
-	for _, q := range qs {
-		m := e.start(q, e.startStatement(q.Tenant, q.Class, q), 0, issuedAt, nil)
+	for i, q := range qs {
+		m := e.start(q, pps[i], e.startStatement(q.Tenant, q.Class, q), 0, issuedAt, nil)
 		if m == nil {
 			continue
 		}

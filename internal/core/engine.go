@@ -385,22 +385,41 @@ type Query struct {
 }
 
 // Submit is the entry point of every read statement; completion is reported
-// via q.OnDone. The statement is checked first — an unknown or unplaced
-// column panics here, before anything is queued — then opens its trace span
-// and passes admission when the engine has a controller: it may wait in its
-// tenant's queue (the wait counts toward the reported latency and ages its
-// task priority), run with a coarsened fan-out, or be shed (q.OnShed fires
-// instead of q.OnDone). Once admitted it is planned and dispatched behind the
-// fixed per-query overhead: a shareable scan joins the cohort registry,
-// anything else runs as a private operator pipeline.
+// via q.OnDone. The statement is checked first (see prepare) — an unknown or
+// unplaced column panics here, before anything is queued — then opens its
+// trace span and passes admission when the engine has a controller: it may
+// wait in its tenant's queue (the wait counts toward the reported latency and
+// ages its task priority), run with a coarsened fan-out, or be shed (q.OnShed
+// fires instead of q.OnDone). Once admitted it is dispatched behind the fixed
+// per-query overhead: a shareable scan joins the cohort registry, anything
+// else runs as a private operator pipeline.
 func (e *Engine) Submit(q *Query) {
-	check(q)
+	pp := e.prepare(q)
 	st := e.startStatement(q.Tenant, q.Class, q)
+	if e.Admit == nil {
+		e.dispatch(q, pp, st, 0, e.Sim.Now(), nil)
+		return
+	}
 	e.enter(q.Tenant, q.Class, st, q.OnShed, func(gran int, issuedAt float64, release func()) {
-		if m := e.start(q, st, gran, issuedAt, release); m != nil {
-			e.afterOverhead(func() { e.Shared.Submit(m) })
-		}
+		e.dispatch(q, pp, st, gran, issuedAt, release)
 	})
+}
+
+// prepare checks q and returns its cached plain plan, or nil for a q.Plan
+// statement; a plain shape is checked only when it is planned (plancache.go).
+func (e *Engine) prepare(q *Query) *plainPlan {
+	if q.Plan != nil {
+		check(q)
+		return nil
+	}
+	return e.plainPlan(q)
+}
+
+// dispatch starts an admitted statement, a cohort member behind the overhead.
+func (e *Engine) dispatch(q *Query, pp *plainPlan, st *trace.Statement, gran int, issuedAt float64, release func()) {
+	if m := e.start(q, pp, st, gran, issuedAt, release); m != nil {
+		e.afterOverhead(func() { e.Shared.Submit(m) })
+	}
 }
 
 // startStatement opens a statement's trace span (nil when tracing is off),
@@ -433,45 +452,48 @@ func (e *Engine) enter(tenant string, class admit.Class, st *trace.Statement, on
 	e.Admit.Submit(&admit.Statement{Tenant: tenant, Class: class, Trace: st, OnShed: onShed, Run: run})
 }
 
-// start is the dispatch of an admitted statement: gran caps its fan-out (0 =
-// uncapped), issuedAt is its statement timestamp — the task priority and the
-// base of its latency — and release, when non-nil, frees its admission slot
-// before q.OnDone (or q.OnShed) fires. It plans the statement and starts its
-// private pipeline behind the per-query overhead, or, when the plan is a
-// shareable scan and the engine shares scans, returns it as a cohort member
-// for the caller to hand to the registry. Either way the statement counts as
-// active until it completes.
-func (e *Engine) start(q *Query, st *trace.Statement, gran int, issuedAt float64, release func()) *sharedscan.Member {
-	pl := e.planQuery(q)
+// start is the dispatch of an admitted statement: pp is its cached plain
+// plan (nil for a q.Plan statement), gran caps its fan-out (0 = uncapped),
+// issuedAt is its statement timestamp — the task priority and the base of
+// its latency — and release, when non-nil, frees its admission slot before
+// q.OnDone (or q.OnShed) fires. It starts the statement's private pipeline
+// behind the per-query overhead — a plain plan's on a recycled statement
+// record — or, when the plan is a shareable scan and the engine shares
+// scans, returns it as a cohort member for the caller to hand to the
+// registry. Either way the statement counts as active until it completes.
+func (e *Engine) start(q *Query, pp *plainPlan, st *trace.Statement, gran int, issuedAt float64, release func()) *sharedscan.Member {
+	pl := e.planQuery(q, pp)
 	if e.Shared != nil && pl.phys.Shareable {
 		return e.cohortMember(q, pl, st, gran, issuedAt, release)
 	}
 	e.activeStatements++
+	if pp != nil {
+		pp.run(e, q, st, gran, issuedAt, release)
+		return nil
+	}
 	p := &exec.Pipeline{
 		Env:        e.env,
 		Strategy:   q.Strategy,
 		HomeSocket: q.HomeSocket,
 		IssuedAt:   issuedAt,
 		MaxFanout:  gran,
-		Ops:        e.lower(pl),
+		Ops:        pl.phys.Lower(e.deps()),
 		Trace:      st,
-		OnDone:     e.completion(q, release),
+		OnDone:     func(lat float64) { e.complete(q, release, lat) },
 	}
 	e.afterOverhead(p.Start)
 	return nil
 }
 
-// completion returns a statement's completion callback: it leaves the
-// active set, frees the admission slot, and reports the latency.
-func (e *Engine) completion(q *Query, release func()) func(latency float64) {
-	return func(lat float64) {
-		e.activeStatements--
-		if release != nil {
-			release()
-		}
-		if q.OnDone != nil {
-			q.OnDone(lat)
-		}
+// complete ends a statement: it leaves the active set, frees the admission
+// slot, and reports the latency.
+func (e *Engine) complete(q *Query, release func(), lat float64) {
+	e.activeStatements--
+	if release != nil {
+		release()
+	}
+	if q.OnDone != nil {
+		q.OnDone(lat)
 	}
 }
 

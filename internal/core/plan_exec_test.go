@@ -82,7 +82,7 @@ func TestPlanRewritesPreserveExecution(t *testing.T) {
 				e.activeStatements++
 				p := &exec.Pipeline{
 					Env: e.env, Strategy: q.Strategy, HomeSocket: q.HomeSocket,
-					IssuedAt: e.Sim.Now(), Ops: low.Ops, OnDone: e.completion(q, nil),
+					IssuedAt: e.Sim.Now(), Ops: low, OnDone: func(lat float64) { e.complete(q, nil, lat) },
 				}
 				e.afterOverhead(p.Start)
 			}

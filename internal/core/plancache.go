@@ -3,15 +3,17 @@ package core
 // The plain-statement plan cache. A plain statement (q.Plan == nil) is
 // planned from its own fields, the table's Parts and each named column's
 // index presence — never from statistics or placement — so every statement of
-// one shape gets the same physical plan, and the engine builds it once.
+// one shape gets the same physical plan, and the engine checks and builds it
+// once.
 //
-// None of those inputs can change under a live *colstore.Table: Parts are
-// fixed at construction (PhysicallyPartition returns a new table), and a
-// column's IVPSM is never reset to nil once placed. The one input that can
-// change is advisory: PhysScan.IndexEligible, read only by EXPLAIN, follows
-// the column's index and the cost model's threshold, so a hit re-checks it and
-// replans when it went stale. Star and q.Plan statements are not cached:
-// their statistics read live placement, which has no epoch to key on yet.
+// None of those inputs can change under a live *colstore.Table: Parts and
+// their Columns are fixed at construction (PhysicallyPartition returns a new
+// table), and a column's IVPSM is never reset to nil once placed. The one
+// input that can change is advisory: PhysScan.IndexEligible, read only by
+// EXPLAIN, follows the column's index and the cost model's threshold, so a hit
+// re-checks it and replans when it went stale. Star and q.Plan statements are
+// not cached: their statistics read live placement, which has no epoch to key
+// on yet.
 
 import (
 	"math"
@@ -20,6 +22,8 @@ import (
 	"numacs/internal/colstore"
 	"numacs/internal/exec"
 	"numacs/internal/plan"
+	"numacs/internal/sim"
+	"numacs/internal/trace"
 )
 
 // maxPlainPlans bounds the cache: the insert past it starts the cache over.
@@ -39,14 +43,16 @@ type plainKey struct {
 }
 
 // plainPlan is one cached plain plan: the entry's own copies of the name
-// slices, and the immutable physical plan with its output-phase factory.
+// slices, the immutable physical plan with its output-phase factory, and
+// the free list of its statement records.
 type plainPlan struct {
 	extras, projects []string
 	planned
+	free *stmtRec
 }
 
-// plainPlan returns the cached plan of a plain statement, planning and
-// caching it on a miss.
+// plainPlan returns the cached plan of a plain statement, checking, planning
+// and caching it on a miss.
 func (e *Engine) plainPlan(q *Query) *plainPlan {
 	k := plainKey{
 		table:       q.Table,
@@ -66,11 +72,12 @@ func (e *Engine) plainPlan(q *Query) *plainPlan {
 		if !slices.Equal(pp.extras, q.ExtraPredicateColumns) || !slices.Equal(pp.projects, q.ProjectColumns) {
 			continue
 		}
-		if pp.phys.Scan.IndexEligible != exec.IndexEligible(&e.Costs, q.Table, q.Column, q.Selectivity, q.UseIndex) {
+		if pp.phys.Scan.IndexEligible != exec.IndexEligible(&e.Costs, pp.phys.Scan.Cols[0][0], q.Selectivity, q.UseIndex) {
 			bucket[i] = e.buildPlain(q)
 		}
 		return bucket[i]
 	}
+	check(q)
 	if e.plans == nil || e.nPlans >= maxPlainPlans {
 		e.plans = make(map[plainKey][]*plainPlan)
 		e.nPlans = 0
@@ -103,4 +110,54 @@ func (e *Engine) buildPlain(q *Query) *plainPlan {
 	}), nil, &e.Costs)
 	pp.secondOp = pp.phys.OutputOp(e.deps())
 	return pp
+}
+
+// stmtRec is one private execution of a cached plain plan: the pipeline, its
+// operators by value, and the per-query overhead flow. Records are recycled
+// through their plan's free list: Start, the pipeline's OnDone and the
+// overhead's OnDone are bound once, when a record is made.
+//
+// A record returns to the free list only inside its own OnDone (done), after
+// it has read q and release. This is sound because the pipeline fires OnDone
+// from its last task's Then, and the scheduler has dropped its task pointers
+// before Then runs; nothing else keeps a pointer into a record.
+type stmtRec struct {
+	e        *Engine
+	pp       *plainPlan
+	p        exec.Pipeline
+	ops      plan.PlainOps
+	overhead sim.Flow
+	q        *Query
+	release  func()
+	next     *stmtRec
+}
+
+// take returns a record from the free list, or makes one.
+func (pp *plainPlan) take(e *Engine) *stmtRec {
+	r := pp.free
+	if r == nil {
+		r = &stmtRec{e: e, pp: pp}
+		r.p = exec.Pipeline{Env: e.env, Ops: pp.phys.FillPlain(&r.ops, e.deps()), OnDone: r.done}
+		r.overhead.OnDone = r.p.Start
+		return r
+	}
+	pp.free, r.next = r.next, nil
+	return r
+}
+
+// run starts q on a record, behind the per-query overhead (afterOverhead).
+func (pp *plainPlan) run(e *Engine, q *Query, st *trace.Statement, gran int, issuedAt float64, release func()) {
+	r := pp.take(e)
+	r.q, r.release = q, release
+	r.p.Strategy, r.p.HomeSocket, r.p.IssuedAt, r.p.MaxFanout, r.p.Trace = q.Strategy, q.HomeSocket, issuedAt, gran, st
+	r.overhead = sim.Flow{Remaining: e.Costs.QueryOverheadSeconds, RateCap: 1, OnDone: r.overhead.OnDone}
+	e.Sim.StartFlow(&r.overhead)
+}
+
+// done is every record's pipeline OnDone.
+func (r *stmtRec) done(lat float64) {
+	q, release := r.q, r.release
+	r.q, r.release, r.p.Trace = nil, nil, nil
+	r.next, r.pp.free = r.pp.free, r
+	r.e.complete(q, release, lat)
 }

@@ -20,16 +20,19 @@ func freshPlan(e *Engine, q *Query) (*plan.Physical, []exec.Operator) {
 		UseIndex: q.UseIndex, Parallel: q.Parallel, Aggregate: q.Aggregate,
 		AggBytesPerRow: q.AggBytesPerRow, AggCyclesPerRow: q.AggCyclesPerRow,
 	}), nil, &e.Costs)
-	return phys, phys.Lower(e.deps()).Ops
+	return phys, phys.Lower(e.deps())
 }
 
-// assertFreshPlan fails unless the plan the engine uses for q lowers to the
-// same operators, and explains to the same text, as a fresh plan of q.
+// assertFreshPlan fails unless a statement record of the plan the engine
+// uses for q holds the same operators, and the plan explains to the same
+// text, as a fresh plan of q.
 func assertFreshPlan(t *testing.T, e *Engine, q *Query, what string) {
 	t.Helper()
-	pl := e.planQuery(q)
+	pl := e.plainPlan(q)
 	phys, ops := freshPlan(e, q)
-	if got := e.lower(pl); !reflect.DeepEqual(got, ops) {
+	r := pl.take(e)
+	r.next, pl.free = pl.free, r
+	if got := r.p.Ops; !reflect.DeepEqual(got, ops) {
 		t.Fatalf("%s: operators differ from a fresh plan\n got: %#v\nwant: %#v", what, got, ops)
 	}
 	if got, want := pl.phys.Explain(), phys.Explain(); got != want {
@@ -117,13 +120,13 @@ func TestPlanCacheFollowsIndexAndMerge(t *testing.T) {
 	tbl := cacheTables(e)[0]
 	q := &Query{Table: tbl, Column: "COLB", Selectivity: 1e-4, UseIndex: true, Parallel: true}
 	assertFreshPlan(t, e, q, "before the index build")
-	if e.planQuery(q).phys.Scan.IndexEligible {
+	if e.plainPlan(q).phys.Scan.IndexEligible {
 		t.Fatal("an unindexed column planned as index-eligible")
 	}
 	col := tbl.Column("COLB")
 	col.BuildIndex()
 	assertFreshPlan(t, e, q, "after the index build")
-	if !e.planQuery(q).phys.Scan.IndexEligible {
+	if !e.plainPlan(q).phys.Scan.IndexEligible {
 		t.Fatal("the cached plan kept its stale index eligibility")
 	}
 
@@ -141,7 +144,7 @@ func TestPlanCacheBounded(t *testing.T) {
 	e := New(topology.FourSocketIvyBridge(), 1)
 	tbl := buildPlacedTable(e, 1, 1000, false)
 	for i := 0; i < 10_000; i++ {
-		e.planQuery(&Query{Table: tbl, Column: "COLA", Selectivity: float64(i+1) / 10_001, Parallel: true})
+		e.plainPlan(&Query{Table: tbl, Column: "COLA", Selectivity: float64(i+1) / 10_001, Parallel: true})
 		entries := 0
 		for _, b := range e.plans {
 			entries += len(b)

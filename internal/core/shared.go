@@ -26,28 +26,19 @@ type planned struct {
 	secondOp func(src exec.RegionSource) exec.Operator
 }
 
-// planQuery runs one statement through the planner: build the logical tree
-// (or take q.Plan) and optimize it. A plain statement takes its shape's
-// cached plan (plancache.go). Statistics are collected from a q.Plan's tables
-// only when the plan joins — build side and join order are the only
+// planQuery returns a plain statement's cached plan pp (plancache.go), or
+// optimizes a q.Plan statement's tree. Statistics are collected from the
+// plan's tables only when it joins — build side and join order are the only
 // stat-driven decisions, and stat-less passes keep the written plan.
-func (e *Engine) planQuery(q *Query) planned {
-	if q.Plan == nil {
-		return e.plainPlan(q).planned
+func (e *Engine) planQuery(q *Query, pp *plainPlan) planned {
+	if pp != nil {
+		return pp.planned
 	}
 	pl := planned{phys: plan.Optimize(q.Plan, joinStats(q.Plan.Root), &e.Costs)}
 	if len(pl.phys.Joins) == 0 {
 		pl.secondOp = pl.phys.OutputOp(e.deps())
 	}
 	return pl
-}
-
-// lower emits a fresh operator sequence for one execution of a plan.
-func (e *Engine) lower(pl planned) []exec.Operator {
-	if pl.secondOp != nil {
-		return pl.phys.LowerScan(pl.secondOp).Ops
-	}
-	return pl.phys.Lower(e.deps()).Ops
 }
 
 // deps returns the engine-side dependencies of lowering.
@@ -98,7 +89,7 @@ func (e *Engine) cohortMember(q *Query, pl planned, st *trace.Statement, gran in
 		Deadline:    deadline,
 		Trace:       st,
 		SecondOp:    pl.secondOp,
-		OnDone:      e.completion(q, release),
+		OnDone:      func(lat float64) { e.complete(q, release, lat) },
 		OnShed: func() {
 			e.activeStatements--
 			if release != nil {

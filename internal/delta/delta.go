@@ -226,6 +226,18 @@ func (d *Delta) Snapshot() Snapshot {
 	return s
 }
 
+// RowsInto writes each fragment's watermark, the visible rows Snapshot
+// captures in Rows, into buf's storage and returns it.
+func (d *Delta) RowsInto(buf []int) []int {
+	buf = buf[:0]
+	for _, f := range d.frags {
+		f.mu.RLock()
+		buf = append(buf, f.committed)
+		f.mu.RUnlock()
+	}
+	return buf
+}
+
 // TotalRows returns the snapshot's visible rows across fragments.
 func (s Snapshot) TotalRows() int {
 	n := 0

@@ -1,6 +1,7 @@
 package delta
 
 import (
+	"reflect"
 	"sync"
 	"testing"
 )
@@ -46,6 +47,22 @@ func TestSnapshotIsolatesLaterAppends(t *testing.T) {
 	ins := d.AppendVisibleInserts(nil)
 	if len(ins) != 1 || ins[0] != 3 {
 		t.Fatalf("surviving inserts = %v, want [3]", ins)
+	}
+}
+
+// TestRowsIntoMatchesSnapshot: RowsInto reads the watermarks Snapshot
+// captures, into the caller's storage and without allocating.
+func TestRowsIntoMatchesSnapshot(t *testing.T) {
+	d := New(4, false)
+	d.Insert(0, 1)
+	d.Insert(2, 2)
+	d.Update(2, 7, 3)
+	var buf [4]int
+	if got, want := d.RowsInto(buf[:0]), d.Snapshot().Rows; !reflect.DeepEqual(got, want) {
+		t.Fatalf("RowsInto = %v, Snapshot rows = %v", got, want)
+	}
+	if n := testing.AllocsPerRun(100, func() { d.RowsInto(buf[:0]) }); n != 0 {
+		t.Fatalf("RowsInto allocates %v times", n)
 	}
 }
 

@@ -189,8 +189,9 @@ func (env *Env) addSpreadTraffic(src int, dstWeights []float64, bytes, linkData,
 // scheduling affinity from it via AffinityFor.
 type Task struct {
 	Socket int
-	// Run starts the task on a worker and must eventually call done.
-	Run func(w *sched.Worker, done func())
+	// Run starts the task on a worker and must eventually call done; it is a
+	// pointer to a task record its operator owns and refills on each Open.
+	Run sched.Runner
 }
 
 // Operator produces the tasks of one pipeline phase — one of the
@@ -240,9 +241,10 @@ type Pipeline struct {
 	Trace *trace.Statement
 
 	pending int
-	// phase is the index of the running operator; barrier and onStart are
-	// built once per pipeline and shared by every task it submits.
+	// phase is the index of the running operator; every phase refills sts.
+	// barrier is bound on the first Start, onStart per traced statement.
 	phase   int
+	sts     []sched.Task
 	barrier func()
 	onStart func(w *sched.Worker, stolen bool)
 }
@@ -259,9 +261,12 @@ func (p *Pipeline) Hint() int {
 }
 
 // Start opens the first operator. The pipeline records the statement latency
-// into Env.Counters when the last barrier clears.
+// into Env.Counters when the last barrier clears, and may start again then.
 func (p *Pipeline) Start() {
-	p.barrier = p.taskDone
+	if p.barrier == nil {
+		p.barrier = p.taskDone
+	}
+	p.onStart = nil
 	if p.Trace != nil {
 		p.onStart = func(w *sched.Worker, stolen bool) {
 			p.Trace.TaskStart(w.Socket(), stolen, p.Env.Sim.Now())
@@ -270,8 +275,8 @@ func (p *Pipeline) Start() {
 	p.runPhase(0)
 }
 
-// runPhase opens operator i and submits its tasks, all from one slice of
-// scheduler tasks; the phase barrier runs as each task's Then hook.
+// runPhase opens operator i and submits its tasks from sts; the barrier runs
+// as each task's Then hook, once the scheduler dropped its task pointers.
 func (p *Pipeline) runPhase(i int) {
 	if i >= len(p.Ops) {
 		p.finish()
@@ -287,14 +292,14 @@ func (p *Pipeline) runPhase(i int) {
 		return
 	}
 	p.pending = len(tasks)
-	sts := make([]sched.Task, len(tasks))
+	p.sts = emptied(p.sts, len(tasks))[:len(tasks)]
 	for k, t := range tasks {
 		affinity, hard := AffinityFor(p.Strategy, t.Socket)
-		sts[k] = sched.Task{
+		p.sts[k] = sched.Task{
 			Priority: p.IssuedAt, Affinity: affinity, Hard: hard, CallerSocket: p.HomeSocket,
 			Run: t.Run, Then: p.barrier, OnStart: p.onStart,
 		}
-		p.Env.Sched.Submit(&sts[k])
+		p.Env.Sched.Submit(&p.sts[k])
 	}
 }
 
@@ -397,10 +402,7 @@ func PartitionsWeighted(buf []RowRange, col *colstore.Column, mcLoad []float64) 
 	if col.Replicated() {
 		n = len(col.ReplicaSockets)
 	}
-	out := buf[:0]
-	if cap(out) < n {
-		out = make([]RowRange, 0, n)
-	}
+	out := emptied(buf, n)
 	if col.Replicated() {
 		reps := col.ReplicaSockets
 		weight := func(sock int) float64 {
@@ -513,10 +515,7 @@ func SplitRows(buf [][2]int, from, to, n int) [][2]int {
 	if n > rows {
 		n = rows
 	}
-	out := buf[:0]
-	if cap(out) < n {
-		out = make([][2]int, 0, n)
-	}
+	out := emptied(buf, n)
 	for i := 0; i < n; i++ {
 		f := from + rows*i/n
 		t := from + rows*(i+1)/n

@@ -216,7 +216,7 @@ func (o *barrierOp) Open(p *Pipeline) []Task {
 	out := make([]Task, o.tasks)
 	for i := range out {
 		i := i
-		out[i] = Task{Socket: i % p.Env.Machine.Sockets, Run: func(w *sched.Worker, done func()) {
+		out[i] = Task{Socket: i % p.Env.Machine.Sockets, Run: sched.RunFunc(func(w *sched.Worker, done func()) {
 			p.Env.Sim.StartFlow(&sim.Flow{
 				Remaining: o.delay * float64(i+1), // staggered durations
 				RateCap:   1,
@@ -225,7 +225,7 @@ func (o *barrierOp) Open(p *Pipeline) []Task {
 					done()
 				},
 			})
-		}}
+		})}
 	}
 	return out
 }
@@ -314,12 +314,12 @@ type socketCheckOp struct {
 func (o *socketCheckOp) Open(p *Pipeline) []Task {
 	out := make([]Task, 16)
 	for i := range out {
-		out[i] = Task{Socket: o.want, Run: func(w *sched.Worker, done func()) {
+		out[i] = Task{Socket: o.want, Run: sched.RunFunc(func(w *sched.Worker, done func()) {
 			if w.Socket() != o.want {
 				*o.offSocket++
 			}
 			p.Env.Sim.StartFlow(&sim.Flow{Remaining: 1e-5, RateCap: 1, OnDone: done})
-		}}
+		})}
 	}
 	return out
 }

@@ -217,6 +217,15 @@ func (r *flowRec) advance(p float64) {
 	}
 }
 
+// emptied returns buf's storage emptied, with room for n elements; it
+// allocates only when buf has too little.
+func emptied[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, 0, n)
+	}
+	return buf[:0]
+}
+
 // socketWeights returns buf resized to n zeroed entries.
 func socketWeights(buf []float64, n int) []float64 {
 	if cap(buf) < n {

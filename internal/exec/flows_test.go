@@ -18,6 +18,7 @@ func TestFlowTasksAllocateNothing(t *testing.T) {
 	private := findStream{col: col, to: col.Rows, n: 1, outBytes: 40}
 	pass := &SharedScanOp{}
 	shared := findStream{col: col, to: col.Rows, n: 3, outBytes: 120, pass: pass}
+	mat := outTask{col: col, matches: 1000, env: env}
 	w := env.Sched.TGs[0].Workers[0]
 	w.Bound = true
 
@@ -29,7 +30,7 @@ func TestFlowTasksAllocateNothing(t *testing.T) {
 	}{
 		{"private scan", func() { private.runIV(env, w, done) }},
 		{"shared scan", func() { shared.runIV(env, w, done) }},
-		{"materialize", func() { runMaterialize(env, w, col, 1000, done) }},
+		{"materialize", func() { mat.Run(w, done) }},
 	} {
 		run := func() {
 			finished = false

@@ -54,6 +54,21 @@ type JoinOp struct {
 	htRange   memsim.Range
 	buildFrac float64
 	regions   []Region
+	// recs and tasks are the running phase's, refilled by the next.
+	recs  []joinTask
+	tasks []Task
+}
+
+// joinTask is the record of one join task: it streams rows [from,to) of
+// col, then performs their hash-table accesses (inserts during build, probes
+// afterwards).
+type joinTask struct {
+	j                                      *JoinOp
+	env                                    *Env
+	col                                    *colstore.Column
+	from, to                               int
+	cyclesPerRow, accessesPerRow, byteFrac float64
+	htWeights                              []float64
 }
 
 // Regions implements RegionSource: the per-partition probe-side match counts,
@@ -84,40 +99,36 @@ func (j *JoinOp) htWeights(env *Env) []float64 {
 }
 
 // fanOut plans one join phase with the find phase's fan-out (PlanSpans,
-// replica slices split evenly): each task streams its share of the column
-// and performs hash-table accesses (inserts during build, probes
-// afterwards).
+// replica slices split evenly) into the operator's task records.
 func (j *JoinOp) fanOut(p *Pipeline, col *colstore.Column, cyclesPerRow, accessesPerRow, byteFrac float64) []Task {
-	env := p.Env
-	weights := j.htWeights(env)
 	var spanBuf [16]KernelSpan
 	spans := PlanSpans(spanBuf[:0], col, nil, p.Hint())
-	out := make([]Task, len(spans))
-	for i, sp := range spans {
-		out[i] = Task{Socket: sp.Socket, Run: func(w *sched.Worker, done func()) {
-			j.runTask(env, w, col, sp.From, sp.To, cyclesPerRow, accessesPerRow, byteFrac, weights, done)
-		}}
+	weights := j.htWeights(p.Env)
+	j.recs, j.tasks = emptied(j.recs, len(spans)), j.tasks[:0]
+	for _, sp := range spans {
+		j.recs = append(j.recs, joinTask{j: j, env: p.Env, col: col, from: sp.From, to: sp.To,
+			cyclesPerRow: cyclesPerRow, accessesPerRow: accessesPerRow, byteFrac: byteFrac, htWeights: weights})
+		j.tasks = append(j.tasks, Task{Socket: sp.Socket, Run: &j.recs[len(j.recs)-1]})
 	}
-	return out
+	return j.tasks
 }
 
-// runTask streams the rows' IV bytes, then performs the hash-table random
-// accesses.
-func (j *JoinOp) runTask(env *Env, w *sched.Worker, col *colstore.Column, from, to int,
-	cyclesPerRow, accessesPerRow, byteFrac float64, htWeights []float64, onDone func()) {
-
+// Run implements sched.Runner: it streams the rows' IV bytes, then performs
+// the hash-table random accesses.
+func (t *joinTask) Run(w *sched.Worker, done func()) {
+	env := t.env
 	// A replicated column streams from the replica with the most MC
 	// headroom, matching the per-replica task affinities Partitions derives
 	// for replicated columns.
 	var buf [psm.MaxSockets]int64
-	perSocket, _ := ivSocketBytes(env, col, w.Socket(), from, to, buf[:])
+	perSocket, _ := ivSocketBytes(env, t.col, w.Socket(), t.from, t.to, buf[:])
 
 	// Phase A: stream the column slice (scaled down when a build filter means
 	// only a fraction of the rows is gathered).
 	var head *flowRec
 	link := &head // where the chain's next record goes
 	for dst, b := range perSocket {
-		fb := float64(b) * byteFrac
+		fb := float64(b) * t.byteFrac
 		if fb == 0 {
 			continue
 		}
@@ -126,11 +137,11 @@ func (j *JoinOp) runTask(env *Env, w *sched.Worker, col *colstore.Column, from, 
 	}
 	// Phase B: hash-table accesses.
 	r := env.newFlow(joinHTFlow, w.Socket(), -1)
-	r.weights = append(r.weights, htWeights...)
-	r.randomAccess(w, float64(to-from)*accessesPerRow, cyclesPerRow, 0, j.missRate())
-	r.per = cyclesPerRow
+	r.weights = append(r.weights, t.htWeights...)
+	r.randomAccess(w, float64(t.to-t.from)*t.accessesPerRow, t.cyclesPerRow, 0, t.j.missRate())
+	r.per = t.cyclesPerRow
 	*link = r
-	env.runChain(head, onDone)
+	env.runChain(head, done)
 }
 
 // joinBuild is the build phase of a JoinOp.

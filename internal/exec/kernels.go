@@ -1,10 +1,6 @@
 package exec
 
-import (
-	"slices"
-
-	"numacs/internal/colstore"
-)
+import "numacs/internal/colstore"
 
 // This file is the bridge between the two halves of the engine: the exec
 // operators plan and *cost* scans over a simulated machine (sim.Flow
@@ -41,7 +37,7 @@ func PlanSpans(buf []KernelSpan, col *colstore.Column, mcLoad []float64, hint in
 	for _, part := range parts {
 		n += min(per, part.To-part.From)
 	}
-	spans := slices.Grow(buf[:0], n)
+	spans := emptied(buf, n)
 	for i, part := range parts {
 		rows = SplitRows(rows, part.From, part.To, per)
 		for _, fr := range rows {

@@ -5,12 +5,60 @@ import (
 	"numacs/internal/sched"
 )
 
-// outTask is one planned output task: m qualifying rows of one target column
-// whose producing data lives on socket.
+// outTask is one planned output task and its record: m qualifying rows of
+// one target column whose producing data lives on socket, run by agg (nil
+// for a materialization).
 type outTask struct {
 	col     *colstore.Column
 	socket  int
 	matches int
+	env     *Env
+	agg     *AggregateOp
+}
+
+// Run implements sched.Runner. A materialization makes m dependent random
+// accesses into the dictionary (a replicated one on the replica with the
+// most MC headroom) plus output writes on the worker's socket, wherever it
+// runs (Section 5.2); an aggregation streams the rows' payload from the
+// region's socket and burns the per-row compute.
+func (t *outTask) Run(w *sched.Worker, done func()) {
+	env := t.env
+	if t.agg == nil {
+		env.runChain(env.randomFlow(matFlow, w, t.col, t.col.DictPSM, float64(t.matches),
+			env.Costs.MatCyclesPerAccess, env.Costs.OutBytesPerMatch, env.Costs.MatMissRate), done)
+		return
+	}
+	dst := t.socket
+	if dst < 0 {
+		dst = w.Socket()
+	}
+	cpb := 0.0
+	if t.agg.BytesPerRow > 0 {
+		cpb = t.agg.CyclesPerRow / t.agg.BytesPerRow
+	}
+	r := env.streamFlow(aggFlow, w, dst, cpb, float64(t.matches)*t.agg.BytesPerRow)
+	r.per = cpb
+	r.item = t.col.Name
+	env.runChain(r, done)
+}
+
+// output is an output operator's storage, refilled by each Open.
+type output struct {
+	parts   []outPart
+	targets []*colstore.Column
+	recs    []outTask
+	tasks   []Task
+}
+
+// open plans and emits the operator's output tasks, run by agg.
+func (o *output) open(p *Pipeline, agg *AggregateOp, regions []Region, parallel bool, project []string, disableCoalesce bool) []Task {
+	recs := o.plan(p, regions, parallel, project, disableCoalesce)
+	o.tasks = emptied(o.tasks, len(recs))
+	for i := range recs {
+		recs[i].env, recs[i].agg = p.Env, agg
+		o.tasks = append(o.tasks, Task{Socket: recs[i].socket, Run: &recs[i]})
+	}
+	return o.tasks
 }
 
 // outPart is one coalesced output partition: contiguous output slots
@@ -23,7 +71,7 @@ type outPart struct {
 	weight  int
 }
 
-// planOutput implements the output scheduling of Section 5.2, shared by
+// plan implements the output scheduling of Section 5.2, shared by
 // materialization and aggregation: the output vector is divided into one
 // fixed slot per hardware context; slot boundaries are resolved to the
 // socket of the pages that produce them (via the PSM); contiguous same-socket
@@ -39,14 +87,16 @@ type outPart struct {
 // of non-empty slots) is b − a when every slot is non-empty (T ≥ n) and the
 // match count otherwise (each non-empty slot then holds one match). Only the
 // DisableCoalesce ablation walks slots, since it keeps every slot separate.
-func planOutput(p *Pipeline, regions []Region, parallel bool, project []string, disableCoalesce bool) []outTask {
+// The partitions and tasks are written into o's storage.
+func (o *output) plan(p *Pipeline, regions []Region, parallel bool, project []string, disableCoalesce bool) []outTask {
 	env := p.Env
 	total := 0
 	for _, reg := range regions {
 		total += reg.Matches
 	}
+	o.parts, o.recs = o.parts[:0], o.recs[:0]
 	if total == 0 {
-		return nil
+		return o.recs
 	}
 
 	// Fixed-size output slots mapped to producing sockets.
@@ -56,7 +106,7 @@ func planOutput(p *Pipeline, regions []Region, parallel bool, project []string, 
 	}
 	slotStart := func(i int) int { return total * i / nSlots }
 	firstSlot := func(x int) int { return (x*nSlots + total - 1) / total }
-	var parts []outPart
+	parts := o.parts
 	prefix := 0 // matches of the regions before the current one
 	for r := range regions {
 		reg := &regions[r]
@@ -100,12 +150,12 @@ func planOutput(p *Pipeline, regions []Region, parallel bool, project []string, 
 	for _, p := range parts {
 		totalWeight += p.weight
 	}
-	var tasks []outTask
+	tasks := o.recs
 	for _, p := range parts {
 		// Targets: the producing column plus every projected column of the
 		// same part; the phase is repeated per projected column in parallel
 		// (Section 6).
-		targets := []*colstore.Column{p.col}
+		targets := append(o.targets[:0], p.col)
 		for _, name := range project {
 			if p.part == nil {
 				continue
@@ -114,6 +164,7 @@ func planOutput(p *Pipeline, regions []Region, parallel bool, project []string, 
 				targets = append(targets, pc)
 			}
 		}
+		o.targets = targets
 		n := hint * p.weight / totalWeight
 		if n < 1 {
 			n = 1
@@ -128,10 +179,11 @@ func planOutput(p *Pipeline, regions []Region, parallel bool, project []string, 
 				if tt == f {
 					continue
 				}
-				tasks = append(tasks, outTask{target, p.socket, tt - f})
+				tasks = append(tasks, outTask{col: target, socket: p.socket, matches: tt - f})
 			}
 		}
 	}
+	o.parts, o.recs = parts, tasks
 	return tasks
 }
 
@@ -148,35 +200,17 @@ type MaterializeOp struct {
 	// DisableCoalesce turns off the preprocessing optimization that merges
 	// contiguous same-socket output regions (ablation only).
 	DisableCoalesce bool
+
+	out output
 }
 
 // Open plans the materialization tasks from the upstream regions.
 func (m *MaterializeOp) Open(p *Pipeline) []Task {
-	env := p.Env
-	tasks := planOutput(p, m.Scan.Regions(), m.Parallel, m.ProjectColumns, m.DisableCoalesce)
-	out := make([]Task, 0, len(tasks))
-	for _, mt := range tasks {
-		mt := mt
-		out = append(out, Task{Socket: mt.socket, Run: func(w *sched.Worker, done func()) {
-			runMaterialize(env, w, mt.col, mt.matches, done)
-		}})
-	}
-	return out
+	return m.out.open(p, nil, m.Scan.Regions(), m.Parallel, m.ProjectColumns, m.DisableCoalesce)
 }
 
 // Close implements Operator.
 func (m *MaterializeOp) Close(*Pipeline) {}
-
-// runMaterialize executes one materialization task: m dependent random
-// accesses into the dictionary plus output writes on the worker's socket
-// (output vectors reuse virtual memory, so writes land wherever the worker
-// runs — Section 5.2).
-func runMaterialize(env *Env, w *sched.Worker, col *colstore.Column, m int, onDone func()) {
-	// A replicated dictionary is probed on the replica with the most MC
-	// headroom (the nearest one on an idle machine).
-	env.runChain(env.randomFlow(matFlow, w, col, col.DictPSM, float64(m),
-		env.Costs.MatCyclesPerAccess, env.Costs.OutBytesPerMatch, env.Costs.MatMissRate), onDone)
-}
 
 // AggregateOp aggregates the qualifying rows instead of materializing them
 // (Section 6.3: aggregations are parallelized like scans and task affinities
@@ -202,39 +236,14 @@ type AggregateOp struct {
 	Parallel bool
 	// DisableCoalesce turns off output-region coalescing (ablation only).
 	DisableCoalesce bool
+
+	out output
 }
 
 // Open plans the aggregation tasks from the upstream regions.
 func (a *AggregateOp) Open(p *Pipeline) []Task {
-	env := p.Env
-	tasks := planOutput(p, a.Source.Regions(), a.Parallel, a.ProjectColumns, a.DisableCoalesce)
-	out := make([]Task, 0, len(tasks))
-	for _, at := range tasks {
-		at := at
-		out = append(out, Task{Socket: at.socket, Run: func(w *sched.Worker, done func()) {
-			a.runAggregate(env, w, at.col, at.socket, at.matches, done)
-		}})
-	}
-	return out
+	return a.out.open(p, a, a.Source.Regions(), a.Parallel, a.ProjectColumns, a.DisableCoalesce)
 }
 
 // Close implements Operator.
 func (a *AggregateOp) Close(*Pipeline) {}
-
-// runAggregate executes one aggregation task.
-func (a *AggregateOp) runAggregate(env *Env, w *sched.Worker, col *colstore.Column, dataSocket, m int, onDone func()) {
-	src := w.Socket()
-	dst := dataSocket
-	if dst < 0 {
-		dst = src
-	}
-	bytes := float64(m) * a.BytesPerRow
-	cpb := 0.0
-	if a.BytesPerRow > 0 {
-		cpb = a.CyclesPerRow / a.BytesPerRow
-	}
-	r := env.streamFlow(aggFlow, w, dst, cpb, bytes)
-	r.per = cpb
-	r.item = col.Name
-	env.runChain(r, onDone)
-}

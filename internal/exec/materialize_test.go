@@ -9,7 +9,7 @@ import (
 	"numacs/internal/topology"
 )
 
-// planOutputRef is the slot-by-slot planOutput: every one of the machine's
+// planOutputRef is the slot-by-slot output.plan: every one of the machine's
 // output slots is sized, resolved to its producing region by a cursor, and
 // coalesced with the previous non-empty slot. It is the oracle the
 // per-region walk is checked against.
@@ -85,7 +85,7 @@ func planOutputRef(p *Pipeline, regions []Region, parallel bool, project []strin
 				if tt == f {
 					continue
 				}
-				tasks = append(tasks, outTask{target, p.socket, tt - f})
+				tasks = append(tasks, outTask{col: target, socket: p.socket, matches: tt - f})
 			}
 		}
 	}
@@ -94,7 +94,7 @@ func planOutputRef(p *Pipeline, regions []Region, parallel bool, project []strin
 
 // TestPlanOutputMatchesSlotWalk: on random region sets — zero-match
 // regions, fewer matches than output slots, a single region, runs of
-// same-socket regions, projections — the per-region planOutput emits
+// same-socket regions, projections — the per-region output.plan emits
 // exactly the slot walk's tasks, with and without parallelism and with
 // coalescing on and off, on machines of 120 and 640 hardware contexts.
 func TestPlanOutputMatchesSlotWalk(t *testing.T) {
@@ -146,7 +146,7 @@ func TestPlanOutputMatchesSlotWalk(t *testing.T) {
 		parallel := rng.Intn(4) != 0
 		disable := rng.Intn(4) == 0
 		want := planOutputRef(p, regions, parallel, project, disable)
-		got := planOutput(p, regions, parallel, project, disable)
+		got := new(output).plan(p, regions, parallel, project, disable)
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("case %d (threads %d, hint %d, parallel %v, disableCoalesce %v, regions %+v):\ngot  %v\nwant %v",
 				c, m.TotalThreads(), p.Hint(), parallel, disable, regions, got, want)

@@ -32,79 +32,104 @@ type ScanOp struct {
 	UseIndex bool
 	// Parallel enables intra-operator parallelism.
 	Parallel bool
+	// Cols, when set, holds the planner's resolution of Column and then
+	// ExtraPredicateColumns in each part; when nil, Open resolves the names.
+	Cols [][]*colstore.Column
 
 	regions []Region
+	findTasks
+	alls []*scanAll // scan-all task records, one per predicate column
 }
 
 // Regions implements RegionSource: the per-partition match counts, with the
 // conjunctive extra-predicate intersection already applied.
 func (s *ScanOp) Regions() []Region { return s.regions }
 
+// ResolveColumns resolves names in every part of t, indexed [part][name],
+// and panics on a name some part lacks.
+func ResolveColumns(t *colstore.Table, names ...string) [][]*colstore.Column {
+	out := make([][]*colstore.Column, len(t.Parts))
+	for i, part := range t.Parts {
+		for _, name := range names {
+			out[i] = append(out[i], partColumn(part, name))
+		}
+	}
+	return out
+}
+
+// partColumn returns the named column of part and panics when it has none.
+func partColumn(part *colstore.Part, name string) *colstore.Column {
+	c := part.ColumnByName(name)
+	if c == nil {
+		panic(fmt.Sprintf("exec: no column %s", name))
+	}
+	return c
+}
+
 // IndexEligible is the single source of truth for the index-vs-scan decision:
 // the statement permits index use, the selectivity clears the cost model's
-// threshold, and the column actually carries an index. ScanOp.Open applies it
-// at execution time and the planner mirrors it as a physical-plan annotation,
-// so EXPLAIN output and execution can never disagree.
-func IndexEligible(costs *Costs, table *colstore.Table, column string, selectivity float64, useIndex bool) bool {
-	if !useIndex || selectivity > costs.IndexSelectivityThreshold {
-		return false
-	}
-	c := table.Parts[0].ColumnByName(column)
-	return c != nil && c.Idx != nil
+// threshold, and the predicate column col actually carries an index. ScanOp.Open
+// applies it at execution time and the planner mirrors it as a physical-plan
+// annotation, so EXPLAIN output and execution can never disagree.
+func IndexEligible(costs *Costs, col *colstore.Column, selectivity float64, useIndex bool) bool {
+	return useIndex && selectivity <= costs.IndexSelectivityThreshold && col != nil && col.Idx != nil
 }
 
-// columns resolves a predicate column in every part, in part order, into
-// buf's storage.
-func (s *ScanOp) columns(name string, buf []*colstore.Column) []*colstore.Column {
-	cols := buf[:0]
-	for _, part := range s.Table.Parts {
-		c := part.ColumnByName(name)
-		if c == nil {
-			panic(fmt.Sprintf("exec: no column %s", name))
+// predicate appends predicate column k (Column, then ExtraPredicateColumns)
+// of every part to buf.
+func (s *ScanOp) predicate(k int, buf []*colstore.Column) []*colstore.Column {
+	name := s.Column
+	if k > 0 {
+		name = s.ExtraPredicateColumns[k-1]
+	}
+	for i, part := range s.Table.Parts {
+		if s.Cols != nil {
+			buf = append(buf, s.Cols[i][k])
+		} else {
+			buf = append(buf, partColumn(part, name))
 		}
-		cols = append(cols, c)
 	}
-	return cols
+	return buf
 }
 
-// Open plans and emits the find tasks. Only the primary predicate column
-// tracks regions (the materialization input); additional predicate columns
-// run the same find phase in parallel and merely intersect the result
-// (Section 6's multi-predicate discussion). Each task draws its matches as it
-// is planned, in task order.
+// Open plans the find tasks into the operator's records. Only the primary
+// predicate column tracks regions (the materialization input); additional
+// predicate columns run the same find phase in parallel and merely
+// intersect the result (Section 6's multi-predicate discussion). Each task
+// draws its matches as it is planned, in task order.
 func (s *ScanOp) Open(p *Pipeline) []Task {
 	env := p.Env
-	s.regions = s.regions[:0] // support operator reuse across pipelines
+	s.regions = s.regions[:0]
+	s.reset(0)
 	// Every replica-socket decision of this statement sees one MC-load
 	// snapshot, taken lazily by the first replicated column that needs it.
 	mc := mcSnapshot{env: env}
-	useIndex := IndexEligible(env.Costs, s.Table, s.Column, s.Selectivity, s.UseIndex)
 	var colBuf [4]*colstore.Column
 	var spanBuf [16]KernelSpan
 	var fragBuf [4]RowRange
-	var out []Task
+	useIndex := s.UseIndex && IndexEligible(env.Costs, s.predicate(0, colBuf[:0])[0], s.Selectivity, true)
 	track := true
-	// region opens a tracked region; emit appends a task whose m matches
-	// join the region opened last.
+	// region opens a tracked region; matches adds m to the region opened
+	// last.
 	region := func(col *colstore.Column, part *colstore.Part, socket int) {
 		if track {
 			s.regions = append(s.regions, Region{Col: col, Part: part, Socket: socket})
 		}
 	}
-	emit := func(t Task, m int) {
+	matches := func(m int) {
 		if track {
 			s.regions[len(s.regions)-1].Matches += m
 		}
-		out = append(out, t)
 	}
-	// stream emits a private find stream of rows [from,to).
+	// stream emits a private find stream (or index lookup) with m matches.
 	stream := func(fs findStream, m int) {
 		fs.n, fs.outBytes = 1, resultBytes(env, s.Selectivity, m, fs.to-fs.from)
-		emit(fs.task(env), m)
+		s.emit(env, fs)
+		matches(m)
 	}
-	// plan emits the find tasks of one predicate column, resolved per part.
-	plan := func(name string) {
-		cols := s.columns(name, colBuf[:])
+	// plan emits the find tasks of predicate column k.
+	plan := func(k int) {
+		cols := s.predicate(k, colBuf[:0])
 		if !s.Parallel && !useIndex && len(cols) > 1 {
 			rows := 0
 			for _, c := range cols {
@@ -112,9 +137,11 @@ func (s *ScanOp) Open(p *Pipeline) []Task {
 			}
 			socket := cols[0].IVPSM.MajoritySocket()
 			region(cols[0], s.Table.Parts[0], socket)
-			m := jitterMatches(env, rows, s.Selectivity)
-			emit(s.scanAllTask(env, slices.Clone(cols), m, socket), m)
+			r := s.scanAll(k, env, cols, jitterMatches(env, rows, s.Selectivity))
+			s.tasks = append(s.tasks, Task{Socket: socket, Run: r})
+			matches(r.matches)
 		} else {
+			s.reserve(len(cols))
 			for i, col := range cols {
 				part := s.Table.Parts[i]
 				switch {
@@ -127,7 +154,7 @@ func (s *ScanOp) Open(p *Pipeline) []Task {
 					}
 					region(col, part, socket)
 					m := jitterMatches(env, col.Rows, s.Selectivity)
-					emit(indexTask(env, col, m, socket), m)
+					stream(findStream{col: col, socket: socket, accesses: float64(m)*env.Costs.IndexAccessesPerMatch + 16}, m)
 				case !s.Parallel:
 					// Single task spanning everything; region socket is the IV
 					// majority socket — except for a replicated column, where
@@ -150,7 +177,7 @@ func (s *ScanOp) Open(p *Pipeline) []Task {
 						hint = max(hint/s.Table.NumParts(), 1)
 					}
 					spans := PlanSpans(spanBuf[:0], col, mc.forColumn(col), hint)
-					out = slices.Grow(out, len(spans))
+					s.reserve(len(spans))
 					for k, sp := range spans {
 						if k == 0 || sp.Part != spans[k-1].Part {
 							region(col, part, sp.Socket)
@@ -164,19 +191,21 @@ func (s *ScanOp) Open(p *Pipeline) []Task {
 		// Union the watermark-visible delta rows: one task per non-empty
 		// fragment, with the analytic match count.
 		for i, col := range cols {
-			for _, fr := range visibleDelta(fragBuf[:0], col) {
+			frags := visibleDelta(fragBuf[:0], col)
+			s.reserve(len(frags))
+			for _, fr := range frags {
 				region(col, s.Table.Parts[i], fr.Socket)
 				stream(findStream{col: col, to: fr.To, socket: fr.Socket, delta: true}, expectedMatches(fr.To, s.Selectivity))
 			}
 		}
 	}
 
-	plan(s.Column)
+	plan(0)
 	track = false
-	for _, extra := range s.ExtraPredicateColumns {
-		plan(extra)
+	for k := range s.ExtraPredicateColumns {
+		plan(k + 1)
 	}
-	return out
+	return s.tasks
 }
 
 // Close applies the conjunctive extra-predicate intersection at the find
@@ -191,39 +220,54 @@ func (s *ScanOp) Close(*Pipeline) {
 	}
 }
 
-// scanAllTask is one unparallelized scan across every physical part: the
-// single worker streams each part's IV in turn, reaching remote sockets for
-// the parts that are not local (Figure 10's "single task has to access
-// remotely the sockets of the remaining partitions"). The match output is
-// written with the last part.
-func (s *ScanOp) scanAllTask(env *Env, cols []*colstore.Column, matches, socket int) Task {
-	return Task{Socket: socket, Run: func(w *sched.Worker, done func()) {
-		var next func(i int)
-		next = func(i int) {
-			if i == len(cols) {
-				done()
-				return
-			}
-			col, m := cols[i], 0
-			if i == len(cols)-1 {
-				m = matches
-			}
-			fs := findStream{col: col, to: col.Rows, n: 1, outBytes: resultBytes(env, s.Selectivity, m, col.Rows)}
-			fs.runIV(env, w, func() { next(i + 1) })
-		}
-		next(0)
-	}}
+// scanAll is the record of one unparallelized scan across every physical
+// part: the single worker streams each part's IV in turn, reaching remote
+// sockets for the parts that are not local (Figure 10's "single task has to
+// access remotely the sockets of the remaining partitions"). The match output
+// is written with the last part. next is step, bound when the record is made.
+type scanAll struct {
+	env     *Env
+	sel     float64
+	cols    []*colstore.Column
+	matches int
+	w       *sched.Worker
+	done    func()
+	part    int
+	next    func()
 }
 
-// indexTask is one (unparallelized) index-lookup task: dependent random
-// accesses into the IX, on the replica with the most MC headroom for a
-// replicated index.
-func indexTask(env *Env, col *colstore.Column, matches, socket int) Task {
-	accesses := float64(matches)*env.Costs.IndexAccessesPerMatch + 16
-	return Task{Socket: socket, Run: func(w *sched.Worker, done func()) {
-		env.runChain(env.randomFlow(indexFlow, w, col, col.IXPSM, accesses,
-			env.Costs.IdxCyclesPerAccess, 4, env.Costs.IdxMissRate), done)
-	}}
+// scanAll returns predicate k's scan-all record, set up to scan cols.
+func (s *ScanOp) scanAll(k int, env *Env, cols []*colstore.Column, matches int) *scanAll {
+	if k == len(s.alls) {
+		r := &scanAll{}
+		r.next = r.step
+		s.alls = append(s.alls, r)
+	}
+	r := s.alls[k]
+	r.env, r.sel, r.cols, r.matches = env, s.Selectivity, append(r.cols[:0], cols...), matches
+	return r
+}
+
+// Run implements sched.Runner.
+func (r *scanAll) Run(w *sched.Worker, done func()) {
+	r.w, r.done, r.part = w, done, 0
+	r.step()
+}
+
+func (r *scanAll) step() {
+	if r.part == len(r.cols) {
+		done := r.done
+		r.w, r.done = nil, nil
+		done()
+		return
+	}
+	col, m := r.cols[r.part], 0
+	if r.part == len(r.cols)-1 {
+		m = r.matches
+	}
+	r.part++
+	fs := findStream{col: col, to: col.Rows, n: 1, outBytes: resultBytes(r.env, r.sel, m, col.Rows)}
+	fs.runIV(r.env, r.w, r.next)
 }
 
 // ---- the find-phase model shared by ScanOp, SharedScanOp and WrapScanOp -----
@@ -272,8 +316,8 @@ func visibleDelta(buf []RowRange, col *colstore.Column) []RowRange {
 	if col.Delta == nil {
 		return out
 	}
-	snap := col.Delta.Snapshot()
-	for sock, rows := range snap.Rows {
+	var rowBuf [32]int // a fragment per socket of the largest modelled machine
+	for sock, rows := range col.Delta.RowsInto(rowBuf[:0]) {
 		if rows > 0 {
 			out = append(out, RowRange{To: rows, Socket: sock})
 		}
@@ -285,6 +329,7 @@ func visibleDelta(buf []RowRange, col *colstore.Column) []RowRange {
 // evaluates n member predicates on it: n = 1 for a private scan, the cohort
 // size for a shared pass or its wrap.
 type findStream struct {
+	env *Env
 	col *colstore.Column
 	// from and to bound the IV rows of the stream; a delta stream reads
 	// to-from uncompressed rows of the fragment on socket.
@@ -298,24 +343,52 @@ type findStream struct {
 	pass *SharedScanOp
 	// wrap charges the stream as a cohort's wrap-around re-stream.
 	wrap bool
+	// accesses, when non-zero, makes the task that many dependent random
+	// accesses into col's IX instead (on the best replica, if replicated).
+	accesses float64
 }
 
-// task wraps the stream as a schedulable task.
-func (fs findStream) task(env *Env) Task {
-	return Task{Socket: fs.socket, Run: func(w *sched.Worker, done func()) {
-		if fs.delta {
-			fs.runDelta(env, w, done)
-		} else {
-			fs.runIV(env, w, done)
-		}
-	}}
+// findTasks is a find-phase operator's task storage, refilled by each Open;
+// reserving room keeps emit from moving records earlier tasks point to.
+type findTasks struct {
+	streams []findStream
+	tasks   []Task
+}
+
+func (ft *findTasks) reset(n int) {
+	ft.streams, ft.tasks = emptied(ft.streams, n), emptied(ft.tasks, n)
+}
+
+func (ft *findTasks) reserve(n int) {
+	ft.streams, ft.tasks = slices.Grow(ft.streams, n), slices.Grow(ft.tasks, n)
+}
+
+// emit appends the stream, run by env, as the next task.
+func (ft *findTasks) emit(env *Env, fs findStream) {
+	fs.env = env
+	ft.streams = append(ft.streams, fs)
+	ft.tasks = append(ft.tasks, Task{Socket: fs.socket, Run: &ft.streams[len(ft.streams)-1]})
+}
+
+// Run implements sched.Runner.
+func (fs *findStream) Run(w *sched.Worker, done func()) {
+	env := fs.env
+	switch {
+	case fs.accesses > 0:
+		env.runChain(env.randomFlow(indexFlow, w, fs.col, fs.col.IXPSM, fs.accesses,
+			env.Costs.IdxCyclesPerAccess, 4, env.Costs.IdxMissRate), done)
+	case fs.delta:
+		fs.runDelta(env, w, done)
+	default:
+		fs.runIV(env, w, done)
+	}
 }
 
 // runIV streams the IV bytes of rows [from,to) once, from wherever they
 // physically live — one chained flow per serving socket; a replicated column
 // is read from the replica with the most MC headroom — burning n predicate
 // evaluations per byte and writing the result bytes alongside.
-func (fs findStream) runIV(env *Env, w *sched.Worker, onDone func()) {
+func (fs *findStream) runIV(env *Env, w *sched.Worker, onDone func()) {
 	kind := scanFlow
 	if fs.wrap {
 		kind = wrapFlow
@@ -342,7 +415,7 @@ func (fs findStream) runIV(env *Env, w *sched.Worker, onDone func()) {
 // is why scans degrade as the delta grows) once from the fragment's own
 // socket, burning the uncompressed-predicate compute for n members, plus
 // the result write.
-func (fs findStream) runDelta(env *Env, w *sched.Worker, onDone func()) {
+func (fs *findStream) runDelta(env *Env, w *sched.Worker, onDone func()) {
 	kind := deltaFlow
 	if fs.wrap {
 		kind = wrapFlow

@@ -44,6 +44,7 @@ type SharedScanOp struct {
 	regions    [][]Region // per member, parallel layouts
 	bytesTotal float64    // planned main-pass IV bytes
 	bytesDone  float64    // streamed so far (attach-progress signal)
+	findTasks
 }
 
 // Regions implements RegionSource for the leader (member 0).
@@ -92,11 +93,7 @@ func passColumn(t *colstore.Table, name string) (*colstore.Part, *colstore.Colum
 	if n := t.NumParts(); n != 1 {
 		panic(fmt.Sprintf("exec: shared pass over table %s with %d parts, want 1", t.Name, n))
 	}
-	col := t.Parts[0].ColumnByName(name)
-	if col == nil {
-		panic(fmt.Sprintf("exec: no column %s", name))
-	}
-	return t.Parts[0], col
+	return t.Parts[0], partColumn(t.Parts[0], name)
 }
 
 // addRegion appends r to every member's regions: one layout, per-member
@@ -122,7 +119,7 @@ func (s *SharedScanOp) Open(p *Pipeline) []Task {
 	var fragBuf [4]RowRange
 	spans := PlanSpans(spanBuf[:0], col, mc.forColumn(col), cohortBudget(p, n, s.FanoutCap))
 	frags := visibleDelta(fragBuf[:0], col)
-	out := make([]Task, 0, len(spans)+len(frags))
+	s.reset(len(spans) + len(frags))
 	// stream plans one task, adding each member's matches to its newest
 	// region and its result bytes to the task's output.
 	stream := func(fs findStream) {
@@ -138,7 +135,7 @@ func (s *SharedScanOp) Open(p *Pipeline) []Task {
 			s.regions[i][len(s.regions[i])-1].Matches += m
 			fs.outBytes += resultBytes(env, sel, m, rows)
 		}
-		out = append(out, fs.task(env))
+		s.emit(env, fs)
 	}
 	for k, sp := range spans {
 		if k == 0 || sp.Part != spans[k-1].Part {
@@ -151,7 +148,7 @@ func (s *SharedScanOp) Open(p *Pipeline) []Task {
 		addRegion(s.regions, Region{Col: col, Part: part, Socket: fr.Socket})
 		stream(findStream{col: col, to: fr.To, socket: fr.Socket, delta: true})
 	}
-	return out
+	return s.tasks
 }
 
 // Close fires the cohort hook at the find barrier.
@@ -185,6 +182,7 @@ type WrapScanOp struct {
 	OnClosed func()
 
 	regions [][]Region
+	findTasks
 }
 
 // Regions implements RegionSource for the wrap leader (attacher 0).
@@ -204,12 +202,13 @@ func (wr *WrapScanOp) Open(p *Pipeline) []Task {
 	n := len(wr.Selectivities)
 	wr.regions = make([][]Region, n)
 	mc := mcSnapshot{env: env}
-	var out []Task
 	var partBuf [8]RowRange
 	var rowBuf [16][2]int
 	var fragBuf [4]RowRange
 	parts, spans := PartitionsWeighted(partBuf[:0], col, mc.forColumn(col)), rowBuf[:0]
+	frags := visibleDelta(fragBuf[:0], col)
 	per := TasksPerPartition(cohortBudget(p, n, wr.FanoutCap), len(parts))
+	wr.reset(len(parts)*per + len(frags))
 	for _, pr := range parts {
 		// Full-column logical regions, per attacher.
 		for i, sel := range wr.Selectivities {
@@ -233,20 +232,20 @@ func (wr *WrapScanOp) Open(p *Pipeline) []Task {
 				full := resultBytes(env, sel, expectedMatches(col.Rows, sel), col.Rows)
 				fs.outBytes += full * float64(span[1]-span[0]) / (wr.Fraction * float64(col.Rows))
 			}
-			out = append(out, fs.task(env))
+			wr.emit(env, fs)
 		}
 	}
 	// Delta fragments are small; the wrap re-streams them whole so attachers
 	// observe watermark-visible delta rows too.
-	for _, fr := range visibleDelta(fragBuf[:0], col) {
+	for _, fr := range frags {
 		for i, sel := range wr.Selectivities {
 			wr.regions[i] = append(wr.regions[i], Region{
 				Col: col, Part: part, Socket: fr.Socket, Matches: expectedMatches(fr.To, sel),
 			})
 		}
-		out = append(out, findStream{col: col, to: fr.To, socket: fr.Socket, delta: true, n: n, wrap: true}.task(env))
+		wr.emit(env, findStream{col: col, to: fr.To, socket: fr.Socket, delta: true, n: n, wrap: true})
 	}
-	return out
+	return wr.tasks
 }
 
 // Close attributes each attacher's logical full-column traffic (their

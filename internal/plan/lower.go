@@ -15,30 +15,24 @@ type Deps struct {
 	DisableCoalesce bool
 }
 
-// Lowered is the executable form of a physical plan: the operator sequence
-// for exec.Pipeline. Each lowering emits fresh operators, since operators
-// keep per-execution state; the cohort metadata and the output-phase factory
-// stay on the Physical (Shareable, ShareKey, OutputOp).
-type Lowered struct {
-	// Ops is the pipeline's operator sequence (barrier-separated phases).
-	Ops []exec.Operator
-}
-
-// Lower emits the physical plan's exec operators. The contract the golden
+// Lower emits the physical plan's exec operators, in pipeline order. Each
+// lowering emits fresh operators, since operators keep per-execution state;
+// the cohort metadata and the output-phase factory stay on the Physical
+// (Shareable, ShareKey, OutputOp). The contract the golden
 // tests pin: on unrewritten plan shapes the emitted operators carry exactly
 // the fields the hand-wired compositions set — a plain statement lowers to
 // the same ScanOp + MaterializeOp/AggregateOp pair core.Submit used to build
 // inline, and a single-dimension star statement lowers to the same
 // [scan, build, probe, aggregate] sequence the star statement was hand-wired
 // to before the planner.
-func (p *Physical) Lower(d Deps) *Lowered {
+func (p *Physical) Lower(d Deps) []exec.Operator {
 	if len(p.Joins) == 0 {
 		if p.Scan == nil {
 			panic("plan: physical plan has neither scan nor joins")
 		}
-		return p.LowerScan(p.OutputOp(d))
+		return p.FillPlain(new(PlainOps), d)
 	}
-	low := &Lowered{}
+	var ops []exec.Operator
 	var last *exec.JoinOp
 	for _, pj := range p.Joins {
 		bs := pj.BuildScan
@@ -72,43 +66,65 @@ func (p *Physical) Lower(d Deps) *Lowered {
 			j.Build, j.Probe = probeFK, buildKey
 			j.BuildSource = nil
 		}
-		low.Ops = append(low.Ops, scan, j.BuildOp(), j.ProbeOp())
+		ops = append(ops, scan, j.BuildOp(), j.ProbeOp())
 		last = j
 	}
-	low.Ops = append(low.Ops, &exec.AggregateOp{
+	return append(ops, &exec.AggregateOp{
 		Source:       last,
 		BytesPerRow:  p.Output.BytesPerRow,
 		CyclesPerRow: p.Output.CyclesPerRow,
 		Parallel:     p.Output.Parallel,
 	})
-	return low
 }
 
-// loweredScan is a lowered plain statement in one allocation: the Lowered,
-// its find-phase operator and the backing array of its two-operator sequence.
-type loweredScan struct {
-	Lowered
-	scan exec.ScanOp
-	ops  [2]exec.Operator
+// PlainOps is storage for a plain statement's operators, which keep their
+// task storage when a caller reuses them statement after statement.
+type PlainOps struct {
+	scan        exec.ScanOp
+	materialize exec.MaterializeOp
+	aggregate   exec.AggregateOp
+	ops         [2]exec.Operator
 }
 
-// LowerScan is Lower for a plain (join-free) plan with its output-phase
-// factory already built by OutputOp. A caller that lowers one plan many
-// times builds the factory once, and each lowering then costs one allocation
-// plus whatever the factory allocates for the output operator.
-func (p *Physical) LowerScan(secondOp func(src exec.RegionSource) exec.Operator) *Lowered {
+// FillPlain writes a plain (join-free) plan's operators into o and returns
+// them in pipeline order: the one mapping from a plain Physical to exec
+// operators, which Lower runs on fresh storage.
+func (p *Physical) FillPlain(o *PlainOps, d Deps) []exec.Operator {
 	s := p.Scan
-	l := &loweredScan{scan: exec.ScanOp{
+	o.scan = exec.ScanOp{
 		Table:                 s.Table,
 		Column:                s.Column,
 		Selectivity:           s.Selectivity,
 		ExtraPredicateColumns: s.ExtraPredicateColumns,
 		UseIndex:              s.UseIndex,
 		Parallel:              s.Parallel,
-	}}
-	l.ops = [2]exec.Operator{&l.scan, secondOp(&l.scan)}
-	l.Ops = l.ops[:]
-	return &l.Lowered
+		Cols:                  s.Cols,
+	}
+	o.ops = [2]exec.Operator{&o.scan, p.Output.fill(&o.materialize, &o.aggregate, &o.scan, d)}
+	return o.ops[:]
+}
+
+// fill writes the output operator over src into mat or agg, whichever kind
+// the plan outputs, and returns it.
+func (out *PhysOutput) fill(mat *exec.MaterializeOp, agg *exec.AggregateOp, src exec.RegionSource, d Deps) exec.Operator {
+	if out.Aggregate {
+		*agg = exec.AggregateOp{
+			Source:          src,
+			BytesPerRow:     out.BytesPerRow,
+			CyclesPerRow:    out.CyclesPerRow,
+			ProjectColumns:  out.ProjectColumns,
+			Parallel:        out.Parallel,
+			DisableCoalesce: d.DisableCoalesce,
+		}
+		return agg
+	}
+	*mat = exec.MaterializeOp{
+		Scan:            src,
+		ProjectColumns:  out.ProjectColumns,
+		Parallel:        out.Parallel,
+		DisableCoalesce: d.DisableCoalesce,
+	}
+	return mat
 }
 
 // OutputOp returns the output-phase factory of a plain statement: the same
@@ -119,20 +135,8 @@ func (p *Physical) OutputOp(d Deps) func(src exec.RegionSource) exec.Operator {
 	out := p.Output
 	return func(src exec.RegionSource) exec.Operator {
 		if out.Aggregate {
-			return &exec.AggregateOp{
-				Source:          src,
-				BytesPerRow:     out.BytesPerRow,
-				CyclesPerRow:    out.CyclesPerRow,
-				ProjectColumns:  out.ProjectColumns,
-				Parallel:        out.Parallel,
-				DisableCoalesce: d.DisableCoalesce,
-			}
+			return out.fill(nil, new(exec.AggregateOp), src, d)
 		}
-		return &exec.MaterializeOp{
-			Scan:            src,
-			ProjectColumns:  out.ProjectColumns,
-			Parallel:        out.Parallel,
-			DisableCoalesce: d.DisableCoalesce,
-		}
+		return out.fill(new(exec.MaterializeOp), nil, src, d)
 	}
 }

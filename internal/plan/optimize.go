@@ -320,6 +320,8 @@ type PhysScan struct {
 	// EstRows is the estimated qualifying-row count after every predicate
 	// (0 when planned without stats).
 	EstRows float64
+	// Cols is a plain statement's exec.ScanOp.Cols; nil for a join's.
+	Cols [][]*colstore.Column
 }
 
 // PhysJoin is one physical hash-join stage: resolved build/probe columns,
@@ -400,6 +402,7 @@ func finalize(ctx *Context, root Node, passes []string) *Physical {
 	switch v := input.(type) {
 	case *ScanNode:
 		p.Scan = physScan(ctx, v)
+		p.Scan.Cols = exec.ResolveColumns(v.Table, append([]string{p.Scan.Column}, p.Scan.ExtraPredicateColumns...)...)
 		p.Shareable = v.Parallel && !v.UseIndex && len(v.Preds) == 1 &&
 			v.Table.NumParts() == 1
 		if p.Shareable {
@@ -510,8 +513,8 @@ func physScan(ctx *Context, sc *ScanNode) *PhysScan {
 			ps.ExtraPredicateColumns = append(ps.ExtraPredicateColumns, pr.Column)
 		}
 	}
-	if ctx.Costs != nil {
-		ps.IndexEligible = exec.IndexEligible(ctx.Costs, sc.Table, ps.Column, ps.Selectivity, sc.UseIndex)
+	if ctx.Costs != nil && sc.UseIndex {
+		ps.IndexEligible = exec.IndexEligible(ctx.Costs, sc.Table.Parts[0].ColumnByName(ps.Column), ps.Selectivity, true)
 	}
 	return ps
 }

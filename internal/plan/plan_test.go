@@ -226,10 +226,11 @@ func TestAllReplicatedStats(t *testing.T) {
 // TestLowerPlainMatchesHandWired pins the plain-statement lowering contract
 // at the struct level: for an aggregating and a materializing statement, the
 // emitted operators equal the hand-wired ScanOp + output-operator
-// composition field for field.
+// composition field for field, with the predicate columns resolved per part.
 func TestLowerPlainMatchesHandWired(t *testing.T) {
 	hot, _, _, _ := testSchema()
-	wantScan := &exec.ScanOp{Table: hot, Column: "H_VAL", Selectivity: 1e-5, Parallel: true}
+	wantScan := &exec.ScanOp{Table: hot, Column: "H_VAL", Selectivity: 1e-5, Parallel: true,
+		Cols: exec.ResolveColumns(hot, "H_VAL")}
 	for _, tc := range []struct {
 		name string
 		st   Statement
@@ -249,8 +250,8 @@ func TestLowerPlainMatchesHandWired(t *testing.T) {
 	} {
 		low := Optimize(BuildQuery(tc.st), nil, nil).Lower(Deps{DisableCoalesce: true})
 		want := []exec.Operator{wantScan, tc.out}
-		if !reflect.DeepEqual(low.Ops, want) {
-			t.Errorf("%s: lowered ops drifted:\n got  %+v\n want %+v", tc.name, low.Ops, want)
+		if !reflect.DeepEqual(low, want) {
+			t.Errorf("%s: lowered ops drifted:\n got  %+v\n want %+v", tc.name, low, want)
 		}
 	}
 }
@@ -279,8 +280,8 @@ func TestLowerStarMatchesHandWired(t *testing.T) {
 	}
 	agg := &exec.AggregateOp{Source: j, BytesPerRow: 12, CyclesPerRow: 24, Parallel: true}
 	want := []exec.Operator{scan, j.BuildOp(), j.ProbeOp(), agg}
-	if !reflect.DeepEqual(low.Ops, want) {
-		t.Errorf("lowered star drifted:\n got  %+v\n want %+v", low.Ops, want)
+	if !reflect.DeepEqual(low, want) {
+		t.Errorf("lowered star drifted:\n got  %+v\n want %+v", low, want)
 	}
 }
 
@@ -309,11 +310,11 @@ func TestOptimizeIsNoOpForPlainStatements(t *testing.T) {
 		optPhys := Optimize(BuildQuery(st), nil, nil)
 		rawPhys := OptimizeWith(BuildQuery(st), nil, nil, nil)
 		opt, raw := optPhys.Lower(deps), rawPhys.Lower(deps)
-		if !reflect.DeepEqual(opt.Ops[0], raw.Ops[0]) {
+		if !reflect.DeepEqual(opt[0], raw[0]) {
 			t.Fatalf("statement %d: optimized scan drifted from unoptimized:\n opt %+v\n raw %+v",
-				i, opt.Ops[0], raw.Ops[0])
+				i, opt[0], raw[0])
 		}
-		if !reflect.DeepEqual(opt.Ops[1], raw.Ops[1]) {
+		if !reflect.DeepEqual(opt[1], raw[1]) {
 			t.Fatalf("statement %d: optimized output drifted from unoptimized", i)
 		}
 		if optPhys.Shareable != rawPhys.Shareable || optPhys.ShareKey != rawPhys.ShareKey {

@@ -16,10 +16,22 @@ import (
 	"numacs/internal/sim"
 )
 
-// Task is a schedulable unit of work. Execution is asynchronous: the
-// scheduler invokes Run with the worker that picked the task up, and the
-// task calls the supplied done function when it finishes (typically from a
-// flow-completion callback).
+// Runner is the work a Task carries, usually a pointer to a record its
+// owner reuses. Run starts it on the worker that picked the task up; it
+// calls done, the worker's own callback, when it finishes (at once for
+// zero-cost work).
+type Runner interface {
+	Run(w *Worker, done func())
+}
+
+// RunFunc adapts a function to the Runner interface.
+type RunFunc func(w *Worker, done func())
+
+// Run implements Runner.
+func (f RunFunc) Run(w *Worker, done func()) { f(w, done) }
+
+// Task is a schedulable unit of work. A caller that reuses Task storage
+// assigns the whole struct, which also resets the scheduler's bookkeeping.
 type Task struct {
 	// Priority orders tasks; lower values run first. The engine uses the
 	// issue timestamp of the SQL statement, so tasks of older queries are
@@ -35,16 +47,14 @@ type Task struct {
 	// CallerSocket is where the task creator runs; used for no-affinity
 	// insertion.
 	CallerSocket int
-	// Run starts execution on a worker. The implementation must eventually
-	// call done (it may do so synchronously for zero-cost tasks). done is the
-	// worker's own callback, built once per worker, so starting a task
-	// allocates nothing beyond what Run itself does.
-	Run func(w *Worker, done func())
+	// Run starts execution on a worker and must eventually call done.
+	Run Runner
 	// Then, when non-nil, runs once the task has called done and its worker
 	// is back in the free pool — the hook a caller uses to react to the
 	// completion (exec's phase barrier is one) without wrapping Run and done
-	// in per-task closures. It runs after the scheduler's own bookkeeping, so
-	// it may submit new tasks.
+	// in per-task closures. It runs after the scheduler's own bookkeeping,
+	// which has dropped every pointer to the task, so it may submit new
+	// tasks and reuse this task's storage.
 	Then func()
 	// OnStart, when non-nil, is invoked at pickup time — before Run — with
 	// the executing worker and whether the pickup was a cross-socket steal.
@@ -516,7 +526,7 @@ func (s *Scheduler) start(w *Worker, t *Task, now float64, stolen bool) {
 	if t.OnStart != nil {
 		t.OnStart(w, stolen)
 	}
-	t.Run(w, w.done)
+	t.Run.Run(w, w.done)
 }
 
 // finish returns a worker to the free pool, then runs its task's Then hook.

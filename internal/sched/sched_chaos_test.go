@@ -87,9 +87,9 @@ func TestWorkerParksAfterTaskWhenOffline(t *testing.T) {
 	var finish func()
 	s.Submit(&Task{
 		Affinity: 0,
-		Run: func(w *Worker, done func()) {
+		Run: RunFunc(func(w *Worker, done func()) {
 			finish = done
-		},
+		}),
 	})
 	e.Step()
 	if finish == nil {

@@ -18,7 +18,7 @@ func TestStealPrefersSameSocket(t *testing.T) {
 	// that never complete.
 	for i := 0; i < m.ThreadsPerSocket()-1; i++ {
 		s.Submit(&Task{Affinity: 3, Hard: true, Priority: -1,
-			Run: func(w *Worker, done func()) {}})
+			Run: RunFunc(func(w *Worker, done func()) {})})
 	}
 	for sock := 0; sock < m.Sockets; sock++ {
 		if sock == 3 {
@@ -26,7 +26,7 @@ func TestStealPrefersSameSocket(t *testing.T) {
 		}
 		for i := 0; i < m.ThreadsPerSocket(); i++ {
 			s.Submit(&Task{Affinity: sock, Hard: true, Priority: -1,
-				Run: func(w *Worker, done func()) {}})
+				Run: RunFunc(func(w *Worker, done func()) {})})
 		}
 	}
 	e.Step()
@@ -39,9 +39,9 @@ func TestStealPrefersSameSocket(t *testing.T) {
 	// priority on socket 7. Same-socket must still win: priority orders
 	// within queues, not across sockets.
 	s.Submit(&Task{Affinity: 3, Priority: 10,
-		Run: func(w *Worker, done func()) { ran = append(ran, w.Socket()); done() }})
+		Run: RunFunc(func(w *Worker, done func()) { ran = append(ran, w.Socket()); done() })})
 	s.Submit(&Task{Affinity: 7, Priority: 0,
-		Run: func(w *Worker, done func()) { ran = append(ran, w.Socket()); done() }})
+		Run: RunFunc(func(w *Worker, done func()) { ran = append(ran, w.Socket()); done() })})
 	stolenBefore := s.Counters.TasksStolen
 	e.Step()
 	// Both tasks complete synchronously, so the single free worker runs both
@@ -68,9 +68,9 @@ func TestWorkerBindingSemantics(t *testing.T) {
 	s, e := testSched(topology.FourSocketIvyBridge())
 	var boundStates []bool
 	s.Submit(&Task{Affinity: 1,
-		Run: func(w *Worker, done func()) { boundStates = append(boundStates, w.Bound); done() }})
+		Run: RunFunc(func(w *Worker, done func()) { boundStates = append(boundStates, w.Bound); done() })})
 	s.Submit(&Task{Affinity: -1, CallerSocket: 1,
-		Run: func(w *Worker, done func()) { boundStates = append(boundStates, w.Bound); done() }})
+		Run: RunFunc(func(w *Worker, done func()) { boundStates = append(boundStates, w.Bound); done() })})
 	e.Step()
 	e.Step()
 	if len(boundStates) != 2 {
@@ -92,14 +92,14 @@ func TestIgnorePriorityIsFIFO(t *testing.T) {
 	blockDone := []func(){}
 	for i := 0; i < 30; i++ {
 		s.Submit(&Task{Affinity: 0, Hard: true, Priority: -5,
-			Run: func(w *Worker, done func()) { blockDone = append(blockDone, done) }})
+			Run: RunFunc(func(w *Worker, done func()) { blockDone = append(blockDone, done) })})
 	}
 	e.Step()
 	// Submit with decreasing priorities; FIFO must ignore them.
 	for i := 0; i < 4; i++ {
 		id := i
 		s.Submit(&Task{Affinity: 0, Hard: true, Priority: float64(10 - i),
-			Run: func(w *Worker, done func()) { order = append(order, id); done() }})
+			Run: RunFunc(func(w *Worker, done func()) { order = append(order, id); done() })})
 	}
 	for i := 0; i < 4; i++ {
 		blockDone[i]()
@@ -118,7 +118,7 @@ func TestQueuedTasksAccounting(t *testing.T) {
 	s, e := testSched(topology.FourSocketIvyBridge())
 	for i := 0; i < 200; i++ {
 		s.Submit(&Task{Affinity: 2, Hard: true, Priority: 0,
-			Run: func(w *Worker, done func()) {}})
+			Run: RunFunc(func(w *Worker, done func()) {})})
 	}
 	// Nothing dispatched yet.
 	if got := s.QueuedTasks(); got != 200 {
@@ -145,7 +145,7 @@ func TestSaturationSnapshot(t *testing.T) {
 	// of the machine idle.
 	for i := 0; i < perSocket+12; i++ {
 		s.Submit(&Task{Affinity: 1, Hard: true, Priority: 0,
-			Run: func(w *Worker, done func()) {}})
+			Run: RunFunc(func(w *Worker, done func()) {})})
 	}
 	e.Step()
 	snap := s.Saturation()
@@ -183,7 +183,7 @@ func TestWatchdogSamplesSaturationCounters(t *testing.T) {
 	s.StealEnabled = false
 	for i := 0; i < 45; i++ { // 30 run, 15 queue on socket 0's TG
 		s.Submit(&Task{Affinity: 0, Hard: true, Priority: 0,
-			Run: func(w *Worker, done func()) {}})
+			Run: RunFunc(func(w *Worker, done func()) {})})
 	}
 	e.Run(0.01)
 	c := s.Counters
@@ -219,7 +219,7 @@ func TestWatchdogCountsUnsaturatedTGs(t *testing.T) {
 	// expected. Then queue more than the TG can run.
 	for i := 0; i < 40; i++ {
 		s.Submit(&Task{Affinity: 0, Hard: true, Priority: 0,
-			Run: func(w *Worker, done func()) {}})
+			Run: RunFunc(func(w *Worker, done func()) {})})
 	}
 	e.Run(0.005)
 	// Socket 0's TG is saturated (30 working, 10 queued): not "unsaturated".

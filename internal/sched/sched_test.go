@@ -25,10 +25,10 @@ func immediateTask(priority float64, affinity int, hard bool, ranOn *[]int) *Tas
 		Affinity:     affinity,
 		Hard:         hard,
 		CallerSocket: 0,
-		Run: func(w *Worker, done func()) {
+		Run: RunFunc(func(w *Worker, done func()) {
 			*ranOn = append(*ranOn, w.Socket())
 			done()
-		},
+		}),
 	}
 }
 
@@ -104,7 +104,7 @@ func TestPriorityOrder(t *testing.T) {
 	for i := 0; i < nWorkers; i++ {
 		s.Submit(&Task{
 			Affinity: 0, Hard: true, Priority: -1,
-			Run: func(w *Worker, done func()) { blockDone = append(blockDone, done) },
+			Run: RunFunc(func(w *Worker, done func()) { blockDone = append(blockDone, done) }),
 		})
 	}
 	e.Step()
@@ -113,10 +113,10 @@ func TestPriorityOrder(t *testing.T) {
 		pp := p
 		s.Submit(&Task{
 			Affinity: 0, Hard: true, Priority: pp,
-			Run: func(w *Worker, done func()) {
+			Run: RunFunc(func(w *Worker, done func()) {
 				order = append(order, pp)
 				done()
-			},
+			}),
 		})
 	}
 	// Release one worker at a time; queued tasks must run lowest-priority-
@@ -142,13 +142,13 @@ func TestFIFOTiebreakWithinPriority(t *testing.T) {
 	blockDone := []func(){}
 	for i := 0; i < 30; i++ {
 		s.Submit(&Task{Affinity: 0, Hard: true, Priority: -1,
-			Run: func(w *Worker, done func()) { blockDone = append(blockDone, done) }})
+			Run: RunFunc(func(w *Worker, done func()) { blockDone = append(blockDone, done) })})
 	}
 	e.Step()
 	for i := 0; i < 4; i++ {
 		id := i
 		s.Submit(&Task{Affinity: 0, Hard: true, Priority: 7,
-			Run: func(w *Worker, done func()) { order = append(order, id); done() }})
+			Run: RunFunc(func(w *Worker, done func()) { order = append(order, id); done() })})
 	}
 	for i := 0; i < 4; i++ {
 		blockDone[i]()
@@ -257,7 +257,7 @@ func TestAsyncTaskCompletion(t *testing.T) {
 	finished := false
 	s.Submit(&Task{
 		Affinity: 0,
-		Run: func(w *Worker, done func()) {
+		Run: RunFunc(func(w *Worker, done func()) {
 			// Simulate a streaming phase: 1 MiB local scan.
 			demands, _ := h.StreamDemandsInto(nil, w.Socket(), 0, w.CoreRes, 0.5)
 			e.StartFlow(&sim.Flow{
@@ -269,7 +269,7 @@ func TestAsyncTaskCompletion(t *testing.T) {
 					done()
 				},
 			})
-		},
+		}),
 	})
 	e.Run(0.01)
 	if !finished {
@@ -296,7 +296,7 @@ func TestWatchdogRuns(t *testing.T) {
 
 func TestSubmitTwicePanics(t *testing.T) {
 	s, _ := testSched(topology.FourSocketIvyBridge())
-	task := &Task{Affinity: 0, Run: func(w *Worker, done func()) { done() }}
+	task := &Task{Affinity: 0, Run: RunFunc(func(w *Worker, done func()) { done() })}
 	s.Submit(task)
 	defer func() {
 		if recover() == nil {
@@ -316,7 +316,7 @@ func TestTaskStartFinishAllocatesNothing(t *testing.T) {
 	thens := 0
 	task := Task{
 		Affinity: 1, Hard: true,
-		Run: func(w *Worker, done func()) { done() },
+		Run: RunFunc(func(w *Worker, done func()) { done() }),
 		Then: func() {
 			if s.WorkingWorkers() != 0 {
 				t.Error("Then ran before the worker was released")
