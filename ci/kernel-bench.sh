@@ -33,8 +33,10 @@ go test -bench '^BenchmarkSubmit$' -benchtime=0.2s -count=3 -run '^$' ./internal
 # measured mix, and on the 32-socket IvyBridge with the same mix at 256.
 go test -bench '^BenchmarkSimStep$' -benchtime=0.2s -count=3 -run '^$' ./internal/sim
 
-# And the scheduler's dispatch: heap pushes and pops with taskLess, stealing
-# and worker bookkeeping. One "row" is one dispatch round on the 4-socket
-# IvyBridge: refill the queues to its 120 workers plus mat-skew's mean
-# backlog of 34 tasks, one Tick that starts 120 of them, and their finishes.
+# And the scheduler's dispatch: heap pushes and pops with taskLess and worker
+# bookkeeping. One "row" is one dispatch round on the 4-socket IvyBridge, in
+# the steady state measured at every Tick of mat-skew at seed 1: refill the
+# queues to 118 tasks with affinities even over the sockets, one Tick that
+# starts 84 of them on the free workers and leaves mat-skew's backlog of 34,
+# and the finishes that leave 36 workers busy.
 go test -bench '^BenchmarkSchedTick$' -benchtime=0.2s -count=3 -run '^$' ./internal/sched

@@ -503,11 +503,14 @@ func (e *Engine) complete(q *Query, release func(), lat float64) {
 // occupying a worker (units are seconds; the rate cap of 1 makes the flow a
 // pure delay).
 func (e *Engine) afterOverhead(next func()) {
-	e.Sim.StartFlow(&sim.Flow{
-		Remaining: e.Costs.QueryOverheadSeconds,
-		RateCap:   1,
-		OnDone:    next,
-	})
+	e.startOverhead(new(sim.Flow), next)
+}
+
+// startOverhead fills the caller-owned f with the per-query overhead delay
+// that runs next when it ends, and starts it.
+func (e *Engine) startOverhead(f *sim.Flow, next func()) {
+	*f = sim.Flow{Remaining: e.Costs.QueryOverheadSeconds, RateCap: 1, OnDone: next}
+	e.Sim.StartFlow(f)
 }
 
 // addItemTraffic attributes traffic to a data item for the adaptive placer.

@@ -72,7 +72,7 @@ func (e *Engine) plainPlan(q *Query) *plainPlan {
 		if !slices.Equal(pp.extras, q.ExtraPredicateColumns) || !slices.Equal(pp.projects, q.ProjectColumns) {
 			continue
 		}
-		if pp.phys.Scan.IndexEligible != exec.IndexEligible(&e.Costs, pp.phys.Scan.Cols[0][0], q.Selectivity, q.UseIndex) {
+		if pp.phys.Scan.IndexEligible != (q.UseIndex && exec.IndexEligible(&e.Costs, pp.phys.Scan.Cols[0], q.Selectivity)) {
 			bucket[i] = e.buildPlain(q)
 		}
 		return bucket[i]
@@ -145,13 +145,13 @@ func (pp *plainPlan) take(e *Engine) *stmtRec {
 	return r
 }
 
-// run starts q on a record, behind the per-query overhead (afterOverhead).
+// run starts q on a record, behind the per-query overhead, whose OnDone was
+// bound to the pipeline's Start when the record was made.
 func (pp *plainPlan) run(e *Engine, q *Query, st *trace.Statement, gran int, issuedAt float64, release func()) {
 	r := pp.take(e)
 	r.q, r.release = q, release
 	r.p.Strategy, r.p.HomeSocket, r.p.IssuedAt, r.p.MaxFanout, r.p.Trace = q.Strategy, q.HomeSocket, issuedAt, gran, st
-	r.overhead = sim.Flow{Remaining: e.Costs.QueryOverheadSeconds, RateCap: 1, OnDone: r.overhead.OnDone}
-	e.Sim.StartFlow(&r.overhead)
+	e.startOverhead(&r.overhead, r.overhead.OnDone)
 }
 
 // done is every record's pipeline OnDone.

@@ -108,7 +108,8 @@ func TestSingleMemberPassEqualsPrivateScan(t *testing.T) {
 					drainPipeline(t, env, op)
 					src = op
 				} else {
-					op := &ScanOp{Table: tbl, Column: column, Selectivity: tc.sel, Parallel: true}
+					op := &ScanOp{Table: tbl, Selectivity: tc.sel, Parallel: true,
+						Cols: ResolveColumns(tbl, column)}
 					drainPipeline(t, env, op)
 					src = op
 				}

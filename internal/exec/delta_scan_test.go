@@ -40,7 +40,8 @@ func deltaScanSetup(t *testing.T) (*Env, *colstore.Table, map[string]Traffic) {
 }
 
 func runScanPipeline(env *Env, tbl *colstore.Table, column string) *ScanOp {
-	scan := &ScanOp{Table: tbl, Column: column, Selectivity: 0.01, Parallel: true}
+	scan := &ScanOp{Table: tbl, Selectivity: 0.01, Parallel: true,
+		Cols: ResolveColumns(tbl, column)}
 	done := false
 	p := &Pipeline{Env: env, Strategy: Bound, HomeSocket: 0, Ops: []Operator{scan},
 		OnDone: func(float64) { done = true }}

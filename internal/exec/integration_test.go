@@ -53,7 +53,8 @@ func TestPipelineScanMatchesQueryPath(t *testing.T) {
 				})
 				continue
 			}
-			scan := &exec.ScanOp{Table: tb, Column: "COL002", Selectivity: 1e-3, Parallel: true}
+			scan := &exec.ScanOp{Table: tb, Selectivity: 1e-3, Parallel: true,
+				Cols: exec.ResolveColumns(tb, "COL002")}
 			mat := &exec.MaterializeOp{Scan: scan, Parallel: true}
 			p := &exec.Pipeline{
 				Env: e.ExecEnv(), Strategy: core.Bound, HomeSocket: i % 4,

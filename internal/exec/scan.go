@@ -18,23 +18,21 @@ import (
 // a join build consume downstream.
 type ScanOp struct {
 	Table       *colstore.Table
-	Column      string
 	Selectivity float64
-
-	// ExtraPredicateColumns adds conjunctive range predicates on further
-	// columns: the find phase is repeated, in parallel, for each predicate
-	// column, and the qualifying set is their intersection (the paper
-	// discusses this generalization in Section 6). Each extra predicate uses
-	// the same Selectivity.
-	ExtraPredicateColumns []string
-	// UseIndex permits index lookups when the column has an index and the
-	// optimizer's selectivity threshold admits them.
+	// Cols holds the predicate columns resolved in every part
+	// (ResolveColumns): the primary one, whose matches the Regions count,
+	// then any conjunctive range predicates on further columns. The find
+	// phase is repeated, in parallel, for each predicate column, and the
+	// qualifying set is their intersection (the paper discusses this
+	// generalization in Section 6); each extra predicate uses the same
+	// Selectivity. The planner resolves them once per plan, so Open looks
+	// up no name.
+	Cols []*colstore.Column
+	// UseIndex permits index lookups when the primary column has an index
+	// and the optimizer's selectivity threshold admits them.
 	UseIndex bool
 	// Parallel enables intra-operator parallelism.
 	Parallel bool
-	// Cols, when set, holds the planner's resolution of Column and then
-	// ExtraPredicateColumns in each part; when nil, Open resolves the names.
-	Cols [][]*colstore.Column
 
 	regions []Region
 	findTasks
@@ -45,13 +43,13 @@ type ScanOp struct {
 // conjunctive extra-predicate intersection already applied.
 func (s *ScanOp) Regions() []Region { return s.regions }
 
-// ResolveColumns resolves names in every part of t, indexed [part][name],
-// and panics on a name some part lacks.
-func ResolveColumns(t *colstore.Table, names ...string) [][]*colstore.Column {
-	out := make([][]*colstore.Column, len(t.Parts))
-	for i, part := range t.Parts {
-		for _, name := range names {
-			out[i] = append(out[i], partColumn(part, name))
+// ResolveColumns resolves names in every part of t, name by name: names[k]
+// in part i is at k*len(t.Parts)+i. It panics on a name some part lacks.
+func ResolveColumns(t *colstore.Table, names ...string) []*colstore.Column {
+	out := make([]*colstore.Column, 0, len(names)*len(t.Parts))
+	for _, name := range names {
+		for _, part := range t.Parts {
+			out = append(out, partColumn(part, name))
 		}
 	}
 	return out
@@ -66,30 +64,23 @@ func partColumn(part *colstore.Part, name string) *colstore.Column {
 	return c
 }
 
-// IndexEligible is the single source of truth for the index-vs-scan decision:
-// the statement permits index use, the selectivity clears the cost model's
-// threshold, and the predicate column col actually carries an index. ScanOp.Open
-// applies it at execution time and the planner mirrors it as a physical-plan
-// annotation, so EXPLAIN output and execution can never disagree.
-func IndexEligible(costs *Costs, col *colstore.Column, selectivity float64, useIndex bool) bool {
-	return useIndex && selectivity <= costs.IndexSelectivityThreshold && col != nil && col.Idx != nil
+// IndexEligible is the single source of truth for the index-vs-scan decision
+// of a statement that permits index use: the selectivity clears the cost
+// model's threshold, and the predicate column col actually carries an index.
+// ScanOp.Open applies it at execution time and the planner mirrors it as a
+// physical-plan annotation, so EXPLAIN output and execution can never
+// disagree.
+func IndexEligible(costs *Costs, col *colstore.Column, selectivity float64) bool {
+	return selectivity <= costs.IndexSelectivityThreshold && col != nil && col.Idx != nil
 }
 
-// predicate appends predicate column k (Column, then ExtraPredicateColumns)
-// of every part to buf.
-func (s *ScanOp) predicate(k int, buf []*colstore.Column) []*colstore.Column {
-	name := s.Column
-	if k > 0 {
-		name = s.ExtraPredicateColumns[k-1]
-	}
-	for i, part := range s.Table.Parts {
-		if s.Cols != nil {
-			buf = append(buf, s.Cols[i][k])
-		} else {
-			buf = append(buf, partColumn(part, name))
-		}
-	}
-	return buf
+// predicates returns the number of predicate columns.
+func (s *ScanOp) predicates() int { return len(s.Cols) / len(s.Table.Parts) }
+
+// predicate returns predicate column k in every part.
+func (s *ScanOp) predicate(k int) []*colstore.Column {
+	n := len(s.Table.Parts)
+	return s.Cols[k*n : (k+1)*n]
 }
 
 // Open plans the find tasks into the operator's records. Only the primary
@@ -104,10 +95,9 @@ func (s *ScanOp) Open(p *Pipeline) []Task {
 	// Every replica-socket decision of this statement sees one MC-load
 	// snapshot, taken lazily by the first replicated column that needs it.
 	mc := mcSnapshot{env: env}
-	var colBuf [4]*colstore.Column
 	var spanBuf [16]KernelSpan
 	var fragBuf [4]RowRange
-	useIndex := s.UseIndex && IndexEligible(env.Costs, s.predicate(0, colBuf[:0])[0], s.Selectivity, true)
+	useIndex := s.UseIndex && IndexEligible(env.Costs, s.Cols[0], s.Selectivity)
 	track := true
 	// region opens a tracked region; matches adds m to the region opened
 	// last.
@@ -129,7 +119,7 @@ func (s *ScanOp) Open(p *Pipeline) []Task {
 	}
 	// plan emits the find tasks of predicate column k.
 	plan := func(k int) {
-		cols := s.predicate(k, colBuf[:0])
+		cols := s.predicate(k)
 		if !s.Parallel && !useIndex && len(cols) > 1 {
 			rows := 0
 			for _, c := range cols {
@@ -202,8 +192,8 @@ func (s *ScanOp) Open(p *Pipeline) []Task {
 
 	plan(0)
 	track = false
-	for k := range s.ExtraPredicateColumns {
-		plan(k + 1)
+	for k := 1; k < s.predicates(); k++ {
+		plan(k)
 	}
 	return s.tasks
 }
@@ -212,7 +202,7 @@ func (s *ScanOp) Open(p *Pipeline) []Task {
 // barrier: every region's matches scale by selectivity once per extra
 // predicate column.
 func (s *ScanOp) Close(*Pipeline) {
-	if k := len(s.ExtraPredicateColumns); k > 0 {
+	if k := s.predicates() - 1; k > 0 {
 		factor := math.Pow(s.Selectivity, float64(k))
 		for i := range s.regions {
 			s.regions[i].Matches = int(float64(s.regions[i].Matches)*factor + 0.5)
@@ -244,7 +234,7 @@ func (s *ScanOp) scanAll(k int, env *Env, cols []*colstore.Column, matches int) 
 		s.alls = append(s.alls, r)
 	}
 	r := s.alls[k]
-	r.env, r.sel, r.cols, r.matches = env, s.Selectivity, append(r.cols[:0], cols...), matches
+	r.env, r.sel, r.cols, r.matches = env, s.Selectivity, cols, matches
 	return r
 }
 

@@ -24,7 +24,7 @@ func scanOpenEnv() (*Env, *colstore.Table) {
 // statement over column C.
 func openStatement(env *Env, tb *colstore.Table) {
 	p := &Pipeline{Env: env}
-	scan := &ScanOp{Table: tb, Column: "C", Selectivity: 1e-5, Parallel: true}
+	scan := &ScanOp{Table: tb, Selectivity: 1e-5, Parallel: true, Cols: ResolveColumns(tb, "C")}
 	mat := &MaterializeOp{Scan: scan, Parallel: true}
 	scan.Open(p)
 	scan.Close(p)

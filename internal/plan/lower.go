@@ -32,14 +32,14 @@ func (p *Physical) Lower(d Deps) []exec.Operator {
 		}
 		return p.FillPlain(new(PlainOps), d)
 	}
-	var ops []exec.Operator
+	ops := make([]exec.Operator, 0, 3*len(p.Joins)+1)
 	var last *exec.JoinOp
 	for _, pj := range p.Joins {
 		bs := pj.BuildScan
 		scan := &exec.ScanOp{
 			Table:       bs.Table,
-			Column:      bs.Column,
 			Selectivity: bs.Selectivity,
+			Cols:        bs.Cols,
 			Parallel:    bs.Parallel,
 		}
 		buildKey := pj.BuildTable.Column(pj.BuildKey)
@@ -92,13 +92,11 @@ type PlainOps struct {
 func (p *Physical) FillPlain(o *PlainOps, d Deps) []exec.Operator {
 	s := p.Scan
 	o.scan = exec.ScanOp{
-		Table:                 s.Table,
-		Column:                s.Column,
-		Selectivity:           s.Selectivity,
-		ExtraPredicateColumns: s.ExtraPredicateColumns,
-		UseIndex:              s.UseIndex,
-		Parallel:              s.Parallel,
-		Cols:                  s.Cols,
+		Table:       s.Table,
+		Selectivity: s.Selectivity,
+		Cols:        s.Cols,
+		UseIndex:    s.UseIndex,
+		Parallel:    s.Parallel,
 	}
 	o.ops = [2]exec.Operator{&o.scan, p.Output.fill(&o.materialize, &o.aggregate, &o.scan, d)}
 	return o.ops[:]

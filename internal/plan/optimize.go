@@ -320,8 +320,9 @@ type PhysScan struct {
 	// EstRows is the estimated qualifying-row count after every predicate
 	// (0 when planned without stats).
 	EstRows float64
-	// Cols is a plain statement's exec.ScanOp.Cols; nil for a join's.
-	Cols [][]*colstore.Column
+	// Cols is the scan's exec.ScanOp.Cols: its predicate columns resolved
+	// in every part.
+	Cols []*colstore.Column
 }
 
 // PhysJoin is one physical hash-join stage: resolved build/probe columns,
@@ -402,7 +403,6 @@ func finalize(ctx *Context, root Node, passes []string) *Physical {
 	switch v := input.(type) {
 	case *ScanNode:
 		p.Scan = physScan(ctx, v)
-		p.Scan.Cols = exec.ResolveColumns(v.Table, append([]string{p.Scan.Column}, p.Scan.ExtraPredicateColumns...)...)
 		p.Shareable = v.Parallel && !v.UseIndex && len(v.Preds) == 1 &&
 			v.Table.NumParts() == 1
 		if p.Shareable {
@@ -512,9 +512,10 @@ func physScan(ctx *Context, sc *ScanNode) *PhysScan {
 		for _, pr := range sc.Preds[1:] {
 			ps.ExtraPredicateColumns = append(ps.ExtraPredicateColumns, pr.Column)
 		}
-	}
-	if ctx.Costs != nil && sc.UseIndex {
-		ps.IndexEligible = exec.IndexEligible(ctx.Costs, sc.Table.Parts[0].ColumnByName(ps.Column), ps.Selectivity, true)
+		ps.Cols = exec.ResolveColumns(sc.Table, append([]string{ps.Column}, ps.ExtraPredicateColumns...)...)
+		if ctx.Costs != nil && sc.UseIndex {
+			ps.IndexEligible = exec.IndexEligible(ctx.Costs, ps.Cols[0], ps.Selectivity)
+		}
 	}
 	return ps
 }

@@ -229,7 +229,7 @@ func TestAllReplicatedStats(t *testing.T) {
 // composition field for field, with the predicate columns resolved per part.
 func TestLowerPlainMatchesHandWired(t *testing.T) {
 	hot, _, _, _ := testSchema()
-	wantScan := &exec.ScanOp{Table: hot, Column: "H_VAL", Selectivity: 1e-5, Parallel: true,
+	wantScan := &exec.ScanOp{Table: hot, Selectivity: 1e-5, Parallel: true,
 		Cols: exec.ResolveColumns(hot, "H_VAL")}
 	for _, tc := range []struct {
 		name string
@@ -273,7 +273,8 @@ func TestLowerStarMatchesHandWired(t *testing.T) {
 	alloc := memsim.NewAllocator(4)
 	low := Optimize(BuildStar(st), Collect(dim1, fact), nil).Lower(Deps{Alloc: alloc})
 
-	scan := &exec.ScanOp{Table: dim1, Column: "D1_DATE", Selectivity: 0.05, Parallel: true}
+	scan := &exec.ScanOp{Table: dim1, Selectivity: 0.05, Parallel: true,
+		Cols: exec.ResolveColumns(dim1, "D1_DATE")}
 	j := &exec.JoinOp{
 		Build: dim1.Column("D1_ID"), Probe: fact.Column("F_FK1"),
 		HTSockets: []int{0}, HitsPerProbeRow: 1, Alloc: alloc, BuildSource: scan,
