@@ -139,34 +139,6 @@ func (v *PackedVector) ScanRange(lo, hi uint32, from, to int, out []uint32) []ui
 	return out
 }
 
-// scanRangeScalar is the pre-batching scalar kernel (one Get-style decode
-// per row), kept as the differential-test reference for ScanRange.
-func (v *PackedVector) scanRangeScalar(lo, hi uint32, from, to int, out []uint32) []uint32 {
-	if from < 0 || to > v.n || from > to {
-		panic(fmt.Sprintf("colstore: scan range [%d,%d) out of [0,%d)", from, to, v.n))
-	}
-	if lo > hi {
-		return out
-	}
-	bits := uint64(v.bits)
-	mask := uint64(1)<<bits - 1
-	bitPos := uint64(from) * bits
-	for i := from; i < to; i++ {
-		word := bitPos / 64
-		off := bitPos % 64
-		x := v.words[word] >> off
-		if off+bits > 64 {
-			x |= v.words[word+1] << (64 - off)
-		}
-		val := uint32(x & mask)
-		if val >= lo && val <= hi {
-			out = append(out, uint32(i))
-		}
-		bitPos += bits
-	}
-	return out
-}
-
 // ScanRangeBitvector sets a bit in dst for every position in [from, to)
 // whose value lies in [lo, hi]. dst must have at least (v.Len()+63)/64
 // words. Returns the number of matches. This is the high-selectivity result
@@ -204,22 +176,6 @@ func (v *PackedVector) ScanRangeBitvector(lo, hi uint32, from, to int, dst []uin
 	return matches
 }
 
-// scanRangeBitvectorScalar is the retained scalar reference for
-// ScanRangeBitvector.
-func (v *PackedVector) scanRangeBitvectorScalar(lo, hi uint32, from, to int, dst []uint64) int {
-	if lo > hi {
-		return 0
-	}
-	matches := 0
-	for i := from; i < to; i++ {
-		if val := v.Get(i); val >= lo && val <= hi {
-			dst[i/64] |= 1 << (uint(i) % 64)
-			matches++
-		}
-	}
-	return matches
-}
-
 // CountRange returns how many positions in [from, to) hold values in
 // [lo, hi] without materializing them. It runs the word-parallel kernel and
 // reduces each window's carry masks with a popcount — no decode, no
@@ -246,18 +202,4 @@ func (v *PackedVector) CountRange(lo, hi uint32, from, to int) int {
 		cnt += int((uint64(v.Get(i)-lo) - span - 1) >> 63)
 	}
 	return cnt
-}
-
-// countRangeScalar is the retained scalar reference for CountRange.
-func (v *PackedVector) countRangeScalar(lo, hi uint32, from, to int) int {
-	if lo > hi {
-		return 0
-	}
-	n := 0
-	for i := from; i < to; i++ {
-		if val := v.Get(i); val >= lo && val <= hi {
-			n++
-		}
-	}
-	return n
 }

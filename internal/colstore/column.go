@@ -366,13 +366,6 @@ func (c *Column) Materialize(positions []uint32, out []int64) {
 	}
 }
 
-// materializeScalar is the retained scalar reference for Materialize.
-func (c *Column) materializeScalar(positions []uint32, out []int64) {
-	for i, p := range positions {
-		out[i] = c.Dict[c.IVec.Get(int(p))]
-	}
-}
-
 // MaterializeRange decodes the values of rows [from, to) into out — the
 // contiguous bulk-decode used by delta merges and snapshot materialization:
 // one batch unpack per BatchSize rows plus a dictionary gather, instead of a
@@ -508,34 +501,6 @@ func (c *Column) CountMatchesWithDelta(loVal, hiVal int64) int {
 	return n
 }
 
-// countMatchesWithDeltaScalar is the retained scalar reference for
-// CountMatchesWithDelta: per-row decode with the update overlay applied
-// inline.
-func (c *Column) countMatchesWithDeltaScalar(loVal, hiVal int64) int {
-	var updates map[int]int64
-	if c.Delta != nil {
-		updates = c.Delta.UpdatesIn(c.Delta.Snapshot())
-	}
-	n := 0
-	for row := 0; row < c.Rows; row++ {
-		v := c.Value(row)
-		if u, ok := updates[row]; ok {
-			v = u
-		}
-		if v >= loVal && v <= hiVal {
-			n++
-		}
-	}
-	if c.Delta != nil {
-		for _, v := range c.Delta.AppendVisibleInserts(nil) {
-			if v >= loVal && v <= hiVal {
-				n++
-			}
-		}
-	}
-	return n
-}
-
 // MergedValuesAt materializes the column's contents as of a delta snapshot:
 // every main row with its latest snapshot-visible update applied, followed
 // by the snapshot-visible inserted values in deterministic socket-major
@@ -558,26 +523,6 @@ func (c *Column) MergedValuesAt(snap delta.Snapshot) []int64 {
 				out[row] = u
 			}
 		}
-		out = c.Delta.AppendInsertsIn(snap, out)
-	}
-	return out
-}
-
-// mergedValuesAtScalar is the retained scalar reference for MergedValuesAt.
-func (c *Column) mergedValuesAtScalar(snap delta.Snapshot) []int64 {
-	var updates map[int]int64
-	if c.Delta != nil {
-		updates = c.Delta.UpdatesIn(snap)
-	}
-	out := make([]int64, 0, c.Rows+snap.TotalInserts())
-	for row := 0; row < c.Rows; row++ {
-		v := c.Value(row)
-		if u, ok := updates[row]; ok {
-			v = u
-		}
-		out = append(out, v)
-	}
-	if c.Delta != nil {
 		out = c.Delta.AppendInsertsIn(snap, out)
 	}
 	return out

@@ -71,16 +71,6 @@ func (v *PackedVector) ScanInList(set *VidSet, from, to int, out []uint32) []uin
 	return out
 }
 
-// scanInListScalar is the retained scalar reference for ScanInList.
-func (v *PackedVector) scanInListScalar(set *VidSet, from, to int, out []uint32) []uint32 {
-	for i := from; i < to; i++ {
-		if set.Contains(v.Get(i)) {
-			out = append(out, uint32(i))
-		}
-	}
-	return out
-}
-
 // ScanInListPositions scans rows [from, to) of the column for vids in the
 // set and appends matching positions.
 func (c *Column) ScanInListPositions(set *VidSet, from, to int, out []uint32) []uint32 {

@@ -57,9 +57,10 @@ func TestPlainStatementAllocs(t *testing.T) {
 // TestCohortPassAllocs pins the heap allocations of one cohort pass of four
 // members on an idle engine, from SubmitBatch through the simulator steps
 // that complete every member. Cohort members are not recycled yet: each
-// carries its own registry member, completion hooks, output operator and
-// pipeline, and the pass its own operator. A change that adds an allocation
-// to the shared path fails here; one that removes some lowers the pin.
+// carries its own registry member with its pipeline inside it, completion
+// hooks, output operator and operator slice, and the pass its own operator.
+// A change that adds an allocation to the shared path fails here; one that
+// removes some lowers the pin.
 func TestCohortPassAllocs(t *testing.T) {
 	e := New(topology.FourSocketIvyBridge(), 1)
 	e.EnableSharedScans(sharedscan.Config{})
@@ -83,7 +84,7 @@ func TestCohortPassAllocs(t *testing.T) {
 	if st := e.Shared.Stats(); st.Passes != 1 || st.Merged != uint64(len(qs)-1) {
 		t.Fatalf("the batch ran %d passes with %d merged members, want one pass of %d", st.Passes, st.Merged, len(qs))
 	}
-	const want = 93
+	const want = 89
 	if n := testing.AllocsPerRun(100, run); n != want {
 		t.Fatalf("one cohort pass of %d members allocates %v times, want %v", len(qs), n, want)
 	}

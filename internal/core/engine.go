@@ -226,7 +226,7 @@ func (e *Engine) EnableSharedScans(cfg sharedscan.Config) *sharedscan.Registry {
 	if e.Shared != nil {
 		panic("core: shared scans already enabled")
 	}
-	r := sharedscan.New(cfg, e.env, e.Sim)
+	r := sharedscan.New(cfg, e.Sim)
 	e.Sim.AddActor(r)
 	e.Shared = r
 	if e.Trace != nil {
@@ -472,17 +472,21 @@ func (e *Engine) start(q *Query, pp *plainPlan, st *trace.Statement, gran int, i
 		return nil
 	}
 	p := &exec.Pipeline{
-		Env:        e.env,
-		Strategy:   q.Strategy,
-		HomeSocket: q.HomeSocket,
-		IssuedAt:   issuedAt,
-		MaxFanout:  gran,
-		Ops:        pl.phys.Lower(e.deps()),
-		Trace:      st,
-		OnDone:     func(lat float64) { e.complete(q, release, lat) },
+		Ops:    pl.phys.Lower(e.deps()),
+		OnDone: func(lat float64) { e.complete(q, release, lat) },
 	}
+	e.bind(p, q, st, gran, issuedAt)
 	e.afterOverhead(p.Start)
 	return nil
+}
+
+// bind fills p's statement fields from q: the engine's environment, q's
+// scheduling parameters, the statement timestamp issuedAt, the fan-out cap
+// gran and the trace span st. Every statement pipeline — private, recycled
+// or a cohort member's — is bound here; its operators and OnDone are the
+// caller's.
+func (e *Engine) bind(p *exec.Pipeline, q *Query, st *trace.Statement, gran int, issuedAt float64) {
+	p.Env, p.Strategy, p.HomeSocket, p.IssuedAt, p.MaxFanout, p.Trace = e.env, q.Strategy, q.HomeSocket, issuedAt, gran, st
 }
 
 // complete ends a statement: it leaves the active set, frees the admission

@@ -137,7 +137,7 @@ func (pp *plainPlan) take(e *Engine) *stmtRec {
 	r := pp.free
 	if r == nil {
 		r = &stmtRec{e: e, pp: pp}
-		r.p = exec.Pipeline{Env: e.env, Ops: pp.phys.FillPlain(&r.ops, e.deps()), OnDone: r.done}
+		r.p = exec.Pipeline{Ops: pp.phys.FillPlain(&r.ops, e.deps()), OnDone: r.done}
 		r.overhead.OnDone = r.p.Start
 		return r
 	}
@@ -150,7 +150,7 @@ func (pp *plainPlan) take(e *Engine) *stmtRec {
 func (pp *plainPlan) run(e *Engine, q *Query, st *trace.Statement, gran int, issuedAt float64, release func()) {
 	r := pp.take(e)
 	r.q, r.release = q, release
-	r.p.Strategy, r.p.HomeSocket, r.p.IssuedAt, r.p.MaxFanout, r.p.Trace = q.Strategy, q.HomeSocket, issuedAt, gran, st
+	e.bind(&r.p, q, st, gran, issuedAt)
 	e.startOverhead(&r.overhead, r.overhead.OnDone)
 }
 

@@ -4,10 +4,9 @@ package core
 // (or arrives as) a logical plan and optimized — a plain statement's plan
 // comes from the plan cache — and a statement whose plan is shareable is
 // handed to the sharedscan.Registry as a cohort member instead of being
-// lowered to a private ScanOp. The member carries everything the registry
-// needs to assemble the statement's pipeline — the predicate, the scheduling
-// parameters, the output-phase factory, and the lifecycle hooks — so the
-// registry can merge concurrent same-column scans into one physical pass
+// lowered to a private ScanOp. The member carries the predicate, the
+// output-phase factory, the shed hook and the statement's own pipeline, so
+// the registry can merge concurrent same-column scans into one physical pass
 // while every statement keeps its own latency, logical traffic, and
 // completion callbacks.
 
@@ -77,19 +76,13 @@ func (e *Engine) cohortMember(q *Query, pl planned, st *trace.Statement, gran in
 		}
 	}
 	e.activeStatements++
-	return &sharedscan.Member{
+	m := &sharedscan.Member{
 		Key:         pl.phys.ShareKey,
 		Table:       pl.phys.Scan.Table,
 		Column:      pl.phys.Scan.Column,
 		Selectivity: pl.phys.Scan.Selectivity,
-		Strategy:    q.Strategy,
-		HomeSocket:  q.HomeSocket,
-		MaxFanout:   gran,
-		IssuedAt:    issuedAt,
 		Deadline:    deadline,
-		Trace:       st,
 		SecondOp:    pl.secondOp,
-		OnDone:      func(lat float64) { e.complete(q, release, lat) },
 		OnShed: func() {
 			e.activeStatements--
 			if release != nil {
@@ -100,4 +93,7 @@ func (e *Engine) cohortMember(q *Query, pl planned, st *trace.Statement, gran in
 			}
 		},
 	}
+	e.bind(&m.Pipeline, q, st, gran, issuedAt)
+	m.Pipeline.OnDone = func(lat float64) { e.complete(q, release, lat) }
+	return m
 }

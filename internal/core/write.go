@@ -43,11 +43,11 @@ func (e *Engine) SubmitWrite(tenant string, onShed func(), apply func(done func(
 	})
 }
 
-// EnsureDelta returns the column's delta store, creating the per-socket
+// ensureDelta returns the column's delta store, creating the per-socket
 // fragments on the first write. Columns that are never written keep a nil
 // Delta, which is what keeps the read-only scan paths bit-identical to a
 // delta-free build.
-func (e *Engine) EnsureDelta(col *colstore.Column) *delta.Delta {
+func (e *Engine) ensureDelta(col *colstore.Column) *delta.Delta {
 	if col.Delta == nil {
 		col.Delta = delta.New(e.Machine.Sockets, col.Synthetic)
 	}
@@ -59,7 +59,7 @@ func (e *Engine) EnsureDelta(col *colstore.Column) *delta.Delta {
 // always local). The simulated fragment allocation grows as needed. Traffic
 // is accounted separately via AddWriteTraffic so callers can batch.
 func (e *Engine) ApplyInsert(col *colstore.Column, socket int, v int64) {
-	d := e.EnsureDelta(col)
+	d := e.ensureDelta(col)
 	d.Insert(socket, v)
 	e.Placer.EnsureDeltaCapacity(d.Fragment(socket))
 }
@@ -69,7 +69,7 @@ func (e *Engine) ApplyInsert(col *colstore.Column, socket int, v int64) {
 // stale main row until the next merge folds the new version in; the
 // analytic match model treats the delta version as an extra scanned row.
 func (e *Engine) ApplyUpdate(col *colstore.Column, socket, row int, v int64) {
-	d := e.EnsureDelta(col)
+	d := e.ensureDelta(col)
 	d.Update(socket, row, v)
 	e.Placer.EnsureDeltaCapacity(d.Fragment(socket))
 }
@@ -79,15 +79,10 @@ func (e *Engine) ApplyUpdate(col *colstore.Column, socket, row int, v int64) {
 // memory controller — writes contend with scans for the MC, which is the
 // contention the Section 7 placer's update-rate concerns are about. The
 // bytes are attributed to the item as write traffic (arming the placer's
-// write-guard).
-func (e *Engine) AddWriteTraffic(col *colstore.Column, socket, rows int) {
-	e.AddWriteTrafficDone(col, socket, rows, nil)
-}
-
-// AddWriteTrafficDone is AddWriteTraffic with a completion callback, fired
-// when the batch's flow drains (immediately for empty batches) — the hook
-// admitted write statements report their completion through.
-func (e *Engine) AddWriteTrafficDone(col *colstore.Column, socket, rows int, onDone func()) {
+// write-guard). onDone, when non-nil, fires when the batch's flow drains
+// (immediately for empty batches) — the hook admitted write statements
+// report their completion through.
+func (e *Engine) AddWriteTraffic(col *colstore.Column, socket, rows int, onDone func()) {
 	if rows <= 0 {
 		if onDone != nil {
 			onDone()

@@ -31,6 +31,7 @@ package sharedscan
 
 import (
 	"fmt"
+	"slices"
 
 	"numacs/internal/colstore"
 	"numacs/internal/exec"
@@ -52,7 +53,10 @@ type Config struct {
 	// re-stream most of the column and sharing stops paying.
 	AttachFraction float64
 	// MaxCohort caps the members of one pass, attachers included (default
-	// 64); a forming cohort that reaches the cap launches immediately.
+	// 64). A forming cohort that reaches the cap launches immediately, and
+	// an arrival that does not fit the forming cohort's headroom launches it
+	// as it is and queues on its own. A plan group larger than the cap still
+	// runs whole: grouping never splits a common subplan.
 	MaxCohort int
 	// DisableAttach turns off mid-flight attachment (arrivals during a pass
 	// always queue in the forming cohort) — for ablations.
@@ -60,8 +64,8 @@ type Config struct {
 }
 
 // Member is one shareable scan statement handed to the registry: the
-// predicate and placement facts of the scan, the statement's timestamps, and
-// the hooks the registry drives its lifecycle through.
+// predicate and placement facts of the scan, the statement's own pipeline,
+// and the hooks the registry drives its lifecycle through.
 type Member struct {
 	// Key identifies the shared data item (table.column); scans with equal
 	// keys may share a pass.
@@ -71,15 +75,6 @@ type Member struct {
 	Column string
 	// Selectivity is the member's range-predicate selectivity.
 	Selectivity float64
-	// Strategy and HomeSocket mirror the statement's scheduling parameters.
-	Strategy   exec.Strategy
-	HomeSocket int
-	// MaxFanout is the statement's admission fan-out cap (0 = uncapped); the
-	// cohort's combined budget is built from the members' capped shares.
-	MaxFanout int
-	// IssuedAt is the statement timestamp: task priority and the base of the
-	// reported latency, so join-window wait counts toward both.
-	IssuedAt float64
 	// Deadline is the absolute virtual time after which the statement is
 	// shed instead of launched (0 = none) — the admission class deadline
 	// extended into the join window.
@@ -87,17 +82,19 @@ type Member struct {
 	// SecondOp builds the member's private output phase (materialization or
 	// aggregation) over its find-phase regions.
 	SecondOp func(src exec.RegionSource) exec.Operator
-	// OnDone fires at statement completion with the latency in seconds.
-	OnDone func(latency float64)
-	// OnShed fires instead of OnDone when the member is shed from a join
-	// window. It may reenter Submit synchronously (closed-loop clients
-	// reissue), so the registry compacts its queues before firing it.
+	// OnShed fires instead of the pipeline's OnDone when the member is shed
+	// from a join window. It may reenter Submit synchronously (closed-loop
+	// clients reissue), so the registry compacts its queues before firing it.
 	OnShed func()
-	// Trace, when non-nil, is the statement's flight-recorder span: the
-	// registry stamps the cohort lifecycle onto it (join-window wait,
-	// mid-flight attach, launch, shed) and threads it into the member's
-	// pipeline so operator phases land on the same record.
-	Trace *trace.Statement
+	// Pipeline is the statement's pipeline without operators; the registry
+	// sets Ops to the member's find phase and SecondOp when it starts the
+	// member. IssuedAt is the task priority and the base of the reported
+	// latency, so join-window wait counts toward both; MaxFanout is the
+	// admission fan-out cap the cohort's combined budget is built from; and
+	// Trace, when non-nil, gets the cohort lifecycle stamped onto it
+	// (join-window wait, mid-flight attach, launch, shed) besides the
+	// operator phases.
+	Pipeline exec.Pipeline
 }
 
 // Stats counts registry outcomes for reports and tests.
@@ -143,7 +140,6 @@ type keyState struct {
 // both wirings).
 type Registry struct {
 	cfg   Config
-	env   *exec.Env
 	sim   *sim.Engine
 	byKey map[string]*keyState
 	keys  []*keyState // deterministic Tick order
@@ -155,9 +151,9 @@ type Registry struct {
 	Decisions *trace.DecisionLog
 }
 
-// New builds a registry over the engine's operator environment. Zero config
-// fields take the documented defaults.
-func New(cfg Config, env *exec.Env, se *sim.Engine) *Registry {
+// New builds a registry on the engine's simulator clock. Zero config fields
+// take the documented defaults.
+func New(cfg Config, se *sim.Engine) *Registry {
 	if cfg.JoinWindow == 0 {
 		cfg.JoinWindow = 1e-3
 	}
@@ -170,7 +166,7 @@ func New(cfg Config, env *exec.Env, se *sim.Engine) *Registry {
 	if cfg.MaxCohort <= 0 {
 		cfg.MaxCohort = 64
 	}
-	return &Registry{cfg: cfg, env: env, sim: se, byKey: make(map[string]*keyState)}
+	return &Registry{cfg: cfg, sim: se, byKey: make(map[string]*keyState)}
 }
 
 // Stats returns the registry outcome counters.
@@ -200,76 +196,46 @@ func (r *Registry) state(key string) *keyState {
 // idle column launches it immediately (the bypass), an early-fraction
 // running pass absorbs it mid-flight, anything else queues it in the
 // forming cohort for at most JoinWindow.
-func (r *Registry) Submit(m *Member) {
-	r.stats.Statements++
-	if m.Trace != nil {
-		m.Trace.MarkCohortQueued(r.sim.Now())
-	}
-	ks := r.state(m.Key)
-	if c := ks.forming; c != nil {
-		c.members = append(c.members, m)
-		if len(c.members) >= r.cfg.MaxCohort {
-			ks.forming = nil
-			r.launch(ks, c)
-		}
-		return
-	}
-	if c := ks.running; c != nil {
-		if !r.cfg.DisableAttach && len(c.members)+len(c.attachers) < r.cfg.MaxCohort {
-			if f := c.pass.Fraction(); f <= r.cfg.AttachFraction {
-				if f > c.maxMissed {
-					c.maxMissed = f
-				}
-				c.attachers = append(c.attachers, m)
-				r.stats.Attached++
-				if m.Trace != nil {
-					m.Trace.MarkAttached()
-					m.Trace.MarkCohortLaunched(r.sim.Now())
-				}
-				if r.Decisions != nil {
-					r.Decisions.Record(trace.Decision{
-						Time: r.sim.Now(), Source: "cohort", Kind: "attach", Item: m.Key, From: -1, To: -1,
-						Cause: fmt.Sprintf("running pass at %.0f%% of its bytes (attach bound %.0f%%), %d riders",
-							f*100, r.cfg.AttachFraction*100, len(c.attachers)),
-					})
-				}
-				return
-			}
-		}
-		ks.forming = &cohort{key: m.Key, members: []*Member{m}, launchAt: r.sim.Now() + r.cfg.JoinWindow}
-		return
-	}
-	r.launch(ks, &cohort{key: m.Key, members: []*Member{m}})
-}
+func (r *Registry) Submit(m *Member) { r.enter([]*Member{m}, false) }
 
 // SubmitGroup routes a plan-driven cohort group into the lifecycle as one
 // unit: core.SubmitBatch hands it the members whose physical plans share one
 // cohort key, and the whole group lands in the same cohort without waiting
-// out a join window per member. A single member takes the per-statement
-// Submit path. A group that cannot ride an existing forming cohort or attach
-// to the running pass in full launches or queues together, so plan-time
-// grouping never splits a detected common subplan.
-func (r *Registry) SubmitGroup(g []*Member) {
-	if len(g) == 1 {
-		r.Submit(g[0])
-		return
-	}
+// out a join window per member. A single member takes Submit's path and is
+// not counted as plan-grouped. A group that cannot ride the forming cohort
+// or attach to the running pass in full launches or queues together, so
+// plan-time grouping never splits a detected common subplan.
+func (r *Registry) SubmitGroup(g []*Member) { r.enter(g, len(g) > 1) }
+
+// enter is the one lifecycle body of Submit and SubmitGroup: g is a group of
+// same-key members (a single arrival is a group of one), and grouped says
+// whether the planner formed it.
+func (r *Registry) enter(g []*Member, grouped bool) {
 	key := g[0].Key
 	now := r.sim.Now()
 	r.stats.Statements += uint64(len(g))
-	r.stats.PlanGrouped += uint64(len(g))
 	for _, m := range g {
-		if m.Trace != nil {
-			m.Trace.MarkCohortQueued(now)
+		if m.Pipeline.Trace != nil {
+			m.Pipeline.Trace.MarkCohortQueued(now)
 		}
 	}
-	if r.Decisions != nil {
-		r.Decisions.Record(trace.Decision{
-			Time: now, Source: "cohort", Kind: "plan-group", Item: key, From: -1, To: -1,
-			Cause: fmt.Sprintf("planner grouped %d statements on a common subplan", len(g)),
-		})
+	if grouped {
+		r.stats.PlanGrouped += uint64(len(g))
+		if r.Decisions != nil {
+			r.Decisions.Record(trace.Decision{
+				Time: now, Source: "cohort", Kind: "plan-group", Item: key, From: -1, To: -1,
+				Cause: fmt.Sprintf("planner grouped %d statements on a common subplan", len(g)),
+			})
+		}
 	}
 	ks := r.state(key)
+	// A forming cohort without headroom for the whole group launches as it
+	// is. The launch may fire shed hooks that reenter Submit and queue a new
+	// forming cohort, hence the loop.
+	for c := ks.forming; c != nil && len(c.members)+len(g) > r.cfg.MaxCohort; c = ks.forming {
+		ks.forming = nil
+		r.launch(ks, c)
+	}
 	if c := ks.forming; c != nil {
 		c.members = append(c.members, g...)
 		if len(c.members) >= r.cfg.MaxCohort {
@@ -281,31 +247,43 @@ func (r *Registry) SubmitGroup(g []*Member) {
 	if c := ks.running; c != nil {
 		if !r.cfg.DisableAttach && len(c.members)+len(c.attachers)+len(g) <= r.cfg.MaxCohort {
 			if f := c.pass.Fraction(); f <= r.cfg.AttachFraction {
-				if f > c.maxMissed {
-					c.maxMissed = f
-				}
-				c.attachers = append(c.attachers, g...)
-				r.stats.Attached += uint64(len(g))
-				for _, m := range g {
-					if m.Trace != nil {
-						m.Trace.MarkAttached()
-						m.Trace.MarkCohortLaunched(now)
-					}
-				}
-				if r.Decisions != nil {
-					r.Decisions.Record(trace.Decision{
-						Time: now, Source: "cohort", Kind: "attach", Item: key, From: -1, To: -1,
-						Cause: fmt.Sprintf("plan group of %d attached at %.0f%% of the running pass (attach bound %.0f%%)",
-							len(g), f*100, r.cfg.AttachFraction*100),
-					})
-				}
+				r.attach(c, g, grouped, f)
 				return
 			}
 		}
-		ks.forming = &cohort{key: key, members: append([]*Member{}, g...), launchAt: now + r.cfg.JoinWindow}
+		ks.forming = &cohort{key: key, members: slices.Clone(g), launchAt: now + r.cfg.JoinWindow}
 		return
 	}
-	r.launch(ks, &cohort{key: key, members: append([]*Member{}, g...)})
+	r.launch(ks, &cohort{key: key, members: slices.Clone(g)})
+}
+
+// attach adds g to the running pass c, which has streamed fraction f of its
+// bytes, as mid-flight attachers.
+func (r *Registry) attach(c *cohort, g []*Member, grouped bool, f float64) {
+	now := r.sim.Now()
+	if f > c.maxMissed {
+		c.maxMissed = f
+	}
+	c.attachers = append(c.attachers, g...)
+	r.stats.Attached += uint64(len(g))
+	for _, m := range g {
+		if m.Pipeline.Trace != nil {
+			m.Pipeline.Trace.MarkAttached()
+			m.Pipeline.Trace.MarkCohortLaunched(now)
+		}
+	}
+	if r.Decisions == nil {
+		return
+	}
+	cause := fmt.Sprintf("running pass at %.0f%% of its bytes (attach bound %.0f%%), %d riders",
+		f*100, r.cfg.AttachFraction*100, len(c.attachers))
+	if grouped {
+		cause = fmt.Sprintf("plan group of %d attached at %.0f%% of the running pass (attach bound %.0f%%)",
+			len(g), f*100, r.cfg.AttachFraction*100)
+	}
+	r.Decisions.Record(trace.Decision{
+		Time: now, Source: "cohort", Kind: "attach", Item: c.key, From: -1, To: -1, Cause: cause,
+	})
 }
 
 // Tick implements sim.Actor: shed join-window waiters whose deadline passed
@@ -352,8 +330,8 @@ func (r *Registry) fireSheds(expired []*Member) {
 	now := r.sim.Now()
 	for _, m := range expired {
 		r.stats.Shed++
-		if m.Trace != nil {
-			m.Trace.MarkShed(now, "join-window")
+		if m.Pipeline.Trace != nil {
+			m.Pipeline.Trace.MarkShed(now, "join-window")
 		}
 		if r.Decisions != nil {
 			r.Decisions.Record(trace.Decision{
@@ -367,8 +345,8 @@ func (r *Registry) fireSheds(expired []*Member) {
 	}
 }
 
-// launch starts a cohort's physical pass: one pipeline owned by the leader
-// (first member) whose find phase carries every member's predicate, with the
+// launch starts a cohort's physical pass on the leader's (first member's)
+// pipeline: its find phase carries every member's predicate, with the
 // leader's own output phase downstream. ks.running is set before any hook
 // can run, so reentrant submissions see a consistent registry.
 func (r *Registry) launch(ks *keyState, c *cohort) {
@@ -393,8 +371,8 @@ func (r *Registry) launch(ks *keyState, c *cohort) {
 	}
 	now := r.sim.Now()
 	for _, m := range c.members {
-		if m.Trace != nil {
-			m.Trace.MarkCohortLaunched(now)
+		if m.Pipeline.Trace != nil {
+			m.Pipeline.Trace.MarkCohortLaunched(now)
 		}
 	}
 	if r.Decisions != nil {
@@ -405,17 +383,7 @@ func (r *Registry) launch(ks *keyState, c *cohort) {
 		})
 	}
 	ks.running = c
-	pl := &exec.Pipeline{
-		Env:        r.env,
-		Strategy:   leader.Strategy,
-		HomeSocket: leader.HomeSocket,
-		IssuedAt:   leader.IssuedAt,
-		MaxFanout:  leader.MaxFanout,
-		Ops:        []exec.Operator{c.pass, leader.SecondOp(memberSource{c.pass, 0})},
-		OnDone:     leader.OnDone,
-		Trace:      leader.Trace,
-	}
-	pl.Start()
+	leader.start(c.pass, memberSource{c.pass, 0})
 	r.fireSheds(expired)
 }
 
@@ -425,7 +393,7 @@ func (r *Registry) launch(ks *keyState, c *cohort) {
 // — which was waiting behind this pass — launches immediately.
 func (r *Registry) mainDone(ks *keyState, c *cohort) {
 	for i, m := range c.members[1:] {
-		r.startFollower(m, c.pass.MemberRegions(i+1))
+		m.startFollower(c.pass.MemberRegions(i + 1))
 	}
 	if len(c.attachers) > 0 {
 		r.stats.Wraps++
@@ -439,7 +407,7 @@ func (r *Registry) mainDone(ks *keyState, c *cohort) {
 		}
 		wrap.OnClosed = func() {
 			for i, m := range c.attachers[1:] {
-				r.startFollower(m, wrap.MemberRegions(i+1))
+				m.startFollower(wrap.MemberRegions(i + 1))
 			}
 		}
 		if r.Decisions != nil {
@@ -449,17 +417,7 @@ func (r *Registry) mainDone(ks *keyState, c *cohort) {
 					len(c.attachers), c.maxMissed*100),
 			})
 		}
-		pl := &exec.Pipeline{
-			Env:        r.env,
-			Strategy:   al.Strategy,
-			HomeSocket: al.HomeSocket,
-			IssuedAt:   al.IssuedAt,
-			MaxFanout:  al.MaxFanout,
-			Ops:        []exec.Operator{wrap, al.SecondOp(memberSource{wrap, 0})},
-			OnDone:     al.OnDone,
-			Trace:      al.Trace,
-		}
-		pl.Start()
+		al.start(wrap, memberSource{wrap, 0})
 	}
 	// A newer cohort may already have replaced this one as the column's
 	// running pass (Tick launches a forming cohort when its window closes
@@ -477,22 +435,18 @@ func (r *Registry) mainDone(ks *keyState, c *cohort) {
 	}
 }
 
-// startFollower starts one follower statement: a pipeline whose find phase
-// is the precomputed region set (instant) and whose output phase is the
-// member's own.
-func (r *Registry) startFollower(m *Member, regions []exec.Region) {
+// start runs the member's statement: its pipeline's find phase is find,
+// and its own output phase reads src.
+func (m *Member) start(find exec.Operator, src exec.RegionSource) {
+	m.Pipeline.Ops = []exec.Operator{find, m.SecondOp(src)}
+	m.Pipeline.Start()
+}
+
+// startFollower starts one follower statement, whose find phase is the
+// precomputed region set (instant).
+func (m *Member) startFollower(regions []exec.Region) {
 	src := &exec.StaticRegions{Rs: regions}
-	pl := &exec.Pipeline{
-		Env:        r.env,
-		Strategy:   m.Strategy,
-		HomeSocket: m.HomeSocket,
-		IssuedAt:   m.IssuedAt,
-		MaxFanout:  m.MaxFanout,
-		Ops:        []exec.Operator{src, m.SecondOp(src)},
-		OnDone:     m.OnDone,
-		Trace:      m.Trace,
-	}
-	pl.Start()
+	m.start(src, src)
 }
 
 // selectivities returns the members' predicate selectivities, in member
@@ -511,10 +465,10 @@ func selectivities(members []*Member) []float64 {
 func summedFanout(members []*Member) int {
 	sum := 0
 	for _, m := range members {
-		if m.MaxFanout <= 0 {
+		if m.Pipeline.MaxFanout <= 0 {
 			return 0
 		}
-		sum += m.MaxFanout
+		sum += m.Pipeline.MaxFanout
 	}
 	return sum
 }

@@ -367,7 +367,7 @@ func (w *Writers) Tick(now float64) {
 		for _, col := range w.columns {
 			for s := 0; s < w.engine.Machine.Sockets; s++ {
 				if rows := batch[batchKey{col, s}]; rows > 0 {
-					w.engine.AddWriteTrafficDone(col, s, rows, oneDone)
+					w.engine.AddWriteTraffic(col, s, rows, oneDone)
 				}
 			}
 		}
