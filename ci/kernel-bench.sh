@@ -27,6 +27,11 @@ go test -bench '^BenchmarkScanOpen$' -benchtime=0.2s -count=3 -run '^$' ./intern
 # runs), with its allocations per statement alongside.
 go test -bench '^BenchmarkSubmit$' -benchtime=0.2s -count=3 -run '^$' ./internal/core
 
+# The shared statement path too: one cohort pass per "row", shaped like
+# shared-star's cohorts (14 members, four of them attached mid-flight and
+# finished by a wrap pass), with its allocations per pass alongside.
+go test -bench '^BenchmarkCohortPass$' -benchtime=0.2s -count=3 -run '^$' ./internal/core
+
 # The simulator's step rides the gate too: its max-min allocation dominates
 # the host cost of a simulated second. One "row" is one Step, on a 4-socket
 # IvyBridge with the 139 active flows the benchmark's mat-skew keeps, in its

@@ -56,11 +56,14 @@ func TestPlainStatementAllocs(t *testing.T) {
 
 // TestCohortPassAllocs pins the heap allocations of one cohort pass of four
 // members on an idle engine, from SubmitBatch through the simulator steps
-// that complete every member. Cohort members are not recycled yet: each
-// carries its own registry member with its pipeline inside it, completion
-// hooks, output operator and operator slice, and the pass its own operator.
-// A change that adds an allocation to the shared path fails here; one that
-// removes some lowers the pin.
+// that complete every member. Each member runs on a recycled statement
+// record — its registry member, pipeline, operators and hooks keep their
+// storage — so what allocates is the batch and the pass: the batch's plan
+// slice, group map and group slice, the group's overhead flow and hook, and
+// the pass's cohort with its member list, its operator with its find-barrier
+// hook, selectivities, task storage and each member's regions. A change that
+// adds an allocation to the shared path fails here; one that removes some
+// lowers the pin.
 func TestCohortPassAllocs(t *testing.T) {
 	e := New(topology.FourSocketIvyBridge(), 1)
 	e.EnableSharedScans(sharedscan.Config{})
@@ -84,7 +87,7 @@ func TestCohortPassAllocs(t *testing.T) {
 	if st := e.Shared.Stats(); st.Passes != 1 || st.Merged != uint64(len(qs)-1) {
 		t.Fatalf("the batch ran %d passes with %d merged members, want one pass of %d", st.Passes, st.Merged, len(qs))
 	}
-	const want = 89
+	const want = 21
 	if n := testing.AllocsPerRun(100, run); n != want {
 		t.Fatalf("one cohort pass of %d members allocates %v times, want %v", len(qs), n, want)
 	}
@@ -115,6 +118,54 @@ func TestPlanQueryRepeatedShapeAllocs(t *testing.T) {
 func BenchmarkSubmit(b *testing.B) {
 	_, run := pinnedStatement(false)
 	run()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		run()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/row")
+}
+
+// BenchmarkCohortPass measures the shared statement path end to end on the
+// host: one "row" is one cohort pass of 14 members on an idle engine, from
+// submission through the simulator steps that complete every member, with
+// its allocations per pass alongside. Ten members launch the pass together
+// and four attach mid-flight, at 27% of its bytes, and finish with a wrap
+// pass. The bed follows shared-star's measured cohort shape (seed 1, traced:
+// 13.5 members per pass, 27% of members attached mid-flight, 1.8% of passes
+// solo) on its hot column (480k rows, domain 2^14, interleaved over the four
+// sockets), and differs from it in four ways: the launch members enter as
+// one SubmitBatch group instead of filling a forming cohort arrival by
+// arrival; no pass is solo; no star join runs beside the pass; and the step
+// is 5 µs instead of 25 µs, since an idle pass streams in about 20 µs and a
+// coarser step leaves no mid-flight instant to attach at.
+func BenchmarkCohortPass(b *testing.B) {
+	e := NewWithStep(topology.FourSocketIvyBridge(), 1, 5e-6)
+	col := colstore.NewSynthetic("H_VAL", 480_000, 1<<14, false)
+	tbl := colstore.NewTable("HOT", []*colstore.Column{col})
+	e.Placer.PlaceIVP(col, []int{0, 1, 2, 3})
+	e.EnableSharedScans(sharedscan.Config{})
+	done := 0
+	qs := make([]*Query, 14)
+	for i := range qs {
+		qs[i] = &Query{Table: tbl, Column: "H_VAL", Selectivity: 1e-5, Parallel: true,
+			Strategy: Bound, HomeSocket: i % 4, OnDone: func(float64) { done++ }}
+	}
+	run := func() {
+		done = 0
+		e.SubmitBatch(qs[:10])
+		e.Sim.Step()
+		for _, q := range qs[10:] {
+			e.Submit(q)
+		}
+		for done < len(qs) {
+			e.Sim.Step()
+		}
+	}
+	run()
+	if st := e.Shared.Stats(); st.Passes != 1 || st.Merged != 9 || st.Attached != 4 || st.Wraps != 1 {
+		b.Fatalf("the bed ran %+v, want one pass of 10 launch members and 4 attachers with a wrap", st)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -36,10 +36,11 @@ func (e *Engine) SubmitBatch(qs []*Query) {
 	groups := make(map[string][]*sharedscan.Member)
 	var order []string
 	for i, q := range qs {
-		m := e.start(q, pps[i], e.startStatement(q.Tenant, q.Class, q), 0, issuedAt, nil)
-		if m == nil {
+		r := e.start(q, pps[i], e.startStatement(q.Tenant, q.Class, q), 0, issuedAt, nil)
+		if r == nil {
 			continue
 		}
+		m := &r.m
 		if _, ok := groups[m.Key]; !ok {
 			order = append(order, m.Key)
 		}

@@ -415,10 +415,11 @@ func (e *Engine) prepare(q *Query) *plainPlan {
 	return e.plainPlan(q)
 }
 
-// dispatch starts an admitted statement, a cohort member behind the overhead.
+// dispatch starts an admitted statement; a cohort member joins the registry
+// behind the per-query overhead.
 func (e *Engine) dispatch(q *Query, pp *plainPlan, st *trace.Statement, gran int, issuedAt float64, release func()) {
-	if m := e.start(q, pp, st, gran, issuedAt, release); m != nil {
-		e.afterOverhead(func() { e.Shared.Submit(m) })
+	if r := e.start(q, pp, st, gran, issuedAt, release); r != nil {
+		e.startOverhead(&r.overhead, r.join)
 	}
 }
 
@@ -456,35 +457,49 @@ func (e *Engine) enter(tenant string, class admit.Class, st *trace.Statement, on
 // plan (nil for a q.Plan statement), gran caps its fan-out (0 = uncapped),
 // issuedAt is its statement timestamp — the task priority and the base of
 // its latency — and release, when non-nil, frees its admission slot before
-// q.OnDone (or q.OnShed) fires. It starts the statement's private pipeline
-// behind the per-query overhead — a plain plan's on a recycled statement
-// record — or, when the plan is a shareable scan and the engine shares
-// scans, returns it as a cohort member for the caller to hand to the
+// q.OnDone (or q.OnShed) fires. A star runs on its lowered pipeline and every
+// join-free statement on a record of its plan (a join-free q.Plan statement
+// on a one-off record of its own plan). start starts the pipeline behind the
+// per-query overhead or, when the plan is a shareable scan and the engine
+// shares scans, returns the record, whose member the caller hands to the
 // registry. Either way the statement counts as active until it completes.
-func (e *Engine) start(q *Query, pp *plainPlan, st *trace.Statement, gran int, issuedAt float64, release func()) *sharedscan.Member {
-	pl := e.planQuery(q, pp)
-	if e.Shared != nil && pl.phys.Shareable {
-		return e.cohortMember(q, pl, st, gran, issuedAt, release)
-	}
+func (e *Engine) start(q *Query, pp *plainPlan, st *trace.Statement, gran int, issuedAt float64, release func()) *stmtRec {
 	e.activeStatements++
-	if pp != nil {
-		pp.run(e, q, st, gran, issuedAt, release)
+	if pp == nil {
+		phys := plan.Optimize(q.Plan, joinStats(q.Plan.Root), &e.Costs)
+		if len(phys.Joins) > 0 {
+			p := &exec.Pipeline{
+				Ops:    phys.Lower(e.deps()),
+				OnDone: func(lat float64) { e.complete(q, release, lat) },
+			}
+			e.bind(p, q, st, gran, issuedAt)
+			e.afterOverhead(p.Start)
+			return nil
+		}
+		pp = &plainPlan{phys: phys}
+	}
+	r := pp.take(e)
+	r.q, r.release = q, release
+	e.bind(&r.m.Pipeline, q, st, gran, issuedAt)
+	if e.Shared == nil || !pp.phys.Shareable {
+		e.startOverhead(&r.overhead, r.start)
 		return nil
 	}
-	p := &exec.Pipeline{
-		Ops:    pl.phys.Lower(e.deps()),
-		OnDone: func(lat float64) { e.complete(q, release, lat) },
+	// The member's shed deadline extends the admission class deadline into
+	// the join window.
+	r.m.Deadline = 0
+	if e.Admit != nil {
+		if d := e.Admit.DeadlineFor(q.Class); d > 0 {
+			r.m.Deadline = issuedAt + d
+		}
 	}
-	e.bind(p, q, st, gran, issuedAt)
-	e.afterOverhead(p.Start)
-	return nil
+	return r
 }
 
 // bind fills p's statement fields from q: the engine's environment, q's
 // scheduling parameters, the statement timestamp issuedAt, the fan-out cap
-// gran and the trace span st. Every statement pipeline — private, recycled
-// or a cohort member's — is bound here; its operators and OnDone are the
-// caller's.
+// gran and the trace span st. Every statement pipeline — a record's or a
+// star's — is bound here; its operators and OnDone are the caller's.
 func (e *Engine) bind(p *exec.Pipeline, q *Query, st *trace.Statement, gran int, issuedAt float64) {
 	p.Env, p.Strategy, p.HomeSocket, p.IssuedAt, p.MaxFanout, p.Trace = e.env, q.Strategy, q.HomeSocket, issuedAt, gran, st
 }

@@ -44,15 +44,18 @@ func randomStatements(rng *rand.Rand, n int) []*Query {
 }
 
 // TestPlanRewritesPreserveExecution is the execution half of the rewrite-
-// preservation property: twin fixed-seed engines drive the same random
-// statement mix, one through Submit (full pass pipeline), the other through
-// pass-less lowering started on a hand-built pipeline behind the same
-// per-query overhead (the unoptimized control). The two runs' fingerprints —
-// every counter and the full latency histogram — must match: the optimizer
-// may only change representation on plain statements, never execution.
+// preservation property: fixed-seed engines drive the same random statement
+// mix through Submit (full pass pipeline), through Submit as join-free
+// Query.Plan statements (each on a one-off record of its own plan), and
+// through pass-less lowering started on a hand-built pipeline behind the
+// same per-query overhead (the unoptimized control). The runs' fingerprints
+// — every counter and the full latency histogram — must match: the
+// optimizer may only change representation on plain statements, never
+// execution, and a plain statement runs the same whichever way it is
+// written.
 func TestPlanRewritesPreserveExecution(t *testing.T) {
 	const n = 24
-	run := func(optimized bool) *Engine {
+	run := func(mode string) *Engine {
 		e := New(topology.FourSocketIvyBridge(), 1)
 		tbl := buildPlacedTable(e, 2, 20000, true)
 		rng := rand.New(rand.NewSource(42))
@@ -67,18 +70,23 @@ func TestPlanRewritesPreserveExecution(t *testing.T) {
 				inflight++
 				q.Table = tbl
 				q.OnDone = func(float64) { inflight--; issue() }
-				if optimized {
-					e.Submit(q)
-					continue
-				}
-				low := plan.OptimizeWith(plan.BuildQuery(plan.Statement{
+				st := plan.Statement{
 					Table: q.Table, Column: q.Column, Selectivity: q.Selectivity,
 					ExtraPredicateColumns: q.ExtraPredicateColumns,
 					ProjectColumns:        q.ProjectColumns,
 					UseIndex:              q.UseIndex, Parallel: q.Parallel,
 					Aggregate: q.Aggregate, AggBytesPerRow: q.AggBytesPerRow,
 					AggCyclesPerRow: q.AggCyclesPerRow,
-				}), nil, &e.Costs, nil).Lower(plan.Deps{Alloc: e.Placer.Alloc, DisableCoalesce: e.DisableCoalesce})
+				}
+				switch mode {
+				case "plain":
+					e.Submit(q)
+					continue
+				case "plan":
+					e.Submit(&Query{Plan: plan.BuildQuery(st), Strategy: q.Strategy, HomeSocket: q.HomeSocket, OnDone: q.OnDone})
+					continue
+				}
+				low := plan.OptimizeWith(plan.BuildQuery(st), nil, &e.Costs, nil).Lower(plan.Deps{Alloc: e.Placer.Alloc, DisableCoalesce: e.DisableCoalesce})
 				e.activeStatements++
 				p := &exec.Pipeline{
 					Env: e.env, Strategy: q.Strategy, HomeSocket: q.HomeSocket,
@@ -91,21 +99,25 @@ func TestPlanRewritesPreserveExecution(t *testing.T) {
 		e.Sim.Run(0.4)
 		return e
 	}
-	o := run(true).Counters
+	o := run("plain").Counters
 	if o.QueriesDone != uint64(n) {
 		t.Fatalf("optimized run completed %d of %d statements", o.QueriesDone, n)
 	}
-	u := run(false).Counters
-	if fo, fu := metrics.Fingerprint(o), metrics.Fingerprint(u); fo != fu {
+	fo := metrics.Fingerprint(o)
+	if fu := metrics.Fingerprint(run("control").Counters); fo != fu {
 		t.Fatalf("optimized lowering drifted from the unoptimized control:\n--- optimized ---\n%s--- unoptimized ---\n%s", fo, fu)
+	}
+	if fp := metrics.Fingerprint(run("plan").Counters); fo != fp {
+		t.Fatalf("Query.Plan statements drifted from the plain ones:\n--- plain ---\n%s--- Query.Plan ---\n%s", fo, fp)
 	}
 }
 
 // TestSubmitBatchGroupsCommonSubplans pins the plan-driven cohort path: a
-// batch of same-column shareable scans lands in the registry as one
-// plan-grouped cohort, non-shareable statements in the same batch — a
-// multi-predicate scan and a planned star join — take the private pipeline,
-// and every statement completes.
+// batch of same-column shareable scans, one of them written as a join-free
+// Query.Plan, lands in the registry as one plan-grouped cohort,
+// non-shareable statements in the same batch — a multi-predicate scan and a
+// planned star join — take the private pipeline, and every statement
+// completes.
 func TestSubmitBatchGroupsCommonSubplans(t *testing.T) {
 	e := New(topology.FourSocketIvyBridge(), 1)
 	reg := e.EnableSharedScans(sharedscan.Config{})
@@ -121,6 +133,10 @@ func TestSubmitBatchGroupsCommonSubplans(t *testing.T) {
 			Parallel: true, Strategy: Bound, OnDone: onDone,
 		})
 	}
+	qs = append(qs, &Query{
+		Plan:     plan.BuildQuery(plan.Statement{Table: tbl, Column: "COLA", Selectivity: 2e-3, Parallel: true}),
+		Strategy: Bound, OnDone: onDone,
+	})
 	// A non-shareable rider: multi-predicate statements keep the private path.
 	qs = append(qs, &Query{
 		Table: tbl, Column: "COLA", Selectivity: 1e-3,
@@ -135,13 +151,13 @@ func TestSubmitBatchGroupsCommonSubplans(t *testing.T) {
 		t.Fatalf("completed %d of %d batch statements", done, len(qs))
 	}
 	st := reg.Stats()
-	if st.PlanGrouped != 5 {
-		t.Errorf("plan-grouped statements = %d, want 5 (%+v)", st.PlanGrouped, st)
+	if st.PlanGrouped != 6 {
+		t.Errorf("plan-grouped statements = %d, want 6 (%+v)", st.PlanGrouped, st)
 	}
-	if st.Statements != 5 {
-		t.Errorf("registry statements = %d, want 5 (the riders must stay private)", st.Statements)
+	if st.Statements != 6 {
+		t.Errorf("registry statements = %d, want 6 (the riders must stay private)", st.Statements)
 	}
-	if st.Passes != 1 || st.Merged != 4 {
+	if st.Passes != 1 || st.Merged != 5 {
 		t.Errorf("grouped batch did not share one pass: %+v", st)
 	}
 }

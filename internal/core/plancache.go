@@ -22,8 +22,8 @@ import (
 	"numacs/internal/colstore"
 	"numacs/internal/exec"
 	"numacs/internal/plan"
+	"numacs/internal/sharedscan"
 	"numacs/internal/sim"
-	"numacs/internal/trace"
 )
 
 // maxPlainPlans bounds the cache: the insert past it starts the cache over.
@@ -43,12 +43,12 @@ type plainKey struct {
 }
 
 // plainPlan is one cached plain plan: the entry's own copies of the name
-// slices, the immutable physical plan with its output-phase factory, and
-// the free list of its statement records.
+// slices, the immutable physical plan, and the free list of its statement
+// records.
 type plainPlan struct {
 	extras, projects []string
-	planned
-	free *stmtRec
+	phys             *plan.Physical
+	free             *stmtRec
 }
 
 // plainPlan returns the cached plan of a plain statement, checking, planning
@@ -108,28 +108,34 @@ func (e *Engine) buildPlain(q *Query) *plainPlan {
 		AggBytesPerRow:        q.AggBytesPerRow,
 		AggCyclesPerRow:       q.AggCyclesPerRow,
 	}), nil, &e.Costs)
-	pp.secondOp = pp.phys.OutputOp(e.deps())
 	return pp
 }
 
-// stmtRec is one private execution of a cached plain plan: the pipeline, its
-// operators by value, and the per-query overhead flow. Records are recycled
-// through their plan's free list: Start, the pipeline's OnDone and the
-// overhead's OnDone are bound once, when a record is made.
+// stmtRec is one execution of a join-free plan, private or in a scan cohort:
+// the cohort member with the statement's pipeline inside it, the operators
+// by value and the per-query overhead flow. Records are recycled through
+// their plan's free list, which private and cohort runs share. The member's
+// scan facts, its Phases and OnShed hooks, the pipeline's OnDone, the private
+// start and the hand-off to the registry are bound once, when a record is
+// made.
 //
-// A record returns to the free list only inside its own OnDone (done), after
-// it has read q and release. This is sound because the pipeline fires OnDone
-// from its last task's Then, and the scheduler has dropped its task pointers
-// before Then runs; nothing else keeps a pointer into a record.
+// A record returns to the free list only inside its own OnDone (done) or
+// OnShed (shed), after it has read q and release. This is sound because the
+// pipeline fires OnDone from its last task's Then, after the scheduler has
+// dropped its task pointers, and the cohort registry reads no member again
+// once the member has started or been shed. An idle record keeps no cohort
+// pass reachable: free points its operators back at its own scan, and a
+// finished pipeline clears its task slots.
 type stmtRec struct {
-	e        *Engine
-	pp       *plainPlan
-	p        exec.Pipeline
-	ops      plan.PlainOps
-	overhead sim.Flow
-	q        *Query
-	release  func()
-	next     *stmtRec
+	e           *Engine
+	pp          *plainPlan
+	m           sharedscan.Member
+	ops         plan.PlainOps
+	overhead    sim.Flow
+	start, join func()
+	q           *Query
+	release     func()
+	next        *stmtRec
 }
 
 // take returns a record from the free list, or makes one.
@@ -137,27 +143,44 @@ func (pp *plainPlan) take(e *Engine) *stmtRec {
 	r := pp.free
 	if r == nil {
 		r = &stmtRec{e: e, pp: pp}
-		r.p = exec.Pipeline{Ops: pp.phys.FillPlain(&r.ops, e.deps()), OnDone: r.done}
-		r.overhead.OnDone = r.p.Start
+		s := pp.phys.Scan
+		r.m = sharedscan.Member{
+			Key: pp.phys.ShareKey, Table: s.Table, Column: s.Column, Selectivity: s.Selectivity,
+			Phases: r.ops.Phases, OnShed: r.shed,
+			Pipeline: exec.Pipeline{Ops: pp.phys.FillPlain(&r.ops, e.deps()), OnDone: r.done},
+		}
+		r.start = r.m.Pipeline.Start
+		r.join = func() { e.Shared.Submit(&r.m) }
 		return r
 	}
 	pp.free, r.next = r.next, nil
 	return r
 }
 
-// run starts q on a record, behind the per-query overhead, whose OnDone was
-// bound to the pipeline's Start when the record was made.
-func (pp *plainPlan) run(e *Engine, q *Query, st *trace.Statement, gran int, issuedAt float64, release func()) {
-	r := pp.take(e)
-	r.q, r.release = q, release
-	e.bind(&r.p, q, st, gran, issuedAt)
-	e.startOverhead(&r.overhead, r.overhead.OnDone)
+// free returns r to its free list.
+func (r *stmtRec) free() {
+	r.q, r.release, r.m.Pipeline.Trace = nil, nil, nil
+	r.m.Pipeline.Ops = r.ops.Private()
+	r.next, r.pp.free = r.pp.free, r
 }
 
 // done is every record's pipeline OnDone.
 func (r *stmtRec) done(lat float64) {
 	q, release := r.q, r.release
-	r.q, r.release, r.p.Trace = nil, nil, nil
-	r.next, r.pp.free = r.pp.free, r
+	r.free()
 	r.e.complete(q, release, lat)
+}
+
+// shed is every record's member OnShed: the statement leaves the active
+// set, frees its admission slot and fires q.OnShed.
+func (r *stmtRec) shed() {
+	q, release := r.q, r.release
+	r.free()
+	r.e.activeStatements--
+	if release != nil {
+		release()
+	}
+	if q.OnShed != nil {
+		q.OnShed()
+	}
 }

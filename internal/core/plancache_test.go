@@ -32,7 +32,7 @@ func assertFreshPlan(t *testing.T, e *Engine, q *Query, what string) {
 	phys, ops := freshPlan(e, q)
 	r := pl.take(e)
 	r.next, pl.free = pl.free, r
-	if got := r.p.Ops; !reflect.DeepEqual(got, ops) {
+	if got := r.m.Pipeline.Ops; !reflect.DeepEqual(got, ops) {
 		t.Fatalf("%s: operators differ from a fresh plan\n got: %#v\nwant: %#v", what, got, ops)
 	}
 	if got, want := pl.phys.Explain(), phys.Explain(); got != want {

@@ -320,7 +320,11 @@ func (p *Pipeline) closePhase() {
 	p.runPhase(p.phase + 1)
 }
 
+// finish reports the statement latency. It first drops the pipeline's task
+// slots, so a pipeline kept for reuse holds no task of a phase it ran: a
+// cohort pass's tasks belong to the pass, not to the statement.
 func (p *Pipeline) finish() {
+	clear(p.sts[:cap(p.sts)])
 	lat := p.Env.Sim.Now() - p.IssuedAt
 	if p.Trace != nil {
 		p.Trace.MarkDone(p.Env.Sim.Now())

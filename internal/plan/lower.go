@@ -17,14 +17,13 @@ type Deps struct {
 
 // Lower emits the physical plan's exec operators, in pipeline order. Each
 // lowering emits fresh operators, since operators keep per-execution state;
-// the cohort metadata and the output-phase factory stay on the Physical
-// (Shareable, ShareKey, OutputOp). The contract the golden
-// tests pin: on unrewritten plan shapes the emitted operators carry exactly
-// the fields the hand-wired compositions set — a plain statement lowers to
-// the same ScanOp + MaterializeOp/AggregateOp pair core.Submit used to build
-// inline, and a single-dimension star statement lowers to the same
-// [scan, build, probe, aggregate] sequence the star statement was hand-wired
-// to before the planner.
+// the cohort metadata stays on the Physical (Shareable, ShareKey). The
+// contract the golden tests pin: on unrewritten plan shapes the emitted
+// operators carry exactly the fields the hand-wired compositions set — a
+// plain statement lowers to the same ScanOp + MaterializeOp/AggregateOp pair
+// core.Submit used to build inline, and a single-dimension star statement
+// lowers to the same [scan, build, probe, aggregate] sequence the star
+// statement was hand-wired to before the planner.
 func (p *Physical) Lower(d Deps) []exec.Operator {
 	if len(p.Joins) == 0 {
 		if p.Scan == nil {
@@ -125,16 +124,19 @@ func (out *PhysOutput) fill(mat *exec.MaterializeOp, agg *exec.AggregateOp, src 
 	return mat
 }
 
-// OutputOp returns the output-phase factory of a plain statement: the same
-// materialization or aggregation operator over any region source, so the
-// private path and every cohort role (leader, follower, attacher) compose
-// identical output phases.
-func (p *Physical) OutputOp(d Deps) func(src exec.RegionSource) exec.Operator {
-	out := p.Output
-	return func(src exec.RegionSource) exec.Operator {
-		if out.Aggregate {
-			return out.fill(nil, new(exec.AggregateOp), src, d)
-		}
-		return out.fill(new(exec.MaterializeOp), nil, src, d)
+// Phases returns o's two phases in pipeline order, with find as the find
+// phase and the output phase reading src: a cohort member's find phase is its
+// pass or its precomputed regions. It allocates nothing.
+func (o *PlainOps) Phases(find exec.Operator, src exec.RegionSource) []exec.Operator {
+	o.ops[0] = find
+	switch out := o.ops[1].(type) {
+	case *exec.MaterializeOp:
+		out.Scan = src
+	case *exec.AggregateOp:
+		out.Source = src
 	}
+	return o.ops[:]
 }
+
+// Private returns o's phases over its own scan, as FillPlain wrote them.
+func (o *PlainOps) Private() []exec.Operator { return o.Phases(&o.scan, &o.scan) }

@@ -65,7 +65,9 @@ type Config struct {
 
 // Member is one shareable scan statement handed to the registry: the
 // predicate and placement facts of the scan, the statement's own pipeline,
-// and the hooks the registry drives its lifecycle through.
+// and the hooks the registry drives its lifecycle through. Its owner may
+// reuse it for another statement once it has started or been shed: the
+// registry reads a member only until then.
 type Member struct {
 	// Key identifies the shared data item (table.column); scans with equal
 	// keys may share a pass.
@@ -79,22 +81,25 @@ type Member struct {
 	// shed instead of launched (0 = none) — the admission class deadline
 	// extended into the join window.
 	Deadline float64
-	// SecondOp builds the member's private output phase (materialization or
-	// aggregation) over its find-phase regions.
-	SecondOp func(src exec.RegionSource) exec.Operator
+	// Phases returns the member's two phases in pipeline order: find as its
+	// find phase, and its own output phase (materialization or aggregation)
+	// reading src.
+	Phases func(find exec.Operator, src exec.RegionSource) []exec.Operator
 	// OnShed fires instead of the pipeline's OnDone when the member is shed
 	// from a join window. It may reenter Submit synchronously (closed-loop
 	// clients reissue), so the registry compacts its queues before firing it.
 	OnShed func()
-	// Pipeline is the statement's pipeline without operators; the registry
-	// sets Ops to the member's find phase and SecondOp when it starts the
-	// member. IssuedAt is the task priority and the base of the reported
-	// latency, so join-window wait counts toward both; MaxFanout is the
-	// admission fan-out cap the cohort's combined budget is built from; and
-	// Trace, when non-nil, gets the cohort lifecycle stamped onto it
-	// (join-window wait, mid-flight attach, launch, shed) besides the
-	// operator phases.
+	// Pipeline is the statement's pipeline; the registry sets Ops from
+	// Phases when it starts the member. IssuedAt is the task priority and
+	// the base of the reported latency, so join-window wait counts toward
+	// both; MaxFanout is the admission fan-out cap the cohort's combined
+	// budget is built from; and Trace, when non-nil, gets the cohort
+	// lifecycle stamped onto it (join-window wait, mid-flight attach,
+	// launch, shed) besides the operator phases.
 	Pipeline exec.Pipeline
+
+	// regions is a follower's find phase, its precomputed regions.
+	regions exec.StaticRegions
 }
 
 // Stats counts registry outcomes for reports and tests.
@@ -336,7 +341,8 @@ func (r *Registry) fireSheds(expired []*Member) {
 		if r.Decisions != nil {
 			r.Decisions.Record(trace.Decision{
 				Time: now, Source: "cohort", Kind: "shed", Item: m.Key, From: -1, To: -1,
-				Cause: fmt.Sprintf("deadline %.1fms passed while waiting in the join window", m.Deadline*1e3),
+				Cause: fmt.Sprintf("waited %.3gms > %.3gms deadline in the join window",
+					(now-m.Pipeline.IssuedAt)*1e3, (m.Deadline-m.Pipeline.IssuedAt)*1e3),
 			})
 		}
 		if m.OnShed != nil {
@@ -383,7 +389,7 @@ func (r *Registry) launch(ks *keyState, c *cohort) {
 		})
 	}
 	ks.running = c
-	leader.start(c.pass, memberSource{c.pass, 0})
+	leader.start(c.pass, c.pass)
 	r.fireSheds(expired)
 }
 
@@ -417,7 +423,7 @@ func (r *Registry) mainDone(ks *keyState, c *cohort) {
 					len(c.attachers), c.maxMissed*100),
 			})
 		}
-		al.start(wrap, memberSource{wrap, 0})
+		al.start(wrap, wrap)
 	}
 	// A newer cohort may already have replaced this one as the column's
 	// running pass (Tick launches a forming cohort when its window closes
@@ -438,15 +444,15 @@ func (r *Registry) mainDone(ks *keyState, c *cohort) {
 // start runs the member's statement: its pipeline's find phase is find,
 // and its own output phase reads src.
 func (m *Member) start(find exec.Operator, src exec.RegionSource) {
-	m.Pipeline.Ops = []exec.Operator{find, m.SecondOp(src)}
+	m.Pipeline.Ops = m.Phases(find, src)
 	m.Pipeline.Start()
 }
 
 // startFollower starts one follower statement, whose find phase is the
 // precomputed region set (instant).
 func (m *Member) startFollower(regions []exec.Region) {
-	src := &exec.StaticRegions{Rs: regions}
-	m.start(src, src)
+	m.regions.Rs = regions
+	m.start(&m.regions, &m.regions)
 }
 
 // selectivities returns the members' predicate selectivities, in member
@@ -472,13 +478,3 @@ func summedFanout(members []*Member) int {
 	}
 	return sum
 }
-
-// memberSource adapts one member's slice of a shared pass (main or wrap) to
-// the RegionSource the output operators consume.
-type memberSource struct {
-	pass interface{ MemberRegions(i int) []exec.Region }
-	i    int
-}
-
-// Regions implements exec.RegionSource.
-func (m memberSource) Regions() []exec.Region { return m.pass.MemberRegions(m.i) }

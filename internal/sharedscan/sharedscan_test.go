@@ -9,12 +9,14 @@ package sharedscan_test
 // one slice per replica socket.
 
 import (
+	"math"
 	"testing"
 
 	"numacs/internal/admit"
 	"numacs/internal/core"
 	"numacs/internal/sharedscan"
 	"numacs/internal/topology"
+	"numacs/internal/trace"
 	"numacs/internal/workload"
 )
 
@@ -148,6 +150,39 @@ func TestShedWhileWaitingInJoinWindow(t *testing.T) {
 	if doneB+sheds < 2 {
 		t.Fatalf("resubmitted statement lost: done=%d sheds=%d", doneB, sheds)
 	}
+}
+
+// TestShedCauseReportsWaitAndDeadline pins the traced join-window shed
+// decision: statement B, issued 100 us after A's pass launched, waits behind
+// it and is shed on the first Tick past its 100 us OLAP deadline. The cause
+// reports B's wait and its class deadline, both measured from B's issue
+// time, not the absolute instant its deadline expired.
+func TestShedCauseReportsWaitAndDeadline(t *testing.T) {
+	e := core.NewWithStep(topology.FourSocketIvyBridge(), 1, 5e-6)
+	table := workload.Generate(*bigTable(8_000_000))
+	e.Placer.PlaceRR(table)
+	e.EnableAdmission(admit.Config{OLAPDeadline: 100e-6, InteractiveDeadline: 100e-6})
+	e.EnableSharedScans(sharedscan.Config{JoinWindow: 10e-3, DisableAttach: true})
+	tr := e.EnableTracing(trace.Config{})
+	q := func() *core.Query {
+		return &core.Query{Table: table, Column: "COL000", Selectivity: 1e-5, Parallel: true, Strategy: core.Bound}
+	}
+	e.Submit(q())
+	e.Sim.Run(100e-6)
+	e.Submit(q())
+	e.Sim.Run(1e-3)
+
+	for _, d := range tr.Decisions.Events() {
+		if d.Source != "cohort" || d.Kind != "shed" {
+			continue
+		}
+		const want = "waited 0.105ms > 0.1ms deadline in the join window"
+		if d.Cause != want || math.Abs(d.Time-205e-6) > 1e-9 {
+			t.Fatalf("shed at %.4gms: %q, want at 0.205ms: %q", d.Time*1e3, d.Cause, want)
+		}
+		return
+	}
+	t.Fatal("no join-window shed was logged")
 }
 
 // TestOlderPassCompletionKeepsNewerCohortAttachable pins the registry's
