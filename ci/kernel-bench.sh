@@ -45,3 +45,9 @@ go test -bench '^BenchmarkSimStep$' -benchtime=0.2s -count=3 -run '^$' ./interna
 # starts 84 of them on the free workers and leaves mat-skew's backlog of 34,
 # and the finishes that leave 36 workers busy.
 go test -bench '^BenchmarkSchedTick$' -benchtime=0.2s -count=3 -run '^$' ./internal/sched
+
+# And the latency store every completed statement records into: one
+# metrics.Histogram.Record per "row", with 328 distinct values (the closed-loop
+# latencies of one second of the benchmark's shared-star) and with every value
+# distinct (rw-burst's latencies, timed from an off-grid due time).
+go test -bench '^BenchmarkHistogramRecord$' -benchtime=0.2s -count=3 -run '^$' ./internal/metrics

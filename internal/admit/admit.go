@@ -428,7 +428,7 @@ func (c *Controller) shed(t *tenant, st *Statement) {
 	if c.Decisions != nil {
 		c.Decisions.Record(trace.Decision{
 			Time: now, Source: "admission", Kind: "shed", Item: t.stats.Name, From: -1, To: -1,
-			Cause: fmt.Sprintf("%s statement waited %.1fms > %.1fms deadline",
+			Cause: fmt.Sprintf("%s statement waited %.3gms > %.3gms deadline",
 				st.Class, (now-st.enqueued)*1e3, c.deadline(st.Class)*1e3),
 		})
 	}

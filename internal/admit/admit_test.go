@@ -8,6 +8,7 @@ import (
 	"numacs/internal/sched"
 	"numacs/internal/sim"
 	"numacs/internal/topology"
+	"numacs/internal/trace"
 )
 
 // testController builds a controller over a real 4-socket scheduler.
@@ -205,6 +206,33 @@ func TestDeadlineShedding(t *testing.T) {
 	hold.done()
 	if c.Stats("t").Completed != 1 {
 		t.Fatal("held statement did not complete")
+	}
+}
+
+// TestShedCauseShowsSubMillisecondDeadline: a traced controller's shed
+// decision prints the wait and the class deadline to three significant
+// digits, so a 150 µs deadline reads 0.15ms rather than rounding to 0.1ms.
+func TestShedCauseShowsSubMillisecondDeadline(t *testing.T) {
+	c, _, e := testController(Config{
+		MinConcurrent: 1, MaxConcurrent: 1, InitialConcurrent: 1,
+		OLAPDeadline: 150e-6, Period: 1e-4,
+	})
+	c.Decisions = trace.NewDecisionLog(0)
+	c.Submit(newHold("t", OLAP).st) // occupies the only slot
+	waiter := newHold("t", OLAP)
+	c.Submit(waiter.st)
+	e.Run(1e-3)
+	if !waiter.shedding {
+		t.Fatal("waiter not shed past its deadline")
+	}
+	var causes []string
+	for _, d := range c.Decisions.Events() {
+		if d.Kind == "shed" {
+			causes = append(causes, d.Cause)
+		}
+	}
+	if want := "OLAP statement waited 0.2ms > 0.15ms deadline"; len(causes) != 1 || causes[0] != want {
+		t.Fatalf("shed causes = %q, want [%q]", causes, want)
 	}
 }
 

@@ -8,7 +8,7 @@ package metrics
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -57,7 +57,7 @@ type Counters struct {
 	SatTGMaxDepth  int     // deepest single-TG queue observed
 	SatUnsaturated uint64  // samples with an unsaturated TG that had queued tasks
 
-	latencies []float64
+	latencies Histogram
 }
 
 // New creates counters for a machine with the given socket count.
@@ -145,7 +145,7 @@ func (c *Counters) MeanQueuedTasks() float64 {
 
 // AddLatency records a completed query latency in seconds.
 func (c *Counters) AddLatency(seconds float64) {
-	c.latencies = append(c.latencies, seconds)
+	c.latencies.Record(seconds)
 	c.QueriesDone++
 }
 
@@ -172,7 +172,7 @@ func (c *Counters) Reset() {
 	c.SatQueueSum = 0
 	c.SatTGMaxDepth = 0
 	c.SatUnsaturated = 0
-	c.latencies = c.latencies[:0]
+	c.latencies.Reset()
 }
 
 // TotalMCBytes sums memory bytes served across sockets.
@@ -209,31 +209,18 @@ type LatencyStats struct {
 
 // Latencies computes distribution statistics over recorded latencies.
 func (c *Counters) Latencies() LatencyStats {
-	n := len(c.latencies)
+	h := &c.latencies
+	n := h.N()
 	if n == 0 {
 		return LatencyStats{}
 	}
-	sorted := make([]float64, n)
-	copy(sorted, c.latencies)
-	sort.Float64s(sorted)
-	pct := func(p float64) float64 {
-		idx := p / 100 * float64(n-1)
-		lo := int(idx)
-		if lo >= n-1 {
-			return sorted[n-1]
-		}
-		frac := idx - float64(lo)
-		return sorted[lo]*(1-frac) + sorted[lo+1]*frac
-	}
-	sum := 0.0
-	for _, v := range sorted {
-		sum += v
-	}
-	mean := sum / float64(n)
+	mean := h.Mean()
 	ss := 0.0
-	for _, v := range sorted {
+	for i, v := range h.vals {
 		d := v - mean
-		ss += d * d
+		for k := h.counts[i]; k > 0; k-- {
+			ss += d * d
+		}
 	}
 	sd := math.Sqrt(ss / float64(n))
 	cv := 0.0
@@ -241,73 +228,162 @@ func (c *Counters) Latencies() LatencyStats {
 		cv = sd / mean
 	}
 	return LatencyStats{
-		N: n, Mean: mean, Min: sorted[0], Max: sorted[n-1],
-		P5: pct(5), P25: pct(25), P50: pct(50), P75: pct(75), P95: pct(95),
-		P99:    pct(99),
+		N: n, Mean: mean, Min: h.Percentile(0), Max: h.Max(),
+		P5: h.Percentile(5), P25: h.Percentile(25), P50: h.P50(),
+		P75: h.Percentile(75), P95: h.Percentile(95), P99: h.P99(),
 		StdDev: sd, CoeffOfVariation: cv,
 	}
 }
 
 // Histogram records a scalar sample stream (latencies, waits) for exact
 // percentile reporting. The simulator has perfect knowledge, so samples are
-// kept exactly rather than bucketed; Percentile sorts lazily. The admission
-// controller and the multi-tenant workload generator keep one per tenant.
+// kept exactly rather than bucketed, as a multiset: each distinct value once,
+// with its count. Simulated latencies are step multiples, so a store's
+// memory grows with the distinct values, not with the samples. Every read
+// gives what a sorted copy of the samples would: order statistics by
+// cumulative count, sums over each value count times in ascending order.
+// The zero value is empty and ready to use. Counters keeps its latencies in
+// one, and so do the admission controller and the multi-tenant workload
+// generator.
 type Histogram struct {
-	samples []float64
-	sorted  bool
+	vals   []float64 // distinct values, ascending
+	counts []int     // counts[i] samples equal vals[i]
+	n      int       // samples recorded, pend's included
+	// pend buffers the values Record did not find in vals, unsorted, until
+	// fold merges them in: max(64, len(vals)) of them, so a stream of
+	// distinct values costs O(log D) per sample, amortized.
+	pend []float64
 }
 
-// Record appends one sample.
+// Record adds one sample. Once every value recorded is among the distinct
+// values already held, Record allocates nothing.
 func (h *Histogram) Record(v float64) {
-	h.samples = append(h.samples, v)
-	h.sorted = false
+	h.n++
+	if n := len(h.vals); n > 0 {
+		// Find the last value not above v. Each step compiles to a
+		// conditional move, so the search mispredicts no branch on v.
+		i := 0
+		for n > 1 {
+			half := n >> 1
+			if h.vals[i+half] <= v {
+				i += half
+			}
+			n -= half
+		}
+		if h.vals[i] == v {
+			h.counts[i]++
+			return
+		}
+	}
+	h.pend = append(h.pend, v)
+	if len(h.pend) >= max(64, len(h.vals)) {
+		h.fold()
+	}
+}
+
+// fold merges the pending samples into the distinct values.
+func (h *Histogram) fold() {
+	if len(h.pend) == 0 {
+		return
+	}
+	slices.Sort(h.pend)
+	h.insert(h.pend, nil)
+	h.pend = h.pend[:0]
+}
+
+// insert adds the ascending values src, src[j] counted w[j] times (once each
+// when w is nil), to the distinct values. It merges in place from the back,
+// so it allocates only when vals and counts must grow.
+func (h *Histogram) insert(src []float64, w []int) {
+	add := 0 // distinct src values vals lacks
+	for i, j := 0, 0; j < len(src); j++ {
+		if j > 0 && src[j] == src[j-1] {
+			continue
+		}
+		for i < len(h.vals) && h.vals[i] < src[j] {
+			i++
+		}
+		if i == len(h.vals) || h.vals[i] != src[j] {
+			add++
+		}
+	}
+	i, k := len(h.vals)-1, len(h.vals)+add-1
+	h.vals = slices.Grow(h.vals, add)[:k+1]
+	h.counts = slices.Grow(h.counts, add)[:k+1]
+	for j := len(src) - 1; j >= 0; k-- {
+		v, c := src[j], 0
+		for ; j >= 0 && src[j] == v; j-- {
+			if w == nil {
+				c++
+			} else {
+				c += w[j]
+			}
+		}
+		for ; i >= 0 && h.vals[i] > v; i, k = i-1, k-1 {
+			h.vals[k], h.counts[k] = h.vals[i], h.counts[i]
+		}
+		if i >= 0 && h.vals[i] == v {
+			c += h.counts[i]
+			i--
+		}
+		h.vals[k], h.counts[k] = v, c
+	}
 }
 
 // N returns the number of recorded samples.
-func (h *Histogram) N() int { return len(h.samples) }
+func (h *Histogram) N() int { return h.n }
 
-// Mean returns the sample mean (0 when empty).
+// Mean returns the sample mean (0 when empty), summed in ascending order.
 func (h *Histogram) Mean() float64 {
-	if len(h.samples) == 0 {
+	if h.n == 0 {
 		return 0
 	}
+	h.fold()
 	sum := 0.0
-	for _, v := range h.samples {
-		sum += v
+	for i, v := range h.vals {
+		for k := h.counts[i]; k > 0; k-- {
+			sum += v
+		}
 	}
-	return sum / float64(len(h.samples))
+	return sum / float64(h.n)
 }
 
 // Max returns the largest sample (0 when empty).
 func (h *Histogram) Max() float64 {
-	h.sortSamples()
-	if len(h.samples) == 0 {
+	if h.n == 0 {
 		return 0
 	}
-	return h.samples[len(h.samples)-1]
+	h.fold()
+	return h.vals[len(h.vals)-1]
 }
 
 // Percentile returns the p-th percentile (0..100) with linear interpolation
 // between order statistics, or 0 when no samples were recorded.
 func (h *Histogram) Percentile(p float64) float64 {
-	h.sortSamples()
-	n := len(h.samples)
-	if n == 0 {
+	if h.n == 0 {
 		return 0
 	}
+	h.fold()
 	if p <= 0 {
-		return h.samples[0]
+		return h.vals[0]
 	}
-	if p >= 100 {
-		return h.samples[n-1]
-	}
-	idx := p / 100 * float64(n-1)
+	idx := p / 100 * float64(h.n-1)
 	lo := int(idx)
-	if lo >= n-1 {
-		return h.samples[n-1]
+	if p >= 100 || lo >= h.n-1 {
+		return h.vals[len(h.vals)-1]
 	}
 	frac := idx - float64(lo)
-	return h.samples[lo]*(1-frac) + h.samples[lo+1]*frac
+	// Walk the cumulative counts to order statistics lo and lo+1.
+	i, cum := 0, h.counts[0]
+	for cum <= lo {
+		i++
+		cum += h.counts[i]
+	}
+	next := h.vals[i]
+	if lo+1 == cum {
+		next = h.vals[i+1]
+	}
+	return h.vals[i]*(1-frac) + next*frac
 }
 
 // P50 returns the median.
@@ -317,29 +393,22 @@ func (h *Histogram) P50() float64 { return h.Percentile(50) }
 // experiment bounds.
 func (h *Histogram) P99() float64 { return h.Percentile(99) }
 
-// Merge appends every sample of other into h (other is unchanged). The
-// multi-tenant reports use it to aggregate per-tenant distributions into a
-// machine-wide one.
+// Merge adds every sample of other into h (other's samples are unchanged).
+// The multi-tenant reports use it to aggregate per-tenant distributions into
+// a machine-wide one.
 func (h *Histogram) Merge(other *Histogram) {
-	if other == nil || len(other.samples) == 0 {
+	if other == nil || other.n == 0 {
 		return
 	}
-	h.samples = append(h.samples, other.samples...)
-	h.sorted = false
+	other.fold()
+	h.insert(other.vals, other.counts)
+	h.n += other.n
 }
 
-// Reset drops all samples.
+// Reset drops all samples, keeping the storage for reuse.
 func (h *Histogram) Reset() {
-	h.samples = h.samples[:0]
-	h.sorted = false
-}
-
-// sortSamples lazily orders the samples for the percentile accessors.
-func (h *Histogram) sortSamples() {
-	if !h.sorted {
-		sort.Float64s(h.samples)
-		h.sorted = true
-	}
+	h.vals, h.counts, h.pend = h.vals[:0], h.counts[:0], h.pend[:0]
+	h.n = 0
 }
 
 // Fingerprint renders every counter as stable text, one field per line:
@@ -363,17 +432,15 @@ func Fingerprint(c *Counters) string {
 		{"sat_samples", c.SatSamples}, {"sat_free_sum", c.SatFreeSum},
 		{"sat_parked_sum", c.SatParkedSum}, {"sat_queue_sum", c.SatQueueSum},
 		{"sat_tg_max_depth", c.SatTGMaxDepth}, {"sat_unsaturated", c.SatUnsaturated},
-		{"latencies", len(c.latencies)},
+		{"latencies", c.latencies.N()},
 	} {
 		// %v prints a float64 in the fewest digits that read back exactly.
 		fmt.Fprintf(&b, "%s %v\n", f.name, f.v)
 	}
-	sorted := append([]float64(nil), c.latencies...)
-	sort.Float64s(sorted)
-	for i, j := 0, 0; i < len(sorted); i = j {
-		for j = i; j < len(sorted) && sorted[j] == sorted[i]; j++ {
-		}
-		fmt.Fprintf(&b, "latency %v x%d\n", sorted[i], j-i)
+	h := &c.latencies
+	h.fold()
+	for i, v := range h.vals {
+		fmt.Fprintf(&b, "latency %v x%d\n", v, h.counts[i])
 	}
 	return b.String()
 }

@@ -146,7 +146,7 @@ func TestHistogramPercentiles(t *testing.T) {
 	if got := h.Mean(); math.Abs(got-50.5) > 1e-9 {
 		t.Fatalf("mean = %v", got)
 	}
-	// Recording after a percentile query invalidates the sort cache.
+	// A record after a percentile query lands beyond the folded values.
 	h.Record(1000)
 	if got := h.Max(); got != 1000 {
 		t.Fatalf("max after late record = %v", got)

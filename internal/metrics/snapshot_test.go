@@ -76,7 +76,7 @@ func TestHistogramMerge(t *testing.T) {
 	for _, v := range []float64{10, 20} {
 		b.Record(v)
 	}
-	a.Percentile(50) // force the sorted flag, Merge must clear it
+	a.Percentile(50) // fold a's samples; Merge must add to the folded values
 	a.Merge(&b)
 	if a.N() != 5 || b.N() != 2 {
 		t.Fatalf("after merge: a.N=%d b.N=%d, want 5 and 2", a.N(), b.N())
@@ -138,7 +138,7 @@ func TestHistogramResetThenRecord(t *testing.T) {
 	for _, v := range []float64{100, 200, 300} {
 		h.Record(v)
 	}
-	h.Percentile(99) // sort before reset
+	h.Percentile(99) // fold before reset
 	h.Reset()
 	if h.N() != 0 || h.Percentile(50) != 0 {
 		t.Fatalf("after reset: N=%d p50=%v", h.N(), h.Percentile(50))
