@@ -32,6 +32,13 @@ go test -bench '^BenchmarkSubmit$' -benchtime=0.2s -count=3 -run '^$' ./internal
 # finished by a wrap pass), with its allocations per pass alongside.
 go test -bench '^BenchmarkCohortPass$' -benchtime=0.2s -count=3 -run '^$' ./internal/core
 
+# The admitted and write paths too, shaped like rw-burst at seed 1: one plain
+# statement through an admission controller that admits it at once (no
+# rw-burst statement waited in a queue) per "row", and one admitted write
+# batch of 13 writes over 11 (column, socket) fragments (12.5 writes and
+# 11.1 fragments per batch measured) per "row", with allocations alongside.
+go test -bench '^(BenchmarkAdmittedSubmit|BenchmarkWriteBatch)$' -benchtime=0.2s -count=3 -run '^$' ./internal/core
+
 # The simulator's step rides the gate too: its max-min allocation dominates
 # the host cost of a simulated second. One "row" is one Step, on a 4-socket
 # IvyBridge with the 139 active flows the benchmark's mat-skew keeps, in its

@@ -20,7 +20,8 @@
 // that expose no planner walkthrough; -json emits each report as a JSON
 // document instead of rendered tables — the format the CI bench job
 // archives into the BENCH_<run>.json
-// perf-trajectory artifact. -trace <dir> writes each experiment's
+// perf-trajectory artifact; it leaves the flight recorder out. -trace <dir>
+// writes each experiment's
 // flight-recorder data (when the experiment records one) as <dir>/<id>.jsonl
 // plus a Perfetto/chrome://tracing-loadable <dir>/<id>.trace.json. -triage
 // runs the insight layer's automated analysis on each traced experiment and

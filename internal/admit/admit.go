@@ -64,6 +64,13 @@ func (c Class) String() string {
 }
 
 // Statement is one unit of admission: a deferred dispatch into the engine.
+// Its owner may submit it again, for another statement, once its done has
+// been called or its OnShed has fired: the controller reads a statement's
+// tenant and enqueue time in its completion hook before it dispatches
+// anything, and keeps no other reference to a completed or shed statement.
+// The completion hook is bound once per statement, the first time the
+// controller dispatches it, so a statement its owner recycles costs no
+// allocation per dispatch.
 type Statement struct {
 	// Tenant names the issuing tenant; unknown tenants are auto-registered
 	// with weight 1.
@@ -75,7 +82,8 @@ type Statement struct {
 	// arrival time — the statement's tasks carry it as their scheduler
 	// priority, so a statement that waited long enters the task queues aged
 	// ahead of fresh ones — and done must be called when the statement
-	// completes.
+	// completes. The controller passes the same done on every dispatch of
+	// one Statement.
 	Run func(gran int, issuedAt float64, done func())
 	// OnShed fires instead of Run when load shedding drops the statement
 	// (queue wait exceeded the class deadline). Nil is allowed.
@@ -86,6 +94,10 @@ type Statement struct {
 	Trace *trace.Statement
 
 	enqueued float64
+	tenant   *tenant
+	// done is the completion hook bound for the controller ctl.
+	ctl  *Controller
+	done func()
 }
 
 // TenantSpec configures one tenant's weight for fair admission.
@@ -218,6 +230,8 @@ type Controller struct {
 
 	// TotalShed counts shed statements across tenants.
 	TotalShed uint64
+
+	expired []*Statement // shedExpired's scratch
 }
 
 // maxGranLevel bounds coarsening: level L caps fan-out at workers >> L, so
@@ -298,7 +312,7 @@ func (c *Controller) register(name string, weight float64) *tenant {
 func (c *Controller) Submit(st *Statement) {
 	t := c.register(st.Tenant, 1)
 	t.stats.Submitted++
-	st.enqueued = c.sim.Now()
+	st.enqueued, st.tenant = c.sim.Now(), t
 	t.queue = append(t.queue, st)
 	c.dispatch()
 }
@@ -388,7 +402,7 @@ func (c *Controller) deadline(cl Class) float64 {
 // fires — an OnShed may reenter Submit (closed-loop clients reissue), and
 // that reentry must see a consistent queue, not a half-compacted one.
 func (c *Controller) shedExpired(now float64) {
-	var expired []*Statement
+	expired := c.expired
 	for _, t := range c.tenants {
 		if t.backlog() == 0 {
 			continue
@@ -415,6 +429,8 @@ func (c *Controller) shedExpired(now float64) {
 			c.shed(t, st)
 		}
 	}
+	clear(expired[:cap(expired)])
+	c.expired = expired[:0]
 }
 
 // shed drops one statement.
@@ -486,13 +502,18 @@ func (c *Controller) dispatch() {
 		if st.Trace != nil {
 			st.Trace.MarkAdmitted(now)
 		}
-		st.Run(c.GranCap(), st.enqueued, func() { c.statementDone(t, st) })
+		if st.ctl != c {
+			st.ctl, st.done = c, func() { c.statementDone(st) }
+		}
+		st.Run(c.GranCap(), st.enqueued, st.done)
 	}
 }
 
 // statementDone is the completion hook: free the slot, record the
-// end-to-end latency, and backfill from the queues.
-func (c *Controller) statementDone(t *tenant, st *Statement) {
+// end-to-end latency, and backfill from the queues. It reads st before it
+// dispatches, since a dispatched statement's hooks may submit st again.
+func (c *Controller) statementDone(st *Statement) {
+	t := st.tenant
 	c.inflight--
 	t.stats.Completed++
 	t.stats.Latency.Record(c.sim.Now() - st.enqueued)

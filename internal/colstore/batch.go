@@ -261,6 +261,9 @@ func (v *PackedVector) ScanShared(preds []SharedRange, from, to int, outs [][]ui
 	if len(outs) != len(preds) {
 		panic(fmt.Sprintf("colstore: shared scan with %d outputs for %d predicates", len(outs), len(preds)))
 	}
+	if v.bits == 12 {
+		return v.scanShared12(preds, from, to, outs)
+	}
 	b := uint64(v.bits)
 	p := newFieldPlan(v.bits)
 	type member struct {
@@ -333,14 +336,21 @@ func (v *PackedVector) ScanShared(preds []SharedRange, from, to int, outs [][]ui
 			outs[m] = o
 		}
 	}
-	// Tail: fewer than one window of rows left. Still decode-once: one Get
-	// per row, every member compared on the decoded code.
+	// Tail: fewer than one window of rows left.
 	for i := base; i < to; i++ {
-		c := v.Get(i)
-		for m, pr := range preds {
-			if !members[m].skip && c-pr.Lo <= pr.Hi-pr.Lo {
-				outs[m] = append(outs[m], uint32(i))
-			}
+		outs = v.sharedRow(preds, i, outs)
+	}
+	return outs
+}
+
+// sharedRow appends row i to the outputs of the members whose window holds
+// its code: the decode-once test of a row outside any whole window or
+// group, one Get with every member compared on the decoded code.
+func (v *PackedVector) sharedRow(preds []SharedRange, i int, outs [][]uint32) [][]uint32 {
+	c := v.Get(i)
+	for m, pr := range preds {
+		if pr.Lo <= pr.Hi && c-pr.Lo <= pr.Hi-pr.Lo {
+			outs[m] = append(outs[m], uint32(i))
 		}
 	}
 	return outs

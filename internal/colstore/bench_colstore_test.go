@@ -10,8 +10,10 @@ package colstore
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
-	"time"
+
+	"numacs/internal/cputime"
 )
 
 const benchRows = 1 << 20
@@ -161,16 +163,20 @@ func BenchmarkSharedPred(b *testing.B) {
 var sinkInt int
 
 // minPairSeconds times fa and fb alternately and returns each one's fastest
-// pass. Interleaving keeps clock-frequency drift and scheduler noise from
-// biasing one side, which matters on shared single-vCPU CI machines.
+// pass. Interleaving keeps clock-frequency drift from biasing one side, and
+// each pass is timed on its thread's CPU clock, so time the thread spends
+// descheduled behind other processes (a sibling test package, on a shared CI
+// machine) counts on neither side.
 func minPairSeconds(reps int, fa, fb func()) (a, b float64) {
+	runtime.LockOSThread()
+	defer runtime.UnlockOSThread()
 	for r := 0; r < reps; r++ {
-		ta := time.Now()
+		ta := cputime.Thread()
 		fa()
-		da := time.Since(ta).Seconds()
-		tb := time.Now()
+		da := cputime.Thread() - ta
+		tb := cputime.Thread()
 		fb()
-		db := time.Since(tb).Seconds()
+		db := cputime.Thread() - tb
 		if r == 0 || da < a {
 			a = da
 		}

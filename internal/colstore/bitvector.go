@@ -95,6 +95,9 @@ func (v *PackedVector) ScanRange(lo, hi uint32, from, to int, out []uint32) []ui
 	if lo > hi {
 		return out
 	}
+	if v.bits == 12 {
+		return v.scanRange12(lo, hi, from, to, out)
+	}
 	b := uint64(v.bits)
 	p := newFieldPlan(v.bits)
 	addLo, addHi := rangeAddends(v.bits, lo, hi)

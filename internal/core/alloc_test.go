@@ -1,8 +1,10 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
+	"numacs/internal/admit"
 	"numacs/internal/colstore"
 	"numacs/internal/sharedscan"
 	"numacs/internal/topology"
@@ -54,16 +56,84 @@ func TestPlainStatementAllocs(t *testing.T) {
 	}
 }
 
+// TestAdmittedStatementAllocs pins the heap allocations of the pinned plain
+// statement on an idle engine with an admission controller, from Submit to
+// OnDone: the statement's record owns its admission entry, whose Run and
+// OnShed are bound once per record and whose completion hook the
+// controller binds once per entry, so admitting it allocates nothing.
+func TestAdmittedStatementAllocs(t *testing.T) {
+	e, run := pinnedStatement(false)
+	e.EnableAdmission(admit.Config{})
+	run()
+	if n := testing.AllocsPerRun(100, run); n != 0 {
+		t.Errorf("one admitted plain statement allocates %v times, want 0", n)
+	}
+	// The first run, AllocsPerRun's warm-up run and its 100 runs.
+	if st := e.Admit.Stats(""); st.Completed != 102 || st.Shed != 0 {
+		t.Fatalf("admission completed %d and shed %d statements, want 102 and 0", st.Completed, st.Shed)
+	}
+}
+
+// writeBed returns an idle engine with admission over rw-burst's table
+// shape (16 synthetic columns of 240k rows, placed round-robin) and a run
+// that submits one admitted write batch and steps the simulator until its
+// last flow drains. The batch follows rw-burst's measured writes (seed 1,
+// 84k batches: 12.5 writes per 25 µs step, alternating 12 and 13, 70% of
+// them updates, touching 11.1 of the 64 (column, socket) fragments): 13
+// writes, 9 of them updates, over 11 fragments.
+func writeBed() (e *Engine, run func()) {
+	e = New(topology.FourSocketIvyBridge(), 1)
+	cols := make([]*colstore.Column, 16)
+	for i := range cols {
+		cols[i] = colstore.NewSynthetic(fmt.Sprintf("C%02d", i), 240_000, 1<<18, false)
+	}
+	e.Placer.PlaceRR(colstore.NewTable("T", cols))
+	e.EnableAdmission(admit.Config{})
+	return e, func() {
+		b := e.WriteBatch(cols)
+		for k := 0; k < 13; k++ {
+			col, socket := 5+k%11, k%11%4
+			if k < 9 {
+				b.Update(col, socket, k*1000, int64(k))
+			} else {
+				b.Insert(col, socket, int64(k))
+			}
+		}
+		b.Tenant = "writer"
+		e.SubmitWrite(b)
+		for e.Admit.InFlight() > 0 {
+			e.Sim.Step()
+		}
+	}
+}
+
+// TestWriteBatchAllocs pins the heap allocations of one admitted write
+// batch over 11 fragments, from WriteBatch through the simulator steps that
+// drain its last flow: the batch, its admission entry, its planned writes
+// and row counts, and its flow records with their demands and hooks are
+// recycled, so it allocates nothing.
+func TestWriteBatchAllocs(t *testing.T) {
+	e, run := writeBed()
+	run()
+	if n := testing.AllocsPerRun(100, run); n != 0 {
+		t.Errorf("one admitted write batch allocates %v times, want 0", n)
+	}
+	if st := e.Admit.Stats("writer"); st.Completed != 102 {
+		t.Fatalf("admission completed %d write batches, want 102", st.Completed)
+	}
+}
+
 // TestCohortPassAllocs pins the heap allocations of one cohort pass of four
 // members on an idle engine, from SubmitBatch through the simulator steps
 // that complete every member. Each member runs on a recycled statement
-// record — its registry member, pipeline, operators and hooks keep their
-// storage — so what allocates is the batch and the pass: the batch's plan
-// slice, group map and group slice, the group's overhead flow and hook, and
-// the pass's cohort with its member list, its operator with its find-barrier
-// hook, selectivities, task storage and each member's regions. A change that
-// adds an allocation to the shared path fails here; one that removes some
-// lowers the pin.
+// record — its registry member, pipeline, operators, hooks and region copy
+// keep their storage — and the pass on a recycled cohort record of the
+// registry, whose member list, operators, find-barrier hooks,
+// selectivities, task and span storage and per-member regions keep theirs.
+// What still allocates is SubmitBatch's own storage: its plan slice, group
+// map, order and group slices, and the group's overhead flow and hook. A
+// change that adds an allocation to the shared path fails here; one that
+// removes some lowers the pin.
 func TestCohortPassAllocs(t *testing.T) {
 	e := New(topology.FourSocketIvyBridge(), 1)
 	e.EnableSharedScans(sharedscan.Config{})
@@ -87,7 +157,7 @@ func TestCohortPassAllocs(t *testing.T) {
 	if st := e.Shared.Stats(); st.Passes != 1 || st.Merged != uint64(len(qs)-1) {
 		t.Fatalf("the batch ran %d passes with %d merged members, want one pass of %d", st.Passes, st.Merged, len(qs))
 	}
-	const want = 21
+	const want = 7
 	if n := testing.AllocsPerRun(100, run); n != want {
 		t.Fatalf("one cohort pass of %d members allocates %v times, want %v", len(qs), n, want)
 	}
@@ -166,6 +236,40 @@ func BenchmarkCohortPass(b *testing.B) {
 	if st := e.Shared.Stats(); st.Passes != 1 || st.Merged != 9 || st.Attached != 4 || st.Wraps != 1 {
 		b.Fatalf("the bed ran %+v, want one pass of 10 launch members and 4 attachers with a wrap", st)
 	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		run()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/row")
+}
+
+// BenchmarkAdmittedSubmit measures the admitted statement path end to end on
+// the host: one "row" is the pinned statement of TestPlainStatementAllocs
+// submitted through an admission controller and stepped to completion on an
+// idle engine, with its allocations per statement alongside. The controller
+// admits it at once, with no queue: in rw-burst (seed 1, 550k statements) no
+// statement waited in an admission queue, and 29.6 statements were in
+// flight on average at submission against a limit of 120.
+func BenchmarkAdmittedSubmit(b *testing.B) {
+	e, run := pinnedStatement(false)
+	e.EnableAdmission(admit.Config{})
+	run()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		run()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/row")
+}
+
+// BenchmarkWriteBatch measures the write path end to end on the host: one
+// "row" is the admitted write batch of TestWriteBatchAllocs (writeBed's
+// rw-burst-shaped batch of 13 writes over 11 fragments), from WriteBatch
+// until its last flow drains, with its allocations per batch alongside.
+func BenchmarkWriteBatch(b *testing.B) {
+	_, run := writeBed()
+	run()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

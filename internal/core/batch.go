@@ -36,7 +36,9 @@ func (e *Engine) SubmitBatch(qs []*Query) {
 	groups := make(map[string][]*sharedscan.Member)
 	var order []string
 	for i, q := range qs {
-		r := e.start(q, pps[i], e.startStatement(q.Tenant, q.Class, q), 0, issuedAt, nil)
+		rec := e.record(q, pps[i])
+		rec.entry().Trace = e.startStatement(q.Tenant, q.Class, q)
+		r := rec.begin(0, issuedAt, nil)
 		if r == nil {
 			continue
 		}

@@ -150,6 +150,11 @@ type Engine struct {
 	// nPlans counts its entries.
 	plans  map[plainKey][]*plainPlan
 	nPlans int
+
+	// planFree and writeFree are the free lists of plan records and write
+	// batches.
+	planFree  *planRec
+	writeFree *WriteBatch
 }
 
 // DefaultStep is the simulator step length. 20 µs keeps task-dispatch
@@ -394,15 +399,8 @@ type Query struct {
 // per-query overhead: a shareable scan joins the cohort registry, anything
 // else runs as a private operator pipeline.
 func (e *Engine) Submit(q *Query) {
-	pp := e.prepare(q)
-	st := e.startStatement(q.Tenant, q.Class, q)
-	if e.Admit == nil {
-		e.dispatch(q, pp, st, 0, e.Sim.Now(), nil)
-		return
-	}
-	e.enter(q.Tenant, q.Class, st, q.OnShed, func(gran int, issuedAt float64, release func()) {
-		e.dispatch(q, pp, st, gran, issuedAt, release)
-	})
+	rec := e.record(q, e.prepare(q))
+	e.enter(rec.entry(), q.Tenant, q.Class, e.startStatement(q.Tenant, q.Class, q))
 }
 
 // prepare checks q and returns its cached plain plan, or nil for a q.Plan
@@ -415,12 +413,29 @@ func (e *Engine) prepare(q *Query) *plainPlan {
 	return e.plainPlan(q)
 }
 
-// dispatch starts an admitted statement; a cohort member joins the registry
-// behind the per-query overhead.
-func (e *Engine) dispatch(q *Query, pp *plainPlan, st *trace.Statement, gran int, issuedAt float64, release func()) {
-	if r := e.start(q, pp, st, gran, issuedAt, release); r != nil {
-		e.startOverhead(&r.overhead, r.join)
+// record is a statement's recycled record: a stmtRec of its cached plain
+// plan, or a planRec for a q.Plan statement. Its admission entry is bound to
+// it once, so admitting a statement allocates nothing.
+type record interface {
+	// entry is the record's admission entry, whose Run starts the statement
+	// and whose OnShed drops it.
+	entry() *admit.Statement
+	// begin starts the admitted statement (see stmtRec.begin); it returns
+	// the cohort member the caller hands to the registry, or nil.
+	begin(gran int, issuedAt float64, release func()) *stmtRec
+}
+
+// record takes the record q runs on: one of its cached plain plan pp, or a
+// plan record when pp is nil.
+func (e *Engine) record(q *Query, pp *plainPlan) record {
+	if pp == nil {
+		r := e.takePlanRec()
+		r.q = q
+		return r
 	}
+	r := pp.take(e)
+	r.q = q
+	return r
 }
 
 // startStatement opens a statement's trace span (nil when tracing is off),
@@ -440,60 +455,27 @@ func (e *Engine) startStatement(tenant string, class admit.Class, q *Query) *tra
 	return e.Trace.StartStatement(tenant, class.String(), item, e.Sim.Now())
 }
 
-// enter is the admission front half every statement shares. Without a
-// controller run fires at once, uncapped and stamped now. With one, the
-// statement queues under its tenant and class: run fires when it is admitted
-// (with the controller's fan-out cap, its enqueue time, and a release that
-// frees its concurrency slot), or onShed fires instead.
-func (e *Engine) enter(tenant string, class admit.Class, st *trace.Statement, onShed func(), run func(gran int, issuedAt float64, release func())) {
+// enter is the admission front half every statement shares: a is the
+// statement's admission entry, owned by its record, and st its trace span.
+// Without a controller a.Run fires at once, uncapped and stamped now. With
+// one, the statement queues under its tenant and class: a.Run fires when it
+// is admitted (with the controller's fan-out cap, its enqueue time, and a
+// release that frees its concurrency slot), or a.OnShed fires instead.
+func (e *Engine) enter(a *admit.Statement, tenant string, class admit.Class, st *trace.Statement) {
+	a.Tenant, a.Class, a.Trace = tenant, class, st
 	if e.Admit == nil {
-		run(0, e.Sim.Now(), nil)
+		a.Run(0, e.Sim.Now(), nil)
 		return
 	}
-	e.Admit.Submit(&admit.Statement{Tenant: tenant, Class: class, Trace: st, OnShed: onShed, Run: run})
+	e.Admit.Submit(a)
 }
 
-// start is the dispatch of an admitted statement: pp is its cached plain
-// plan (nil for a q.Plan statement), gran caps its fan-out (0 = uncapped),
-// issuedAt is its statement timestamp — the task priority and the base of
-// its latency — and release, when non-nil, frees its admission slot before
-// q.OnDone (or q.OnShed) fires. A star runs on its lowered pipeline and every
-// join-free statement on a record of its plan (a join-free q.Plan statement
-// on a one-off record of its own plan). start starts the pipeline behind the
-// per-query overhead or, when the plan is a shareable scan and the engine
-// shares scans, returns the record, whose member the caller hands to the
-// registry. Either way the statement counts as active until it completes.
-func (e *Engine) start(q *Query, pp *plainPlan, st *trace.Statement, gran int, issuedAt float64, release func()) *stmtRec {
-	e.activeStatements++
-	if pp == nil {
-		phys := plan.Optimize(q.Plan, joinStats(q.Plan.Root), &e.Costs)
-		if len(phys.Joins) > 0 {
-			p := &exec.Pipeline{
-				Ops:    phys.Lower(e.deps()),
-				OnDone: func(lat float64) { e.complete(q, release, lat) },
-			}
-			e.bind(p, q, st, gran, issuedAt)
-			e.afterOverhead(p.Start)
-			return nil
-		}
-		pp = &plainPlan{phys: phys}
+// run starts an admitted statement on rec: a cohort member joins the
+// registry behind the per-query overhead.
+func (e *Engine) run(rec record, gran int, issuedAt float64, release func()) {
+	if m := rec.begin(gran, issuedAt, release); m != nil {
+		e.startOverhead(&m.overhead, m.join)
 	}
-	r := pp.take(e)
-	r.q, r.release = q, release
-	e.bind(&r.m.Pipeline, q, st, gran, issuedAt)
-	if e.Shared == nil || !pp.phys.Shareable {
-		e.startOverhead(&r.overhead, r.start)
-		return nil
-	}
-	// The member's shed deadline extends the admission class deadline into
-	// the join window.
-	r.m.Deadline = 0
-	if e.Admit != nil {
-		if d := e.Admit.DeadlineFor(q.Class); d > 0 {
-			r.m.Deadline = issuedAt + d
-		}
-	}
-	return r
 }
 
 // bind fills p's statement fields from q: the engine's environment, q's
@@ -517,16 +499,16 @@ func (e *Engine) complete(q *Query, release func(), lat float64) {
 }
 
 // afterOverhead runs next once the fixed per-query overhead (parse, plan,
-// session) has elapsed. The overhead runs on the client's connection thread —
-// a receiver thread outside the worker pool — so it adds latency without
-// occupying a worker (units are seconds; the rate cap of 1 makes the flow a
-// pure delay).
+// session) has elapsed, on a flow of its own.
 func (e *Engine) afterOverhead(next func()) {
 	e.startOverhead(new(sim.Flow), next)
 }
 
 // startOverhead fills the caller-owned f with the per-query overhead delay
-// that runs next when it ends, and starts it.
+// that runs next when it ends, and starts it. The overhead runs on the
+// client's connection thread — a receiver thread outside the worker pool — so
+// it adds latency without occupying a worker (units are seconds; the rate cap
+// of 1 makes the flow a pure delay).
 func (e *Engine) startOverhead(f *sim.Flow, next func()) {
 	*f = sim.Flow{Remaining: e.Costs.QueryOverheadSeconds, RateCap: 1, OnDone: next}
 	e.Sim.StartFlow(f)

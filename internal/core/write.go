@@ -4,14 +4,15 @@ package core
 // background merge that folds them back into the dictionary-encoded main.
 // Writes are not statements — a delta append is orders of magnitude cheaper
 // than a scan — so they bypass the scheduler: the data-structure mutation
-// applies immediately (ApplyInsert/ApplyUpdate), and the DRAM traffic of an
-// append batch is modeled as one flow against the fragment socket's memory
-// controller (AddWriteTraffic), which is how writes contend with concurrent
-// scans. The merge runs as a background flow (StartMerge) whose completion
+// applies immediately (ApplyInsert/ApplyUpdate), and the DRAM traffic of a
+// write batch is modeled as one flow per touched fragment against the
+// fragment socket's memory controller (WriteBatch), which is how writes
+// contend with concurrent scans. The merge runs as a background flow (StartMerge) whose completion
 // swaps in the rebuilt main via placement.MergeDelta.
 
 import (
 	"fmt"
+	"slices"
 
 	"numacs/internal/admit"
 	"numacs/internal/colstore"
@@ -22,25 +23,206 @@ import (
 	"numacs/internal/trace"
 )
 
-// SubmitWrite routes a write batch through the admission controller as a
-// short Interactive-class statement when admission is enabled, or applies it
-// immediately otherwise. apply must perform the data-structure mutations and
-// start the batch's traffic flows, calling done when the flows complete —
-// under admission the batch may wait in its tenant's queue first (writes are
-// deferred, not applied-then-admitted), and the Interactive deadline can
-// shed it, in which case apply never runs.
-func (e *Engine) SubmitWrite(tenant string, onShed func(), apply func(done func())) {
-	st := e.startStatement(tenant, admit.Interactive, nil)
-	e.enter(tenant, admit.Interactive, st, onShed, func(_ int, _ float64, release func()) {
-		apply(func() {
-			if st != nil {
-				st.MarkDone(e.Sim.Now())
-			}
-			if release != nil {
-				release()
-			}
-		})
-	})
+// WriteBatch is one recycled batch of delta writes against the columns of
+// one table: the planned writes in order, their dense row counts per
+// (column, socket) fragment, and one traffic-flow record per touched
+// fragment. Take one with Engine.WriteBatch, fill it with Insert and Update,
+// and hand it to SubmitWrite, which owns it from then on.
+//
+// A batch returns to the engine's free list when its last flow drains, when
+// admission sheds it, or at once when it touches no fragment — after it has
+// fired its hooks. This is sound because the engine keeps a submitted batch
+// only in the admission queue (see admit.Statement) and in its flows, and a
+// flow record's OnDone is the simulator's last use of it; the caller must
+// not touch a batch after SubmitWrite.
+type WriteBatch struct {
+	// Tenant, when set on an engine with an admission controller, routes
+	// the batch through the controller as a short Interactive-class
+	// statement of this tenant: the mutations are deferred until it is
+	// admitted, and the Interactive deadline can shed the whole batch.
+	// Otherwise the batch applies at once.
+	Tenant string
+	// OnShed fires when admission sheds the batch; its writes never apply.
+	OnShed func()
+	// OnApply fires once the batch's mutations are applied, with its insert
+	// and update counts.
+	OnApply func(inserts, updates int)
+
+	e       *Engine
+	cols    []*colstore.Column
+	writes  []plannedWrite
+	rows    []int // per (column, socket) fragment: col*sockets + socket
+	flows   []*writeFlow
+	pending int // flows still draining
+	adm     admit.Statement
+	release func()
+	next    *WriteBatch
+}
+
+// plannedWrite is one write of a batch: a value for the column at index col,
+// appended on socket; row is the updated main row, -1 for an insert.
+type plannedWrite struct {
+	col, socket, row int
+	v                int64
+}
+
+// writeFlow is a write batch's traffic-flow record for one fragment: its
+// flow with its own demand, and the fragment the traffic is attributed to.
+// OnAdvance and OnDone are bound once, when the record is made.
+type writeFlow struct {
+	sim.Flow
+	b      *WriteBatch
+	demand [1]sim.Demand
+	item   string
+	socket int
+}
+
+// WriteBatch returns an empty batch over cols, the columns its writes index,
+// from the engine's free list.
+func (e *Engine) WriteBatch(cols []*colstore.Column) *WriteBatch {
+	b := e.writeFree
+	if b == nil {
+		b = &WriteBatch{e: e}
+		b.adm = admit.Statement{Run: b.admitted, OnShed: b.shed}
+	} else {
+		e.writeFree, b.next = b.next, nil
+	}
+	b.cols = cols
+	n := len(cols) * e.Machine.Sockets
+	b.rows = slices.Grow(b.rows[:0], n)[:n]
+	clear(b.rows)
+	return b
+}
+
+// Insert plans a new row carrying value v in column cols[col], appended to
+// the fragment on socket (the writing client's socket).
+func (b *WriteBatch) Insert(col, socket int, v int64) { b.add(col, socket, -1, v) }
+
+// Update plans a new version of main row row of column cols[col], carrying
+// value v, appended to the fragment on socket.
+func (b *WriteBatch) Update(col, socket, row int, v int64) { b.add(col, socket, row, v) }
+
+func (b *WriteBatch) add(col, socket, row int, v int64) {
+	b.writes = append(b.writes, plannedWrite{col, socket, row, v})
+	b.rows[col*b.e.Machine.Sockets+socket]++
+}
+
+// SubmitWrite applies the batch b: immediately, or — when b names a Tenant
+// and the engine has an admission controller — once admission admits it as
+// a short Interactive-class statement (under admission the batch may wait in
+// its tenant's queue first, and the Interactive deadline can shed it, in
+// which case nothing applies and b.OnShed fires). Applying performs the
+// mutations in order (ApplyInsert/ApplyUpdate) and starts one traffic flow
+// per touched fragment, column by column and socket by socket.
+func (e *Engine) SubmitWrite(b *WriteBatch) {
+	if b.Tenant == "" || e.Admit == nil {
+		b.apply()
+		return
+	}
+	e.enter(&b.adm, b.Tenant, admit.Interactive, e.startStatement(b.Tenant, admit.Interactive, nil))
+}
+
+// admitted is every batch's admission Run.
+func (b *WriteBatch) admitted(_ int, _ float64, release func()) {
+	b.release = release
+	b.apply()
+}
+
+// apply performs the mutations, fires OnApply and starts the batch's flows.
+func (b *WriteBatch) apply() {
+	e := b.e
+	inserts, updates := 0, 0
+	for _, w := range b.writes {
+		if w.row >= 0 {
+			e.ApplyUpdate(b.cols[w.col], w.socket, w.row, w.v)
+			updates++
+		} else {
+			e.ApplyInsert(b.cols[w.col], w.socket, w.v)
+			inserts++
+		}
+	}
+	if b.OnApply != nil {
+		b.OnApply(inserts, updates)
+	}
+	sockets := e.Machine.Sockets
+	for i, rows := range b.rows {
+		if rows > 0 {
+			b.startFlow(b.cols[i/sockets], i%sockets, rows)
+		}
+	}
+	if b.pending == 0 {
+		b.finish()
+	}
+}
+
+// startFlow models the DRAM traffic of rows delta appends into col's
+// fragment on socket as one flow against that socket's memory controller —
+// writes contend with scans for the MC, which is the contention the Section
+// 7 placer's update-rate concerns are about. The bytes are attributed to the
+// item as write traffic (arming the placer's write-guard).
+func (b *WriteBatch) startFlow(col *colstore.Column, socket, rows int) {
+	e := b.e
+	if b.pending == len(b.flows) {
+		f := &writeFlow{b: b}
+		f.OnAdvance, f.OnDone = f.advance, f.done
+		b.flows = append(b.flows, f)
+	}
+	f := b.flows[b.pending]
+	b.pending++
+	f.item, f.socket = col.Name, socket
+	f.demand[0] = sim.Demand{Resource: e.HW.MC[socket], Weight: 1}
+	f.Flow = sim.Flow{
+		Remaining: float64(rows) * e.Costs.DeltaWriteBytesPerRow,
+		RateCap:   e.Machine.StreamRate(socket, socket),
+		Demands:   f.demand[:],
+		OnAdvance: f.OnAdvance,
+		OnDone:    f.OnDone,
+	}
+	e.Sim.StartFlow(&f.Flow)
+}
+
+// advance is every write flow's OnAdvance.
+func (f *writeFlow) advance(p float64) {
+	e := f.b.e
+	e.Counters.AddMemoryTraffic(f.socket, f.socket, p, 0, 0)
+	e.addItemTraffic(f.item, f.socket, exec.Traffic{Bytes: p, WriteBytes: p})
+}
+
+// done is every write flow's OnDone: the batch finishes with its last flow.
+func (f *writeFlow) done() {
+	if f.b.pending--; f.b.pending == 0 {
+		f.b.finish()
+	}
+}
+
+// finish ends an applied batch: its trace span closes, its admission slot is
+// freed, and it returns to the free list.
+func (b *WriteBatch) finish() {
+	e, release := b.e, b.release
+	if st := b.adm.Trace; st != nil {
+		st.MarkDone(e.Sim.Now())
+	}
+	b.free()
+	if release != nil {
+		release()
+	}
+}
+
+// shed is every batch's admission OnShed.
+func (b *WriteBatch) shed() {
+	onShed := b.OnShed
+	b.free()
+	if onShed != nil {
+		onShed()
+	}
+}
+
+// free returns b to the engine's free list.
+func (b *WriteBatch) free() {
+	clear(b.writes)
+	b.writes = b.writes[:0]
+	b.Tenant, b.OnShed, b.OnApply, b.cols, b.release, b.adm.Trace = "", nil, nil, nil, nil, nil
+	b.next, b.e.writeFree = b.e.writeFree, b
 }
 
 // ensureDelta returns the column's delta store, creating the per-socket
@@ -57,7 +239,7 @@ func (e *Engine) ensureDelta(col *colstore.Column) *delta.Delta {
 // ApplyInsert appends a new row carrying value v to the column's delta
 // fragment on the given socket (the writing client's socket — appends are
 // always local). The simulated fragment allocation grows as needed. Traffic
-// is accounted separately via AddWriteTraffic so callers can batch.
+// is accounted separately, one flow per fragment a WriteBatch touches.
 func (e *Engine) ApplyInsert(col *colstore.Column, socket int, v int64) {
 	d := e.ensureDelta(col)
 	d.Insert(socket, v)
@@ -72,35 +254,6 @@ func (e *Engine) ApplyUpdate(col *colstore.Column, socket, row int, v int64) {
 	d := e.ensureDelta(col)
 	d.Update(socket, row, v)
 	e.Placer.EnsureDeltaCapacity(d.Fragment(socket))
-}
-
-// AddWriteTraffic models the DRAM traffic of `rows` delta appends into the
-// column's fragment on the given socket as one flow against that socket's
-// memory controller — writes contend with scans for the MC, which is the
-// contention the Section 7 placer's update-rate concerns are about. The
-// bytes are attributed to the item as write traffic (arming the placer's
-// write-guard). onDone, when non-nil, fires when the batch's flow drains
-// (immediately for empty batches) — the hook admitted write statements
-// report their completion through.
-func (e *Engine) AddWriteTraffic(col *colstore.Column, socket, rows int, onDone func()) {
-	if rows <= 0 {
-		if onDone != nil {
-			onDone()
-		}
-		return
-	}
-	bytes := float64(rows) * e.Costs.DeltaWriteBytesPerRow
-	name := col.Name
-	e.Sim.StartFlow(&sim.Flow{
-		Remaining: bytes,
-		RateCap:   e.Machine.StreamRate(socket, socket),
-		Demands:   []sim.Demand{{Resource: e.HW.MC[socket], Weight: 1}},
-		OnAdvance: func(p float64) {
-			e.Counters.AddMemoryTraffic(socket, socket, p, 0, 0)
-			e.addItemTraffic(name, socket, exec.Traffic{Bytes: p, WriteBytes: p})
-		},
-		OnDone: onDone,
-	})
 }
 
 // StartMerge launches the background merge of the column's delta: a flow

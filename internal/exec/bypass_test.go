@@ -102,18 +102,18 @@ func TestSingleMemberPassEqualsPrivateScan(t *testing.T) {
 					items[item] = cur
 				}
 				tbl, column := tc.setup(env)
-				var src RegionSource
+				var regions []Region
 				if shared {
 					op := &SharedScanOp{Table: tbl, Column: column, Selectivities: []float64{tc.sel}}
 					drainPipeline(t, env, op)
-					src = op
+					regions = op.MemberRegions(0)
 				} else {
 					op := &ScanOp{Table: tbl, Selectivity: tc.sel, Parallel: true,
 						Cols: ResolveColumns(tbl, column)}
 					drainPipeline(t, env, op)
-					src = op
+					regions = op.Regions()
 				}
-				return result{metrics.Fingerprint(env.Counters), src.Regions(), items, env.Rand.Float64()}
+				return result{metrics.Fingerprint(env.Counters), regions, items, env.Rand.Float64()}
 			}
 			private, pass := run(false), run(true)
 			if private.fingerprint != pass.fingerprint {

@@ -1,10 +1,11 @@
 package exec
 
 import (
+	"runtime"
 	"testing"
-	"time"
 
 	"numacs/internal/colstore"
+	"numacs/internal/cputime"
 )
 
 // TestSharedPredCostDerivation pins SharedPredCyclesPerByte to the kernel it
@@ -62,21 +63,24 @@ func TestSharedPredCostDerivation(t *testing.T) {
 	}
 	outs := make([][]uint32, nPreds)
 
-	// Interleave the two sides and keep each one's fastest pass, the same
-	// noise discipline as the colstore kernel-speedup tests.
+	// Interleave the two sides and keep each one's fastest pass, timed on
+	// the thread's CPU clock: the same noise discipline as the colstore
+	// kernel-speedup tests.
+	runtime.LockOSThread()
+	defer runtime.UnlockOSThread()
 	var private, shared float64
 	for rep := 0; rep < 6; rep++ {
-		t0 := time.Now()
+		t0 := cputime.Thread()
 		for m, pr := range preds {
 			outs[m] = v.ScanRange(pr.Lo, pr.Hi, 0, rows, outs[m][:0])
 		}
-		dp := time.Since(t0).Seconds()
-		t0 = time.Now()
+		dp := cputime.Thread() - t0
+		t0 = cputime.Thread()
 		for m := range outs {
 			outs[m] = outs[m][:0]
 		}
 		outs = v.ScanShared(preds, 0, rows, outs)
-		ds := time.Since(t0).Seconds()
+		ds := cputime.Thread() - t0
 		if rep == 0 || dp < private {
 			private = dp
 		}

@@ -30,8 +30,7 @@ type KernelSpan struct {
 // row space exactly once, and an empty partition contributes none.
 func PlanSpans(buf []KernelSpan, col *colstore.Column, mcLoad []float64, hint int) []KernelSpan {
 	var partBuf [8]RowRange
-	var rowBuf [16][2]int
-	parts, rows := PartitionsWeighted(partBuf[:0], col, mcLoad), rowBuf[:0]
+	parts := PartitionsWeighted(partBuf[:0], col, mcLoad)
 	per := TasksPerPartition(hint, len(parts))
 	n := 0
 	for _, part := range parts {
@@ -39,9 +38,11 @@ func PlanSpans(buf []KernelSpan, col *colstore.Column, mcLoad []float64, hint in
 	}
 	spans := emptied(buf, n)
 	for i, part := range parts {
-		rows = SplitRows(rows, part.From, part.To, per)
-		for _, fr := range rows {
-			spans = append(spans, KernelSpan{From: fr[0], To: fr[1], Socket: part.Socket, Part: i})
+		// SplitRows's even split, written straight into the spans.
+		rows := part.To - part.From
+		k := min(per, rows)
+		for j := 0; j < k; j++ {
+			spans = append(spans, KernelSpan{From: part.From + rows*j/k, To: part.From + rows*(j+1)/k, Socket: part.Socket, Part: i})
 		}
 	}
 	return spans

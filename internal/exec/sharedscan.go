@@ -21,10 +21,11 @@ import (
 )
 
 // SharedScanOp is the find phase of a scan cohort: one physical pass over
-// the column that evaluates every member predicate per chunk. It implements
-// Operator (the pass itself) and RegionSource (the leader's — member 0's —
-// regions); followers consume their regions via MemberRegions. The planner
-// shares single-part tables only; Open panics on any other.
+// the column that evaluates every member predicate per chunk. Every member,
+// leader (member 0) included, reads its regions via MemberRegions once the
+// pass's barrier is reached. Each Open refills the operator's storage, so a
+// cohort registry may reuse one for pass after pass. The planner shares
+// single-part tables only; Open panics on any other.
 type SharedScanOp struct {
 	// Table and Column name the scanned data (every member shares them).
 	Table  *colstore.Table
@@ -41,14 +42,12 @@ type SharedScanOp struct {
 	// the attachers' wrap pass.
 	OnClosed func()
 
-	regions    [][]Region // per member, parallel layouts
-	bytesTotal float64    // planned main-pass IV bytes
-	bytesDone  float64    // streamed so far (attach-progress signal)
+	regions    [][]Region   // per member, parallel layouts
+	spans      []KernelSpan // the pass's fan-out
+	bytesTotal float64      // planned main-pass IV bytes
+	bytesDone  float64      // streamed so far (attach-progress signal)
 	findTasks
 }
-
-// Regions implements RegionSource for the leader (member 0).
-func (s *SharedScanOp) Regions() []Region { return s.MemberRegions(0) }
 
 // MemberRegions returns member i's find-phase regions: the same partition
 // layout for every member, with the member's own match counts.
@@ -96,6 +95,18 @@ func passColumn(t *colstore.Table, name string) (*colstore.Part, *colstore.Colum
 	return t.Parts[0], partColumn(t.Parts[0], name)
 }
 
+// memberRegions returns n emptied per-member region slices in rs's storage.
+func memberRegions(rs [][]Region, n int) [][]Region {
+	if n > cap(rs) {
+		rs = append(rs[:cap(rs)], make([][]Region, n-cap(rs))...)
+	}
+	rs = rs[:n]
+	for i := range rs {
+		rs[i] = rs[i][:0]
+	}
+	return rs
+}
+
 // addRegion appends r to every member's regions: one layout, per-member
 // match counts.
 func addRegion(regions [][]Region, r Region) {
@@ -112,12 +123,12 @@ func (s *SharedScanOp) Open(p *Pipeline) []Task {
 	env := p.Env
 	part, col := passColumn(s.Table, s.Column)
 	n := len(s.Selectivities)
-	s.regions = make([][]Region, n)
+	s.regions = memberRegions(s.regions, n)
 	s.bytesTotal, s.bytesDone = 0, 0
 	mc := mcSnapshot{env: env}
-	var spanBuf [16]KernelSpan
 	var fragBuf [4]RowRange
-	spans := PlanSpans(spanBuf[:0], col, mc.forColumn(col), cohortBudget(p, n, s.FanoutCap))
+	spans := PlanSpans(s.spans, col, mc.forColumn(col), cohortBudget(p, n, s.FanoutCap))
+	s.spans = spans
 	frags := visibleDelta(fragBuf[:0], col)
 	s.reset(len(spans) + len(frags))
 	// stream plans one task, adding each member's matches to its newest
@@ -163,8 +174,9 @@ func (s *SharedScanOp) Close(*Pipeline) {
 // fraction f ride the remainder for free and then re-stream only the prefix
 // they missed. The wrap streams Fraction of the column's IV (plus the delta
 // fragments, whole) once for all attachers; each attacher's logical regions
-// cover the full column. Like SharedScanOp, it covers single-part tables
-// only.
+// cover the full column, and it reads them via MemberRegions. Like
+// SharedScanOp, it covers single-part tables only and refills its storage on
+// each Open.
 type WrapScanOp struct {
 	// Table and Column name the scanned data.
 	Table  *colstore.Table
@@ -182,11 +194,9 @@ type WrapScanOp struct {
 	OnClosed func()
 
 	regions [][]Region
+	rows    [][2]int // a partition's wrap spans
 	findTasks
 }
-
-// Regions implements RegionSource for the wrap leader (attacher 0).
-func (wr *WrapScanOp) Regions() []Region { return wr.MemberRegions(0) }
 
 // MemberRegions returns attacher i's full-column find regions.
 func (wr *WrapScanOp) MemberRegions(i int) []Region { return wr.regions[i] }
@@ -200,12 +210,11 @@ func (wr *WrapScanOp) Open(p *Pipeline) []Task {
 	env := p.Env
 	part, col := passColumn(wr.Table, wr.Column)
 	n := len(wr.Selectivities)
-	wr.regions = make([][]Region, n)
+	wr.regions = memberRegions(wr.regions, n)
 	mc := mcSnapshot{env: env}
 	var partBuf [8]RowRange
-	var rowBuf [16][2]int
 	var fragBuf [4]RowRange
-	parts, spans := PartitionsWeighted(partBuf[:0], col, mc.forColumn(col)), rowBuf[:0]
+	parts := PartitionsWeighted(partBuf[:0], col, mc.forColumn(col))
 	frags := visibleDelta(fragBuf[:0], col)
 	per := TasksPerPartition(cohortBudget(p, n, wr.FanoutCap), len(parts))
 	wr.reset(len(parts)*per + len(frags))
@@ -223,8 +232,8 @@ func (wr *WrapScanOp) Open(p *Pipeline) []Task {
 		// the wrap bytes must come from every replica socket, not just the
 		// low-row slices).
 		to := min(pr.From+int(wr.Fraction*float64(pr.To-pr.From)+0.5), pr.To)
-		spans = SplitRows(spans, pr.From, to, per)
-		for _, span := range spans {
+		wr.rows = SplitRows(wr.rows, pr.From, to, per)
+		for _, span := range wr.rows {
 			// Each task writes its share of every attacher's full-column
 			// result bytes (produced across ride + wrap but charged here).
 			fs := findStream{col: col, from: span[0], to: span[1], socket: pr.Socket, n: n, wrap: true}

@@ -26,8 +26,10 @@ type Report struct {
 
 	// Trace is the experiment's flight-recorder data when the experiment
 	// records one (the chaos suite attaches its faulted run's recorder);
-	// scanbench -trace exports it as JSONL and a Chrome trace file.
-	Trace *trace.Data `json:",omitempty"`
+	// scanbench -trace exports it as JSONL and a Chrome trace file. The
+	// report's JSON leaves it out: a chaos run's recorder is tens of MB, and
+	// Triage carries its analysis.
+	Trace *trace.Data `json:"-"`
 
 	// Triage is the insight layer's automated analysis of Trace (incident
 	// detection, SLO verdicts, blame decomposition) when the experiment runs

@@ -1,9 +1,44 @@
 package harness
 
 import (
+	"encoding/json"
 	"strings"
 	"testing"
+
+	"numacs/internal/insight"
+	"numacs/internal/trace"
 )
+
+// TestReportJSONCarriesTriageNotTrace: a traced report's JSON carries its
+// triage but not the flight recorder, whose span list -trace exports instead
+// (a chaos run's recorder is tens of MB of JSON).
+func TestReportJSONCarriesTriageNotTrace(t *testing.T) {
+	tr := trace.New(trace.Config{}, 4)
+	for i := 0; i < 3; i++ {
+		tr.StartStatement("t", "OLAP", "T.C", float64(i)*1e-3).MarkDone(float64(i+1) * 1e-3)
+	}
+	data := tr.Data()
+	rep := &Report{ID: "x", Title: "traced", Trace: data,
+		Triage: insight.Analyze(data, insight.SLOSpec{MinWindowDone: 1})}
+	out, err := json.Marshal(rep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fields map[string]json.RawMessage
+	if err := json.Unmarshal(out, &fields); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := fields["Trace"]; ok {
+		t.Errorf("the report's JSON embeds the flight recorder: %s", fields["Trace"])
+	}
+	if strings.Contains(string(out), `"submitted"`) {
+		t.Errorf("the report's JSON carries statement spans: %s", out)
+	}
+	var tri insight.TriageReport
+	if err := json.Unmarshal(fields["Triage"], &tri); err != nil || tri.Statements != 3 {
+		t.Errorf("the report's JSON triage = %s (%v), want the analysis of 3 statements", fields["Triage"], err)
+	}
+}
 
 func TestReportRenderAlignment(t *testing.T) {
 	rep := &Report{ID: "x", Title: "Title", Description: "desc"}

@@ -31,7 +31,6 @@ package sharedscan
 
 import (
 	"fmt"
-	"slices"
 
 	"numacs/internal/colstore"
 	"numacs/internal/exec"
@@ -98,7 +97,8 @@ type Member struct {
 	// launch, shed) besides the operator phases.
 	Pipeline exec.Pipeline
 
-	// regions is a follower's find phase, its precomputed regions.
+	// regions holds the member's copy of its find-phase regions, which its
+	// output phase reads: a follower's find phase too.
 	regions exec.StaticRegions
 }
 
@@ -122,15 +122,37 @@ type Stats struct {
 	PlanGrouped uint64
 }
 
-// cohort is one pass's membership: launch members (leader first), mid-flight
-// attachers, and the forming-window deadline before launch.
+// cohort is one pass: its membership — launch members (leader first) and
+// mid-flight attachers — the forming-window deadline before launch, and the
+// pass's operators with their storage (selectivities, tasks, per-member
+// regions). Cohorts are recycled records of the registry: the operators'
+// find-barrier hooks are bound once, when a record is made, and every
+// launch, attach and wrap refills the record's storage.
+//
+// A cohort is taken when a forming cohort or a launch needs one, and returns
+// to the free list when the last of its barriers has run (holds counts them:
+// the main pass's, and the wrap's when attachers rode it), or at once when
+// it sheds every member before launch. Nothing reads it after that: each
+// member copies its regions into its own StaticRegions at the barrier — a
+// follower as it starts, the leader (of the pass or the wrap) before its
+// output phase opens — so no output Open reads the pass; the registry
+// reads Fraction only while the cohort is its key's running pass, which
+// the main barrier ends; and every flow that reports progress to the pass
+// has finished by its barrier. Members keep pointers to the pass's
+// operators in their pipelines until their statements end, but never
+// dereference them past the barrier.
 type cohort struct {
+	r         *Registry
+	ks        *keyState
 	key       string
 	members   []*Member
 	attachers []*Member
-	pass      *exec.SharedScanOp
 	launchAt  float64
 	maxMissed float64 // largest pass fraction any attacher missed
+	scan      exec.SharedScanOp
+	wrap      exec.WrapScanOp
+	holds     int
+	next      *cohort
 }
 
 // keyState is the registry's per-column state: at most one running pass
@@ -149,6 +171,7 @@ type Registry struct {
 	byKey map[string]*keyState
 	keys  []*keyState // deterministic Tick order
 	stats Stats
+	free  *cohort // recycled cohort records
 
 	// Decisions, when non-nil, is the flight recorder's decision log: the
 	// registry records cohort launches, mid-flight attaches, wrap passes,
@@ -195,6 +218,36 @@ func (r *Registry) state(key string) *keyState {
 		r.keys = append(r.keys, ks)
 	}
 	return ks
+}
+
+// take returns an empty cohort of key, whose state is ks, from the free
+// list, or makes one.
+func (r *Registry) take(ks *keyState, key string) *cohort {
+	c := r.free
+	if c == nil {
+		c = &cohort{r: r}
+		c.scan.OnClosed, c.wrap.OnClosed = c.mainDone, c.wrapDone
+	} else {
+		r.free, c.next = c.next, nil
+	}
+	c.ks, c.key = ks, key
+	return c
+}
+
+// free returns c to the free list, dropping its members.
+func (c *cohort) free() {
+	clear(c.members)
+	clear(c.attachers)
+	c.members, c.attachers = c.members[:0], c.attachers[:0]
+	c.ks, c.launchAt, c.maxMissed = nil, 0, 0
+	c.next, c.r.free = c.r.free, c
+}
+
+// release ends one of c's barriers; the last frees it.
+func (c *cohort) release() {
+	if c.holds--; c.holds == 0 {
+		c.free()
+	}
 }
 
 // Submit routes one shareable scan statement into the cohort lifecycle: an
@@ -251,15 +304,20 @@ func (r *Registry) enter(g []*Member, grouped bool) {
 	}
 	if c := ks.running; c != nil {
 		if !r.cfg.DisableAttach && len(c.members)+len(c.attachers)+len(g) <= r.cfg.MaxCohort {
-			if f := c.pass.Fraction(); f <= r.cfg.AttachFraction {
+			if f := c.scan.Fraction(); f <= r.cfg.AttachFraction {
 				r.attach(c, g, grouped, f)
 				return
 			}
 		}
-		ks.forming = &cohort{key: key, members: slices.Clone(g), launchAt: now + r.cfg.JoinWindow}
+		c := r.take(ks, key)
+		c.members = append(c.members, g...)
+		c.launchAt = now + r.cfg.JoinWindow
+		ks.forming = c
 		return
 	}
-	r.launch(ks, &cohort{key: key, members: slices.Clone(g)})
+	c := r.take(ks, key)
+	c.members = append(c.members, g...)
+	r.launch(ks, c)
 }
 
 // attach adds g to the running pass c, which has streamed fraction f of its
@@ -294,14 +352,16 @@ func (r *Registry) attach(c *cohort, g []*Member, grouped bool, f float64) {
 // Tick implements sim.Actor: shed join-window waiters whose deadline passed
 // and launch forming cohorts whose window closed.
 func (r *Registry) Tick(now float64) {
+	var buf [8]*Member
 	for _, ks := range r.keys {
 		c := ks.forming
 		if c == nil {
 			continue
 		}
-		expired := r.compactExpired(c, now)
+		expired := r.compactExpired(buf[:0], c, now)
 		if len(c.members) == 0 {
 			ks.forming = nil
+			c.free()
 		} else if now >= c.launchAt {
 			ks.forming = nil
 			r.launch(ks, c)
@@ -311,10 +371,10 @@ func (r *Registry) Tick(now float64) {
 }
 
 // compactExpired removes members past their deadline from the cohort and
-// returns them; the caller fires their OnShed hooks only after the registry
-// state is consistent (OnShed may reenter Submit).
-func (r *Registry) compactExpired(c *cohort, now float64) []*Member {
-	var expired []*Member
+// returns them in buf's storage; the caller fires their OnShed hooks only
+// after the registry state is consistent (OnShed may reenter Submit).
+func (r *Registry) compactExpired(buf []*Member, c *cohort, now float64) []*Member {
+	expired := buf[:0]
 	kept := c.members[:0]
 	for _, m := range c.members {
 		if m.Deadline > 0 && now > m.Deadline {
@@ -356,19 +416,18 @@ func (r *Registry) fireSheds(expired []*Member) {
 // leader's own output phase downstream. ks.running is set before any hook
 // can run, so reentrant submissions see a consistent registry.
 func (r *Registry) launch(ks *keyState, c *cohort) {
-	expired := r.compactExpired(c, r.sim.Now())
+	var buf [8]*Member
+	expired := r.compactExpired(buf[:0], c, r.sim.Now())
 	if len(c.members) == 0 {
+		c.free()
 		r.fireSheds(expired)
 		return
 	}
 	leader := c.members[0]
-	c.pass = &exec.SharedScanOp{
-		Table:         leader.Table,
-		Column:        leader.Column,
-		Selectivities: selectivities(c.members),
-		FanoutCap:     summedFanout(c.members),
-		OnClosed:      func() { r.mainDone(ks, c) },
-	}
+	c.scan.Table, c.scan.Column = leader.Table, leader.Column
+	c.scan.Selectivities = selectivities(c.scan.Selectivities[:0], c.members)
+	c.scan.FanoutCap = summedFanout(c.members)
+	c.holds = 1
 	r.stats.Passes++
 	if len(c.members) == 1 {
 		r.stats.Solo++
@@ -385,37 +444,32 @@ func (r *Registry) launch(ks *keyState, c *cohort) {
 		r.Decisions.Record(trace.Decision{
 			Time: now, Source: "cohort", Kind: "launch", Item: c.key, From: -1, To: -1,
 			Cause: fmt.Sprintf("%d members share one pass (fan-out cap %d)",
-				len(c.members), c.pass.FanoutCap),
+				len(c.members), c.scan.FanoutCap),
 		})
 	}
 	ks.running = c
-	leader.start(c.pass, c.pass)
+	leader.start(&c.scan, &leader.regions)
 	r.fireSheds(expired)
 }
 
-// mainDone runs at the cohort pass's find barrier: followers' statements
-// start (their find phase is already materialized in their regions), the
-// attacher generation's wrap pass launches, and the column's forming cohort
-// — which was waiting behind this pass — launches immediately.
-func (r *Registry) mainDone(ks *keyState, c *cohort) {
+// mainDone runs at the cohort pass's find barrier: the leader takes its
+// regions, followers' statements start (their find phase is already
+// materialized in their regions), the attacher generation's wrap pass
+// launches, and the column's forming cohort — which was waiting behind this
+// pass — launches immediately.
+func (c *cohort) mainDone() {
+	r, ks := c.r, c.ks
+	c.members[0].regions.Rs = append(c.members[0].regions.Rs[:0], c.scan.MemberRegions(0)...)
 	for i, m := range c.members[1:] {
-		m.startFollower(c.pass.MemberRegions(i + 1))
+		m.startFollower(c.scan.MemberRegions(i + 1))
 	}
 	if len(c.attachers) > 0 {
 		r.stats.Wraps++
+		c.holds++
 		al := c.attachers[0]
-		wrap := &exec.WrapScanOp{
-			Table:         al.Table,
-			Column:        al.Column,
-			Fraction:      c.maxMissed,
-			Selectivities: selectivities(c.attachers),
-			FanoutCap:     summedFanout(c.attachers),
-		}
-		wrap.OnClosed = func() {
-			for i, m := range c.attachers[1:] {
-				m.startFollower(wrap.MemberRegions(i + 1))
-			}
-		}
+		c.wrap.Table, c.wrap.Column, c.wrap.Fraction = al.Table, al.Column, c.maxMissed
+		c.wrap.Selectivities = selectivities(c.wrap.Selectivities[:0], c.attachers)
+		c.wrap.FanoutCap = summedFanout(c.attachers)
 		if r.Decisions != nil {
 			r.Decisions.Record(trace.Decision{
 				Time: r.sim.Now(), Source: "cohort", Kind: "wrap", Item: c.key, From: -1, To: -1,
@@ -423,7 +477,7 @@ func (r *Registry) mainDone(ks *keyState, c *cohort) {
 					len(c.attachers), c.maxMissed*100),
 			})
 		}
-		al.start(wrap, wrap)
+		al.start(&c.wrap, &al.regions)
 	}
 	// A newer cohort may already have replaced this one as the column's
 	// running pass (Tick launches a forming cohort when its window closes
@@ -439,6 +493,17 @@ func (r *Registry) mainDone(ks *keyState, c *cohort) {
 			r.launch(ks, f)
 		}
 	}
+	c.release()
+}
+
+// wrapDone runs at the wrap pass's barrier: the wrap leader takes its
+// regions and the other attachers' statements start.
+func (c *cohort) wrapDone() {
+	c.attachers[0].regions.Rs = append(c.attachers[0].regions.Rs[:0], c.wrap.MemberRegions(0)...)
+	for i, m := range c.attachers[1:] {
+		m.startFollower(c.wrap.MemberRegions(i + 1))
+	}
+	c.release()
 }
 
 // start runs the member's statement: its pipeline's find phase is find,
@@ -448,19 +513,18 @@ func (m *Member) start(find exec.Operator, src exec.RegionSource) {
 	m.Pipeline.Start()
 }
 
-// startFollower starts one follower statement, whose find phase is the
-// precomputed region set (instant).
+// startFollower starts one follower statement, whose find phase is a copy
+// of its regions in its own storage (instant).
 func (m *Member) startFollower(regions []exec.Region) {
-	m.regions.Rs = regions
+	m.regions.Rs = append(m.regions.Rs[:0], regions...)
 	m.start(&m.regions, &m.regions)
 }
 
-// selectivities returns the members' predicate selectivities, in member
-// order.
-func selectivities(members []*Member) []float64 {
-	sels := make([]float64, len(members))
-	for i, m := range members {
-		sels[i] = m.Selectivity
+// selectivities appends the members' predicate selectivities to sels, in
+// member order.
+func selectivities(sels []float64, members []*Member) []float64 {
+	for _, m := range members {
+		sels = append(sels, m.Selectivity)
 	}
 	return sels
 }

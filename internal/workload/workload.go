@@ -11,7 +11,9 @@ package workload
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 
 	"numacs/internal/colstore"
 	"numacs/internal/core"
@@ -250,18 +252,23 @@ type WritersConfig struct {
 	Tenant string
 }
 
-// Writers drives the write mix as a simulation actor: each tick it applies
-// the accrued number of writes to the per-socket delta fragments of the
-// chosen columns (each write lands on a uniformly chosen writing-client
-// socket) and issues one batched write-traffic flow per touched fragment.
-// Register it with engine.Sim.AddActor.
+// Writers drives the write mix as a simulation actor: each tick it plans the
+// accrued number of writes into a write batch (each write lands on a
+// uniformly chosen writing-client socket) and submits it, which applies the
+// writes to the per-socket delta fragments of the chosen columns and issues
+// one batched traffic flow per touched fragment. Register it with
+// engine.Sim.AddActor.
 type Writers struct {
 	cfg     WritersConfig
 	engine  *core.Engine
 	table   *colstore.Table
 	columns []*colstore.Column
+	sockets []int
 	rng     *rand.Rand
 	carry   float64
+	// onShed and onApply are the batch hooks, bound once.
+	onShed  func()
+	onApply func(inserts, updates int)
 
 	// Inserts and Updates count the writes applied so far; ShedBatches
 	// counts admitted-path batches dropped by load shedding (per-batch
@@ -271,25 +278,60 @@ type Writers struct {
 	ShedBatches uint64
 }
 
+// maxWritesPerStep bounds a writer population's rate: Rate times the
+// simulator step may ask for at most this many writes per step.
+const maxWritesPerStep = 1 << 20
+
 // NewWriters creates the writer population over a placed single-part table.
+// It panics on a config the writers cannot run: a Rate that is not a finite
+// non-negative number or asks for more than maxWritesPerStep writes per
+// step, an UpdateFraction outside [0, 1], a socket outside the machine, or a
+// Start or Stop that is not finite.
 func NewWriters(e *core.Engine, table *colstore.Table, cfg WritersConfig) *Writers {
 	if table.NumParts() != 1 {
 		panic("workload: writers need a single-part table (delta + PP is out of scope)")
 	}
+	switch {
+	case !(cfg.Rate >= 0) || math.IsInf(cfg.Rate, 1):
+		panic(fmt.Sprintf("workload: writer Rate %v is not a finite non-negative number", cfg.Rate))
+	case cfg.Rate*e.Sim.StepLen() > maxWritesPerStep:
+		panic(fmt.Sprintf("workload: writer Rate %v asks for %.3g writes per %gs step, more than %d",
+			cfg.Rate, cfg.Rate*e.Sim.StepLen(), e.Sim.StepLen(), maxWritesPerStep))
+	case !(cfg.UpdateFraction >= 0 && cfg.UpdateFraction <= 1):
+		panic(fmt.Sprintf("workload: writer UpdateFraction %v is outside [0, 1]", cfg.UpdateFraction))
+	case math.IsNaN(cfg.Start) || math.IsInf(cfg.Start, 0) || math.IsNaN(cfg.Stop) || math.IsInf(cfg.Stop, 0):
+		panic(fmt.Sprintf("workload: writer window [%v, %v) is not finite", cfg.Start, cfg.Stop))
+	}
+	sockets := slices.Clone(cfg.Sockets)
+	for _, s := range sockets {
+		if s < 0 || s >= e.Machine.Sockets {
+			panic(fmt.Sprintf("workload: writer socket %d is outside the machine's %d sockets", s, e.Machine.Sockets))
+		}
+	}
+	if len(sockets) == 0 {
+		sockets = make([]int, e.Machine.Sockets)
+		for i := range sockets {
+			sockets[i] = i
+		}
+	}
 	if cfg.Chooser == nil {
 		cfg.Chooser = UniformChoice{}
 	}
-	return &Writers{
+	w := &Writers{
 		cfg:     cfg,
 		engine:  e,
 		table:   table,
 		columns: table.Parts[0].Columns,
+		sockets: sockets,
 		rng:     rand.New(rand.NewSource(cfg.Seed + 31)),
 	}
+	w.onShed, w.onApply = w.shed, w.applied
+	return w
 }
 
-// Tick implements sim.Actor: apply this step's writes and emit one batched
-// traffic flow per (column, socket) fragment touched.
+// Tick implements sim.Actor: plan this step's writes into one batch and
+// submit it — through the admission controller when the config names a
+// Tenant and the engine has one.
 func (w *Writers) Tick(now float64) {
 	if w.cfg.Rate <= 0 || now < w.cfg.Start || (w.cfg.Stop > 0 && now >= w.cfg.Stop) {
 		return
@@ -300,30 +342,13 @@ func (w *Writers) Tick(now float64) {
 		return
 	}
 	w.carry -= float64(n)
-	sockets := w.cfg.Sockets
-	if len(sockets) == 0 {
-		sockets = make([]int, w.engine.Machine.Sockets)
-		for i := range sockets {
-			sockets[i] = i
-		}
-	}
-	// Plan this step's writes up front (all RNG draws happen here, so the
-	// admitted path consumes the identical random stream as direct apply).
-	type write struct {
-		col    *colstore.Column
-		socket int
-		row    int // -1 for inserts
-		v      int64
-	}
-	type batchKey struct {
-		col    *colstore.Column
-		socket int
-	}
-	writes := make([]write, 0, n)
-	batch := make(map[batchKey]int)
+	// Every RNG draw happens here, at tick time, so the admitted path
+	// consumes the identical random stream as direct apply.
+	b := w.engine.WriteBatch(w.columns)
 	for i := 0; i < n; i++ {
-		col := w.columns[w.cfg.Chooser.Pick(w.rng, len(w.columns))]
-		socket := sockets[w.rng.Intn(len(sockets))]
+		c := w.cfg.Chooser.Pick(w.rng, len(w.columns))
+		col := w.columns[c]
+		socket := w.sockets[w.rng.Intn(len(w.sockets))]
 		domain := col.Domain
 		if domain <= 0 {
 			domain = int64(col.NumDistinct())
@@ -332,49 +357,24 @@ func (w *Writers) Tick(now float64) {
 			}
 		}
 		v := w.rng.Int63n(domain)
-		row := -1
 		if w.rng.Float64() < w.cfg.UpdateFraction {
-			row = w.rng.Intn(col.Rows)
-		}
-		writes = append(writes, write{col, socket, row, v})
-		batch[batchKey{col, socket}]++
-	}
-	// apply performs the mutations and starts one batched traffic flow per
-	// touched (column, socket) fragment, in deterministic order; done fires
-	// when the last flow drains.
-	apply := func(done func()) {
-		for _, wr := range writes {
-			if wr.row >= 0 {
-				w.engine.ApplyUpdate(wr.col, wr.socket, wr.row, wr.v)
-				w.Updates++
-			} else {
-				w.engine.ApplyInsert(wr.col, wr.socket, wr.v)
-				w.Inserts++
-			}
-		}
-		outstanding := 0
-		for _, rows := range batch {
-			if rows > 0 {
-				outstanding++
-			}
-		}
-		oneDone := func() {
-			outstanding--
-			if outstanding == 0 {
-				done()
-			}
-		}
-		for _, col := range w.columns {
-			for s := 0; s < w.engine.Machine.Sockets; s++ {
-				if rows := batch[batchKey{col, s}]; rows > 0 {
-					w.engine.AddWriteTraffic(col, s, rows, oneDone)
-				}
-			}
+			b.Update(c, socket, w.rng.Intn(col.Rows), v)
+		} else {
+			b.Insert(c, socket, v)
 		}
 	}
-	if w.cfg.Tenant != "" && w.engine.Admit != nil {
-		w.engine.SubmitWrite(w.cfg.Tenant, func() { w.ShedBatches++ }, apply)
-		return
+	b.OnApply = w.onApply
+	if w.cfg.Tenant != "" {
+		b.Tenant, b.OnShed = w.cfg.Tenant, w.onShed
 	}
-	apply(func() {})
+	w.engine.SubmitWrite(b)
 }
+
+// applied counts a batch's applied writes.
+func (w *Writers) applied(inserts, updates int) {
+	w.Inserts += uint64(inserts)
+	w.Updates += uint64(updates)
+}
+
+// shed counts a batch dropped by load shedding.
+func (w *Writers) shed() { w.ShedBatches++ }

@@ -1,7 +1,10 @@
 package workload
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"numacs/internal/core"
@@ -219,4 +222,44 @@ func TestClientsClosedLoop(t *testing.T) {
 		t.Fatal("Stop did not stop issuing")
 	}
 	_ = done
+}
+
+// TestNewWritersRejectsBadConfigs: NewWriters panics on a config the writers
+// cannot run, with a message that names the problem, instead of failing mid
+// simulation (a socket outside the machine indexed the delta fragments, and
+// an infinite or NaN Rate sized a write slice from int(+Inf)). The test
+// only calls NewWriters; no bad config ever ticks.
+func TestNewWritersRejectsBadConfigs(t *testing.T) {
+	e := core.NewWithStep(topology.FourSocketIvyBridge(), 1, 25e-6)
+	tbl := Generate(DatasetConfig{Rows: 1000, Columns: 2, BitcaseMin: 10, BitcaseMax: 10, Seed: 1, Synthetic: true})
+	e.Placer.PlaceRR(tbl)
+	for _, tc := range []struct {
+		cfg  WritersConfig
+		want string
+	}{
+		{WritersConfig{Rate: math.Inf(1)}, "Rate +Inf is not a finite non-negative number"},
+		{WritersConfig{Rate: math.NaN()}, "Rate NaN is not a finite non-negative number"},
+		{WritersConfig{Rate: -1}, "Rate -1 is not a finite non-negative number"},
+		{WritersConfig{Rate: 1e300}, "asks for 2.5e+295 writes per 2.5e-05s step, more than 1048576"},
+		{WritersConfig{Rate: 1e3, UpdateFraction: 1.5}, "UpdateFraction 1.5 is outside [0, 1]"},
+		{WritersConfig{Rate: 1e3, UpdateFraction: -0.1}, "UpdateFraction -0.1 is outside [0, 1]"},
+		{WritersConfig{Rate: 1e3, UpdateFraction: math.NaN()}, "UpdateFraction NaN is outside [0, 1]"},
+		{WritersConfig{Rate: 1e3, Sockets: []int{0, 4}}, "socket 4 is outside the machine's 4 sockets"},
+		{WritersConfig{Rate: 1e3, Sockets: []int{-1}}, "socket -1 is outside the machine's 4 sockets"},
+		{WritersConfig{Rate: 1e3, Start: math.NaN()}, "window [NaN, 0) is not finite"},
+		{WritersConfig{Rate: 1e3, Stop: math.Inf(1)}, "window [0, +Inf) is not finite"},
+	} {
+		t.Run(tc.want, func(t *testing.T) {
+			defer func() {
+				msg := fmt.Sprint(recover())
+				if !strings.Contains(msg, tc.want) {
+					t.Fatalf("NewWriters(%+v) panicked with %q, want it to name %q", tc.cfg, msg, tc.want)
+				}
+			}()
+			NewWriters(e, tbl, tc.cfg)
+		})
+	}
+	// The edges of every range are valid.
+	NewWriters(e, tbl, WritersConfig{Rate: 0})
+	NewWriters(e, tbl, WritersConfig{Rate: 1 << 20 / 25e-6, UpdateFraction: 1, Sockets: []int{0, 3}})
 }
