@@ -12,7 +12,7 @@
 //     priority aging of queue heads, so a greedy tenant cannot starve the
 //     others and every tenant's goodput tracks its weight share.
 //   - Elastic concurrency: a control loop watches scheduler saturation (free
-//     and parked worker counts, per-thread-group queue depths) and adapts
+//     and parked worker counts, machine-wide queued tasks) and adapts
 //     both the number of concurrently admitted statements (AIMD) and the
 //     per-statement task granularity — fan-out splits coarser when queues
 //     are deep and finer when sockets idle (the exec.Pipeline MaxFanout
@@ -64,13 +64,11 @@ func (c Class) String() string {
 }
 
 // Statement is one unit of admission: a deferred dispatch into the engine.
-// Its owner may submit it again, for another statement, once its done has
-// been called or its OnShed has fired: the controller reads a statement's
-// tenant and enqueue time in its completion hook before it dispatches
-// anything, and keeps no other reference to a completed or shed statement.
-// The completion hook is bound once per statement, the first time the
-// controller dispatches it, so a statement its owner recycles costs no
-// allocation per dispatch.
+// Its owner may submit it again, for another statement, once its Done has
+// been called or its OnShed has fired: Done reads the statement's tenant and
+// enqueue time before it dispatches anything, and the controller keeps no
+// other reference to a completed or shed statement, so a statement its owner
+// recycles costs no allocation per dispatch.
 type Statement struct {
 	// Tenant names the issuing tenant; unknown tenants are auto-registered
 	// with weight 1.
@@ -78,13 +76,12 @@ type Statement struct {
 	// Class selects the shedding deadline.
 	Class Class
 	// Run dispatches the statement into the engine when admitted: gran is
-	// the task-fan-out cap (0 = uncapped), issuedAt the admission-queue
+	// the task-fan-out cap (0 = uncapped), and issuedAt the admission-queue
 	// arrival time — the statement's tasks carry it as their scheduler
 	// priority, so a statement that waited long enters the task queues aged
-	// ahead of fresh ones — and done must be called when the statement
-	// completes. The controller passes the same done on every dispatch of
-	// one Statement.
-	Run func(gran int, issuedAt float64, done func())
+	// ahead of fresh ones. Done must be called when the statement completes,
+	// inside Run or later.
+	Run func(gran int, issuedAt float64)
 	// OnShed fires instead of Run when load shedding drops the statement
 	// (queue wait exceeded the class deadline). Nil is allowed.
 	OnShed func()
@@ -95,9 +92,8 @@ type Statement struct {
 
 	enqueued float64
 	tenant   *tenant
-	// done is the completion hook bound for the controller ctl.
-	ctl  *Controller
-	done func()
+	// ctl is the controller that dispatched the statement, until its Done.
+	ctl *Controller
 }
 
 // TenantSpec configures one tenant's weight for fair admission.
@@ -502,18 +498,22 @@ func (c *Controller) dispatch() {
 		if st.Trace != nil {
 			st.Trace.MarkAdmitted(now)
 		}
-		if st.ctl != c {
-			st.ctl, st.done = c, func() { c.statementDone(st) }
-		}
-		st.Run(c.GranCap(), st.enqueued, st.done)
+		st.ctl = c
+		st.Run(c.GranCap(), st.enqueued)
 	}
 }
 
-// statementDone is the completion hook: free the slot, record the
-// end-to-end latency, and backfill from the queues. It reads st before it
-// dispatches, since a dispatched statement's hooks may submit st again.
-func (c *Controller) statementDone(st *Statement) {
-	t := st.tenant
+// Done is a dispatched statement's completion hook: it frees the
+// statement's concurrency slot, records its end-to-end latency, and
+// backfills from the queues. It reads st before it dispatches, since a
+// dispatched statement's hooks may submit st again, and does nothing for a
+// statement that no controller dispatched.
+func (st *Statement) Done() {
+	c, t := st.ctl, st.tenant
+	if c == nil {
+		return
+	}
+	st.ctl = nil
 	c.inflight--
 	t.stats.Completed++
 	t.stats.Latency.Record(c.sim.Now() - st.enqueued)

@@ -38,11 +38,11 @@ func newHold(tenant string, class Class) *holdStatement {
 	h.st = &Statement{
 		Tenant: tenant,
 		Class:  class,
-		Run: func(gran int, issuedAt float64, done func()) {
+		Run: func(gran int, issuedAt float64) {
 			h.started = true
 			h.ranGran = gran
 			h.ranAt = issuedAt
-			h.done = done
+			h.done = h.st.Done
 		},
 		OnShed: func() { h.shedding = true },
 	}
@@ -91,9 +91,9 @@ func TestWeightedFairAdmission(t *testing.T) {
 	submit := func(tenant string) *holdStatement {
 		h := newHold(tenant, OLAP)
 		run := h.st.Run
-		h.st.Run = func(gran int, at float64, done func()) {
+		h.st.Run = func(gran int, at float64) {
 			order = append(order, tenant)
-			run(gran, at, done)
+			run(gran, at)
 			current = h
 		}
 		c.Submit(h.st)
@@ -122,6 +122,30 @@ func TestWeightedFairAdmission(t *testing.T) {
 	}
 }
 
+// TestDoneOnlyAfterDispatch: Done frees a concurrency slot only for a
+// statement a controller dispatched, and only once: the Done of a queued
+// statement, or a second Done, does nothing.
+func TestDoneOnlyAfterDispatch(t *testing.T) {
+	c, _, _ := testController(Config{MinConcurrent: 1, MaxConcurrent: 1, InitialConcurrent: 1})
+	first, queued := newHold("t", OLAP), newHold("t", OLAP)
+	c.Submit(first.st)
+	c.Submit(queued.st)
+	queued.st.Done()
+	if queued.started || c.InFlight() != 1 {
+		t.Fatalf("a queued statement's Done freed its slot: started=%v inflight=%d", queued.started, c.InFlight())
+	}
+	first.done()
+	first.st.Done()
+	if !queued.started || c.InFlight() != 1 || c.Stats("t").Completed != 1 {
+		t.Fatalf("after one completion and a second Done: started=%v inflight=%d completed=%d",
+			queued.started, c.InFlight(), c.Stats("t").Completed)
+	}
+	queued.done()
+	if c.InFlight() != 0 || c.Stats("t").Completed != 2 {
+		t.Fatalf("inflight=%d completed=%d after both completed", c.InFlight(), c.Stats("t").Completed)
+	}
+}
+
 // TestNoStarvationUnderGreedyTenant: a meek tenant's statement is admitted
 // within a bounded number of slot grants even when a greedy tenant has a
 // huge standing backlog and keeps resubmitting.
@@ -136,9 +160,9 @@ func TestNoStarvationUnderGreedyTenant(t *testing.T) {
 	resubmit = func() {
 		h := newHold("greedy", OLAP)
 		run := h.st.Run
-		h.st.Run = func(gran int, at float64, done func()) {
+		h.st.Run = func(gran int, at float64) {
 			grants++
-			run(gran, at, done)
+			run(gran, at)
 			current = h.done
 			resubmit() // greedy keeps the pressure up
 		}
@@ -152,9 +176,9 @@ func TestNoStarvationUnderGreedyTenant(t *testing.T) {
 	meek := newHold("meek", OLAP)
 	meekGrant := -1
 	run := meek.st.Run
-	meek.st.Run = func(gran int, at float64, done func()) {
+	meek.st.Run = func(gran int, at float64) {
 		meekGrant = grants
-		run(gran, at, done)
+		run(gran, at)
 		current = meek.done
 	}
 	c.Submit(meek.st)
@@ -331,7 +355,7 @@ func TestShedReentrantSubmit(t *testing.T) {
 	var mk func() *Statement
 	mk = func() *Statement {
 		st := &Statement{Tenant: "t"}
-		st.Run = func(gran int, at float64, done func()) { runs[st]++; done() }
+		st.Run = func(gran int, at float64) { runs[st]++; st.Done() }
 		st.OnShed = func() {
 			resubmits++
 			if resubmits < 60 {

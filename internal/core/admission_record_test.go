@@ -45,9 +45,9 @@ type testWrite struct {
 //     shape at once, so a shed record is taken again inside the shed loop;
 //   - the writer submits a batch over several fragments every few steps,
 //     and the Interactive deadline sheds some batches while they queue;
-//   - plan statements queue too: stars, and join-free plans that run on
-//     one-off records and join cohorts while their plan record waits for
-//     the admission slot to be released;
+//   - plan statements queue too: stars, and join-free plans that join
+//     cohorts, on records of one free list, where a record that ran a star
+//     runs a join-free plan next and the reverse;
 //   - every OnDone resubmits, and a zero-match follower, which completes
 //     inside its pass's find-barrier or wrap loop, also launches a pass on
 //     an idle column from its OnDone while the other followers of its pass
@@ -114,9 +114,12 @@ func TestAdmissionRecordReuse(t *testing.T) {
 	for i := 0; i < 16; i++ {
 		client(i)
 	}
-	// Plan clients: join-free plans, which join cohorts on their own
-	// records, and stars, planned when admitted.
+	// Plan clients: join-free plans, which join cohorts, and stars, planned
+	// when admitted. Before each submission the top two records of the
+	// plan free list swap places, so a client mostly takes a record another
+	// client freed, and one record alternates between the two shapes.
 	var planClient func(i int)
+	alternations := 0
 	planClient = func(i int) {
 		again := func() { planClient(i) }
 		q := &Query{Strategy: Bound, HomeSocket: i % 4, Tenant: "p", Class: StatementClass(i % 2)}
@@ -124,6 +127,13 @@ func TestAdmissionRecordReuse(t *testing.T) {
 			q.Plan = plan.BuildQuery(plan.Statement{Table: big, Column: "D", Selectivity: 1e-3, Parallel: true})
 		} else {
 			q.Plan = starPlan(dim, fact, "D_ID")
+		}
+		if r := e.planFree; r != nil && r.next != nil {
+			n := r.next
+			r.next, n.next, e.planFree = n.next, r, n
+		}
+		if r := e.planFree; r != nil && r.phys != nil && (len(r.phys.Joins) > 0) != (i%2 == 1) {
+			alternations++
 		}
 		e.Submit(track(q, again, again))
 	}
@@ -198,6 +208,9 @@ func TestAdmissionRecordReuse(t *testing.T) {
 	if zeroFollowers == 0 {
 		t.Error("no zero-match follower completed inside a barrier loop")
 	}
+	if alternations == 0 {
+		t.Error("no plan record was taken for a star after a join-free plan, or the reverse")
+	}
 	out := fmt.Sprintf("%s%+v shed=%d/%d writes=%+v plans=%+v", metrics.Fingerprint(e.Counters), st, reads, shedBatches,
 		[]uint64{writes.Submitted, writes.Admitted, writes.Completed, writes.Shed},
 		[]uint64{plans.Submitted, plans.Admitted, plans.Completed, plans.Shed})
@@ -214,11 +227,30 @@ func TestAdmissionRecordReuse(t *testing.T) {
 	}
 	got := fmt.Sprintf("%x", sha256.Sum256([]byte(out)))
 	if os.Getenv("NUMACS_PRINT_FINGERPRINT") != "" {
-		t.Logf("%d statements, %d queued, %d zero-match followers, %d reads and %d batches shed, %+v, fingerprint %s",
-			len(fired), queued, zeroFollowers, reads, shedBatches, st, got)
+		t.Logf("%d statements, %d queued, %d zero-match followers, %d plan record alternations, %d reads and %d batches shed, %+v, fingerprint %s",
+			len(fired), queued, zeroFollowers, alternations, reads, shedBatches, st, got)
 	}
 	if got != admissionReuseFingerprint {
 		t.Fatalf("fingerprint %s, want %s", got, admissionReuseFingerprint)
+	}
+}
+
+// TestEmptyWriteBatchFreesSlot: an admitted write batch that touches no
+// fragment completes inside its admission Run and still frees its
+// concurrency slot: with a limit of one, the next batch runs too.
+func TestEmptyWriteBatchFreesSlot(t *testing.T) {
+	e := New(topology.FourSocketIvyBridge(), 1)
+	tbl := buildPlacedTable(e, 1, 1000, false)
+	ctl := e.EnableAdmission(admit.Config{MinConcurrent: 1, MaxConcurrent: 1, InitialConcurrent: 1})
+	applied := 0
+	for i := 0; i < 2; i++ {
+		b := e.WriteBatch(tbl.Parts[0].Columns)
+		b.Tenant, b.OnApply = "w", func(int, int) { applied++ }
+		e.SubmitWrite(b)
+	}
+	if st := ctl.Stats("w"); applied != 2 || st.Completed != 2 || ctl.InFlight() != 0 {
+		t.Fatalf("applied %d and completed %d empty batches with %d in flight, want 2, 2 and 0",
+			applied, st.Completed, ctl.InFlight())
 	}
 }
 
@@ -239,9 +271,9 @@ func submitWrites(e *Engine, tenant string, cols []*colstore.Column, ws []testWr
 // joinNow starts q at once, without admission or the per-query overhead:
 // a cohort member enters the registry before joinNow returns.
 func joinNow(e *Engine, q *Query) {
-	rec := e.record(q, e.prepare(q))
-	rec.entry().Trace = e.startStatement(q.Tenant, q.Class, q)
-	if r := rec.begin(0, e.Sim.Now(), nil); r != nil {
+	r := e.record(q, e.prepare(q))
+	r.adm.Trace = e.startStatement(q.Tenant, q.Class, q)
+	if r.begin(0, e.Sim.Now()) {
 		e.Shared.Submit(&r.m)
 	}
 }

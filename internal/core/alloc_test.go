@@ -6,6 +6,7 @@ import (
 
 	"numacs/internal/admit"
 	"numacs/internal/colstore"
+	"numacs/internal/plan"
 	"numacs/internal/sharedscan"
 	"numacs/internal/topology"
 )
@@ -173,12 +174,59 @@ func TestPlanQueryRepeatedShapeAllocs(t *testing.T) {
 		ExtraPredicateColumns: []string{"COLB"}, ProjectColumns: []string{"COLC"}}
 	plan := func() {
 		pp := e.plainPlan(q)
-		r := pp.take(e)
-		r.next, pp.free = pp.free, r
+		e.take(&pp.free, pp.phys).free()
 	}
 	plan()
 	if n := testing.AllocsPerRun(100, plan); n != 0 {
 		t.Fatalf("planning a cached shape allocates %v times, want 0", n)
+	}
+}
+
+// TestPlanStatementAllocs pins the heap allocations of one Query.Plan
+// statement on a warm idle engine, from building its logical plan through
+// the simulator steps that complete it: a join-free plan over the pinned
+// statement's table, and the single-dimension star of starPlan. Both are
+// planned at admission against that instant's statistics and run on a
+// recycled statement record; a join-free plan refills the record's own
+// operators, and a star lowers fresh ones into its pipeline. A change that
+// adds an allocation to either path fails here; one that removes some
+// lowers its pin. The pins hold without the race detector only.
+func TestPlanStatementAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes the planner's allocation counts")
+	}
+	e := New(topology.FourSocketIvyBridge(), 1)
+	cols := make([]*colstore.Column, 4)
+	for i := range cols {
+		cols[i] = colstore.NewSynthetic("C"+string(rune('0'+i)), 100_000, 1<<17, false)
+	}
+	tbl := colstore.NewTable("T", cols)
+	e.Placer.PlaceRR(tbl)
+	dim, fact := buildStarTables(e)
+	for _, tc := range []struct {
+		name  string
+		build func() *plan.Logical
+		want  float64
+	}{
+		{"join-free", func() *plan.Logical {
+			return plan.BuildQuery(plan.Statement{Table: tbl, Column: "C1", Selectivity: 1e-5, Parallel: true})
+		}, 22},
+		{"star", func() *plan.Logical { return starPlan(dim, fact, "D_ID") }, 82},
+	} {
+		done := false
+		q := &Query{Strategy: Bound, OnDone: func(float64) { done = true }}
+		run := func() {
+			done = false
+			q.Plan = tc.build()
+			e.Submit(q)
+			for !done {
+				e.Sim.Step()
+			}
+		}
+		run()
+		if n := testing.AllocsPerRun(100, run); n != tc.want {
+			t.Errorf("%s: one Query.Plan statement allocates %v times, want %v", tc.name, n, tc.want)
+		}
 	}
 }
 

@@ -36,10 +36,9 @@ func (e *Engine) SubmitBatch(qs []*Query) {
 	groups := make(map[string][]*sharedscan.Member)
 	var order []string
 	for i, q := range qs {
-		rec := e.record(q, pps[i])
-		rec.entry().Trace = e.startStatement(q.Tenant, q.Class, q)
-		r := rec.begin(0, issuedAt, nil)
-		if r == nil {
+		r := e.record(q, pps[i])
+		r.adm.Trace = e.startStatement(q.Tenant, q.Class, q)
+		if !r.begin(0, issuedAt) {
 			continue
 		}
 		m := &r.m

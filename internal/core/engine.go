@@ -151,9 +151,9 @@ type Engine struct {
 	plans  map[plainKey][]*plainPlan
 	nPlans int
 
-	// planFree and writeFree are the free lists of plan records and write
-	// batches.
-	planFree  *planRec
+	// planFree and writeFree are the free lists of q.Plan statements'
+	// records and of write batches.
+	planFree  *stmtRec
 	writeFree *WriteBatch
 }
 
@@ -399,8 +399,8 @@ type Query struct {
 // per-query overhead: a shareable scan joins the cohort registry, anything
 // else runs as a private operator pipeline.
 func (e *Engine) Submit(q *Query) {
-	rec := e.record(q, e.prepare(q))
-	e.enter(rec.entry(), q.Tenant, q.Class, e.startStatement(q.Tenant, q.Class, q))
+	r := e.record(q, e.prepare(q))
+	e.enter(&r.adm, q.Tenant, q.Class, e.startStatement(q.Tenant, q.Class, q))
 }
 
 // prepare checks q and returns its cached plain plan, or nil for a q.Plan
@@ -413,27 +413,16 @@ func (e *Engine) prepare(q *Query) *plainPlan {
 	return e.plainPlan(q)
 }
 
-// record is a statement's recycled record: a stmtRec of its cached plain
-// plan, or a planRec for a q.Plan statement. Its admission entry is bound to
-// it once, so admitting a statement allocates nothing.
-type record interface {
-	// entry is the record's admission entry, whose Run starts the statement
-	// and whose OnShed drops it.
-	entry() *admit.Statement
-	// begin starts the admitted statement (see stmtRec.begin); it returns
-	// the cohort member the caller hands to the registry, or nil.
-	begin(gran int, issuedAt float64, release func()) *stmtRec
-}
-
-// record takes the record q runs on: one of its cached plain plan pp, or a
-// plan record when pp is nil.
-func (e *Engine) record(q *Query, pp *plainPlan) record {
+// record takes the record q runs on: one of its cached plain plan pp, or
+// one of the engine's q.Plan records when pp is nil. Its admission entry is
+// bound to it once, so admitting a statement allocates nothing.
+func (e *Engine) record(q *Query, pp *plainPlan) *stmtRec {
+	var r *stmtRec
 	if pp == nil {
-		r := e.takePlanRec()
-		r.q = q
-		return r
+		r = e.take(&e.planFree, nil)
+	} else {
+		r = e.take(&pp.free, pp.phys)
 	}
-	r := pp.take(e)
 	r.q = q
 	return r
 }
@@ -457,25 +446,18 @@ func (e *Engine) startStatement(tenant string, class admit.Class, q *Query) *tra
 
 // enter is the admission front half every statement shares: a is the
 // statement's admission entry, owned by its record, and st its trace span.
-// Without a controller a.Run fires at once, uncapped and stamped now. With
-// one, the statement queues under its tenant and class: a.Run fires when it
-// is admitted (with the controller's fan-out cap, its enqueue time, and a
-// release that frees its concurrency slot), or a.OnShed fires instead.
+// Without a controller a.Run fires at once, uncapped and stamped now, and
+// a.Done does nothing. With one, the statement queues under its tenant and
+// class: a.Run fires when it is admitted (with the controller's fan-out cap
+// and its enqueue time), and a.Done frees its concurrency slot; or a.OnShed
+// fires instead.
 func (e *Engine) enter(a *admit.Statement, tenant string, class admit.Class, st *trace.Statement) {
 	a.Tenant, a.Class, a.Trace = tenant, class, st
 	if e.Admit == nil {
-		a.Run(0, e.Sim.Now(), nil)
+		a.Run(0, e.Sim.Now())
 		return
 	}
 	e.Admit.Submit(a)
-}
-
-// run starts an admitted statement on rec: a cohort member joins the
-// registry behind the per-query overhead.
-func (e *Engine) run(rec record, gran int, issuedAt float64, release func()) {
-	if m := rec.begin(gran, issuedAt, release); m != nil {
-		e.startOverhead(&m.overhead, m.join)
-	}
 }
 
 // bind fills p's statement fields from q: the engine's environment, q's
@@ -486,13 +468,11 @@ func (e *Engine) bind(p *exec.Pipeline, q *Query, st *trace.Statement, gran int,
 	p.Env, p.Strategy, p.HomeSocket, p.IssuedAt, p.MaxFanout, p.Trace = e.env, q.Strategy, q.HomeSocket, issuedAt, gran, st
 }
 
-// complete ends a statement: it leaves the active set, frees the admission
-// slot, and reports the latency.
-func (e *Engine) complete(q *Query, release func(), lat float64) {
+// complete ends a statement: it leaves the active set, frees its admission
+// entry a's slot, and reports the latency.
+func (e *Engine) complete(q *Query, a *admit.Statement, lat float64) {
 	e.activeStatements--
-	if release != nil {
-		release()
-	}
+	a.Done()
 	if q.OnDone != nil {
 		q.OnDone(lat)
 	}

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"numacs/internal/admit"
 	"numacs/internal/exec"
 	"numacs/internal/metrics"
 	"numacs/internal/plan"
@@ -46,13 +47,13 @@ func randomStatements(rng *rand.Rand, n int) []*Query {
 // TestPlanRewritesPreserveExecution is the execution half of the rewrite-
 // preservation property: fixed-seed engines drive the same random statement
 // mix through Submit (full pass pipeline), through Submit as join-free
-// Query.Plan statements (each on a one-off record of its own plan), and
-// through pass-less lowering started on a hand-built pipeline behind the
-// same per-query overhead (the unoptimized control). The runs' fingerprints
-// — every counter and the full latency histogram — must match: the
-// optimizer may only change representation on plain statements, never
-// execution, and a plain statement runs the same whichever way it is
-// written.
+// Query.Plan statements (planned at admission, each on a record of the
+// engine's plan free list), and through pass-less lowering started on a
+// hand-built pipeline behind the same per-query overhead (the unoptimized
+// control). The runs' fingerprints — every counter and the full latency
+// histogram — must match: the optimizer may only change representation on
+// plain statements, never execution, and a plain statement runs the same
+// whichever way it is written.
 func TestPlanRewritesPreserveExecution(t *testing.T) {
 	const n = 24
 	run := func(mode string) *Engine {
@@ -90,7 +91,7 @@ func TestPlanRewritesPreserveExecution(t *testing.T) {
 				e.activeStatements++
 				p := &exec.Pipeline{
 					Env: e.env, Strategy: q.Strategy, HomeSocket: q.HomeSocket,
-					IssuedAt: e.Sim.Now(), Ops: low, OnDone: func(lat float64) { e.complete(q, nil, lat) },
+					IssuedAt: e.Sim.Now(), Ops: low, OnDone: func(lat float64) { e.complete(q, new(admit.Statement), lat) },
 				}
 				e.afterOverhead(p.Start)
 			}

@@ -19,12 +19,9 @@ import (
 	"math"
 	"slices"
 
-	"numacs/internal/admit"
 	"numacs/internal/colstore"
 	"numacs/internal/exec"
 	"numacs/internal/plan"
-	"numacs/internal/sharedscan"
-	"numacs/internal/sim"
 )
 
 // maxPlainPlans bounds the cache: the insert past it starts the cache over.
@@ -45,7 +42,7 @@ type plainKey struct {
 
 // plainPlan is one cached plain plan: the entry's own copies of the name
 // slices, the immutable physical plan, and the free list of its statement
-// records.
+// records (shared.go).
 type plainPlan struct {
 	extras, projects []string
 	phys             *plan.Physical
@@ -110,129 +107,4 @@ func (e *Engine) buildPlain(q *Query) *plainPlan {
 		AggCyclesPerRow:       q.AggCyclesPerRow,
 	}), nil, &e.Costs)
 	return pp
-}
-
-// stmtRec is one execution of a join-free plan, private or in a scan cohort:
-// the statement's admission entry, the cohort member with the statement's
-// pipeline inside it, the operators by value and the per-query overhead flow.
-// Records are recycled through their plan's free list, which private and
-// cohort runs share. The admission entry's Run and OnShed, the member's scan
-// facts, its Phases and OnShed hooks, the pipeline's OnDone, the private
-// start and the hand-off to the registry are bound once, when a record is
-// made.
-//
-// A record is taken when its statement is submitted, before admission, and
-// returns to the free list only inside its own OnDone (done), member OnShed
-// (shed) or admission OnShed (dropped), after it has read q and release.
-// This is sound because the pipeline fires OnDone from its last task's Then,
-// after the scheduler has dropped its task pointers; the cohort registry
-// reads no member again once the member has started or been shed; and the
-// admission controller reads no entry again once it has been shed or its
-// release has read it (see admit.Statement). An idle record keeps no cohort
-// pass reachable: free points its operators back at its own scan, and a
-// finished pipeline clears its task slots.
-type stmtRec struct {
-	e           *Engine
-	pp          *plainPlan
-	adm         admit.Statement
-	m           sharedscan.Member
-	ops         plan.PlainOps
-	overhead    sim.Flow
-	start, join func()
-	q           *Query
-	release     func()
-	next        *stmtRec
-}
-
-// take returns a record from the free list, or makes one.
-func (pp *plainPlan) take(e *Engine) *stmtRec {
-	r := pp.free
-	if r == nil {
-		r = &stmtRec{e: e, pp: pp}
-		r.adm = admit.Statement{Run: r.admitted, OnShed: r.dropped}
-		s := pp.phys.Scan
-		r.m = sharedscan.Member{
-			Key: pp.phys.ShareKey, Table: s.Table, Column: s.Column, Selectivity: s.Selectivity,
-			Phases: r.ops.Phases, OnShed: r.shed,
-			Pipeline: exec.Pipeline{Ops: pp.phys.FillPlain(&r.ops, e.deps()), OnDone: r.done},
-		}
-		r.start = r.m.Pipeline.Start
-		r.join = func() { e.Shared.Submit(&r.m) }
-		return r
-	}
-	pp.free, r.next = r.next, nil
-	return r
-}
-
-// free returns r to its free list.
-func (r *stmtRec) free() {
-	r.q, r.release, r.adm.Trace, r.m.Pipeline.Trace = nil, nil, nil, nil
-	r.m.Pipeline.Ops = r.ops.Private()
-	r.next, r.pp.free = r.pp.free, r
-}
-
-func (r *stmtRec) entry() *admit.Statement { return &r.adm }
-
-// admitted is every record's admission Run.
-func (r *stmtRec) admitted(gran int, issuedAt float64, release func()) {
-	r.e.run(r, gran, issuedAt, release)
-}
-
-// begin starts the admitted statement: gran caps its fan-out (0 =
-// uncapped), issuedAt is its statement timestamp — the task priority and
-// the base of its latency — and release, when non-nil, frees its admission
-// slot before q.OnDone (or q.OnShed) fires. The statement runs privately
-// behind the per-query overhead, or, when the plan is a shareable scan and
-// the engine shares scans, begin returns r, whose member the caller hands to
-// the registry. Either way the statement counts as active until it
-// completes.
-func (r *stmtRec) begin(gran int, issuedAt float64, release func()) *stmtRec {
-	e, q := r.e, r.q
-	e.activeStatements++
-	r.release = release
-	e.bind(&r.m.Pipeline, q, r.adm.Trace, gran, issuedAt)
-	if e.Shared == nil || !r.pp.phys.Shareable {
-		e.startOverhead(&r.overhead, r.start)
-		return nil
-	}
-	// The member's shed deadline extends the admission class deadline into
-	// the join window.
-	r.m.Deadline = 0
-	if e.Admit != nil {
-		if d := e.Admit.DeadlineFor(q.Class); d > 0 {
-			r.m.Deadline = issuedAt + d
-		}
-	}
-	return r
-}
-
-// done is every record's pipeline OnDone.
-func (r *stmtRec) done(lat float64) {
-	q, release := r.q, r.release
-	r.free()
-	r.e.complete(q, release, lat)
-}
-
-// shed is every record's member OnShed: the statement leaves the active
-// set, frees its admission slot and fires q.OnShed.
-func (r *stmtRec) shed() {
-	q, release := r.q, r.release
-	r.free()
-	r.e.activeStatements--
-	if release != nil {
-		release()
-	}
-	if q.OnShed != nil {
-		q.OnShed()
-	}
-}
-
-// dropped is every record's admission OnShed: the statement never started,
-// so it only fires q.OnShed.
-func (r *stmtRec) dropped() {
-	q := r.q
-	r.free()
-	if q.OnShed != nil {
-		q.OnShed()
-	}
 }

@@ -30,8 +30,8 @@ func assertFreshPlan(t *testing.T, e *Engine, q *Query, what string) {
 	t.Helper()
 	pl := e.plainPlan(q)
 	phys, ops := freshPlan(e, q)
-	r := pl.take(e)
-	r.next, pl.free = pl.free, r
+	r := e.take(&pl.free, pl.phys)
+	r.free()
 	if got := r.m.Pipeline.Ops; !reflect.DeepEqual(got, ops) {
 		t.Fatalf("%s: operators differ from a fresh plan\n got: %#v\nwant: %#v", what, got, ops)
 	}

@@ -1,110 +1,157 @@
 package core
 
-// The engine's planning glue: every statement is built into (or arrives as)
-// a logical plan and optimized — a plain statement's plan comes from the
-// plan cache. A join-free plan runs on a statement record (plancache.go),
-// whose member the sharedscan.Registry merges into a cohort pass when the
-// plan is shareable; a star runs on its lowered pipeline, in a plan record.
+// The engine's statement records and planning glue: every statement is built
+// into (or arrives as) a logical plan and optimized — a plain statement's
+// plan comes from the plan cache — and runs on a recycled statement record.
+// A join-free plan's member is merged into a cohort pass by the
+// sharedscan.Registry when the plan is shareable; a star runs on the
+// record's pipeline.
 
 import (
 	"numacs/internal/admit"
 	"numacs/internal/colstore"
 	"numacs/internal/exec"
 	"numacs/internal/plan"
+	"numacs/internal/sharedscan"
 	"numacs/internal/sim"
 )
 
-// planRec is one q.Plan statement: its admission entry, and the pipeline and
-// overhead flow a star runs on. The statement is planned when it is
-// admitted, against the statistics of that instant; a join-free plan then
-// runs on a record of a one-off plain plan, whose release is end. Records
-// are recycled through the engine's free list; the admission entry's Run and
-// OnShed, the pipeline's OnDone, the start and end are bound once, when a
-// record is made.
+// stmtRec is one read statement, private, in a scan cohort or a star: its
+// admission entry, the cohort member with the statement's pipeline inside
+// it, the join-free operators by value and the per-query overhead flow.
+// phys is the plan the record runs, and list the free list it returns to:
+// its cached plan's (plancache.go), or the engine's planFree for a q.Plan
+// statement. A plain record is filled from its cached plan once, when it is
+// made. A q.Plan statement is planned when it is admitted, against the
+// statistics of that instant: a join-free plan then fills the record's
+// member and operators through the same fill, and a star lowers fresh
+// operators into its pipeline. The admission entry's Run and OnShed, the
+// member's Phases and OnShed hooks, the pipeline's OnDone, the private start
+// and the hand-off to the registry are bound once, when a record is made.
 //
-// A record returns to the free list only when its statement ends — in its
-// pipeline's OnDone (done), its admission OnShed (dropped), or, for a
-// join-free plan, the one-off record's release (end) — after it has read q
-// and release; the argument is stmtRec's. It must not return earlier: the
-// admission controller reads the entry again in release. Each star lowers
-// fresh operators, which free drops.
-type planRec struct {
-	e          *Engine
-	adm        admit.Statement
-	p          exec.Pipeline
-	overhead   sim.Flow
-	start, end func()
-	q          *Query
-	release    func()
-	next       *planRec
+// A record is taken when its statement is submitted, before admission, and
+// returns to its free list only inside its own OnDone (done), member OnShed
+// (shed) or admission OnShed (dropped), after it has read q and before its
+// admission entry's Done. This is sound because the pipeline fires OnDone
+// from its last task's Then, after the scheduler has dropped its task
+// pointers; the cohort registry reads no member again once the member has
+// started or been shed; and the admission controller reads no entry again
+// once it has been shed or its Done has read it (see admit.Statement). An
+// idle record keeps no cohort pass or star operators reachable: free points
+// its operators back at its own scan, and a finished pipeline clears its
+// task slots.
+type stmtRec struct {
+	e           *Engine
+	phys        *plan.Physical
+	list        **stmtRec
+	adm         admit.Statement
+	m           sharedscan.Member
+	ops         plan.PlainOps
+	overhead    sim.Flow
+	start, join func()
+	q           *Query
+	next        *stmtRec
 }
 
-// takePlanRec returns a plan record from the free list, or makes one.
-func (e *Engine) takePlanRec() *planRec {
-	r := e.planFree
-	if r == nil {
-		r = &planRec{e: e}
-		r.adm = admit.Statement{Run: r.admitted, OnShed: r.dropped}
-		r.p.OnDone = r.done
-		r.start, r.end = r.p.Start, r.ended
+// take returns a record from the free list *list, or makes one that returns
+// there. A record made for a cached plan is filled from its phys; a q.Plan
+// record (phys nil) is filled when its statement is admitted.
+func (e *Engine) take(list **stmtRec, phys *plan.Physical) *stmtRec {
+	r := *list
+	if r != nil {
+		*list, r.next = r.next, nil
 		return r
 	}
-	e.planFree, r.next = r.next, nil
+	r = &stmtRec{e: e, list: list}
+	r.adm = admit.Statement{Run: r.admitted, OnShed: r.dropped}
+	r.m = sharedscan.Member{Phases: r.ops.Phases, OnShed: r.shed, Pipeline: exec.Pipeline{OnDone: r.done}}
+	r.start = r.m.Pipeline.Start
+	r.join = func() { e.Shared.Submit(&r.m) }
+	if phys != nil {
+		r.fill(phys)
+	}
 	return r
 }
 
-// free returns r to the engine's free list.
-func (r *planRec) free() {
-	r.q, r.release, r.adm.Trace, r.p.Trace, r.p.Ops = nil, nil, nil, nil, nil
-	r.next, r.e.planFree = r.e.planFree, r
+// fill points r's member and operators at the join-free plan phys.
+func (r *stmtRec) fill(phys *plan.Physical) {
+	s := phys.Scan
+	r.phys = phys
+	r.m.Key, r.m.Table, r.m.Column, r.m.Selectivity = phys.ShareKey, s.Table, s.Column, s.Selectivity
+	r.m.Pipeline.Ops = phys.FillPlain(&r.ops, r.e.deps())
 }
 
-func (r *planRec) entry() *admit.Statement { return &r.adm }
-
-// admitted is every plan record's admission Run.
-func (r *planRec) admitted(gran int, issuedAt float64, release func()) {
-	r.e.run(r, gran, issuedAt, release)
+// free returns r to its free list.
+func (r *stmtRec) free() {
+	r.q, r.adm.Trace, r.m.Pipeline.Trace = nil, nil, nil
+	r.m.Pipeline.Ops = r.ops.Private()
+	r.next, *r.list = *r.list, r
 }
 
-// begin plans the admitted statement and starts it as stmtRec.begin does: a
-// star on r's pipeline behind the per-query overhead, a join-free plan on a
-// record of its own, which begin returns when it is a cohort member.
-func (r *planRec) begin(gran int, issuedAt float64, release func()) *stmtRec {
-	e, q, st := r.e, r.q, r.adm.Trace
-	phys := plan.Optimize(q.Plan, joinStats(q.Plan.Root), &e.Costs)
-	r.release = release
-	if len(phys.Joins) == 0 {
-		m := (&plainPlan{phys: phys}).take(e)
-		m.q, m.adm.Trace = q, st
-		return m.begin(gran, issuedAt, r.end)
+// admitted is every record's admission Run: a cohort member joins the
+// registry behind the per-query overhead.
+func (r *stmtRec) admitted(gran int, issuedAt float64) {
+	if r.begin(gran, issuedAt) {
+		r.e.startOverhead(&r.overhead, r.join)
+	}
+}
+
+// begin starts the admitted statement, planning a q.Plan statement first:
+// gran caps its fan-out (0 = uncapped), and issuedAt is its statement
+// timestamp — the task priority and the base of its latency. The statement
+// runs privately behind the per-query overhead, or, when its plan is a
+// shareable scan and the engine shares scans, begin reports true and the
+// caller hands r's member to the registry. Either way the statement counts
+// as active until it completes.
+func (r *stmtRec) begin(gran int, issuedAt float64) bool {
+	e, q := r.e, r.q
+	if q.Plan != nil {
+		phys := plan.Optimize(q.Plan, joinStats(q.Plan.Root), &e.Costs)
+		if len(phys.Joins) == 0 {
+			r.fill(phys)
+		} else {
+			r.phys, r.m.Pipeline.Ops = phys, phys.Lower(e.deps())
+		}
 	}
 	e.activeStatements++
-	r.p.Ops = phys.Lower(e.deps())
-	e.bind(&r.p, q, st, gran, issuedAt)
-	e.startOverhead(&r.overhead, r.start)
-	return nil
+	e.bind(&r.m.Pipeline, q, r.adm.Trace, gran, issuedAt)
+	if e.Shared == nil || !r.phys.Shareable {
+		e.startOverhead(&r.overhead, r.start)
+		return false
+	}
+	// The member's shed deadline extends the admission class deadline into
+	// the join window.
+	r.m.Deadline = 0
+	if e.Admit != nil {
+		if d := e.Admit.DeadlineFor(q.Class); d > 0 {
+			r.m.Deadline = issuedAt + d
+		}
+	}
+	return true
 }
 
-// done is every plan record's pipeline OnDone.
-func (r *planRec) done(lat float64) {
-	q, release := r.q, r.release
+// done is every record's pipeline OnDone.
+func (r *stmtRec) done(lat float64) {
+	q := r.q
 	r.free()
-	r.e.complete(q, release, lat)
+	r.e.complete(q, &r.adm, lat)
 }
 
-// ended is every plan record's end: the join-free statement it handed to a
-// one-off record has ended, so r returns to the free list and frees the
-// admission slot.
-func (r *planRec) ended() {
-	release := r.release
+// shed is every record's member OnShed: the statement leaves the active
+// set, frees its admission slot and fires q.OnShed.
+func (r *stmtRec) shed() {
+	q := r.q
 	r.free()
-	if release != nil {
-		release()
+	r.e.activeStatements--
+	r.adm.Done()
+	if q.OnShed != nil {
+		q.OnShed()
 	}
 }
 
-// dropped is every plan record's admission OnShed.
-func (r *planRec) dropped() {
+// dropped is every record's admission OnShed: the statement never started,
+// so it only fires q.OnShed.
+func (r *stmtRec) dropped() {
 	q := r.q
 	r.free()
 	if q.OnShed != nil {

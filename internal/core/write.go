@@ -55,7 +55,6 @@ type WriteBatch struct {
 	flows   []*writeFlow
 	pending int // flows still draining
 	adm     admit.Statement
-	release func()
 	next    *WriteBatch
 }
 
@@ -123,10 +122,7 @@ func (e *Engine) SubmitWrite(b *WriteBatch) {
 }
 
 // admitted is every batch's admission Run.
-func (b *WriteBatch) admitted(_ int, _ float64, release func()) {
-	b.release = release
-	b.apply()
-}
+func (b *WriteBatch) admitted(int, float64) { b.apply() }
 
 // apply performs the mutations, fires OnApply and starts the batch's flows.
 func (b *WriteBatch) apply() {
@@ -195,17 +191,14 @@ func (f *writeFlow) done() {
 	}
 }
 
-// finish ends an applied batch: its trace span closes, its admission slot is
-// freed, and it returns to the free list.
+// finish ends an applied batch: its trace span closes, it returns to the
+// free list, and its admission slot is freed.
 func (b *WriteBatch) finish() {
-	e, release := b.e, b.release
 	if st := b.adm.Trace; st != nil {
-		st.MarkDone(e.Sim.Now())
+		st.MarkDone(b.e.Sim.Now())
 	}
 	b.free()
-	if release != nil {
-		release()
-	}
+	b.adm.Done()
 }
 
 // shed is every batch's admission OnShed.
@@ -221,7 +214,7 @@ func (b *WriteBatch) shed() {
 func (b *WriteBatch) free() {
 	clear(b.writes)
 	b.writes = b.writes[:0]
-	b.Tenant, b.OnShed, b.OnApply, b.cols, b.release, b.adm.Trace = "", nil, nil, nil, nil, nil
+	b.Tenant, b.OnShed, b.OnApply, b.cols, b.adm.Trace = "", nil, nil, nil, nil
 	b.next, b.e.writeFree = b.e.writeFree, b
 }
 

@@ -62,7 +62,9 @@ type Policy interface {
 type OnSocket int
 
 func (p OnSocket) socketFor(int64) int { return int(p) }
-func (p OnSocket) String() string      { return fmt.Sprintf("socket(%d)", int(p)) }
+
+// String names the policy and its socket.
+func (p OnSocket) String() string { return fmt.Sprintf("socket(%d)", int(p)) }
 
 // Interleaved distributes pages round-robin over the given sockets, starting
 // at index Start into Sockets.
@@ -75,6 +77,8 @@ func (p Interleaved) socketFor(i int64) int {
 	n := int64(len(p.Sockets))
 	return p.Sockets[(int64(p.Start)+i)%n]
 }
+
+// String names the policy and its sockets.
 func (p Interleaved) String() string { return fmt.Sprintf("interleave%v", p.Sockets) }
 
 // Allocator is the simulated physical-memory manager. It is not safe for

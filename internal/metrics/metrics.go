@@ -96,21 +96,16 @@ func (c *Counters) AddCompute(socket int, instructions, cycles float64) {
 }
 
 // AddSaturationSample records one scheduler saturation observation: the
-// free and parked worker counts and the per-thread-group queue depths at the
-// sampling instant. unsaturated reports whether any thread group had idle
-// workers alongside queued tasks (the watchdog's wake-a-thread condition).
-func (c *Counters) AddSaturationSample(free, parked int, tgDepths []int, unsaturated bool) {
+// free and parked worker counts, the machine-wide queued-task total and the
+// deepest thread group's queue at the sampling instant. unsaturated reports
+// whether any thread group had idle workers alongside queued tasks (the
+// watchdog's wake-a-thread condition).
+func (c *Counters) AddSaturationSample(free, parked, queued, maxDepth int, unsaturated bool) {
 	c.SatSamples++
 	c.SatFreeSum += float64(free)
 	c.SatParkedSum += float64(parked)
-	total := 0
-	for _, d := range tgDepths {
-		total += d
-		if d > c.SatTGMaxDepth {
-			c.SatTGMaxDepth = d
-		}
-	}
-	c.SatQueueSum += float64(total)
+	c.SatQueueSum += float64(queued)
+	c.SatTGMaxDepth = max(c.SatTGMaxDepth, maxDepth)
 	if unsaturated {
 		c.SatUnsaturated++
 	}

@@ -173,8 +173,8 @@ func TestLatencyStatsP99(t *testing.T) {
 
 func TestSaturationCounters(t *testing.T) {
 	c := New(2)
-	c.AddSaturationSample(10, 2, []int{5, 0, 7, 1}, true)
-	c.AddSaturationSample(0, 0, []int{3, 3, 3, 3}, false)
+	c.AddSaturationSample(10, 2, 13, 7, true) // depths 5, 0, 7, 1
+	c.AddSaturationSample(0, 0, 12, 3, false) // depths 3, 3, 3, 3
 	if c.SatSamples != 2 {
 		t.Fatalf("samples = %d", c.SatSamples)
 	}

@@ -354,7 +354,7 @@ func (s *Scheduler) WorkingWorkers() int {
 }
 
 // Saturation is a point-in-time scheduler saturation snapshot: worker-state
-// counts and per-thread-group queue depths. It is the signal the admission
+// counts and thread-group queue depths. It is the signal the admission
 // controller's elastic concurrency loop feeds on (free workers and shallow
 // queues mean the engine can absorb more statements; deep queues mean the
 // fan-out already outruns the workers) and what the watchdog samples into
@@ -362,23 +362,22 @@ func (s *Scheduler) WorkingWorkers() int {
 type Saturation struct {
 	// Working, Free, Parked and Inactive count workers by state.
 	Working, Free, Parked, Inactive int
-	// QueueDepths holds each thread group's queued tasks (normal + hard), in
-	// TG id order.
-	QueueDepths []int
-	// Queued is the machine-wide queued-task total (the sum of QueueDepths).
-	Queued int
+	// Queued is the machine-wide queued-task total, and MaxDepth the
+	// deepest thread group's queued tasks (normal + hard).
+	Queued, MaxDepth int
 }
 
 // Workers returns the total worker count of the snapshot.
 func (s Saturation) Workers() int { return s.Working + s.Free + s.Parked + s.Inactive }
 
-// Saturation takes a saturation snapshot of all thread groups.
+// Saturation takes a saturation snapshot of all thread groups. It allocates
+// nothing.
 func (s *Scheduler) Saturation() Saturation {
-	snap := Saturation{QueueDepths: make([]int, len(s.TGs))}
-	for i, tg := range s.TGs {
+	var snap Saturation
+	for _, tg := range s.TGs {
 		d := tg.QueuedTasks()
-		snap.QueueDepths[i] = d
 		snap.Queued += d
+		snap.MaxDepth = max(snap.MaxDepth, d)
 		for _, w := range tg.Workers {
 			switch w.State {
 			case Working:
@@ -573,7 +572,7 @@ func (s *Scheduler) watchdog() {
 		}
 	}
 	snap := s.Saturation()
-	s.Counters.AddSaturationSample(snap.Free, snap.Parked, snap.QueueDepths, unsaturated)
+	s.Counters.AddSaturationSample(snap.Free, snap.Parked, snap.Queued, snap.MaxDepth, unsaturated)
 }
 
 // taskHeap is a priority heap ordered by (Priority, seq).

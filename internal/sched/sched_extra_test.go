@@ -135,8 +135,9 @@ func TestQueuedTasksAccounting(t *testing.T) {
 }
 
 // TestSaturationSnapshot checks the saturation exports the admission
-// controller's elastic concurrency loop feeds on: worker-state counts,
-// per-TG and per-socket queue depths.
+// controller's elastic concurrency loop feeds on: worker-state counts, the
+// deepest TG's and per-socket queue depths. Taking a snapshot allocates
+// nothing.
 func TestSaturationSnapshot(t *testing.T) {
 	m := topology.FourSocketIvyBridge()
 	s, e := testSched(m)
@@ -164,8 +165,11 @@ func TestSaturationSnapshot(t *testing.T) {
 	if snap.Queued != 12 {
 		t.Fatalf("queued = %d, want 12 (hard queue is socket-bound)", snap.Queued)
 	}
-	if len(snap.QueueDepths) != len(s.TGs) || snap.QueueDepths[1] != 12 {
-		t.Fatalf("per-TG depths = %v, want 12 on TG 1", snap.QueueDepths)
+	if snap.MaxDepth != 12 {
+		t.Fatalf("deepest TG depth = %d, want 12", snap.MaxDepth)
+	}
+	if n := testing.AllocsPerRun(100, func() { s.Saturation() }); n != 0 {
+		t.Fatalf("a saturation snapshot allocates %v times, want 0", n)
 	}
 	if s.FreeWorkers() != snap.Free || s.ParkedWorkers() != snap.Parked {
 		t.Fatal("FreeWorkers/ParkedWorkers disagree with the snapshot")

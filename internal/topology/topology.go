@@ -38,6 +38,7 @@ const (
 	BroadcastSnoop
 )
 
+// String names the coherence protocol.
 func (c Coherence) String() string {
 	switch c {
 	case Directory:

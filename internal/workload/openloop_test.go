@@ -131,7 +131,7 @@ func TestWritersRouteThroughAdmission(t *testing.T) {
 	// Occupy the only slot forever so every write batch queues, expires, and
 	// sheds before applying.
 	e.Admit.Submit(&admit.Statement{Tenant: "blocker",
-		Run: func(gran int, at float64, done func()) {}})
+		Run: func(gran int, at float64) {}})
 	w := NewWriters(e, tbl, WritersConfig{
 		Rate: 50_000, Tenant: "writer", Seed: 3,
 	})
