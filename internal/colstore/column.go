@@ -419,15 +419,6 @@ func (c *Column) DeltaBytes() int64 {
 	return c.Delta.SizeBytes()
 }
 
-// VisibleRows returns the logical row count a scan sees: main rows plus the
-// committed delta inserts (updates rewrite existing rows and do not add).
-func (c *Column) VisibleRows() int {
-	if c.Delta == nil {
-		return c.Rows
-	}
-	return c.Rows + c.Delta.InsertRows()
-}
-
 // ValueWithDelta returns the current value of a main row: the latest visible
 // delta update when one exists, the main's value otherwise. This is the
 // point-lookup form; bulk consumers use ValuesWithDelta, which decodes the
@@ -526,14 +517,6 @@ func (c *Column) MergedValuesAt(snap delta.Snapshot) []int64 {
 		out = c.Delta.AppendInsertsIn(snap, out)
 	}
 	return out
-}
-
-// MergedValues is MergedValuesAt of the current visibility watermark.
-func (c *Column) MergedValues() []int64 {
-	if c.Delta == nil {
-		return c.MergedValuesAt(delta.Snapshot{})
-	}
-	return c.MergedValuesAt(c.Delta.Snapshot())
 }
 
 // Reencode rebuilds the column's dictionary-encoded main in place from the

@@ -274,6 +274,6 @@ func joinNow(e *Engine, q *Query) {
 	r := e.record(q, e.prepare(q))
 	r.adm.Trace = e.startStatement(q.Tenant, q.Class, q)
 	if r.begin(0, e.Sim.Now()) {
-		e.Shared.Submit(&r.m)
+		r.join()
 	}
 }

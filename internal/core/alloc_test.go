@@ -128,13 +128,12 @@ func TestWriteBatchAllocs(t *testing.T) {
 // members on an idle engine, from SubmitBatch through the simulator steps
 // that complete every member. Each member runs on a recycled statement
 // record — its registry member, pipeline, operators, hooks and region copy
-// keep their storage — and the pass on a recycled cohort record of the
-// registry, whose member list, operators, find-barrier hooks,
-// selectivities, task and span storage and per-member regions keep theirs.
-// What still allocates is SubmitBatch's own storage: its plan slice, group
-// map, order and group slices, and the group's overhead flow and hook. A
-// change that adds an allocation to the shared path fails here; one that
-// removes some lowers the pin.
+// keep their storage — and the group rides the first member's record: its
+// group slice, overhead flow and hand-off hook keep theirs too. The pass runs
+// on a recycled cohort record of the registry, whose member list,
+// operators, find-barrier hooks, selectivities, task and span storage and
+// per-member regions keep theirs. A change that adds an allocation to the
+// shared path fails here.
 func TestCohortPassAllocs(t *testing.T) {
 	e := New(topology.FourSocketIvyBridge(), 1)
 	e.EnableSharedScans(sharedscan.Config{})
@@ -158,9 +157,8 @@ func TestCohortPassAllocs(t *testing.T) {
 	if st := e.Shared.Stats(); st.Passes != 1 || st.Merged != uint64(len(qs)-1) {
 		t.Fatalf("the batch ran %d passes with %d merged members, want one pass of %d", st.Passes, st.Merged, len(qs))
 	}
-	const want = 7
-	if n := testing.AllocsPerRun(100, run); n != want {
-		t.Fatalf("one cohort pass of %d members allocates %v times, want %v", len(qs), n, want)
+	if n := testing.AllocsPerRun(100, run); n != 0 {
+		t.Fatalf("one cohort pass of %d members allocates %v times, want 0", len(qs), n)
 	}
 }
 

@@ -1,58 +1,60 @@
 package core
 
-// Plan-driven cohort formation: SubmitBatch plans a multi-statement batch as
-// a unit and detects common subplans across statements before any of them
-// executes, so scans that share a find phase land in one cohort regardless of
-// arrival timing. This is the planner's half of the sharing loop; the
-// timing half (join windows, mid-flight attach) stays in sharedscan.
-
-import "numacs/internal/sharedscan"
-
-// SubmitBatch submits a batch of statements that arrived together (one
-// multi-statement request, or one scheduler dispatch round) along Submit's
-// path. Every statement is checked, traced, and planned; statements whose
-// physical plans share a cohort key — the planner's common-subplan detection
-// — are handed to the shared-scan registry as one plan-driven group
-// (sharedscan.Registry.SubmitGroup), guaranteeing they share a physical pass
-// even when a join window would have missed them. Every other statement
-// starts exactly as Submit would start it.
+// SubmitBatch submits statements that arrived together (one multi-statement
+// request, or one scheduler dispatch round); Submit is the batch of one.
+// Every statement is checked and takes its record before any of them
+// starts, so a bad statement fails the whole batch. The records, chained
+// through next, then open their trace spans in order.
 //
-// Plan-driven grouping bypasses per-statement admission, so with an
-// admission controller installed the batch degrades to per-statement Submit
-// calls — admission's queueing decisions would otherwise be invisible to the
-// group.
+// With an admission controller each statement queues on its own, since a
+// plan-driven group would hide admission's queueing decisions. Without one,
+// every statement begins at the batch's one timestamp: a private one starts
+// behind its per-query overhead at once, and a shareable one joins the
+// group on the batch's first record with its cohort key — the planner's
+// common-subplan detection, its half of the sharing loop (the timing half,
+// join windows and mid-flight attach, stays in sharedscan). Each group's
+// first record then starts one overhead flow, in first-appearance order,
+// whose end hands the group to sharedscan.Registry.SubmitGroup, so the
+// group shares a pass even where a join window would have split it. One
+// flow per group is timing-equivalent to one per member: those would run
+// concurrently, on their own connection threads, and end at one instant.
 func (e *Engine) SubmitBatch(qs []*Query) {
-	pps := make([]*plainPlan, len(qs))
-	for i, q := range qs {
-		pps[i] = e.prepare(q) // a bad statement fails the batch before any of it starts
-	}
-	if e.Admit != nil {
-		for _, q := range qs {
-			e.Submit(q)
-		}
-		return
+	var head *stmtRec
+	link := &head
+	for _, q := range qs {
+		r := e.record(q, e.prepare(q)) // a bad statement fails the batch before any of it starts
+		*link, link = r, &r.next
 	}
 	issuedAt := e.Sim.Now()
-	groups := make(map[string][]*sharedscan.Member)
-	var order []string
-	for i, q := range qs {
-		r := e.record(q, pps[i])
-		r.adm.Trace = e.startStatement(q.Tenant, q.Class, q)
-		if !r.begin(0, issuedAt) {
+	var leaders, next *stmtRec // leaders chains each group's first record
+	link = &leaders
+	for r := head; r != nil; r = next {
+		next, r.next = r.next, nil // admission may free r before enter returns
+		q := r.q
+		st := e.startStatement(q.Tenant, q.Class, q)
+		if e.Admit != nil {
+			e.enter(&r.adm, q.Tenant, q.Class, st)
 			continue
 		}
-		m := &r.m
-		if _, ok := groups[m.Key]; !ok {
-			order = append(order, m.Key)
+		r.adm.Trace = st
+		if r.begin(0, issuedAt) && !joinGroup(leaders, r) {
+			*link, link = r, &r.next
 		}
-		groups[m.Key] = append(groups[m.Key], m)
 	}
-	for _, key := range order {
-		ms := groups[key]
-		// One fixed per-query overhead delay covers the group — each member's
-		// overhead flow would run concurrently on its own connection thread
-		// and complete at the same instant anyway, so one flow is
-		// timing-equivalent and the whole group joins the registry together.
-		e.afterOverhead(func() { e.Shared.SubmitGroup(ms) })
+	for r := leaders; r != nil; r = next {
+		next, r.next = r.next, nil
+		e.startOverhead(&r.overhead, r.join)
 	}
+}
+
+// joinGroup adds r's member to the group of the first record in the chain
+// leaders that shares its cohort key, and reports whether there was one.
+func joinGroup(leaders, r *stmtRec) bool {
+	for l := leaders; l != nil; l = l.next {
+		if l.m.Key == r.m.Key {
+			l.group = append(l.group, &r.m)
+			return true
+		}
+	}
+	return false
 }

@@ -2,12 +2,12 @@
 // together: it schedules concurrent column scans over placed data (Section
 // 5.2), applying one of the three task scheduling strategies (OS, Target,
 // Bound) and consulting the Page Socket Mappings of the selected column to
-// derive task affinities. Every read statement enters through Submit (or
-// SubmitBatch, the same path over a slice): it is checked, traced, admitted,
-// planned by internal/plan, and executed as an operator pipeline on the
-// internal/exec layer — a scan composed with a materialization or
-// aggregation, or any planned composition such as scan -> join -> aggregate —
-// driven by task completions on the simulated machine.
+// derive task affinities. Every read statement enters through one body,
+// SubmitBatch's (Submit is the batch of one): it is checked, traced,
+// admitted, planned by internal/plan, and executed as an operator pipeline
+// on the internal/exec layer — a scan composed with a materialization or
+// aggregation, or any planned composition such as scan -> join -> aggregate
+// — driven by task completions on the simulated machine.
 package core
 
 import (
@@ -389,19 +389,17 @@ type Query struct {
 	Plan *plan.Logical
 }
 
-// Submit is the entry point of every read statement; completion is reported
-// via q.OnDone. The statement is checked first (see prepare) — an unknown or
-// unplaced column panics here, before anything is queued — then opens its
-// trace span and passes admission when the engine has a controller: it may
-// wait in its tenant's queue (the wait counts toward the reported latency and
-// ages its task priority), run with a coarsened fan-out, or be shed (q.OnShed
-// fires instead of q.OnDone). Once admitted it is dispatched behind the fixed
-// per-query overhead: a shareable scan joins the cohort registry, anything
-// else runs as a private operator pipeline.
-func (e *Engine) Submit(q *Query) {
-	r := e.record(q, e.prepare(q))
-	e.enter(&r.adm, q.Tenant, q.Class, e.startStatement(q.Tenant, q.Class, q))
-}
+// Submit is the entry point of every read statement, the batch of one
+// (SubmitBatch); completion is reported via q.OnDone. The statement is
+// checked first (see prepare) — an unknown or unplaced column panics here,
+// before anything is queued — then opens its trace span and passes admission
+// when the engine has a controller: it may wait in its tenant's queue (the
+// wait counts toward the reported latency and ages its task priority), run
+// with a coarsened fan-out, or be shed (q.OnShed fires instead of q.OnDone).
+// Once admitted it is dispatched behind the fixed per-query overhead: a
+// shareable scan joins the cohort registry, anything else runs as a private
+// operator pipeline.
+func (e *Engine) Submit(q *Query) { e.SubmitBatch([]*Query{q}) }
 
 // prepare checks q and returns its cached plain plan, or nil for a q.Plan
 // statement; a plain shape is checked only when it is planned (plancache.go).
@@ -444,19 +442,13 @@ func (e *Engine) startStatement(tenant string, class admit.Class, q *Query) *tra
 	return e.Trace.StartStatement(tenant, class.String(), item, e.Sim.Now())
 }
 
-// enter is the admission front half every statement shares: a is the
+// enter queues a statement at the engine's admission controller: a is the
 // statement's admission entry, owned by its record, and st its trace span.
-// Without a controller a.Run fires at once, uncapped and stamped now, and
-// a.Done does nothing. With one, the statement queues under its tenant and
-// class: a.Run fires when it is admitted (with the controller's fan-out cap
-// and its enqueue time), and a.Done frees its concurrency slot; or a.OnShed
-// fires instead.
+// The statement queues under its tenant and class: a.Run fires when it is
+// admitted (with the controller's fan-out cap and its enqueue time), and
+// a.Done frees its concurrency slot; or a.OnShed fires instead.
 func (e *Engine) enter(a *admit.Statement, tenant string, class admit.Class, st *trace.Statement) {
 	a.Tenant, a.Class, a.Trace = tenant, class, st
-	if e.Admit == nil {
-		a.Run(0, e.Sim.Now())
-		return
-	}
 	e.Admit.Submit(a)
 }
 
@@ -476,12 +468,6 @@ func (e *Engine) complete(q *Query, a *admit.Statement, lat float64) {
 	if q.OnDone != nil {
 		q.OnDone(lat)
 	}
-}
-
-// afterOverhead runs next once the fixed per-query overhead (parse, plan,
-// session) has elapsed, on a flow of its own.
-func (e *Engine) afterOverhead(next func()) {
-	e.startOverhead(new(sim.Flow), next)
 }
 
 // startOverhead fills the caller-owned f with the per-query overhead delay

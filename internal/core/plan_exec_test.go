@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"numacs/internal/admit"
@@ -10,7 +11,9 @@ import (
 	"numacs/internal/metrics"
 	"numacs/internal/plan"
 	"numacs/internal/sharedscan"
+	"numacs/internal/sim"
 	"numacs/internal/topology"
+	"numacs/internal/trace"
 )
 
 // randomStatements draws a fixed-seed mix of plain statements spanning the
@@ -93,7 +96,7 @@ func TestPlanRewritesPreserveExecution(t *testing.T) {
 					Env: e.env, Strategy: q.Strategy, HomeSocket: q.HomeSocket,
 					IssuedAt: e.Sim.Now(), Ops: low, OnDone: func(lat float64) { e.complete(q, new(admit.Statement), lat) },
 				}
-				e.afterOverhead(p.Start)
+				e.startOverhead(new(sim.Flow), p.Start)
 			}
 		}
 		issue()
@@ -163,22 +166,79 @@ func TestSubmitBatchGroupsCommonSubplans(t *testing.T) {
 	}
 }
 
-// TestSubmitBatchFallsBackUnderAdmission: with no registry every statement
-// starts privately, and the batch still completes everything.
-func TestSubmitBatchFallsBackUnderAdmission(t *testing.T) {
+// TestSubmitBatchGroupsByShareKey: a batch that interleaves shareable scans
+// of two columns forms one plan group per cohort key, each holding exactly
+// the statements with its key, and hands the groups to the registry in the
+// order their keys first appear in the batch.
+func TestSubmitBatchGroupsByShareKey(t *testing.T) {
 	e := New(topology.FourSocketIvyBridge(), 1)
-	tbl := buildPlacedTable(e, 1, 20000, false)
+	tr := e.EnableTracing(trace.Config{})
+	reg := e.EnableSharedScans(sharedscan.Config{})
+	tbl := buildPlacedTable(e, 2, 20000, false)
 	done := 0
 	var qs []*Query
-	for i := 0; i < 4; i++ {
-		qs = append(qs, &Query{
-			Table: tbl, Column: "COLA", Selectivity: 1e-3,
-			Parallel: true, Strategy: Bound, OnDone: func(float64) { done++ },
-		})
+	for _, col := range []string{"COLB", "COLA", "COLB", "COLA", "COLB"} {
+		qs = append(qs, &Query{Table: tbl, Column: col, Selectivity: 1e-3,
+			Parallel: true, Strategy: Bound, OnDone: func(float64) { done++ }})
 	}
 	e.SubmitBatch(qs)
 	e.Sim.Run(0.3)
 	if done != len(qs) {
-		t.Fatalf("completed %d of %d statements without a registry", done, len(qs))
+		t.Fatalf("completed %d of %d batch statements", done, len(qs))
+	}
+	if st := reg.Stats(); st.PlanGrouped != 5 || st.Passes != 2 || st.Merged != 3 {
+		t.Errorf("want one pass per column, of 3 and 2 plan-grouped members: %+v", st)
+	}
+	var groups []string
+	for _, d := range tr.Data().Decisions {
+		if d.Kind == "plan-group" {
+			groups = append(groups, d.Item+": "+d.Cause)
+		}
+	}
+	want := []string{
+		"TBL.COLB: planner grouped 3 statements on a common subplan",
+		"TBL.COLA: planner grouped 2 statements on a common subplan",
+	}
+	if !slices.Equal(groups, want) {
+		t.Errorf("plan groups %q, want %q", groups, want)
+	}
+}
+
+// TestSubmitBatchFallsBackUnderAdmission: with no registry every statement
+// starts privately, and with an admission controller every statement of the
+// batch queues on its own and none is plan-grouped; either way the batch
+// completes everything.
+func TestSubmitBatchFallsBackUnderAdmission(t *testing.T) {
+	for _, admission := range []bool{false, true} {
+		e := New(topology.FourSocketIvyBridge(), 1)
+		var ctl *admit.Controller
+		var reg *sharedscan.Registry
+		if admission {
+			reg = e.EnableSharedScans(sharedscan.Config{})
+			ctl = e.EnableAdmission(admit.Config{})
+		}
+		tbl := buildPlacedTable(e, 1, 20000, false)
+		done := 0
+		var qs []*Query
+		for i := 0; i < 4; i++ {
+			qs = append(qs, &Query{
+				Table: tbl, Column: "COLA", Selectivity: 1e-3, Tenant: "t",
+				Parallel: true, Strategy: Bound, OnDone: func(float64) { done++ },
+			})
+		}
+		e.SubmitBatch(qs)
+		e.Sim.Run(0.3)
+		if done != len(qs) {
+			t.Fatalf("admission=%v: completed %d of %d statements", admission, done, len(qs))
+		}
+		if !admission {
+			continue
+		}
+		if st := ctl.Stats("t"); st.Submitted != uint64(len(qs)) {
+			t.Errorf("admission saw %d of %d statements", st.Submitted, len(qs))
+		}
+		if st := reg.Stats(); st.PlanGrouped != 0 || st.Statements != uint64(len(qs)) {
+			t.Errorf("admitted batch statements were plan-grouped: %+v", st)
+		}
 	}
 }

@@ -25,9 +25,13 @@ import (
 // made. A q.Plan statement is planned when it is admitted, against the
 // statistics of that instant: a join-free plan then fills the record's
 // member and operators through the same fill, and a star lowers fresh
-// operators into its pipeline. The admission entry's Run and OnShed, the
-// member's Phases and OnShed hooks, the pipeline's OnDone, the private start
-// and the hand-off to the registry are bound once, when a record is made.
+// operators into its pipeline. group is the cohort group the record hands
+// to the registry (join): its own member, followed, when it is a batch's
+// first record with its cohort key, by the members of the batch's later
+// statements with that key (batch.go). The admission entry's Run and OnShed,
+// the member's Phases and OnShed hooks, the pipeline's OnDone, the private
+// start and the hand-off to the registry are bound once, when a record is
+// made.
 //
 // A record is taken when its statement is submitted, before admission, and
 // returns to its free list only inside its own OnDone (done), member OnShed
@@ -48,6 +52,7 @@ type stmtRec struct {
 	m           sharedscan.Member
 	ops         plan.PlainOps
 	overhead    sim.Flow
+	group       []*sharedscan.Member
 	start, join func()
 	q           *Query
 	next        *stmtRec
@@ -66,7 +71,14 @@ func (e *Engine) take(list **stmtRec, phys *plan.Physical) *stmtRec {
 	r.adm = admit.Statement{Run: r.admitted, OnShed: r.dropped}
 	r.m = sharedscan.Member{Phases: r.ops.Phases, OnShed: r.shed, Pipeline: exec.Pipeline{OnDone: r.done}}
 	r.start = r.m.Pipeline.Start
-	r.join = func() { e.Shared.Submit(&r.m) }
+	r.group = []*sharedscan.Member{&r.m}
+	r.join = func() {
+		// Truncate before the hand-off: the registry copies the group, and
+		// a shed hook inside it may recycle r into a new batch.
+		g := r.group
+		r.group = g[:1]
+		e.Shared.SubmitGroup(g)
+	}
 	if phys != nil {
 		r.fill(phys)
 	}
@@ -89,7 +101,7 @@ func (r *stmtRec) free() {
 }
 
 // admitted is every record's admission Run: a cohort member joins the
-// registry behind the per-query overhead.
+// registry, as a group of one, behind the per-query overhead.
 func (r *stmtRec) admitted(gran int, issuedAt float64) {
 	if r.begin(gran, issuedAt) {
 		r.e.startOverhead(&r.overhead, r.join)

@@ -44,8 +44,11 @@ func starPlan(dim, fact *colstore.Table, key string) *plan.Logical {
 // TestSubmitRejectsBadStatements: a statement naming an unknown column or a
 // column that is not placed, or carrying a selectivity outside [0, 1] (NaN
 // and infinities included) on a plain statement or a plan predicate, fails at
-// Submit — before it opens a trace span
-// or enters an admission queue — instead of mid-simulation.
+// Submit — before it opens a trace span or enters an admission queue —
+// instead of mid-simulation. As the last statement of a SubmitBatch, behind
+// a good one, it fails the whole batch the same way, with an admission
+// controller or without: no statement of the batch opens a span, reaches
+// admission, becomes active or starts a flow.
 func TestSubmitRejectsBadStatements(t *testing.T) {
 	type badStatement struct {
 		name string
@@ -83,28 +86,49 @@ func TestSubmitRejectsBadStatements(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			e := New(topology.FourSocketIvyBridge(), 1)
-			tr := e.EnableTracing(trace.Config{})
-			ctl := e.EnableAdmission(admit.Config{})
-			q := tc.q(e)
-			q.Tenant = "t"
-			func() {
-				defer func() {
-					r := recover()
-					if r == nil {
-						t.Fatal("Submit accepted the statement")
+			for _, mode := range []string{"Submit", "SubmitBatch", "SubmitBatch without admission"} {
+				t.Run(mode, func(t *testing.T) {
+					e := New(topology.FourSocketIvyBridge(), 1)
+					tr := e.EnableTracing(trace.Config{})
+					var ctl *admit.Controller
+					if mode != "SubmitBatch without admission" {
+						ctl = e.EnableAdmission(admit.Config{})
 					}
-					if msg, _ := r.(string); !strings.Contains(msg, tc.want) {
-						t.Fatalf("panic %q, want it to mention %q", r, tc.want)
+					good := &Query{Table: buildPlacedTable(e, 2, 1000, false), Column: "COLA",
+						Selectivity: 0.1, Parallel: true, Tenant: "t"}
+					q := tc.q(e)
+					q.Tenant = "t"
+					func() {
+						defer func() {
+							r := recover()
+							if r == nil {
+								t.Fatalf("%s accepted the statement", mode)
+							}
+							if msg, _ := r.(string); !strings.Contains(msg, tc.want) {
+								t.Fatalf("panic %q, want it to mention %q", r, tc.want)
+							}
+						}()
+						if mode == "Submit" {
+							e.Submit(q)
+						} else {
+							e.SubmitBatch([]*Query{good, q})
+						}
+					}()
+					if n := len(tr.Statements()); n != 0 {
+						t.Errorf("rejected statement opened %d trace spans", n)
 					}
-				}()
-				e.Submit(q)
-			}()
-			if n := len(tr.Statements()); n != 0 {
-				t.Errorf("rejected statement opened %d trace spans", n)
-			}
-			if st := ctl.Stats("t"); st.Submitted != 0 {
-				t.Errorf("rejected statement reached admission: %+v", st)
+					if ctl != nil {
+						if st := ctl.Stats("t"); st.Submitted != 0 {
+							t.Errorf("rejected statement reached admission: %+v", st)
+						}
+					}
+					if n := e.ActiveStatements(); n != 0 {
+						t.Errorf("%d statements active after the rejection", n)
+					}
+					if n := e.Sim.ActiveFlows(); n != 0 {
+						t.Errorf("the rejection left %d flows started", n)
+					}
+				})
 			}
 		})
 	}

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"numacs/internal/admit"
+	"numacs/internal/colstore"
 	"numacs/internal/core"
 	"numacs/internal/workload"
 )
@@ -109,25 +110,21 @@ func TestAdmissionBypassBitIdentical(t *testing.T) {
 		t.Skip("fixed-seed simulation runs")
 	}
 	run := func(admission bool) *core.Engine {
-		e := core.NewWithStep(FourSocket.Build(), 1, 25e-6)
-		table := workload.Generate(workload.DatasetConfig{
-			Rows: 60_000, Columns: 16, BitcaseMin: 12, BitcaseMax: 18,
-			Seed: 1, Synthetic: true,
-		})
-		e.Placer.PlaceRR(table)
+		spec := bypassBase
 		if admission {
-			e.EnableAdmission(admit.Config{
+			spec.Admission = &admit.Config{
 				Tenants:      []admit.TenantSpec{{Name: "t", Weight: 1}},
 				OLAPDeadline: 1, InteractiveDeadline: 1,
-			})
+			}
 		}
-		clients := workload.NewClients(e, table, workload.ClientsConfig{
-			N: 8, Selectivity: 1e-5, Parallel: true, Strategy: core.Bound,
-			Tenant: "t", Seed: 3,
-		})
-		clients.Start()
-		e.Sim.Run(0.08)
-		return e
+		// Spec's clients carry no tenant.
+		spec.Setup = func(e *core.Engine, t *colstore.Table) {
+			workload.NewClients(e, t, workload.ClientsConfig{
+				N: 8, Selectivity: spec.Selectivity, Parallel: spec.Parallel, Strategy: spec.Strategy,
+				Tenant: "t", Seed: spec.ClientSeed,
+			}).Start()
+		}
+		return runBypass(spec)
 	}
 	direct := run(false)
 	admitted := run(true)

@@ -5,8 +5,8 @@ import (
 	"testing"
 
 	"numacs/internal/chaos"
+	"numacs/internal/colstore"
 	"numacs/internal/core"
-	"numacs/internal/workload"
 )
 
 // TestChaosExperimentsRegistered pins the chaos registry: at least four
@@ -40,21 +40,12 @@ func TestChaosDisabledBitIdentical(t *testing.T) {
 		t.Skip("fixed-seed simulation runs")
 	}
 	run := func(withChaos bool) *core.Engine {
-		e := core.NewWithStep(FourSocket.Build(), 1, 25e-6)
-		table := workload.Generate(workload.DatasetConfig{
-			Rows: 60_000, Columns: 16, BitcaseMin: 12, BitcaseMax: 18,
-			Seed: 1, Synthetic: true,
-		})
-		e.Placer.PlaceRR(table)
+		spec := bypassBase
+		spec.Clients = 64
 		if withChaos {
-			e.EnableChaos(chaos.Config{}, table)
+			spec.Setup = func(e *core.Engine, t *colstore.Table) { e.EnableChaos(chaos.Config{}, t) }
 		}
-		clients := workload.NewClients(e, table, workload.ClientsConfig{
-			N: 64, Selectivity: lowSel, Parallel: true, Strategy: core.Bound, Seed: 3,
-		})
-		clients.Start()
-		e.Sim.Run(0.08)
-		return e
+		return runBypass(spec)
 	}
 	plain := run(false)
 	inert := run(true)

@@ -5,7 +5,6 @@ import (
 
 	"numacs/internal/core"
 	"numacs/internal/sharedscan"
-	"numacs/internal/workload"
 )
 
 // TestSharedScanBypassBitIdentical pins the bypass guarantee: an uncontended
@@ -20,21 +19,12 @@ func TestSharedScanBypassBitIdentical(t *testing.T) {
 		t.Skip("fixed-seed simulation runs")
 	}
 	run := func(sharing bool) *core.Engine {
-		e := core.NewWithStep(FourSocket.Build(), 1, 25e-6)
-		table := workload.Generate(workload.DatasetConfig{
-			Rows: 60_000, Columns: 16, BitcaseMin: 12, BitcaseMax: 18,
-			Seed: 1, Synthetic: true,
-		})
-		e.Placer.PlaceRR(table)
+		spec := bypassBase
+		spec.Clients = 1
 		if sharing {
-			e.EnableSharedScans(sharedscan.Config{})
+			spec.Shared = &sharedscan.Config{}
 		}
-		clients := workload.NewClients(e, table, workload.ClientsConfig{
-			N: 1, Selectivity: 1e-5, Parallel: true, Strategy: core.Bound, Seed: 3,
-		})
-		clients.Start()
-		e.Sim.Run(0.08)
-		return e
+		return runBypass(spec)
 	}
 	direct := run(false)
 	shared := run(true)

@@ -27,44 +27,35 @@ func TestTraceDisabledBitIdentical(t *testing.T) {
 		t.Skip("fixed-seed simulation runs")
 	}
 	run := func(traced bool) *core.Engine {
-		s := QuickScale()
-		e := core.NewWithStep(FourSocket.Build(), 1, 25e-6)
-		table := workload.Generate(workload.DatasetConfig{
-			Rows: 60_000, Columns: 16, BitcaseMin: 12, BitcaseMax: 18,
-			Seed: 1, Synthetic: true,
-		})
-		e.Placer.PlaceRR(table)
-		if traced {
-			e.EnableTracing(trace.Config{SampleInterval: 0.01})
-		}
-		e.EnableSharedScans(sharedscan.Config{})
-		e.EnableAdmission(*chaosAdmissionConfig(s, []admit.TenantSpec{
+		spec := bypassBase
+		spec.Shared = &sharedscan.Config{}
+		spec.Admission = chaosAdmissionConfig(QuickScale(), []admit.TenantSpec{
 			{Name: "a", Weight: 2},
 			{Name: "b", Weight: 1},
-		}))
-		cfg := adaptive.DefaultConfig()
-		cfg.Period = 0.01
-		placer := adaptive.New(e, &adaptive.Catalog{Tables: []*colstore.Table{table}}, cfg)
-		e.Sim.AddActor(placer)
-		e.EnableChaos(chaos.Config{Schedule: []chaos.Event{
+		})
+		placer := adaptive.DefaultConfig()
+		placer.Period = 0.01
+		spec.Placer = &placer
+		spec.Faults = []chaos.Event{
 			{At: 0.04, Kind: chaos.SocketOffline, Socket: 1},
 			{At: 0.06, Kind: chaos.SocketOnline, Socket: 1},
-		}}, table)
-		gen := workload.NewMultiTenant(e, table, workload.MultiTenantConfig{
-			Tenants: []workload.TenantLoad{
-				{Name: "a", Weight: 2, Clients: 32,
-					Selectivity: lowSel, Parallel: true, Strategy: core.Bound,
-					Chooser: workload.FixedColumnChoice{Col: 0}},
-				{Name: "b", Weight: 1, Clients: 32,
-					Selectivity: lowSel, Parallel: true, Strategy: core.Bound,
-					Chooser: workload.HotColumnChoice{Hot: 3, P: 0.5}},
-			},
-			Seed: 3,
-		})
-		e.Sim.AddActor(gen)
-		gen.Start()
-		e.Sim.Run(0.08)
-		return e
+		}
+		spec.Tenants = []workload.TenantLoad{
+			{Name: "a", Weight: 2, Clients: 32,
+				Selectivity: lowSel, Parallel: true, Strategy: core.Bound,
+				Chooser: workload.FixedColumnChoice{Col: 0}},
+			{Name: "b", Weight: 1, Clients: 32,
+				Selectivity: lowSel, Parallel: true, Strategy: core.Bound,
+				Chooser: workload.HotColumnChoice{Hot: 3, P: 0.5}},
+		}
+		spec.TenantSeed = 3
+		if traced {
+			// Spec traces only a run with reporting windows.
+			spec.Setup = func(e *core.Engine, _ *colstore.Table) {
+				e.EnableTracing(trace.Config{SampleInterval: 0.01})
+			}
+		}
+		return runBypass(spec)
 	}
 	plain := run(false)
 	traced := run(true)

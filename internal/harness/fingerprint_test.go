@@ -7,7 +7,9 @@ import (
 	"strings"
 	"testing"
 
+	"numacs/internal/core"
 	"numacs/internal/metrics"
+	"numacs/internal/workload"
 )
 
 // fingerprintDir holds the committed counter fingerprints of fixed-seed
@@ -22,6 +24,27 @@ var (
 	fingerprintDir = filepath.Join("..", "..", "testdata", "fingerprints")
 	scoreboardDir  = filepath.Join("..", "..", "testdata", "scoreboard")
 )
+
+// bypassBase is the scenario the layer-bypass tests share
+// (TestChaosDisabledBitIdentical, TestAdmissionBypassBitIdentical,
+// TestSharedScanBypassBitIdentical, TestTraceDisabledBitIdentical): the
+// 16-column synthetic table RR-placed on the four-socket machine at a 25 us
+// step, with the closed-loop clients' parameters. Each test adds its layer
+// and its load, and runs both sides with runBypass.
+var bypassBase = Spec{
+	Machine:   FourSocket,
+	Dataset:   workload.DatasetConfig{Rows: 60_000, Columns: 16, BitcaseMin: 12, BitcaseMax: 18, Seed: 1},
+	Placement: PlacementSpec{Kind: RR}, Strategy: core.Bound,
+	Selectivity: lowSel, Parallel: true, ClientSeed: 3,
+	Step: 25e-6, Seed: 1,
+}
+
+// runBypass builds spec's engine and runs it for 0.08 virtual seconds.
+func runBypass(spec Spec) *core.Engine {
+	e := build(spec).E
+	e.Sim.Run(0.08)
+	return e
+}
 
 // assertSameRun fails the test when two runs' counters differ in any field.
 func assertSameRun(t *testing.T, want, got *metrics.Counters) {

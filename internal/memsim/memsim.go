@@ -6,10 +6,7 @@
 // Section 2 ("OS memory allocation facilities") of the paper.
 package memsim
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // PageSize is the size of a physical page in bytes.
 const PageSize = 4096
@@ -328,17 +325,6 @@ type Run struct {
 	FirstPage uint64
 	NPages    uint32
 	Socket    int
-}
-
-// SortedSockets returns socket ids ordered by descending resident pages,
-// useful in tests and reports.
-func (a *Allocator) SortedSockets() []int {
-	ids := make([]int, a.sockets)
-	for i := range ids {
-		ids[i] = i
-	}
-	sort.SliceStable(ids, func(x, y int) bool { return a.perSocket[ids[x]] > a.perSocket[ids[y]] })
-	return ids
 }
 
 func (a *Allocator) checkSocket(s int) {

@@ -1,9 +1,6 @@
 package plan
 
-import (
-	"numacs/internal/colstore"
-	"numacs/internal/delta"
-)
+import "numacs/internal/colstore"
 
 // ColumnStats are the per-column statistics the optimizer passes consume:
 // row count, compressed width, replica placement, IVP partitioning, delta
@@ -33,12 +30,6 @@ type ColumnStats struct {
 // BytesPerRow is the compressed main-store bytes one row of the column
 // streams during a scan.
 func (c ColumnStats) BytesPerRow() float64 { return float64(c.Bitcase) / 8 }
-
-// ScanBytes estimates the physical bytes one full pass over the column
-// streams: the bit-packed main plus the uncompressed delta rows.
-func (c ColumnStats) ScanBytes() float64 {
-	return float64(c.Rows)*c.BytesPerRow() + float64(c.DeltaRows)*delta.RowBytes
-}
 
 // Stats is the planner's statistics catalog, keyed by table.column. Collect
 // builds one from live tables; a nil *Stats is valid everywhere and yields

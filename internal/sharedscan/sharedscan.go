@@ -19,6 +19,10 @@
 //     Config.JoinWindow (or until the running pass completes), merging with
 //     every other arrival of the window into the next pass.
 //
+// Statements enter through one entry point, Registry.SubmitGroup: a single
+// arrival is a group of one, and core.SubmitBatch hands it plan-driven
+// groups of statements whose plans share a cohort key.
+//
 // Accounting is honest on both axes: physical MC/link/LLC traffic is charged
 // once per cohort pass, while every member statement attributes its full
 // logical per-item traffic so the adaptive placer's read-heat signal is
@@ -85,8 +89,9 @@ type Member struct {
 	// reading src.
 	Phases func(find exec.Operator, src exec.RegionSource) []exec.Operator
 	// OnShed fires instead of the pipeline's OnDone when the member is shed
-	// from a join window. It may reenter Submit synchronously (closed-loop
-	// clients reissue), so the registry compacts its queues before firing it.
+	// from a join window. It may reenter SubmitGroup synchronously
+	// (closed-loop clients reissue), so the registry compacts its queues
+	// before firing it.
 	OnShed func()
 	// Pipeline is the statement's pipeline; the registry sets Ops from
 	// Phases when it starts the member. IssuedAt is the task priority and
@@ -162,8 +167,8 @@ type keyState struct {
 	forming *cohort
 }
 
-// Registry is the cohort layer: route shareable scans through Submit and
-// register it as a simulation actor (core.Engine.EnableSharedScans does
+// Registry is the cohort layer: route shareable scans through SubmitGroup
+// and register it as a simulation actor (core.Engine.EnableSharedScans does
 // both wirings).
 type Registry struct {
 	cfg   Config
@@ -250,25 +255,19 @@ func (c *cohort) release() {
 	}
 }
 
-// Submit routes one shareable scan statement into the cohort lifecycle: an
-// idle column launches it immediately (the bypass), an early-fraction
-// running pass absorbs it mid-flight, anything else queues it in the
-// forming cohort for at most JoinWindow.
-func (r *Registry) Submit(m *Member) { r.enter([]*Member{m}, false) }
-
-// SubmitGroup routes a plan-driven cohort group into the lifecycle as one
-// unit: core.SubmitBatch hands it the members whose physical plans share one
-// cohort key, and the whole group lands in the same cohort without waiting
-// out a join window per member. A single member takes Submit's path and is
-// not counted as plan-grouped. A group that cannot ride the forming cohort
-// or attach to the running pass in full launches or queues together, so
-// plan-time grouping never splits a detected common subplan.
-func (r *Registry) SubmitGroup(g []*Member) { r.enter(g, len(g) > 1) }
-
-// enter is the one lifecycle body of Submit and SubmitGroup: g is a group of
-// same-key members (a single arrival is a group of one), and grouped says
-// whether the planner formed it.
-func (r *Registry) enter(g []*Member, grouped bool) {
+// SubmitGroup routes a group of same-key shareable scan statements into the
+// cohort lifecycle as one unit. A single arrival is a group of one: an idle
+// column launches it immediately (the bypass), an early-fraction running pass
+// absorbs it mid-flight, anything else queues it in the forming cohort for
+// at most JoinWindow. A larger group is plan-driven — core.SubmitBatch hands
+// it the members whose physical plans share one cohort key — and the whole
+// group lands in the same cohort without waiting out a join window per
+// member. A group that cannot ride the forming cohort or attach to the
+// running pass in full launches or queues together, so plan-time grouping
+// never splits a detected common subplan. The registry copies g and keeps no
+// reference to it.
+func (r *Registry) SubmitGroup(g []*Member) {
+	grouped := len(g) > 1
 	key := g[0].Key
 	now := r.sim.Now()
 	r.stats.Statements += uint64(len(g))
@@ -288,8 +287,8 @@ func (r *Registry) enter(g []*Member, grouped bool) {
 	}
 	ks := r.state(key)
 	// A forming cohort without headroom for the whole group launches as it
-	// is. The launch may fire shed hooks that reenter Submit and queue a new
-	// forming cohort, hence the loop.
+	// is. The launch may fire shed hooks that reenter SubmitGroup and queue a
+	// new forming cohort, hence the loop.
 	for c := ks.forming; c != nil && len(c.members)+len(g) > r.cfg.MaxCohort; c = ks.forming {
 		ks.forming = nil
 		r.launch(ks, c)
@@ -372,7 +371,7 @@ func (r *Registry) Tick(now float64) {
 
 // compactExpired removes members past their deadline from the cohort and
 // returns them in buf's storage; the caller fires their OnShed hooks only
-// after the registry state is consistent (OnShed may reenter Submit).
+// after the registry state is consistent (OnShed may reenter SubmitGroup).
 func (r *Registry) compactExpired(buf []*Member, c *cohort, now float64) []*Member {
 	expired := buf[:0]
 	kept := c.members[:0]

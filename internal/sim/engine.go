@@ -126,9 +126,6 @@ func (e *Engine) AddResource(name string, capacity float64) ResourceID {
 	return id
 }
 
-// ResourceName returns the registered name of a resource.
-func (e *Engine) ResourceName(id ResourceID) string { return e.names[id] }
-
 // SetResourceCapacity changes a resource's capacity in units/s, taking effect
 // at the next allocation (the allocator re-reads capacities every step, so a
 // capacity write costs nothing when unused). This is the fault-injection hook
@@ -145,9 +142,6 @@ func (e *Engine) ResourceCapacity(id ResourceID) float64 { return e.caps[id] }
 
 // ResourceUsage returns the cumulative units consumed on a resource.
 func (e *Engine) ResourceUsage(id ResourceID) float64 { return e.usage[id] }
-
-// NumResources returns the number of registered resources.
-func (e *Engine) NumResources() int { return len(e.caps) }
 
 // ActiveDemand sums the demand weight currently-active flows place on each of
 // the given resources, returning one total per id in order. It is an

@@ -144,12 +144,6 @@ func (m *Machine) StreamRate(src, dst int) float64 {
 	return CacheLine * m.MLP / m.Latency(src, dst)
 }
 
-// RandomRate returns the per-hardware-thread dependent-random-access rate in
-// accesses/s from socket src to memory on socket dst.
-func (m *Machine) RandomRate(src, dst int) float64 {
-	return m.RandomMLP / m.Latency(src, dst)
-}
-
 // MaxHops returns the diameter of the socket graph in links.
 func (m *Machine) MaxHops() int {
 	max := 0
