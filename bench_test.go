@@ -194,17 +194,26 @@ func pname(p float64) string {
 	}
 }
 
-// BenchmarkAblationJoinHTPlacement probes the Section 8 join extension: a
-// hash table partitioned across the build sockets vs centralized on one.
+// BenchmarkAblationJoinHTPlacement probes the Section 8 join extension: 32
+// closed-loop star-join statements under Bound, with the hash table
+// partitioned across the build sockets vs centralized on one.
 func BenchmarkAblationJoinHTPlacement(b *testing.B) {
 	run := func(b *testing.B, htSockets []int) {
 		var completed int
 		for i := 0; i < b.N; i++ {
 			e := numacs.NewEngineWithStep(numacs.FourSocketIvyBridge(), 1, 10e-6)
-			build := numacs.BuildColumn("DIM", seq(30_000, 10_000), false)
-			probe := numacs.BuildColumn("FACT", seq(120_000, 10_000), false)
-			e.Placer.PlaceIVP(build, []int{0, 1, 2, 3})
-			e.Placer.PlaceIVP(probe, []int{0, 1, 2, 3})
+			dim := numacs.NewTable("DIM", []*numacs.Column{
+				numacs.BuildColumn("D_DATE", seq(30_000, 2_000), false),
+				numacs.BuildColumn("D_ID", seq(30_000, 10_000), false),
+			})
+			fact := numacs.NewTable("FACT", []*numacs.Column{
+				numacs.BuildColumn("F_FK", seq(120_000, 10_000), false),
+			})
+			for _, t := range []*numacs.Table{dim, fact} {
+				for _, c := range t.Parts[0].Columns {
+					e.Placer.PlaceIVP(c, []int{0, 1, 2, 3})
+				}
+			}
 			completed = 0
 			inflight := 0
 			var issue func()
@@ -213,9 +222,12 @@ func BenchmarkAblationJoinHTPlacement(b *testing.B) {
 					return
 				}
 				inflight++
-				numacs.ExecuteJoin(e, numacs.JoinSpec{
-					Build: build, Probe: probe, Strategy: numacs.Bound,
-					HTSockets: htSockets, HitsPerProbeRow: 1,
+				numacs.ExecuteStarJoin(e, numacs.StarJoinSpec{
+					Dim: dim, DimPredicate: "D_DATE", DimKey: "D_ID",
+					Fact: fact, FactFK: "F_FK",
+					Selectivity: 0.05, HitsPerProbeRow: 1,
+					AggBytesPerRow: 12, AggCyclesPerRow: 24,
+					HTSockets: htSockets, Strategy: numacs.Bound,
 					OnDone: func(float64) { completed++; inflight--; issue() },
 				})
 			}

@@ -8,13 +8,16 @@ import (
 )
 
 // check panics unless every column the statement names exists in every part
-// of its table and is placed, and every predicate selectivity is a number in
+// of its table and is placed, every predicate selectivity is a number in
 // [0, 1] (a NaN would give its flows NaN work, and would never find its
-// cached plan). Submit runs it before the statement is traced
-// or queued, so a bad statement fails at the API edge instead of
+// cached plan), and every join reads single-part tables into an aggregate
+// without projections. Submit runs it before the statement is traced or
+// queued, so a bad statement fails at the API edge instead of
 // mid-simulation (an unknown predicate would panic inside ScanOp.Open, an
-// unplaced table "complete" with no memory traffic, an unknown projection be
-// ignored). It reads metadata only and allocates nothing on the happy path.
+// unplaced table "complete" with no memory traffic, a partitioned join
+// table panic in the planner, an unknown projection or a join's projection
+// be ignored). It reads metadata only and allocates nothing on the happy
+// path.
 func check(q *Query) {
 	if q.Plan != nil {
 		walkPlan(q.Plan.Root, checkNode)
@@ -41,12 +44,43 @@ func checkNode(n plan.Node) {
 			checkColumns(baseTable(v), p.Column)
 		}
 	case *plan.JoinNode:
-		checkColumns(baseTable(v.Build), v.BuildKey)
-		checkColumns(baseTable(v), v.ProbeKey)
+		build, probe := baseTable(v.Build), baseTable(v)
+		checkJoinTable(build)
+		checkJoinTable(probe)
+		checkColumns(build, v.BuildKey)
+		checkColumns(probe, v.ProbeKey)
 	case *plan.AggregateNode:
+		if joins(v.Input) && len(v.ProjectColumns) > 0 {
+			panic(fmt.Sprintf("core: a join projects no columns, but its aggregate projects %v", v.ProjectColumns))
+		}
 		checkColumns(baseTable(v), v.ProjectColumns...)
 	case *plan.MaterializeNode:
+		if joins(v.Input) {
+			panic("core: a join's output must be an aggregate, not a materialization")
+		}
 		checkColumns(baseTable(v), v.ProjectColumns...)
+	}
+}
+
+// checkJoinTable panics when a join reads a physically partitioned table:
+// the planner resolves a join key to one column.
+func checkJoinTable(t *colstore.Table) {
+	if t != nil && t.NumParts() != 1 {
+		panic(fmt.Sprintf("core: join table %s is physically partitioned into %d parts", t.Name, t.NumParts()))
+	}
+}
+
+// joins reports whether n's rows come out of a join.
+func joins(n plan.Node) bool {
+	for {
+		switch v := n.(type) {
+		case *plan.JoinNode:
+			return true
+		case *plan.FilterNode:
+			n = v.Input
+		default:
+			return false
+		}
 	}
 }
 

@@ -200,10 +200,11 @@ func NewWithStep(m *topology.Machine, seed int64, step float64) *Engine {
 	return e
 }
 
-// ExecEnv returns the engine's operator-pipeline environment, for composing
-// raw exec pipelines outside the statement entry point. join.Execute is the
-// one such caller: it measures the bare build/probe operator, with no
-// per-query overhead, admission or concurrency-hint accounting.
+// ExecEnv returns the engine's operator-pipeline environment: the tests'
+// hook for running raw exec pipelines (a bare JoinOp, a hand-wired scan)
+// outside the statement entry point, with no per-query overhead,
+// admission, trace span or concurrency-hint accounting. Statements enter
+// through Submit.
 func (e *Engine) ExecEnv() *exec.Env { return e.env }
 
 // EnableAdmission puts an admission controller in front of the engine's

@@ -89,7 +89,7 @@ func (e *Engine) take(list **stmtRec, phys *plan.Physical) *stmtRec {
 func (r *stmtRec) fill(phys *plan.Physical) {
 	s := phys.Scan
 	r.phys = phys
-	r.m.Key, r.m.Table, r.m.Column, r.m.Selectivity = phys.ShareKey, s.Table, s.Column, s.Selectivity
+	r.m.Key, r.m.Column, r.m.Selectivity = phys.ShareKey, s.Cols[0], s.Selectivity
 	r.m.Pipeline.Ops = phys.FillPlain(&r.ops, r.e.deps())
 }
 

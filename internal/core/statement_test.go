@@ -42,8 +42,10 @@ func starPlan(dim, fact *colstore.Table, key string) *plan.Logical {
 }
 
 // TestSubmitRejectsBadStatements: a statement naming an unknown column or a
-// column that is not placed, or carrying a selectivity outside [0, 1] (NaN
-// and infinities included) on a plain statement or a plan predicate, fails at
+// column that is not placed, carrying a selectivity outside [0, 1] (NaN and
+// infinities included) on a plain statement or a plan predicate, joining a
+// physically partitioned table, or ending a join in a projection or a
+// materialization the planner cannot run, fails at
 // Submit — before it opens a trace span or enters an admission queue —
 // instead of mid-simulation. As the last statement of a SubmitBatch, behind
 // a good one, it fails the whole batch the same way, with an admission
@@ -72,6 +74,22 @@ func TestSubmitRejectsBadStatements(t *testing.T) {
 		{"star with a bad key", `no column "NOPE"`, func(e *Engine) *Query {
 			dim, fact := buildStarTables(e)
 			return &Query{Plan: starPlan(dim, fact, "NOPE")}
+		}},
+		{"star over a partitioned fact table", "join table FACT is physically partitioned", func(e *Engine) *Query {
+			dim, fact := buildStarTables(e)
+			return &Query{Plan: starPlan(dim, e.Placer.PlacePP(fact, 2), "D_ID")}
+		}},
+		{"star aggregate with a projection", "a join projects no columns", func(e *Engine) *Query {
+			dim, fact := buildStarTables(e)
+			l := starPlan(dim, fact, "D_ID")
+			l.Root.(*plan.AggregateNode).ProjectColumns = []string{"F_FK"}
+			return &Query{Plan: l}
+		}},
+		{"star materialization", "a join's output must be an aggregate", func(e *Engine) *Query {
+			dim, fact := buildStarTables(e)
+			l := starPlan(dim, fact, "D_ID")
+			l.Root = &plan.MaterializeNode{Input: l.Root.(*plan.AggregateNode).Input, Parallel: true}
+			return &Query{Plan: l}
 		}},
 	}
 	for _, sel := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -0.5, 1.5} {

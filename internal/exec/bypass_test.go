@@ -102,14 +102,14 @@ func TestSingleMemberPassEqualsPrivateScan(t *testing.T) {
 					items[item] = cur
 				}
 				tbl, column := tc.setup(env)
+				cols := ResolveColumns(tbl, column)
 				var regions []Region
 				if shared {
-					op := &SharedScanOp{Table: tbl, Column: column, Selectivities: []float64{tc.sel}}
+					op := &SharedScanOp{Column: cols[0], Selectivities: []float64{tc.sel}}
 					drainPipeline(t, env, op)
 					regions = op.MemberRegions(0)
 				} else {
-					op := &ScanOp{Table: tbl, Selectivity: tc.sel, Parallel: true,
-						Cols: ResolveColumns(tbl, column)}
+					op := &ScanOp{Table: tbl, Selectivity: tc.sel, Parallel: true, Cols: cols}
 					drainPipeline(t, env, op)
 					regions = op.Regions()
 				}
@@ -131,33 +131,6 @@ func TestSingleMemberPassEqualsPrivateScan(t *testing.T) {
 			if got := private.items["D"].DeltaBytes; (tc.name == "delta rows") != (got > 0) {
 				t.Fatalf("delta bytes %v: the delta union did not run as the case intends", got)
 			}
-		})
-	}
-}
-
-// TestSharedPassesRejectMultiPartTables: the planner shares single-part
-// tables only, so both cohort operators refuse a multi-part table outright
-// instead of splitting the fan-out budget across parts.
-func TestSharedPassesRejectMultiPartTables(t *testing.T) {
-	env := testEnv()
-	tbl := colstore.NewTable("PP", []*colstore.Column{colstore.NewSynthetic("C", 1000, 1<<8, false)})
-	placement.New(env.Machine).PlaceRR(tbl)
-	tbl.Parts = append(tbl.Parts, tbl.Parts[0])
-	p := &Pipeline{Env: env}
-	for _, tc := range []struct {
-		name string
-		op   Operator
-	}{
-		{"shared", &SharedScanOp{Table: tbl, Column: "C", Selectivities: []float64{0.01}}},
-		{"wrap", &WrapScanOp{Table: tbl, Column: "C", Fraction: 0.5, Selectivities: []float64{0.01}}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			defer func() {
-				if recover() == nil {
-					t.Fatal("Open planned a pass over a 2-part table")
-				}
-			}()
-			tc.op.Open(p)
 		})
 	}
 }

@@ -362,10 +362,11 @@ func PhaseName(op Operator) string {
 // Region is the per-partition output of a producing operator: how many
 // qualifying matches a partition holds and the socket its data lives on. It
 // is the input to output-materialization and aggregation scheduling
-// (Section 5.2).
+// (Section 5.2). Part is the index of the physical part Col belongs to (0
+// for a single-part table), which selects the part's projected columns.
 type Region struct {
 	Col     *colstore.Column
-	Part    *colstore.Part
+	Part    int
 	Socket  int
 	Matches int
 }

@@ -70,39 +70,6 @@ func TestPipelineScanMatchesQueryPath(t *testing.T) {
 	assertSameRun(t, run(true), run(false))
 }
 
-// TestPipelineJoinMatchesExecutePath: a raw two-operator pipeline built from
-// exec.JoinOp must be numerically identical to join.Execute.
-func TestPipelineJoinMatchesExecutePath(t *testing.T) {
-	run := func(viaExecute bool) *metrics.Counters {
-		e := core.NewWithStep(topology.FourSocketIvyBridge(), 1, 10e-6)
-		build := colstore.NewSynthetic("DIM", 20_000, 1<<12, false)
-		probe := colstore.NewSynthetic("FACT", 80_000, 1<<12, false)
-		e.Placer.PlaceIVP(build, []int{0, 1, 2, 3})
-		e.Placer.PlaceIVP(probe, []int{0, 1, 2, 3})
-		for i := 0; i < 8; i++ {
-			if viaExecute {
-				join.Execute(e, join.Spec{
-					Build: build, Probe: probe, Strategy: core.Bound,
-					HTSockets: []int{0, 1, 2, 3}, HitsPerProbeRow: 1, HomeSocket: i % 4,
-				})
-				continue
-			}
-			j := &exec.JoinOp{
-				Build: build, Probe: probe, HTSockets: []int{0, 1, 2, 3},
-				HitsPerProbeRow: 1, Alloc: e.Placer.Alloc,
-			}
-			p := &exec.Pipeline{
-				Env: e.ExecEnv(), Strategy: core.Bound, HomeSocket: i % 4,
-				IssuedAt: e.Sim.Now(), Ops: []exec.Operator{j.BuildOp(), j.ProbeOp()},
-			}
-			p.Start()
-		}
-		e.Sim.Run(0.05)
-		return e.Counters
-	}
-	assertSameRun(t, run(true), run(false))
-}
-
 // TestStarJoinPipelineEndToEnd: the composed scan -> join -> aggregate
 // statement — impossible on the pre-refactor paths — completes on the
 // simulated 4-socket machine with traffic accounted on every socket, and is

@@ -51,7 +51,7 @@ type output struct {
 }
 
 // open plans and emits the operator's output tasks, run by agg.
-func (o *output) open(p *Pipeline, agg *AggregateOp, regions []Region, parallel bool, project []string, disableCoalesce bool) []Task {
+func (o *output) open(p *Pipeline, agg *AggregateOp, regions []Region, parallel bool, project [][]*colstore.Column, disableCoalesce bool) []Task {
 	recs := o.plan(p, regions, parallel, project, disableCoalesce)
 	o.tasks = emptied(o.tasks, len(recs))
 	for i := range recs {
@@ -65,7 +65,7 @@ func (o *output) open(p *Pipeline, agg *AggregateOp, regions []Region, parallel 
 // produced by one column's data on one socket.
 type outPart struct {
 	col     *colstore.Column
-	part    *colstore.Part
+	part    int
 	socket  int
 	matches int
 	weight  int
@@ -87,8 +87,10 @@ type outPart struct {
 // of non-empty slots) is b − a when every slot is non-empty (T ≥ n) and the
 // match count otherwise (each non-empty slot then holds one match). Only the
 // DisableCoalesce ablation walks slots, since it keeps every slot separate.
-// The partitions and tasks are written into o's storage.
-func (o *output) plan(p *Pipeline, regions []Region, parallel bool, project []string, disableCoalesce bool) []outTask {
+// project[i] lists the projected columns of part i (see
+// MaterializeOp.Project). The partitions and tasks are written into o's
+// storage.
+func (o *output) plan(p *Pipeline, regions []Region, parallel bool, project [][]*colstore.Column, disableCoalesce bool) []outTask {
 	env := p.Env
 	total := 0
 	for _, reg := range regions {
@@ -156,13 +158,8 @@ func (o *output) plan(p *Pipeline, regions []Region, parallel bool, project []st
 		// same part; the phase is repeated per projected column in parallel
 		// (Section 6).
 		targets := append(o.targets[:0], p.col)
-		for _, name := range project {
-			if p.part == nil {
-				continue
-			}
-			if pc := p.part.ColumnByName(name); pc != nil {
-				targets = append(targets, pc)
-			}
+		if p.part < len(project) {
+			targets = append(targets, project[p.part]...)
 		}
 		o.targets = targets
 		n := hint * p.weight / totalWeight
@@ -193,8 +190,10 @@ func (o *output) plan(p *Pipeline, regions []Region, parallel bool, project []st
 type MaterializeOp struct {
 	// Scan produces the qualifying regions to materialize.
 	Scan RegionSource
-	// ProjectColumns materializes additional columns of the producing part.
-	ProjectColumns []string
+	// Project materializes additional columns of the producing part:
+	// Project[i] lists part i's projected columns, resolved by the planner
+	// (nil projects nothing).
+	Project [][]*colstore.Column
 	// Parallel enables intra-operator parallelism.
 	Parallel bool
 	// DisableCoalesce turns off the preprocessing optimization that merges
@@ -206,7 +205,7 @@ type MaterializeOp struct {
 
 // Open plans the materialization tasks from the upstream regions.
 func (m *MaterializeOp) Open(p *Pipeline) []Task {
-	return m.out.open(p, nil, m.Scan.Regions(), m.Parallel, m.ProjectColumns, m.DisableCoalesce)
+	return m.out.open(p, nil, m.Scan.Regions(), m.Parallel, m.Project, m.DisableCoalesce)
 }
 
 // Close implements Operator.
@@ -227,11 +226,9 @@ type AggregateOp struct {
 	// CyclesPerRow is the per-row compute — high for TPC-H Q1's
 	// multiplications, low for BW-EML's simple expressions.
 	CyclesPerRow float64
-	// ProjectColumns repeats the aggregation per projected column. It only
-	// applies to region sources that carry part information (ScanOp); a
-	// JoinOp's probe regions have no part, so projections are not resolved
-	// through joins.
-	ProjectColumns []string
+	// Project repeats the aggregation per projected column, laid out like
+	// MaterializeOp.Project.
+	Project [][]*colstore.Column
 	// Parallel enables intra-operator parallelism.
 	Parallel bool
 	// DisableCoalesce turns off output-region coalescing (ablation only).
@@ -242,7 +239,7 @@ type AggregateOp struct {
 
 // Open plans the aggregation tasks from the upstream regions.
 func (a *AggregateOp) Open(p *Pipeline) []Task {
-	return a.out.open(p, a, a.Source.Regions(), a.Parallel, a.ProjectColumns, a.DisableCoalesce)
+	return a.out.open(p, a, a.Source.Regions(), a.Parallel, a.Project, a.DisableCoalesce)
 }
 
 // Close implements Operator.

@@ -13,7 +13,7 @@ import (
 // output slots is sized, resolved to its producing region by a cursor, and
 // coalesced with the previous non-empty slot. It is the oracle the
 // per-region walk is checked against.
-func planOutputRef(p *Pipeline, regions []Region, parallel bool, project []string, disableCoalesce bool) []outTask {
+func planOutputRef(p *Pipeline, regions []Region, parallel bool, project [][]*colstore.Column, disableCoalesce bool) []outTask {
 	env := p.Env
 	total := 0
 	for _, reg := range regions {
@@ -63,13 +63,8 @@ func planOutputRef(p *Pipeline, regions []Region, parallel bool, project []strin
 	var tasks []outTask
 	for _, p := range parts {
 		targets := []*colstore.Column{p.col}
-		for _, name := range project {
-			if p.part == nil {
-				continue
-			}
-			if pc := p.part.ColumnByName(name); pc != nil {
-				targets = append(targets, pc)
-			}
+		if p.part < len(project) {
+			targets = append(targets, project[p.part]...)
 		}
 		n := hint * p.weight / totalWeight
 		if n < 1 {
@@ -125,7 +120,7 @@ func TestPlanOutputMatchesSlotWalk(t *testing.T) {
 		for i := range regions {
 			pi := rng.Intn(len(parts))
 			regions[i] = Region{
-				Col: parts[pi].Columns[0], Part: parts[pi],
+				Col: parts[pi].Columns[0], Part: pi,
 				Socket: rng.Intn(3), Matches: rng.Intn(scale + 1),
 			}
 			if rng.Intn(4) == 0 {
@@ -139,9 +134,10 @@ func TestPlanOutputMatchesSlotWalk(t *testing.T) {
 		if total > 0 && total < m.TotalThreads() {
 			fewer++
 		}
-		var project []string
+		// Part 0 projects P; part 1 has no projected column.
+		var project [][]*colstore.Column
 		if rng.Intn(3) == 0 {
-			project = []string{"P", "missing"}
+			project = [][]*colstore.Column{{proj}, nil}
 		}
 		parallel := rng.Intn(4) != 0
 		disable := rng.Intn(4) == 0

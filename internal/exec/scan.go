@@ -49,19 +49,14 @@ func ResolveColumns(t *colstore.Table, names ...string) []*colstore.Column {
 	out := make([]*colstore.Column, 0, len(names)*len(t.Parts))
 	for _, name := range names {
 		for _, part := range t.Parts {
-			out = append(out, partColumn(part, name))
+			c := part.ColumnByName(name)
+			if c == nil {
+				panic(fmt.Sprintf("exec: no column %s", name))
+			}
+			out = append(out, c)
 		}
 	}
 	return out
-}
-
-// partColumn returns the named column of part and panics when it has none.
-func partColumn(part *colstore.Part, name string) *colstore.Column {
-	c := part.ColumnByName(name)
-	if c == nil {
-		panic(fmt.Sprintf("exec: no column %s", name))
-	}
-	return c
 }
 
 // IndexEligible is the single source of truth for the index-vs-scan decision
@@ -101,7 +96,7 @@ func (s *ScanOp) Open(p *Pipeline) []Task {
 	track := true
 	// region opens a tracked region; matches adds m to the region opened
 	// last.
-	region := func(col *colstore.Column, part *colstore.Part, socket int) {
+	region := func(col *colstore.Column, part, socket int) {
 		if track {
 			s.regions = append(s.regions, Region{Col: col, Part: part, Socket: socket})
 		}
@@ -126,14 +121,13 @@ func (s *ScanOp) Open(p *Pipeline) []Task {
 				rows += c.Rows
 			}
 			socket := cols[0].IVPSM.MajoritySocket()
-			region(cols[0], s.Table.Parts[0], socket)
+			region(cols[0], 0, socket)
 			r := s.scanAll(k, env, cols, jitterMatches(env, rows, s.Selectivity))
 			s.tasks = append(s.tasks, Task{Socket: socket, Run: r})
 			matches(r.matches)
 		} else {
 			s.reserve(len(cols))
-			for i, col := range cols {
-				part := s.Table.Parts[i]
+			for part, col := range cols {
 				switch {
 				case useIndex:
 					// Index lookups on a replicated column chase the replica
@@ -184,7 +178,7 @@ func (s *ScanOp) Open(p *Pipeline) []Task {
 			frags := visibleDelta(fragBuf[:0], col)
 			s.reserve(len(frags))
 			for _, fr := range frags {
-				region(col, s.Table.Parts[i], fr.Socket)
+				region(col, i, fr.Socket)
 				stream(findStream{col: col, to: fr.To, socket: fr.Socket, delta: true}, expectedMatches(fr.To, s.Selectivity))
 			}
 		}

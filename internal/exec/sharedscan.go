@@ -14,22 +14,17 @@ package exec
 // their tasks as findStreams, so a single-member pass equals the private scan
 // by construction (the uncontended bypass guarantee).
 
-import (
-	"fmt"
-
-	"numacs/internal/colstore"
-)
+import "numacs/internal/colstore"
 
 // SharedScanOp is the find phase of a scan cohort: one physical pass over
 // the column that evaluates every member predicate per chunk. Every member,
 // leader (member 0) included, reads its regions via MemberRegions once the
 // pass's barrier is reached. Each Open refills the operator's storage, so a
-// cohort registry may reuse one for pass after pass. The planner shares
-// single-part tables only; Open panics on any other.
+// cohort registry may reuse one for pass after pass.
 type SharedScanOp struct {
-	// Table and Column name the scanned data (every member shares them).
-	Table  *colstore.Table
-	Column string
+	// Column is the scanned column, which every member shares: a cohort
+	// scans one single-part table, so its regions are part 0's.
+	Column *colstore.Column
 	// Selectivities holds each cohort member's range-predicate selectivity,
 	// leader first; it drives the member's analytic match counts and its
 	// result-format (position list vs bitvector) output bytes.
@@ -85,16 +80,6 @@ func cohortBudget(p *Pipeline, n, cap int) int {
 	return h
 }
 
-// passColumn resolves the part and column a cohort pass scans. The planner
-// marks only single-part tables shareable, so a pass over several parts is
-// a caller bug.
-func passColumn(t *colstore.Table, name string) (*colstore.Part, *colstore.Column) {
-	if n := t.NumParts(); n != 1 {
-		panic(fmt.Sprintf("exec: shared pass over table %s with %d parts, want 1", t.Name, n))
-	}
-	return t.Parts[0], partColumn(t.Parts[0], name)
-}
-
 // memberRegions returns n emptied per-member region slices in rs's storage.
 func memberRegions(rs [][]Region, n int) [][]Region {
 	if n > cap(rs) {
@@ -120,8 +105,7 @@ func addRegion(regions [][]Region, r Region) {
 // carried by every task. Each task draws its members' matches (leader
 // first) as it is planned.
 func (s *SharedScanOp) Open(p *Pipeline) []Task {
-	env := p.Env
-	part, col := passColumn(s.Table, s.Column)
+	env, col := p.Env, s.Column
 	n := len(s.Selectivities)
 	s.regions = memberRegions(s.regions, n)
 	s.bytesTotal, s.bytesDone = 0, 0
@@ -150,13 +134,13 @@ func (s *SharedScanOp) Open(p *Pipeline) []Task {
 	}
 	for k, sp := range spans {
 		if k == 0 || sp.Part != spans[k-1].Part {
-			addRegion(s.regions, Region{Col: col, Part: part, Socket: sp.Socket})
+			addRegion(s.regions, Region{Col: col, Socket: sp.Socket})
 		}
 		s.bytesTotal += float64(col.IVBytesForRows(sp.From, sp.To))
 		stream(findStream{col: col, from: sp.From, to: sp.To, socket: sp.Socket, pass: s})
 	}
 	for _, fr := range frags {
-		addRegion(s.regions, Region{Col: col, Part: part, Socket: fr.Socket})
+		addRegion(s.regions, Region{Col: col, Socket: fr.Socket})
 		stream(findStream{col: col, to: fr.To, socket: fr.Socket, delta: true})
 	}
 	return s.tasks
@@ -175,12 +159,11 @@ func (s *SharedScanOp) Close(*Pipeline) {
 // they missed. The wrap streams Fraction of the column's IV (plus the delta
 // fragments, whole) once for all attachers; each attacher's logical regions
 // cover the full column, and it reads them via MemberRegions. Like
-// SharedScanOp, it covers single-part tables only and refills its storage on
-// each Open.
+// SharedScanOp, it scans one column of a single-part table and refills its
+// storage on each Open.
 type WrapScanOp struct {
-	// Table and Column name the scanned data.
-	Table  *colstore.Table
-	Column string
+	// Column is the scanned column.
+	Column *colstore.Column
 	// Fraction is the prefix share of the row space to re-stream — the
 	// largest fraction any attacher missed.
 	Fraction float64
@@ -207,8 +190,7 @@ func (wr *WrapScanOp) MemberRegions(i int) []Region { return wr.regions[i] }
 // barrier (see Close), since their physical ride bytes were charged to the
 // main pass.
 func (wr *WrapScanOp) Open(p *Pipeline) []Task {
-	env := p.Env
-	part, col := passColumn(wr.Table, wr.Column)
+	env, col := p.Env, wr.Column
 	n := len(wr.Selectivities)
 	wr.regions = memberRegions(wr.regions, n)
 	mc := mcSnapshot{env: env}
@@ -222,7 +204,7 @@ func (wr *WrapScanOp) Open(p *Pipeline) []Task {
 		// Full-column logical regions, per attacher.
 		for i, sel := range wr.Selectivities {
 			wr.regions[i] = append(wr.regions[i], Region{
-				Col: col, Part: part, Socket: pr.Socket,
+				Col: col, Socket: pr.Socket,
 				Matches: jitterMatches(env, pr.To-pr.From, sel),
 			})
 		}
@@ -249,7 +231,7 @@ func (wr *WrapScanOp) Open(p *Pipeline) []Task {
 	for _, fr := range frags {
 		for i, sel := range wr.Selectivities {
 			wr.regions[i] = append(wr.regions[i], Region{
-				Col: col, Part: part, Socket: fr.Socket, Matches: expectedMatches(fr.To, sel),
+				Col: col, Socket: fr.Socket, Matches: expectedMatches(fr.To, sel),
 			})
 		}
 		wr.emit(env, findStream{col: col, to: fr.To, socket: fr.Socket, delta: true, n: n, wrap: true})
@@ -263,7 +245,7 @@ func (wr *WrapScanOp) Open(p *Pipeline) []Task {
 // spread, since no single copy served the whole ride) and fires the cohort
 // hook.
 func (wr *WrapScanOp) Close(p *Pipeline) {
-	_, col := passColumn(wr.Table, wr.Column)
+	col := wr.Column
 	for range wr.Selectivities {
 		p.Env.addItem(col.Name, -1, Traffic{
 			Bytes:   float64(col.IVRange.Bytes),

@@ -7,19 +7,16 @@
 //
 // The package provides both layers in the same style as the rest of the
 // repository: a real, tested hash-join over dictionary-encoded columns, and
-// a NUMA-aware simulated execution built on the internal/exec operator
-// pipeline — build and probe phases are exec operators whose task affinities
+// the star statement that runs a join on the simulated machine. ExecuteStar
+// submits a dimension scan, the join and an aggregation as one planned
+// statement; the planner lowers it to exec operators whose task affinities
 // derive from the data placement, including the placement of the
-// operator-internal hash table. ExecuteStar composes a dimension scan, the
-// join, and an aggregation into one scheduled statement.
+// operator-internal hash table (exec.JoinOp).
 package join
 
 import (
-	"fmt"
-
 	"numacs/internal/colstore"
 	"numacs/internal/core"
-	"numacs/internal/exec"
 	"numacs/internal/plan"
 )
 
@@ -120,70 +117,6 @@ func HashJoin(build, probe *colstore.Column) []Pair {
 
 // ---- NUMA-aware simulated execution ------------------------------------------
 
-// Spec describes one simulated join execution. Both columns must be placed
-// (PSMs populated). The hash table — the operator-internal structure the
-// paper highlights — is placed per HTSockets: one socket for a centralized
-// table, several for a partitioned table co-located with the build
-// partitions.
-type Spec struct {
-	Build *colstore.Column
-	Probe *colstore.Column
-	// HTSockets lists the sockets holding hash-table partitions. When empty,
-	// the table is placed on the build column's majority socket.
-	HTSockets []int
-	Strategy  core.Strategy
-	// HitsPerProbeRow is the analytic join cardinality per probe row.
-	HitsPerProbeRow float64
-	// HomeSocket of the issuing client.
-	HomeSocket int
-	OnDone     func(latency float64)
-
-	// Cost knobs (zero values take defaults).
-	BuildCyclesPerRow float64
-	ProbeCyclesPerRow float64
-	HTMissRate        float64
-}
-
-// op builds the exec join operator for the spec (empty HTSockets defaults
-// inside the operator, at build open).
-func (s Spec) op(e *core.Engine) *exec.JoinOp {
-	return &exec.JoinOp{
-		Build:             s.Build,
-		Probe:             s.Probe,
-		HTSockets:         s.HTSockets,
-		HitsPerProbeRow:   s.HitsPerProbeRow,
-		Alloc:             e.Placer.Alloc,
-		BuildCyclesPerRow: s.BuildCyclesPerRow,
-		ProbeCyclesPerRow: s.ProbeCyclesPerRow,
-		HTMissRate:        s.HTMissRate,
-	}
-}
-
-// Execute runs the join on the engine's simulated machine as a two-phase
-// operator pipeline: a parallel build phase (tasks bound to the build data's
-// sockets, writing the hash table), a barrier, then a parallel probe phase
-// (tasks bound to the probe data's sockets, randomly accessing the hash
-// table wherever it was placed). It is the one operator-level path beside
-// core.Engine.Submit, kept because it measures the bare build/probe operator
-// (the hash-table placement ablation) and no plan node expresses a
-// predicate-less two-column join: no per-query overhead, admission, trace
-// span or concurrency-hint accounting.
-func Execute(e *core.Engine, spec Spec) {
-	if spec.Build.IVPSM == nil || spec.Probe.IVPSM == nil {
-		panic("join: columns must be placed before execution")
-	}
-	j := spec.op(e)
-	p := &exec.Pipeline{
-		Env:        e.ExecEnv(),
-		Strategy:   spec.Strategy,
-		HomeSocket: spec.HomeSocket,
-		IssuedAt:   e.Sim.Now(),
-		Ops:        []exec.Operator{j.BuildOp(), j.ProbeOp()},
-		OnDone:     spec.OnDone,
-	}
-	p.Start()
-}
-
 // StarSpec describes a composed scan -> join -> aggregate statement over a
 // star schema: a range predicate filters the dimension, the surviving
 // dimension keys build the join hash table, the fact foreign-key column
@@ -247,9 +180,4 @@ func (s StarSpec) Plan() *plan.Logical {
 // by a committed fingerprint of the starjoin scenario.
 func ExecuteStar(e *core.Engine, s StarSpec) {
 	e.Submit(&core.Query{Plan: s.Plan(), Strategy: s.Strategy, HomeSocket: s.HomeSocket, OnDone: s.OnDone})
-}
-
-// String renders a spec for logs.
-func (s Spec) String() string {
-	return fmt.Sprintf("join(%s ⋈ %s, HT on %v, %s)", s.Build.Name, s.Probe.Name, s.HTSockets, s.Strategy)
 }

@@ -6,6 +6,7 @@ import (
 
 	"numacs/internal/colstore"
 	"numacs/internal/core"
+	"numacs/internal/exec"
 	"numacs/internal/topology"
 )
 
@@ -141,6 +142,22 @@ func placedColumns(e *core.Engine, rows int) (build, probe *colstore.Column) {
 	return build, probe
 }
 
+// runJoin starts the bare build/probe operator under Bound as a raw
+// pipeline on e's environment: one hit per probe row, the hash table on
+// htSockets (empty: the build column's majority socket), and no per-query
+// overhead, admission or concurrency-hint accounting.
+func runJoin(e *core.Engine, build, probe *colstore.Column, htSockets []int, onDone func(float64)) {
+	j := &exec.JoinOp{
+		Build: build, Probe: probe, HTSockets: htSockets,
+		HitsPerProbeRow: 1, Alloc: e.Placer.Alloc,
+	}
+	p := &exec.Pipeline{
+		Env: e.ExecEnv(), Strategy: core.Bound, IssuedAt: e.Sim.Now(),
+		Ops: []exec.Operator{j.BuildOp(), j.ProbeOp()}, OnDone: onDone,
+	}
+	p.Start()
+}
+
 func TestSimulatedJoinCompletes(t *testing.T) {
 	e := core.New(topology.FourSocketIvyBridge(), 1)
 	build, probe := placedColumns(e, 80000)
@@ -153,10 +170,7 @@ func TestSimulatedJoinCompletes(t *testing.T) {
 	}
 	before := resident()
 	done := false
-	Execute(e, Spec{
-		Build: build, Probe: probe, Strategy: core.Bound,
-		HitsPerProbeRow: 1, OnDone: func(float64) { done = true },
-	})
+	runJoin(e, build, probe, nil, func(float64) { done = true })
 	if resident() <= before {
 		t.Fatal("hash table not allocated")
 	}
@@ -187,11 +201,7 @@ func TestPartitionedHashTableBeatsCentralized(t *testing.T) {
 				return
 			}
 			inflight++
-			Execute(e, Spec{
-				Build: build, Probe: probe, Strategy: core.Bound,
-				HTSockets: htSockets, HitsPerProbeRow: 1,
-				OnDone: func(float64) { completed++; inflight--; issue() },
-			})
+			runJoin(e, build, probe, htSockets, func(float64) { completed++; inflight--; issue() })
 		}
 		for i := 0; i < 32; i++ {
 			issue()
@@ -210,12 +220,7 @@ func TestJoinStrategyAffinities(t *testing.T) {
 	e := core.New(topology.FourSocketIvyBridge(), 1)
 	build, probe := placedColumns(e, 60000)
 	done := false
-	Execute(e, Spec{
-		Build: build, Probe: probe, Strategy: core.Bound,
-		HTSockets:       []int{0, 1, 2, 3},
-		HitsPerProbeRow: 1,
-		OnDone:          func(float64) { done = true },
-	})
+	runJoin(e, build, probe, []int{0, 1, 2, 3}, func(float64) { done = true })
 	e.Sim.Run(0.3)
 	if !done {
 		t.Fatal("join did not complete")
@@ -228,13 +233,5 @@ func TestJoinStrategyAffinities(t *testing.T) {
 		if e.Counters.MCBytes[s] == 0 {
 			t.Fatalf("socket %d idle during join", s)
 		}
-	}
-}
-
-func TestSpecString(t *testing.T) {
-	b, p := col("A", []int64{1}), col("B", []int64{1})
-	s := Spec{Build: b, Probe: p, HTSockets: []int{0}, Strategy: core.Bound}
-	if s.String() == "" {
-		t.Fatal("empty description")
 	}
 }

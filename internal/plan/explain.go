@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"numacs/internal/colstore"
 	"numacs/internal/exec"
 )
 
@@ -28,14 +29,14 @@ type PartitionPlan struct {
 }
 
 // Layout computes the replica/delta-aware partition plan of the scan's
-// primary column, one entry per physical part.
+// primary column, one entry per physical part (none for a scan without
+// predicates).
 func (s *PhysScan) Layout() []PartitionPlan {
+	if len(s.Cols) == 0 {
+		return nil
+	}
 	var out []PartitionPlan
-	for i, part := range s.Table.Parts {
-		col := part.ColumnByName(s.Column)
-		if col == nil {
-			continue
-		}
+	for i, col := range s.Cols[:len(s.Table.Parts)] {
 		pp := PartitionPlan{Part: i, Rows: col.Rows, DeltaRows: col.DeltaRows()}
 		switch {
 		case col.Replicated():
@@ -83,16 +84,16 @@ func (p *Physical) Explain() string {
 			side = " swapped"
 		}
 		fmt.Fprintf(&b, "  join[%d]: build %s.%s (est %.0f rows) probe %s.%s eff-hits=%g ht=%s%s\n",
-			i, j.BuildTable.Name, j.BuildKey, j.EstBuildRows,
-			j.ProbeTable.Name, j.ProbeKey, j.EffHits, intsLabel(j.HTSockets), side)
+			i, j.BuildTable.Name, j.BuildKey.Name, j.EstBuildRows,
+			j.ProbeTable.Name, j.ProbeKey.Name, j.EffHits, intsLabel(j.HTSockets), side)
 		renderPhysScan(&b, "    build-scan: ", j.BuildScan)
 	}
 	out := "materialize"
 	if p.Output.Aggregate {
 		out = fmt.Sprintf("aggregate bytes/row=%g cycles/row=%g", p.Output.BytesPerRow, p.Output.CyclesPerRow)
 	}
-	if len(p.Output.ProjectColumns) > 0 {
-		out += fmt.Sprintf(" project=%v", p.Output.ProjectColumns)
+	if len(p.Output.Project) > 0 {
+		out += fmt.Sprintf(" project=%v", columnNames(p.Output.Project[0], 1))
 	}
 	if p.Output.Parallel {
 		out += " parallel"
@@ -119,16 +120,19 @@ func renderPhysScan(b *strings.Builder, prefix string, s *PhysScan) {
 	if s.IndexEligible {
 		idx = "yes"
 	}
-	extra := ""
-	if len(s.ExtraPredicateColumns) > 0 {
-		extra = fmt.Sprintf(" extra=%v", s.ExtraPredicateColumns)
+	column, extra := "", ""
+	if n := len(s.Table.Parts); len(s.Cols) > 0 {
+		column = s.Cols[0].Name
+		if len(s.Cols) > n {
+			extra = fmt.Sprintf(" extra=%v", columnNames(s.Cols[n:], n))
+		}
 	}
 	mode := "serial"
 	if s.Parallel {
 		mode = "parallel"
 	}
 	fmt.Fprintf(b, "%s%s.%s sel=%g%s %s index=%s est-rows=%.1f\n",
-		prefix, s.Table.Name, s.Column, s.Selectivity, extra, mode, idx, s.EstRows)
+		prefix, s.Table.Name, column, s.Selectivity, extra, mode, idx, s.EstRows)
 	pad := strings.Repeat(" ", len(prefix)-len(strings.TrimLeft(prefix, " ")))
 	for _, pp := range s.Layout() {
 		fmt.Fprintf(b, "%s  part %d: rows=%d %s sockets=%s delta-rows=%d\n",
@@ -212,6 +216,16 @@ func nodeChildren(n Node) []Node {
 	default:
 		return nil
 	}
+}
+
+// columnNames returns the names of cols[0], cols[stride], cols[2*stride]...:
+// one name per column resolved in every part when stride is the part count.
+func columnNames(cols []*colstore.Column, stride int) []string {
+	var out []string
+	for i := 0; i < len(cols); i += stride {
+		out = append(out, cols[i].Name)
+	}
+	return out
 }
 
 // intsLabel renders an int slice as [a b c] without fmt's pointer ambiguity.

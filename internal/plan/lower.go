@@ -41,14 +41,9 @@ func (p *Physical) Lower(d Deps) []exec.Operator {
 			Cols:        bs.Cols,
 			Parallel:    bs.Parallel,
 		}
-		buildKey := pj.BuildTable.Column(pj.BuildKey)
-		probeFK := pj.ProbeTable.Column(pj.ProbeKey)
-		if buildKey == nil || probeFK == nil {
-			panic("plan: join stage names unknown columns")
-		}
 		j := &exec.JoinOp{
-			Build:             buildKey,
-			Probe:             probeFK,
+			Build:             pj.BuildKey,
+			Probe:             pj.ProbeKey,
 			HTSockets:         pj.HTSockets,
 			HitsPerProbeRow:   pj.EffHits,
 			Alloc:             d.Alloc,
@@ -62,7 +57,7 @@ func (p *Physical) Lower(d Deps) []exec.Operator {
 			// probe exchange, the hash table builds from every fact row
 			// (no BuildSource filter), and the dimension predicate — already
 			// folded into EffHits — still executes as the scan stage.
-			j.Build, j.Probe = probeFK, buildKey
+			j.Build, j.Probe = pj.ProbeKey, pj.BuildKey
 			j.BuildSource = nil
 		}
 		ops = append(ops, scan, j.BuildOp(), j.ProbeOp())
@@ -109,7 +104,7 @@ func (out *PhysOutput) fill(mat *exec.MaterializeOp, agg *exec.AggregateOp, src 
 			Source:          src,
 			BytesPerRow:     out.BytesPerRow,
 			CyclesPerRow:    out.CyclesPerRow,
-			ProjectColumns:  out.ProjectColumns,
+			Project:         out.Project,
 			Parallel:        out.Parallel,
 			DisableCoalesce: d.DisableCoalesce,
 		}
@@ -117,7 +112,7 @@ func (out *PhysOutput) fill(mat *exec.MaterializeOp, agg *exec.AggregateOp, src 
 	}
 	*mat = exec.MaterializeOp{
 		Scan:            src,
-		ProjectColumns:  out.ProjectColumns,
+		Project:         out.Project,
 		Parallel:        out.Parallel,
 		DisableCoalesce: d.DisableCoalesce,
 	}

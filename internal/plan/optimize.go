@@ -307,12 +307,10 @@ func relinkChain(output Node, chain []*JoinNode, terminal Node) {
 // parameters plus the planner's annotations (index eligibility, estimated
 // qualifying rows, partition layout).
 type PhysScan struct {
-	Table                 *colstore.Table
-	Column                string
-	Selectivity           float64
-	ExtraPredicateColumns []string
-	UseIndex              bool
-	Parallel              bool
+	Table       *colstore.Table
+	Selectivity float64
+	UseIndex    bool
+	Parallel    bool
 	// IndexEligible is the planner's advisory echo of the rule exec.ScanOp
 	// applies at Open time (exec.IndexEligible): whether this scan will run
 	// as index lookups.
@@ -320,8 +318,9 @@ type PhysScan struct {
 	// EstRows is the estimated qualifying-row count after every predicate
 	// (0 when planned without stats).
 	EstRows float64
-	// Cols is the scan's exec.ScanOp.Cols: its predicate columns resolved
-	// in every part.
+	// Cols is the scan's exec.ScanOp.Cols: its predicate columns, primary
+	// first, resolved in every part when the plan is built (EXPLAIN renders
+	// their names).
 	Cols []*colstore.Column
 }
 
@@ -332,11 +331,14 @@ type PhysJoin struct {
 	// BuildScan is the dimension filter scan feeding the build side; it is
 	// always lowered (the predicate must be evaluated even when the build
 	// side is swapped).
-	BuildScan  *PhysScan
+	BuildScan *PhysScan
+	// BuildKey is the build table's join-key column (inserted into the hash
+	// table) and ProbeKey the fact table's foreign-key column, resolved
+	// when the plan is built; a join reads single-part tables only.
 	BuildTable *colstore.Table
-	BuildKey   string
+	BuildKey   *colstore.Column
 	ProbeTable *colstore.Table
-	ProbeKey   string
+	ProbeKey   *colstore.Column
 	HTSockets  []int
 	// HitsPerProbeRow is the written per-probe-row cardinality; EffHits is
 	// the lowered rate with upstream join selectivities (and, when Swapped,
@@ -354,11 +356,14 @@ type PhysJoin struct {
 // PhysOutput is the statement's output phase.
 type PhysOutput struct {
 	// Aggregate selects aggregation over materialization.
-	Aggregate      bool
-	ProjectColumns []string
-	BytesPerRow    float64
-	CyclesPerRow   float64
-	Parallel       bool
+	Aggregate bool
+	// Project is the projection resolved per part when the plan is built:
+	// Project[i] lists part i's projected columns in the written order (nil
+	// projects nothing; a join plan projects nothing).
+	Project      [][]*colstore.Column
+	BytesPerRow  float64
+	CyclesPerRow float64
+	Parallel     bool
 }
 
 // Physical is an optimized, lowerable plan: the rewritten logical tree plus
@@ -388,14 +393,15 @@ type Physical struct {
 func finalize(ctx *Context, root Node, passes []string) *Physical {
 	p := &Physical{Root: root, Passes: passes, Notes: ctx.Notes}
 	var input Node
+	var project []string
 	switch v := root.(type) {
 	case *AggregateNode:
-		p.Output = PhysOutput{Aggregate: true, ProjectColumns: v.ProjectColumns,
+		p.Output = PhysOutput{Aggregate: true,
 			BytesPerRow: v.BytesPerRow, CyclesPerRow: v.CyclesPerRow, Parallel: v.Parallel}
-		input = v.Input
+		input, project = v.Input, v.ProjectColumns
 	case *MaterializeNode:
-		p.Output = PhysOutput{ProjectColumns: v.ProjectColumns, Parallel: v.Parallel}
-		input = v.Input
+		p.Output = PhysOutput{Parallel: v.Parallel}
+		input, project = v.Input, v.ProjectColumns
 	default:
 		panic("plan: root must be a materialize or aggregate node")
 	}
@@ -403,12 +409,16 @@ func finalize(ctx *Context, root Node, passes []string) *Physical {
 	switch v := input.(type) {
 	case *ScanNode:
 		p.Scan = physScan(ctx, v)
+		p.Output.Project = resolveProjection(v.Table, project)
 		p.Shareable = v.Parallel && !v.UseIndex && len(v.Preds) == 1 &&
 			v.Table.NumParts() == 1
 		if p.Shareable {
-			p.ShareKey = v.Table.Name + "." + p.Scan.Column
+			p.ShareKey = v.Table.Name + "." + v.Preds[0].Column
 		}
 	case *JoinNode:
+		if !p.Output.Aggregate || len(project) > 0 {
+			panic("plan: a join's output must be an aggregate without projections")
+		}
 		_, chain, terminal := joinChain(root)
 		if chain == nil {
 			panic("plan: unsupported join tree shape")
@@ -428,9 +438,9 @@ func finalize(ctx *Context, root Node, passes []string) *Physical {
 			pj := &PhysJoin{
 				BuildScan:         physScan(ctx, bs),
 				BuildTable:        bs.Table,
-				BuildKey:          j.BuildKey,
+				BuildKey:          bs.Table.Column(j.BuildKey),
 				ProbeTable:        fact.Table,
-				ProbeKey:          j.ProbeKey,
+				ProbeKey:          fact.Table.Column(j.ProbeKey),
 				HTSockets:         j.HTSockets,
 				HitsPerProbeRow:   j.HitsPerProbeRow,
 				BuildCyclesPerRow: j.BuildCyclesPerRow,
@@ -507,17 +517,36 @@ func physScan(ctx *Context, sc *ScanNode) *PhysScan {
 		EstRows:  ctx.Stats.estFilteredRows(sc),
 	}
 	if len(sc.Preds) > 0 {
-		ps.Column = sc.Preds[0].Column
 		ps.Selectivity = sc.Preds[0].Selectivity
-		for _, pr := range sc.Preds[1:] {
-			ps.ExtraPredicateColumns = append(ps.ExtraPredicateColumns, pr.Column)
+		var buf [4]string // up to four names stay off the heap
+		names := buf[:0]
+		for _, pr := range sc.Preds {
+			names = append(names, pr.Column)
 		}
-		ps.Cols = exec.ResolveColumns(sc.Table, append([]string{ps.Column}, ps.ExtraPredicateColumns...)...)
+		ps.Cols = exec.ResolveColumns(sc.Table, names...)
 		if ctx.Costs != nil && sc.UseIndex {
 			ps.IndexEligible = exec.IndexEligible(ctx.Costs, ps.Cols[0], ps.Selectivity)
 		}
 	}
 	return ps
+}
+
+// resolveProjection resolves the projected names in every part of t:
+// out[i] lists part i's columns in name order (nil for no names).
+func resolveProjection(t *colstore.Table, names []string) [][]*colstore.Column {
+	if len(names) == 0 {
+		return nil
+	}
+	cols := exec.ResolveColumns(t, names...)
+	n := len(t.Parts)
+	out := make([][]*colstore.Column, n)
+	for i := range out {
+		out[i] = make([]*colstore.Column, len(names))
+		for k := range names {
+			out[i][k] = cols[k*n+i]
+		}
+	}
+	return out
 }
 
 // selProduct multiplies a predicate list's selectivities.

@@ -64,11 +64,11 @@ func TestPushdownFoldsPredicates(t *testing.T) {
 	if sc == nil {
 		t.Fatal("no physical scan")
 	}
-	if sc.Column != "H_VAL" || sc.Selectivity != 0.01 || !sc.UseIndex || !sc.Parallel {
+	if sc.Selectivity != 0.01 || !sc.UseIndex || !sc.Parallel {
 		t.Fatalf("scan fields wrong: %+v", sc)
 	}
-	if len(sc.ExtraPredicateColumns) != 1 || sc.ExtraPredicateColumns[0] != "H_VAL" {
-		t.Fatalf("extra predicates wrong: %v", sc.ExtraPredicateColumns)
+	if !reflect.DeepEqual(sc.Cols, exec.ResolveColumns(hot, "H_VAL", "H_VAL")) {
+		t.Fatalf("predicate columns wrong: %v", sc.Cols)
 	}
 	root, ok := p.Root.(*MaterializeNode)
 	if !ok {
@@ -224,32 +224,50 @@ func TestAllReplicatedStats(t *testing.T) {
 }
 
 // TestLowerPlainMatchesHandWired pins the plain-statement lowering contract
-// at the struct level: for an aggregating and a materializing statement, the
-// emitted operators equal the hand-wired ScanOp + output-operator
-// composition field for field, with the predicate columns resolved per part.
+// at the struct level: for an aggregating and a materializing statement, and
+// a projecting one over a two-part table, the emitted operators equal the
+// hand-wired ScanOp + output-operator composition field for field, with the
+// predicate columns resolved per part and the projection resolved part by
+// part, in name order.
 func TestLowerPlainMatchesHandWired(t *testing.T) {
 	hot, _, _, _ := testSchema()
-	wantScan := &exec.ScanOp{Table: hot, Selectivity: 1e-5, Parallel: true,
+	hotScan := &exec.ScanOp{Table: hot, Selectivity: 1e-5, Parallel: true,
 		Cols: exec.ResolveColumns(hot, "H_VAL")}
+	two := colstore.NewTable("TWO", []*colstore.Column{
+		colstore.NewSynthetic("T_A", 2_000, 1<<8, false),
+		colstore.NewSynthetic("T_B", 2_000, 1<<8, false),
+		colstore.NewSynthetic("T_C", 2_000, 1<<8, false),
+	}).PhysicallyPartition(2)
+	p0, p1 := two.Parts[0], two.Parts[1]
+	twoScan := &exec.ScanOp{Table: two, Selectivity: 1e-3, Parallel: true,
+		Cols: []*colstore.Column{p0.ColumnByName("T_A"), p1.ColumnByName("T_A")}}
 	for _, tc := range []struct {
 		name string
 		st   Statement
+		scan *exec.ScanOp
 		out  exec.Operator
 	}{
 		{"aggregate", Statement{
 			Table: hot, Column: "H_VAL", Selectivity: 1e-5,
 			ProjectColumns: []string{"H_VAL"}, Parallel: true,
 			Aggregate: true, AggBytesPerRow: 8, AggCyclesPerRow: 4,
-		}, &exec.AggregateOp{
-			Source: wantScan, BytesPerRow: 8, CyclesPerRow: 4,
-			ProjectColumns: []string{"H_VAL"}, Parallel: true, DisableCoalesce: true,
+		}, hotScan, &exec.AggregateOp{
+			Source: hotScan, BytesPerRow: 8, CyclesPerRow: 4,
+			Project: [][]*colstore.Column{{hot.Column("H_VAL")}}, Parallel: true, DisableCoalesce: true,
 		}},
 		{"materialize", Statement{
 			Table: hot, Column: "H_VAL", Selectivity: 1e-5, Parallel: true,
-		}, &exec.MaterializeOp{Scan: wantScan, Parallel: true, DisableCoalesce: true}},
+		}, hotScan, &exec.MaterializeOp{Scan: hotScan, Parallel: true, DisableCoalesce: true}},
+		{"two-part projection", Statement{
+			Table: two, Column: "T_A", Selectivity: 1e-3,
+			ProjectColumns: []string{"T_C", "T_B"}, Parallel: true,
+		}, twoScan, &exec.MaterializeOp{Scan: twoScan, Project: [][]*colstore.Column{
+			{p0.ColumnByName("T_C"), p0.ColumnByName("T_B")},
+			{p1.ColumnByName("T_C"), p1.ColumnByName("T_B")},
+		}, Parallel: true, DisableCoalesce: true}},
 	} {
 		low := Optimize(BuildQuery(tc.st), nil, nil).Lower(Deps{DisableCoalesce: true})
-		want := []exec.Operator{wantScan, tc.out}
+		want := []exec.Operator{tc.scan, tc.out}
 		if !reflect.DeepEqual(low, want) {
 			t.Errorf("%s: lowered ops drifted:\n got  %+v\n want %+v", tc.name, low, want)
 		}
@@ -367,7 +385,7 @@ func TestRewritesPreserveEstimatedResult(t *testing.T) {
 		matches := func(p *Physical) float64 {
 			j := p.Joins[len(p.Joins)-1]
 			if j.Swapped {
-				cs, _ := stats.Lookup(j.BuildTable, j.BuildKey)
+				cs, _ := stats.Lookup(j.BuildTable, j.BuildKey.Name)
 				return float64(cs.Rows) * j.EffHits
 			}
 			return float64(fRows) * j.EffHits * j.BuildScan.Selectivity

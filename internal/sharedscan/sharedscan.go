@@ -75,9 +75,8 @@ type Member struct {
 	// Key identifies the shared data item (table.column); scans with equal
 	// keys may share a pass.
 	Key string
-	// Table and Column name the scanned data.
-	Table  *colstore.Table
-	Column string
+	// Column is the scanned column, of a single-part table.
+	Column *colstore.Column
 	// Selectivity is the member's range-predicate selectivity.
 	Selectivity float64
 	// Deadline is the absolute virtual time after which the statement is
@@ -423,7 +422,7 @@ func (r *Registry) launch(ks *keyState, c *cohort) {
 		return
 	}
 	leader := c.members[0]
-	c.scan.Table, c.scan.Column = leader.Table, leader.Column
+	c.scan.Column = leader.Column
 	c.scan.Selectivities = selectivities(c.scan.Selectivities[:0], c.members)
 	c.scan.FanoutCap = summedFanout(c.members)
 	c.holds = 1
@@ -466,7 +465,7 @@ func (c *cohort) mainDone() {
 		r.stats.Wraps++
 		c.holds++
 		al := c.attachers[0]
-		c.wrap.Table, c.wrap.Column, c.wrap.Fraction = al.Table, al.Column, c.maxMissed
+		c.wrap.Column, c.wrap.Fraction = al.Column, c.maxMissed
 		c.wrap.Selectivities = selectivities(c.wrap.Selectivities[:0], c.attachers)
 		c.wrap.FanoutCap = summedFanout(c.attachers)
 		if r.Decisions != nil {

@@ -329,10 +329,6 @@ func BWEMLCubes(rowsPerCube int, seed int64) []*Table {
 
 // Joins (Section 8 extension) -----------------------------------------------------------
 
-// JoinSpec describes a simulated NUMA-aware hash join, including the
-// placement of the operator-internal hash table.
-type JoinSpec = join.Spec
-
 // JoinPair is one hash-join match.
 type JoinPair = join.Pair
 
@@ -341,11 +337,6 @@ type HashTable = join.HashTable
 
 // HashJoin joins two columns on value equality (functional, fully tested).
 func HashJoin(build, probe *Column) []JoinPair { return join.HashJoin(build, probe) }
-
-// ExecuteJoin runs a NUMA-aware join on the simulated machine: build tasks
-// bound to the build data, probe tasks bound to the probe data, hash-table
-// accesses wherever JoinSpec.HTSockets placed it.
-func ExecuteJoin(e *Engine, spec JoinSpec) { join.Execute(e, spec) }
 
 // StarJoinSpec describes a composed scan -> join -> aggregate statement over
 // a star schema: a range predicate filters the dimension, the surviving keys

@@ -128,12 +128,20 @@ func TestPublicHashJoin(t *testing.T) {
 		t.Fatalf("pairs = %v", pairs)
 	}
 	engine := numacs.NewEngine(numacs.FourSocketIvyBridge(), 1)
-	engine.Placer.PlaceIVP(build, []int{0, 1})
+	dim := numacs.NewTable("DIM", []*numacs.Column{
+		numacs.BuildColumn("D_DATE", []int64{5, 6, 7}, false), build,
+	})
+	fact := numacs.NewTable("FACT", []*numacs.Column{probe})
+	for _, c := range dim.Parts[0].Columns {
+		engine.Placer.PlaceIVP(c, []int{0, 1})
+	}
 	engine.Placer.PlaceIVP(probe, []int{2, 3})
 	done := false
-	numacs.ExecuteJoin(engine, numacs.JoinSpec{
-		Build: build, Probe: probe, Strategy: numacs.Bound,
-		HitsPerProbeRow: 1, OnDone: func(float64) { done = true },
+	numacs.ExecuteStarJoin(engine, numacs.StarJoinSpec{
+		Dim: dim, DimPredicate: "D_DATE", DimKey: "dim",
+		Fact: fact, FactFK: "fact",
+		Selectivity: 1, HitsPerProbeRow: 1, AggBytesPerRow: 8, AggCyclesPerRow: 8,
+		Strategy: numacs.Bound, OnDone: func(float64) { done = true },
 	})
 	engine.Sim.Run(0.05)
 	if !done {
