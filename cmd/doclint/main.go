@@ -6,8 +6,11 @@
 //
 //	go run ./cmd/doclint ./internal/exec ./internal/adaptive
 //
-// Exit status is 1 when any symbol is undocumented, with one line per
-// finding (file:line: symbol).
+// It also fails when a given package under internal/ exports an identifier
+// that nothing outside that package's own tests references (see
+// unreferenced). Run it from the module root. Exit status is 1 when any
+// symbol is undocumented or unreferenced, with one line per finding
+// (file:line: symbol).
 package main
 
 import (
@@ -44,6 +47,16 @@ func main() {
 	}
 	if bad > 0 {
 		fmt.Fprintf(os.Stderr, "doclint: %d undocumented exported symbol(s)\n", bad)
+	}
+	unused, err := unreferenced(os.Args[1:])
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "doclint: %v\n", err)
+		os.Exit(2)
+	}
+	if unused > 0 {
+		fmt.Fprintf(os.Stderr, "doclint: %d exported symbol(s) nothing outside their package's tests references\n", unused)
+	}
+	if bad+unused > 0 {
 		os.Exit(1)
 	}
 }

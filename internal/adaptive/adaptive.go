@@ -116,8 +116,8 @@ type Config struct {
 
 // DefaultReplicaBudgetBytes is the default replica budget: 1/16 of the
 // 4 GiB-per-socket DRAM the simulated machines nominally have. Experiments
-// that model explicit DRAM capacities (Allocator.SetCapacity) should derive
-// the budget from those instead.
+// that model explicit DRAM capacities should derive the budget from those
+// instead.
 const DefaultReplicaBudgetBytes = 4 << 30 / 16
 
 // DefaultConfig returns the placer defaults.

@@ -110,9 +110,8 @@ type Clients struct {
 	BytesPerRow  float64
 	CyclesPerRow float64
 
-	rng     *rand.Rand
-	stopped bool
-	Issued  uint64
+	rng    *rand.Rand
+	Issued uint64
 }
 
 // NewQ1Clients builds the TPC-H-Q1-style population.
@@ -150,15 +149,9 @@ func (c *Clients) Start() {
 	}
 }
 
-// Stop prevents further queries.
-func (c *Clients) Stop() { c.stopped = true }
-
 // issue submits one aggregation statement: a find-phase scan feeding an
 // aggregation over its qualifying regions.
 func (c *Clients) issue(client int) {
-	if c.stopped {
-		return
-	}
 	c.Issued++
 	t := c.Tables[c.rng.Intn(len(c.Tables))]
 	c.Engine.Submit(&core.Query{

@@ -149,9 +149,6 @@ func New(cfg Config, h *hw.Hardware, s *sched.Scheduler, p *placement.Placer, co
 	return &Injector{HW: h, Sched: s, Placer: p, Columns: columns, schedule: schedule}
 }
 
-// Pending returns the number of scheduled events that have not fired yet.
-func (in *Injector) Pending() int { return len(in.schedule) - in.next }
-
 // Tick implements sim.Actor: fire every due event.
 func (in *Injector) Tick(now float64) {
 	for in.next < len(in.schedule) && in.schedule[in.next].At <= now {

@@ -118,3 +118,6 @@ func TestKindString(t *testing.T) {
 		}
 	}
 }
+
+// Pending returns the number of scheduled events that have not fired yet.
+func (in *Injector) Pending() int { return len(in.schedule) - in.next }

@@ -7,8 +7,8 @@ import (
 
 // BatchSize is the fixed number of codes a decoding batch kernel unpacks per
 // step — the vectorization unit of the chunk hot path. The decode-based loops
-// in the package (in-list scans, materialization, index and RLE builds,
-// delta-union materialization) process the indexvector one BatchSize batch at
+// in the package (materialization, index builds, delta-union
+// materialization) process the indexvector one BatchSize batch at
 // a time: a word-at-a-time unpack into a stack-resident code buffer, then
 // flat kernels over the decoded codes. The range-predicate scans go one step
 // further and never decode at all (see rangePlan). 1024 is a multiple of 64,
@@ -193,57 +193,6 @@ func (v *PackedVector) unpackAligned(from int, dst []uint32, mask uint32) {
 	}
 }
 
-// RangeSelect is the range-predicate kernel over an already-decoded code
-// batch: it scans the codes for values in [lo, hi] and writes the qualifying
-// batch-relative offsets into sel in ascending order, returning the match
-// count. The selection vector is the hand-off format between the find
-// kernels and whatever consumes the qualifying rows (position append,
-// bitvector set, materialization gather); comparing on codes means the
-// dictionary is never probed here. The packed-vector range scans use the
-// word-parallel rangePlan kernels instead of decoding; RangeSelect serves
-// consumers that already hold a decoded batch. sel must have len(codes)
-// capacity. Callers guarantee lo <= hi (an empty window is rejected before
-// the batch loop).
-func RangeSelect(codes []uint32, lo, hi uint32, sel []uint16) int {
-	span := hi - lo
-	k := 0
-	for i, c := range codes {
-		if c-lo <= span { // unsigned trick: one compare for lo <= c <= hi
-			sel[k] = uint16(i)
-			k++
-		}
-	}
-	return k
-}
-
-// RangeCount is the branchless counting variant of RangeSelect: it returns
-// how many decoded codes lie in [lo, hi] without materializing a selection
-// vector. Callers guarantee lo <= hi.
-func RangeCount(codes []uint32, lo, hi uint32) int {
-	span := uint64(hi - lo)
-	cnt := 0
-	for _, c := range codes {
-		// 1 exactly when uint32(c-lo) <= span, computed without a branch.
-		cnt += int((uint64(c-lo) - span - 1) >> 63)
-	}
-	return cnt
-}
-
-// InListSelect is the batched complex-predicate kernel: it probes every
-// decoded code against the qualifying-vid set and writes the matching
-// batch-relative offsets into sel, returning the count. sel must have
-// len(codes) capacity.
-func InListSelect(codes []uint32, set *VidSet, sel []uint16) int {
-	k := 0
-	for i, c := range codes {
-		if set.Contains(c) {
-			sel[k] = uint16(i)
-			k++
-		}
-	}
-	return k
-}
-
 // ScanShared is the N-predicate shared-scan kernel: each 64-bit window of
 // rows [from, to) is loaded and split ONCE and every member predicate is
 // evaluated on it word-parallel, appending each member's qualifying absolute
@@ -354,12 +303,4 @@ func (v *PackedVector) sharedRow(preds []SharedRange, i int, outs [][]uint32) []
 		}
 	}
 	return outs
-}
-
-// ScanSharedPositions runs the N-predicate shared-scan kernel over rows
-// [from, to) of the column: one decode per batch, every cohort member's
-// vid-window predicate evaluated on it. outs (one slice per member, grown
-// and returned) receives each member's absolute qualifying positions.
-func (c *Column) ScanSharedPositions(preds []SharedRange, from, to int, outs [][]uint32) [][]uint32 {
-	return c.IVec.ScanShared(preds, from, to, outs)
 }

@@ -90,39 +90,6 @@ func TestBatchedKernelsMatchScalar(t *testing.T) {
 		if v.CountRange(lo, hi, from, to) != v.countRangeScalar(lo, hi, from, to) {
 			return false
 		}
-		dstB := make([]uint64, (n+63)/64)
-		dstS := make([]uint64, (n+63)/64)
-		if v.ScanRangeBitvector(lo, hi, from, to, dstB) != v.scanRangeBitvectorScalar(lo, hi, from, to, dstS) {
-			return false
-		}
-		for i := range dstB {
-			if dstB[i] != dstS[i] {
-				return false
-			}
-		}
-		// In-list kernel: a set of a few pseudo-random vids. The set domain
-		// is capped (Contains handles out-of-range vids), keeping the fixture
-		// small at wide bitcases.
-		setMax := max
-		if setMax > 1<<16 {
-			setMax = 1<<16 - 1
-		}
-		set := NewVidSet(int(setMax) + 1)
-		s := seed ^ 0xdeadbeef
-		for i := 0; i < 5; i++ {
-			s = s*1664525 + 1013904223
-			set.Add(s & setMax)
-		}
-		wantIL := v.scanInListScalar(set, from, to, nil)
-		gotIL := v.ScanInList(set, from, to, nil)
-		if len(gotIL) != len(wantIL) {
-			return false
-		}
-		for i := range gotIL {
-			if gotIL[i] != wantIL[i] {
-				return false
-			}
-		}
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
@@ -278,29 +245,6 @@ func TestMergedValuesAtBatchedVsScalar(t *testing.T) {
 			if got[i] != want[i] {
 				t.Fatalf("snap %d: row %d: got %d, want %d", si, i, got[i], want[i])
 			}
-		}
-	}
-}
-
-// TestValuesWithDeltaMatchesPointLookups pins the bulk batched overlay
-// decode against the per-row point API.
-func TestValuesWithDeltaMatchesPointLookups(t *testing.T) {
-	c := deltaColumn(t, 800, 5)
-	from, to := 13, 777
-	out := make([]int64, to-from)
-	c.ValuesWithDelta(from, to, out)
-	for i := range out {
-		if want := c.ValueWithDelta(from + i); out[i] != want {
-			t.Fatalf("row %d: got %d, want %d", from+i, out[i], want)
-		}
-	}
-	// No-delta column: pure batched decode.
-	nd := Build("nd", []int64{3, 1, 4, 1, 5, 9, 2, 6}, false)
-	ndOut := make([]int64, nd.Rows)
-	nd.ValuesWithDelta(0, nd.Rows, ndOut)
-	for i := range ndOut {
-		if ndOut[i] != nd.Value(i) {
-			t.Fatalf("no-delta row %d: got %d, want %d", i, ndOut[i], nd.Value(i))
 		}
 	}
 }

@@ -44,8 +44,8 @@ func reportNsPerRow(b *testing.B, rows int) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(rows), "ns/row")
 }
 
-// BenchmarkScanPositions benchmarks the find-phase range kernel: batched
-// (UnpackBatch + RangeSelect) vs the retained scalar reference.
+// BenchmarkScanPositions benchmarks the find-phase range kernel: ScanRange's
+// word-parallel kernel vs the retained scalar reference.
 func BenchmarkScanPositions(b *testing.B) {
 	for _, bc := range []uint{4, 12, 20, 32} {
 		v, max := benchVector(bc)

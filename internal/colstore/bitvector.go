@@ -29,21 +29,6 @@ func NewPackedVector(bits uint, n int) *PackedVector {
 	return &PackedVector{bits: bits, n: n, words: make([]uint64, words+1)}
 }
 
-// PackValues builds a packed vector from a slice of values.
-func PackValues(bits uint, values []uint32) *PackedVector {
-	v := NewPackedVector(bits, len(values))
-	for i, x := range values {
-		v.Set(i, x)
-	}
-	return v
-}
-
-// Bits returns the bitcase.
-func (v *PackedVector) Bits() uint { return v.bits }
-
-// Len returns the number of values.
-func (v *PackedVector) Len() int { return v.n }
-
 // SizeBytes returns the packed size in bytes (whole words, excluding the
 // kernel padding word).
 func (v *PackedVector) SizeBytes() int64 {
@@ -140,43 +125,6 @@ func (v *PackedVector) ScanRange(lo, hi uint32, from, to int, out []uint32) []ui
 		}
 	}
 	return out
-}
-
-// ScanRangeBitvector sets a bit in dst for every position in [from, to)
-// whose value lies in [lo, hi]. dst must have at least (v.Len()+63)/64
-// words. Returns the number of matches. This is the high-selectivity result
-// format of Section 5.2.
-func (v *PackedVector) ScanRangeBitvector(lo, hi uint32, from, to int, dst []uint64) int {
-	if from < 0 || to > v.n || from > to {
-		panic(fmt.Sprintf("colstore: scan range [%d,%d) out of [0,%d)", from, to, v.n))
-	}
-	if lo > hi {
-		return 0
-	}
-	b := uint64(v.bits)
-	p := newFieldPlan(v.bits)
-	addLo, addHi := rangeAddends(v.bits, lo, hi)
-	matches := 0
-	base := from
-	bitPos := uint64(from) * b
-	for base+p.k <= to {
-		w := v.Get64(bitPos)
-		me, mo := p.rangeMasks(w&p.maskE, w>>b&p.maskO, addLo, addHi)
-		for mk := matchMask(me, mo); mk != 0; mk &= mk - 1 {
-			pos := uint(base) + uint(p.fld[bits.TrailingZeros64(mk)])
-			dst[pos/64] |= 1 << (pos % 64)
-			matches++
-		}
-		base += p.k
-		bitPos += p.step
-	}
-	for i := base; i < to; i++ {
-		if v.Get(i)-lo <= hi-lo {
-			dst[i/64] |= 1 << (uint(i) % 64)
-			matches++
-		}
-	}
-	return matches
 }
 
 // CountRange returns how many positions in [from, to) hold values in

@@ -74,7 +74,7 @@ func TestScanRangeMatchesNaive(t *testing.T) {
 }
 
 func TestScanRangeSubrange(t *testing.T) {
-	v := PackValues(8, []uint32{5, 10, 15, 20, 25, 30})
+	v := packValues(8, []uint32{5, 10, 15, 20, 25, 30})
 	got := v.ScanRange(10, 25, 2, 5, nil)
 	want := []uint32{2, 3, 4}
 	if len(got) != len(want) {
@@ -84,18 +84,6 @@ func TestScanRangeSubrange(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("got %v, want %v", got, want)
 		}
-	}
-}
-
-func TestScanRangeBitvector(t *testing.T) {
-	v := PackValues(8, []uint32{1, 200, 3, 200, 5, 200, 7})
-	dst := make([]uint64, 1)
-	n := v.ScanRangeBitvector(200, 200, 0, 7, dst)
-	if n != 3 {
-		t.Fatalf("matches = %d, want 3", n)
-	}
-	if dst[0] != (1<<1 | 1<<3 | 1<<5) {
-		t.Fatalf("bitvector = %b", dst[0])
 	}
 }
 
@@ -144,11 +132,6 @@ func TestPackedVectorProperty(t *testing.T) {
 			}
 		}
 		if cnt != len(got) {
-			return false
-		}
-		// Bitvector kernel agrees with position kernel.
-		dst := make([]uint64, (n+63)/64)
-		if v.ScanRangeBitvector(lo, hi, 0, n, dst) != cnt {
 			return false
 		}
 		return v.CountRange(lo, hi, 0, n) == cnt

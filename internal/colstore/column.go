@@ -419,37 +419,6 @@ func (c *Column) DeltaBytes() int64 {
 	return c.Delta.SizeBytes()
 }
 
-// ValueWithDelta returns the current value of a main row: the latest visible
-// delta update when one exists, the main's value otherwise. This is the
-// point-lookup form; bulk consumers use ValuesWithDelta, which decodes the
-// main store one batch at a time and touches the delta once instead of once
-// per row.
-func (c *Column) ValueWithDelta(row int) int64 {
-	if c.Delta != nil {
-		if v, ok := c.Delta.LatestUpdate(row); ok {
-			return v
-		}
-	}
-	return c.Value(row)
-}
-
-// ValuesWithDelta decodes the current values of main rows [from, to) into
-// out: the main store portion is batch-decoded (one unpack per BatchSize
-// rows), and the delta's latest visible updates are overlaid only on the
-// rows that actually have one — rows with no overlay never pay a per-row
-// delta probe or a per-row IV decode. out must have to-from capacity.
-func (c *Column) ValuesWithDelta(from, to int, out []int64) {
-	c.MaterializeRange(from, to, out)
-	if c.Delta == nil {
-		return
-	}
-	for row, u := range c.Delta.UpdatesIn(c.Delta.Snapshot()) {
-		if row >= from && row < to {
-			out[row-from] = u
-		}
-	}
-}
-
 // CountMatchesWithDelta counts the visible rows whose current value falls in
 // [loVal, hiVal]: main rows with their latest update applied, plus visible
 // delta inserts. This is the functional union-scan kernel the examples and
@@ -550,16 +519,6 @@ func (c *Column) ResizeSynthetic(rows int) {
 	c.IVec = nc.IVec
 	c.Dict = nc.Dict
 	c.Idx = nc.Idx
-}
-
-// PartitionOf returns the index of the IVP partition containing the row, or
-// 0 when the column is unpartitioned.
-func (c *Column) PartitionOf(row int) int {
-	if len(c.Partitions) == 0 {
-		return 0
-	}
-	i := sort.Search(len(c.Partitions), func(i int) bool { return c.Partitions[i] > row })
-	return i - 1
 }
 
 // NumPartitions returns the number of IVP partitions (1 when unpartitioned).

@@ -147,15 +147,6 @@ func TestPartitionHelpers(t *testing.T) {
 	if c.NumPartitions() != 3 {
 		t.Fatalf("partitions = %d", c.NumPartitions())
 	}
-	if p := c.PartitionOf(0); p != 0 {
-		t.Fatalf("PartitionOf(0) = %d", p)
-	}
-	if p := c.PartitionOf(49); p != 1 {
-		t.Fatalf("PartitionOf(49) = %d", p)
-	}
-	if p := c.PartitionOf(99); p != 2 {
-		t.Fatalf("PartitionOf(99) = %d", p)
-	}
 	if f, tt := c.PartitionBounds(1); f != 25 || tt != 50 {
 		t.Fatalf("PartitionBounds(1) = %d,%d", f, tt)
 	}

@@ -37,20 +37,13 @@ func (v *PackedVector) scanRangeScalar(lo, hi uint32, from, to int, out []uint32
 	return out
 }
 
-// scanRangeBitvectorScalar is the retained scalar reference for
-// ScanRangeBitvector.
-func (v *PackedVector) scanRangeBitvectorScalar(lo, hi uint32, from, to int, dst []uint64) int {
-	if lo > hi {
-		return 0
+// packValues builds a packed vector from a slice of values.
+func packValues(bits uint, values []uint32) *PackedVector {
+	v := NewPackedVector(bits, len(values))
+	for i, x := range values {
+		v.Set(i, x)
 	}
-	matches := 0
-	for i := from; i < to; i++ {
-		if val := v.Get(i); val >= lo && val <= hi {
-			dst[i/64] |= 1 << (uint(i) % 64)
-			matches++
-		}
-	}
-	return matches
+	return v
 }
 
 // countRangeScalar is the retained scalar reference for CountRange.
@@ -65,16 +58,6 @@ func (v *PackedVector) countRangeScalar(lo, hi uint32, from, to int) int {
 		}
 	}
 	return n
-}
-
-// scanInListScalar is the retained scalar reference for ScanInList.
-func (v *PackedVector) scanInListScalar(set *VidSet, from, to int, out []uint32) []uint32 {
-	for i := from; i < to; i++ {
-		if set.Contains(v.Get(i)) {
-			out = append(out, uint32(i))
-		}
-	}
-	return out
 }
 
 // materializeScalar is the retained scalar reference for Materialize.

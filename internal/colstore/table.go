@@ -12,9 +12,6 @@ type Part struct {
 	HomeSocket int
 }
 
-// Rows returns the number of rows in the part.
-func (p *Part) Rows() int { return p.RowTo - p.RowFrom }
-
 // ColumnByName finds a column within the part.
 func (p *Part) ColumnByName(name string) *Column {
 	for _, c := range p.Columns {

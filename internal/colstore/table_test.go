@@ -49,7 +49,7 @@ func TestPhysicalPartitionPreservesData(t *testing.T) {
 	}
 	covered := 0
 	for _, p := range pp.Parts {
-		covered += p.Rows()
+		covered += p.RowTo - p.RowFrom
 		col := p.ColumnByName("COLA")
 		for r := p.RowFrom; r < p.RowTo; r++ {
 			if col.Value(r-p.RowFrom) != orig.Value(r) {

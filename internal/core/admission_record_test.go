@@ -87,7 +87,7 @@ func TestAdmissionRecordReuse(t *testing.T) {
 	}
 	shape := func(i int) *Query {
 		q := &Query{Table: big, Column: "C", Selectivity: []float64{0, 1e-4, 1e-3}[i%3], Parallel: true,
-			Strategy: Strategy(i % 3), HomeSocket: i % 4, Tenant: fmt.Sprint("t", i%2), Class: StatementClass(i % 2)}
+			Strategy: Strategy(i % 3), HomeSocket: i % 4, Tenant: fmt.Sprint("t", i%2), Class: admit.Class(i % 2)}
 		if i%4 == 1 {
 			q.Aggregate, q.AggBytesPerRow, q.AggCyclesPerRow = true, 8, 8
 		}
@@ -122,7 +122,7 @@ func TestAdmissionRecordReuse(t *testing.T) {
 	alternations := 0
 	planClient = func(i int) {
 		again := func() { planClient(i) }
-		q := &Query{Strategy: Bound, HomeSocket: i % 4, Tenant: "p", Class: StatementClass(i % 2)}
+		q := &Query{Strategy: Bound, HomeSocket: i % 4, Tenant: "p", Class: admit.Class(i % 2)}
 		if i%2 == 0 {
 			q.Plan = plan.BuildQuery(plan.Statement{Table: big, Column: "D", Selectivity: 1e-3, Parallel: true})
 		} else {

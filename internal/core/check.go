@@ -10,14 +10,16 @@ import (
 // check panics unless every column the statement names exists in every part
 // of its table and is placed, every predicate selectivity is a number in
 // [0, 1] (a NaN would give its flows NaN work, and would never find its
-// cached plan), and every join reads single-part tables into an aggregate
-// without projections. Submit runs it before the statement is traced or
-// queued, so a bad statement fails at the API edge instead of
-// mid-simulation (an unknown predicate would panic inside ScanOp.Open, an
-// unplaced table "complete" with no memory traffic, a partitioned join
-// table panic in the planner, an unknown projection or a join's projection
-// be ignored). It reads metadata only and allocates nothing on the happy
-// path.
+// cached plan), every join reads single-part tables into an aggregate
+// without projections, and every scan a plan finds rows with (a join-free
+// plan's, a join's build side) carries a predicate. Submit runs it before
+// the statement is traced or queued, so a bad statement fails at the API
+// edge instead of mid-simulation (an unknown predicate would panic inside
+// ScanOp.Open, an unplaced table "complete" with no memory traffic, a
+// partitioned join table panic in the planner, an unknown projection or a
+// join's projection be ignored, a scan without a predicate panic where
+// the statement is planned from its first predicate column). It reads
+// metadata only and allocates nothing on the happy path.
 func check(q *Query) {
 	if q.Plan != nil {
 		walkPlan(q.Plan.Root, checkNode)
@@ -49,15 +51,20 @@ func checkNode(n plan.Node) {
 		checkJoinTable(probe)
 		checkColumns(build, v.BuildKey)
 		checkColumns(probe, v.ProbeKey)
+		checkPredicated(v.Build)
 	case *plan.AggregateNode:
 		if joins(v.Input) && len(v.ProjectColumns) > 0 {
 			panic(fmt.Sprintf("core: a join projects no columns, but its aggregate projects %v", v.ProjectColumns))
+		}
+		if !joins(v.Input) {
+			checkPredicated(v.Input)
 		}
 		checkColumns(baseTable(v), v.ProjectColumns...)
 	case *plan.MaterializeNode:
 		if joins(v.Input) {
 			panic("core: a join's output must be an aggregate, not a materialization")
 		}
+		checkPredicated(v.Input)
 		checkColumns(baseTable(v), v.ProjectColumns...)
 	}
 }
@@ -67,6 +74,31 @@ func checkNode(n plan.Node) {
 func checkJoinTable(t *colstore.Table) {
 	if t != nil && t.NumParts() != 1 {
 		panic(fmt.Sprintf("core: join table %s is physically partitioned into %d parts", t.Name, t.NumParts()))
+	}
+}
+
+// checkPredicated panics unless the scan n reads, with the filters above it,
+// carries at least one predicate: a plan finds its rows with the first one.
+func checkPredicated(n plan.Node) {
+	for {
+		switch v := n.(type) {
+		case *plan.FilterNode:
+			if len(v.Preds) > 0 {
+				return
+			}
+			n = v.Input
+		case *plan.ScanNode:
+			if len(v.Preds) == 0 {
+				name := "<nil>"
+				if v.Table != nil {
+					name = v.Table.Name
+				}
+				panic(fmt.Sprintf("core: the scan of table %s carries no predicate", name))
+			}
+			return
+		default:
+			return
+		}
 	}
 }
 

@@ -44,18 +44,8 @@ const (
 	Bound = exec.Bound
 )
 
-// StatementClass is the admission class of a statement (admit.Class): it
-// selects the load-shedding deadline when the engine runs with an admission
-// controller.
-type StatementClass = admit.Class
-
-const (
-	// OLAPClass marks heavy analytic scans (generous deadline).
-	OLAPClass = admit.OLAP
-	// InteractiveClass marks short latency-critical statements such as delta
-	// write batches (tight deadline).
-	InteractiveClass = admit.Interactive
-)
+// OLAPClass marks heavy analytic scans (generous deadline).
+const OLAPClass = admit.OLAP
 
 // Costs holds the calibrated cost-model constants.
 type Costs = exec.Costs

@@ -198,7 +198,7 @@ func runCohortRecordReuse(t *testing.T, batched bool, want string) {
 	}
 	shape := func(i, k int) *Query {
 		q := &Query{Table: big, Column: "C", Selectivity: []float64{0, 1e-4, 1e-3}[k%3], Parallel: true,
-			Strategy: Strategy(i % 3), HomeSocket: i % 4, Tenant: fmt.Sprint("t", i%2), Class: StatementClass(i % 2)}
+			Strategy: Strategy(i % 3), HomeSocket: i % 4, Tenant: fmt.Sprint("t", i%2), Class: admit.Class(i % 2)}
 		switch i % 3 {
 		case 1:
 			q.Aggregate, q.AggBytesPerRow, q.AggCyclesPerRow = true, 8, 8

@@ -44,8 +44,9 @@ func starPlan(dim, fact *colstore.Table, key string) *plan.Logical {
 // TestSubmitRejectsBadStatements: a statement naming an unknown column or a
 // column that is not placed, carrying a selectivity outside [0, 1] (NaN and
 // infinities included) on a plain statement or a plan predicate, joining a
-// physically partitioned table, or ending a join in a projection or a
-// materialization the planner cannot run, fails at
+// physically partitioned table, ending a join in a projection or a
+// materialization the planner cannot run, or scanning without a predicate
+// where a plan finds its rows (a join-free plan, a join's build side), fails at
 // Submit — before it opens a trace span or enters an admission queue —
 // instead of mid-simulation. As the last statement of a SubmitBatch, behind
 // a good one, it fails the whole batch the same way, with an admission
@@ -89,6 +90,21 @@ func TestSubmitRejectsBadStatements(t *testing.T) {
 			dim, fact := buildStarTables(e)
 			l := starPlan(dim, fact, "D_ID")
 			l.Root = &plan.MaterializeNode{Input: l.Root.(*plan.AggregateNode).Input, Parallel: true}
+			return &Query{Plan: l}
+		}},
+		{"plan materialization without a predicate", "scan of table TBL carries no predicate", func(e *Engine) *Query {
+			scan := &plan.ScanNode{Table: buildPlacedTable(e, 2, 1000, false)}
+			return &Query{Plan: &plan.Logical{Root: &plan.MaterializeNode{Input: scan}}}
+		}},
+		{"plan aggregate without a predicate", "scan of table TBL carries no predicate", func(e *Engine) *Query {
+			scan := &plan.FilterNode{Input: &plan.ScanNode{Table: buildPlacedTable(e, 2, 1000, false)}}
+			return &Query{Plan: &plan.Logical{Root: &plan.AggregateNode{Input: scan, BytesPerRow: 4}}}
+		}},
+		{"star build side without a predicate", "scan of table DIM carries no predicate", func(e *Engine) *Query {
+			dim, fact := buildStarTables(e)
+			l := starPlan(dim, fact, "D_ID")
+			j := l.Root.(*plan.AggregateNode).Input.(*plan.JoinNode)
+			j.Build = j.Build.(*plan.FilterNode).Input
 			return &Query{Plan: l}
 		}},
 	}
@@ -214,7 +230,7 @@ func TestStarQueryIsTraced(t *testing.T) {
 	dim, fact := buildStarTables(e)
 	e.Submit(&Query{
 		Plan: starPlan(dim, fact, "D_ID"), Strategy: Bound,
-		Tenant: "t", Class: InteractiveClass,
+		Tenant: "t", Class: admit.Interactive,
 	})
 	e.Sim.Run(0.05)
 	sts := tr.Statements()
@@ -222,8 +238,8 @@ func TestStarQueryIsTraced(t *testing.T) {
 		t.Fatalf("%d trace spans, want 1", len(sts))
 	}
 	st := sts[0]
-	if st.Tenant != "t" || st.Class != InteractiveClass.String() || st.Item != "FACT" {
-		t.Errorf("span identity %q/%q/%q, want t/%s/FACT", st.Tenant, st.Class, st.Item, InteractiveClass)
+	if st.Tenant != "t" || st.Class != admit.Interactive.String() || st.Item != "FACT" {
+		t.Errorf("span identity %q/%q/%q, want t/%s/FACT", st.Tenant, st.Class, st.Item, admit.Interactive)
 	}
 	if st.Done < 0 || len(st.Phases) != 4 {
 		t.Errorf("span not completed through the four star phases: done %v, %d phases", st.Done, len(st.Phases))

@@ -132,9 +132,6 @@ func (d *Delta) Sockets() int { return len(d.frags) }
 // Fragment returns the fragment of a socket.
 func (d *Delta) Fragment(socket int) *Fragment { return d.frags[socket] }
 
-// Synthetic reports whether the store tracks counts only.
-func (d *Delta) Synthetic() bool { return d.frags[0].synthetic }
-
 // nextSeq issues the next store-wide write sequence number.
 func (d *Delta) nextSeq() uint64 {
 	d.mu.Lock()
@@ -254,27 +251,6 @@ func (s Snapshot) TotalInserts() int {
 		n += r
 	}
 	return n
-}
-
-// LatestUpdate returns the latest visible value written for main row `row`
-// (store-wide sequence order across fragments), or ok=false when the row has
-// no visible update. It walks every visible entry — fine for point lookups;
-// bulk consumers (merge, union counts) use UpdatesIn instead.
-func (d *Delta) LatestUpdate(row int) (v int64, ok bool) {
-	var bestSeq uint64
-	for _, f := range d.frags {
-		f.mu.RLock()
-		for i := 0; i < f.committed; i++ {
-			e := f.entries[i]
-			if int(e.Row) == row && e.Seq > bestSeq {
-				bestSeq = e.Seq
-				v = f.values[e.Vid]
-				ok = true
-			}
-		}
-		f.mu.RUnlock()
-	}
-	return v, ok
 }
 
 // UpdatesIn returns, for every main row updated within the snapshot, its

@@ -231,3 +231,24 @@ func TestConcurrentAppendScanMerge(t *testing.T) {
 		t.Fatalf("merged %d + remaining %d != written %d", merged, d.Rows(), 4*perWriter)
 	}
 }
+
+// LatestUpdate returns the latest visible value written for main row `row`
+// (store-wide sequence order across fragments), or ok=false when the row has
+// no visible update. It walks every visible entry — fine for point lookups;
+// bulk consumers (merge, union counts) use UpdatesIn instead.
+func (d *Delta) LatestUpdate(row int) (v int64, ok bool) {
+	var bestSeq uint64
+	for _, f := range d.frags {
+		f.mu.RLock()
+		for i := 0; i < f.committed; i++ {
+			e := f.entries[i]
+			if int(e.Row) == row && e.Seq > bestSeq {
+				bestSeq = e.Seq
+				v = f.values[e.Vid]
+				ok = true
+			}
+		}
+		f.mu.RUnlock()
+	}
+	return v, ok
+}

@@ -31,8 +31,8 @@ const (
 // A record returns to the free list only inside its own OnDone, after it has
 // read next and then. This is sound because nothing outside the simulator
 // keeps a record's *sim.Flow (callers hold records only in locals while they
-// link a chain) and nothing calls sim.AbortFlow on one; an aborted record
-// would simply be dropped for the garbage collector, never reused.
+// link a chain) and the simulator has no abort path; a flow that never
+// completed would simply be dropped for the garbage collector, never reused.
 type flowRec struct {
 	sim.Flow
 	env  *Env

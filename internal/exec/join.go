@@ -7,12 +7,12 @@ import (
 	"numacs/internal/sched"
 )
 
-// Join cost defaults.
+// Join costs.
 const (
-	DefaultBuildCyclesPerRow = 25
-	DefaultProbeCyclesPerRow = 18
-	// DefaultHTMissRate: hash tables are bigger and colder than dictionaries.
-	DefaultHTMissRate = 0.5
+	buildCyclesPerRow = 25
+	probeCyclesPerRow = 18
+	// htMissRate: hash tables are bigger and colder than dictionaries.
+	htMissRate = 0.5
 	// joinStreamCyclesPerByte is the compute cost of streaming the join
 	// columns' IV bytes.
 	joinStreamCyclesPerByte = 0.3
@@ -46,11 +46,6 @@ type JoinOp struct {
 	// aggregate composition). Nil builds from every row.
 	BuildSource RegionSource
 
-	// Cost knobs (zero values take the defaults above).
-	BuildCyclesPerRow float64
-	ProbeCyclesPerRow float64
-	HTMissRate        float64
-
 	htRange   memsim.Range
 	buildFrac float64
 	regions   []Region
@@ -81,13 +76,6 @@ func (j *JoinOp) BuildOp() Operator { return (*joinBuild)(j) }
 // ProbeOp returns the probe-phase operator; it must be placed after BuildOp
 // in the pipeline.
 func (j *JoinOp) ProbeOp() Operator { return (*joinProbe)(j) }
-
-func (j *JoinOp) missRate() float64 {
-	if j.HTMissRate == 0 {
-		return DefaultHTMissRate
-	}
-	return j.HTMissRate
-}
 
 // htWeights returns the access distribution over the hash-table sockets.
 func (j *JoinOp) htWeights(env *Env) []float64 {
@@ -138,7 +126,7 @@ func (t *joinTask) Run(w *sched.Worker, done func()) {
 	// Phase B: hash-table accesses.
 	r := env.newFlow(joinHTFlow, w.Socket(), -1)
 	r.weights = append(r.weights, t.htWeights...)
-	r.randomAccess(w, float64(t.to-t.from)*t.accessesPerRow, t.cyclesPerRow, 0, t.j.missRate())
+	r.randomAccess(w, float64(t.to-t.from)*t.accessesPerRow, t.cyclesPerRow, 0, htMissRate)
 	r.per = t.cyclesPerRow
 	*link = r
 	env.runChain(head, done)
@@ -174,11 +162,7 @@ func (b *joinBuild) Open(p *Pipeline) []Task {
 	} else {
 		j.htRange = j.Alloc.Alloc(htBytes, memsim.Interleaved{Sockets: j.HTSockets})
 	}
-	cycles := j.BuildCyclesPerRow
-	if cycles == 0 {
-		cycles = DefaultBuildCyclesPerRow
-	}
-	return j.fanOut(p, j.Build, cycles, j.buildFrac, j.buildFrac)
+	return j.fanOut(p, j.Build, buildCyclesPerRow, j.buildFrac, j.buildFrac)
 }
 
 func (b *joinBuild) Close(*Pipeline) {}
@@ -202,11 +186,7 @@ func (pr *joinProbe) Open(p *Pipeline) []Task {
 			Matches: int(float64(part.To-part.From)*effHits + 0.5),
 		})
 	}
-	cycles := j.ProbeCyclesPerRow
-	if cycles == 0 {
-		cycles = DefaultProbeCyclesPerRow
-	}
-	return j.fanOut(p, j.Probe, cycles, accesses, 1)
+	return j.fanOut(p, j.Probe, probeCyclesPerRow, accesses, 1)
 }
 
 // Close releases the operator-internal hash table at the probe barrier.

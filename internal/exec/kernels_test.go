@@ -215,7 +215,7 @@ func SharedScanKernel(col *colstore.Column, preds [][2]int64, spans []KernelSpan
 		ranges[i] = colstore.SharedRange{Lo: lo, Hi: hi}
 	}
 	for _, sp := range spans {
-		outs = col.ScanSharedPositions(ranges, sp.From, sp.To, outs)
+		outs = col.IVec.ScanShared(ranges, sp.From, sp.To, outs)
 	}
 	return outs
 }

@@ -234,12 +234,6 @@ func (h *Hardware) RandomDemandsInto(buf []sim.Demand, src int, dstWeights []flo
 	return demands, rateCap, lt
 }
 
-// ComputeDemands returns the demand vector for a pure compute flow (units
-// are cycles) and its rate cap (one thread retires at most FreqHz cycles/s).
-func (h *Hardware) ComputeDemands(core sim.ResourceID) ([]sim.Demand, float64) {
-	return []sim.Demand{{Resource: core, Weight: 1}}, h.Machine.FreqHz
-}
-
 // SetMCScale scales one socket's memory-controller capacity to factor x the
 // machine's nominal MCBandwidth, taking effect at the next allocation. The
 // chaos layer's thermal-throttling events drive it; factor 1 restores the

@@ -278,3 +278,9 @@ func TestRandomDemandsAllocatesOnce(t *testing.T) {
 		}
 	}
 }
+
+// ComputeDemands returns the demand vector for a pure compute flow (units
+// are cycles) and its rate cap (one thread retires at most FreqHz cycles/s).
+func (h *Hardware) ComputeDemands(core sim.ResourceID) ([]sim.Demand, float64) {
+	return []sim.Demand{{Resource: core, Weight: 1}}, h.Machine.FreqHz
+}

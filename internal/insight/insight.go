@@ -24,9 +24,9 @@
 //     overlapping incidents for progress stalls.
 //
 // Analyze is a pure function of the recorded data: it reads the trace and
-// builds a report, touching no engine state, so it runs identically online
-// (harness auto-triage on a finished run) and offline (a ReadJSONL'd dump
-// from a CI artifact).
+// builds a report, touching no engine state, so it runs identically on a
+// live run (harness auto-triage on a finished run) and on any trace.Data
+// built elsewhere.
 package insight
 
 import (
@@ -141,7 +141,7 @@ func (r *TriageReport) FailedVerdicts() int {
 // detection, SLO evaluation — over one recorder dump with the default
 // analyzer tuning. It is a pure function of its inputs: no engine state is
 // read or written, so it applies equally to a live run's Data() and to a
-// ReadJSONL'd artifact.
+// Data built by hand.
 func Analyze(d *trace.Data, spec SLOSpec) *TriageReport {
 	return AnalyzeWith(d, spec, Config{})
 }

@@ -25,12 +25,11 @@ import (
 // HashTable is an open-addressing hash table from join-key values to build-
 // side row ids (multi-map: repeated keys chain through the overflow list).
 type HashTable struct {
-	mask    uint64
-	keys    []int64
-	rows    []uint32
-	used    []bool
-	next    []int32 // overflow chain per slot, -1 terminated
-	entries int
+	mask uint64
+	keys []int64
+	rows []uint32
+	used []bool
+	next []int32 // overflow chain per slot, -1 terminated
 }
 
 // BuildHashTable hashes every row of the build column.
@@ -71,15 +70,6 @@ func (ht *HashTable) insert(key int64, row uint32) {
 	ht.keys[slot] = key
 	ht.rows[slot] = row
 	ht.used[slot] = true
-	ht.entries++
-}
-
-// Entries returns the number of build rows stored.
-func (ht *HashTable) Entries() int { return ht.entries }
-
-// SizeBytes returns the table's memory footprint.
-func (ht *HashTable) SizeBytes() int64 {
-	return int64(len(ht.keys))*(8+4+4) + int64(len(ht.used))
 }
 
 // ProbeValue appends the build rows whose key equals v.

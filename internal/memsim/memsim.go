@@ -111,13 +111,6 @@ func NewAllocator(sockets int) *Allocator {
 	}
 }
 
-// Sockets returns the number of sockets the allocator manages.
-func (a *Allocator) Sockets() int { return a.sockets }
-
-// SetCapacity limits each socket to the given number of pages (0 removes
-// the limit). Existing placements are not revisited.
-func (a *Allocator) SetCapacity(pagesPerSocket int64) { a.capacity = pagesPerSocket }
-
 // hasRoom reports whether a socket can take another page.
 func (a *Allocator) hasRoom(s int) bool {
 	return a.capacity == 0 || a.perSocket[s] < a.capacity
@@ -297,34 +290,6 @@ func (a *Allocator) MajoritySocket(r Range) int {
 		}
 	}
 	return best
-}
-
-// Runs returns the range's pages as maximal runs of consecutive pages on the
-// same socket: a compact summary used by the PSM build algorithm.
-func (a *Allocator) Runs(r Range) []Run {
-	var runs []Run
-	first := r.Start.PageIndex()
-	for i := int64(0); i < r.Pages(); i++ {
-		p := first + uint64(i)
-		s, ok := a.pages[p]
-		if !ok {
-			continue
-		}
-		if n := len(runs); n > 0 && runs[n-1].Socket == int(s) &&
-			runs[n-1].FirstPage+uint64(runs[n-1].NPages) == p {
-			runs[n-1].NPages++
-		} else {
-			runs = append(runs, Run{FirstPage: p, NPages: 1, Socket: int(s)})
-		}
-	}
-	return runs
-}
-
-// Run is a maximal sequence of consecutive pages resident on one socket.
-type Run struct {
-	FirstPage uint64
-	NPages    uint32
-	Socket    int
 }
 
 func (a *Allocator) checkSocket(s int) {

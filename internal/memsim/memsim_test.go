@@ -260,3 +260,35 @@ func TestCapacityFreeMakesRoom(t *testing.T) {
 		t.Fatalf("unexpected fallbacks: %d", a.Fallbacks)
 	}
 }
+
+// SetCapacity limits each socket to the given number of pages (0 removes
+// the limit). Existing placements are not revisited.
+func (a *Allocator) SetCapacity(pagesPerSocket int64) { a.capacity = pagesPerSocket }
+
+// Runs returns the range's pages as maximal runs of consecutive pages on the
+// same socket: a compact summary used by the PSM build algorithm.
+func (a *Allocator) Runs(r Range) []Run {
+	var runs []Run
+	first := r.Start.PageIndex()
+	for i := int64(0); i < r.Pages(); i++ {
+		p := first + uint64(i)
+		s, ok := a.pages[p]
+		if !ok {
+			continue
+		}
+		if n := len(runs); n > 0 && runs[n-1].Socket == int(s) &&
+			runs[n-1].FirstPage+uint64(runs[n-1].NPages) == p {
+			runs[n-1].NPages++
+		} else {
+			runs = append(runs, Run{FirstPage: p, NPages: 1, Socket: int(s)})
+		}
+	}
+	return runs
+}
+
+// Run is a maximal sequence of consecutive pages resident on one socket.
+type Run struct {
+	FirstPage uint64
+	NPages    uint32
+	Socket    int
+}

@@ -120,15 +120,6 @@ func (c *Counters) MeanFreeWorkers() float64 {
 	return c.SatFreeSum / float64(c.SatSamples)
 }
 
-// MeanParkedWorkers returns the mean parked-worker count over the saturation
-// samples.
-func (c *Counters) MeanParkedWorkers() float64 {
-	if c.SatSamples == 0 {
-		return 0
-	}
-	return c.SatParkedSum / float64(c.SatSamples)
-}
-
 // MeanQueuedTasks returns the mean machine-wide task-queue depth over the
 // saturation samples.
 func (c *Counters) MeanQueuedTasks() float64 {

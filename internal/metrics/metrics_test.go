@@ -181,7 +181,7 @@ func TestSaturationCounters(t *testing.T) {
 	if got := c.MeanFreeWorkers(); got != 5 {
 		t.Fatalf("mean free = %v, want 5", got)
 	}
-	if got := c.MeanParkedWorkers(); got != 1 {
+	if got := c.SatParkedSum / float64(c.SatSamples); got != 1 {
 		t.Fatalf("mean parked = %v, want 1", got)
 	}
 	if got := c.MeanQueuedTasks(); got != 12.5 {

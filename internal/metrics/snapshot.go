@@ -49,13 +49,6 @@ func (c *Counters) Snapshot() Snapshot {
 	}
 }
 
-// DeltaSince returns the counter growth since prev (a snapshot taken earlier
-// on the same Counters). A zero-value prev yields the current totals, so the
-// first window of a sampling loop needs no special case.
-func (c *Counters) DeltaSince(prev Snapshot) Snapshot {
-	return c.Snapshot().Sub(prev)
-}
-
 // Sub returns s - prev field by field. Slices shorter than s's (notably the
 // nil slices of a zero-value Snapshot) are treated as zeros.
 func (s Snapshot) Sub(prev Snapshot) Snapshot {

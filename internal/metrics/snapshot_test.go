@@ -3,7 +3,7 @@ package metrics
 import "testing"
 
 // TestSnapshotDelta: snapshots are value copies (later counter mutation does
-// not leak in) and DeltaSince returns the per-field growth.
+// not leak in) and Sub of an earlier snapshot returns the per-field growth.
 func TestSnapshotDelta(t *testing.T) {
 	c := New(2)
 	c.AddMemoryTraffic(0, 0, 100, 10, 20) // local on socket 0
@@ -31,7 +31,7 @@ func TestSnapshotDelta(t *testing.T) {
 		t.Fatalf("snapshot aliased the live counters: %+v", first)
 	}
 
-	d := c.DeltaSince(first)
+	d := c.Snapshot().Sub(first)
 	if d.MCBytes[0] != 0 || d.MCBytes[1] != 36 {
 		t.Fatalf("delta MCBytes: %v", d.MCBytes)
 	}
@@ -46,7 +46,7 @@ func TestSnapshotDelta(t *testing.T) {
 	}
 
 	// A zero-value prev yields the running totals (first-window case).
-	full := c.DeltaSince(Snapshot{})
+	full := c.Snapshot().Sub(Snapshot{})
 	if full.MCBytes[0] != 100 || full.MCBytes[1] != 100 || full.QueriesDone != 3 {
 		t.Fatalf("zero-prev delta: %+v", full)
 	}

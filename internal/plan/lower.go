@@ -42,15 +42,12 @@ func (p *Physical) Lower(d Deps) []exec.Operator {
 			Parallel:    bs.Parallel,
 		}
 		j := &exec.JoinOp{
-			Build:             pj.BuildKey,
-			Probe:             pj.ProbeKey,
-			HTSockets:         pj.HTSockets,
-			HitsPerProbeRow:   pj.EffHits,
-			Alloc:             d.Alloc,
-			BuildSource:       scan,
-			BuildCyclesPerRow: pj.BuildCyclesPerRow,
-			ProbeCyclesPerRow: pj.ProbeCyclesPerRow,
-			HTMissRate:        pj.HTMissRate,
+			Build:           pj.BuildKey,
+			Probe:           pj.ProbeKey,
+			HTSockets:       pj.HTSockets,
+			HitsPerProbeRow: pj.EffHits,
+			Alloc:           d.Alloc,
+			BuildSource:     scan,
 		}
 		if pj.Swapped {
 			// The costed build side is the unfiltered fact column: build and

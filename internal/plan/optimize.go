@@ -343,12 +343,9 @@ type PhysJoin struct {
 	// HitsPerProbeRow is the written per-probe-row cardinality; EffHits is
 	// the lowered rate with upstream join selectivities (and, when Swapped,
 	// the side exchange) folded in.
-	HitsPerProbeRow   float64
-	EffHits           float64
-	BuildCyclesPerRow float64
-	ProbeCyclesPerRow float64
-	HTMissRate        float64
-	Swapped           bool
+	HitsPerProbeRow float64
+	EffHits         float64
+	Swapped         bool
 	// EstBuildRows is the estimated hash-table cardinality.
 	EstBuildRows float64
 }
@@ -436,18 +433,15 @@ func finalize(ctx *Context, root Node, passes []string) *Physical {
 				panic("plan: join build side must fold to a scan")
 			}
 			pj := &PhysJoin{
-				BuildScan:         physScan(ctx, bs),
-				BuildTable:        bs.Table,
-				BuildKey:          bs.Table.Column(j.BuildKey),
-				ProbeTable:        fact.Table,
-				ProbeKey:          fact.Table.Column(j.ProbeKey),
-				HTSockets:         j.HTSockets,
-				HitsPerProbeRow:   j.HitsPerProbeRow,
-				BuildCyclesPerRow: j.BuildCyclesPerRow,
-				ProbeCyclesPerRow: j.ProbeCyclesPerRow,
-				HTMissRate:        j.HTMissRate,
-				Swapped:           j.Swapped,
-				EstBuildRows:      ctx.Stats.estFilteredRows(bs),
+				BuildScan:       physScan(ctx, bs),
+				BuildTable:      bs.Table,
+				BuildKey:        bs.Table.Column(j.BuildKey),
+				ProbeTable:      fact.Table,
+				ProbeKey:        fact.Table.Column(j.ProbeKey),
+				HTSockets:       j.HTSockets,
+				HitsPerProbeRow: j.HitsPerProbeRow,
+				Swapped:         j.Swapped,
+				EstBuildRows:    ctx.Stats.estFilteredRows(bs),
 			}
 			// Effective probe hit rate: the written rate, scaled by the
 			// upstream joins' (selectivity x hits) products so intermediate

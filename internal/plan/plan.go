@@ -87,11 +87,6 @@ type JoinNode struct {
 	// HTSockets places the operator-internal hash table (empty defaults to
 	// the build column's majority socket, decided inside the operator).
 	HTSockets []int
-	// Cost knobs forwarded to the exec operator (zero values take the
-	// operator defaults).
-	BuildCyclesPerRow float64
-	ProbeCyclesPerRow float64
-	HTMissRate        float64
 	// Swapped is set by the build-side pass when the costed build side is
 	// the written probe side: the hash table builds from the unfiltered fact
 	// column and the dimension key becomes the probe stream, with the

@@ -27,10 +27,6 @@ type ColumnStats struct {
 	Placed bool
 }
 
-// BytesPerRow is the compressed main-store bytes one row of the column
-// streams during a scan.
-func (c ColumnStats) BytesPerRow() float64 { return float64(c.Bitcase) / 8 }
-
 // Stats is the planner's statistics catalog, keyed by table.column. Collect
 // builds one from live tables; a nil *Stats is valid everywhere and yields
 // zero ColumnStats (the empty-stats edge the optimizer tests pin).

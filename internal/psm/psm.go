@@ -386,62 +386,10 @@ func (p *PSM) NumRanges() int { return len(p.ranges) }
 // 360 bits per stored range plus an 8192-bit summary vector.
 func (p *PSM) SizeBits() int { return entryBits*len(p.ranges) + summaryBits }
 
-// Clone returns a deep copy.
-func (p *PSM) Clone() *PSM {
-	q := &PSM{summary: p.summary}
-	q.ranges = make([]rangeEntry, len(p.ranges))
-	copy(q.ranges, p.ranges)
-	for i := range q.ranges {
-		if q.ranges[i].pattern != nil {
-			pat := make([]uint8, len(q.ranges[i].pattern))
-			copy(pat, q.ranges[i].pattern)
-			q.ranges[i].pattern = pat
-		}
-	}
-	return q
-}
-
-// AddPSM merges another PSM's ranges into p (pages already present win).
-func (p *PSM) AddPSM(q *PSM) {
-	for _, e := range q.ranges {
-		for pg := e.firstPage; pg <= e.lastPage(); pg++ {
-			if p.contains(pg) {
-				continue
-			}
-			p.insert(rangeEntry{firstPage: pg, nPages: 1, socket: uint8(e.socketOfPage(pg))})
-		}
-	}
-}
-
-// Subset returns a new PSM restricted to the pages of the given range.
-func (p *PSM) Subset(r memsim.Range) *PSM {
-	q := p.Clone()
-	first := r.Start.PageIndex()
-	last := (r.End() - 1).PageIndex()
-	if r.Bytes == 0 {
-		return New()
-	}
-	// Remove everything before and after.
-	if first > 0 {
-		q.Remove(memsim.Range{Start: 0, Bytes: int64(first) * memsim.PageSize})
-	}
-	q.Remove(memsim.Range{Start: memsim.Addr((last + 1) * memsim.PageSize), Bytes: 1 << 50})
-	return q
-}
-
 // MoveRange migrates the pages of the virtual range to the target socket via
 // the allocator and updates the PSM in place.
 func (p *PSM) MoveRange(alloc *memsim.Allocator, r memsim.Range, to int) int64 {
 	moved := alloc.MovePages(r, to)
-	p.Remove(r)
-	p.Add(alloc, r)
-	return moved
-}
-
-// InterleaveRange re-places the pages of the range round-robin across the
-// given sockets via the allocator and updates the PSM in place.
-func (p *PSM) InterleaveRange(alloc *memsim.Allocator, r memsim.Range, sockets []int) int64 {
-	moved := alloc.InterleavePages(r, sockets)
 	p.Remove(r)
 	p.Add(alloc, r)
 	return moved

@@ -331,28 +331,6 @@ func (s *Scheduler) SetSocketOnline(socket int, online bool) int {
 	return len(drained)
 }
 
-// QueuedTasks returns the machine-wide queue depth.
-func (s *Scheduler) QueuedTasks() int {
-	n := 0
-	for _, tg := range s.TGs {
-		n += tg.QueuedTasks()
-	}
-	return n
-}
-
-// WorkingWorkers returns the number of workers currently executing tasks.
-func (s *Scheduler) WorkingWorkers() int {
-	n := 0
-	for _, tg := range s.TGs {
-		for _, w := range tg.Workers {
-			if w.State == Working {
-				n++
-			}
-		}
-	}
-	return n
-}
-
 // Saturation is a point-in-time scheduler saturation snapshot: worker-state
 // counts and thread-group queue depths. It is the signal the admission
 // controller's elastic concurrency loop feeds on (free workers and shallow
@@ -366,9 +344,6 @@ type Saturation struct {
 	// deepest thread group's queued tasks (normal + hard).
 	Queued, MaxDepth int
 }
-
-// Workers returns the total worker count of the snapshot.
-func (s Saturation) Workers() int { return s.Working + s.Free + s.Parked + s.Inactive }
 
 // Saturation takes a saturation snapshot of all thread groups. It allocates
 // nothing.
@@ -392,32 +367,6 @@ func (s *Scheduler) Saturation() Saturation {
 		}
 	}
 	return snap
-}
-
-// FreeWorkers returns the number of workers in the Free state.
-func (s *Scheduler) FreeWorkers() int {
-	n := 0
-	for _, tg := range s.TGs {
-		for _, w := range tg.Workers {
-			if w.State == Free {
-				n++
-			}
-		}
-	}
-	return n
-}
-
-// ParkedWorkers returns the number of workers in the Parked state.
-func (s *Scheduler) ParkedWorkers() int {
-	n := 0
-	for _, tg := range s.TGs {
-		for _, w := range tg.Workers {
-			if w.State == Parked {
-				n++
-			}
-		}
-	}
-	return n
 }
 
 // SocketQueueDepths returns the queued-task count per socket (thread-group

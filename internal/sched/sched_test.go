@@ -337,3 +337,57 @@ func TestTaskStartFinishAllocatesNothing(t *testing.T) {
 		t.Fatalf("Then ran %d times over 102 tasks", thens)
 	}
 }
+
+// The scheduler observers below are the tests' view of worker and queue
+// state; the engine reads the same state through Saturation.
+
+// QueuedTasks returns the machine-wide queue depth.
+func (s *Scheduler) QueuedTasks() int {
+	n := 0
+	for _, tg := range s.TGs {
+		n += tg.QueuedTasks()
+	}
+	return n
+}
+
+// WorkingWorkers returns the number of workers currently executing tasks.
+func (s *Scheduler) WorkingWorkers() int {
+	n := 0
+	for _, tg := range s.TGs {
+		for _, w := range tg.Workers {
+			if w.State == Working {
+				n++
+			}
+		}
+	}
+	return n
+}
+
+// Workers returns the total worker count of the snapshot.
+func (s Saturation) Workers() int { return s.Working + s.Free + s.Parked + s.Inactive }
+
+// FreeWorkers returns the number of workers in the Free state.
+func (s *Scheduler) FreeWorkers() int {
+	n := 0
+	for _, tg := range s.TGs {
+		for _, w := range tg.Workers {
+			if w.State == Free {
+				n++
+			}
+		}
+	}
+	return n
+}
+
+// ParkedWorkers returns the number of workers in the Parked state.
+func (s *Scheduler) ParkedWorkers() int {
+	n := 0
+	for _, tg := range s.TGs {
+		for _, w := range tg.Workers {
+			if w.State == Parked {
+				n++
+			}
+		}
+	}
+	return n
+}

@@ -49,9 +49,6 @@ type Flow struct {
 	frozen bool // scratch for the allocator
 }
 
-// Rate reports the most recently allocated rate (units/s).
-func (f *Flow) Rate() float64 { return f.rate }
-
 // Actor is ticked once per engine step, before rate allocation. The
 // scheduler, clients, the watchdog, and the adaptive data placer are actors.
 type Actor interface {
@@ -213,20 +210,6 @@ func (e *Engine) StartFlow(f *Flow) {
 	f.seq = e.nextSeq
 	e.nextSeq++
 	e.flows = append(e.flows, f)
-}
-
-// AbortFlow deactivates a flow without firing OnDone.
-func (e *Engine) AbortFlow(f *Flow) {
-	if !f.active {
-		return
-	}
-	f.active = false
-	for i, g := range e.flows {
-		if g == f {
-			e.flows = append(e.flows[:i], e.flows[i+1:]...)
-			return
-		}
-	}
 }
 
 // ActiveFlows returns the number of currently active flows.

@@ -317,3 +317,20 @@ func (r *trand) next() uint64 {
 func (r *trand) intn(n int) int { return int(r.next() % uint64(n)) }
 
 func (r *trand) f64() float64 { return float64(r.next()%1_000_000) / 1_000_000 }
+
+// Rate reports the most recently allocated rate (units/s).
+func (f *Flow) Rate() float64 { return f.rate }
+
+// AbortFlow deactivates a flow without firing OnDone.
+func (e *Engine) AbortFlow(f *Flow) {
+	if !f.active {
+		return
+	}
+	f.active = false
+	for i, g := range e.flows {
+		if g == f {
+			e.flows = append(e.flows[:i], e.flows[i+1:]...)
+			return
+		}
+	}
+}

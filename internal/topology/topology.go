@@ -110,8 +110,6 @@ type Machine struct {
 	routes [][][]int // src socket -> dst socket -> link indices along route
 	hops   [][]int   // src -> dst -> number of links
 	lat    [][]float64
-
-	outLinks [][]int // socket -> indices of links leaving that socket
 }
 
 // TotalThreads returns the number of hardware contexts of the machine.
@@ -135,26 +133,10 @@ func (m *Machine) Hops(src, dst int) int { return m.hops[src][dst] }
 // src to memory on socket dst.
 func (m *Machine) Latency(src, dst int) float64 { return m.lat[src][dst] }
 
-// SocketLinks returns the indices of links leaving the given socket.
-func (m *Machine) SocketLinks(s int) []int { return m.outLinks[s] }
-
 // StreamRate returns the per-hardware-thread streaming bandwidth bound in
 // bytes/s for accesses from socket src to memory on socket dst.
 func (m *Machine) StreamRate(src, dst int) float64 {
 	return CacheLine * m.MLP / m.Latency(src, dst)
-}
-
-// MaxHops returns the diameter of the socket graph in links.
-func (m *Machine) MaxHops() int {
-	max := 0
-	for s := 0; s < m.Sockets; s++ {
-		for d := 0; d < m.Sockets; d++ {
-			if m.hops[s][d] > max {
-				max = m.hops[s][d]
-			}
-		}
-	}
-	return max
 }
 
 // Finalize computes routes, hop counts, and latencies from the link graph.
@@ -174,9 +156,7 @@ func (m *Machine) Finalize() error {
 	m.routes = make([][][]int, m.Sockets)
 	m.hops = make([][]int, m.Sockets)
 	m.lat = make([][]float64, m.Sockets)
-	m.outLinks = make([][]int, m.Sockets)
 	for s := 0; s < m.Sockets; s++ {
-		m.outLinks[s] = adj[s]
 		m.routes[s] = make([][]int, m.Sockets)
 		m.hops[s] = make([]int, m.Sockets)
 		m.lat[s] = make([]float64, m.Sockets)
@@ -381,35 +361,6 @@ func HierarchicalIvyBridge(blades int) *Machine {
 	}
 	links = mesh(links, routers, 9.8*linkRawFactor*GiB)
 	m.Links = links
-	if err := m.Finalize(); err != nil {
-		panic(err)
-	}
-	return m
-}
-
-// Uniform builds a simple fully-interconnected machine, mainly for tests.
-func Uniform(sockets, coresPerSocket int, mcGiBs, linkGiBs float64) *Machine {
-	m := &Machine{
-		Name:           fmt.Sprintf("uniform-%ds", sockets),
-		Sockets:        sockets,
-		CoresPerSocket: coresPerSocket,
-		ThreadsPerCore: 2,
-		FreqHz:         2.5e9,
-		MCBandwidth:    mcGiBs * GiB,
-		Nodes:          sockets,
-		LocalLatency:   150e-9,
-		HopLatency:     90e-9,
-		Coherence:      Directory,
-		LinkDataFactor: 1.35,
-		MLP:            10,
-		RandomMLP:      4,
-		HTEfficiency:   1.25,
-	}
-	nodes := make([]int, sockets)
-	for i := range nodes {
-		nodes[i] = i
-	}
-	m.Links = mesh(nil, nodes, linkGiBs*GiB)
 	if err := m.Finalize(); err != nil {
 		panic(err)
 	}

@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"fmt"
 	"math"
 	"testing"
 )
@@ -139,15 +140,15 @@ func TestStreamRateLocalFasterThanRemote(t *testing.T) {
 
 func TestSocketLinksLeaveSocket(t *testing.T) {
 	m := ThirtyTwoSocketIvyBridge()
-	for s := 0; s < m.Sockets; s++ {
-		ls := m.SocketLinks(s)
-		if len(ls) == 0 {
-			t.Fatalf("socket %d has no outgoing links", s)
+	out := make([]int, m.Sockets)
+	for _, l := range m.Links {
+		if l.From < m.Sockets {
+			out[l.From]++
 		}
-		for _, li := range ls {
-			if m.Links[li].From != s {
-				t.Fatalf("link %d does not leave socket %d", li, s)
-			}
+	}
+	for s, n := range out {
+		if n == 0 {
+			t.Fatalf("socket %d has no outgoing links", s)
 		}
 	}
 }
@@ -175,4 +176,46 @@ func TestUniformBuilder(t *testing.T) {
 	if m.MCBandwidth != 10*GiB {
 		t.Fatalf("MC bandwidth = %v", m.MCBandwidth)
 	}
+}
+
+// MaxHops returns the diameter of the socket graph in links.
+func (m *Machine) MaxHops() int {
+	max := 0
+	for s := 0; s < m.Sockets; s++ {
+		for d := 0; d < m.Sockets; d++ {
+			if m.hops[s][d] > max {
+				max = m.hops[s][d]
+			}
+		}
+	}
+	return max
+}
+
+// Uniform builds a simple fully-interconnected machine, mainly for tests.
+func Uniform(sockets, coresPerSocket int, mcGiBs, linkGiBs float64) *Machine {
+	m := &Machine{
+		Name:           fmt.Sprintf("uniform-%ds", sockets),
+		Sockets:        sockets,
+		CoresPerSocket: coresPerSocket,
+		ThreadsPerCore: 2,
+		FreqHz:         2.5e9,
+		MCBandwidth:    mcGiBs * GiB,
+		Nodes:          sockets,
+		LocalLatency:   150e-9,
+		HopLatency:     90e-9,
+		Coherence:      Directory,
+		LinkDataFactor: 1.35,
+		MLP:            10,
+		RandomMLP:      4,
+		HTEfficiency:   1.25,
+	}
+	nodes := make([]int, sockets)
+	for i := range nodes {
+		nodes[i] = i
+	}
+	m.Links = mesh(nil, nodes, linkGiBs*GiB)
+	if err := m.Finalize(); err != nil {
+		panic(err)
+	}
+	return m
 }

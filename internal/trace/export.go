@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -21,8 +20,8 @@ type tagged struct {
 // WriteJSONL writes the recorder content as JSON lines: a leading meta line
 // (schema version, run id, socket count, decision-ring drop counts), then one
 // object per statement, decision, and sample, each tagged with a "type"
-// field. ReadJSONL parses the format back and rejects dumps whose schema
-// version does not match this build's.
+// field. The package tests parse the format back (their readJSONL oracle)
+// and reject dumps whose schema version does not match this build's.
 func (d *Data) WriteJSONL(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	m := d.Meta
@@ -48,71 +47,6 @@ func (d *Data) WriteJSONL(w io.Writer) error {
 		}
 	}
 	return nil
-}
-
-// ReadJSONL parses a WriteJSONL dump back into Data. The first line must be
-// the meta line and its schema version must equal SchemaVersion — triage
-// tooling uses the error to reject dumps written by an incompatible build
-// instead of misreading them. Unknown record types are skipped, so a newer
-// writer that only *adds* record kinds stays readable after a version bump.
-func ReadJSONL(r io.Reader) (*Data, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<24)
-	d := &Data{}
-	first := true
-	for sc.Scan() {
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
-		var env struct {
-			Type string          `json:"type"`
-			Rec  json.RawMessage `json:"rec"`
-		}
-		if err := json.Unmarshal(line, &env); err != nil {
-			return nil, fmt.Errorf("trace: bad JSONL line: %w", err)
-		}
-		if first {
-			if env.Type != "meta" {
-				return nil, fmt.Errorf("trace: dump does not start with a meta line (got %q)", env.Type)
-			}
-			if err := json.Unmarshal(env.Rec, &d.Meta); err != nil {
-				return nil, fmt.Errorf("trace: bad meta line: %w", err)
-			}
-			if d.Meta.Schema != SchemaVersion {
-				return nil, fmt.Errorf("trace: dump schema v%d, this build reads v%d", d.Meta.Schema, SchemaVersion)
-			}
-			first = false
-			continue
-		}
-		switch env.Type {
-		case "statement":
-			var s Statement
-			if err := json.Unmarshal(env.Rec, &s); err != nil {
-				return nil, fmt.Errorf("trace: bad statement line: %w", err)
-			}
-			d.Statements = append(d.Statements, &s)
-		case "decision":
-			var dec Decision
-			if err := json.Unmarshal(env.Rec, &dec); err != nil {
-				return nil, fmt.Errorf("trace: bad decision line: %w", err)
-			}
-			d.Decisions = append(d.Decisions, dec)
-		case "sample":
-			var smp Sample
-			if err := json.Unmarshal(env.Rec, &smp); err != nil {
-				return nil, fmt.Errorf("trace: bad sample line: %w", err)
-			}
-			d.Samples = append(d.Samples, smp)
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	if first {
-		return nil, fmt.Errorf("trace: empty dump (no meta line)")
-	}
-	return d, nil
 }
 
 // chromeEvent is one entry of the Chrome trace-event JSON array.

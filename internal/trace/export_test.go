@@ -1,8 +1,11 @@
 package trace
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"io"
 	"strings"
 	"testing"
 
@@ -120,7 +123,7 @@ func TestExportChromeFull(t *testing.T) {
 }
 
 // TestWriteJSONL: every line is a self-describing JSON object, the dump
-// leads with the schema-version meta line, and ReadJSONL round-trips the
+// leads with the schema-version meta line, and readJSONL round-trips the
 // content back (records, timestamps, and the derived wait decomposition).
 func TestWriteJSONL(t *testing.T) {
 	tr := New(Config{}, 2)
@@ -164,9 +167,9 @@ func TestWriteJSONL(t *testing.T) {
 		t.Fatalf("type mix %v", types)
 	}
 
-	got, err := ReadJSONL(strings.NewReader(buf.String()))
+	got, err := readJSONL(strings.NewReader(buf.String()))
 	if err != nil {
-		t.Fatalf("ReadJSONL: %v", err)
+		t.Fatalf("readJSONL: %v", err)
 	}
 	if got.Meta != data.Meta {
 		t.Fatalf("meta round-trip: got %+v want %+v", got.Meta, data.Meta)
@@ -203,8 +206,73 @@ func TestReadJSONLRejectsMismatch(t *testing.T) {
 		"malformed line": `{"type":`,
 	}
 	for name, dump := range cases {
-		if _, err := ReadJSONL(strings.NewReader(dump)); err == nil {
-			t.Errorf("%s: ReadJSONL accepted %q", name, dump)
+		if _, err := readJSONL(strings.NewReader(dump)); err == nil {
+			t.Errorf("%s: readJSONL accepted %q", name, dump)
 		}
 	}
+}
+
+// readJSONL is the round-trip oracle of WriteJSONL: it parses a dump back
+// into Data. The first line must be the meta line and its schema version
+// must equal SchemaVersion, so a dump written by an incompatible build is
+// rejected instead of misread. Unknown record types are skipped, so a newer
+// writer that only *adds* record kinds stays readable after a version bump.
+func readJSONL(r io.Reader) (*Data, error) {
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 1<<20), 1<<24)
+	d := &Data{}
+	first := true
+	for sc.Scan() {
+		line := sc.Bytes()
+		if len(line) == 0 {
+			continue
+		}
+		var env struct {
+			Type string          `json:"type"`
+			Rec  json.RawMessage `json:"rec"`
+		}
+		if err := json.Unmarshal(line, &env); err != nil {
+			return nil, fmt.Errorf("trace: bad JSONL line: %w", err)
+		}
+		if first {
+			if env.Type != "meta" {
+				return nil, fmt.Errorf("trace: dump does not start with a meta line (got %q)", env.Type)
+			}
+			if err := json.Unmarshal(env.Rec, &d.Meta); err != nil {
+				return nil, fmt.Errorf("trace: bad meta line: %w", err)
+			}
+			if d.Meta.Schema != SchemaVersion {
+				return nil, fmt.Errorf("trace: dump schema v%d, this build reads v%d", d.Meta.Schema, SchemaVersion)
+			}
+			first = false
+			continue
+		}
+		switch env.Type {
+		case "statement":
+			var s Statement
+			if err := json.Unmarshal(env.Rec, &s); err != nil {
+				return nil, fmt.Errorf("trace: bad statement line: %w", err)
+			}
+			d.Statements = append(d.Statements, &s)
+		case "decision":
+			var dec Decision
+			if err := json.Unmarshal(env.Rec, &dec); err != nil {
+				return nil, fmt.Errorf("trace: bad decision line: %w", err)
+			}
+			d.Decisions = append(d.Decisions, dec)
+		case "sample":
+			var smp Sample
+			if err := json.Unmarshal(env.Rec, &smp); err != nil {
+				return nil, fmt.Errorf("trace: bad sample line: %w", err)
+			}
+			d.Samples = append(d.Samples, smp)
+		}
+	}
+	if err := sc.Err(); err != nil {
+		return nil, err
+	}
+	if first {
+		return nil, fmt.Errorf("trace: empty dump (no meta line)")
+	}
+	return d, nil
 }

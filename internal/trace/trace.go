@@ -108,9 +108,9 @@ func (t *Tracer) Data() *Data {
 }
 
 // SchemaVersion identifies the flight-recorder dump layout. WriteJSONL stamps
-// it into the dump's leading meta line and ReadJSONL rejects dumps written
-// under a different version, so triage tooling never silently misreads a
-// stale artifact. Bump it whenever a record's fields change meaning.
+// it into the dump's leading meta line, so a reader can reject dumps written
+// under a different version instead of silently misreading a stale
+// artifact. Bump it whenever a record's fields change meaning.
 const SchemaVersion = 2
 
 // Meta describes a recorder dump: the schema version, the run that produced

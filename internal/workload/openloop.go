@@ -63,7 +63,6 @@ type TenantLoad struct {
 	Selectivity float64
 	Parallel    bool
 	Strategy    core.Strategy
-	Class       core.StatementClass
 	// Chooser picks the queried column (UniformChoice when nil).
 	Chooser Chooser
 }
@@ -109,7 +108,6 @@ type MultiTenant struct {
 	columns []string
 	rng     *rand.Rand
 	per     []*tenantLoadState
-	stopped bool
 }
 
 // NewMultiTenant creates the generator over a placed table.
@@ -142,9 +140,6 @@ func (g *MultiTenant) Start() {
 	}
 }
 
-// Stop prevents further issues (in-flight statements drain normally).
-func (g *MultiTenant) Stop() { g.stopped = true }
-
 // Stats returns the per-tenant outcomes, in tenant order.
 func (g *MultiTenant) Stats() []TenantLoadStats {
 	out := make([]TenantLoadStats, len(g.per))
@@ -167,9 +162,6 @@ func (g *MultiTenant) ResetStats() {
 // Tick implements sim.Actor: accrue open-loop arrivals (burst-scaled) and
 // fire due closed-loop reissues.
 func (g *MultiTenant) Tick(now float64) {
-	if g.stopped {
-		return
-	}
 	step := g.engine.Sim.StepLen()
 	for _, ts := range g.per {
 		if ts.spec.Rate > 0 {
@@ -198,13 +190,10 @@ func (g *MultiTenant) Tick(now float64) {
 // issue submits one statement of the tenant; closed statements rearm their
 // client's think timer on completion or shed.
 func (g *MultiTenant) issue(ts *tenantLoadState, closed bool) {
-	if g.stopped {
-		return
-	}
 	ts.stats.Issued++
 	ts.seq++
 	rearm := func() {
-		if closed && !g.stopped {
+		if closed {
 			ts.due = append(ts.due, g.engine.Sim.Now()+ts.spec.ThinkTime)
 		}
 	}
@@ -217,7 +206,6 @@ func (g *MultiTenant) issue(ts *tenantLoadState, closed bool) {
 		Strategy:    ts.spec.Strategy,
 		HomeSocket:  ts.seq % g.engine.Machine.Sockets,
 		Tenant:      ts.spec.Name,
-		Class:       ts.spec.Class,
 		OnDone: func(lat float64) {
 			ts.stats.Completed++
 			ts.stats.Lat.Record(lat)

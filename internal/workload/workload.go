@@ -48,10 +48,6 @@ func DefaultDataset() DatasetConfig {
 	}
 }
 
-// ExpectedDistinct returns the expected number of distinct values when
-// drawing n uniform values from a domain of size d.
-func ExpectedDistinct(n int, d int) int { return colstore.ExpectedDistinct(n, int64(d)) }
-
 // Generate builds the dataset table.
 func Generate(cfg DatasetConfig) *colstore.Table {
 	if cfg.Rows <= 0 || cfg.Columns <= 0 {
@@ -165,7 +161,6 @@ type Clients struct {
 	table   *colstore.Table
 	columns []string
 	rng     *rand.Rand
-	stopped bool
 
 	// Issued counts queries submitted; the metrics package counts
 	// completions.
@@ -195,13 +190,7 @@ func (c *Clients) Start() {
 	}
 }
 
-// Stop prevents clients from issuing further queries.
-func (c *Clients) Stop() { c.stopped = true }
-
 func (c *Clients) issue(client int) {
-	if c.stopped {
-		return
-	}
 	c.Issued++
 	col := c.columns[c.cfg.Chooser.Pick(c.rng, len(c.columns))]
 	c.engine.Submit(&core.Query{

@@ -114,16 +114,6 @@ type DeltaFragment = delta.Fragment
 // PackedVector is a bit-compressed integer vector.
 type PackedVector = colstore.PackedVector
 
-// RLEVector is a run-length-encoded vid vector (the Section 8 compression
-// extension).
-type RLEVector = colstore.RLEVector
-
-// VidSet is a value-identifier set used for complex (IN-list) predicates.
-type VidSet = colstore.VidSet
-
-// BuildRLE run-length-encodes a packed vector.
-func BuildRLE(iv *PackedVector) *RLEVector { return colstore.BuildRLE(iv) }
-
 // BuildColumn dictionary-encodes values into a column.
 func BuildColumn(name string, values []int64, withIndex bool) *Column {
 	return colstore.Build(name, values, withIndex)

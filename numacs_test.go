@@ -148,16 +148,3 @@ func TestPublicHashJoin(t *testing.T) {
 		t.Fatal("simulated join did not complete")
 	}
 }
-
-func TestPublicRLEAndInList(t *testing.T) {
-	col := numacs.BuildColumn("c", []int64{5, 5, 5, 7, 7, 9}, false)
-	rle := numacs.BuildRLE(col.IVec)
-	if rle.Runs() != 3 {
-		t.Fatalf("runs = %d", rle.Runs())
-	}
-	set := col.EncodeInList([]int64{5, 9})
-	got := col.ScanInListPositions(set, 0, col.Rows, nil)
-	if len(got) != 4 {
-		t.Fatalf("in-list matches = %d, want 4", len(got))
-	}
-}
