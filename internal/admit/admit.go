@@ -144,6 +144,11 @@ type Config struct {
 	// long-waiting heads age ahead even across weight differences
 	// (default 0 — pure weighted fairness, which is already starvation-free).
 	AgingRate float64
+
+	// KeepTrace keeps one ControlSample per control-loop run in
+	// Controller.Trace, for reports. Off (the default), the controller keeps
+	// none, so a long run's memory does not grow with its control periods.
+	KeepTrace bool
 }
 
 // ControlSample is one control-loop observation, kept for reports: the
@@ -216,7 +221,8 @@ type Controller struct {
 	vtime       float64
 	lastControl float64
 
-	// Trace records one ControlSample per control-loop run, for reports.
+	// Trace records one ControlSample per control-loop run when
+	// Config.KeepTrace asks for it, for reports.
 	Trace []ControlSample
 
 	// Decisions, when non-nil, is the flight recorder's decision log: the
@@ -359,11 +365,13 @@ func (c *Controller) control(now float64) {
 			c.granLevel--
 		}
 	}
-	c.Trace = append(c.Trace, ControlSample{
-		Time: now, Limit: c.limit, GranCap: c.GranCap(),
-		InFlight: c.inflight, QueuedStatements: c.Queued(),
-		QueuedTasks: sat.Queued, FreeWorkers: sat.Free,
-	})
+	if c.cfg.KeepTrace {
+		c.Trace = append(c.Trace, ControlSample{
+			Time: now, Limit: c.limit, GranCap: c.GranCap(),
+			InFlight: c.inflight, QueuedStatements: c.Queued(),
+			QueuedTasks: sat.Queued, FreeWorkers: sat.Free,
+		})
+	}
 	if c.Decisions != nil && (c.limit != prevLimit || c.granLevel != prevGran) {
 		kind := "aimd-grow"
 		if c.limit < prevLimit || c.granLevel > prevGran {

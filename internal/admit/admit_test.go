@@ -265,14 +265,9 @@ func TestShedCauseShowsSubMillisecondDeadline(t *testing.T) {
 func TestElasticThrottleUnderSaturation(t *testing.T) {
 	c, s, e := testController(Config{
 		MinConcurrent: 2, MaxConcurrent: 64, InitialConcurrent: 64,
-		Period: 1e-3,
+		Period: 1e-3, KeepTrace: true,
 	})
-	// Flood the scheduler with tasks that never complete: every worker goes
-	// Working and the queues stay deep.
-	for i := 0; i < 2000; i++ {
-		s.Submit(&sched.Task{Affinity: i % 4, Hard: true,
-			Run: sched.RunFunc(func(w *sched.Worker, done func()) {})})
-	}
+	flood(s)
 	e.Run(25e-3)
 	if got := c.Limit(); got != 2 {
 		t.Fatalf("limit = %d under saturation, want floor 2", got)
@@ -286,6 +281,33 @@ func TestElasticThrottleUnderSaturation(t *testing.T) {
 	last := c.Trace[len(c.Trace)-1]
 	if last.QueuedTasks == 0 || last.FreeWorkers != 0 {
 		t.Fatalf("trace sample = %+v, want deep queues and no free workers", last)
+	}
+}
+
+// flood fills the scheduler with tasks that never complete: every worker
+// goes Working and the queues stay deep.
+func flood(s *sched.Scheduler) {
+	for i := 0; i < 2000; i++ {
+		s.Submit(&sched.Task{Affinity: i % 4, Hard: true,
+			Run: sched.RunFunc(func(w *sched.Worker, done func()) {})})
+	}
+}
+
+// TestControlSamplesOnlyWhenAsked: a controller whose config does not ask
+// for its trace runs the same control loop, throttling to the floor, and
+// keeps no samples.
+func TestControlSamplesOnlyWhenAsked(t *testing.T) {
+	c, s, e := testController(Config{
+		MinConcurrent: 2, MaxConcurrent: 64, InitialConcurrent: 64,
+		Period: 1e-3,
+	})
+	flood(s)
+	e.Run(25e-3)
+	if got := c.Limit(); got != 2 {
+		t.Fatalf("limit = %d under saturation, want floor 2", got)
+	}
+	if c.Trace != nil {
+		t.Fatalf("controller kept %d control samples nobody asked for", len(c.Trace))
 	}
 }
 

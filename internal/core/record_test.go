@@ -39,7 +39,7 @@ const recordReuseFingerprint = "88d9e05df5ce0439c877846794f6df03201e73b958864185
 func TestStatementRecordReuse(t *testing.T) {
 	e := New(topology.FourSocketIvyBridge(), 1)
 	tbl := buildPlacedTable(e, 3, 200_000, false)
-	ctl := e.EnableAdmission(admit.Config{MaxConcurrent: 8, HighQueuePerWorker: 0.01, LowQueuePerWorker: 1e-9, IdleWorkerFraction: 1})
+	ctl := e.EnableAdmission(admit.Config{MaxConcurrent: 8, HighQueuePerWorker: 0.01, LowQueuePerWorker: 1e-9, IdleWorkerFraction: 1, KeepTrace: true})
 
 	const stopAt = 0.008
 	var fired []int // per submitted statement, the times its OnDone fired

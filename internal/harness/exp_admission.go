@@ -75,6 +75,8 @@ func admissionSpec(s Scale, on bool, capacity float64) Spec {
 			LowQueuePerWorker:   0.25,
 			OLAPDeadline:        s.Measure / 10,
 			InteractiveDeadline: s.Measure / 40,
+			// The report's elastic concurrency table reads the samples.
+			KeepTrace: true,
 		}
 	}
 	mk := func(name string, weight, rate float64, burst workload.BurstSpec) workload.TenantLoad {

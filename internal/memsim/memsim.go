@@ -86,15 +86,6 @@ type Allocator struct {
 	pages     map[uint64]uint8 // page index -> socket
 	perSocket []int64          // pages per socket
 	moved     int64            // cumulative pages moved (move_pages cost proxy)
-	// capacity limits pages per socket (0 = unlimited). When a policy's
-	// target socket is exhausted, the allocation falls over to the next
-	// socket with space — the first-touch fallback of the paper's Section 2
-	// ("the OS allocates physical memory from the local socket, unless it
-	// is exhausted").
-	capacity int64
-	// Fallbacks counts pages that could not be placed on their policy's
-	// socket.
-	Fallbacks int64
 }
 
 // NewAllocator creates an allocator for a machine with the given number of
@@ -111,27 +102,6 @@ func NewAllocator(sockets int) *Allocator {
 	}
 }
 
-// hasRoom reports whether a socket can take another page.
-func (a *Allocator) hasRoom(s int) bool {
-	return a.capacity == 0 || a.perSocket[s] < a.capacity
-}
-
-// placeSocket resolves the policy's preferred socket against capacities,
-// falling over round-robin to the next socket with room.
-func (a *Allocator) placeSocket(preferred int) int {
-	if a.hasRoom(preferred) {
-		return preferred
-	}
-	for off := 1; off < a.sockets; off++ {
-		s := (preferred + off) % a.sockets
-		if a.hasRoom(s) {
-			a.Fallbacks++
-			return s
-		}
-	}
-	panic("memsim: physical memory exhausted on every socket")
-}
-
 // Alloc reserves bytes of virtual memory, backs every page according to the
 // policy (i.e. the memory is "touched" immediately), and returns the range.
 // Allocations are page-aligned.
@@ -145,7 +115,6 @@ func (a *Allocator) Alloc(bytes int64, policy Policy) Range {
 	for i := int64(0); i < npages; i++ {
 		s := policy.socketFor(i)
 		a.checkSocket(s)
-		s = a.placeSocket(s)
 		a.pages[first+uint64(i)] = uint8(s)
 		a.perSocket[s]++
 	}

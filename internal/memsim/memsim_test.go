@@ -214,57 +214,6 @@ func TestAccountingInvariantProperty(t *testing.T) {
 	}
 }
 
-func TestCapacityFallback(t *testing.T) {
-	a := NewAllocator(2)
-	a.SetCapacity(4)
-	r := a.Alloc(6*PageSize, OnSocket(0))
-	if a.PagesOnSocket(0) != 4 || a.PagesOnSocket(1) != 2 {
-		t.Fatalf("fallback split: s0=%d s1=%d", a.PagesOnSocket(0), a.PagesOnSocket(1))
-	}
-	if a.Fallbacks != 2 {
-		t.Fatalf("fallbacks = %d, want 2", a.Fallbacks)
-	}
-	// The first 4 pages are on the preferred socket.
-	socks := a.QueryPages(r)
-	for i := 0; i < 4; i++ {
-		if socks[i] != 0 {
-			t.Fatalf("page %d on %d", i, socks[i])
-		}
-	}
-}
-
-func TestCapacityExhaustionPanics(t *testing.T) {
-	a := NewAllocator(2)
-	a.SetCapacity(1)
-	a.Alloc(2*PageSize, OnSocket(0)) // fills both sockets
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected exhaustion panic")
-		}
-	}()
-	a.Alloc(PageSize, OnSocket(0))
-}
-
-func TestCapacityFreeMakesRoom(t *testing.T) {
-	a := NewAllocator(2)
-	a.SetCapacity(2)
-	r := a.Alloc(2*PageSize, OnSocket(1))
-	a.Free(r)
-	r2 := a.Alloc(2*PageSize, OnSocket(1))
-	for _, s := range a.QueryPages(r2) {
-		if s != 1 {
-			t.Fatalf("freed capacity not reused: socket %d", s)
-		}
-	}
-	if a.Fallbacks != 0 {
-		t.Fatalf("unexpected fallbacks: %d", a.Fallbacks)
-	}
-}
-
-// SetCapacity limits each socket to the given number of pages (0 removes
-// the limit). Existing placements are not revisited.
-func (a *Allocator) SetCapacity(pagesPerSocket int64) { a.capacity = pagesPerSocket }
-
 // Runs returns the range's pages as maximal runs of consecutive pages on the
 // same socket: a compact summary used by the PSM build algorithm.
 func (a *Allocator) Runs(r Range) []Run {

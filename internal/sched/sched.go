@@ -8,7 +8,6 @@
 package sched
 
 import (
-	"container/heap"
 	"fmt"
 
 	"numacs/internal/hw"
@@ -134,7 +133,7 @@ type ThreadGroup struct {
 }
 
 // QueuedTasks returns the number of tasks waiting in both queues.
-func (tg *ThreadGroup) QueuedTasks() int { return tg.queue.Len() + tg.hardQueue.Len() }
+func (tg *ThreadGroup) QueuedTasks() int { return len(tg.queue) + len(tg.hardQueue) }
 
 // Scheduler is the NUMA-aware task scheduler.
 type Scheduler struct {
@@ -254,9 +253,9 @@ func (s *Scheduler) Submit(t *Task) {
 	}
 	t.homeTG = tg.ID
 	if t.Hard {
-		heap.Push(&tg.hardQueue, t)
+		tg.hardQueue.push(t)
 	} else {
-		heap.Push(&tg.queue, t)
+		tg.queue.push(t)
 	}
 }
 
@@ -307,16 +306,16 @@ func (s *Scheduler) SetSocketOnline(socket int, online bool) int {
 		}
 		return 0
 	}
-	// Drain and re-place the dead socket's queues. heap.Pop yields priority
+	// Drain and re-place the dead socket's queues. pop yields priority
 	// order, and Submit assigns fresh seq numbers, so the re-placed tasks
 	// keep their relative order on the fallback socket's queues.
 	var drained []*Task
 	for _, tg := range s.bySocket[socket] {
-		for tg.queue.Len() > 0 {
-			drained = append(drained, heap.Pop(&tg.queue).(*Task))
+		for len(tg.queue) > 0 {
+			drained = append(drained, tg.queue.pop())
 		}
-		for tg.hardQueue.Len() > 0 {
-			drained = append(drained, heap.Pop(&tg.hardQueue).(*Task))
+		for len(tg.hardQueue) > 0 {
+			drained = append(drained, tg.hardQueue.pop())
 		}
 		for _, w := range tg.Workers {
 			if w.State == Free {
@@ -422,16 +421,16 @@ func (s *Scheduler) Tick(now float64) {
 // popLocal pops the highest-priority task across the TG's two queues.
 func (s *Scheduler) popLocal(tg *ThreadGroup) *Task {
 	switch {
-	case tg.queue.Len() == 0 && tg.hardQueue.Len() == 0:
+	case len(tg.queue) == 0 && len(tg.hardQueue) == 0:
 		return nil
-	case tg.queue.Len() == 0:
-		return heap.Pop(&tg.hardQueue).(*Task)
-	case tg.hardQueue.Len() == 0:
-		return heap.Pop(&tg.queue).(*Task)
-	case taskLess(tg.hardQueue[0], tg.queue[0]):
-		return heap.Pop(&tg.hardQueue).(*Task)
+	case len(tg.queue) == 0:
+		return tg.hardQueue.pop()
+	case len(tg.hardQueue) == 0:
+		return tg.queue.pop()
+	case tg.hardQueue[0].less(tg.queue[0]):
+		return tg.hardQueue.pop()
 	default:
-		return heap.Pop(&tg.queue).(*Task)
+		return tg.queue.pop()
 	}
 }
 
@@ -451,8 +450,8 @@ func (s *Scheduler) steal(tg *ThreadGroup) (*Task, bool) {
 	for off := 1; off < n; off++ {
 		sock := (tg.Socket + off) % n
 		for _, other := range s.bySocket[sock] {
-			if other.queue.Len() > 0 {
-				return heap.Pop(&other.queue).(*Task), true
+			if len(other.queue) > 0 {
+				return other.queue.pop(), true
 			}
 		}
 	}
@@ -524,25 +523,66 @@ func (s *Scheduler) watchdog() {
 	s.Counters.AddSaturationSample(snap.Free, snap.Parked, snap.Queued, snap.MaxDepth, unsaturated)
 }
 
-// taskHeap is a priority heap ordered by (Priority, seq).
-type taskHeap []*Task
+// taskHeap is a binary min-heap of queued tasks ordered by (Priority, seq).
+// Each entry carries its task's keys, so ordering reads no *Task. push and
+// pop sift as container/heap's up and down do, moving a hole instead of
+// swapping, which leaves every entry where those swaps would.
+type taskHeap []taskEntry
 
-func taskLess(a, b *Task) bool {
-	if a.Priority != b.Priority {
-		return a.Priority < b.Priority
+// taskEntry is one queued task with its ordering keys.
+type taskEntry struct {
+	pri float64
+	seq uint64
+	t   *Task
+}
+
+func (a taskEntry) less(b taskEntry) bool {
+	if a.pri != b.pri {
+		return a.pri < b.pri
 	}
 	return a.seq < b.seq
 }
 
-func (h taskHeap) Len() int            { return len(h) }
-func (h taskHeap) Less(i, j int) bool  { return taskLess(h[i], h[j]) }
-func (h taskHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *taskHeap) Push(x interface{}) { *h = append(*h, x.(*Task)) }
-func (h *taskHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	t := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return t
+// push adds a task, sifting its entry up from the end.
+func (h *taskHeap) push(t *Task) {
+	x := taskEntry{t.Priority, t.seq, t}
+	q := append(*h, x)
+	j := len(q) - 1
+	for j > 0 {
+		i := (j - 1) / 2 // parent
+		if !x.less(q[i]) {
+			break
+		}
+		q[j] = q[i]
+		j = i
+	}
+	q[j] = x
+	*h = q
+}
+
+// pop removes and returns the first task: the last entry takes the root's
+// place and sifts down.
+func (h *taskHeap) pop() *Task {
+	q := *h
+	n := len(q) - 1
+	first, x := q[0].t, q[n]
+	i := 0
+	for {
+		j := 2*i + 1 // left child
+		if j >= n {
+			break
+		}
+		if j2 := j + 1; j2 < n && q[j2].less(q[j]) {
+			j = j2
+		}
+		if !q[j].less(x) {
+			break
+		}
+		q[i] = q[j]
+		i = j
+	}
+	q[i] = x
+	q[n] = taskEntry{}
+	*h = q[:n]
+	return first
 }

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"math/rand"
 	"testing"
 
 	"numacs/internal/topology"
@@ -232,5 +233,85 @@ func TestWatchdogCountsUnsaturatedTGs(t *testing.T) {
 	}
 	if s.WatchdogRuns == 0 {
 		t.Fatal("watchdog idle")
+	}
+}
+
+// TestQueuesPopInPriorityOrder is a property test of the run queues: over
+// random submissions with few distinct priorities (so ties are the rule),
+// interleaved with pops and with sockets going offline and back, every pop
+// from a thread group yields the queued task of that group with the least
+// (Priority, seq), and the queues hold exactly the tasks not yet popped.
+func TestQueuesPopInPriorityOrder(t *testing.T) {
+	for _, m := range []*topology.Machine{topology.FourSocketIvyBridge(), topology.ThirtyTwoSocketIvyBridge()} {
+		rng := rand.New(rand.NewSource(int64(m.Sockets)))
+		s, _ := testSched(m)
+		queued := map[*Task]bool{}
+		// first returns the least queued task of tg, of the normal queue
+		// only when normalOnly.
+		first := func(tg *ThreadGroup, normalOnly bool) *Task {
+			var best *Task
+			for q := range queued {
+				if q.homeTG != tg.ID || normalOnly && q.Hard {
+					continue
+				}
+				if best == nil || q.Priority < best.Priority ||
+					q.Priority == best.Priority && q.seq < best.seq {
+					best = q
+				}
+			}
+			return best
+		}
+		pops, replaced := 0, 0
+		for op := 0; op < 8_000; op++ {
+			switch k := rng.Intn(100); {
+			case k < 55:
+				q := &Task{
+					Priority: float64(rng.Intn(4)), Affinity: rng.Intn(m.Sockets) - 1,
+					Hard: rng.Intn(4) == 0, CallerSocket: rng.Intn(m.Sockets),
+				}
+				s.Submit(q)
+				queued[q] = true
+			case k < 97:
+				tg := s.TGs[rng.Intn(len(s.TGs))]
+				normalOnly := rng.Intn(3) == 0
+				want := first(tg, normalOnly)
+				var got *Task
+				if normalOnly {
+					if len(tg.queue) > 0 {
+						got = tg.queue.pop()
+					}
+				} else {
+					got = s.popLocal(tg)
+				}
+				if got != want {
+					t.Fatalf("%s op %d: TG %d popped %+v, want %+v", m.Name, op, tg.ID, got, want)
+				}
+				if got != nil {
+					delete(queued, got)
+					pops++
+				}
+			default:
+				sock := rng.Intn(m.Sockets)
+				if s.SocketOnline(sock) {
+					online := 0
+					for i := 0; i < m.Sockets; i++ {
+						if s.SocketOnline(i) {
+							online++
+						}
+					}
+					if online > 1 {
+						replaced += s.SetSocketOnline(sock, false)
+					}
+				} else {
+					s.SetSocketOnline(sock, true)
+				}
+			}
+			if got := s.QueuedTasks(); got != len(queued) {
+				t.Fatalf("%s op %d: %d tasks queued, want %d", m.Name, op, got, len(queued))
+			}
+		}
+		if pops < 500 || replaced == 0 {
+			t.Fatalf("%s: the run popped %d tasks and re-placed %d; want both exercised", m.Name, pops, replaced)
+		}
 	}
 }

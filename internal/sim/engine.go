@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -72,10 +71,13 @@ type Engine struct {
 	doneBuf []*Flow   // scratch for Step's completions
 
 	// Scratch for the allocator, reused across steps.
-	residual []float64    // per resource: capacity not yet handed out
+	residual []float64    // per resource: capacity not yet handed out, as of synced
 	load     []float64    // per resource: weight of the unfrozen flows
+	synced   []int        // per resource: drain-log entries applied to residual
+	drains   []float64    // the allocation's drain log: each round's positive rise
 	loaded   []ResourceID // resources with load, ascending
 	byCap    []capKey     // flows by effective cap
+	capBuf   []capKey     // the cap order's merge buffer
 	live     []*Flow      // flows no bottleneck has frozen yet
 
 	flows   []*Flow
@@ -120,6 +122,7 @@ func (e *Engine) AddResource(name string, capacity float64) ResourceID {
 	e.usage = append(e.usage, 0)
 	e.residual = append(e.residual, 0)
 	e.load = append(e.load, 0)
+	e.synced = append(e.synced, 0)
 	return id
 }
 
@@ -284,14 +287,41 @@ type capKey struct {
 	f   *Flow
 }
 
+// boundMargin is the relative slack below the bound at which a cap round
+// may skip the bottleneck scan; see allocate.
+const boundMargin = 1e-9
+
 // allocate computes a weighted max-min fair rate for every active flow via
 // progressive filling: repeatedly find the resource (or per-flow cap) that
 // saturates first if all unfrozen flows' rates rise uniformly, freeze the
 // affected flows at that level, and continue.
 //
-// Each round scans only the resources that still carry load, in ascending
-// id order so bottleneck ties break toward the lowest id, and drains the
-// round's rise from the same list before its freezes.
+// A round costs the flows it freezes, not the resources still loaded:
+//
+//   - Drain log. A round appends its positive rise to e.drains instead of
+//     draining every loaded resource. A resource's residual is brought up to
+//     date by sync, which replays the entries it has not applied with its
+//     current load. That load has not changed since those entries were
+//     logged, because a freeze syncs a resource before lowering its load, so
+//     every residual sees the float operations the round-by-round drain
+//     made, in the same order.
+//   - Monotone bound. bound is a lower bound on the level at which the next
+//     resource saturates: min caps/load at the start, then the limit of the
+//     most recent bottleneck scan. A cap round whose cap lies below it by
+//     more than boundMargin skips the scan, since the scan would have
+//     found no resource binding first. Otherwise every loaded resource is
+//     synced and scanned in ascending id order, so bottleneck ties break
+//     toward the lowest id, and resources whose load fell to the scan
+//     threshold leave the list.
+//
+// Why the bound holds: in exact arithmetic a resource's saturation level,
+// level + residual/load, stays constant while its load is unchanged (each
+// round lowers residual by rise*load and raises level by rise), and only
+// rises when a freeze lowers that load or the clamp at 0 lifts residual.
+// So no level falls below the minimum a scan found. In floats, each round's
+// drain and the level's recomputation add a few ulps of that level; the
+// 1e-9 margin covers more than 10^6 rounds of such error, far beyond the
+// rounds an allocation takes (one per distinct cap or bottleneck).
 func (e *Engine) allocate() {
 	flows := e.flows
 	if len(flows) == 0 {
@@ -317,23 +347,24 @@ func (e *Engine) allocate() {
 			load[d.Resource] += d.Weight
 		}
 	}
-	e.byCap = byCap[:0]
 	loaded := e.loaded[:0]
+	bound := math.Inf(1)
 	for r, l := range load {
 		if l > 0 {
 			loaded = append(loaded, ResourceID(r))
 			e.residual[r] = e.caps[r]
+			e.synced[r] = 0
+			if lim := e.caps[r] / l; l > 1e-12 && lim < bound {
+				bound = lim
+			}
 		}
 	}
 	e.loaded = loaded[:0]
+	e.drains = e.drains[:0]
 	// Flows by effective cap, ascending; equal caps in seq order, as
 	// e.flows lists them.
-	slices.SortFunc(byCap, func(a, b capKey) int {
-		if c := cmp.Compare(a.cap, b.cap); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.f.seq, b.f.seq)
-	})
+	byCap, e.capBuf = sortByCap(byCap, e.capBuf)
+	e.byCap = byCap[:0]
 	nextCap := 0
 	// live holds the flows not yet frozen by a bottleneck, in seq order
 	// (cap rounds freeze out of order, so it may still hold some of those).
@@ -343,26 +374,6 @@ func (e *Engine) allocate() {
 
 	level := 0.0 // current uniform rate level of all unfrozen flows
 	for unfrozen > 0 {
-		// Headroom until the tightest resource saturates. A resource whose
-		// load fell to the scan threshold leaves the list: load only falls
-		// within a call, so it can never bind again and its residual is
-		// never read again.
-		limit := math.Inf(1)
-		bottleneck := Invalid
-		kept := loaded[:0]
-		for _, r := range loaded {
-			l := load[r]
-			if l <= 1e-12 {
-				continue
-			}
-			kept = append(kept, r)
-			if lim := level + e.residual[r]/l; lim < limit {
-				limit = lim
-				bottleneck = r
-			}
-		}
-		loaded = kept
-
 		// Headroom until the next per-flow cap binds.
 		for nextCap < len(byCap) && byCap[nextCap].f.frozen {
 			nextCap++
@@ -370,6 +381,30 @@ func (e *Engine) allocate() {
 		capLimit := math.Inf(1)
 		if nextCap < len(byCap) {
 			capLimit = byCap[nextCap].cap
+		}
+
+		// Headroom until the tightest resource saturates, unless the cap
+		// binds well below the bound. A resource whose load fell to the
+		// scan threshold leaves the list: load only falls within a call, so
+		// it can never bind again and its residual is never read again.
+		limit := math.Inf(1)
+		bottleneck := Invalid
+		if !(capLimit < bound*(1-boundMargin)) {
+			kept := loaded[:0]
+			for _, r := range loaded {
+				l := load[r]
+				if l <= 1e-12 {
+					continue
+				}
+				kept = append(kept, r)
+				e.sync(r)
+				if lim := level + e.residual[r]/l; lim < limit {
+					limit = lim
+					bottleneck = r
+				}
+			}
+			loaded = kept
+			bound = limit
 		}
 
 		if capLimit <= limit {
@@ -380,7 +415,7 @@ func (e *Engine) allocate() {
 				delta = 0
 				target = level
 			}
-			e.drain(loaded, delta)
+			e.drain(delta)
 			level = target
 			for nextCap < len(byCap) && byCap[nextCap].cap <= target+1e-12 {
 				if f := byCap[nextCap].f; !f.frozen {
@@ -393,7 +428,7 @@ func (e *Engine) allocate() {
 		}
 		// A resource saturates: freeze all unfrozen flows that use it.
 		delta := limit - level
-		e.drain(loaded, delta)
+		e.drain(delta)
 		level = limit
 		still := live[:0]
 		for _, f := range live {
@@ -423,18 +458,75 @@ func (e *Engine) allocate() {
 	}
 }
 
-// drain hands out the capacity the unfrozen flows consume as their rates
-// rise by delta, on the given resources (all of which carry load).
-func (e *Engine) drain(loaded []ResourceID, delta float64) {
-	if delta <= 0 {
-		return
-	}
-	for _, r := range loaded {
-		e.residual[r] -= delta * e.load[r]
-		if e.residual[r] < 0 {
-			e.residual[r] = 0
+// sortByCap orders keys by cap, ascending, keeping equal caps in their input
+// order: insertion-sorted runs of 16, merged bottom-up through buf. It
+// returns the sorted keys and the other slice's storage for reuse as the
+// next call's buf.
+func sortByCap(keys, buf []capKey) (sorted, spare []capKey) {
+	const run = 16
+	n := len(keys)
+	for lo := 0; lo < n; lo += run {
+		hi := min(lo+run, n)
+		for i := lo + 1; i < hi; i++ {
+			k := keys[i]
+			j := i
+			for ; j > lo && k.cap < keys[j-1].cap; j-- {
+				keys[j] = keys[j-1]
+			}
+			keys[j] = k
 		}
 	}
+	if n <= run {
+		return keys, buf
+	}
+	src, dst := keys, slices.Grow(buf[:0], n)[:n]
+	for width := run; width < n; width *= 2 {
+		for lo := 0; lo < n; lo += 2 * width {
+			mid, hi := min(lo+width, n), min(lo+2*width, n)
+			i, j, k := lo, mid, lo
+			for ; i < mid && j < hi; k++ {
+				if src[j].cap < src[i].cap {
+					dst[k] = src[j]
+					j++
+				} else {
+					dst[k] = src[i]
+					i++
+				}
+			}
+			k += copy(dst[k:], src[i:mid])
+			copy(dst[k:], src[j:hi])
+		}
+		src, dst = dst, src
+	}
+	return src, dst[:0]
+}
+
+// drain logs the rise of a round: the unfrozen flows consume delta times
+// their load of every loaded resource, applied to a resource when it is
+// next synced.
+func (e *Engine) drain(delta float64) {
+	if delta > 0 {
+		e.drains = append(e.drains, delta)
+	}
+}
+
+// sync applies the drain-log entries resource r has not applied yet, each
+// lowering its residual by the entry times its load, clamped at 0. A
+// resource at or below the scan threshold is never drained: it has left
+// the loaded list, and its residual is never read again.
+func (e *Engine) sync(r ResourceID) {
+	l := e.load[r]
+	if l > 1e-12 {
+		res := e.residual[r]
+		for _, d := range e.drains[e.synced[r]:] {
+			res -= d * l
+			if res < 0 {
+				res = 0
+			}
+		}
+		e.residual[r] = res
+	}
+	e.synced[r] = len(e.drains)
 }
 
 // uses reports whether the flow places positive demand on resource r.
@@ -447,14 +539,22 @@ func (f *Flow) uses(r ResourceID) bool {
 	return false
 }
 
-// freeze fixes a flow's rate and removes its weights from the load vector.
+// freeze fixes a flow's rate and removes its weights from the load vector,
+// syncing each resource first so its pending drains apply at the old load.
+// A resource whose load falls to the scan threshold skips the sync, since
+// its residual is never read again.
 func (e *Engine) freeze(f *Flow, rate float64) {
 	f.frozen = true
 	f.rate = rate
 	for _, d := range f.Demands {
-		e.load[d.Resource] -= d.Weight
-		if e.load[d.Resource] < 0 {
-			e.load[d.Resource] = 0
+		r := d.Resource
+		l := e.load[r] - d.Weight
+		if l < 0 {
+			l = 0
 		}
+		if l > 1e-12 {
+			e.sync(r)
+		}
+		e.load[r] = l
 	}
 }

@@ -291,6 +291,112 @@ func TestAllocateMatchesReference(t *testing.T) {
 	}
 }
 
+// nearTieInstance builds an engine whose first bottleneck comes after many
+// cap rounds, with a probe cap placed right at the level where that
+// resource saturates. Caps and weights are arbitrary floats, so every
+// round's drain rounds. Uncapped flows keep their resources loaded until a
+// bottleneck freezes them; 1-100 capped flows below every resource's initial
+// saturation level freeze in cap rounds first. In half the instances those
+// flows have no demands, so every load stays unchanged across the rounds
+// and only rounding moves a saturation level (by up to about 6 ulps); in the
+// other half, half of them carry small demands and lower the loads as they
+// freeze. The probe is a demandless flow whose cap lies within ±4 ulps,
+// or ±1e-12 to ±1e-9 relative, of the first bottleneck level that refAllocate
+// reports without it, so adding it changes no earlier round.
+func nearTieInstance(rng *rand.Rand) *Engine {
+	e := New(1e-3)
+	nres := 1 + rng.Intn(4)
+	for r := 0; r < nres; r++ {
+		e.AddResource("r", 1+rng.Float64()*200)
+	}
+	demands := func() []Demand {
+		var ds []Demand
+		for r := 0; r < nres; r++ {
+			if rng.Intn(2) == 0 {
+				ds = append(ds, Demand{ResourceID(r), 0.1 + rng.Float64()*3})
+			}
+		}
+		return ds
+	}
+	for i := 1 + rng.Intn(6); i > 0; i-- {
+		e.StartFlow(&Flow{Remaining: 1e9, Demands: demands()})
+	}
+	load := make([]float64, nres)
+	for _, f := range e.flows {
+		for _, d := range f.Demands {
+			load[d.Resource] += d.Weight
+		}
+	}
+	start := math.Inf(1) // the lowest initial saturation level
+	for r, l := range load {
+		if l > 0 {
+			start = min(start, e.caps[r]/l)
+		}
+	}
+	if math.IsInf(start, 1) {
+		return e
+	}
+	withDemands := rng.Intn(2) == 0
+	for i := 1 + rng.Intn(100); i > 0; i-- {
+		f := &Flow{Remaining: 1e9, RateCap: start * rng.Float64() * 0.999}
+		if withDemands && rng.Intn(2) == 0 {
+			f.Demands = demands()
+			for k := range f.Demands {
+				f.Demands[k].Weight *= 0.01
+			}
+		}
+		e.StartFlow(f)
+	}
+	refAllocate(e)
+	level := math.Inf(1) // the first bottleneck's level: the least uncapped rate
+	for _, f := range e.flows {
+		if f.RateCap == 0 && f.rate > 0 {
+			level = min(level, f.rate)
+		}
+	}
+	if math.IsInf(level, 1) {
+		return e
+	}
+	probe := level
+	if rng.Intn(2) == 0 {
+		probe = math.Float64frombits(uint64(int64(math.Float64bits(level)) + int64(rng.Intn(9)-4)))
+	} else {
+		rel := math.Pow(10, -12+3*rng.Float64())
+		if rng.Intn(2) == 0 {
+			rel = -rel
+		}
+		probe = level * (1 + rel)
+	}
+	e.StartFlow(&Flow{Remaining: 1e9, RateCap: probe})
+	return e
+}
+
+// TestAllocateNearTiesMatchReference compares the allocator with the
+// reference bit for bit on near-tie instances: a cap a few ulps or a
+// relative 1e-12 to 1e-9 off the level at which a resource saturates, after
+// up to 100 cap rounds. Such a cap tells allocate's scan-skipping bound
+// apart from a bound without its safety margin, or with the margin of the
+// wrong sign, which the random instances cannot.
+func TestAllocateNearTiesMatchReference(t *testing.T) {
+	n := 20_000
+	if testing.Short() {
+		n = 4_000
+	}
+	rng := rand.New(rand.NewSource(4))
+	for i := 0; i < n; i++ {
+		e := nearTieInstance(rng)
+		e.allocate()
+		got := rates(e)
+		refAllocate(e)
+		want := rates(e)
+		for k := range got {
+			if math.Float64bits(got[k]) != math.Float64bits(want[k]) {
+				t.Fatalf("instance %d flow %d: rate %v, reference %v", i, k, got[k], want[k])
+			}
+		}
+	}
+}
+
 // TestAllocateMaxMinFair runs the property checker over random instances:
 // every allocation is feasible, and every max-min violation comes from an
 // allocation in which the reference's stall guard froze flows.
@@ -329,7 +435,7 @@ func TestAllocateMaxMinFair(t *testing.T) {
 // resources of capacity 10 saturate at the same level, so the second
 // bottleneck round rises by nothing and the guard freezes the third flow at
 // 10 although its own resource offers 100. The property checker flags the
-// allocation. The fix, item 1(b) of ROADMAP.md, runs the guard only when a
+// allocation. The fix, item 3 of ROADMAP.md, runs the guard only when a
 // round froze nothing, and flips this pin to 10/10/100.
 func TestStallGuardCapsHeadroomFlows(t *testing.T) {
 	e := New(1e-3)

@@ -35,6 +35,12 @@ import (
 // tie on their caps, as the equal tasks of a mat-skew statement do: on the
 // 4-socket machine the bed's allocations take 63 cap rounds and no
 // bottleneck round, with 18 flows at their RateCap.
+//
+// Levels on a 2-vCPU VM, three alternating runs of prebuilt test binaries at
+// 3000 steps each: 28-35 µs a step on 4S-139 and 100-144 µs on 32S-256 with
+// the drain log, the monotone scan bound and the merge-sorted cap order,
+// against 49-68 µs and 231-302 µs when every round scanned and drained every
+// loaded resource and the caps were ordered by pdqsort.
 func stepBed(m *topology.Machine, flows int) *sim.Engine {
 	const (
 		rows        = 100_000 / 8 // one task's rows
