@@ -45,12 +45,13 @@ go test -bench '^(BenchmarkAdmittedSubmit|BenchmarkWriteBatch)$' -benchtime=0.2s
 # measured mix, and on the 32-socket IvyBridge with the same mix at 256.
 go test -bench '^BenchmarkSimStep$' -benchtime=0.2s -count=3 -run '^$' ./internal/sim
 
-# And the scheduler's dispatch: heap pushes and pops with taskLess and worker
-# bookkeeping. One "row" is one dispatch round on the 4-socket IvyBridge, in
-# the steady state measured at every Tick of mat-skew at seed 1: refill the
-# queues to 118 tasks with affinities even over the sockets, one Tick that
-# starts 84 of them on the free workers and leaves mat-skew's backlog of 34,
-# and the finishes that leave 36 workers busy.
+# And the scheduler's dispatch: pushes and pops on the keyed run-queue heaps
+# (each entry carries its task's (Priority, seq) keys, and a sift moves a
+# hole) and worker bookkeeping. One "row" is one dispatch round on the
+# 4-socket IvyBridge, in the steady state measured at every Tick of mat-skew
+# at seed 1: refill the queues to 118 tasks with affinities even over the
+# sockets, one Tick that starts 84 of them on the free workers and leaves
+# mat-skew's backlog of 34, and the finishes that leave 36 workers busy.
 go test -bench '^BenchmarkSchedTick$' -benchtime=0.2s -count=3 -run '^$' ./internal/sched
 
 # And the latency store every completed statement records into: one

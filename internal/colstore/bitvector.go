@@ -20,19 +20,13 @@ type PackedVector struct {
 // NewPackedVector creates a vector of n values of the given width. The
 // backing array carries one padding word beyond the packed data so the batch
 // kernels' two-word window load (Get64) never needs a boundary test; the
-// padding is an implementation detail and is excluded from SizeBytes.
+// padding is an implementation detail and is excluded from Column.IVBytes.
 func NewPackedVector(bits uint, n int) *PackedVector {
 	if bits < 1 || bits > 32 {
 		panic(fmt.Sprintf("colstore: bitcase %d out of range [1,32]", bits))
 	}
 	words := (uint64(n)*uint64(bits) + 63) / 64
 	return &PackedVector{bits: bits, n: n, words: make([]uint64, words+1)}
-}
-
-// SizeBytes returns the packed size in bytes (whole words, excluding the
-// kernel padding word).
-func (v *PackedVector) SizeBytes() int64 {
-	return int64((uint64(v.n)*uint64(v.bits) + 63) / 64 * 8)
 }
 
 // Set stores a value at position i. The value must fit in the bitcase.

@@ -39,9 +39,9 @@ func ExpectedDistinct(n int, d int64) int {
 	return e
 }
 
-// NewSynthetic builds a column with realistic sizes (bit-packed IV, sized
-// dictionary and optional index) but no data: rows uniform draws from
-// [0, domain).
+// NewSynthetic builds a column with the sizes of rows uniform draws from
+// [0, domain) — bitcase, expected dictionary size and optional index — but
+// no data: it allocates no IV words, dictionary values or index arrays.
 func NewSynthetic(name string, rows int, domain int64, withIndex bool) *Column {
 	distinct := ExpectedDistinct(rows, domain)
 	bc := uint(1)
@@ -52,16 +52,12 @@ func NewSynthetic(name string, rows int, domain int64, withIndex bool) *Column {
 		Name:      name,
 		Bitcase:   bc,
 		Rows:      rows,
-		IVec:      NewPackedVector(bc, rows),
-		Dict:      make([]int64, distinct),
 		Synthetic: true,
 		Domain:    domain,
+		distinct:  distinct,
 	}
 	if withIndex {
-		c.Idx = &Index{
-			Offsets:  make([]uint32, distinct+1),
-			Postings: make([]uint32, rows),
-		}
+		c.Idx = &Index{sizeOnly: distinct + 1 + rows}
 	}
 	return c
 }
@@ -71,16 +67,23 @@ func NewSynthetic(name string, rows int, domain int64, withIndex bool) *Column {
 type Index struct {
 	Offsets  []uint32 // len = #vids + 1
 	Postings []uint32 // len = #rows
+	// sizeOnly is the entry count (#vids + 1 + #rows) of a synthetic
+	// column's index, which holds no arrays; 0 for a built index.
+	sizeOnly int
 }
 
-// PositionsOf returns the IV positions holding the given vid.
+// PositionsOf returns the IV positions holding the given vid. It panics on
+// a synthetic column's size-only index.
 func (ix *Index) PositionsOf(vid uint32) []uint32 {
+	if ix.sizeOnly > 0 {
+		panic("colstore: PositionsOf on a size-only index")
+	}
 	return ix.Postings[ix.Offsets[vid]:ix.Offsets[vid+1]]
 }
 
 // SizeBytes returns the memory footprint of the index.
 func (ix *Index) SizeBytes() int64 {
-	return int64(len(ix.Offsets)+len(ix.Postings)) * 4
+	return int64(len(ix.Offsets)+len(ix.Postings)+ix.sizeOnly) * 4
 }
 
 // Component identifies one of the three data structures of a column.
@@ -122,12 +125,18 @@ type Column struct {
 	Dict []int64
 	Idx  *Index
 
-	// Synthetic marks a column whose structures are correctly sized but hold
-	// no data (the simulation harness uses analytic match counts, so the
-	// values are never read). Domain is the generator's value domain, needed
-	// to size per-part dictionaries when physically partitioning.
+	// Synthetic marks a column that holds metadata only; value reads
+	// panic. It keeps rows, bitcase, domain, dictionary size and whether it
+	// has an index, but no IV words, dictionary values or index arrays (IVec
+	// and Dict are nil, Idx is size-only): the simulation uses analytic
+	// match counts, so it never reads values. Domain is the generator's
+	// value domain, needed to size per-part dictionaries when physically
+	// partitioning.
 	Synthetic bool
 	Domain    int64
+	// distinct is the dictionary size, kept beside Dict because a
+	// synthetic column has none.
+	distinct int
 
 	// Simulated placement metadata.
 	IVRange   memsim.Range
@@ -233,6 +242,8 @@ func Build(name string, values []int64, withIndex bool) *Column {
 		Rows:    len(values),
 		IVec:    iv,
 		Dict:    dict,
+
+		distinct: len(dict),
 	}
 	if withIndex {
 		c.BuildIndex()
@@ -240,10 +251,19 @@ func Build(name string, values []int64, withIndex bool) *Column {
 	return c
 }
 
+// mustHoldValues panics, naming the method and the column, when c is
+// synthetic: it keeps sizes only, so a method reading values has none.
+func (c *Column) mustHoldValues(method string) {
+	if c.Synthetic {
+		panic("colstore: " + method + " on synthetic column " + c.Name)
+	}
+}
+
 // BuildIndex constructs the inverted index from the IV. Both passes (the
 // vid histogram and the postings fill) decode the IV one batch at a time
 // instead of one Get per row.
 func (c *Column) BuildIndex() {
+	c.mustHoldValues("BuildIndex")
 	var codes [BatchSize]uint32
 	counts := make([]uint32, len(c.Dict)+1)
 	for base := 0; base < c.Rows; base += BatchSize {
@@ -279,13 +299,16 @@ func (c *Column) BuildIndex() {
 }
 
 // NumDistinct returns the dictionary size.
-func (c *Column) NumDistinct() int { return len(c.Dict) }
+func (c *Column) NumDistinct() int { return c.distinct }
 
-// IVBytes returns the packed size of the indexvector.
-func (c *Column) IVBytes() int64 { return c.IVec.SizeBytes() }
+// IVBytes returns the packed size of the indexvector: whole words, whether
+// or not the column holds them.
+func (c *Column) IVBytes() int64 {
+	return int64((uint64(c.Rows)*uint64(c.Bitcase) + 63) / 64 * 8)
+}
 
 // DictBytes returns the dictionary size in bytes.
-func (c *Column) DictBytes() int64 { return int64(len(c.Dict)) * ValueSize }
+func (c *Column) DictBytes() int64 { return int64(c.NumDistinct()) * ValueSize }
 
 // TotalBytes returns the full footprint (IV + dict + IX).
 func (c *Column) TotalBytes() int64 {
@@ -301,6 +324,7 @@ func (c *Column) TotalBytes() int64 {
 // predicate-encoding step of Section 5.2). ok is false when no dictionary
 // value falls in the range.
 func (c *Column) EncodePredicate(loVal, hiVal int64) (loVid, hiVid uint32, ok bool) {
+	c.mustHoldValues("EncodePredicate")
 	lo := sort.Search(len(c.Dict), func(i int) bool { return c.Dict[i] >= loVal })
 	hi := sort.Search(len(c.Dict), func(i int) bool { return c.Dict[i] > hiVal })
 	if lo >= hi {
@@ -310,11 +334,15 @@ func (c *Column) EncodePredicate(loVal, hiVal int64) (loVid, hiVid uint32, ok bo
 }
 
 // Value returns the decoded value at a row (for verification).
-func (c *Column) Value(row int) int64 { return c.Dict[c.IVec.Get(row)] }
+func (c *Column) Value(row int) int64 {
+	c.mustHoldValues("Value")
+	return c.Dict[c.IVec.Get(row)]
+}
 
 // ScanPositions scans rows [from, to) for vids in [loVid, hiVid] and appends
 // matching positions to out (the low-selectivity result format).
 func (c *Column) ScanPositions(loVid, hiVid uint32, from, to int, out []uint32) []uint32 {
+	c.mustHoldValues("ScanPositions")
 	return c.IVec.ScanRange(loVid, hiVid, from, to, out)
 }
 
@@ -322,6 +350,7 @@ func (c *Column) ScanPositions(loVid, hiVid uint32, from, to int, out []uint32) 
 // vids in [loVid, hiVid]. Positions are returned in vid-major order, the
 // natural output order of index lookups (Section 5.2).
 func (c *Column) IndexLookupPositions(loVid, hiVid uint32, out []uint32) []uint32 {
+	c.mustHoldValues("IndexLookupPositions")
 	if c.Idx == nil {
 		panic(fmt.Sprintf("colstore: column %s has no index", c.Name))
 	}
@@ -340,6 +369,7 @@ func (c *Column) IndexLookupPositions(loVid, hiVid uint32, out []uint32) []uint3
 // order) fall back to per-row decode, where batching would stream more codes
 // than it saves.
 func (c *Column) Materialize(positions []uint32, out []int64) {
+	c.mustHoldValues("Materialize")
 	var codes [BatchSize]uint32
 	n := len(positions)
 	i := 0
@@ -371,6 +401,7 @@ func (c *Column) Materialize(positions []uint32, out []int64) {
 // one batch unpack per BatchSize rows plus a dictionary gather, instead of a
 // per-row IV probe. out must have to-from capacity.
 func (c *Column) MaterializeRange(from, to int, out []int64) {
+	c.mustHoldValues("MaterializeRange")
 	var codes [BatchSize]uint32
 	for base := from; base < to; base += BatchSize {
 		n := to - base
@@ -424,6 +455,7 @@ func (c *Column) DeltaBytes() int64 {
 // delta inserts. This is the functional union-scan kernel the examples and
 // tests verify the merge against (the harness uses analytic counts instead).
 func (c *Column) CountMatchesWithDelta(loVal, hiVal int64) int {
+	c.mustHoldValues("CountMatchesWithDelta")
 	// Main store: encode the value predicate to a vid window once and run
 	// the batched compare-on-codes counting kernel — no per-row dictionary
 	// decode. Rows with a visible update are then corrected individually:
@@ -468,9 +500,7 @@ func (c *Column) CountMatchesWithDelta(loVal, hiVal int64) int {
 // delta when a merge folds the snapshot. Only valid for real (non-synthetic)
 // columns.
 func (c *Column) MergedValuesAt(snap delta.Snapshot) []int64 {
-	if c.Synthetic {
-		panic("colstore: MergedValuesAt on a synthetic column")
-	}
+	c.mustHoldValues("MergedValuesAt")
 	// Main store: one batched decode of the whole row range, then the
 	// snapshot's updates overlaid only on the rows that have one — the rows
 	// without an overlay (almost all of them) never pay a per-row IV probe
@@ -494,6 +524,7 @@ func (c *Column) MergedValuesAt(snap delta.Snapshot) []int64 {
 // one. Placement metadata (ranges, PSMs, partitions) is NOT touched; the
 // caller (placement.MergeDelta) re-places the rebuilt structures.
 func (c *Column) Reencode(values []int64) {
+	c.mustHoldValues("Reencode")
 	if len(values) == 0 {
 		panic("colstore: Reencode with no values")
 	}
@@ -502,13 +533,14 @@ func (c *Column) Reencode(values []int64) {
 	c.Rows = nc.Rows
 	c.IVec = nc.IVec
 	c.Dict = nc.Dict
+	c.distinct = nc.distinct
 	c.Idx = nc.Idx
 }
 
-// ResizeSynthetic rebuilds a synthetic column's correctly-sized (but empty)
-// structures for a new row count — the synthetic analogue of Reencode used
-// when a delta merge grows the main. The value domain is unchanged, so the
-// expected distinct count and bitcase follow the generator's analytics.
+// ResizeSynthetic recomputes a synthetic column's sizes for a new row count
+// — the synthetic analogue of Reencode used when a delta merge grows the
+// main. The value domain is unchanged, so the expected distinct count and
+// bitcase follow the generator's analytics.
 func (c *Column) ResizeSynthetic(rows int) {
 	if !c.Synthetic {
 		panic("colstore: ResizeSynthetic on a real column")
@@ -516,8 +548,7 @@ func (c *Column) ResizeSynthetic(rows int) {
 	nc := NewSynthetic(c.Name, rows, c.Domain, c.Idx != nil)
 	c.Bitcase = nc.Bitcase
 	c.Rows = nc.Rows
-	c.IVec = nc.IVec
-	c.Dict = nc.Dict
+	c.distinct = nc.distinct
 	c.Idx = nc.Idx
 }
 

@@ -76,9 +76,7 @@ func TestMergeDeltaRealColumn(t *testing.T) {
 // sockets, with the allocator's books balanced.
 func TestMergeDeltaRebuildsReplicas(t *testing.T) {
 	p := New(topology.FourSocketIvyBridge())
-	c := testColumn(2000, 64, 3, false)
-	c.Synthetic = true // size-only rebuild path
-	c.Domain = 64
+	c := colstore.NewSynthetic("c", 2000, 64, false) // size-only rebuild path
 	p.PlaceReplicated(c, []int{0, 2, 3})
 
 	c.Delta = delta.New(4, true)

@@ -28,10 +28,11 @@ type DatasetConfig struct {
 	BitcaseMin, BitcaseMax uint
 	WithIndex              bool
 	Seed                   int64
-	// Synthetic skips generating and encoding actual values: columns get
-	// correctly-sized (but zeroed) structures. The simulation harness uses
-	// this — it costs the experiments nothing because match counts are
-	// analytic — while examples and tests build real data.
+	// Synthetic skips generating and encoding actual values: columns hold
+	// metadata only (colstore.NewSynthetic; value reads panic). The
+	// simulation harness uses this — it costs the experiments nothing
+	// because match counts are analytic — while examples and tests build
+	// real data.
 	Synthetic bool
 }
 
@@ -62,11 +63,11 @@ func Generate(cfg DatasetConfig) *colstore.Table {
 	for j := 0; j < cfg.Columns; j++ {
 		bc := cfg.BitcaseMin + uint(j%span)
 		name := fmt.Sprintf("COL%03d", j)
+		domain := int64(1) << bc
 		if cfg.Synthetic {
-			cols[j] = syntheticColumn(name, cfg.Rows, bc, cfg.WithIndex)
+			cols[j] = colstore.NewSynthetic(name, cfg.Rows, domain, cfg.WithIndex)
 			continue
 		}
-		domain := int64(1) << bc
 		vals := make([]int64, cfg.Rows)
 		for i := range vals {
 			vals[i] = rng.Int63n(domain)
@@ -75,11 +76,6 @@ func Generate(cfg DatasetConfig) *colstore.Table {
 		cols[j].Domain = domain
 	}
 	return colstore.NewTable("TBL", cols)
-}
-
-// syntheticColumn builds a column with realistic sizes but no data.
-func syntheticColumn(name string, rows int, bc uint, withIndex bool) *colstore.Column {
-	return colstore.NewSynthetic(name, rows, 1<<bc, withIndex)
 }
 
 // Chooser picks the column a client queries.
