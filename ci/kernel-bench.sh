@@ -11,8 +11,9 @@ set -euo pipefail
 go test -bench '^(BenchmarkScanPositions|BenchmarkCountRange|BenchmarkMaterialize|BenchmarkSharedPred)$' \
   -benchtime=0.2s -count=3 -run '^$' ./internal/colstore
 
-# The planner rides the same gate: Submit plans every statement, so a
-# Build->Optimize->Lower slowdown is a hot-path regression like any kernel.
+# The planner rides the same gate: Submit plans each statement shape, and
+# replans it when its statistics change, so a Build->Optimize->Lower slowdown
+# is a hot-path regression like any kernel.
 go test -bench '^BenchmarkPlanLower$' -benchtime=0.2s -count=3 -run '^$' ./internal/plan
 
 # The statement path rides the gate as well: the PSM lookup every scan task
@@ -26,6 +27,12 @@ go test -bench '^BenchmarkScanOpen$' -benchtime=0.2s -count=3 -run '^$' ./intern
 # completion on an idle engine per "row" (the statement core's allocation pin
 # runs), with its allocations per statement alongside.
 go test -bench '^BenchmarkSubmit$' -benchtime=0.2s -count=3 -run '^$' ./internal/core
+
+# The star statement path too: one single-dimension star join built,
+# submitted and stepped to completion on a warm idle engine per "row" (the
+# star of the Query.Plan allocation pin, planned and given operators once
+# per shape and statistics), with its allocations per statement alongside.
+go test -bench '^BenchmarkStarSubmit$' -benchtime=0.2s -count=3 -run '^$' ./internal/core
 
 # The shared statement path too: one cohort pass per "row", shaped like
 # shared-star's cohorts (14 members, four of them attached mid-flight and

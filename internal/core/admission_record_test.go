@@ -46,8 +46,10 @@ type testWrite struct {
 //   - the writer submits a batch over several fragments every few steps,
 //     and the Interactive deadline sheds some batches while they queue;
 //   - plan statements queue too: stars, and join-free plans that join
-//     cohorts, on records of one free list, where a record that ran a star
-//     runs a join-free plan next and the reverse;
+//     cohorts, each on records of its plan-cache entry;
+//   - the cost model changes every few steps, in a threshold no statement
+//     reads, so the star's entry replans while its records queue or run,
+//     and a record taken with one plan begins on another;
 //   - every OnDone resubmits, and a zero-match follower, which completes
 //     inside its pass's find-barrier or wrap loop, also launches a pass on
 //     an idle column from its OnDone while the other followers of its pass
@@ -116,10 +118,10 @@ func TestAdmissionRecordReuse(t *testing.T) {
 	}
 	// Plan clients: join-free plans, which join cohorts, and stars, planned
 	// when admitted. Before each submission the top two records of the
-	// plan free list swap places, so a client mostly takes a record another
-	// client freed, and one record alternates between the two shapes.
+	// entry's free list swap places, so a client mostly takes a record
+	// another client freed.
 	var planClient func(i int)
-	alternations := 0
+	stale := 0 // records taken holding a plan their entry has replaced
 	planClient = func(i int) {
 		again := func() { planClient(i) }
 		q := &Query{Strategy: Bound, HomeSocket: i % 4, Tenant: "p", Class: admit.Class(i % 2)}
@@ -128,12 +130,13 @@ func TestAdmissionRecordReuse(t *testing.T) {
 		} else {
 			q.Plan = starPlan(dim, fact, "D_ID")
 		}
-		if r := e.planFree; r != nil && r.next != nil {
+		c := e.cachedPlan(q)
+		if r := c.free; r != nil && r.next != nil {
 			n := r.next
-			r.next, n.next, e.planFree = n.next, r, n
+			r.next, n.next, c.free = n.next, r, n
 		}
-		if r := e.planFree; r != nil && r.phys != nil && (len(r.phys.Joins) > 0) != (i%2 == 1) {
-			alternations++
+		if r := c.free; r != nil && r.phys != nil && r.phys != c.phys {
+			stale++
 		}
 		e.Submit(track(q, again, again))
 	}
@@ -164,6 +167,9 @@ func TestAdmissionRecordReuse(t *testing.T) {
 	for step := 0; e.Sim.Now() < stopAt; step++ {
 		if step == 100 {
 			tr = e.EnableTracing(trace.Config{})
+		}
+		if step%7 == 0 {
+			e.Costs.IndexSelectivityThreshold = 1e-3 * float64(1+step%2)
 		}
 		e.Sim.Step()
 	}
@@ -208,8 +214,8 @@ func TestAdmissionRecordReuse(t *testing.T) {
 	if zeroFollowers == 0 {
 		t.Error("no zero-match follower completed inside a barrier loop")
 	}
-	if alternations == 0 {
-		t.Error("no plan record was taken for a star after a join-free plan, or the reverse")
+	if stale == 0 {
+		t.Error("no plan record was taken holding a plan its entry had replaced")
 	}
 	out := fmt.Sprintf("%s%+v shed=%d/%d writes=%+v plans=%+v", metrics.Fingerprint(e.Counters), st, reads, shedBatches,
 		[]uint64{writes.Submitted, writes.Admitted, writes.Completed, writes.Shed},
@@ -227,8 +233,8 @@ func TestAdmissionRecordReuse(t *testing.T) {
 	}
 	got := fmt.Sprintf("%x", sha256.Sum256([]byte(out)))
 	if os.Getenv("NUMACS_PRINT_FINGERPRINT") != "" {
-		t.Logf("%d statements, %d queued, %d zero-match followers, %d plan record alternations, %d reads and %d batches shed, %+v, fingerprint %s",
-			len(fired), queued, zeroFollowers, alternations, reads, shedBatches, st, got)
+		t.Logf("%d statements, %d queued, %d zero-match followers, %d stale plan records, %d reads and %d batches shed, %+v, fingerprint %s",
+			len(fired), queued, zeroFollowers, stale, reads, shedBatches, st, got)
 	}
 	if got != admissionReuseFingerprint {
 		t.Fatalf("fingerprint %s, want %s", got, admissionReuseFingerprint)
@@ -271,7 +277,7 @@ func submitWrites(e *Engine, tenant string, cols []*colstore.Column, ws []testWr
 // joinNow starts q at once, without admission or the per-query overhead:
 // a cohort member enters the registry before joinNow returns.
 func joinNow(e *Engine, q *Query) {
-	r := e.record(q, e.prepare(q))
+	r := e.record(q)
 	r.adm.Trace = e.startStatement(q.Tenant, q.Class, q)
 	if r.begin(0, e.Sim.Now()) {
 		r.join()

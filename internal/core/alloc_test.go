@@ -171,8 +171,9 @@ func TestPlanQueryRepeatedShapeAllocs(t *testing.T) {
 	q := &Query{Table: tbl, Column: "COLA", Selectivity: 0.01, Parallel: true, UseIndex: true,
 		ExtraPredicateColumns: []string{"COLB"}, ProjectColumns: []string{"COLC"}}
 	plan := func() {
-		pp := e.plainPlan(q)
-		e.take(&pp.free, pp.phys).free()
+		r := e.record(q)
+		r.refresh()
+		r.free()
 	}
 	plan()
 	if n := testing.AllocsPerRun(100, plan); n != 0 {
@@ -180,19 +181,12 @@ func TestPlanQueryRepeatedShapeAllocs(t *testing.T) {
 	}
 }
 
-// TestPlanStatementAllocs pins the heap allocations of one Query.Plan
-// statement on a warm idle engine, from building its logical plan through
-// the simulator steps that complete it: a join-free plan over the pinned
-// statement's table, and the single-dimension star of starPlan. Both are
-// planned at admission against that instant's statistics and run on a
-// recycled statement record; a join-free plan refills the record's own
-// operators, and a star lowers fresh ones into its pipeline. A change that
-// adds an allocation to either path fails here; one that removes some
-// lowers its pin. The pins hold without the race detector only.
-func TestPlanStatementAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("the race detector changes the planner's allocation counts")
-	}
+// planStatementBed returns a warm idle engine and the runs of the two
+// Query.Plan statements TestPlanStatementAllocs pins: a join-free plan over
+// the pinned statement's table, and the single-dimension star of starPlan.
+// Each run builds the statement's logical plan, submits it and steps the
+// simulator until it completes.
+func planStatementBed() (joinFree, star func()) {
 	e := New(topology.FourSocketIvyBridge(), 1)
 	cols := make([]*colstore.Column, 4)
 	for i := range cols {
@@ -201,28 +195,56 @@ func TestPlanStatementAllocs(t *testing.T) {
 	tbl := colstore.NewTable("T", cols)
 	e.Placer.PlaceRR(tbl)
 	dim, fact := buildStarTables(e)
-	for _, tc := range []struct {
-		name  string
-		build func() *plan.Logical
-		want  float64
-	}{
-		{"join-free", func() *plan.Logical {
-			return plan.BuildQuery(plan.Statement{Table: tbl, Column: "C1", Selectivity: 1e-5, Parallel: true})
-		}, 22},
-		{"star", func() *plan.Logical { return starPlan(dim, fact, "D_ID") }, 82},
-	} {
+	runner := func(build func() *plan.Logical) func() {
 		done := false
 		q := &Query{Strategy: Bound, OnDone: func(float64) { done = true }}
-		run := func() {
+		return func() {
 			done = false
-			q.Plan = tc.build()
+			q.Plan = build()
 			e.Submit(q)
 			for !done {
 				e.Sim.Step()
 			}
 		}
-		run()
-		if n := testing.AllocsPerRun(100, run); n != tc.want {
+	}
+	joinFree = runner(func() *plan.Logical {
+		return plan.BuildQuery(plan.Statement{Table: tbl, Column: "C1", Selectivity: 1e-5, Parallel: true})
+	})
+	star = runner(func() *plan.Logical { return starPlan(dim, fact, "D_ID") })
+	return joinFree, star
+}
+
+// TestPlanStatementAllocs pins the heap allocations of one Query.Plan
+// statement on a warm idle engine, from building its logical plan through
+// the simulator steps that complete it, for planStatementBed's join-free
+// plan and star. Both are planned once per shape and statistics and run on
+// a recycled record of their plan-cache entry that keeps its operators, so
+// what remains is the logical build — BuildQuery's predicate list, scan,
+// filter, materialization and plan (5); starPlan's dimension list and
+// BuildStar's fact and dimension scans, filter, predicate list, join,
+// aggregate and plan (8) — and one span list: on an idle engine the
+// concurrency hint fans the parallel find phase out past the 16 spans its
+// stack buffer holds (the join-free scan, the star's dimension scan). A
+// change that adds an allocation to either path fails here. The pins hold
+// without the race detector only.
+func TestPlanStatementAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes the planner's allocation counts")
+	}
+	joinFree, star := planStatementBed()
+	for _, tc := range []struct {
+		name string
+		run  func()
+		want float64
+	}{
+		{"join-free", joinFree, 6},
+		{"star", star, 9},
+	} {
+		// Plan the shape, make its record and grow the simulator's buffers.
+		for i := 0; i < 10; i++ {
+			tc.run()
+		}
+		if n := testing.AllocsPerRun(100, tc.run); n != tc.want {
 			t.Errorf("%s: one Query.Plan statement allocates %v times, want %v", tc.name, n, tc.want)
 		}
 	}
@@ -234,6 +256,23 @@ func TestPlanStatementAllocs(t *testing.T) {
 func BenchmarkSubmit(b *testing.B) {
 	_, run := pinnedStatement(false)
 	run()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		run()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/row")
+}
+
+// BenchmarkStarSubmit measures the star statement path end to end on the
+// host: one "row" is the star of TestPlanStatementAllocs, built, submitted
+// and stepped to completion on a warm idle engine, with its allocations per
+// statement alongside.
+func BenchmarkStarSubmit(b *testing.B) {
+	_, run := planStatementBed()
+	for i := 0; i < 10; i++ {
+		run()
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

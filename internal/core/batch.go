@@ -22,7 +22,7 @@ func (e *Engine) SubmitBatch(qs []*Query) {
 	var head *stmtRec
 	link := &head
 	for _, q := range qs {
-		r := e.record(q, e.prepare(q)) // a bad statement fails the batch before any of it starts
+		r := e.record(q) // a bad statement fails the batch before any of it starts
 		*link, link = r, &r.next
 	}
 	issuedAt := e.Sim.Now()

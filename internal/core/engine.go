@@ -136,14 +136,14 @@ type Engine struct {
 	activeStatements int
 	itemTraffic      map[string]*ItemTraffic
 
-	// plans caches the physical plans of plain statements (plancache.go);
-	// nPlans counts its entries.
-	plans  map[plainKey][]*plainPlan
+	// plans caches every statement's physical plan (plancache.go); nPlans
+	// counts its entries, and snap is the buffer a statement collects its
+	// entry's statistics into.
+	plans  map[planKey][]*cachedPlan
 	nPlans int
+	snap   []plan.ColumnStats
 
-	// planFree and writeFree are the free lists of q.Plan statements'
-	// records and of write batches.
-	planFree  *stmtRec
+	// writeFree is the free list of write batches.
 	writeFree *WriteBatch
 }
 
@@ -374,9 +374,9 @@ type Query struct {
 	// fields cannot describe: star joins and multi-join chains
 	// (plan.BuildStar). The plain table, predicate, projection and
 	// aggregation fields are then ignored; Strategy, HomeSocket, the
-	// callbacks and the admission fields still apply. Submission consumes the
-	// tree — the optimizer rewrites it in place — so every submission needs a
-	// freshly built plan.
+	// callbacks and the admission fields still apply. Submission reads the
+	// tree and neither keeps nor changes it: the plan cache plans its own
+	// copy, so one tree may be submitted again and again.
 	Plan *plan.Logical
 }
 
@@ -392,26 +392,11 @@ type Query struct {
 // operator pipeline.
 func (e *Engine) Submit(q *Query) { e.SubmitBatch([]*Query{q}) }
 
-// prepare checks q and returns its cached plain plan, or nil for a q.Plan
-// statement; a plain shape is checked only when it is planned (plancache.go).
-func (e *Engine) prepare(q *Query) *plainPlan {
-	if q.Plan != nil {
-		check(q)
-		return nil
-	}
-	return e.plainPlan(q)
-}
-
-// record takes the record q runs on: one of its cached plain plan pp, or
-// one of the engine's q.Plan records when pp is nil. Its admission entry is
-// bound to it once, so admitting a statement allocates nothing.
-func (e *Engine) record(q *Query, pp *plainPlan) *stmtRec {
-	var r *stmtRec
-	if pp == nil {
-		r = e.take(&e.planFree, nil)
-	} else {
-		r = e.take(&pp.free, pp.phys)
-	}
+// record takes the record q runs on from q's plan-cache entry, checking q
+// when the entry is made (plancache.go). Its admission entry is bound to it
+// once, so admitting a statement allocates nothing.
+func (e *Engine) record(q *Query) *stmtRec {
+	r := e.take(e.cachedPlan(q))
 	r.q = q
 	return r
 }

@@ -50,8 +50,8 @@ func randomStatements(rng *rand.Rand, n int) []*Query {
 // TestPlanRewritesPreserveExecution is the execution half of the rewrite-
 // preservation property: fixed-seed engines drive the same random statement
 // mix through Submit (full pass pipeline), through Submit as join-free
-// Query.Plan statements (planned at admission, each on a record of the
-// engine's plan free list), and through pass-less lowering started on a
+// Query.Plan statements (each on a record of its own plan-cache entry), and
+// through pass-less lowering started on a
 // hand-built pipeline behind the same per-query overhead (the unoptimized
 // control). The runs' fingerprints — every counter and the full latency
 // histogram — must match: the optimizer may only change representation on

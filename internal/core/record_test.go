@@ -30,7 +30,7 @@ const recordReuseFingerprint = "88d9e05df5ce0439c877846794f6df03201e73b958864185
 //   - statements of one shape run concurrently under admission with
 //     different Strategy, HomeSocket and fan-out caps (the controller
 //     coarsens and refines granularity while they are in flight);
-//   - more than maxPlainPlans one-shot shapes reset the plan cache while
+//   - more than maxPlans one-shot shapes reset the plan cache while
 //     records of the old entries are in flight;
 //   - tracing is enabled after records already exist.
 //
@@ -79,7 +79,7 @@ func TestStatementRecordReuse(t *testing.T) {
 		case 40:
 			tr = e.EnableTracing(trace.Config{})
 		case 80:
-			for k := 0; k < maxPlainPlans+100; k++ {
+			for k := 0; k < maxPlans+100; k++ {
 				submit(&Query{Table: tbl, Column: "COLC", Selectivity: float64(k+1) / 1e6,
 					Strategy: Bound, HomeSocket: k % 4, Tenant: "flood"}, nil)
 			}
@@ -112,7 +112,7 @@ func TestStatementRecordReuse(t *testing.T) {
 	if len(traced) == 0 {
 		t.Error("no statement was traced")
 	}
-	if shapes >= maxPlainPlans {
+	if shapes >= maxPlans {
 		t.Errorf("the plan cache holds %d entries after the flood; it never reset", shapes)
 	}
 	caps := map[int]bool{}
@@ -154,7 +154,7 @@ var cohortReuseFingerprints = map[string]string{
 //   - late arrivals attach mid-flight and finish with a wrap pass;
 //   - one record shape serves both admission classes, whose deadlines
 //     differ;
-//   - more than maxPlainPlans one-shot shapes reset the plan cache while
+//   - more than maxPlans one-shot shapes reset the plan cache while
 //     members are in flight;
 //   - tracing is enabled after records already exist.
 //
@@ -246,7 +246,7 @@ func runCohortRecordReuse(t *testing.T, batched bool, want string) {
 		case 100:
 			tr = e.EnableTracing(trace.Config{})
 		case 300:
-			for k := 0; k < maxPlainPlans+100; k++ {
+			for k := 0; k < maxPlans+100; k++ {
 				e.Submit(track(&Query{Table: small, Column: "COLA", Selectivity: float64(k+1) / 1e6,
 					Strategy: Bound, HomeSocket: k % 4, Tenant: "flood"}, nil))
 			}
@@ -285,7 +285,7 @@ func runCohortRecordReuse(t *testing.T, batched bool, want string) {
 	if zeroFollowers == 0 {
 		t.Error("no zero-match follower completed inside a barrier loop")
 	}
-	if shapes >= maxPlainPlans {
+	if shapes >= maxPlans {
 		t.Errorf("the plan cache holds %d entries after the flood; it never reset", shapes)
 	}
 	got := fmt.Sprintf("%x", sha256.Sum256([]byte(metrics.Fingerprint(e.Counters)+fmt.Sprintf("%+v", st))))

@@ -46,12 +46,22 @@ type JoinOp struct {
 	// aggregate composition). Nil builds from every row.
 	BuildSource RegionSource
 
-	htRange   memsim.Range
-	buildFrac float64
-	regions   []Region
-	// recs and tasks are the running phase's, refilled by the next.
-	recs  []joinTask
-	tasks []Task
+	// htSockets are this execution's hash-table sockets: HTSockets, or the
+	// build column's majority socket of the instant the build opened, kept in
+	// htDefault. interleaved is the allocation policy over several sockets.
+	htSockets   []int
+	htDefault   [1]int
+	interleaved memsim.Interleaved
+	htRange     memsim.Range
+	buildFrac   float64
+	regions     []Region
+	// parts, spans, weights, recs and tasks are the running phase's,
+	// refilled by the next.
+	parts   []RowRange
+	spans   []KernelSpan
+	weights []float64
+	recs    []joinTask
+	tasks   []Task
 }
 
 // joinTask is the record of one join task: it streams rows [from,to) of
@@ -77,20 +87,21 @@ func (j *JoinOp) BuildOp() Operator { return (*joinBuild)(j) }
 // in the pipeline.
 func (j *JoinOp) ProbeOp() Operator { return (*joinProbe)(j) }
 
-// htWeights returns the access distribution over the hash-table sockets.
+// htWeights returns the access distribution over the hash-table sockets,
+// in the operator's storage.
 func (j *JoinOp) htWeights(env *Env) []float64 {
-	w := make([]float64, env.Machine.Sockets)
-	for _, s := range j.HTSockets {
-		w[s] += 1 / float64(len(j.HTSockets))
+	j.weights = socketWeights(j.weights, env.Machine.Sockets)
+	for _, s := range j.htSockets {
+		j.weights[s] += 1 / float64(len(j.htSockets))
 	}
-	return w
+	return j.weights
 }
 
 // fanOut plans one join phase with the find phase's fan-out (PlanSpans,
 // replica slices split evenly) into the operator's task records.
 func (j *JoinOp) fanOut(p *Pipeline, col *colstore.Column, cyclesPerRow, accessesPerRow, byteFrac float64) []Task {
-	var spanBuf [16]KernelSpan
-	spans := PlanSpans(spanBuf[:0], col, nil, p.Hint())
+	j.spans = PlanSpans(j.spans, col, nil, p.Hint())
+	spans := j.spans
 	weights := j.htWeights(p.Env)
 	j.recs, j.tasks = emptied(j.recs, len(spans)), j.tasks[:0]
 	for _, sp := range spans {
@@ -137,8 +148,10 @@ type joinBuild JoinOp
 
 func (b *joinBuild) Open(p *Pipeline) []Task {
 	j := (*JoinOp)(b)
-	if len(j.HTSockets) == 0 {
-		j.HTSockets = []int{j.Build.IVPSM.MajoritySocket()}
+	j.htSockets = j.HTSockets
+	if len(j.htSockets) == 0 {
+		j.htDefault[0] = j.Build.IVPSM.MajoritySocket()
+		j.htSockets = j.htDefault[:]
 	}
 	j.buildFrac = 1
 	if j.BuildSource != nil {
@@ -157,10 +170,11 @@ func (b *joinBuild) Open(p *Pipeline) []Task {
 	if htBytes < memsim.PageSize {
 		htBytes = memsim.PageSize
 	}
-	if len(j.HTSockets) == 1 {
-		j.htRange = j.Alloc.Alloc(htBytes, memsim.OnSocket(j.HTSockets[0]))
+	if len(j.htSockets) == 1 {
+		j.htRange = j.Alloc.Alloc(htBytes, memsim.OnSocket(j.htSockets[0]))
 	} else {
-		j.htRange = j.Alloc.Alloc(htBytes, memsim.Interleaved{Sockets: j.HTSockets})
+		j.interleaved.Sockets = j.htSockets
+		j.htRange = j.Alloc.Alloc(htBytes, &j.interleaved)
 	}
 	return j.fanOut(p, j.Build, buildCyclesPerRow, j.buildFrac, j.buildFrac)
 }
@@ -179,7 +193,8 @@ func (pr *joinProbe) Open(p *Pipeline) []Task {
 	}
 	// Probe-side match regions for downstream aggregation.
 	j.regions = j.regions[:0]
-	for _, part := range Partitions(j.Probe) {
+	j.parts = PartitionsWeighted(j.parts, j.Probe, nil)
+	for _, part := range j.parts {
 		j.regions = append(j.regions, Region{
 			Col:     j.Probe,
 			Socket:  part.Socket,

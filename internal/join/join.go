@@ -161,13 +161,16 @@ func (s StarSpec) Plan() *plan.Logical {
 }
 
 // ExecuteStar submits the composed star-join statement as a planned Query
-// through core.Engine.Submit: the spec's logical plan is checked, admitted,
-// optimized with statistics collected from the live tables, and lowered to
-// the four-operator pipeline (dimension scan, join build, join probe,
-// measure aggregation) behind the per-query overhead, with concurrency-hint
-// accounting and statement-timestamp priorities. On this single-dimension
-// shape the lowering is field-for-field the hand wiring it replaced, pinned
-// by a committed fingerprint of the starjoin scenario.
+// through core.Engine.Submit: the spec's logical plan is checked, admitted
+// and run on the four-operator pipeline (dimension scan, join build, join
+// probe, measure aggregation) behind the per-query overhead, with
+// concurrency-hint accounting and statement-timestamp priorities. The
+// engine's plan cache optimizes and lowers the plan once per shape, with
+// statistics collected from the live tables, and again only when a snapshot
+// of those statistics or of the cost model changes; every other star of the
+// shape runs on a recycled record that keeps its operators. On this
+// single-dimension shape the lowering is field-for-field the hand wiring it
+// replaced, pinned by a committed fingerprint of the starjoin scenario.
 func ExecuteStar(e *core.Engine, s StarSpec) {
 	e.Submit(&core.Query{Plan: s.Plan(), Strategy: s.Strategy, HomeSocket: s.HomeSocket, OnDone: s.OnDone})
 }

@@ -116,9 +116,7 @@ func TestMergeDeltaRebuildsReplicas(t *testing.T) {
 // re-partitions the grown IV across the same sockets.
 func TestMergeDeltaPreservesIVPPartitions(t *testing.T) {
 	p := New(topology.FourSocketIvyBridge())
-	c := testColumn(40_000, 64, 5, false)
-	c.Synthetic = true
-	c.Domain = 64
+	c := colstore.NewSynthetic("c", 40_000, 64, false)
 	p.PlaceColumnOnSocket(c, 0)
 	p.PlaceIVP(c, []int{1, 3})
 

@@ -15,15 +15,14 @@ type Deps struct {
 	DisableCoalesce bool
 }
 
-// Lower emits the physical plan's exec operators, in pipeline order. Each
-// lowering emits fresh operators, since operators keep per-execution state;
-// the cohort metadata stays on the Physical (Shareable, ShareKey). The
-// contract the golden tests pin: on unrewritten plan shapes the emitted
-// operators carry exactly the fields the hand-wired compositions set — a
-// plain statement lowers to the same ScanOp + MaterializeOp/AggregateOp pair
-// core.Submit used to build inline, and a single-dimension star statement
-// lowers to the same [scan, build, probe, aggregate] sequence the star
-// statement was hand-wired to before the planner.
+// Lower emits the physical plan's exec operators, in pipeline order, on
+// fresh storage. The cohort metadata stays on the Physical (Shareable,
+// ShareKey). The contract the golden tests pin: on unrewritten plan shapes
+// the emitted operators carry exactly the fields the hand-wired compositions
+// set — a plain statement lowers to the same ScanOp + MaterializeOp/
+// AggregateOp pair core.Submit used to build inline, and a single-dimension
+// star statement lowers to the same [scan, build, probe, aggregate] sequence
+// the star statement was hand-wired to before the planner.
 func (p *Physical) Lower(d Deps) []exec.Operator {
 	if len(p.Joins) == 0 {
 		if p.Scan == nil {
@@ -31,17 +30,40 @@ func (p *Physical) Lower(d Deps) []exec.Operator {
 		}
 		return p.FillPlain(new(PlainOps), d)
 	}
-	ops := make([]exec.Operator, 0, 3*len(p.Joins)+1)
-	var last *exec.JoinOp
-	for _, pj := range p.Joins {
+	return p.FillJoins(new(JoinOps), d)
+}
+
+// JoinOps is storage for a join plan's operators, which keep their task
+// storage when a caller reuses them statement after statement.
+type JoinOps struct {
+	scans     []exec.ScanOp
+	joins     []exec.JoinOp
+	aggregate exec.AggregateOp
+	ops       []exec.Operator
+}
+
+// FillJoins writes a join plan's operators into o and returns them in
+// pipeline order — per join its build-side scan, build and probe, then the
+// aggregate: the one mapping from a join Physical to exec operators, which
+// Lower runs on fresh storage.
+func (p *Physical) FillJoins(o *JoinOps, d Deps) []exec.Operator {
+	n := len(p.Joins)
+	if cap(o.joins) < n {
+		o.scans, o.joins = make([]exec.ScanOp, n), make([]exec.JoinOp, n)
+		o.ops = make([]exec.Operator, 0, 3*n+1)
+	}
+	o.scans, o.joins, o.ops = o.scans[:n], o.joins[:n], o.ops[:0]
+	for i, pj := range p.Joins {
 		bs := pj.BuildScan
-		scan := &exec.ScanOp{
+		scan := &o.scans[i]
+		*scan = exec.ScanOp{
 			Table:       bs.Table,
 			Selectivity: bs.Selectivity,
 			Cols:        bs.Cols,
 			Parallel:    bs.Parallel,
 		}
-		j := &exec.JoinOp{
+		j := &o.joins[i]
+		*j = exec.JoinOp{
 			Build:           pj.BuildKey,
 			Probe:           pj.ProbeKey,
 			HTSockets:       pj.HTSockets,
@@ -57,15 +79,16 @@ func (p *Physical) Lower(d Deps) []exec.Operator {
 			j.Build, j.Probe = pj.ProbeKey, pj.BuildKey
 			j.BuildSource = nil
 		}
-		ops = append(ops, scan, j.BuildOp(), j.ProbeOp())
-		last = j
+		o.ops = append(o.ops, scan, j.BuildOp(), j.ProbeOp())
 	}
-	return append(ops, &exec.AggregateOp{
-		Source:       last,
+	o.aggregate = exec.AggregateOp{
+		Source:       &o.joins[n-1],
 		BytesPerRow:  p.Output.BytesPerRow,
 		CyclesPerRow: p.Output.CyclesPerRow,
 		Parallel:     p.Output.Parallel,
-	})
+	}
+	o.ops = append(o.ops, &o.aggregate)
+	return o.ops
 }
 
 // PlainOps is storage for a plain statement's operators, which keep their

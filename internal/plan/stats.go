@@ -41,36 +41,57 @@ func Collect(tables ...*colstore.Table) *Stats {
 		if t == nil {
 			continue
 		}
-		for _, name := range t.ColumnNames() {
-			cs := ColumnStats{}
-			for _, part := range t.Parts {
-				c := part.ColumnByName(name)
-				if c == nil {
-					continue
-				}
-				cs.Rows += c.Rows
-				cs.Bitcase = c.Bitcase
-				cs.DeltaRows += c.DeltaRows()
-				if c.Idx != nil {
-					cs.HasIndex = true
-				}
-				if c.IVPSM != nil {
-					cs.Placed = true
-				}
-				if r := len(c.ReplicaSockets); r > cs.Replicas {
-					cs.Replicas = r
-				}
-				if len(c.Partitions) > 1 {
-					cs.IVPParts = len(c.Partitions)
-				}
-			}
-			if cs.Replicas == 0 && cs.Placed {
-				cs.Replicas = 1
-			}
-			s.cols[t.Name+"."+name] = cs
+		for _, c := range t.Parts[0].Columns {
+			s.cols[t.Name+"."+c.Name] = columnStats(t, c.Name)
 		}
 	}
 	return s
+}
+
+// Snapshot appends to buf the statistics Collect catalogs for tables, table
+// by table in column order, and allocates nothing when buf has room: a plan
+// cache compares two snapshots to tell whether planning with statistics
+// would still read the same inputs.
+func Snapshot(buf []ColumnStats, tables ...*colstore.Table) []ColumnStats {
+	for _, t := range tables {
+		if t == nil {
+			continue
+		}
+		for _, c := range t.Parts[0].Columns {
+			buf = append(buf, columnStats(t, c.Name))
+		}
+	}
+	return buf
+}
+
+// columnStats gathers the statistics of table.name across t's parts.
+func columnStats(t *colstore.Table, name string) ColumnStats {
+	cs := ColumnStats{}
+	for _, part := range t.Parts {
+		c := part.ColumnByName(name)
+		if c == nil {
+			continue
+		}
+		cs.Rows += c.Rows
+		cs.Bitcase = c.Bitcase
+		cs.DeltaRows += c.DeltaRows()
+		if c.Idx != nil {
+			cs.HasIndex = true
+		}
+		if c.IVPSM != nil {
+			cs.Placed = true
+		}
+		if r := len(c.ReplicaSockets); r > cs.Replicas {
+			cs.Replicas = r
+		}
+		if len(c.Partitions) > 1 {
+			cs.IVPParts = len(c.Partitions)
+		}
+	}
+	if cs.Replicas == 0 && cs.Placed {
+		cs.Replicas = 1
+	}
+	return cs
 }
 
 // Lookup returns the statistics of table.column, reporting whether the
