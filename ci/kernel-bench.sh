@@ -25,7 +25,10 @@ go test -bench '^BenchmarkScanOpen$' -benchtime=0.2s -count=3 -run '^$' ./intern
 
 # And the whole statement path: one plain statement submitted and stepped to
 # completion on an idle engine per "row" (the statement core's allocation pin
-# runs), with its allocations per statement alongside.
+# runs), with its allocations per statement alongside. Its Query is built
+# inside the timed loop, as a caller builds one per statement, so the
+# allocs/op it prints reads 0 only while the engine keeps no reference to a
+# caller's Query (TestCallerBuiltQueryAllocs pins that count).
 go test -bench '^BenchmarkSubmit$' -benchtime=0.2s -count=3 -run '^$' ./internal/core
 
 # The star statement path too: one single-dimension star join built,

@@ -112,6 +112,9 @@ type Clients struct {
 
 	rng    *rand.Rand
 	Issued uint64
+	// onDone holds each client's completion callback, made once by Start:
+	// it issues the client's next statement.
+	onDone []func(float64)
 }
 
 // NewQ1Clients builds the TPC-H-Q1-style population.
@@ -144,13 +147,18 @@ func NewBWEMLClients(e *core.Engine, cubes []*colstore.Table, n int, strategy co
 
 // Start admits all clients.
 func (c *Clients) Start() {
+	c.onDone = make([]func(float64), c.N)
+	for i := range c.onDone {
+		c.onDone[i] = func(float64) { c.issue(i) }
+	}
 	for i := 0; i < c.N; i++ {
 		c.issue(i)
 	}
 }
 
 // issue submits one aggregation statement: a find-phase scan feeding an
-// aggregation over its qualifying regions.
+// aggregation over its qualifying regions. The engine keeps no reference to
+// the Query, and the callback is the client's own, so it allocates nothing.
 func (c *Clients) issue(client int) {
 	c.Issued++
 	t := c.Tables[c.rng.Intn(len(c.Tables))]
@@ -158,6 +166,6 @@ func (c *Clients) issue(client int) {
 		Table: t, Column: c.Column(t), Selectivity: c.Selectivity, Parallel: true,
 		Strategy: c.Strategy, HomeSocket: client % c.Engine.Machine.Sockets,
 		Aggregate: true, AggBytesPerRow: c.BytesPerRow, AggCyclesPerRow: c.CyclesPerRow,
-		OnDone: func(float64) { c.issue(client) },
+		OnDone: c.onDone[client],
 	})
 }

@@ -19,13 +19,7 @@ import (
 // instead of materializing. run submits it and steps the simulator until it
 // completes.
 func pinnedStatement(aggregate bool) (e *Engine, run func()) {
-	e = New(topology.FourSocketIvyBridge(), 1)
-	cols := make([]*colstore.Column, 4)
-	for i := range cols {
-		cols[i] = colstore.NewSynthetic("C"+string(rune('0'+i)), 100_000, 1<<17, false)
-	}
-	tbl := colstore.NewTable("T", cols)
-	e.Placer.PlaceRR(tbl)
+	e, tbl := pinnedTable()
 	done := false
 	q := &Query{Table: tbl, Column: "C1", Selectivity: 1e-5, Strategy: Bound,
 		Aggregate: aggregate, AggBytesPerRow: 8, AggCyclesPerRow: 8,
@@ -33,6 +27,35 @@ func pinnedStatement(aggregate bool) (e *Engine, run func()) {
 	return e, func() {
 		done = false
 		e.Submit(q)
+		for !done {
+			e.Sim.Step()
+		}
+	}
+}
+
+// pinnedTable returns an idle engine with the pinned statement's table
+// placed: four 100k-row synthetic columns, round-robin.
+func pinnedTable() (*Engine, *colstore.Table) {
+	e := New(topology.FourSocketIvyBridge(), 1)
+	cols := make([]*colstore.Column, 4)
+	for i := range cols {
+		cols[i] = colstore.NewSynthetic("C"+string(rune('0'+i)), 100_000, 1<<17, false)
+	}
+	tbl := colstore.NewTable("T", cols)
+	e.Placer.PlaceRR(tbl)
+	return e, tbl
+}
+
+// callerBuiltStatement returns an idle engine and a run of pinnedStatement's
+// materializing statement whose Query is built afresh inside every run, as
+// a closed-loop client builds one per statement; its callback is made once.
+func callerBuiltStatement() (e *Engine, run func()) {
+	e, tbl := pinnedTable()
+	done := false
+	onDone := func(float64) { done = true }
+	return e, func() {
+		done = false
+		e.Submit(&Query{Table: tbl, Column: "C1", Selectivity: 1e-5, Strategy: Bound, OnDone: onDone})
 		for !done {
 			e.Sim.Step()
 		}
@@ -53,6 +76,26 @@ func TestPlainStatementAllocs(t *testing.T) {
 		run() // plan the shape, make its record and grow the simulator's buffers
 		if n := testing.AllocsPerRun(100, run); n != 0 {
 			t.Errorf("aggregate=%v: one plain statement allocates %v times, want 0", aggregate, n)
+		}
+	}
+}
+
+// TestCallerBuiltQueryAllocs pins what the caller's own Query costs: the
+// run of callerBuiltStatement builds a fresh &Query literal for every
+// statement, with or without an admission controller. The engine copies
+// what it reads of a statement and keeps no reference to its Query once
+// Submit returns, so the literal stays on the caller's stack and the
+// statement allocates nothing. A change that keeps the caller's pointer
+// fails here.
+func TestCallerBuiltQueryAllocs(t *testing.T) {
+	for _, admitted := range []bool{false, true} {
+		e, run := callerBuiltStatement()
+		if admitted {
+			e.EnableAdmission(admit.Config{})
+		}
+		run()
+		if n := testing.AllocsPerRun(100, run); n != 0 {
+			t.Errorf("admitted=%v: a statement built by its caller allocates %v times, want 0", admitted, n)
 		}
 	}
 }
@@ -219,14 +262,13 @@ func planStatementBed() (joinFree, star func()) {
 // the simulator steps that complete it, for planStatementBed's join-free
 // plan and star. Both are planned once per shape and statistics and run on
 // a recycled record of their plan-cache entry that keeps its operators, so
-// what remains is the logical build — BuildQuery's predicate list, scan,
-// filter, materialization and plan (5); starPlan's dimension list and
-// BuildStar's fact and dimension scans, filter, predicate list, join,
-// aggregate and plan (8) — and one span list: on an idle engine the
-// concurrency hint fans the parallel find phase out past the 16 spans its
-// stack buffer holds (the join-free scan, the star's dimension scan). A
-// change that adds an allocation to either path fails here. The pins hold
-// without the race detector only.
+// what remains is the logical build: BuildQuery's tree, one block (1); and
+// starPlan's dimension list, BuildStar's tree and its dimension block (3).
+// On an idle engine the concurrency hint fans the parallel find phase out
+// past the 16 spans ScanOp.Open's stack buffer holds (the join-free scan,
+// the star's dimension scan); the operator keeps that span list, so it
+// allocates nothing once warm. A change that adds an allocation to either
+// path fails here. The pins hold without the race detector only.
 func TestPlanStatementAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector changes the planner's allocation counts")
@@ -237,8 +279,8 @@ func TestPlanStatementAllocs(t *testing.T) {
 		run  func()
 		want float64
 	}{
-		{"join-free", joinFree, 6},
-		{"star", star, 9},
+		{"join-free", joinFree, 1},
+		{"star", star, 3},
 	} {
 		// Plan the shape, make its record and grow the simulator's buffers.
 		for i := 0; i < 10; i++ {
@@ -251,10 +293,13 @@ func TestPlanStatementAllocs(t *testing.T) {
 }
 
 // BenchmarkSubmit measures the statement path end to end on the host: one
-// "row" is the pinned statement of TestPlainStatementAllocs, submitted and
-// stepped to completion on an idle engine.
+// "row" is the pinned statement of TestPlainStatementAllocs, its Query
+// built by the caller inside the timed loop (callerBuiltStatement),
+// submitted and stepped to completion on an idle engine. Its allocs/op
+// reads 0, so an engine that lets the caller's Query escape again shows
+// here.
 func BenchmarkSubmit(b *testing.B) {
-	_, run := pinnedStatement(false)
+	_, run := callerBuiltStatement()
 	run()
 	b.ReportAllocs()
 	b.ResetTimer()

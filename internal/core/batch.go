@@ -18,6 +18,9 @@ package core
 // group shares a pass even where a join window would have split it. One
 // flow per group is timing-equivalent to one per member: those would run
 // concurrently, on their own connection threads, and end at one instant.
+//
+// The engine keeps no reference to qs or to its statements once SubmitBatch
+// returns: each record copies what it reads later (record).
 func (e *Engine) SubmitBatch(qs []*Query) {
 	var head *stmtRec
 	link := &head
@@ -28,9 +31,9 @@ func (e *Engine) SubmitBatch(qs []*Query) {
 	issuedAt := e.Sim.Now()
 	var leaders, next *stmtRec // leaders chains each group's first record
 	link = &leaders
-	for r := head; r != nil; r = next {
-		next, r.next = r.next, nil // admission may free r before enter returns
-		q := r.q
+	for _, q := range qs {
+		r := head
+		head, r.next = r.next, nil // admission may free r before enter returns
 		st := e.startStatement(q.Tenant, q.Class, q)
 		if e.Admit != nil {
 			e.enter(&r.adm, q.Tenant, q.Class, st)

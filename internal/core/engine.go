@@ -321,7 +321,10 @@ func (e *Engine) ConcurrencyHint() int {
 }
 
 // Query describes one read statement: the plain fields a SELECT ... WHERE
-// col BETWEEN ? AND ? execution, Plan any shape they cannot describe.
+// col BETWEEN ? AND ? execution, Plan any shape they cannot describe. A
+// Query is its caller's: Submit copies what the engine needs and keeps no
+// reference to it once Submit returns, so the caller may reuse, change or
+// drop it then.
 type Query struct {
 	Table       *colstore.Table
 	Column      string
@@ -382,22 +385,26 @@ type Query struct {
 
 // Submit is the entry point of every read statement, the batch of one
 // (SubmitBatch); completion is reported via q.OnDone. The statement is
-// checked first (see prepare) — an unknown or unplaced column panics here,
+// checked first (see check) — an unknown or unplaced column panics here,
 // before anything is queued — then opens its trace span and passes admission
 // when the engine has a controller: it may wait in its tenant's queue (the
 // wait counts toward the reported latency and ages its task priority), run
 // with a coarsened fan-out, or be shed (q.OnShed fires instead of q.OnDone).
 // Once admitted it is dispatched behind the fixed per-query overhead: a
 // shareable scan joins the cohort registry, anything else runs as a private
-// operator pipeline.
+// operator pipeline. The engine keeps no reference to q once Submit returns:
+// it copies the fields it reads later, callbacks included.
 func (e *Engine) Submit(q *Query) { e.SubmitBatch([]*Query{q}) }
 
 // record takes the record q runs on from q's plan-cache entry, checking q
-// when the entry is made (plancache.go). Its admission entry is bound to it
-// once, so admitting a statement allocates nothing.
+// when the entry is made (plancache.go), and copies into it what the engine
+// reads of q after submission: the strategy and home socket into its
+// pipeline, and the callbacks. Its admission entry is bound to it once, so
+// admitting a statement allocates nothing.
 func (e *Engine) record(q *Query) *stmtRec {
 	r := e.take(e.cachedPlan(q))
-	r.q = q
+	r.m.Pipeline.Strategy, r.m.Pipeline.HomeSocket = q.Strategy, q.HomeSocket
+	r.onDone, r.onShed = q.OnDone, q.OnShed
 	return r
 }
 
@@ -426,24 +433,6 @@ func (e *Engine) startStatement(tenant string, class admit.Class, q *Query) *tra
 func (e *Engine) enter(a *admit.Statement, tenant string, class admit.Class, st *trace.Statement) {
 	a.Tenant, a.Class, a.Trace = tenant, class, st
 	e.Admit.Submit(a)
-}
-
-// bind fills p's statement fields from q: the engine's environment, q's
-// scheduling parameters, the statement timestamp issuedAt, the fan-out cap
-// gran and the trace span st. Every statement pipeline — a record's or a
-// star's — is bound here; its operators and OnDone are the caller's.
-func (e *Engine) bind(p *exec.Pipeline, q *Query, st *trace.Statement, gran int, issuedAt float64) {
-	p.Env, p.Strategy, p.HomeSocket, p.IssuedAt, p.MaxFanout, p.Trace = e.env, q.Strategy, q.HomeSocket, issuedAt, gran, st
-}
-
-// complete ends a statement: it leaves the active set, frees its admission
-// entry a's slot, and reports the latency.
-func (e *Engine) complete(q *Query, a *admit.Statement, lat float64) {
-	e.activeStatements--
-	a.Done()
-	if q.OnDone != nil {
-		q.OnDone(lat)
-	}
 }
 
 // startOverhead fills the caller-owned f with the per-query overhead delay

@@ -70,6 +70,33 @@ func TestDisableCoalesceIssuesMoreTasks(t *testing.T) {
 	}
 }
 
+// TestDisableCoalesceReachesStars: the coalescing ablation walks a star's
+// output slots as it walks a join-free aggregate's, so at high concurrency
+// a star's aggregation phase issues a task per non-empty slot instead of
+// one per coalesced partition.
+func TestDisableCoalesceReachesStars(t *testing.T) {
+	run := func(disable bool) uint64 {
+		e := New(topology.FourSocketIvyBridge(), 1)
+		e.DisableCoalesce = disable
+		dim, fact := buildStarTables(e)
+		for i := 0; i < 64; i++ {
+			e.Submit(&Query{Plan: starPlan(dim, fact, "D_ID"), Strategy: Bound, HomeSocket: i % 4,
+				OnDone: func(float64) {}})
+		}
+		e.Sim.Run(0.1)
+		q := e.Counters.QueriesDone
+		if q != 64 {
+			t.Fatalf("disable=%v: %d of 64 stars done", disable, q)
+		}
+		return e.Counters.TasksExecuted / q
+	}
+	coalesced := run(false)
+	exploded := run(true)
+	if exploded < coalesced*3 {
+		t.Fatalf("disabling coalescing should multiply a star's tasks: %d vs %d per star", exploded, coalesced)
+	}
+}
+
 // TestBitvectorOutputFormat: at high selectivity the scan writes a bitvector
 // (rows/8 bytes) instead of a position list (4 bytes per match), so the
 // scan-phase output bytes drop by ~32x selectivity.

@@ -94,7 +94,7 @@ func TestPlanRewritesPreserveExecution(t *testing.T) {
 				e.activeStatements++
 				p := &exec.Pipeline{
 					Env: e.env, Strategy: q.Strategy, HomeSocket: q.HomeSocket,
-					IssuedAt: e.Sim.Now(), Ops: low, OnDone: func(lat float64) { e.complete(q, new(admit.Statement), lat) },
+					IssuedAt: e.Sim.Now(), Ops: low, OnDone: func(lat float64) { e.activeStatements--; q.OnDone(lat) },
 				}
 				e.startOverhead(new(sim.Flow), p.Start)
 			}

@@ -17,27 +17,34 @@ import (
 // stmtRec is one read statement, private, in a scan cohort or a star: its
 // admission entry, the cohort member with the statement's pipeline inside
 // it, its operators — a join-free plan's by value, a star's made on its
-// first fill — and the per-query overhead flow. entry is the cache entry the record belongs to
-// and returns to (plancache.go), and phys the plan its member and operators
-// were last filled from: a record is filled when its statement begins and
-// its entry's plan is not the one it holds, and otherwise runs the
-// operators it kept. group is the cohort group the record hands to the
-// registry (join): its own member, followed, when it is a batch's first
-// record with its cohort key, by the members of the batch's later
-// statements with that key (batch.go). The admission entry's Run and
-// OnShed, the member's Phases and OnShed hooks, the pipeline's OnDone, the
-// private start and the hand-off to the registry are bound once, when a
-// record is made.
+// first fill — the per-query overhead flow, and the statement's callbacks.
+// entry is the cache entry the record belongs to and returns to
+// (plancache.go), and phys the plan its member and operators were last
+// filled from: a record is filled when its statement begins and its entry's
+// plan is not the one it holds, and otherwise runs the operators it kept.
+// group is the cohort group the record hands to the registry (join): its own
+// member, followed, when it is a batch's first record with its cohort key,
+// by the members of the batch's later statements with that key (batch.go).
+// The admission entry's Run and OnShed, the member's Phases and OnShed
+// hooks, the pipeline's OnDone, the private start and the hand-off to the
+// registry are bound once, when a record is made.
+//
+// A record keeps no reference to its Query. What the engine reads of a
+// statement after Submit returns is copied when the record is taken
+// (record): the strategy and home socket into the pipeline, and the
+// callbacks into onDone and onShed; enter copies the tenant and class into
+// the admission entry.
 //
 // A record is taken when its statement is submitted, before admission, and
 // returns to its free list only inside its own OnDone (done), member OnShed
-// (shed) or admission OnShed (dropped), after it has read q and before its
-// admission entry's Done. This is sound because the pipeline fires OnDone
-// from its last task's Then, after the scheduler has dropped its task
-// pointers; the cohort registry reads no member again once the member has
-// started or been shed; and the admission controller reads no entry again
-// once it has been shed or its Done has read it (see admit.Statement). An
-// idle record keeps no cohort pass reachable: free points a join-free
+// (shed) or admission OnShed (dropped), after it has read its callbacks and
+// before its admission entry's Done. This is sound because the pipeline
+// fires OnDone from its last task's Then, after the scheduler has dropped
+// its task pointers; the cohort registry reads no member again once the
+// member has started or been shed; and the admission controller reads no
+// entry again once it has been shed or its Done has read it (see
+// admit.Statement). An idle record keeps no cohort pass and no caller's
+// closure reachable: free clears the callbacks and points a join-free
 // record's operators back at its own scan, and a finished pipeline clears
 // its task slots.
 type stmtRec struct {
@@ -51,7 +58,8 @@ type stmtRec struct {
 	overhead    sim.Flow
 	group       []*sharedscan.Member
 	start, join func()
-	q           *Query
+	onDone      func(latency float64)
+	onShed      func()
 	next        *stmtRec
 }
 
@@ -103,7 +111,7 @@ func (r *stmtRec) refresh() {
 
 // free returns r to its entry's free list.
 func (r *stmtRec) free() {
-	r.q, r.adm.Trace, r.m.Pipeline.Trace = nil, nil, nil
+	r.onDone, r.onShed, r.adm.Trace, r.m.Pipeline.Trace = nil, nil, nil, nil
 	if r.phys != nil && len(r.phys.Joins) == 0 {
 		r.m.Pipeline.Ops = r.ops.Private()
 	}
@@ -119,58 +127,65 @@ func (r *stmtRec) admitted(gran int, issuedAt float64) {
 }
 
 // begin starts the admitted statement on its entry's plan of this instant,
-// refilling r first when that plan is not the one r holds: gran caps its
-// fan-out (0 = uncapped), and issuedAt is its statement timestamp — the task
-// priority and the base of its latency. The statement runs privately behind
-// the per-query overhead, or, when its plan is a shareable scan and the
-// engine shares scans, begin reports true and the caller hands r's member
-// to the registry. Either way the statement counts as active until it
-// completes.
+// refilling r first when that plan is not the one r holds, and binds the
+// pipeline's statement fields: the engine's environment, the fan-out cap
+// gran (0 = uncapped), the statement timestamp issuedAt — the task priority
+// and the base of its latency — and the trace span. The statement runs
+// privately behind the per-query overhead, or, when its plan is a shareable
+// scan and the engine shares scans, begin reports true and the caller hands
+// r's member to the registry. Either way the statement counts as active
+// until it completes.
 func (r *stmtRec) begin(gran int, issuedAt float64) bool {
-	e, q := r.e, r.q
+	e, p := r.e, &r.m.Pipeline
 	r.refresh()
 	e.activeStatements++
-	e.bind(&r.m.Pipeline, q, r.adm.Trace, gran, issuedAt)
+	p.Env, p.IssuedAt, p.MaxFanout, p.Trace = e.env, issuedAt, gran, r.adm.Trace
 	if e.Shared == nil || !r.phys.Shareable {
 		e.startOverhead(&r.overhead, r.start)
 		return false
 	}
 	// The member's shed deadline extends the admission class deadline into
-	// the join window.
+	// the join window: a statement begins under a controller only once it
+	// entered one, which set its entry's class.
 	r.m.Deadline = 0
 	if e.Admit != nil {
-		if d := e.Admit.DeadlineFor(q.Class); d > 0 {
+		if d := e.Admit.DeadlineFor(r.adm.Class); d > 0 {
 			r.m.Deadline = issuedAt + d
 		}
 	}
 	return true
 }
 
-// done is every record's pipeline OnDone.
+// done is every record's pipeline OnDone: the statement leaves the active
+// set, frees its admission slot and reports its latency to onDone.
 func (r *stmtRec) done(lat float64) {
-	q := r.q
-	r.free()
-	r.e.complete(q, &r.adm, lat)
-}
-
-// shed is every record's member OnShed: the statement leaves the active
-// set, frees its admission slot and fires q.OnShed.
-func (r *stmtRec) shed() {
-	q := r.q
+	onDone := r.onDone
 	r.free()
 	r.e.activeStatements--
 	r.adm.Done()
-	if q.OnShed != nil {
-		q.OnShed()
+	if onDone != nil {
+		onDone(lat)
+	}
+}
+
+// shed is every record's member OnShed: the statement leaves the active
+// set, frees its admission slot and fires onShed.
+func (r *stmtRec) shed() {
+	onShed := r.onShed
+	r.free()
+	r.e.activeStatements--
+	r.adm.Done()
+	if onShed != nil {
+		onShed()
 	}
 }
 
 // dropped is every record's admission OnShed: the statement never started,
-// so it only fires q.OnShed.
+// so it only fires onShed.
 func (r *stmtRec) dropped() {
-	q := r.q
+	onShed := r.onShed
 	r.free()
-	if q.OnShed != nil {
-		q.OnShed()
+	if onShed != nil {
+		onShed()
 	}
 }

@@ -8,7 +8,9 @@ import (
 
 	"numacs/internal/admit"
 	"numacs/internal/colstore"
+	"numacs/internal/metrics"
 	"numacs/internal/plan"
+	"numacs/internal/sharedscan"
 	"numacs/internal/topology"
 	"numacs/internal/trace"
 )
@@ -180,6 +182,64 @@ func TestCheckDoesNotAllocate(t *testing.T) {
 	for _, q := range []*Query{plain, star} {
 		if n := testing.AllocsPerRun(100, func() { check(q) }); n != 0 {
 			t.Errorf("check allocated %v times per statement", n)
+		}
+	}
+}
+
+// TestSubmitCopiesStatement: once Submit returns, a Query is its caller's
+// again. A run that overwrites every statement's Query right after Submit —
+// with another column, selectivity, home socket, strategy and class, and
+// with other callbacks or none — must run exactly as a run that leaves them
+// alone: the same fingerprint, and each statement's own OnDone fired once
+// and no other callback. On the plain path a statement begins inside
+// Submit, so only its callbacks are read later. On the admitted path a
+// concurrency limit of one holds all but the first statement in its
+// tenant's queue, so they begin after Submit has returned, and the cohort
+// registry's join window makes a member's class deadline count.
+func TestSubmitCopiesStatement(t *testing.T) {
+	const n = 8
+	for _, admitted := range []bool{false, true} {
+		run := func(overwrite bool) (string, []int) {
+			e := New(topology.FourSocketIvyBridge(), 1)
+			tbl := buildPlacedTable(e, 2, 60_000, false)
+			var ctl *admit.Controller
+			if admitted {
+				ctl = e.EnableAdmission(admit.Config{MinConcurrent: 1, MaxConcurrent: 1,
+					OLAPDeadline: 1, InteractiveDeadline: 1e-6})
+				e.EnableSharedScans(sharedscan.Config{JoinWindow: 100e-6})
+			}
+			fired := make([]int, n)
+			for i := 0; i < n; i++ {
+				q := Query{Table: tbl, Column: "COLA", Selectivity: 0.01, Parallel: true,
+					Strategy: Bound, HomeSocket: i % 4, Tenant: "t",
+					OnDone: func(float64) { fired[i]++ },
+					OnShed: func() { t.Errorf("admitted=%v: statement %d was shed", admitted, i) }}
+				e.Submit(&q)
+				if !overwrite {
+					continue
+				}
+				q = Query{Table: tbl, Column: "COLB", Selectivity: 0.9, Strategy: OSched,
+					HomeSocket: 3 - i%4, Class: admit.Interactive}
+				if i%2 == 0 {
+					q.OnDone = func(float64) { t.Errorf("admitted=%v: statement %d reported to an overwritten OnDone", admitted, i) }
+					q.OnShed = func() { t.Errorf("admitted=%v: statement %d fired an overwritten OnShed", admitted, i) }
+				}
+			}
+			if admitted && ctl.Queued() != n-1 {
+				t.Fatalf("%d statements queued, want %d", ctl.Queued(), n-1)
+			}
+			e.Sim.Run(0.05)
+			return metrics.Fingerprint(e.Counters), fired
+		}
+		want, _ := run(false)
+		got, fired := run(true)
+		for i, f := range fired {
+			if f != 1 {
+				t.Errorf("admitted=%v: statement %d fired its OnDone %d times, want 1", admitted, i, f)
+			}
+		}
+		if got != want {
+			t.Errorf("admitted=%v: overwriting the Query after Submit changed the run:\n--- untouched ---\n%s--- overwritten ---\n%s", admitted, want, got)
 		}
 	}
 }

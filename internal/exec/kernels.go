@@ -30,13 +30,25 @@ type KernelSpan struct {
 // row space exactly once, and an empty partition contributes none.
 func PlanSpans(buf []KernelSpan, col *colstore.Column, mcLoad []float64, hint int) []KernelSpan {
 	var partBuf [8]RowRange
-	parts := PartitionsWeighted(partBuf[:0], col, mcLoad)
-	per := TasksPerPartition(hint, len(parts))
-	n := 0
+	parts, per, n := spanParts(partBuf[:0], col, mcLoad, hint)
+	return fillSpans(emptied(buf, n), parts, per)
+}
+
+// spanParts is the first half of PlanSpans: col's scheduling partitions,
+// written into buf's storage, the tasks per partition, and the number of
+// spans they make, so a caller can pick the spans' storage by their count.
+func spanParts(buf []RowRange, col *colstore.Column, mcLoad []float64, hint int) (parts []RowRange, per, n int) {
+	parts = PartitionsWeighted(buf, col, mcLoad)
+	per = TasksPerPartition(hint, len(parts))
 	for _, part := range parts {
 		n += min(per, part.To-part.From)
 	}
-	spans := emptied(buf, n)
+	return parts, per, n
+}
+
+// fillSpans is the second half of PlanSpans: it appends the spans of parts,
+// per tasks each, to spans.
+func fillSpans(spans []KernelSpan, parts []RowRange, per int) []KernelSpan {
 	for i, part := range parts {
 		// SplitRows's even split, written straight into the spans.
 		rows := part.To - part.From

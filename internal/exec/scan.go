@@ -37,6 +37,9 @@ type ScanOp struct {
 	regions []Region
 	findTasks
 	alls []*scanAll // scan-all task records, one per predicate column
+	// spans holds a fan-out past Open's stack buffer (an idle or lightly
+	// loaded engine's); it grows only then.
+	spans []KernelSpan
 }
 
 // Regions implements RegionSource: the per-partition match counts, with the
@@ -91,6 +94,7 @@ func (s *ScanOp) Open(p *Pipeline) []Task {
 	// snapshot, taken lazily by the first replicated column that needs it.
 	mc := mcSnapshot{env: env}
 	var spanBuf [16]KernelSpan
+	var partBuf [8]RowRange
 	var fragBuf [4]RowRange
 	useIndex := s.UseIndex && IndexEligible(env.Costs, s.Cols[0], s.Selectivity)
 	track := true
@@ -160,7 +164,16 @@ func (s *ScanOp) Open(p *Pipeline) []Task {
 					if s.Table.NumParts() > 1 {
 						hint = max(hint/s.Table.NumParts(), 1)
 					}
-					spans := PlanSpans(spanBuf[:0], col, mc.forColumn(col), hint)
+					// PlanSpans, into the stack buffer when the spans fit and
+					// into the operator's storage otherwise. The stack buffer
+					// never flows into s.spans, or it would escape.
+					parts, per, n := spanParts(partBuf[:0], col, mc.forColumn(col), hint)
+					spans := spanBuf[:0]
+					if n > len(spanBuf) {
+						s.spans = emptied(s.spans, n)
+						spans = s.spans
+					}
+					spans = fillSpans(spans, parts, per)
 					s.reserve(len(spans))
 					for k, sp := range spans {
 						if k == 0 || sp.Part != spans[k-1].Part {

@@ -82,10 +82,11 @@ func (p *Physical) FillJoins(o *JoinOps, d Deps) []exec.Operator {
 		o.ops = append(o.ops, scan, j.BuildOp(), j.ProbeOp())
 	}
 	o.aggregate = exec.AggregateOp{
-		Source:       &o.joins[n-1],
-		BytesPerRow:  p.Output.BytesPerRow,
-		CyclesPerRow: p.Output.CyclesPerRow,
-		Parallel:     p.Output.Parallel,
+		Source:          &o.joins[n-1],
+		BytesPerRow:     p.Output.BytesPerRow,
+		CyclesPerRow:    p.Output.CyclesPerRow,
+		Parallel:        p.Output.Parallel,
+		DisableCoalesce: d.DisableCoalesce,
 	}
 	o.ops = append(o.ops, &o.aggregate)
 	return o.ops

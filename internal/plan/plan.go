@@ -21,6 +21,7 @@ package plan
 
 import (
 	"fmt"
+	"slices"
 
 	"numacs/internal/colstore"
 )
@@ -141,34 +142,48 @@ type Statement struct {
 
 // BuildQuery builds the logical plan of a plain statement:
 // output(filter(scan)). Predicates start on the FilterNode; the pushdown
-// pass folds them into the scan.
+// pass folds them into the scan. The tree is one allocation (queryTree),
+// and one more holds the predicate list when there are extra predicate
+// columns.
 func BuildQuery(st Statement) *Logical {
-	preds := make([]Pred, 0, 1+len(st.ExtraPredicateColumns))
-	preds = append(preds, Pred{Column: st.Column, Selectivity: st.Selectivity})
+	t := new(queryTree)
+	t.pred[0] = Pred{Column: st.Column, Selectivity: st.Selectivity}
+	preds := slices.Grow(t.pred[:], len(st.ExtraPredicateColumns))
 	for _, c := range st.ExtraPredicateColumns {
 		preds = append(preds, Pred{Column: c, Selectivity: st.Selectivity})
 	}
-	var root Node = &FilterNode{
-		Input:    &ScanNode{Table: st.Table, Parallel: st.Parallel},
-		Preds:    preds,
-		UseIndex: st.UseIndex,
-	}
+	t.scan = ScanNode{Table: st.Table, Parallel: st.Parallel}
+	t.filter = FilterNode{Input: &t.scan, Preds: preds, UseIndex: st.UseIndex}
 	if st.Aggregate {
-		root = &AggregateNode{
-			Input:          root,
+		t.agg = AggregateNode{
+			Input:          &t.filter,
 			BytesPerRow:    st.AggBytesPerRow,
 			CyclesPerRow:   st.AggCyclesPerRow,
 			ProjectColumns: st.ProjectColumns,
 			Parallel:       st.Parallel,
 		}
+		t.logical.Root = &t.agg
 	} else {
-		root = &MaterializeNode{
-			Input:          root,
+		t.mat = MaterializeNode{
+			Input:          &t.filter,
 			ProjectColumns: st.ProjectColumns,
 			Parallel:       st.Parallel,
 		}
+		t.logical.Root = &t.mat
 	}
-	return &Logical{Root: root}
+	return &t.logical
+}
+
+// queryTree is the storage of one BuildQuery tree: the plan, its nodes —
+// both output kinds, of which the tree uses one — and a one-entry predicate
+// list.
+type queryTree struct {
+	logical Logical
+	scan    ScanNode
+	filter  FilterNode
+	mat     MaterializeNode
+	agg     AggregateNode
+	pred    [1]Pred
 }
 
 // StarDim is one dimension of a star statement: a range predicate filters
@@ -202,28 +217,54 @@ type StarStatement struct {
 
 // BuildStar builds the logical star-join plan: joins nest left-deep over the
 // fact scan in the written dimension order, with each dimension's predicate
-// on a FilterNode above its scan, and the aggregation on top.
+// on a FilterNode above its scan, and the aggregation on top. The tree is
+// two allocations: the plan with its fact scan and aggregate (starTree),
+// and the dimensions' joins, filters, scans and predicates (starJoin).
 func BuildStar(st StarStatement) *Logical {
-	var probe Node = &ScanNode{Table: st.Fact, Parallel: true}
-	for _, d := range st.Dims {
-		probe = &JoinNode{
-			Build: &FilterNode{
-				Input: &ScanNode{Table: d.Dim, Parallel: true},
-				Preds: []Pred{{Column: d.Predicate, Selectivity: d.Selectivity}},
-			},
+	t := new(starTree)
+	t.fact = ScanNode{Table: st.Fact, Parallel: true}
+	var probe Node = &t.fact
+	joins := make([]starJoin, len(st.Dims))
+	for i, d := range st.Dims {
+		j := &joins[i]
+		j.scan = ScanNode{Table: d.Dim, Parallel: true}
+		j.pred[0] = Pred{Column: d.Predicate, Selectivity: d.Selectivity}
+		j.filter = FilterNode{Input: &j.scan, Preds: j.pred[:]}
+		j.join = JoinNode{
+			Build:           &j.filter,
 			Probe:           probe,
 			BuildKey:        d.Key,
 			ProbeKey:        d.FactFK,
 			HitsPerProbeRow: d.HitsPerProbeRow,
 			HTSockets:       st.HTSockets,
 		}
+		probe = &j.join
 	}
-	return &Logical{Root: &AggregateNode{
+	t.agg = AggregateNode{
 		Input:        probe,
 		BytesPerRow:  st.AggBytesPerRow,
 		CyclesPerRow: st.AggCyclesPerRow,
 		Parallel:     true,
-	}}
+	}
+	t.logical.Root = &t.agg
+	return &t.logical
+}
+
+// starTree is the storage of one BuildStar tree but its dimensions: the
+// plan, the fact scan and the aggregate.
+type starTree struct {
+	logical Logical
+	fact    ScanNode
+	agg     AggregateNode
+}
+
+// starJoin is the storage of one BuildStar dimension: its join, the filter
+// and scan of its build side, and its one-entry predicate list.
+type starJoin struct {
+	join   JoinNode
+	filter FilterNode
+	scan   ScanNode
+	pred   [1]Pred
 }
 
 // predsLabel renders a predicate list for EXPLAIN, e.g. [D_DATE~0.05].

@@ -304,6 +304,29 @@ func TestLowerStarMatchesHandWired(t *testing.T) {
 	}
 }
 
+// TestLowerStarHonoursDisableCoalesce: the coalescing ablation reaches a
+// star's aggregate as it reaches a join-free plan's output operator, and
+// only the ablation sets it.
+func TestLowerStarHonoursDisableCoalesce(t *testing.T) {
+	_, dim1, _, fact := testSchema()
+	phys := Optimize(BuildStar(StarStatement{
+		Fact: fact,
+		Dims: []StarDim{{Dim: dim1, Predicate: "D1_DATE", Key: "D1_ID", FactFK: "F_FK1",
+			Selectivity: 0.05, HitsPerProbeRow: 1}},
+		AggBytesPerRow: 12, AggCyclesPerRow: 24,
+	}), Collect(dim1, fact), nil)
+	for _, disable := range []bool{false, true} {
+		low := phys.Lower(Deps{Alloc: memsim.NewAllocator(4), DisableCoalesce: disable})
+		agg, ok := low[len(low)-1].(*exec.AggregateOp)
+		if !ok {
+			t.Fatalf("a star lowers to %T last, want *exec.AggregateOp", low[len(low)-1])
+		}
+		if agg.DisableCoalesce != disable {
+			t.Errorf("Deps.DisableCoalesce %v lowered a star aggregate with DisableCoalesce %v", disable, agg.DisableCoalesce)
+		}
+	}
+}
+
 // TestOptimizeIsNoOpForPlainStatements: the full pass pipeline and the empty
 // pass list lower random plain statements to identical operator structs —
 // pushdown is a pure representation change on this shape.

@@ -86,6 +86,31 @@ type tenantLoadState struct {
 	carry float64   // fractional open-loop arrivals
 	due   []float64 // closed-loop reissue times (think timers)
 	seq   int       // issue sequence, for home-socket spreading
+
+	// The tenant's statement callbacks, made once (bind): an open-loop
+	// statement counts its outcome, and a closed-loop one also rearms its
+	// client's think timer.
+	openDone, closedDone func(latency float64)
+	openShed, closedShed func()
+}
+
+// bind makes ts's statement callbacks; a closed-loop one rearms its
+// client's think timer on g's engine clock.
+func (ts *tenantLoadState) bind(g *MultiTenant) {
+	rearm := func() { ts.due = append(ts.due, g.engine.Sim.Now()+ts.spec.ThinkTime) }
+	ts.openDone = func(lat float64) {
+		ts.stats.Completed++
+		ts.stats.Lat.Record(lat)
+	}
+	ts.openShed = func() { ts.stats.Shed++ }
+	ts.closedDone = func(lat float64) {
+		ts.openDone(lat)
+		rearm()
+	}
+	ts.closedShed = func() {
+		ts.openShed()
+		rearm()
+	}
 }
 
 // MultiTenantConfig configures the generator.
@@ -123,10 +148,12 @@ func NewMultiTenant(e *core.Engine, table *colstore.Table, cfg MultiTenantConfig
 		if spec.Chooser == nil {
 			spec.Chooser = UniformChoice{}
 		}
-		g.per = append(g.per, &tenantLoadState{
+		ts := &tenantLoadState{
 			spec:  spec,
 			stats: TenantLoadStats{Name: spec.Name, Lat: &metrics.Histogram{}},
-		})
+		}
+		ts.bind(g)
+		g.per = append(g.per, ts)
 	}
 	return g
 }
@@ -192,10 +219,9 @@ func (g *MultiTenant) Tick(now float64) {
 func (g *MultiTenant) issue(ts *tenantLoadState, closed bool) {
 	ts.stats.Issued++
 	ts.seq++
-	rearm := func() {
-		if closed {
-			ts.due = append(ts.due, g.engine.Sim.Now()+ts.spec.ThinkTime)
-		}
+	onDone, onShed := ts.openDone, ts.openShed
+	if closed {
+		onDone, onShed = ts.closedDone, ts.closedShed
 	}
 	col := g.columns[ts.spec.Chooser.Pick(g.rng, len(g.columns))]
 	g.engine.Submit(&core.Query{
@@ -206,14 +232,7 @@ func (g *MultiTenant) issue(ts *tenantLoadState, closed bool) {
 		Strategy:    ts.spec.Strategy,
 		HomeSocket:  ts.seq % g.engine.Machine.Sockets,
 		Tenant:      ts.spec.Name,
-		OnDone: func(lat float64) {
-			ts.stats.Completed++
-			ts.stats.Lat.Record(lat)
-			rearm()
-		},
-		OnShed: func() {
-			ts.stats.Shed++
-			rearm()
-		},
+		OnDone:      onDone,
+		OnShed:      onShed,
 	})
 }

@@ -157,6 +157,10 @@ type Clients struct {
 	table   *colstore.Table
 	columns []string
 	rng     *rand.Rand
+	// onDone and onShed hold each client's callbacks, made once by Start:
+	// both issue the client's next query.
+	onDone []func(float64)
+	onShed []func()
 
 	// Issued counts queries submitted; the metrics package counts
 	// completions.
@@ -181,11 +185,19 @@ func NewClients(e *core.Engine, table *colstore.Table, cfg ClientsConfig) *Clien
 // Start admits all clients (the paper makes sure all clients are admitted
 // before measuring).
 func (c *Clients) Start() {
+	c.onDone, c.onShed = make([]func(float64), c.cfg.N), make([]func(), c.cfg.N)
+	for i := range c.onDone {
+		c.onDone[i] = func(float64) { c.issue(i) }
+		c.onShed[i] = func() { c.issue(i) }
+	}
 	for i := 0; i < c.cfg.N; i++ {
 		c.issue(i)
 	}
 }
 
+// issue submits the client's next query. The engine keeps no reference to
+// the Query, and the callbacks are the client's own, so it allocates
+// nothing.
 func (c *Clients) issue(client int) {
 	c.Issued++
 	col := c.columns[c.cfg.Chooser.Pick(c.rng, len(c.columns))]
@@ -198,8 +210,8 @@ func (c *Clients) issue(client int) {
 		Strategy:    c.cfg.Strategy,
 		HomeSocket:  client % c.engine.Machine.Sockets,
 		Tenant:      c.cfg.Tenant,
-		OnDone:      func(float64) { c.issue(client) },
-		OnShed:      func() { c.issue(client) },
+		OnDone:      c.onDone[client],
+		OnShed:      c.onShed[client],
 	})
 }
 

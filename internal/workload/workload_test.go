@@ -217,6 +217,31 @@ func TestClientsClosedLoop(t *testing.T) {
 	}
 }
 
+// TestClientsAllocs pins the heap allocations of a closed-loop client
+// population once warm: each client's callbacks are made once, at Start,
+// and the engine keeps no reference to a client's Query, so issuing,
+// running and completing 100 statements allocates nothing.
+func TestClientsAllocs(t *testing.T) {
+	e := core.New(topology.FourSocketIvyBridge(), 1)
+	tbl := Generate(DatasetConfig{Rows: 30000, Columns: 8, BitcaseMin: 10, BitcaseMax: 14, Seed: 1, Synthetic: true})
+	e.Placer.PlaceRR(tbl)
+	c := NewClients(e, tbl, ClientsConfig{
+		N: 4, Selectivity: 0.001, Parallel: true, Strategy: core.Bound, Seed: 3,
+	})
+	c.Start()
+	run := func() {
+		for until := c.Issued + 100; c.Issued < until; {
+			e.Sim.Step()
+		}
+	}
+	for i := 0; i < 10; i++ {
+		run() // plan every column's shape, make the records and grow the buffers
+	}
+	if n := testing.AllocsPerRun(10, run); n != 0 {
+		t.Errorf("100 closed-loop statements allocate %v times, want 0", n)
+	}
+}
+
 // TestNewWritersRejectsBadConfigs: NewWriters panics on a config the writers
 // cannot run, with a message that names the problem, instead of failing mid
 // simulation (a socket outside the machine indexed the delta fragments, and
