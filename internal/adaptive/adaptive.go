@@ -27,9 +27,11 @@ package adaptive
 
 import (
 	"fmt"
+	"math"
 
 	"numacs/internal/colstore"
 	"numacs/internal/core"
+	"numacs/internal/exec"
 	"numacs/internal/memsim"
 	"numacs/internal/placement"
 	"numacs/internal/trace"
@@ -41,9 +43,9 @@ type Catalog struct {
 	Tables []*colstore.Table
 }
 
-// Columns enumerates all columns of single-part tables (the placer moves
-// whole columns; physically partitioned tables are managed part-wise by
-// their PP placement already).
+// Columns enumerates every column of every part of the catalog's tables, in
+// table and part order. The placer moves whole columns and keeps heat per
+// column, so each part of a physically partitioned table gets its own.
 func (c *Catalog) Columns() []*colstore.Column {
 	var out []*colstore.Column
 	for _, t := range c.Tables {
@@ -62,12 +64,6 @@ type Config struct {
 	// ImbalanceRatio: a round triggers rebalancing when the hottest socket's
 	// served bytes exceed the coldest's by this factor.
 	ImbalanceRatio float64
-	// DominanceFraction: an item "dominates" its socket when it contributes
-	// at least this fraction of the socket's traffic — then it is
-	// replicated or partitioned rather than moved.
-	DominanceFraction float64
-	// MaxPartitions caps IVP growth (machine sockets by default).
-	MaxPartitions int
 
 	// ReplicaBudgetBytes caps the total simulated memory spent on extra
 	// column replicas (the Section 4.2 replication placement "at the
@@ -76,16 +72,6 @@ type Config struct {
 	// DefaultConfig sets DefaultReplicaBudgetBytes, a 1/16 fraction of the
 	// nominal per-socket DRAM the simulation assumes.
 	ReplicaBudgetBytes int64
-	// ReadHotFraction: an item qualifies for replication only when its
-	// scan + dictionary read bytes are at least this fraction of its total
-	// attributed traffic (replication suits read-mostly items; a column
-	// whose traffic is dominated by output writes gains nothing from extra
-	// read copies).
-	ReadHotFraction float64
-	// ReplicaCooldown is the virtual-time window after a move/repartition
-	// of a column during which it is not replicated (no replication on top
-	// of fresh repartition churn). Zero defaults to 2x Period.
-	ReplicaCooldown float64
 	// StaleReplicaFraction: in the balanced branch, an extra replica is
 	// garbage-collected when it served less than this fraction of the
 	// column's even per-copy share over the last period — the copy no
@@ -114,6 +100,23 @@ type Config struct {
 	MergeTrafficFraction float64
 }
 
+// The fixed thresholds of the rebalancing levers. IVP growth is capped at
+// one partition per socket, and a column moved or repartitioned within the
+// last two periods is not replicated (no replication on top of fresh
+// repartition churn).
+const (
+	// dominanceFraction: an item "dominates" its socket when it contributes
+	// at least this fraction of the socket's traffic — then it is
+	// replicated or partitioned rather than moved.
+	dominanceFraction = 0.5
+	// readHotFraction: an item qualifies for replication only when its
+	// scan + dictionary read bytes are at least this fraction of its total
+	// attributed traffic (replication suits read-mostly items; a column
+	// whose traffic is dominated by output writes gains nothing from extra
+	// read copies).
+	readHotFraction = 0.5
+)
+
 // DefaultReplicaBudgetBytes is the default replica budget: 1/16 of the
 // 4 GiB-per-socket DRAM the simulated machines nominally have. Experiments
 // that model explicit DRAM capacities should derive the budget from those
@@ -125,9 +128,7 @@ func DefaultConfig() Config {
 	return Config{
 		Period:               10e-3,
 		ImbalanceRatio:       1.4,
-		DominanceFraction:    0.5,
 		ReplicaBudgetBytes:   DefaultReplicaBudgetBytes,
-		ReadHotFraction:      0.5,
 		StaleReplicaFraction: 0.1,
 		WriteHotFraction:     0.02,
 		MergeDeltaFraction:   0.25,
@@ -157,9 +158,9 @@ type Placer struct {
 	Catalog *Catalog
 	Cfg     Config
 
-	lastRun   float64
-	lastMC    []float64
-	lastChurn map[string]float64 // column -> last move/repartition time
+	lastRun float64
+	lastMC  []float64
+	heat    map[*colstore.Column]*heat
 
 	// Actions is the decision log, newest last.
 	Actions []Action
@@ -176,12 +177,67 @@ type Placer struct {
 	PeakReplicaBytes int64
 }
 
-// New creates a placer. Zero-valued Config fields are filled with the
-// DefaultConfig values field by field — except ReplicaBudgetBytes, whose
-// zero is meaningful ("replication disabled"): start from DefaultConfig()
-// to opt into the default budget. Any replicas already present on the
-// catalog's columns (e.g. placed manually with PlaceReplicated) count
-// against the budget from the start.
+// heat is one column's traffic over the current balancing period, the signal
+// the placer finds hot items by, plus the time of the column's last move or
+// repartition. A column's record is made on its first traffic and zeroed in
+// place each period, and a zero record reads exactly like a column with no
+// record: every lever first asks for positive bytes.
+type heat struct {
+	// Traffic sums the period's samples: total DRAM bytes, IV scan and
+	// dictionary/index bytes (the read-hot test), delta scan bytes (the
+	// scan-slowdown merge trigger) and write bytes (the write-guard).
+	exec.Traffic
+	// PerSocket attributes the bytes to the serving socket, when the access
+	// had a single identifiable source (replica streams and probes do;
+	// interleaved-structure accesses are spread and not attributed).
+	PerSocket []float64
+	// lastChurn is the virtual time of the column's last move or
+	// repartition, -Inf before the first; period resets keep it.
+	lastChurn float64
+}
+
+// heatOf returns col's record, making it on first use.
+func (p *Placer) heatOf(col *colstore.Column) *heat {
+	it := p.heat[col]
+	if it == nil {
+		it = &heat{PerSocket: make([]float64, p.Engine.Machine.Sockets), lastChurn: math.Inf(-1)}
+		p.heat[col] = it
+	}
+	return it
+}
+
+// addTraffic is the engine's item-traffic hook (core.AttachItemTraffic): it
+// adds one sample to col's record. socket is the serving socket, or -1 when
+// the access spread over several sockets.
+func (p *Placer) addTraffic(col *colstore.Column, socket int, t exec.Traffic) {
+	it := p.heatOf(col)
+	it.Bytes += t.Bytes
+	it.IVBytes += t.IVBytes
+	it.DictBytes += t.DictBytes
+	it.DeltaBytes += t.DeltaBytes
+	it.WriteBytes += t.WriteBytes
+	if socket >= 0 && socket < len(it.PerSocket) {
+		it.PerSocket[socket] += t.Bytes
+	}
+}
+
+// resetHeat starts a new period: every record's traffic reads zero again.
+func (p *Placer) resetHeat() {
+	for _, it := range p.heat {
+		it.Traffic = exec.Traffic{}
+		clear(it.PerSocket)
+	}
+}
+
+// New creates a placer and attaches its heat accounting to the engine
+// (core.Engine.AttachItemTraffic), so an engine has at most one placer;
+// create it before the simulation runs, since traffic before the attach is
+// not recorded. Zero-valued Config fields are filled with the DefaultConfig
+// values field by field — except ReplicaBudgetBytes, whose zero is
+// meaningful ("replication disabled"): start from DefaultConfig() to opt
+// into the default budget. Any replicas already present on the catalog's
+// columns (e.g. placed manually with PlaceReplicated) count against the
+// budget from the start.
 func New(e *core.Engine, cat *Catalog, cfg Config) *Placer {
 	def := DefaultConfig()
 	if cfg.Period == 0 {
@@ -189,12 +245,6 @@ func New(e *core.Engine, cat *Catalog, cfg Config) *Placer {
 	}
 	if cfg.ImbalanceRatio == 0 {
 		cfg.ImbalanceRatio = def.ImbalanceRatio
-	}
-	if cfg.DominanceFraction == 0 {
-		cfg.DominanceFraction = def.DominanceFraction
-	}
-	if cfg.ReadHotFraction == 0 {
-		cfg.ReadHotFraction = def.ReadHotFraction
 	}
 	if cfg.StaleReplicaFraction == 0 {
 		cfg.StaleReplicaFraction = def.StaleReplicaFraction
@@ -208,19 +258,14 @@ func New(e *core.Engine, cat *Catalog, cfg Config) *Placer {
 	if cfg.MergeTrafficFraction == 0 {
 		cfg.MergeTrafficFraction = def.MergeTrafficFraction
 	}
-	if cfg.MaxPartitions == 0 {
-		cfg.MaxPartitions = e.Machine.Sockets
-	}
-	if cfg.ReplicaCooldown == 0 {
-		cfg.ReplicaCooldown = 2 * cfg.Period
-	}
 	p := &Placer{
-		Engine:    e,
-		Catalog:   cat,
-		Cfg:       cfg,
-		lastMC:    make([]float64, e.Machine.Sockets),
-		lastChurn: make(map[string]float64),
+		Engine:  e,
+		Catalog: cat,
+		Cfg:     cfg,
+		lastMC:  make([]float64, e.Machine.Sockets),
+		heat:    make(map[*colstore.Column]*heat),
 	}
+	e.AttachItemTraffic(p.addTraffic)
 	for _, col := range cat.Columns() {
 		p.replicaBytes += col.ExtraReplicaBytes()
 	}
@@ -276,8 +321,7 @@ func (p *Placer) Tick(now float64) {
 		p.lastMC[s] = cur[s]
 	}
 	hot, cold := argmax(delta), p.coldestOnline(delta)
-	traffic := e.ItemTraffic()
-	defer e.ResetItemTraffic()
+	defer p.resetHeat()
 
 	total := 0.0
 	for _, d := range delta {
@@ -291,14 +335,14 @@ func (p *Placer) Tick(now float64) {
 	// Write-side levers run every round, independent of balance: the
 	// write-guard reclaims replicas of write-hot columns, and the merge
 	// heuristics fold grown deltas back into the main.
-	p.reclaimWriteHot(now, traffic)
-	p.triggerMerges(now, traffic)
+	p.reclaimWriteHot(now)
+	p.triggerMerges(now)
 	if cold >= 0 && cold != hot &&
 		delta[hot] > p.Cfg.ImbalanceRatio*maxf(delta[cold], total/float64(len(delta))/4) {
-		p.rebalance(now, hot, cold, delta[hot], traffic)
+		p.rebalance(now, hot, cold, delta[hot])
 		return
 	}
-	p.shrinkCold(now, traffic, total/float64(len(delta)))
+	p.shrinkCold(now, total/float64(len(delta)))
 }
 
 // reclaimWriteHot is the drop half of the write-guard: every replicated
@@ -307,12 +351,12 @@ func (p *Placer) Tick(now float64) {
 // replicas — each copy would have to absorb every write and the next merge
 // rebuilds every copy in full, so replication no longer pays (the Section 7
 // update-rate concern).
-func (p *Placer) reclaimWriteHot(now float64, traffic map[string]*core.ItemTraffic) {
+func (p *Placer) reclaimWriteHot(now float64) {
 	for _, col := range p.Catalog.Columns() {
 		if !col.Replicated() {
 			continue
 		}
-		it := traffic[col.Name]
+		it := p.heat[col]
 		if it == nil || it.WriteBytes <= 0 ||
 			it.WriteBytes < p.Cfg.WriteHotFraction*float64(placement.ReplicaFootprintBytes(col)) {
 			continue
@@ -334,7 +378,7 @@ func (p *Placer) reclaimWriteHot(now float64, traffic map[string]*core.ItemTraff
 // bytes), or the write-cold cleanup (scanned, non-empty delta, zero writes —
 // folding is pure win). The merge itself runs asynchronously
 // (core.Engine.StartMerge); its completion swaps in the rebuilt main.
-func (p *Placer) triggerMerges(now float64, traffic map[string]*core.ItemTraffic) {
+func (p *Placer) triggerMerges(now float64) {
 	if p.Cfg.MergeDeltaFraction < 0 {
 		return
 	}
@@ -348,7 +392,7 @@ func (p *Placer) triggerMerges(now float64, traffic map[string]*core.ItemTraffic
 		if float64(deltaBytes) >= p.Cfg.MergeDeltaFraction*float64(col.IVBytes()) {
 			reason = fmt.Sprintf("delta grew to %s >= %.0f%% of the %s main",
 				mib(float64(deltaBytes)), p.Cfg.MergeDeltaFraction*100, mib(float64(col.IVBytes())))
-		} else if it := traffic[col.Name]; it != nil && it.DeltaBytes > 0 {
+		} else if it := p.heat[col]; it != nil && it.DeltaBytes > 0 {
 			if scanBytes := it.IVBytes + it.DeltaBytes; it.DeltaBytes >= p.Cfg.MergeTrafficFraction*scanBytes {
 				// The delta is slowing scans down.
 				reason = fmt.Sprintf("delta served %s of %s scanned last period (>= %.0f%%)",
@@ -371,8 +415,8 @@ func (p *Placer) triggerMerges(now float64, traffic map[string]*core.ItemTraffic
 
 // rebalance implements the unbalanced branch of the flowchart: replicate a
 // read-hot dominating item, move a non-dominating one, or repartition.
-func (p *Placer) rebalance(now float64, hot, cold int, hotBytes float64, traffic map[string]*core.ItemTraffic) {
-	hottest, hottestTraffic := p.hottestOn(hot, traffic, false)
+func (p *Placer) rebalance(now float64, hot, cold int, hotBytes float64) {
+	hottest, hottestTraffic := p.hottestOn(hot, false)
 	if hottest == nil {
 		return
 	}
@@ -385,14 +429,14 @@ func (p *Placer) rebalance(now float64, hot, cold int, hotBytes float64, traffic
 		// with replica-sliced scheduling. While the budget (or cooldown)
 		// gates further replicas, offload the hot socket's next-hottest
 		// unreplicated item instead.
-		hottest, hottestTraffic = p.hottestOn(hot, traffic, true)
+		hottest, hottestTraffic = p.hottestOn(hot, true)
 		if hottest == nil {
 			return
 		}
 	}
 	best := hottestTraffic.Bytes
 	alloc := p.Engine.Placer.Alloc
-	if best < p.Cfg.DominanceFraction*hotBytes && hottest.NumPartitions() == 1 {
+	if best < dominanceFraction*hotBytes && hottest.NumPartitions() == 1 {
 		// The item does not dominate the hot socket: move it wholesale to
 		// the coldest socket.
 		moved := hottest.IVPSM.MoveRange(alloc, hottest.IVRange, cold)
@@ -401,10 +445,10 @@ func (p *Placer) rebalance(now float64, hot, cold int, hotBytes float64, traffic
 			moved += hottest.IXPSM.MoveRange(alloc, hottest.IXRange, cold)
 		}
 		p.PagesMoved += moved
-		p.lastChurn[hottest.Name] = now
+		hottestTraffic.lastChurn = now
 		p.record(Action{Time: now, Kind: "move", Column: hottest.Name, From: hot, To: cold},
 			fmt.Sprintf("item served %s of hot socket %d's %s (< %.0f%% dominance): move to coldest socket %d",
-				mib(best), hot, mib(hotBytes), p.Cfg.DominanceFraction*100, cold))
+				mib(best), hot, mib(hotBytes), dominanceFraction*100, cold))
 		return
 	}
 	// The item dominates: increase its partition count, placing the new
@@ -415,14 +459,14 @@ func (p *Placer) rebalance(now float64, hot, cold int, hotBytes float64, traffic
 	// The paper's Figure 20 would pick PP for dictionary-heavy items; here
 	// such items are preferentially served by replication above.
 	nparts := hottest.NumPartitions()
-	if nparts >= p.Cfg.MaxPartitions {
-		return
+	if nparts >= p.Engine.Machine.Sockets {
+		return // at most one partition per socket
 	}
 	sockets := currentIVSockets(hottest)
 	sockets = append(sockets, cold)
 	moved := p.Engine.Placer.RepartitionIVP(hottest, sockets)
 	p.PagesMoved += moved
-	p.lastChurn[hottest.Name] = now
+	hottestTraffic.lastChurn = now
 	p.record(Action{Time: now, Kind: "partition-ivp", Column: hottest.Name, From: hot, To: cold, Parts: nparts + 1},
 		fmt.Sprintf("item dominates hot socket %d (%s of %s served): split %d->%d partitions, new one on socket %d",
 			hot, mib(best), mib(hotBytes), nparts, nparts+1, cold))
@@ -431,12 +475,12 @@ func (p *Placer) rebalance(now float64, hot, cold int, hotBytes float64, traffic
 // hottestOn finds the item with the most attributed traffic that has a copy
 // (primary IV pages or a replica) on the hot socket. skipReplicated
 // restricts the search to items the move/partition levers still apply to.
-func (p *Placer) hottestOn(hot int, traffic map[string]*core.ItemTraffic, skipReplicated bool) (*colstore.Column, *core.ItemTraffic) {
+func (p *Placer) hottestOn(hot int, skipReplicated bool) (*colstore.Column, *heat) {
 	var hottest *colstore.Column
-	var hottestTraffic *core.ItemTraffic
+	var hottestTraffic *heat
 	best := 0.0
 	for _, col := range p.Catalog.Columns() {
-		it := traffic[col.Name]
+		it := p.heat[col]
 		if it == nil || col.IVPSM == nil {
 			continue
 		}
@@ -466,11 +510,11 @@ func (p *Placer) hottestOn(hot int, traffic map[string]*core.ItemTraffic, skipRe
 // tryReplicate applies the replication lever: a dominating, read-hot item
 // with no recent repartition churn gains a copy on the coldest socket, if
 // the memory budget allows. Returns true when a replica was added.
-func (p *Placer) tryReplicate(now float64, col *colstore.Column, it *core.ItemTraffic, hot, cold int, hotBytes float64) bool {
+func (p *Placer) tryReplicate(now float64, col *colstore.Column, it *heat, hot, cold int, hotBytes float64) bool {
 	if p.Cfg.ReplicaBudgetBytes <= 0 || col.NumPartitions() != 1 {
 		return false
 	}
-	if it == nil || it.Bytes <= 0 || it.Bytes < p.Cfg.DominanceFraction*hotBytes {
+	if it == nil || it.Bytes <= 0 || it.Bytes < dominanceFraction*hotBytes {
 		return false
 	}
 	if it.WriteBytes > 0 {
@@ -480,11 +524,11 @@ func (p *Placer) tryReplicate(now float64, col *colstore.Column, it *core.ItemTr
 		// concern pricing replication out).
 		return false
 	}
-	if reads := it.IVBytes + it.DictBytes; reads < p.Cfg.ReadHotFraction*it.Bytes {
+	if reads := it.IVBytes + it.DictBytes; reads < readHotFraction*it.Bytes {
 		return false
 	}
-	if t, ok := p.lastChurn[col.Name]; ok && now-t < p.Cfg.ReplicaCooldown {
-		return false
+	if now-it.lastChurn < 2*p.Cfg.Period {
+		return false // churn guard: moved or repartitioned too recently
 	}
 	for _, s := range col.ReplicaSockets {
 		if s == cold {
@@ -505,7 +549,7 @@ func (p *Placer) tryReplicate(now float64, col *colstore.Column, it *core.ItemTr
 	p.PagesCopied += (added + memsim.PageSize - 1) / memsim.PageSize
 	p.record(Action{Time: now, Kind: "replicate", Column: col.Name, From: hot, To: cold, Bytes: added},
 		fmt.Sprintf("read-hot item served %s of hot socket %d's %s (>= %.0f%% dominance, %.0f%% reads): replicate to cold socket %d",
-			mib(it.Bytes), hot, mib(hotBytes), p.Cfg.DominanceFraction*100,
+			mib(it.Bytes), hot, mib(hotBytes), dominanceFraction*100,
 			(it.IVBytes+it.DictBytes)/it.Bytes*100, cold))
 	return true
 }
@@ -517,9 +561,9 @@ func (p *Placer) tryReplicate(now float64, col *colstore.Column, it *core.ItemTr
 // per-socket traffic of the last period, the absolute reference a
 // replicated column's traffic must stay significant against. At most one
 // action per round.
-func (p *Placer) shrinkCold(now float64, traffic map[string]*core.ItemTraffic, avgSocketBytes float64) {
+func (p *Placer) shrinkCold(now float64, avgSocketBytes float64) {
 	for _, col := range p.Catalog.Columns() {
-		it := traffic[col.Name]
+		it := p.heat[col]
 		if col.Replicated() {
 			if stale := p.staleReplica(col, it, avgSocketBytes); stale >= 0 {
 				freed := p.Engine.Placer.DropReplica(col, stale)
@@ -540,7 +584,7 @@ func (p *Placer) shrinkCold(now float64, traffic map[string]*core.ItemTraffic, a
 		sockets := currentIVSockets(col)
 		moved := p.Engine.Placer.RepartitionIVP(col, sockets[:len(sockets)-1])
 		p.PagesMoved += moved
-		p.lastChurn[col.Name] = now
+		p.heatOf(col).lastChurn = now
 		p.record(Action{Time: now, Kind: "shrink", Column: col.Name, Parts: col.NumPartitions()},
 			fmt.Sprintf("balanced round, no traffic on the item: shrink to %d partitions", col.NumPartitions()))
 		return // at most one action per round
@@ -553,7 +597,7 @@ func (p *Placer) shrinkCold(now float64, traffic map[string]*core.ItemTraffic, a
 // a negligible fraction of the average socket's (the column would no longer
 // qualify for replication today), or when this particular copy served far
 // less than its even share (scheduling drifted away from it).
-func (p *Placer) staleReplica(col *colstore.Column, it *core.ItemTraffic, avgSocketBytes float64) int {
+func (p *Placer) staleReplica(col *colstore.Column, it *heat, avgSocketBytes float64) int {
 	if len(col.ReplicaSockets) < 2 {
 		return -1
 	}

@@ -185,7 +185,7 @@ func TestCatalogColumns(t *testing.T) {
 
 func TestDefaultConfig(t *testing.T) {
 	cfg := DefaultConfig()
-	if cfg.Period <= 0 || cfg.ImbalanceRatio <= 1 || cfg.DominanceFraction <= 0 {
+	if cfg.Period <= 0 || cfg.ImbalanceRatio <= 1 || cfg.ReplicaBudgetBytes <= 0 {
 		t.Fatalf("bad defaults: %+v", cfg)
 	}
 }

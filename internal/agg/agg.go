@@ -63,16 +63,15 @@ const (
 // BWEMLConfig sizes the InfoCube tables.
 type BWEMLConfig struct {
 	RowsPerCube int
-	Cubes       int // the benchmark has 3
 	Seed        int64
 }
 
-// BWEMLCubes builds the InfoCube tables.
+// bwemlCubes is the benchmark's number of InfoCubes.
+const bwemlCubes = 3
+
+// BWEMLCubes builds the benchmark's three InfoCube tables.
 func BWEMLCubes(cfg BWEMLConfig) []*colstore.Table {
-	if cfg.Cubes == 0 {
-		cfg.Cubes = 3
-	}
-	cubes := make([]*colstore.Table, cfg.Cubes)
+	cubes := make([]*colstore.Table, bwemlCubes)
 	for i := range cubes {
 		ds := workload.DatasetConfig{
 			Rows:       cfg.RowsPerCube,

@@ -53,28 +53,6 @@ type Costs = exec.Costs
 // DefaultCosts returns the calibrated defaults.
 func DefaultCosts() Costs { return exec.DefaultCosts() }
 
-// ItemTraffic accumulates per-data-item memory traffic, used by the adaptive
-// data placer to find hot items (Section 7) and — via the per-socket
-// breakdown — to tell which copies of a replicated column earn their keep.
-type ItemTraffic struct {
-	Bytes     float64 // total DRAM bytes attributed to the item
-	IVBytes   float64 // bytes from scanning the indexvector
-	DictBytes float64 // bytes from dictionary/index random accesses
-	// DeltaBytes counts bytes from scanning the item's uncompressed delta
-	// fragments — the placer's scan-slowdown merge heuristic keys on their
-	// share of the item's scan traffic.
-	DeltaBytes float64
-	// WriteBytes counts write-side traffic (delta appends and merge
-	// rebuilds). Nonzero recent write traffic arms the placer's write-guard:
-	// the item is never newly replicated and its write-hot replicas are
-	// reclaimed (Section 7's update-rate concern).
-	WriteBytes float64
-	// PerSocket attributes the item's bytes to the serving socket, when the
-	// access had a single identifiable source (replica streams and probes
-	// do; interleaved-structure accesses are spread and not attributed).
-	PerSocket []float64
-}
-
 // Engine executes queries on a simulated machine.
 type Engine struct {
 	Machine  *topology.Machine
@@ -134,7 +112,6 @@ type Engine struct {
 	env              *exec.Env
 	rng              *rand.Rand
 	activeStatements int
-	itemTraffic      map[string]*ItemTraffic
 
 	// plans caches every statement's physical plan (plancache.go); nPlans
 	// counts its entries, and snap is the buffer a statement collects its
@@ -174,7 +151,6 @@ func NewWithStep(m *topology.Machine, seed int64, step float64) *Engine {
 		Costs:                  DefaultCosts(),
 		ConcurrencyHintEnabled: true,
 		rng:                    rand.New(rand.NewSource(seed)),
-		itemTraffic:            make(map[string]*ItemTraffic),
 	}
 	e.env = &exec.Env{
 		Machine:         m,
@@ -185,7 +161,6 @@ func NewWithStep(m *topology.Machine, seed int64, step float64) *Engine {
 		Costs:           &e.Costs,
 		Rand:            e.rng,
 		ConcurrencyHint: e.ConcurrencyHint,
-		AddItemTraffic:  e.addItemTraffic,
 	}
 	return e
 }
@@ -256,6 +231,19 @@ func (e *Engine) EnableChaos(cfg chaos.Config, tables ...*colstore.Table) *chaos
 	return in
 }
 
+// AttachItemTraffic wires hook as the engine's per-item traffic attribution
+// (exec.Env.AddItemTraffic): every scan, materialization, aggregation and
+// write flow then reports its bytes to hook against the column it touched.
+// The adaptive placer attaches its heat accounting here; an engine with no
+// hook attached builds no sample. Call it once, before running the
+// simulation.
+func (e *Engine) AttachItemTraffic(hook func(col *colstore.Column, socket int, t exec.Traffic)) {
+	if e.env.AddItemTraffic != nil {
+		panic("core: item traffic already attached")
+	}
+	e.env.AddItemTraffic = hook
+}
+
 // EnableTracing wires the flight recorder: statement spans on every Submit /
 // SubmitBatch / SubmitWrite statement, control-plane decisions (placer moves,
 // AIMD steps, cohort lifecycle, chaos faults, delta merges) in a bounded ring,
@@ -292,13 +280,6 @@ func (e *Engine) EnableTracing(cfg trace.Config) *trace.Tracer {
 
 // ActiveStatements returns the number of in-flight queries.
 func (e *Engine) ActiveStatements() int { return e.activeStatements }
-
-// ItemTraffic returns the accumulated per-item traffic map.
-func (e *Engine) ItemTraffic() map[string]*ItemTraffic { return e.itemTraffic }
-
-// ResetItemTraffic clears per-item accounting (used by the adaptive placer
-// between balancing rounds).
-func (e *Engine) ResetItemTraffic() { e.itemTraffic = make(map[string]*ItemTraffic) }
 
 // ConcurrencyHint returns the task-granularity budget for one partitionable
 // operation: the machine's hardware contexts divided by the number of
@@ -443,23 +424,4 @@ func (e *Engine) enter(a *admit.Statement, tenant string, class admit.Class, st 
 func (e *Engine) startOverhead(f *sim.Flow, next func()) {
 	*f = sim.Flow{Remaining: e.Costs.QueryOverheadSeconds, RateCap: 1, OnDone: next}
 	e.Sim.StartFlow(f)
-}
-
-// addItemTraffic attributes traffic to a data item for the adaptive placer.
-// socket is the serving socket, or -1 when the access spread over several
-// sockets (interleaved structures).
-func (e *Engine) addItemTraffic(item string, socket int, t exec.Traffic) {
-	it := e.itemTraffic[item]
-	if it == nil {
-		it = &ItemTraffic{PerSocket: make([]float64, e.Machine.Sockets)}
-		e.itemTraffic[item] = it
-	}
-	it.Bytes += t.Bytes
-	it.IVBytes += t.IVBytes
-	it.DictBytes += t.DictBytes
-	it.DeltaBytes += t.DeltaBytes
-	it.WriteBytes += t.WriteBytes
-	if socket >= 0 && socket < len(it.PerSocket) {
-		it.PerSocket[socket] += t.Bytes
-	}
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"numacs/internal/colstore"
+	"numacs/internal/exec"
 	"numacs/internal/topology"
 )
 
@@ -235,25 +236,40 @@ func TestNonParallelQueryUsesOneTaskPerPhase(t *testing.T) {
 	}
 }
 
+// recordItemTraffic attaches a hook to e that sums each column's traffic.
+func recordItemTraffic(e *Engine) map[*colstore.Column]*exec.Traffic {
+	traffic := map[*colstore.Column]*exec.Traffic{}
+	e.AttachItemTraffic(func(col *colstore.Column, _ int, t exec.Traffic) {
+		it := traffic[col]
+		if it == nil {
+			it = &exec.Traffic{}
+			traffic[col] = it
+		}
+		it.Bytes += t.Bytes
+		it.IVBytes += t.IVBytes
+		it.DictBytes += t.DictBytes
+		it.DeltaBytes += t.DeltaBytes
+		it.WriteBytes += t.WriteBytes
+	})
+	return traffic
+}
+
 func TestItemTrafficAttribution(t *testing.T) {
 	e := New(topology.FourSocketIvyBridge(), 1)
 	tbl := buildPlacedTable(e, 4, 30000, false)
+	traffic := recordItemTraffic(e)
 	e.Submit(&Query{
 		Table: tbl, Column: "COLB", Selectivity: 0.01,
 		Parallel: true, Strategy: Bound, HomeSocket: 0,
 		OnDone: func(float64) {},
 	})
 	e.Sim.Run(0.5)
-	it := e.ItemTraffic()["COLB"]
+	it := traffic[tbl.Parts[0].ColumnByName("COLB")]
 	if it == nil || it.Bytes <= 0 || it.IVBytes <= 0 {
 		t.Fatalf("item traffic missing: %+v", it)
 	}
-	if _, ok := e.ItemTraffic()["COLA"]; ok {
+	if _, ok := traffic[tbl.Parts[0].ColumnByName("COLA")]; ok {
 		t.Fatal("unqueried column has traffic")
-	}
-	e.ResetItemTraffic()
-	if len(e.ItemTraffic()) != 0 {
-		t.Fatal("ResetItemTraffic did not clear")
 	}
 }
 

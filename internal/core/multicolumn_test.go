@@ -37,6 +37,7 @@ func TestExtraPredicateColumnsScanBothIVs(t *testing.T) {
 func TestExtraPredicateIntersectsMatches(t *testing.T) {
 	e := New(topology.FourSocketIvyBridge(), 1)
 	tbl := buildPlacedTable(e, 4, 40000, false)
+	traffic := recordItemTraffic(e)
 	done := false
 	// sel 0.05 on two columns -> intersection ~ 0.0025: materialization
 	// accesses should reflect the intersection (tiny), not the union.
@@ -49,7 +50,7 @@ func TestExtraPredicateIntersectsMatches(t *testing.T) {
 	if !done {
 		t.Fatal("query did not complete")
 	}
-	it := e.ItemTraffic()["COLA"]
+	it := traffic[tbl.Parts[0].ColumnByName("COLA")]
 	if it == nil {
 		t.Fatal("no traffic recorded")
 	}
@@ -89,6 +90,7 @@ func TestProjectColumnsRepeatMaterialization(t *testing.T) {
 func TestProjectColumnsTouchTheirDictionaries(t *testing.T) {
 	e := New(topology.FourSocketIvyBridge(), 1)
 	tbl := buildPlacedTable(e, 4, 40000, false)
+	traffic := recordItemTraffic(e)
 	done := false
 	e.Submit(&Query{
 		Table: tbl, Column: "COLA", ProjectColumns: []string{"COLD"},
@@ -99,7 +101,7 @@ func TestProjectColumnsTouchTheirDictionaries(t *testing.T) {
 	if !done {
 		t.Fatal("query did not complete")
 	}
-	if it := e.ItemTraffic()["COLD"]; it == nil || it.DictBytes <= 0 {
+	if it := traffic[tbl.Parts[0].ColumnByName("COLD")]; it == nil || it.DictBytes <= 0 {
 		t.Fatalf("projected column's dictionary untouched: %+v", it)
 	}
 }

@@ -7,17 +7,17 @@ package core
 //
 // An entry is valid while every input its planning read that can change
 // under a live table is unchanged. A plan with joins reads the statistics of
-// its tables (plan.ColumnStats: rows, bitcase, watermark-visible delta rows,
-// index presence, placement, replicas, IVP parts) and the cost model. A
-// join-free plan reads no statistics; when its scan may use an index, its
-// advisory PhysScan.IndexEligible reads the index presence of the scan's
-// primary column and the cost model's threshold, and otherwise it reads
-// nothing that can change. A statement collects its entry's inputs when it begins,
-// without allocating, and replans the entry when they differ, so an entry
-// never goes stale and no mutation site has to tell the cache. Everything
-// else planning reads is fixed under a live *colstore.Table: its Parts and
-// their Columns are fixed at construction (PhysicallyPartition returns a new
-// table), and a placed column stays placed.
+// its tables (plan.ColumnStats: row counts) and the cost model. Every scan
+// that may use an index — a join-free plan's scan or a join's build scan —
+// reads, for its advisory PhysScan.IndexEligible, the index presence of its
+// primary column and the cost model's threshold. A join-free plan whose scan
+// may not use an index reads nothing that can change. A statement collects
+// its entry's inputs when it begins, without allocating, and replans the
+// entry when they differ, so an entry never goes stale and no mutation site
+// has to tell the cache. Everything else planning reads is fixed under a
+// live *colstore.Table: its Parts and their Columns are fixed at
+// construction (PhysicallyPartition returns a new table), and a placed
+// column stays placed.
 
 import (
 	"math"
@@ -58,18 +58,23 @@ type cachedPlan struct {
 	coalesceOff bool
 
 	// tables are the tables whose statistics the plan read (a join plan's;
-	// nil for a join-free plan), and stats their snapshot. index is the
-	// column whose index presence indexed records (a join-free scan's
-	// primary column when the scan may use an index), and costs the cost
-	// model, which counts when tables or index is set.
+	// nil for a join-free plan), and stats their snapshot. indexes are the
+	// index presences the plan's index-using scans read, and costs the cost
+	// model, which counts when tables or indexes is set.
 	tables  []*colstore.Table
 	stats   []plan.ColumnStats
-	index   *colstore.Column
-	indexed bool
+	indexes []indexInput
 	costs   exec.Costs
 
 	phys *plan.Physical
 	free *stmtRec
+}
+
+// indexInput is one index presence a plan read: whether the primary column
+// of a scan that may use an index had one.
+type indexInput struct {
+	col *colstore.Column
+	has bool
 }
 
 // cachedPlan returns q's cache entry, checking q and making the entry on a
@@ -142,11 +147,16 @@ func (c *cachedPlan) physical(e *Engine) *plan.Physical {
 // collecting its tables' statistics into the engine's snapshot buffer. A
 // join-free plan that may not use an index read none.
 func (c *cachedPlan) current(e *Engine) bool {
-	if c.index == nil && c.tables == nil {
+	if len(c.indexes) == 0 && c.tables == nil {
 		return true
 	}
-	if e.Costs != c.costs || c.index != nil && (c.index.Idx != nil) != c.indexed {
+	if e.Costs != c.costs {
 		return false
+	}
+	for _, in := range c.indexes {
+		if (in.col.Idx != nil) != in.has {
+			return false
+		}
 	}
 	e.snap = plan.Snapshot(e.snap[:0], c.tables...)
 	return slices.Equal(e.snap, c.stats)
@@ -169,9 +179,18 @@ func (c *cachedPlan) replan(e *Engine) {
 	}
 	c.costs = e.Costs
 	c.phys = plan.Optimize(l, stats, &c.costs)
-	c.index = nil
-	if s := c.phys.Scan; s != nil && s.UseIndex {
-		c.index, c.indexed = s.Cols[0], s.Cols[0].Idx != nil
+	c.indexes = c.indexes[:0]
+	c.readsIndex(c.phys.Scan)
+	for _, j := range c.phys.Joins {
+		c.readsIndex(j.BuildScan)
+	}
+}
+
+// readsIndex records the index presence scan s read, when s may use an
+// index.
+func (c *cachedPlan) readsIndex(s *plan.PhysScan) {
+	if s != nil && s.UseIndex && len(s.Cols) > 0 {
+		c.indexes = append(c.indexes, indexInput{s.Cols[0], s.Cols[0].Idx != nil})
 	}
 }
 

@@ -282,7 +282,11 @@ func TestPlanCacheFollowsIndexAndMerge(t *testing.T) {
 // counts change and the delta sizes do not), a socket going offline, or a
 // cost-model change. After each, every statement still hits its cache entry, and the
 // entry's plan and its records' operators equal a fresh plan's; then every
-// statement runs to completion on its recycled record.
+// statement runs to completion on its recycled record. Each input an entry
+// collects has a change here that fails the test when the entry stops
+// collecting it: row counts (a merge), the cost model, and the index
+// presence read by a join-free scan and by a star's build scan (an index
+// build; the second star's dimension scan may use an index).
 func TestPlanCacheFollowsEveryInput(t *testing.T) {
 	e := New(topology.FourSocketIvyBridge(), 1)
 	dim, fact := cacheStarTables(e)

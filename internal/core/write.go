@@ -66,13 +66,14 @@ type plannedWrite struct {
 }
 
 // writeFlow is a write batch's traffic-flow record for one fragment: its
-// flow with its own demand, and the fragment the traffic is attributed to.
-// OnAdvance and OnDone are bound once, when the record is made.
+// flow with its own demand, the column its traffic is attributed to, and the
+// socket of the fragment it writes. OnAdvance and OnDone are bound once, when
+// the record is made.
 type writeFlow struct {
 	sim.Flow
 	b      *WriteBatch
 	demand [1]sim.Demand
-	item   string
+	col    *colstore.Column
 	socket int
 }
 
@@ -154,8 +155,8 @@ func (b *WriteBatch) apply() {
 // startFlow models the DRAM traffic of rows delta appends into col's
 // fragment on socket as one flow against that socket's memory controller —
 // writes contend with scans for the MC, which is the contention the Section
-// 7 placer's update-rate concerns are about. The bytes are attributed to the
-// item as write traffic (arming the placer's write-guard).
+// 7 placer's update-rate concerns are about. The bytes are attributed to col
+// as write traffic (arming the placer's write-guard) when a placer listens.
 func (b *WriteBatch) startFlow(col *colstore.Column, socket, rows int) {
 	e := b.e
 	if b.pending == len(b.flows) {
@@ -165,7 +166,7 @@ func (b *WriteBatch) startFlow(col *colstore.Column, socket, rows int) {
 	}
 	f := b.flows[b.pending]
 	b.pending++
-	f.item, f.socket = col.Name, socket
+	f.col, f.socket = col, socket
 	f.demand[0] = sim.Demand{Resource: e.HW.MC[socket], Weight: 1}
 	f.Flow = sim.Flow{
 		Remaining: float64(rows) * e.Costs.DeltaWriteBytesPerRow,
@@ -181,7 +182,9 @@ func (b *WriteBatch) startFlow(col *colstore.Column, socket, rows int) {
 func (f *writeFlow) advance(p float64) {
 	e := f.b.e
 	e.Counters.AddMemoryTraffic(f.socket, f.socket, p, 0, 0)
-	e.addItemTraffic(f.item, f.socket, exec.Traffic{Bytes: p, WriteBytes: p})
+	if add := e.env.AddItemTraffic; add != nil {
+		add(f.col, f.socket, exec.Traffic{Bytes: p, WriteBytes: p})
+	}
 }
 
 // done is every write flow's OnDone: the batch finishes with its last flow.

@@ -94,12 +94,12 @@ func TestSingleMemberPassEqualsPrivateScan(t *testing.T) {
 				env := testEnv()
 				env.Rand = rand.New(rand.NewSource(7))
 				items := map[string]Traffic{}
-				env.AddItemTraffic = func(item string, _ int, tr Traffic) {
-					cur := items[item]
+				env.AddItemTraffic = func(col *colstore.Column, _ int, tr Traffic) {
+					cur := items[col.Name]
 					cur.Bytes += tr.Bytes
 					cur.IVBytes += tr.IVBytes
 					cur.DeltaBytes += tr.DeltaBytes
-					items[item] = cur
+					items[col.Name] = cur
 				}
 				tbl, column := tc.setup(env)
 				cols := ResolveColumns(tbl, column)

@@ -27,14 +27,14 @@ func deltaScanSetup(t *testing.T) (*Env, *colstore.Table, map[string]Traffic) {
 	p.PlaceRR(tbl)
 	env.Rand = rand.New(rand.NewSource(1))
 	traffic := map[string]Traffic{}
-	env.AddItemTraffic = func(item string, socket int, tr Traffic) {
-		cur := traffic[item]
+	env.AddItemTraffic = func(col *colstore.Column, _ int, tr Traffic) {
+		cur := traffic[col.Name]
 		cur.Bytes += tr.Bytes
 		cur.IVBytes += tr.IVBytes
 		cur.DictBytes += tr.DictBytes
 		cur.DeltaBytes += tr.DeltaBytes
 		cur.WriteBytes += tr.WriteBytes
-		traffic[item] = cur
+		traffic[col.Name] = cur
 	}
 	return env, tbl, traffic
 }

@@ -97,18 +97,19 @@ type Env struct {
 	// ConcurrencyHint returns the task-granularity budget for one
 	// partitionable operation [28]. Nil means "all hardware contexts".
 	ConcurrencyHint func() int
-	// AddItemTraffic attributes DRAM traffic to a named data item for the
-	// adaptive data placer (Section 7); nil disables attribution. socket is
-	// the serving socket (-1 when the access spreads over several sockets,
-	// e.g. an interleaved dictionary); per-socket attribution is what lets
-	// the placer tell which replica of a replicated column earns its keep.
-	AddItemTraffic func(item string, socket int, t Traffic)
+	// AddItemTraffic attributes DRAM traffic to a column for the adaptive
+	// data placer (Section 7); it is nil unless a placer attached one, and
+	// nil disables attribution. socket is the serving socket (-1 when the
+	// access spreads over several sockets, e.g. an interleaved dictionary);
+	// per-socket attribution is what lets the placer tell which replica of a
+	// replicated column earns its keep.
+	AddItemTraffic func(col *colstore.Column, socket int, t Traffic)
 
 	// freeFlows is the free list of flow records (see flowRec).
 	freeFlows *flowRec
 }
 
-// Traffic is one attribution sample for a data item: total DRAM bytes plus
+// Traffic is one attribution sample for a column: total DRAM bytes plus
 // the breakdown the adaptive placer's levers key on — IV streaming and
 // dictionary/index probes identify read-hot items (replication candidates),
 // delta-scan bytes feed the merge slowdown heuristic, and write bytes arm
@@ -160,9 +161,9 @@ func (m *mcSnapshot) forColumn(col *colstore.Column) []float64 {
 }
 
 // addItem attributes per-item traffic when the hook is wired.
-func (env *Env) addItem(item string, socket int, t Traffic) {
+func (env *Env) addItem(col *colstore.Column, socket int, t Traffic) {
 	if env.AddItemTraffic != nil {
-		env.AddItemTraffic(item, socket, t)
+		env.AddItemTraffic(col, socket, t)
 	}
 }
 

@@ -40,9 +40,9 @@ type flowRec struct {
 	src  int // socket of the executing worker
 	dst  int // socket serving the bytes of a stream
 	lt   hw.LinkTraffic
-	// item is the data item the traffic is attributed to, attr its serving
+	// item is the column the traffic is attributed to, attr its serving
 	// socket for a random-access flow (-1 when the accesses spread).
-	item string
+	item *colstore.Column
 	attr int
 	// per is the kind's per-unit cost that the record fixes at start: the
 	// aggregation's cycles per byte or the join's cycles per row.
@@ -111,7 +111,7 @@ func (env *Env) randomFlow(kind flowKind, w *sched.Worker, col *colstore.Column,
 		r.weights = ComponentWeights(r.weights, env.Machine.Sockets, p)
 	}
 	r.attr = singleSocket(r.weights)
-	r.item = col.Name
+	r.item = col
 	r.randomAccess(w, accesses, cyclesPerAccess, extraLocalBytes, missRate)
 	return r
 }
@@ -180,7 +180,7 @@ func (r *flowRec) advance(p float64) {
 		}
 		c.AddMemoryTraffic(src, dst, p, p*lt.Data, p*lt.Total)
 		c.AddCompute(src, p*env.Costs.SharedScanInstrPerByte(r.n), 0)
-		// One logical attribution per member; addItemTraffic is linear, so
+		// One logical attribution per member; the hook is linear, so
 		// one n-scaled call equals n unit calls.
 		env.addItem(r.item, dst, Traffic{Bytes: p * float64(r.n), IVBytes: p * float64(r.n)})
 	case deltaFlow:

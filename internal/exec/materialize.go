@@ -38,7 +38,7 @@ func (t *outTask) Run(w *sched.Worker, done func()) {
 	}
 	r := env.streamFlow(aggFlow, w, dst, cpb, float64(t.matches)*t.agg.BytesPerRow)
 	r.per = cpb
-	r.item = t.col.Name
+	r.item = t.col
 	env.runChain(r, done)
 }
 

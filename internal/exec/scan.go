@@ -401,7 +401,7 @@ func (fs *findStream) runIV(env *Env, w *sched.Worker, onDone func()) {
 		}
 		r := env.streamFlow(kind, w, dst, env.Costs.SharedScanCyclesPerByte(fs.n), float64(bytes))
 		r.writeOutput(outPerByte)
-		r.item, r.n, r.pass = fs.col.Name, fs.n, fs.pass
+		r.item, r.n, r.pass = fs.col, fs.n, fs.pass
 		*link, link = r, &r.next
 	}
 	env.runChain(head, onDone)
@@ -420,6 +420,6 @@ func (fs *findStream) runDelta(env *Env, w *sched.Worker, onDone func()) {
 	bytes := float64(fs.to-fs.from) * delta.RowBytes
 	r := env.streamFlow(kind, w, fs.socket, env.Costs.SharedDeltaCyclesPerByte(fs.n), bytes)
 	r.writeOutput(fs.outBytes / (bytes + 1))
-	r.item, r.n = fs.col.Name, fs.n
+	r.item, r.n = fs.col, fs.n
 	env.runChain(r, onDone)
 }

@@ -247,7 +247,7 @@ func (wr *WrapScanOp) Open(p *Pipeline) []Task {
 func (wr *WrapScanOp) Close(p *Pipeline) {
 	col := wr.Column
 	for range wr.Selectivities {
-		p.Env.addItem(col.Name, -1, Traffic{
+		p.Env.addItem(col, -1, Traffic{
 			Bytes:   float64(col.IVRange.Bytes),
 			IVBytes: float64(col.IVRange.Bytes),
 		})

@@ -144,43 +144,43 @@ type anomaly struct {
 // detectSeries runs the robust change-point detector over one series. The
 // EWMA mean is the expectation and an exponentially weighted mean absolute
 // deviation (scaled by 1.4826, the MAD-to-sigma factor for normal noise) is
-// the scale; both are primed on the first PrimeWindows windows. Quiet
+// the scale; both are primed on the first primeWindows windows. Quiet
 // windows update mean and scale smoothly. An anomalous window re-baselines
 // the mean to the observed level WITHOUT feeding the huge residual into the
 // scale: a sustained fault therefore alarms once at its onset, tracks the
 // faulted level quietly, and — because the scale still reflects healthy
 // noise — alarms again when the series snaps back (the recovery incident).
-func detectSeries(s series, cfg Config) []anomaly {
-	if len(s.vals) <= cfg.PrimeWindows {
+func detectSeries(s series) []anomaly {
+	if len(s.vals) <= primeWindows {
 		return nil
 	}
 	mean, dev := 0.0, 0.0
-	for _, v := range s.vals[:cfg.PrimeWindows] {
+	for _, v := range s.vals[:primeWindows] {
 		mean += v
 	}
-	mean /= float64(cfg.PrimeWindows)
-	for _, v := range s.vals[:cfg.PrimeWindows] {
+	mean /= primeWindows
+	for _, v := range s.vals[:primeWindows] {
 		dev += math.Abs(v - mean)
 	}
-	dev /= float64(cfg.PrimeWindows)
+	dev /= primeWindows
 
 	var out []anomaly
-	for w := cfg.PrimeWindows; w < len(s.vals); w++ {
+	for w := primeWindows; w < len(s.vals); w++ {
 		v := s.vals[w]
 		r := v - mean
 		scale := 1.4826 * dev
-		if f := cfg.MinRelScale * math.Abs(mean); f > scale {
+		if f := minRelScale * math.Abs(mean); f > scale {
 			scale = f
 		}
 		if s.absFloor > scale {
 			scale = s.absFloor
 		}
-		if z := r / scale; math.Abs(z) >= cfg.ZThreshold {
+		if z := r / scale; math.Abs(z) >= zThreshold {
 			out = append(out, anomaly{win: w, up: z > 0, z: z, baseline: mean, val: v})
 			mean = v
 		} else {
-			mean += cfg.Alpha * r
-			dev += cfg.Alpha * (math.Abs(r) - dev)
+			mean += alpha * r
+			dev += alpha * (math.Abs(r) - dev)
 		}
 	}
 	return out
@@ -189,11 +189,11 @@ func detectSeries(s series, cfg Config) []anomaly {
 // detectIncidents runs the detector over every extracted series, merges
 // consecutive same-direction anomalous windows into incidents, and
 // correlates each incident with the decision log.
-func detectIncidents(d *trace.Data, cfg Config) []Incident {
+func detectIncidents(d *trace.Data) []Incident {
 	samples := d.Samples
 	var out []Incident
 	for _, s := range extractSeries(samples) {
-		anoms := detectSeries(s, cfg)
+		anoms := detectSeries(s)
 		for i := 0; i < len(anoms); {
 			j := i
 			peak := anoms[i]
@@ -221,7 +221,7 @@ func detectIncidents(d *trace.Data, cfg Config) []Incident {
 			if in.Baseline != 0 {
 				in.Magnitude = in.Value/in.Baseline - 1
 			}
-			correlate(&in, d.Decisions, samples[first].Window, cfg)
+			correlate(&in, d.Decisions, samples[first].Window)
 			out = append(out, in)
 			i = j + 1
 		}
@@ -236,12 +236,12 @@ func detectIncidents(d *trace.Data, cfg Config) []Incident {
 }
 
 // correlate fills the incident's suspect set: every decision inside
-// [Start - SlackWindows*window, End]. When more than MaxSuspects qualify the
+// [Start - slackWindows*window, End]. When more than maxSuspects qualify the
 // ones nearest the incident onset are kept (the fault that opened the
 // anomaly sits at its start; an AIMD controller chattering later in the span
 // is the droppable tail), then re-sorted chronologically.
-func correlate(in *Incident, decisions []trace.Decision, window float64, cfg Config) {
-	lo := in.Start - cfg.SlackWindows*window
+func correlate(in *Incident, decisions []trace.Decision, window float64) {
+	lo := in.Start - slackWindows*window
 	var cand []trace.Decision
 	for _, d := range decisions {
 		if d.Time >= lo && d.Time <= in.End {
@@ -252,11 +252,11 @@ func correlate(in *Incident, decisions []trace.Decision, window float64, cfg Con
 		in.Unexplained = true
 		return
 	}
-	if len(cand) > cfg.MaxSuspects {
+	if len(cand) > maxSuspects {
 		sort.SliceStable(cand, func(i, j int) bool {
 			return math.Abs(cand[i].Time-in.Start) < math.Abs(cand[j].Time-in.Start)
 		})
-		cand = cand[:cfg.MaxSuspects]
+		cand = cand[:maxSuspects]
 	}
 	sort.SliceStable(cand, func(i, j int) bool { return cand[i].Time < cand[j].Time })
 	in.SuspectDecisions = cand

@@ -35,71 +35,34 @@ import (
 	"numacs/internal/trace"
 )
 
-// Config tunes the analyzer. The zero value is usable: every zero field
-// falls back to the documented default (DefaultConfig fills them in).
-type Config struct {
-	// Alpha is the EWMA smoothing factor for the detector's mean and scale
-	// (default 0.35): large enough to adapt within ~2 windows of a level
-	// shift, so a sustained fault raises one incident at its onset instead
-	// of re-alarming every window.
-	Alpha float64
-	// PrimeWindows is how many leading windows prime the detector before it
-	// may alarm (default 3). Priming swallows workload ramp-up and gives the
-	// EWMA a baseline; runs shorter than PrimeWindows+1 windows can never
-	// produce incidents.
-	PrimeWindows int
-	// ZThreshold is the robust z-score a window's deviation must reach to
-	// open an incident (default 3.5).
-	ZThreshold float64
-	// MinRelScale floors the detector's deviation scale at this fraction of
-	// the EWMA mean (default 0.12), so near-constant series do not alarm on
-	// noise-level wiggles: a deviation must exceed roughly
-	// ZThreshold*MinRelScale of the baseline no matter how quiet the series.
-	MinRelScale float64
-	// SlackWindows pads an incident's decision-correlation interval by this
-	// many windows before its onset (default 1): control planes act with up
-	// to a window of latency between a decision and its windowed effect.
-	SlackWindows float64
-	// MaxSuspects caps an incident's suspect list (default 12); when over
-	// cap, the decisions nearest the incident onset are kept.
-	MaxSuspects int
-}
-
-// DefaultConfig returns the documented defaults.
-func DefaultConfig() Config {
-	return Config{
-		Alpha:        0.35,
-		PrimeWindows: 3,
-		ZThreshold:   3.5,
-		MinRelScale:  0.12,
-		SlackWindows: 1,
-		MaxSuspects:  12,
-	}
-}
-
-// fill replaces zero fields with defaults.
-func (c Config) fill() Config {
-	d := DefaultConfig()
-	if c.Alpha <= 0 {
-		c.Alpha = d.Alpha
-	}
-	if c.PrimeWindows <= 0 {
-		c.PrimeWindows = d.PrimeWindows
-	}
-	if c.ZThreshold <= 0 {
-		c.ZThreshold = d.ZThreshold
-	}
-	if c.MinRelScale <= 0 {
-		c.MinRelScale = d.MinRelScale
-	}
-	if c.SlackWindows <= 0 {
-		c.SlackWindows = d.SlackWindows
-	}
-	if c.MaxSuspects <= 0 {
-		c.MaxSuspects = d.MaxSuspects
-	}
-	return c
-}
+// The incident detector's tuning.
+const (
+	// alpha is the EWMA smoothing factor for the detector's mean and scale:
+	// large enough to adapt within ~2 windows of a level shift, so a
+	// sustained fault raises one incident at its onset instead of
+	// re-alarming every window.
+	alpha = 0.35
+	// primeWindows is how many leading windows prime the detector before it
+	// may alarm. Priming swallows workload ramp-up and gives the EWMA a
+	// baseline; runs shorter than primeWindows+1 windows can never produce
+	// incidents.
+	primeWindows = 3
+	// zThreshold is the robust z-score a window's deviation must reach to
+	// open an incident.
+	zThreshold = 3.5
+	// minRelScale floors the detector's deviation scale at this fraction of
+	// the EWMA mean, so near-constant series do not alarm on noise-level
+	// wiggles: a deviation must exceed roughly zThreshold*minRelScale of the
+	// baseline no matter how quiet the series.
+	minRelScale = 0.12
+	// slackWindows pads an incident's decision-correlation interval by this
+	// many windows before its onset: control planes act with up to a window
+	// of latency between a decision and its windowed effect.
+	slackWindows = 1
+	// maxSuspects caps an incident's suspect list; when over cap, the
+	// decisions nearest the incident onset are kept.
+	maxSuspects = 12
+)
 
 // TriageReport is the analyzer's structured output: the blame tables, the
 // detected incidents, and the SLO verdicts, plus enough context (the dump
@@ -138,17 +101,10 @@ func (r *TriageReport) FailedVerdicts() int {
 }
 
 // Analyze runs the full triage pipeline — blame decomposition, incident
-// detection, SLO evaluation — over one recorder dump with the default
-// analyzer tuning. It is a pure function of its inputs: no engine state is
-// read or written, so it applies equally to a live run's Data() and to a
-// Data built by hand.
+// detection, SLO evaluation — over one recorder dump. It is a pure function
+// of its inputs: no engine state is read or written, so it applies equally
+// to a live run's Data() and to a Data built by hand.
 func Analyze(d *trace.Data, spec SLOSpec) *TriageReport {
-	return AnalyzeWith(d, spec, Config{})
-}
-
-// AnalyzeWith is Analyze with explicit analyzer tuning.
-func AnalyzeWith(d *trace.Data, spec SLOSpec, cfg Config) *TriageReport {
-	cfg = cfg.fill()
 	rep := &TriageReport{
 		Meta:       d.Meta,
 		Statements: len(d.Statements),
@@ -156,7 +112,7 @@ func AnalyzeWith(d *trace.Data, spec SLOSpec, cfg Config) *TriageReport {
 	}
 	rep.ByClass = blameTable(d.Statements, func(s *trace.Statement) string { return s.Class })
 	rep.ByTenant = blameTable(d.Statements, func(s *trace.Statement) string { return s.Tenant })
-	rep.Incidents = detectIncidents(d, cfg)
+	rep.Incidents = detectIncidents(d)
 	rep.Verdicts = evaluateSLOs(d, spec, rep)
 	return rep
 }

@@ -3,28 +3,13 @@ package plan
 import "numacs/internal/colstore"
 
 // ColumnStats are the per-column statistics the optimizer passes consume:
-// row count, compressed width, replica placement, IVP partitioning, delta
-// size, and index presence. The zero value (unknown column, or planning
-// without stats) makes every estimate zero, which keeps the written plan —
-// stat-less optimization is a no-op, not a crash.
+// the row count, which feeds every cardinality estimate. The zero value
+// (unknown column, or planning without stats) makes every estimate zero,
+// which keeps the written plan — stat-less optimization is a no-op, not a
+// crash.
 type ColumnStats struct {
 	// Rows is the column's total row count across physical parts.
 	Rows int
-	// Bitcase is the bit-packed width of the indexvector entries.
-	Bitcase uint
-	// Replicas counts the sockets holding a full copy (1 = unreplicated,
-	// 0 = unplaced).
-	Replicas int
-	// IVPParts counts the column's IVP partitions (0 = not IVP-partitioned).
-	IVPParts int
-	// DeltaRows counts watermark-visible uncompressed delta rows; they
-	// inflate the scan's streamed bytes by delta.RowBytes each.
-	DeltaRows int
-	// HasIndex reports whether the column carries an inverted index.
-	HasIndex bool
-	// Placed reports whether the column's indexvector has a PSM (an unplaced
-	// column cannot execute, so the planner treats it as estimate-only).
-	Placed bool
 }
 
 // Stats is the planner's statistics catalog, keyed by table.column. Collect
@@ -68,28 +53,9 @@ func Snapshot(buf []ColumnStats, tables ...*colstore.Table) []ColumnStats {
 func columnStats(t *colstore.Table, name string) ColumnStats {
 	cs := ColumnStats{}
 	for _, part := range t.Parts {
-		c := part.ColumnByName(name)
-		if c == nil {
-			continue
+		if c := part.ColumnByName(name); c != nil {
+			cs.Rows += c.Rows
 		}
-		cs.Rows += c.Rows
-		cs.Bitcase = c.Bitcase
-		cs.DeltaRows += c.DeltaRows()
-		if c.Idx != nil {
-			cs.HasIndex = true
-		}
-		if c.IVPSM != nil {
-			cs.Placed = true
-		}
-		if r := len(c.ReplicaSockets); r > cs.Replicas {
-			cs.Replicas = r
-		}
-		if len(c.Partitions) > 1 {
-			cs.IVPParts = len(c.Partitions)
-		}
-	}
-	if cs.Replicas == 0 && cs.Placed {
-		cs.Replicas = 1
 	}
 	return cs
 }

@@ -9,6 +9,7 @@ import (
 
 	"numacs/internal/colstore"
 	"numacs/internal/core"
+	"numacs/internal/exec"
 	"numacs/internal/topology"
 )
 
@@ -21,6 +22,8 @@ func TestWritersRateMixAndWindow(t *testing.T) {
 	e := core.NewWithStep(m, 1, 20e-6)
 	tbl := Generate(DatasetConfig{Rows: 10_000, Columns: 4, BitcaseMin: 10, BitcaseMax: 13, Seed: 1, Synthetic: true})
 	e.Placer.PlaceRR(tbl)
+	writeBytes := map[*colstore.Column]float64{}
+	e.AttachItemTraffic(func(col *colstore.Column, _ int, t exec.Traffic) { writeBytes[col] += t.WriteBytes })
 	w := NewWriters(e, tbl, WritersConfig{
 		Rate: 100_000, UpdateFraction: 0.25,
 		Chooser: HotColumnChoice{Hot: 1, P: 1},
@@ -57,9 +60,8 @@ func TestWritersRateMixAndWindow(t *testing.T) {
 		}
 	}
 	// Write traffic reached the item-traffic accounting as write bytes.
-	it := e.ItemTraffic()[col.Name]
-	if it == nil || it.WriteBytes <= 0 {
-		t.Fatalf("no write traffic attributed: %+v", it)
+	if wb := writeBytes[col]; wb <= 0 {
+		t.Fatalf("no write traffic attributed: %v", wb)
 	}
 }
 

@@ -350,7 +350,8 @@ type AdaptiveConfig = adaptive.Config
 // Catalog lists the tables the adaptive placer manages.
 type Catalog = adaptive.Catalog
 
-// NewAdaptivePlacer creates a placer; register it with engine.Sim.AddActor.
+// NewAdaptivePlacer creates a placer, at most one per engine and before the
+// simulation runs; register it with engine.Sim.AddActor.
 func NewAdaptivePlacer(e *Engine, cat *Catalog, cfg AdaptiveConfig) *AdaptivePlacer {
 	return adaptive.New(e, cat, cfg)
 }
