@@ -179,9 +179,12 @@ type Placer struct {
 
 // heat is one column's traffic over the current balancing period, the signal
 // the placer finds hot items by, plus the time of the column's last move or
-// repartition. A column's record is made on its first traffic and zeroed in
-// place each period, and a zero record reads exactly like a column with no
-// record: every lever first asks for positive bytes.
+// repartition. Only catalogued columns have a record — the placer reads
+// heat of no other column — made when the placer is created, or at the
+// first round after a table joins the catalog, and zeroed in place each
+// period; traffic on any other column is dropped. A zero record reads
+// exactly like a column with no record: every lever first asks for
+// positive bytes.
 type heat struct {
 	// Traffic sums the period's samples: total DRAM bytes, IV scan and
 	// dictionary/index bytes (the read-hot test), delta scan bytes (the
@@ -196,7 +199,7 @@ type heat struct {
 	lastChurn float64
 }
 
-// heatOf returns col's record, making it on first use.
+// heatOf returns col's record, making it when col has none.
 func (p *Placer) heatOf(col *colstore.Column) *heat {
 	it := p.heat[col]
 	if it == nil {
@@ -207,10 +210,13 @@ func (p *Placer) heatOf(col *colstore.Column) *heat {
 }
 
 // addTraffic is the engine's item-traffic hook (core.AttachItemTraffic): it
-// adds one sample to col's record. socket is the serving socket, or -1 when
-// the access spread over several sockets.
+// adds one sample to col's record, when col is catalogued. socket is the
+// serving socket, or -1 when the access spread over several sockets.
 func (p *Placer) addTraffic(col *colstore.Column, socket int, t exec.Traffic) {
-	it := p.heatOf(col)
+	it := p.heat[col]
+	if it == nil {
+		return
+	}
 	it.Bytes += t.Bytes
 	it.IVBytes += t.IVBytes
 	it.DictBytes += t.DictBytes
@@ -267,6 +273,7 @@ func New(e *core.Engine, cat *Catalog, cfg Config) *Placer {
 	}
 	e.AttachItemTraffic(p.addTraffic)
 	for _, col := range cat.Columns() {
+		p.heatOf(col)
 		p.replicaBytes += col.ExtraReplicaBytes()
 	}
 	p.PeakReplicaBytes = p.replicaBytes
@@ -303,9 +310,11 @@ func (p *Placer) Tick(now float64) {
 
 	// Resync the replica-memory accounting with the catalog: a background
 	// merge completing between rounds rebuilds replicas at the merged size
-	// (placement.MergeDelta), changing their footprint out of band.
+	// (placement.MergeDelta), changing their footprint out of band. A
+	// column catalogued since the last round gets its heat record here.
 	p.replicaBytes = 0
 	for _, col := range p.Catalog.Columns() {
+		p.heatOf(col)
 		p.replicaBytes += col.ExtraReplicaBytes()
 	}
 	if p.replicaBytes > p.PeakReplicaBytes {

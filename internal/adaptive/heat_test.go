@@ -14,9 +14,10 @@ import (
 	"numacs/internal/workload"
 )
 
-// TestItemTrafficKeyedByColumn: heat belongs to a column, not to its name.
-// Two placed tables each have a column C0; the placer catalogs one of them
-// and clients scan only the other, so the placer's own C0 must stay cold.
+// TestItemTrafficKeyedByColumn: heat belongs to a column, not to its name,
+// and only to a catalogued one. Two placed tables each have a column C0; the
+// placer catalogs one of them and clients scan only the other, so the
+// placer's own C0 must stay cold and the scanned C0 must have no record.
 func TestItemTrafficKeyedByColumn(t *testing.T) {
 	e := core.New(topology.FourSocketIvyBridge(), 1)
 	managed := colstore.NewTable("MANAGED", []*colstore.Column{colstore.NewSynthetic("C0", 20_000, 1<<12, false)})
@@ -35,8 +36,8 @@ func TestItemTrafficKeyedByColumn(t *testing.T) {
 	if done != 8 {
 		t.Fatalf("%d of 8 scans done", done)
 	}
-	if it := p.heatOf(other.Parts[0].Columns[0]); it.Bytes <= 0 || it.IVBytes <= 0 {
-		t.Fatalf("scanned column has no heat: %+v", it.Traffic)
+	if it := p.heat[other.Parts[0].Columns[0]]; it != nil {
+		t.Fatalf("the uncatalogued C0 has a heat record: %+v", it.Traffic)
 	}
 	if it := p.heatOf(managed.Parts[0].Columns[0]); it.Bytes != 0 {
 		t.Fatalf("the catalog's C0 took the other table's heat: %+v", it.Traffic)

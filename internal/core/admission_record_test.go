@@ -46,7 +46,7 @@ type testWrite struct {
 //   - the writer submits a batch over several fragments every few steps,
 //     and the Interactive deadline sheds some batches while they queue;
 //   - plan statements queue too: stars, and join-free plans that join
-//     cohorts, each on records of its plan-cache entry;
+//     cohorts, on records that statements of other shapes ran before;
 //   - the cost model changes every few steps, in a threshold no statement
 //     reads, so the star's entry replans while its records queue or run,
 //     and a record taken with one plan begins on another;
@@ -118,10 +118,10 @@ func TestAdmissionRecordReuse(t *testing.T) {
 	}
 	// Plan clients: join-free plans, which join cohorts, and stars, planned
 	// when admitted. Before each submission the top two records of the
-	// entry's free list swap places, so a client mostly takes a record
+	// engine's free list swap places, so a client mostly takes a record
 	// another client freed.
 	var planClient func(i int)
-	stale := 0 // records taken holding a plan their entry has replaced
+	stale := 0 // records taken, last run on the same entry, holding a plan it has replaced
 	planClient = func(i int) {
 		again := func() { planClient(i) }
 		q := &Query{Strategy: Bound, HomeSocket: i % 4, Tenant: "p", Class: admit.Class(i % 2)}
@@ -131,11 +131,11 @@ func TestAdmissionRecordReuse(t *testing.T) {
 			q.Plan = starPlan(dim, fact, "D_ID")
 		}
 		c := e.cachedPlan(q)
-		if r := c.free; r != nil && r.next != nil {
+		if r := e.free; r != nil && r.next != nil {
 			n := r.next
-			r.next, n.next, c.free = n.next, r, n
+			r.next, n.next, e.free = n.next, r, n
 		}
-		if r := c.free; r != nil && r.phys != nil && r.phys != c.phys {
+		if r := e.free; r != nil && r.entry == c && r.phys != nil && r.phys != c.phys {
 			stale++
 		}
 		e.Submit(track(q, again, again))

@@ -261,9 +261,10 @@ func planStatementBed() (joinFree, star func()) {
 // statement on a warm idle engine, from building its logical plan through
 // the simulator steps that complete it, for planStatementBed's join-free
 // plan and star. Both are planned once per shape and statistics and run on
-// a recycled record of their plan-cache entry that keeps its operators, so
-// what remains is the logical build: BuildQuery's tree, one block (1); and
-// starPlan's dimension list, BuildStar's tree and its dimension block (3).
+// a recycled statement record that keeps its operators, so what remains is
+// the logical build: BuildQuery's tree, one block (1); and BuildStar's tree
+// and its dimension block (2) — starPlan's dimension list stays on its
+// stack, since the tree copies what it needs out of it.
 // On an idle engine the concurrency hint fans the parallel find phase out
 // past the 16 spans ScanOp.Open's stack buffer holds (the join-free scan,
 // the star's dimension scan); the operator keeps that span list, so it
@@ -280,7 +281,7 @@ func TestPlanStatementAllocs(t *testing.T) {
 		want float64
 	}{
 		{"join-free", joinFree, 1},
-		{"star", star, 3},
+		{"star", star, 2},
 	} {
 		// Plan the shape, make its record and grow the simulator's buffers.
 		for i := 0; i < 10; i++ {

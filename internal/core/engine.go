@@ -120,6 +120,11 @@ type Engine struct {
 	nPlans int
 	snap   []plan.ColumnStats
 
+	// free is the free list of statement records (shared.go), which serve
+	// every entry of the plan cache, and records counts the records made.
+	free    *stmtRec
+	records int
+
 	// writeFree is the free list of write batches.
 	writeFree *WriteBatch
 }
@@ -377,10 +382,10 @@ type Query struct {
 // it copies the fields it reads later, callbacks included.
 func (e *Engine) Submit(q *Query) { e.SubmitBatch([]*Query{q}) }
 
-// record takes the record q runs on from q's plan-cache entry, checking q
-// when the entry is made (plancache.go), and copies into it what the engine
-// reads of q after submission: the strategy and home socket into its
-// pipeline, and the callbacks. Its admission entry is bound to it once, so
+// record takes a record for q to run on, pointed at q's plan-cache entry,
+// checking q when the entry is made (plancache.go), and copies into it what
+// the engine reads of q after submission: the strategy and home socket into
+// its pipeline, and the callbacks. Its admission entry is bound to it once, so
 // admitting a statement allocates nothing.
 func (e *Engine) record(q *Query) *stmtRec {
 	r := e.take(e.cachedPlan(q))

@@ -2,8 +2,10 @@ package core
 
 // The plan cache, for every read statement. A statement is planned once per
 // shape — a plain statement's fields, or a Query.Plan statement's written
-// tree — and per inputs, and runs on a recycled record of its entry that
-// keeps its operators (shared.go).
+// tree — and per inputs, and runs on a recycled statement record that keeps
+// its operators' storage (shared.go). The records are the engine's, not an
+// entry's: a record is filled from its entry's plan when it last ran another
+// plan, so starting the cache over keeps them.
 //
 // An entry is valid while every input its planning read that can change
 // under a live table is unchanged. A plan with joins reads the statistics of
@@ -51,7 +53,7 @@ type planKey struct {
 // cachedPlan is one cache entry: the statement it plans — a plain
 // statement's fields with the entry's own copies of its name slices, or the
 // entry's own copy of a written tree — the inputs its plan was made from,
-// the plan, and the free list of its statement records.
+// and the plan.
 type cachedPlan struct {
 	stmt        plan.Statement
 	written     *plan.Logical
@@ -67,7 +69,6 @@ type cachedPlan struct {
 	costs   exec.Costs
 
 	phys *plan.Physical
-	free *stmtRec
 }
 
 // indexInput is one index presence a plan read: whether the primary column

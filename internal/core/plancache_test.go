@@ -146,13 +146,8 @@ func cacheStarTables(e *Engine) (dim, fact *colstore.Table) {
 // predicate's selectivity, whether the dimension scan may use an index, and
 // its hash-table sockets.
 func cacheStar(dim, fact *colstore.Table, sel float64, useIndex bool, ht []int) *plan.Logical {
-	l := plan.BuildStar(plan.StarStatement{
-		Fact: fact,
-		Dims: []plan.StarDim{{Dim: dim, Predicate: "D_DATE", Key: "D_ID", FactFK: "F_FK",
-			Selectivity: sel, HitsPerProbeRow: 1}},
-		AggBytesPerRow: 12, AggCyclesPerRow: 24,
-		HTSockets: ht,
-	})
+	l := plan.BuildStar(plan.StarStatement{Fact: fact, AggBytesPerRow: 12, AggCyclesPerRow: 24, HTSockets: ht},
+		plan.StarDim{Dim: dim, Predicate: "D_DATE", Key: "D_ID", FactFK: "F_FK", Selectivity: sel, HitsPerProbeRow: 1})
 	l.Root.(*plan.AggregateNode).Input.(*plan.JoinNode).Build.(*plan.FilterNode).UseIndex = useIndex
 	return l
 }
@@ -398,12 +393,12 @@ func TestRecycledStarFollowsBuildKey(t *testing.T) {
 	if got := htSocket(); got != 0 {
 		t.Fatalf("the first run allocated its hash table on socket %d, want the build key's socket 0", got)
 	}
-	first, phys := c.free, c.phys
+	first, phys := e.free, c.phys
 	e.Placer.PlaceColumnOnSocket(id, 2)
 	if got := htSocket(); got != 2 {
 		t.Fatalf("the recycled star allocated its hash table on socket %d, want the build key's new socket 2", got)
 	}
-	if c.free != first || c.phys != phys {
+	if e.free != first || c.phys != phys {
 		t.Fatal("the second run did not reuse the first run's record and plan")
 	}
 }

@@ -25,8 +25,8 @@ const recordReuseFingerprint = "88d9e05df5ce0439c877846794f6df03201e73b958864185
 // TestStatementRecordReuse drives the statement-record lifecycle through its
 // edge cases and checks that a recycled record is indistinguishable from a
 // fresh one:
-//   - every OnDone resubmits its client's shape, so a record returns to its
-//     free list and is taken again inside the same callback;
+//   - every OnDone resubmits its client's shape, so a record returns to the
+//     engine's free list and is taken again inside the same callback;
 //   - statements of one shape run concurrently under admission with
 //     different Strategy, HomeSocket and fan-out caps (the controller
 //     coarsens and refines granularity while they are in flight);

@@ -1,7 +1,8 @@
 package core
 
 // The engine's statement records: every statement's plan comes from the plan
-// cache, and the statement runs on a recycled record of its cache entry. A
+// cache, and the statement runs on a record from the engine's one free list,
+// filled from its entry's plan when the record last ran another. A
 // join-free plan's member is merged into a cohort pass by the
 // sharedscan.Registry when the plan is shareable; a star runs on the
 // record's pipeline.
@@ -18,10 +19,12 @@ import (
 // admission entry, the cohort member with the statement's pipeline inside
 // it, its operators — a join-free plan's by value, a star's made on its
 // first fill — the per-query overhead flow, and the statement's callbacks.
-// entry is the cache entry the record belongs to and returns to
-// (plancache.go), and phys the plan its member and operators were last
+// entry is the cache entry of the statement the record runs now, or ran
+// last (plancache.go), and phys the plan its member and operators were last
 // filled from: a record is filled when its statement begins and its entry's
-// plan is not the one it holds, and otherwise runs the operators it kept.
+// plan is not the one it holds — its entry replanned, or its last statement
+// was of another entry — and otherwise runs the operators it kept. The
+// operators keep their task, region and output storage across fills.
 // group is the cohort group the record hands to the registry (join): its own
 // member, followed, when it is a batch's first record with its cohort key,
 // by the members of the batch's later statements with that key (batch.go).
@@ -36,9 +39,9 @@ import (
 // the admission entry.
 //
 // A record is taken when its statement is submitted, before admission, and
-// returns to its free list only inside its own OnDone (done), member OnShed
-// (shed) or admission OnShed (dropped), after it has read its callbacks and
-// before its admission entry's Done. This is sound because the pipeline
+// returns to the engine's free list only inside its own OnDone (done),
+// member OnShed (shed) or admission OnShed (dropped), after it has read its
+// callbacks and before its admission entry's Done. This is sound because the pipeline
 // fires OnDone from its last task's Then, after the scheduler has dropped
 // its task pointers; the cohort registry reads no member again once the
 // member has started or been shed; and the admission controller reads no
@@ -46,7 +49,9 @@ import (
 // admit.Statement). An idle record keeps no cohort pass and no caller's
 // closure reachable: free clears the callbacks and points a join-free
 // record's operators back at its own scan, and a finished pipeline clears
-// its task slots.
+// its task slots. Since any idle record serves any statement, the engine
+// holds at most the peak number of statements in flight, whatever the
+// number of shapes they run.
 type stmtRec struct {
 	e           *Engine
 	entry       *cachedPlan
@@ -63,13 +68,16 @@ type stmtRec struct {
 	next        *stmtRec
 }
 
-// take returns a record from c's free list, or makes one that returns there.
+// take returns an idle record of the engine, or a new one, to run a
+// statement of c.
 func (e *Engine) take(c *cachedPlan) *stmtRec {
-	r := c.free
+	r := e.free
 	if r != nil {
-		c.free, r.next = r.next, nil
+		e.free, r.next = r.next, nil
+		r.entry = c
 		return r
 	}
+	e.records++
 	r = &stmtRec{e: e, entry: c}
 	r.adm = admit.Statement{Run: r.admitted, OnShed: r.dropped}
 	r.m = sharedscan.Member{Phases: r.ops.Phases, OnShed: r.shed, Pipeline: exec.Pipeline{OnDone: r.done}}
@@ -109,13 +117,13 @@ func (r *stmtRec) refresh() {
 	}
 }
 
-// free returns r to its entry's free list.
+// free returns r to the engine's free list.
 func (r *stmtRec) free() {
 	r.onDone, r.onShed, r.adm.Trace, r.m.Pipeline.Trace = nil, nil, nil, nil
 	if r.phys != nil && len(r.phys.Joins) == 0 {
 		r.m.Pipeline.Ops = r.ops.Private()
 	}
-	r.next, r.entry.free = r.entry.free, r
+	r.next, r.e.free = r.e.free, r
 }
 
 // admitted is every record's admission Run: a cohort member joins the

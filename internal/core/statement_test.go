@@ -35,12 +35,8 @@ func buildStarTables(e *Engine) (dim, fact *colstore.Table) {
 
 // starPlan builds the single-dimension star statement joining on key.
 func starPlan(dim, fact *colstore.Table, key string) *plan.Logical {
-	return plan.BuildStar(plan.StarStatement{
-		Fact: fact,
-		Dims: []plan.StarDim{{Dim: dim, Predicate: "D_DATE", Key: key, FactFK: "F_FK",
-			Selectivity: 0.05, HitsPerProbeRow: 1}},
-		AggBytesPerRow: 12, AggCyclesPerRow: 24,
-	})
+	return plan.BuildStar(plan.StarStatement{Fact: fact, AggBytesPerRow: 12, AggCyclesPerRow: 24},
+		plan.StarDim{Dim: dim, Predicate: "D_DATE", Key: key, FactFK: "F_FK", Selectivity: 0.05, HitsPerProbeRow: 1})
 }
 
 // TestSubmitRejectsBadStatements: a statement naming an unknown column or a

@@ -100,25 +100,19 @@ func (sc plannerSchema) starOne(client int, sockets int, onDone func(float64)) j
 // order is deliberately wrong — the large filtered dimension is listed first,
 // so BuildStar nests the small one outermost — and the join-order pass must
 // rewrite it (DIM1 est rows/80 before DIM2 est rows/160 in lowered order).
-func (sc plannerSchema) starTwo() plan.StarStatement {
-	return plan.StarStatement{
-		Fact: sc.fact,
-		Dims: []plan.StarDim{
-			{Dim: sc.dim1, Predicate: "D1_DATE", Key: "D1_ID", FactFK: "F_FK1",
-				Selectivity: 0.05, HitsPerProbeRow: 1},
-			{Dim: sc.dim2, Predicate: "D2_REGION", Key: "D2_ID", FactFK: "F_FK2",
-				Selectivity: 0.1, HitsPerProbeRow: 1},
-		},
-		AggBytesPerRow: 12, AggCyclesPerRow: 24,
-		HTSockets: []int{0},
-	}
+func (sc plannerSchema) starTwo() *plan.Logical {
+	return plan.BuildStar(plan.StarStatement{Fact: sc.fact, AggBytesPerRow: 12, AggCyclesPerRow: 24, HTSockets: []int{0}},
+		plan.StarDim{Dim: sc.dim1, Predicate: "D1_DATE", Key: "D1_ID", FactFK: "F_FK1",
+			Selectivity: 0.05, HitsPerProbeRow: 1},
+		plan.StarDim{Dim: sc.dim2, Predicate: "D2_REGION", Key: "D2_ID", FactFK: "F_FK2",
+			Selectivity: 0.1, HitsPerProbeRow: 1})
 }
 
 // submitStarTwo submits the two-dimension star statement — a multi-join
 // shape the plain Query fields cannot express — as a planned Query.
 func submitStarTwo(e *core.Engine, sc plannerSchema, client int, onDone func(float64)) {
 	e.Submit(&core.Query{
-		Plan:     plan.BuildStar(sc.starTwo()),
+		Plan:     sc.starTwo(),
 		Strategy: core.Bound, HomeSocket: client % e.Machine.Sockets,
 		OnDone: onDone,
 	})
@@ -251,7 +245,7 @@ func explainPlanner() string {
 	fmt.Fprintf(&b, "## and submits all %d as ONE plan-driven cohort group on key %s\n", plannerScans, phys.ShareKey)
 
 	b.WriteString("## star statement: two dimensions, written in the wrong order\n")
-	star := plan.BuildStar(sc.starTwo())
+	star := sc.starTwo()
 	b.WriteString(star.Explain())
 	b.WriteString(plan.Optimize(star, stats, &e.Costs).Explain())
 	return b.String()

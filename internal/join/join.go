@@ -145,18 +145,17 @@ type StarSpec struct {
 // ExecuteStar and for EXPLAIN renderings of the star workload.
 func (s StarSpec) Plan() *plan.Logical {
 	return plan.BuildStar(plan.StarStatement{
-		Fact: s.Fact,
-		Dims: []plan.StarDim{{
-			Dim:             s.Dim,
-			Predicate:       s.DimPredicate,
-			Key:             s.DimKey,
-			FactFK:          s.FactFK,
-			Selectivity:     s.Selectivity,
-			HitsPerProbeRow: s.HitsPerProbeRow,
-		}},
+		Fact:            s.Fact,
 		AggBytesPerRow:  s.AggBytesPerRow,
 		AggCyclesPerRow: s.AggCyclesPerRow,
 		HTSockets:       s.HTSockets,
+	}, plan.StarDim{
+		Dim:             s.Dim,
+		Predicate:       s.DimPredicate,
+		Key:             s.DimKey,
+		FactFK:          s.FactFK,
+		Selectivity:     s.Selectivity,
+		HitsPerProbeRow: s.HitsPerProbeRow,
 	})
 }
 

@@ -17,7 +17,7 @@ func BenchmarkPlanLower(b *testing.B) {
 	stats := Collect(hot, dim1, dim2, fact)
 	costs := exec.DefaultCosts()
 	plain := Statement{Table: hot, Column: "H_VAL", Selectivity: 1e-5, Parallel: true}
-	star := star2(dim1, dim2, fact)
+	star, dims := star2(dim1, dim2, fact)
 	deps := Deps{}
 
 	b.ResetTimer()
@@ -26,7 +26,7 @@ func BenchmarkPlanLower(b *testing.B) {
 			// The Submit hot path plans without stats.
 			Optimize(BuildQuery(plain), nil, &costs).Lower(deps)
 		} else {
-			Optimize(BuildStar(star), stats, &costs).Lower(deps)
+			Optimize(BuildStar(star, dims...), stats, &costs).Lower(deps)
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/row")

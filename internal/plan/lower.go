@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"numacs/internal/colstore"
 	"numacs/internal/exec"
 	"numacs/internal/memsim"
 )
@@ -34,7 +35,8 @@ func (p *Physical) Lower(d Deps) []exec.Operator {
 }
 
 // JoinOps is storage for a join plan's operators, which keep their task
-// storage when a caller reuses them statement after statement.
+// storage when a caller reuses them statement after statement, and plan
+// after plan.
 type JoinOps struct {
 	scans     []exec.ScanOp
 	joins     []exec.JoinOp
@@ -45,7 +47,10 @@ type JoinOps struct {
 // FillJoins writes a join plan's operators into o and returns them in
 // pipeline order — per join its build-side scan, build and probe, then the
 // aggregate: the one mapping from a join Physical to exec operators, which
-// Lower runs on fresh storage.
+// Lower runs on fresh storage. It sets every exported field of the
+// operators and leaves their task, region and span storage to their next
+// Open, so refilling o from another plan allocates only where o has fewer
+// joins than p.
 func (p *Physical) FillJoins(o *JoinOps, d Deps) []exec.Operator {
 	n := len(p.Joins)
 	if cap(o.joins) < n {
@@ -56,44 +61,27 @@ func (p *Physical) FillJoins(o *JoinOps, d Deps) []exec.Operator {
 	for i, pj := range p.Joins {
 		bs := pj.BuildScan
 		scan := &o.scans[i]
-		*scan = exec.ScanOp{
-			Table:       bs.Table,
-			Selectivity: bs.Selectivity,
-			Cols:        bs.Cols,
-			Parallel:    bs.Parallel,
-		}
+		scan.Table, scan.Selectivity, scan.Cols, scan.UseIndex, scan.Parallel = bs.Table, bs.Selectivity, bs.Cols, false, bs.Parallel
 		j := &o.joins[i]
-		*j = exec.JoinOp{
-			Build:           pj.BuildKey,
-			Probe:           pj.ProbeKey,
-			HTSockets:       pj.HTSockets,
-			HitsPerProbeRow: pj.EffHits,
-			Alloc:           d.Alloc,
-			BuildSource:     scan,
-		}
+		j.Build, j.Probe, j.BuildSource = pj.BuildKey, pj.ProbeKey, scan
 		if pj.Swapped {
 			// The costed build side is the unfiltered fact column: build and
 			// probe exchange, the hash table builds from every fact row
 			// (no BuildSource filter), and the dimension predicate — already
 			// folded into EffHits — still executes as the scan stage.
-			j.Build, j.Probe = pj.ProbeKey, pj.BuildKey
-			j.BuildSource = nil
+			j.Build, j.Probe, j.BuildSource = pj.ProbeKey, pj.BuildKey, nil
 		}
+		j.HTSockets, j.HitsPerProbeRow, j.Alloc = pj.HTSockets, pj.EffHits, d.Alloc
 		o.ops = append(o.ops, scan, j.BuildOp(), j.ProbeOp())
 	}
-	o.aggregate = exec.AggregateOp{
-		Source:          &o.joins[n-1],
-		BytesPerRow:     p.Output.BytesPerRow,
-		CyclesPerRow:    p.Output.CyclesPerRow,
-		Parallel:        p.Output.Parallel,
-		DisableCoalesce: d.DisableCoalesce,
-	}
+	fillAggregate(&o.aggregate, &o.joins[n-1], &p.Output, nil, d)
 	o.ops = append(o.ops, &o.aggregate)
 	return o.ops
 }
 
 // PlainOps is storage for a plain statement's operators, which keep their
-// task storage when a caller reuses them statement after statement.
+// task storage when a caller reuses them statement after statement, and
+// plan after plan.
 type PlainOps struct {
 	scan        exec.ScanOp
 	materialize exec.MaterializeOp
@@ -103,16 +91,13 @@ type PlainOps struct {
 
 // FillPlain writes a plain (join-free) plan's operators into o and returns
 // them in pipeline order: the one mapping from a plain Physical to exec
-// operators, which Lower runs on fresh storage.
+// operators, which Lower runs on fresh storage. Like FillJoins it sets
+// every exported field and keeps the operators' storage, so it allocates
+// nothing.
 func (p *Physical) FillPlain(o *PlainOps, d Deps) []exec.Operator {
 	s := p.Scan
-	o.scan = exec.ScanOp{
-		Table:       s.Table,
-		Selectivity: s.Selectivity,
-		Cols:        s.Cols,
-		UseIndex:    s.UseIndex,
-		Parallel:    s.Parallel,
-	}
+	sc := &o.scan
+	sc.Table, sc.Selectivity, sc.Cols, sc.UseIndex, sc.Parallel = s.Table, s.Selectivity, s.Cols, s.UseIndex, s.Parallel
 	o.ops = [2]exec.Operator{&o.scan, p.Output.fill(&o.materialize, &o.aggregate, &o.scan, d)}
 	return o.ops[:]
 }
@@ -121,23 +106,18 @@ func (p *Physical) FillPlain(o *PlainOps, d Deps) []exec.Operator {
 // the plan outputs, and returns it.
 func (out *PhysOutput) fill(mat *exec.MaterializeOp, agg *exec.AggregateOp, src exec.RegionSource, d Deps) exec.Operator {
 	if out.Aggregate {
-		*agg = exec.AggregateOp{
-			Source:          src,
-			BytesPerRow:     out.BytesPerRow,
-			CyclesPerRow:    out.CyclesPerRow,
-			Project:         out.Project,
-			Parallel:        out.Parallel,
-			DisableCoalesce: d.DisableCoalesce,
-		}
+		fillAggregate(agg, src, out, out.Project, d)
 		return agg
 	}
-	*mat = exec.MaterializeOp{
-		Scan:            src,
-		Project:         out.Project,
-		Parallel:        out.Parallel,
-		DisableCoalesce: d.DisableCoalesce,
-	}
+	mat.Scan, mat.Project, mat.Parallel, mat.DisableCoalesce = src, out.Project, out.Parallel, d.DisableCoalesce
 	return mat
+}
+
+// fillAggregate sets a's exported fields: an aggregation over src, costed
+// and parallelized as out says, projecting project.
+func fillAggregate(a *exec.AggregateOp, src exec.RegionSource, out *PhysOutput, project [][]*colstore.Column, d Deps) {
+	a.Source, a.BytesPerRow, a.CyclesPerRow = src, out.BytesPerRow, out.CyclesPerRow
+	a.Project, a.Parallel, a.DisableCoalesce = project, out.Parallel, d.DisableCoalesce
 }
 
 // Phases returns o's two phases in pipeline order, with find as the find

@@ -202,11 +202,10 @@ type StarDim struct {
 }
 
 // StarStatement describes a composed scan -> join -> aggregate statement
-// over a star schema, generalized to several dimensions (the join-order pass
-// sequences them by estimated filtered build size).
+// over a star schema but its dimensions, which BuildStar takes beside it:
+// the fact table, the measure aggregation and the hash-table placement.
 type StarStatement struct {
 	Fact *colstore.Table
-	Dims []StarDim
 	// AggBytesPerRow / AggCyclesPerRow cost the measure aggregation per
 	// matching row.
 	AggBytesPerRow  float64
@@ -215,17 +214,23 @@ type StarStatement struct {
 	HTSockets []int
 }
 
-// BuildStar builds the logical star-join plan: joins nest left-deep over the
-// fact scan in the written dimension order, with each dimension's predicate
-// on a FilterNode above its scan, and the aggregation on top. The tree is
-// two allocations: the plan with its fact scan and aggregate (starTree),
-// and the dimensions' joins, filters, scans and predicates (starJoin).
-func BuildStar(st StarStatement) *Logical {
+// BuildStar builds the logical star-join plan of st over dims, one or more
+// dimensions (the join-order pass sequences them by estimated filtered build
+// size): joins nest left-deep over the fact scan in the written dimension
+// order, with each dimension's predicate on a FilterNode above its scan,
+// and the aggregation on top. The tree is two allocations: the plan with
+// its fact scan and aggregate (starTree), and the dimensions' joins,
+// filters, scans and predicates (starJoin). The tree copies what it needs
+// out of dims and keeps no reference to the list, so a caller's dimension
+// list stays on its stack. dims is a parameter of its own because Go's
+// escape analysis treats a struct as one location: a list inside st would
+// escape with st.Fact, which the tree keeps.
+func BuildStar(st StarStatement, dims ...StarDim) *Logical {
 	t := new(starTree)
 	t.fact = ScanNode{Table: st.Fact, Parallel: true}
 	var probe Node = &t.fact
-	joins := make([]starJoin, len(st.Dims))
-	for i, d := range st.Dims {
+	joins := make([]starJoin, len(dims))
+	for i, d := range dims {
 		j := &joins[i]
 		j.scan = ScanNode{Table: d.Dim, Parallel: true}
 		j.pred[0] = Pred{Column: d.Predicate, Selectivity: d.Selectivity}

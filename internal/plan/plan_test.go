@@ -33,21 +33,23 @@ func testSchema() (hot, dim1, dim2, fact *colstore.Table) {
 	return
 }
 
-// star2 builds the two-dimension star statement with the large dimension
-// written first (so BuildStar nests the small one outermost and the
-// join-order pass has something to fix).
-func star2(dim1, dim2, fact *colstore.Table) StarStatement {
-	return StarStatement{
-		Fact: fact,
-		Dims: []StarDim{
+// star2 returns the two-dimension star statement and its dimensions, the
+// large dimension written first (so BuildStar nests the small one outermost
+// and the join-order pass has something to fix).
+func star2(dim1, dim2, fact *colstore.Table) (StarStatement, []StarDim) {
+	return StarStatement{Fact: fact, AggBytesPerRow: 12, AggCyclesPerRow: 24, HTSockets: []int{0}},
+		[]StarDim{
 			{Dim: dim1, Predicate: "D1_DATE", Key: "D1_ID", FactFK: "F_FK1",
 				Selectivity: 0.05, HitsPerProbeRow: 1},
 			{Dim: dim2, Predicate: "D2_REGION", Key: "D2_ID", FactFK: "F_FK2",
 				Selectivity: 0.1, HitsPerProbeRow: 2},
-		},
-		AggBytesPerRow: 12, AggCyclesPerRow: 24,
-		HTSockets: []int{0},
-	}
+		}
+}
+
+// buildStar2 builds star2's plan.
+func buildStar2(dim1, dim2, fact *colstore.Table) *Logical {
+	st, dims := star2(dim1, dim2, fact)
+	return BuildStar(st, dims...)
 }
 
 // TestPushdownFoldsPredicates: the pushdown pass folds the filter into the
@@ -112,13 +114,9 @@ func TestShareableRule(t *testing.T) {
 // written sides and the effective hit rate is the written float, exactly.
 func TestBuildSideEmptyStats(t *testing.T) {
 	_, dim1, _, fact := testSchema()
-	st := StarStatement{
-		Fact: fact,
-		Dims: []StarDim{{Dim: dim1, Predicate: "D1_DATE", Key: "D1_ID", FactFK: "F_FK1",
-			Selectivity: 0.05, HitsPerProbeRow: 1}},
-		AggBytesPerRow: 12, AggCyclesPerRow: 24,
-	}
-	p := Optimize(BuildStar(st), nil, nil)
+	st := StarStatement{Fact: fact, AggBytesPerRow: 12, AggCyclesPerRow: 24}
+	p := Optimize(BuildStar(st, StarDim{Dim: dim1, Predicate: "D1_DATE", Key: "D1_ID", FactFK: "F_FK1",
+		Selectivity: 0.05, HitsPerProbeRow: 1}), nil, nil)
 	if len(p.Joins) != 1 {
 		t.Fatalf("want 1 join, got %d", len(p.Joins))
 	}
@@ -143,14 +141,10 @@ func TestBuildSideSwap(t *testing.T) {
 	fact := colstore.NewTable("SMALLFACT", []*colstore.Column{
 		colstore.NewSynthetic("S_FK", 10_000, 1<<14, false),
 	})
-	st := StarStatement{
-		Fact: fact,
-		Dims: []StarDim{{Dim: dim, Predicate: "B_PRED", Key: "B_ID", FactFK: "S_FK",
-			Selectivity: 0.5, HitsPerProbeRow: 1}},
-		AggBytesPerRow: 12, AggCyclesPerRow: 24,
-	}
+	st := StarStatement{Fact: fact, AggBytesPerRow: 12, AggCyclesPerRow: 24}
 	stats := Collect(dim, fact)
-	p := Optimize(BuildStar(st), stats, nil)
+	p := Optimize(BuildStar(st, StarDim{Dim: dim, Predicate: "B_PRED", Key: "B_ID", FactFK: "S_FK",
+		Selectivity: 0.5, HitsPerProbeRow: 1}), stats, nil)
 	j := p.Joins[0]
 	if !j.Swapped {
 		t.Fatalf("build side not swapped: est build %v", j.EstBuildRows)
@@ -170,9 +164,7 @@ func TestBuildSideSwap(t *testing.T) {
 // order-invariant.
 func TestJoinOrderReorders(t *testing.T) {
 	_, dim1, dim2, fact := testSchema()
-	st := star2(dim1, dim2, fact)
-
-	withStats := Optimize(BuildStar(st), Collect(dim1, dim2, fact), nil)
+	withStats := Optimize(buildStar2(dim1, dim2, fact), Collect(dim1, dim2, fact), nil)
 	if len(withStats.Joins) != 2 {
 		t.Fatalf("want 2 joins, got %d", len(withStats.Joins))
 	}
@@ -182,7 +174,7 @@ func TestJoinOrderReorders(t *testing.T) {
 			withStats.Joins[0].BuildTable.Name, withStats.Joins[1].BuildTable.Name)
 	}
 
-	noStats := Optimize(BuildStar(st), nil, nil)
+	noStats := Optimize(buildStar2(dim1, dim2, fact), nil, nil)
 	if noStats.Joins[0].BuildTable.Name != "DIM1" || noStats.Joins[1].BuildTable.Name != "DIM2" {
 		t.Errorf("stat-less order %s, %s; want written order DIM1 first",
 			noStats.Joins[0].BuildTable.Name, noStats.Joins[1].BuildTable.Name)
@@ -210,7 +202,7 @@ func TestAllReplicatedStats(t *testing.T) {
 			c.ReplicaSockets = []int{0, 1, 2, 3}
 		}
 	}
-	p := Optimize(BuildStar(star2(dim1, dim2, fact)), Collect(dim1, dim2, fact), nil)
+	p := Optimize(buildStar2(dim1, dim2, fact), Collect(dim1, dim2, fact), nil)
 	if p.Joins[0].BuildTable.Name != "DIM2" {
 		t.Errorf("replication changed the join order: %s first", p.Joins[0].BuildTable.Name)
 	}
@@ -277,15 +269,10 @@ func TestLowerPlainMatchesHandWired(t *testing.T) {
 // build and probe phases.
 func TestLowerStarMatchesHandWired(t *testing.T) {
 	_, dim1, _, fact := testSchema()
-	st := StarStatement{
-		Fact: fact,
-		Dims: []StarDim{{Dim: dim1, Predicate: "D1_DATE", Key: "D1_ID", FactFK: "F_FK1",
-			Selectivity: 0.05, HitsPerProbeRow: 1}},
-		AggBytesPerRow: 12, AggCyclesPerRow: 24,
-		HTSockets: []int{0},
-	}
+	st := StarStatement{Fact: fact, AggBytesPerRow: 12, AggCyclesPerRow: 24, HTSockets: []int{0}}
 	alloc := memsim.NewAllocator(4)
-	low := Optimize(BuildStar(st), Collect(dim1, fact), nil).Lower(Deps{Alloc: alloc})
+	low := Optimize(BuildStar(st, StarDim{Dim: dim1, Predicate: "D1_DATE", Key: "D1_ID", FactFK: "F_FK1",
+		Selectivity: 0.05, HitsPerProbeRow: 1}), Collect(dim1, fact), nil).Lower(Deps{Alloc: alloc})
 
 	scan := &exec.ScanOp{Table: dim1, Selectivity: 0.05, Parallel: true,
 		Cols: exec.ResolveColumns(dim1, "D1_DATE")}
@@ -305,12 +292,9 @@ func TestLowerStarMatchesHandWired(t *testing.T) {
 // only the ablation sets it.
 func TestLowerStarHonoursDisableCoalesce(t *testing.T) {
 	_, dim1, _, fact := testSchema()
-	phys := Optimize(BuildStar(StarStatement{
-		Fact: fact,
-		Dims: []StarDim{{Dim: dim1, Predicate: "D1_DATE", Key: "D1_ID", FactFK: "F_FK1",
-			Selectivity: 0.05, HitsPerProbeRow: 1}},
-		AggBytesPerRow: 12, AggCyclesPerRow: 24,
-	}), Collect(dim1, fact), nil)
+	phys := Optimize(BuildStar(StarStatement{Fact: fact, AggBytesPerRow: 12, AggCyclesPerRow: 24},
+		StarDim{Dim: dim1, Predicate: "D1_DATE", Key: "D1_ID", FactFK: "F_FK1",
+			Selectivity: 0.05, HitsPerProbeRow: 1}), Collect(dim1, fact), nil)
 	for _, disable := range []bool{false, true} {
 		low := phys.Lower(Deps{Alloc: memsim.NewAllocator(4), DisableCoalesce: disable})
 		agg, ok := low[len(low)-1].(*exec.AggregateOp)
@@ -386,15 +370,15 @@ func TestRewritesPreserveEstimatedResult(t *testing.T) {
 			colstore.NewSynthetic("F_FK1", fRows, 1<<14, false),
 			colstore.NewSynthetic("F_FK2", fRows, 1<<12, false),
 		})
-		st := star2(dim1, dim2, fact)
-		st.Dims[0].Selectivity = 0.01 + 0.5*rng.Float64()
-		st.Dims[1].Selectivity = 0.01 + 0.5*rng.Float64()
-		st.Dims[0].HitsPerProbeRow = float64(1 + rng.Intn(3))
-		st.Dims[1].HitsPerProbeRow = float64(1 + rng.Intn(3))
+		st, dims := star2(dim1, dim2, fact)
+		dims[0].Selectivity = 0.01 + 0.5*rng.Float64()
+		dims[1].Selectivity = 0.01 + 0.5*rng.Float64()
+		dims[0].HitsPerProbeRow = float64(1 + rng.Intn(3))
+		dims[1].HitsPerProbeRow = float64(1 + rng.Intn(3))
 
 		stats := Collect(dim1, dim2, fact)
-		written := OptimizeWith(BuildStar(st), stats, nil, nil)
-		opt := Optimize(BuildStar(st), stats, nil)
+		written := OptimizeWith(BuildStar(st, dims...), stats, nil, nil)
+		opt := Optimize(BuildStar(st, dims...), stats, nil)
 
 		// The aggregate consumes the LAST lowered join's matches; re-derive
 		// that stage's analytic match count from the physical fields alone,
@@ -411,8 +395,8 @@ func TestRewritesPreserveEstimatedResult(t *testing.T) {
 		}
 		// The ground truth both plans must reproduce.
 		want := float64(fRows) *
-			st.Dims[0].Selectivity * st.Dims[0].HitsPerProbeRow *
-			st.Dims[1].Selectivity * st.Dims[1].HitsPerProbeRow
+			dims[0].Selectivity * dims[0].HitsPerProbeRow *
+			dims[1].Selectivity * dims[1].HitsPerProbeRow
 		w, o := matches(written), matches(opt)
 		if math.Abs(w-want) > 1e-6*want || math.Abs(o-want) > 1e-6*want {
 			t.Fatalf("case %d (d1 %d, d2 %d, f %d): estimated result drifted: want %v, written %v, optimized %v\n opt joins: %+v %+v",
@@ -436,7 +420,7 @@ func TestExplainStable(t *testing.T) {
 			t.Errorf("explain output missing %q:\n%s", want, a)
 		}
 	}
-	sp := Optimize(BuildStar(star2(dim1, dim2, fact)), Collect(dim1, dim2, fact), nil)
+	sp := Optimize(buildStar2(dim1, dim2, fact), Collect(dim1, dim2, fact), nil)
 	out := sp.Explain()
 	for _, want := range []string{"join[0]: build DIM2.D2_ID", "join[1]: build DIM1.D1_ID", "join-order:"} {
 		if !strings.Contains(out, want) {

@@ -56,10 +56,13 @@ func (e *rangeEntry) socketOfPage(page uint64) int {
 	return int(e.pattern[off%uint64(len(e.pattern))])
 }
 
-// PSM summarizes the physical location of a set of virtual pages.
+// PSM summarizes the physical location of a set of virtual pages. summary
+// holds the pages per socket up to the highest socket the PSM tracks, so a
+// PSM of a small machine is small; SizeBits still accounts the paper's
+// 256-socket vector.
 type PSM struct {
 	ranges  []rangeEntry
-	summary [MaxSockets]uint32
+	summary []uint32
 }
 
 // New returns an empty PSM.
@@ -172,19 +175,7 @@ func (p *PSM) contains(page uint64) bool {
 // insert adds an entry keeping the vector sorted by first page, merging with
 // an adjacent compatible plain range when possible.
 func (p *PSM) insert(e rangeEntry) {
-	// Update summary.
-	if len(e.pattern) == 0 {
-		p.summary[e.socket] += e.nPages
-	} else {
-		k := uint32(len(e.pattern))
-		for idx, s := range e.pattern {
-			cnt := e.nPages / k
-			if uint32(idx) < e.nPages%k {
-				cnt++
-			}
-			p.summary[s] += cnt
-		}
-	}
+	p.count(&e)
 	i := sort.Search(len(p.ranges), func(i int) bool { return p.ranges[i].firstPage > e.firstPage })
 	// Merge with predecessor when contiguous, same socket, both plain.
 	if i > 0 {
@@ -225,27 +216,37 @@ func (p *PSM) Remove(r memsim.Range) {
 	first := r.Start.PageIndex()
 	last := (r.End() - 1).PageIndex()
 	var out []rangeEntry
-	var summary [MaxSockets]uint32
 	for _, e := range p.ranges {
 		segs := subtract(e, first, last)
 		out = append(out, segs...)
 	}
 	p.ranges = out
-	for _, e := range p.ranges {
-		if len(e.pattern) == 0 {
-			summary[e.socket] += e.nPages
-		} else {
-			k := uint32(len(e.pattern))
-			for idx, s := range e.pattern {
-				cnt := e.nPages / k
-				if uint32(idx) < e.nPages%k {
-					cnt++
-				}
-				summary[s] += cnt
-			}
-		}
+	p.summary = p.summary[:0]
+	for i := range p.ranges {
+		p.count(&p.ranges[i])
 	}
-	p.summary = summary
+}
+
+// count adds e's pages to the summary, growing it to e's highest socket.
+func (p *PSM) count(e *rangeEntry) {
+	add := func(s uint8, n uint32) {
+		if int(s) >= len(p.summary) {
+			p.summary = append(p.summary, make([]uint32, int(s)+1-len(p.summary))...)
+		}
+		p.summary[s] += n
+	}
+	if len(e.pattern) == 0 {
+		add(e.socket, e.nPages)
+		return
+	}
+	k := uint32(len(e.pattern))
+	for idx, s := range e.pattern {
+		cnt := e.nPages / k
+		if uint32(idx) < e.nPages%k {
+			cnt++
+		}
+		add(s, cnt)
+	}
 }
 
 // subtract returns e minus pages [first,last], preserving pattern phase.
@@ -338,7 +339,7 @@ func (p *PSM) SocketBytes(r memsim.Range, off, bytes int64, out []int64) []int64
 // highest socket in use.
 func (p *PSM) Summary() []uint32 {
 	hi := -1
-	for s := MaxSockets - 1; s >= 0; s-- {
+	for s := len(p.summary) - 1; s >= 0; s-- {
 		if p.summary[s] > 0 {
 			hi = s
 			break
@@ -352,7 +353,7 @@ func (p *PSM) Summary() []uint32 {
 // PagesOn returns the summary's page count of one socket without copying
 // the summary vector (0 for a socket outside [0, MaxSockets)).
 func (p *PSM) PagesOn(socket int) uint32 {
-	if socket < 0 || socket >= MaxSockets {
+	if socket < 0 || socket >= len(p.summary) {
 		return 0
 	}
 	return p.summary[socket]
@@ -371,9 +372,9 @@ func (p *PSM) TotalPages() uint64 {
 // for an empty PSM. Ties break toward the lower socket id.
 func (p *PSM) MajoritySocket() int {
 	best, bestPages := -1, uint32(0)
-	for s := 0; s < MaxSockets; s++ {
-		if p.summary[s] > bestPages {
-			best, bestPages = s, p.summary[s]
+	for s, pages := range p.summary {
+		if pages > bestPages {
+			best, bestPages = s, pages
 		}
 	}
 	return best

@@ -1,6 +1,7 @@
 package psm
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -255,6 +256,63 @@ func TestAddPSM(t *testing.T) {
 	}
 }
 
+// TestSummarySizedToMachine: the summary is as long as the highest socket the
+// PSM tracks — after an insert that reaches socket 255 and after a Remove
+// that drops it — while Summary, PagesOn and MajoritySocket answer for every
+// socket in [0, MaxSockets) as a page-by-page count does, and SizeBits keeps
+// the paper's 256-socket summary vector.
+func TestSummarySizedToMachine(t *testing.T) {
+	a := memsim.NewAllocator(MaxSockets)
+	r := a.Alloc(64*page, memsim.OnSocket(3))
+	a.MovePages(r.Subrange(8*page, 4*page), 255)
+	a.InterleavePages(r.Subrange(32*page, 16*page), []int{7, 1})
+	a.MovePages(r.Subrange(56*page, 8*page), 7)
+	p := Build(a, r)
+	check := func(what string, wantLen int) {
+		t.Helper()
+		var want [MaxSockets]uint32
+		for i := int64(0); i < r.Bytes/page; i++ {
+			if s := p.LocationOf(r.Start + memsim.Addr(i*page)); s >= 0 {
+				want[s]++
+			}
+		}
+		if len(p.summary) != wantLen {
+			t.Fatalf("%s: the summary holds %d sockets, want %d", what, len(p.summary), wantLen)
+		}
+		hi, best := -1, -1
+		for s := range want {
+			if got := p.PagesOn(s); got != want[s] {
+				t.Fatalf("%s: PagesOn(%d) = %d, want %d", what, s, got, want[s])
+			}
+			if want[s] > 0 {
+				hi = s
+			}
+			if want[s] > 0 && (best < 0 || want[s] > want[best]) {
+				best = s
+			}
+		}
+		if got := p.Summary(); !slices.Equal(got, want[:hi+1]) {
+			t.Fatalf("%s: Summary() = %v, want %v", what, got, want[:hi+1])
+		}
+		if got := p.MajoritySocket(); got != best {
+			t.Fatalf("%s: MajoritySocket() = %d, want %d", what, got, best)
+		}
+		if p.PagesOn(-1) != 0 || p.PagesOn(MaxSockets) != 0 {
+			t.Fatalf("%s: a socket outside [0, MaxSockets) holds pages", what)
+		}
+		if got, want := p.SizeBits(), entryBits*p.NumRanges()+MaxSockets*32; got != want {
+			t.Fatalf("%s: SizeBits = %d, want %d", what, got, want)
+		}
+	}
+	check("built", 256)
+	p.Remove(r.Subrange(8*page, 4*page))
+	check("socket 255 removed", 8)
+	p.Remove(r.Subrange(32*page, 32*page))
+	check("sockets 1 and 7 removed", 4)
+	p.Remove(r)
+	check("empty", 0)
+}
+
 // Property: for any move sequence, PSM lookups agree with the allocator
 // after a rebuild, and the summary equals per-socket page counts.
 func TestPSMAgreesWithAllocatorProperty(t *testing.T) {
@@ -347,7 +405,7 @@ func (p *PSM) InterleaveRange(alloc *memsim.Allocator, r memsim.Range, sockets [
 
 // Clone returns a deep copy.
 func (p *PSM) Clone() *PSM {
-	q := &PSM{summary: p.summary}
+	q := &PSM{summary: slices.Clone(p.summary)}
 	q.ranges = make([]rangeEntry, len(p.ranges))
 	copy(q.ranges, p.ranges)
 	for i := range q.ranges {
