@@ -55,6 +55,14 @@ go test -bench '^(BenchmarkAdmittedSubmit|BenchmarkWriteBatch)$' -benchtime=0.2s
 # measured mix, and on the 32-socket IvyBridge with the same mix at 256.
 go test -bench '^BenchmarkSimStep$' -benchtime=0.2s -count=3 -run '^$' ./internal/sim
 
+# And a caller's flow through the simulator: one think-time delay, the flow a
+# closed-loop client starts between statements, built as a literal, started
+# and stepped to completion on a warm engine per "row", with its allocations
+# alongside. StartFlow copies the caller's Flow, so the allocs/op it prints
+# reads 0 only while the simulator keeps no reference to a caller's Flow
+# (TestCallerFlowAllocs pins that count).
+go test -bench '^BenchmarkStartFlow$' -benchtime=0.2s -count=3 -run '^$' ./internal/sim
+
 # And the scheduler's dispatch: pushes and pops on the keyed run-queue heaps
 # (each entry carries its task's (Priority, seq) keys, and a sift moves a
 # hole) and worker bookkeeping. One "row" is one dispatch round on the

@@ -66,10 +66,10 @@ func callerBuiltStatement() (e *Engine, run func()) {
 // on an idle engine, from Submit through the simulator steps that complete
 // it, for a materializing and an aggregating statement: the plan is cached
 // with its names resolved, the statement runs on a recycled statement record
-// whose pipeline, operators and overhead flow keep their storage, each task
-// is a record its operator owns, and the flows run on recycled flow records,
-// demand vectors included. A change that adds an allocation to the statement
-// path fails here.
+// whose pipeline and operators keep their storage, each task is a record its
+// operator owns, and the flows, the overhead delay included, run on recycled
+// flow records, demand vectors included. A change that adds an allocation to
+// the statement path fails here.
 func TestPlainStatementAllocs(t *testing.T) {
 	for _, aggregate := range []bool{false, true} {
 		_, run := pinnedStatement(aggregate)
@@ -172,11 +172,10 @@ func TestWriteBatchAllocs(t *testing.T) {
 // that complete every member. Each member runs on a recycled statement
 // record — its registry member, pipeline, operators, hooks and region copy
 // keep their storage — and the group rides the first member's record: its
-// group slice, overhead flow and hand-off hook keep theirs too. The pass runs
-// on a recycled cohort record of the registry, whose member list,
-// operators, find-barrier hooks, selectivities, task and span storage and
-// per-member regions keep theirs. A change that adds an allocation to the
-// shared path fails here.
+// group slice and hand-off hook keep theirs too. The pass runs on a recycled
+// cohort record of the registry, whose member list, operators, find-barrier
+// hooks, selectivities, task and span storage and per-member regions keep
+// theirs. A change that adds an allocation to the shared path fails here.
 func TestCohortPassAllocs(t *testing.T) {
 	e := New(topology.FourSocketIvyBridge(), 1)
 	e.EnableSharedScans(sharedscan.Config{})

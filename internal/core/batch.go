@@ -46,7 +46,7 @@ func (e *Engine) SubmitBatch(qs []*Query) {
 	}
 	for r := leaders; r != nil; r = next {
 		next, r.next = r.next, nil
-		e.startOverhead(&r.overhead, r.join)
+		e.startOverhead(r.join)
 	}
 }
 

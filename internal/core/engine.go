@@ -421,12 +421,10 @@ func (e *Engine) enter(a *admit.Statement, tenant string, class admit.Class, st 
 	e.Admit.Submit(a)
 }
 
-// startOverhead fills the caller-owned f with the per-query overhead delay
-// that runs next when it ends, and starts it. The overhead runs on the
-// client's connection thread — a receiver thread outside the worker pool — so
-// it adds latency without occupying a worker (units are seconds; the rate cap
-// of 1 makes the flow a pure delay).
-func (e *Engine) startOverhead(f *sim.Flow, next func()) {
-	*f = sim.Flow{Remaining: e.Costs.QueryOverheadSeconds, RateCap: 1, OnDone: next}
-	e.Sim.StartFlow(f)
+// startOverhead starts the per-query overhead delay, which runs next when it
+// ends. The overhead runs on the client's connection thread — a receiver
+// thread outside the worker pool — so it adds latency without occupying a
+// worker (units are seconds; the rate cap of 1 makes the flow a pure delay).
+func (e *Engine) startOverhead(next func()) {
+	e.Sim.StartFlow(&sim.Flow{Remaining: e.Costs.QueryOverheadSeconds, RateCap: 1, OnDone: next})
 }

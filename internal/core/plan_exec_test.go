@@ -11,7 +11,6 @@ import (
 	"numacs/internal/metrics"
 	"numacs/internal/plan"
 	"numacs/internal/sharedscan"
-	"numacs/internal/sim"
 	"numacs/internal/topology"
 	"numacs/internal/trace"
 )
@@ -96,7 +95,7 @@ func TestPlanRewritesPreserveExecution(t *testing.T) {
 					Env: e.env, Strategy: q.Strategy, HomeSocket: q.HomeSocket,
 					IssuedAt: e.Sim.Now(), Ops: low, OnDone: func(lat float64) { e.activeStatements--; q.OnDone(lat) },
 				}
-				e.startOverhead(new(sim.Flow), p.Start)
+				e.startOverhead(p.Start)
 			}
 		}
 		issue()

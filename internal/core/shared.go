@@ -12,13 +12,12 @@ import (
 	"numacs/internal/exec"
 	"numacs/internal/plan"
 	"numacs/internal/sharedscan"
-	"numacs/internal/sim"
 )
 
 // stmtRec is one read statement, private, in a scan cohort or a star: its
 // admission entry, the cohort member with the statement's pipeline inside
 // it, its operators — a join-free plan's by value, a star's made on its
-// first fill — the per-query overhead flow, and the statement's callbacks.
+// first fill — and the statement's callbacks.
 // entry is the cache entry of the statement the record runs now, or ran
 // last (plancache.go), and phys the plan its member and operators were last
 // filled from: a record is filled when its statement begins and its entry's
@@ -60,7 +59,6 @@ type stmtRec struct {
 	m           sharedscan.Member
 	ops         plan.PlainOps
 	joins       *plan.JoinOps
-	overhead    sim.Flow
 	group       []*sharedscan.Member
 	start, join func()
 	onDone      func(latency float64)
@@ -130,7 +128,7 @@ func (r *stmtRec) free() {
 // registry, as a group of one, behind the per-query overhead.
 func (r *stmtRec) admitted(gran int, issuedAt float64) {
 	if r.begin(gran, issuedAt) {
-		r.e.startOverhead(&r.overhead, r.join)
+		r.e.startOverhead(r.join)
 	}
 }
 
@@ -149,7 +147,7 @@ func (r *stmtRec) begin(gran int, issuedAt float64) bool {
 	e.activeStatements++
 	p.Env, p.IssuedAt, p.MaxFanout, p.Trace = e.env, issuedAt, gran, r.adm.Trace
 	if e.Shared == nil || !r.phys.Shareable {
-		e.startOverhead(&r.overhead, r.start)
+		e.startOverhead(r.start)
 		return false
 	}
 	// The member's shed deadline extends the admission class deadline into

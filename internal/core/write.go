@@ -65,16 +65,17 @@ type plannedWrite struct {
 	v                int64
 }
 
-// writeFlow is a write batch's traffic-flow record for one fragment: its
-// flow with its own demand, the column its traffic is attributed to, and the
-// socket of the fragment it writes. OnAdvance and OnDone are bound once, when
-// the record is made.
+// writeFlow is a write batch's traffic-flow record for one fragment: the
+// demand its flow starts with, the column its traffic is attributed to, and
+// the socket of the fragment it writes. The flow's OnAdvance and OnDone are
+// bound once, when the record is made.
 type writeFlow struct {
-	sim.Flow
-	b      *WriteBatch
-	demand [1]sim.Demand
-	col    *colstore.Column
-	socket int
+	b         *WriteBatch
+	demand    [1]sim.Demand
+	col       *colstore.Column
+	socket    int
+	onAdvance func(float64)
+	onDone    func()
 }
 
 // WriteBatch returns an empty batch over cols, the columns its writes index,
@@ -161,21 +162,20 @@ func (b *WriteBatch) startFlow(col *colstore.Column, socket, rows int) {
 	e := b.e
 	if b.pending == len(b.flows) {
 		f := &writeFlow{b: b}
-		f.OnAdvance, f.OnDone = f.advance, f.done
+		f.onAdvance, f.onDone = f.advance, f.done
 		b.flows = append(b.flows, f)
 	}
 	f := b.flows[b.pending]
 	b.pending++
 	f.col, f.socket = col, socket
 	f.demand[0] = sim.Demand{Resource: e.HW.MC[socket], Weight: 1}
-	f.Flow = sim.Flow{
+	e.Sim.StartFlow(&sim.Flow{
 		Remaining: float64(rows) * e.Costs.DeltaWriteBytesPerRow,
 		RateCap:   e.Machine.StreamRate(socket, socket),
 		Demands:   f.demand[:],
-		OnAdvance: f.OnAdvance,
-		OnDone:    f.OnDone,
-	}
-	e.Sim.StartFlow(&f.Flow)
+		OnAdvance: f.onAdvance,
+		OnDone:    f.onDone,
+	})
 }
 
 // advance is every write flow's OnAdvance.

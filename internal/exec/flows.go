@@ -23,16 +23,19 @@ const (
 	wrapFlow                       // re-stream of a cohort's wrap pass
 )
 
-// flowRec is one flow exec starts, with the state its accounting reads.
-// Records are recycled through their Env's free list: OnAdvance and OnDone
-// are bound once, when a record is made, and each start reuses its weight
-// and demand (Flow.Demands) buffers.
+// flowRec is one flow exec starts: the description its start hands the
+// simulator (Flow), and the state its accounting reads. A chain's records
+// are described when the chain is built, so a record keeps its description
+// until its own start, where the simulator copies it. Records are recycled
+// through their Env's free list: OnAdvance and OnDone are bound once, when a
+// record is made, and each start reuses its weight and demand (Flow.Demands)
+// buffers.
 //
 // A record returns to the free list only inside its own OnDone, after it has
-// read next and then. This is sound because nothing outside the simulator
-// keeps a record's *sim.Flow (callers hold records only in locals while they
-// link a chain) and the simulator has no abort path; a flow that never
-// completed would simply be dropped for the garbage collector, never reused.
+// read next and then. This is sound because the simulator keeps no
+// reference to a record (callers hold records only in locals while they link
+// a chain) and has no abort path, so no callback of a record's flow fires
+// after its OnDone.
 type flowRec struct {
 	sim.Flow
 	env  *Env
@@ -72,10 +75,12 @@ func (env *Env) newFlow(kind flowKind, src, dst int) *flowRec {
 	} else {
 		env.freeFlows = r.next
 	}
-	*r = flowRec{
-		Flow: sim.Flow{Demands: r.Demands[:0], OnAdvance: r.OnAdvance, OnDone: r.OnDone},
-		env:  env, kind: kind, src: src, dst: dst, weights: r.weights[:0],
-	}
+	// Field by field: a whole-record literal would be built and then copied.
+	r.Remaining, r.RateCap, r.Demands = 0, 0, r.Demands[:0]
+	r.env, r.kind, r.src, r.dst, r.lt = env, kind, src, dst, hw.LinkTraffic{}
+	r.item, r.attr, r.per, r.miss = nil, 0, 0, 0
+	r.n, r.pass, r.weights = 0, nil, r.weights[:0]
+	r.next, r.then = nil, nil
 	return r
 }
 

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime/debug"
 	"strings"
 	"testing"
 )
@@ -126,6 +127,16 @@ func TestHistogramMatchesOracle(t *testing.T) {
 // statement. Recording a million step-grid latencies into a Counters and
 // into a Histogram allocates 0, and Counters.Latencies reads them without a
 // copy.
+//
+// AllocsPerRun counts every allocation the process makes, and a measured run
+// here takes tens of milliseconds. Under load the runtime's background
+// scavenger, still returning to the OS the memory that earlier tests freed,
+// sleeps between chunks of that work inside the run; re-arming its timer
+// can grow the timer heap of the one P that AllocsPerRun leaves, which is one
+// stray allocation (seen in an allocation profile of the failing run, with
+// the package's tests beside a full test run). debug.FreeOSMemory before each
+// measured run collects and returns all free memory first, so the scavenger
+// has nothing left to do during it.
 func TestLatencyStoreAllocs(t *testing.T) {
 	const samples = 1_000_000
 	grid := func(i int) float64 {
@@ -133,6 +144,7 @@ func TestLatencyStoreAllocs(t *testing.T) {
 		return float64(k+j)*latencyStep - float64(j)*latencyStep
 	}
 	c := New(4)
+	debug.FreeOSMemory()
 	if a := testing.AllocsPerRun(1, func() {
 		c.Reset()
 		for i := 0; i < samples; i++ {
@@ -145,6 +157,7 @@ func TestLatencyStoreAllocs(t *testing.T) {
 		t.Errorf("Counters.Latencies: %v allocations, want 0", a)
 	}
 	var h Histogram
+	debug.FreeOSMemory()
 	if a := testing.AllocsPerRun(1, func() {
 		h.Reset()
 		for i := 0; i < samples; i++ {

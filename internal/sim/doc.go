@@ -10,6 +10,12 @@
 // computes a weighted max-min fair ("water-filling") rate allocation across
 // all active flows, advances them, and fires completion callbacks.
 //
+// The engine owns its flows. A caller describes one in a Flow, and
+// StartFlow copies the description — Remaining, RateCap, the callbacks and
+// the elements of Demands — into a record the engine recycles. The callbacks
+// run as they would on the caller's value; the caller may reuse or drop its
+// Flow and its Demands once StartFlow returns.
+//
 // The fluid abstraction reproduces the contention phenomena the paper's
 // findings rest on — memory-controller saturation, QPI-link saturation,
 // latency-bound remote access, and cache-coherence broadcast overhead —

@@ -24,27 +24,33 @@ type Demand struct {
 	Weight   float64
 }
 
-// Flow is a unit of in-flight work. Flows are created by tasks (scan phases,
-// materialization phases, compute phases) and progress at the rate assigned
-// by the max-min allocation each step.
+// Flow describes a unit of work to start: tasks (scan phases,
+// materialization phases, compute phases) describe one and hand it to
+// StartFlow, which copies it into a flow of the engine's own. The flow then
+// progresses at the rate assigned by the max-min allocation each step.
 type Flow struct {
-	// Remaining is the number of units (bytes, accesses, cycles) left.
+	// Remaining is the number of units (bytes, accesses, cycles) to do.
 	Remaining float64
 	// RateCap bounds the flow's own progress rate (units/s), independent of
 	// resource contention. Zero means "uncapped".
 	RateCap float64
 	// Demands lists weighted resource consumption per unit of progress.
 	Demands []Demand
-	// OnDone fires when Remaining reaches zero. It runs during the engine
-	// step, after all flows have advanced; it may start new flows.
+	// OnDone fires when the work is done. It runs during the engine step,
+	// after all flows have advanced; it may start new flows.
 	OnDone func()
 	// OnAdvance, if set, is called each step with the progress made. Used by
 	// the metrics layer to attribute traffic.
 	OnAdvance func(progress float64)
+}
 
+// flow is the engine's record of a started flow: a copy of the caller's
+// Flow, whose Demands live in a buffer the record owns, and the allocator's
+// scratch. Records are recycled through the engine's free list.
+type flow struct {
+	Flow
 	rate   float64
 	seq    uint64
-	active bool
 	frozen bool // scratch for the allocator
 }
 
@@ -68,7 +74,7 @@ type Engine struct {
 	names   []string
 	caps    []float64
 	usage   []float64 // cumulative units consumed per resource
-	doneBuf []*Flow   // scratch for Step's completions
+	doneBuf []*flow   // scratch for Step's completions
 
 	// Scratch for the allocator, reused across steps.
 	residual []float64    // per resource: capacity not yet handed out, as of synced
@@ -78,9 +84,10 @@ type Engine struct {
 	loaded   []ResourceID // resources with load, ascending
 	byCap    []capKey     // flows by effective cap
 	capBuf   []capKey     // the cap order's merge buffer
-	live     []*Flow      // flows no bottleneck has frozen yet
+	live     []*flow      // flows no bottleneck has frozen yet
 
-	flows   []*Flow
+	flows   []*flow // active flows, in seq order
+	free    []*flow // idle records
 	nextSeq uint64
 
 	actors []Actor
@@ -183,17 +190,21 @@ func (e *Engine) ActiveDemand(ids []ResourceID) []float64 {
 // AddActor registers an actor ticked each step, in registration order.
 func (e *Engine) AddActor(a Actor) { e.actors = append(e.actors, a) }
 
-// StartFlow activates a flow. A zero-Remaining flow completes on the next
-// step. The same Flow value must not be started twice concurrently.
+// StartFlow starts a flow described by f. A zero-Remaining flow completes
+// on the next step.
+//
+// StartFlow copies f: its Remaining, RateCap and callbacks, and the elements
+// of its Demands into storage the engine owns. The callbacks run as before,
+// OnAdvance each step the flow progresses and OnDone once when it is done.
+// The engine keeps no reference to f or to its Demands, so the caller may
+// reuse or drop both once StartFlow returns, and starting one Flow twice
+// starts two independent flows.
 //
 // It panics on a flow the allocator cannot order or fill: a Remaining that
 // is NaN, infinite or negative, a RateCap that is NaN or negative, or a
 // demand on an unregistered resource or with a NaN, infinite or negative
 // weight. Such a flow would otherwise poison every rate of the step.
 func (e *Engine) StartFlow(f *Flow) {
-	if f.active {
-		panic("sim: flow already active")
-	}
 	if !(f.Remaining >= 0) || math.IsInf(f.Remaining, 1) {
 		panic(fmt.Sprintf("sim: flow Remaining %v is not a finite non-negative number", f.Remaining))
 	}
@@ -209,10 +220,19 @@ func (e *Engine) StartFlow(f *Flow) {
 				d.Weight, e.names[d.Resource]))
 		}
 	}
-	f.active = true
-	f.seq = e.nextSeq
+	var r *flow
+	if n := len(e.free); n > 0 {
+		r = e.free[n-1]
+		e.free = e.free[:n-1]
+	} else {
+		r = new(flow)
+	}
+	r.Remaining, r.RateCap = f.Remaining, f.RateCap
+	r.Demands = append(r.Demands[:0], f.Demands...)
+	r.OnDone, r.OnAdvance = f.OnDone, f.OnAdvance
+	r.seq = e.nextSeq
 	e.nextSeq++
-	e.flows = append(e.flows, f)
+	e.flows = append(e.flows, r)
 }
 
 // ActiveFlows returns the number of currently active flows.
@@ -248,13 +268,12 @@ func (e *Engine) Step() {
 		}
 		if f.Remaining <= 1e-9 {
 			f.Remaining = 0
-			f.active = false
 			done = append(done, f)
 		} else {
 			kept = append(kept, f)
 		}
 	}
-	// Zero the tail so aborted/done flows do not linger in the backing array.
+	// Zero the tail so done flows do not linger in the backing array.
 	for i := len(kept); i < len(e.flows); i++ {
 		e.flows[i] = nil
 	}
@@ -264,10 +283,15 @@ func (e *Engine) Step() {
 	e.steps++
 	e.now = float64(e.steps) * e.step
 
+	// Each record returns to the free list, its callbacks cleared, once its
+	// OnDone has been read, so the OnDone may reuse it for a flow it starts.
 	for _, f := range done {
 		e.completed++
-		if f.OnDone != nil {
-			f.OnDone()
+		onDone := f.OnDone
+		f.OnDone, f.OnAdvance = nil, nil
+		e.free = append(e.free, f)
+		if onDone != nil {
+			onDone()
 		}
 	}
 	clear(done)
@@ -284,7 +308,7 @@ func (e *Engine) Run(until Time) {
 // capKey is one flow's entry in the allocator's cap order.
 type capKey struct {
 	cap float64 // the flow's effective cap: RateCap bounded by Remaining/step
-	f   *Flow
+	f   *flow
 }
 
 // boundMargin is the relative slack below the bound at which a cap round
@@ -530,7 +554,7 @@ func (e *Engine) sync(r ResourceID) {
 }
 
 // uses reports whether the flow places positive demand on resource r.
-func (f *Flow) uses(r ResourceID) bool {
+func (f *flow) uses(r ResourceID) bool {
 	for _, d := range f.Demands {
 		if d.Resource == r && d.Weight > 0 {
 			return true
@@ -543,7 +567,7 @@ func (f *Flow) uses(r ResourceID) bool {
 // syncing each resource first so its pending drains apply at the old load.
 // A resource whose load falls to the scan threshold skips the sync, since
 // its residual is never read again.
-func (e *Engine) freeze(f *Flow, rate float64) {
+func (e *Engine) freeze(f *flow, rate float64) {
 	f.frozen = true
 	f.rate = rate
 	for _, d := range f.Demands {

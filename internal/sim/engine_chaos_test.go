@@ -8,8 +8,7 @@ import "testing"
 func TestSetResourceCapacityTakesEffectNextStep(t *testing.T) {
 	e := New(0.001)
 	r := e.AddResource("mc", 100)
-	f := &Flow{Remaining: 1e9, Demands: []Demand{{r, 1}}}
-	e.StartFlow(f)
+	f := start(e, &Flow{Remaining: 1e9, Demands: []Demand{{r, 1}}})
 	e.Step()
 	almost(t, f.Rate(), 100, 1e-9, "nominal rate")
 

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -17,8 +18,7 @@ func TestSingleFlowUncontended(t *testing.T) {
 	e := New(0.001)
 	r := e.AddResource("mc", 100)
 	done := false
-	f := &Flow{Remaining: 50, Demands: []Demand{{r, 1}}, OnDone: func() { done = true }}
-	e.StartFlow(f)
+	f := start(e, &Flow{Remaining: 50, Demands: []Demand{{r, 1}}, OnDone: func() { done = true }})
 	e.Step()
 	almost(t, f.Rate(), 100, 1e-9, "rate")
 	// 50 units at 100/s takes 0.5s.
@@ -32,8 +32,7 @@ func TestSingleFlowUncontended(t *testing.T) {
 func TestRateCapBinds(t *testing.T) {
 	e := New(0.001)
 	r := e.AddResource("mc", 100)
-	f := &Flow{Remaining: 1000, RateCap: 10, Demands: []Demand{{r, 1}}}
-	e.StartFlow(f)
+	f := start(e, &Flow{Remaining: 1000, RateCap: 10, Demands: []Demand{{r, 1}}})
 	e.Step()
 	almost(t, f.Rate(), 10, 1e-9, "capped rate")
 }
@@ -41,10 +40,8 @@ func TestRateCapBinds(t *testing.T) {
 func TestFairShareTwoFlows(t *testing.T) {
 	e := New(0.001)
 	r := e.AddResource("mc", 100)
-	f1 := &Flow{Remaining: 1e9, Demands: []Demand{{r, 1}}}
-	f2 := &Flow{Remaining: 1e9, Demands: []Demand{{r, 1}}}
-	e.StartFlow(f1)
-	e.StartFlow(f2)
+	f1 := start(e, &Flow{Remaining: 1e9, Demands: []Demand{{r, 1}}})
+	f2 := start(e, &Flow{Remaining: 1e9, Demands: []Demand{{r, 1}}})
 	e.Step()
 	almost(t, f1.Rate(), 50, 1e-9, "f1 rate")
 	almost(t, f2.Rate(), 50, 1e-9, "f2 rate")
@@ -55,10 +52,8 @@ func TestWeightedDemand(t *testing.T) {
 	// so two such flows fairly share 100 capacity at rate 100/(2+2)=25 each.
 	e := New(0.001)
 	r := e.AddResource("mc", 100)
-	f1 := &Flow{Remaining: 1e9, Demands: []Demand{{r, 2}}}
-	f2 := &Flow{Remaining: 1e9, Demands: []Demand{{r, 2}}}
-	e.StartFlow(f1)
-	e.StartFlow(f2)
+	f1 := start(e, &Flow{Remaining: 1e9, Demands: []Demand{{r, 2}}})
+	e.StartFlow(&Flow{Remaining: 1e9, Demands: []Demand{{r, 2}}})
 	e.Step()
 	almost(t, f1.Rate(), 25, 1e-9, "weighted rate")
 }
@@ -68,10 +63,8 @@ func TestMaxMinWithCapAndSpareRedistribution(t *testing.T) {
 	// flow should get the leftover 90.
 	e := New(0.001)
 	r := e.AddResource("mc", 100)
-	f1 := &Flow{Remaining: 1e9, RateCap: 10, Demands: []Demand{{r, 1}}}
-	f2 := &Flow{Remaining: 1e9, Demands: []Demand{{r, 1}}}
-	e.StartFlow(f1)
-	e.StartFlow(f2)
+	f1 := start(e, &Flow{Remaining: 1e9, RateCap: 10, Demands: []Demand{{r, 1}}})
+	f2 := start(e, &Flow{Remaining: 1e9, Demands: []Demand{{r, 1}}})
 	e.Step()
 	almost(t, f1.Rate(), 10, 1e-9, "capped flow")
 	almost(t, f2.Rate(), 90, 1e-9, "uncapped flow gets spare")
@@ -83,10 +76,8 @@ func TestTwoResourceBottleneck(t *testing.T) {
 	e := New(0.001)
 	mc := e.AddResource("mc", 100)
 	link := e.AddResource("link", 20)
-	a := &Flow{Remaining: 1e9, Demands: []Demand{{mc, 1}}}
-	b := &Flow{Remaining: 1e9, Demands: []Demand{{mc, 1}, {link, 1}}}
-	e.StartFlow(a)
-	e.StartFlow(b)
+	a := start(e, &Flow{Remaining: 1e9, Demands: []Demand{{mc, 1}}})
+	b := start(e, &Flow{Remaining: 1e9, Demands: []Demand{{mc, 1}, {link, 1}}})
 	e.Step()
 	almost(t, b.Rate(), 20, 1e-9, "link-bound flow")
 	almost(t, a.Rate(), 80, 1e-9, "local flow gets residual MC")
@@ -98,8 +89,7 @@ func TestCoherenceWeightInflatesLinkUsage(t *testing.T) {
 	e := New(0.001)
 	mc := e.AddResource("mc", 100)
 	link := e.AddResource("link", 30)
-	f := &Flow{Remaining: 1e9, Demands: []Demand{{mc, 1}, {link, 1.5}}}
-	e.StartFlow(f)
+	f := start(e, &Flow{Remaining: 1e9, Demands: []Demand{{mc, 1}, {link, 1.5}}})
 	e.Step()
 	almost(t, f.Rate(), 20, 1e-9, "coherence-taxed rate")
 	e.Step()
@@ -139,10 +129,9 @@ func TestAbortFlow(t *testing.T) {
 	e := New(0.001)
 	r := e.AddResource("mc", 100)
 	done := false
-	f := &Flow{Remaining: 1e9, Demands: []Demand{{r, 1}}, OnDone: func() { done = true }}
-	e.StartFlow(f)
+	f := start(e, &Flow{Remaining: 1e9, Demands: []Demand{{r, 1}}, OnDone: func() { done = true }})
 	e.Step()
-	e.AbortFlow(f)
+	e.abort(f)
 	e.Run(0.1)
 	if done {
 		t.Fatal("aborted flow must not complete")
@@ -176,9 +165,12 @@ func TestDeterminism(t *testing.T) {
 			if i%3 == 0 {
 				f.RateCap = float64(5 + i)
 			}
-			ff := f
-			f.OnDone = func() { rates = append(rates, ff.rate) }
-			e.StartFlow(f)
+			// The rate the flow finishes at, read while it is active.
+			var rec *flow
+			last := 0.0
+			f.OnAdvance = func(float64) { last = rec.rate }
+			f.OnDone = func() { rates = append(rates, last) }
+			rec = start(e, f)
 		}
 		e.Run(10)
 		return rates
@@ -206,7 +198,7 @@ func TestAllocationFeasibilityProperty(t *testing.T) {
 			ids[i] = e.AddResource("r", 1+rng.f64()*100)
 		}
 		nflows := 1 + rng.intn(24)
-		flows := make([]*Flow, nflows)
+		flows := make([]*flow, nflows)
 		for i := range flows {
 			fl := &Flow{Remaining: 1e12}
 			if rng.intn(2) == 0 {
@@ -222,8 +214,7 @@ func TestAllocationFeasibilityProperty(t *testing.T) {
 				seen[r] = true
 				fl.Demands = append(fl.Demands, Demand{ids[r], 0.1 + rng.f64()*3})
 			}
-			flows[i] = fl
-			e.StartFlow(fl)
+			flows[i] = start(e, fl)
 		}
 		e.Step()
 		use := make([]float64, nres)
@@ -262,7 +253,7 @@ func TestAllocationWorkConservingProperty(t *testing.T) {
 			ids[i] = e.AddResource("r", 1+rng.f64()*100)
 		}
 		nflows := 1 + rng.intn(12)
-		flows := make([]*Flow, nflows)
+		flows := make([]*flow, nflows)
 		for i := range flows {
 			fl := &Flow{Remaining: 1e12}
 			if rng.intn(3) == 0 {
@@ -270,8 +261,7 @@ func TestAllocationWorkConservingProperty(t *testing.T) {
 			}
 			r := rng.intn(nres)
 			fl.Demands = []Demand{{ids[r], 0.5 + rng.f64()*2}}
-			flows[i] = fl
-			e.StartFlow(fl)
+			flows[i] = start(e, fl)
 		}
 		e.Step()
 		use := make([]float64, nres)
@@ -318,19 +308,23 @@ func (r *trand) intn(n int) int { return int(r.next() % uint64(n)) }
 
 func (r *trand) f64() float64 { return float64(r.next()%1_000_000) / 1_000_000 }
 
-// Rate reports the most recently allocated rate (units/s).
-func (f *Flow) Rate() float64 { return f.rate }
+// start starts f and returns the engine's record of the flow, through which
+// a test reads its rate and progress while it is active (a record is
+// recycled once its flow is done).
+func start(e *Engine, f *Flow) *flow {
+	e.StartFlow(f)
+	return e.flows[len(e.flows)-1]
+}
 
-// AbortFlow deactivates a flow without firing OnDone.
-func (e *Engine) AbortFlow(f *Flow) {
-	if !f.active {
-		return
-	}
-	f.active = false
-	for i, g := range e.flows {
-		if g == f {
-			e.flows = append(e.flows[:i], e.flows[i+1:]...)
-			return
-		}
+// Rate reports the most recently allocated rate (units/s).
+func (f *flow) Rate() float64 { return f.rate }
+
+// abort deactivates an active flow without firing OnDone and returns its
+// record to the free list.
+func (e *Engine) abort(f *flow) {
+	if i := slices.Index(e.flows, f); i >= 0 {
+		e.flows = slices.Delete(e.flows, i, i+1)
+		f.OnDone, f.OnAdvance = nil, nil
+		e.free = append(e.free, f)
 	}
 }

@@ -20,7 +20,7 @@ func refAllocate(e *Engine) (guardFired bool) {
 		return false
 	}
 	residual := append([]float64(nil), e.caps...)
-	effCap := make(map[*Flow]float64, len(flows))
+	effCap := make(map[*flow]float64, len(flows))
 	unfrozen := 0
 	for _, f := range flows {
 		f.frozen = false
@@ -42,7 +42,7 @@ func refAllocate(e *Engine) (guardFired bool) {
 	}
 
 	// Flows sorted by effective cap, ascending. Stable by seq.
-	capped := append([]*Flow(nil), flows...)
+	capped := append([]*flow(nil), flows...)
 	sort.SliceStable(capped, func(i, j int) bool { return effCap[capped[i]] < effCap[capped[j]] })
 	nextCap := 0
 
@@ -59,7 +59,7 @@ func refAllocate(e *Engine) (guardFired bool) {
 			}
 		}
 	}
-	freeze := func(f *Flow, rate float64) {
+	freeze := func(f *flow, rate float64) {
 		f.frozen = true
 		f.rate = rate
 		for _, d := range f.Demands {
@@ -439,11 +439,10 @@ func TestAllocateMaxMinFair(t *testing.T) {
 // round froze nothing, and flips this pin to 10/10/100.
 func TestStallGuardCapsHeadroomFlows(t *testing.T) {
 	e := New(1e-3)
-	var fl [3]*Flow
+	var fl [3]*flow
 	for i, c := range []float64{10, 10, 100} {
 		r := e.AddResource("r", c)
-		fl[i] = &Flow{Remaining: 1e9, Demands: []Demand{{r, 1}}}
-		e.StartFlow(fl[i])
+		fl[i] = start(e, &Flow{Remaining: 1e9, Demands: []Demand{{r, 1}}})
 	}
 	e.allocate()
 	for i, want := range []float64{10, 10, 10} {

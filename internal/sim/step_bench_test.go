@@ -118,3 +118,32 @@ func BenchmarkSimStep(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkStartFlow times a caller-built flow's way through the simulator:
+// one "row" is one think-time delay, the flow a closed-loop client starts
+// between two statements (a rate cap of one unit per second over the think
+// time, here two of the benchmark's 25 µs steps), built as a literal,
+// started and stepped to completion on a warm engine. Its callback is made
+// once, as a client makes its own, so the allocs/op it reports counts only
+// what the simulator costs a caller per flow.
+func BenchmarkStartFlow(b *testing.B) {
+	e := sim.New(25e-6)
+	done := 0
+	onDone := func() { done++ }
+	think := func() {
+		e.StartFlow(&sim.Flow{Remaining: 50e-6, RateCap: 1, OnDone: onDone})
+		for e.ActiveFlows() > 0 {
+			e.Step()
+		}
+	}
+	think()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		think()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/row")
+	if done != b.N+1 {
+		b.Fatalf("%d flows done, want %d", done, b.N+1)
+	}
+}

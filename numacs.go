@@ -198,7 +198,8 @@ type Counters = metrics.Counters
 // LatencyStats summarizes a latency distribution.
 type LatencyStats = metrics.LatencyStats
 
-// Flow is a unit of in-flight simulated work.
+// Flow describes a unit of simulated work to start. The simulator copies
+// it when the flow starts, so a caller may reuse or drop it afterwards.
 type Flow = sim.Flow
 
 // Workloads -------------------------------------------------------------------------
